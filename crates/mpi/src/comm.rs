@@ -3,9 +3,8 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parmonc_faults::{FaultHandle, FaultKind, SendAction};
 use parmonc_obs::{EventKind, Monitor};
@@ -13,6 +12,7 @@ use parmonc_obs::{EventKind, Monitor};
 use crate::bytes::Bytes;
 use crate::envelope::{Envelope, Tag};
 use crate::error::MpiError;
+use crate::mailbox::{Cursor, Mailbox};
 use crate::pool::BufferPool;
 
 /// A message the fault plane is holding back: it leaves the sender
@@ -25,7 +25,7 @@ struct DelayedSend {
     payload: Bytes,
 }
 
-/// Per-receiver channel statistics for monitored worlds: how many
+/// Per-receiver inbox statistics for monitored worlds: how many
 /// messages sit undelivered in each rank's inbox, and the largest such
 /// backlog ever seen. Only allocated when a [`Monitor`] is attached, so
 /// unmonitored worlds pay nothing.
@@ -46,6 +46,17 @@ impl ChannelStats {
     }
 }
 
+/// What the ranks of one world share: every rank's inbox, and how
+/// many communicators are still alive.
+#[derive(Debug)]
+struct Shared {
+    /// `mailboxes[r]` is rank `r`'s inbox.
+    mailboxes: Vec<Mailbox>,
+    /// Communicators not yet dropped. A receiver blocked with nothing
+    /// buffered while it is the only one left can never be served.
+    live: AtomicUsize,
+}
+
 /// The per-rank handle: knows its rank, the world size, and how to
 /// reach every other rank.
 ///
@@ -56,9 +67,10 @@ impl ChannelStats {
 #[derive(Debug)]
 pub struct Communicator {
     rank: usize,
-    senders: Arc<Vec<Sender<Envelope>>>,
-    inbox: Receiver<Envelope>,
-    /// Messages received from the channel but not yet matched.
+    world: Arc<Shared>,
+    /// This rank's read position in its own mailbox.
+    cursor: Cursor,
+    /// Messages taken from the mailbox but not yet matched.
     pending: VecDeque<Envelope>,
     /// Event sink for monitored worlds (disabled = one dead branch per
     /// operation).
@@ -72,10 +84,11 @@ pub struct Communicator {
     /// fault plane is enabled; flushed on [`Drop`] so a held message is
     /// late, never lost (unless scripted as a drop).
     delayed: RefCell<Vec<DelayedSend>>,
-    /// Send-buffer freelist shared by all ranks of this world: senders
-    /// take encode buffers from it, receivers recycle decoded payloads
-    /// into it.
-    pool: Arc<BufferPool>,
+    /// This rank's buffer freelist, locked by no other rank: encode
+    /// buffers come back to it as soon as their bytes are in the
+    /// destination's ring, and received payloads are copied out into
+    /// buffers taken from it.
+    pool: BufferPool,
 }
 
 impl Communicator {
@@ -88,18 +101,18 @@ impl Communicator {
     /// Number of ranks in the world.
     #[must_use]
     pub fn size(&self) -> usize {
-        self.senders.len()
+        self.world.mailboxes.len()
     }
 
-    /// The world-shared send-buffer freelist. Senders take pre-sized
-    /// encode buffers from it so steady-state traffic reuses retired
+    /// This rank's send-buffer freelist. Senders take pre-sized encode
+    /// buffers from it so steady-state traffic reuses retired
     /// allocations instead of allocating per message.
     #[must_use]
     pub fn pool(&self) -> &BufferPool {
         &self.pool
     }
 
-    /// Returns a fully consumed payload's allocation to the world's
+    /// Returns a fully consumed payload's allocation to this rank's
     /// freelist (the receiver-side half of the recycling contract).
     /// No-op if other handles to the payload are still alive.
     pub fn recycle(&self, payload: Bytes) {
@@ -147,7 +160,7 @@ impl Communicator {
         }
     }
 
-    /// Records a message leaving this rank's channel (it is now owned by
+    /// Records a message leaving this rank's mailbox (it is now owned by
     /// the receiving rank, possibly in its pending buffer).
     fn note_delivery(&self, env: &Envelope) {
         if let Some(stats) = &self.stats {
@@ -176,7 +189,9 @@ impl Communicator {
     /// destination, or [`MpiError::Disconnected`] if the destination has
     /// already been torn down.
     pub fn send(&self, dest: usize, tag: Tag, payload: &[u8]) -> Result<(), MpiError> {
-        self.send_bytes(dest, tag, Bytes::copy_from_slice(payload))
+        let mut buf = self.pool.take(payload.len());
+        buf.put_slice(payload);
+        self.send_bytes(dest, tag, buf.freeze())
     }
 
     /// Zero-copy variant of [`Communicator::send`] for payloads already
@@ -236,23 +251,22 @@ impl Communicator {
     /// The unfaulted send path: enqueue for `dest`, with monitored
     /// queue-depth accounting. `dest` has already been validated.
     fn send_now(&self, dest: usize, tag: Tag, payload: Bytes) -> Result<(), MpiError> {
-        let sender = &self.senders[dest];
         let bytes = payload.len();
         // Count the message before it is enqueued: once it is in the
-        // channel the receiver may pull it (and decrement) at any time.
+        // mailbox the receiver may pull it (and decrement) at any time.
         let depth = self.note_enqueue(dest);
-        match sender.send(Envelope {
-            source: self.rank,
-            tag,
-            payload,
-        }) {
-            Ok(()) => {
+        match self.world.mailboxes[dest].push(self.rank, tag, payload) {
+            Ok(copied) => {
+                // Copied into the ring: the allocation stays here.
+                if let Some(payload) = copied {
+                    self.recycle(payload);
+                }
                 self.note_send(dest, tag, bytes, depth.unwrap_or(0));
                 Ok(())
             }
-            Err(_) => {
+            Err(e) => {
                 self.undo_enqueue(dest);
-                Err(MpiError::Disconnected)
+                Err(e)
             }
         }
     }
@@ -311,25 +325,46 @@ impl Communicator {
         self.pending.remove(idx)
     }
 
+    /// Takes the next message out of this rank's mailbox, if one is
+    /// deliverable, with monitored delivery accounting.
+    fn poll(&mut self) -> Option<Envelope> {
+        let env = self.world.mailboxes[self.rank].poll(
+            &mut self.cursor,
+            &self.pool,
+            Ordering::Acquire,
+        )?;
+        self.note_delivery(&env);
+        Some(env)
+    }
+
+    /// Blocks for the next message in this rank's mailbox; `Ok(None)`
+    /// once `deadline` has passed.
+    fn wait(&mut self, deadline: Option<Instant>) -> Result<Option<Envelope>, MpiError> {
+        let world = &self.world;
+        // SeqCst: pairs with the decrement in `Drop`, which is followed
+        // by a look at this rank's `waiting` flag.
+        let peers_alive = || world.live.load(Ordering::SeqCst) > 1;
+        let env =
+            world.mailboxes[self.rank].wait(&mut self.cursor, &self.pool, deadline, peers_alive)?;
+        if let Some(env) = &env {
+            self.note_delivery(env);
+        }
+        Ok(env)
+    }
+
     /// Blocking receive of the next message matching the optional
     /// `source` and `tag` filters (`None` = wildcard, MPI's
     /// `MPI_ANY_SOURCE` / `MPI_ANY_TAG`).
     ///
     /// # Errors
     ///
-    /// Returns [`MpiError::Disconnected`] if all possible senders have
-    /// been dropped while no matching message is buffered.
+    /// Returns [`MpiError::Disconnected`] if every other communicator
+    /// of the world has been dropped while no matching message is
+    /// buffered.
     pub fn recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Result<Envelope, MpiError> {
-        if let Some(env) = self.take_pending(source, tag) {
-            return Ok(env);
-        }
-        loop {
-            let env = self.inbox.recv().map_err(|_| MpiError::Disconnected)?;
-            self.note_delivery(&env);
-            if Self::matches(&env, source, tag) {
-                return Ok(env);
-            }
-            self.pending.push_back(env);
+        match self.recv_deadline(source, tag, None)? {
+            Some(env) => Ok(env),
+            None => unreachable!("a receive without a deadline cannot time out"),
         }
     }
 
@@ -337,31 +372,33 @@ impl Communicator {
     ///
     /// # Errors
     ///
-    /// Returns [`MpiError::Disconnected`] if all senders are gone.
+    /// Returns [`MpiError::Disconnected`] if every other communicator
+    /// of the world is gone and nothing is buffered.
     pub fn recv_timeout(
         &mut self,
         source: Option<usize>,
         tag: Option<Tag>,
         timeout: Duration,
     ) -> Result<Option<Envelope>, MpiError> {
+        self.recv_deadline(source, tag, Some(Instant::now() + timeout))
+    }
+
+    fn recv_deadline(
+        &mut self,
+        source: Option<usize>,
+        tag: Option<Tag>,
+        deadline: Option<Instant>,
+    ) -> Result<Option<Envelope>, MpiError> {
         if let Some(env) = self.take_pending(source, tag) {
             return Ok(Some(env));
         }
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            match self.inbox.recv_timeout(remaining) {
-                Ok(env) => {
-                    self.note_delivery(&env);
-                    if Self::matches(&env, source, tag) {
-                        return Ok(Some(env));
-                    }
-                    self.pending.push_back(env);
-                }
-                Err(RecvTimeoutError::Timeout) => return Ok(None),
-                Err(RecvTimeoutError::Disconnected) => return Err(MpiError::Disconnected),
+        while let Some(env) = self.wait(deadline)? {
+            if Self::matches(&env, source, tag) {
+                return Ok(Some(env));
             }
+            self.pending.push_back(env);
         }
+        Ok(None)
     }
 
     /// Non-blocking receive: returns a matching message if one is
@@ -371,18 +408,13 @@ impl Communicator {
         if let Some(env) = self.take_pending(source, tag) {
             return Some(env);
         }
-        loop {
-            match self.inbox.try_recv() {
-                Ok(env) => {
-                    self.note_delivery(&env);
-                    if Self::matches(&env, source, tag) {
-                        return Some(env);
-                    }
-                    self.pending.push_back(env);
-                }
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => return None,
+        while let Some(env) = self.poll() {
+            if Self::matches(&env, source, tag) {
+                return Some(env);
             }
+            self.pending.push_back(env);
         }
+        None
     }
 
     /// Whether a matching message is available without consuming it.
@@ -394,10 +426,9 @@ impl Communicator {
         if self.pending.iter().any(|e| Self::matches(e, source, tag)) {
             return true;
         }
-        // Drain whatever is in the channel into the pending buffer so
+        // Drain whatever is in the mailbox into the pending buffer so
         // the probe sees it.
-        while let Ok(env) = self.inbox.try_recv() {
-            self.note_delivery(&env);
+        while let Some(env) = self.poll() {
             self.pending.push_back(env);
         }
         self.pending.iter().any(|e| Self::matches(e, source, tag))
@@ -410,6 +441,16 @@ impl Drop for Communicator {
         // was holding, so "delayed" can never silently become "lost".
         // Errors are ignored: the receiver may already be gone.
         let _ = self.flush_delayed(true);
+        self.world.mailboxes[self.rank].close();
+        // Only a receiver left alone gives up, so only the departure
+        // that leaves one communicator behind has anyone to wake.
+        // SeqCst: ordered before the `waiting` loads below, pairing
+        // with a sleeper's `waiting` store followed by its `live` load.
+        if self.world.live.fetch_sub(1, Ordering::SeqCst) == 2 {
+            for mailbox in &self.world.mailboxes {
+                mailbox.wake_if_waiting();
+            }
+        }
     }
 }
 
@@ -477,31 +518,24 @@ impl World {
         if size == 0 {
             return Err(MpiError::EmptyWorld);
         }
-        let mut senders = Vec::with_capacity(size);
-        let mut inboxes = Vec::with_capacity(size);
-        for _ in 0..size {
-            let (tx, rx) = channel();
-            senders.push(tx);
-            inboxes.push(rx);
-        }
-        let senders = Arc::new(senders);
+        let world = Arc::new(Shared {
+            mailboxes: (0..size).map(|_| Mailbox::new()).collect(),
+            live: AtomicUsize::new(size),
+        });
         let stats = monitor
             .is_enabled()
             .then(|| Arc::new(ChannelStats::new(size)));
-        let pool = Arc::new(BufferPool::default());
-        Ok(inboxes
-            .into_iter()
-            .enumerate()
-            .map(|(rank, inbox)| Communicator {
+        Ok((0..size)
+            .map(|rank| Communicator {
                 rank,
-                senders: Arc::clone(&senders),
-                inbox,
+                world: Arc::clone(&world),
+                cursor: Cursor::default(),
                 pending: VecDeque::new(),
                 monitor: monitor.clone(),
                 stats: stats.clone(),
                 faults: faults.clone(),
                 delayed: RefCell::new(Vec::new()),
-                pool: Arc::clone(&pool),
+                pool: BufferPool::default(),
             })
             .collect())
     }
@@ -561,7 +595,12 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::within;
     use parmonc_obs::MemorySink;
+    use parmonc_testkit::TestRng;
+
+    /// Generous: a hang is forever, a loaded machine is not.
+    const WATCHDOG: Duration = Duration::from_secs(60);
 
     #[test]
     fn world_rejects_zero_ranks() {
@@ -778,6 +817,167 @@ mod tests {
         assert_eq!(received, vec![3, 2, 1, 0]);
         // Each send deepened the backlog, so each set a new high water.
         assert_eq!(high_water, vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn blocked_recv_learns_that_its_peers_are_gone() {
+        // Both orders occur over the repetitions: the peer exits first,
+        // or rank 0 is already asleep when it does.
+        for _ in 0..50 {
+            let results = within(WATCHDOG, || {
+                World::run(2, |comm| {
+                    if comm.rank() == 0 {
+                        comm.recv(None, None).map(|_| ())
+                    } else {
+                        Ok(())
+                    }
+                })
+            })
+            .unwrap();
+            assert_eq!(results, [Err(MpiError::Disconnected), Ok(())]);
+        }
+    }
+
+    #[test]
+    fn blocked_recv_timeout_learns_that_its_peers_are_gone() {
+        // An hour's timeout: only the disconnect can end this in time.
+        let results = within(WATCHDOG, || {
+            World::run(2, |comm| {
+                if comm.rank() == 0 {
+                    comm.recv_timeout(None, None, Duration::from_secs(3600))
+                        .map(|_| ())
+                } else {
+                    Ok(())
+                }
+            })
+        })
+        .unwrap();
+        assert_eq!(results, [Err(MpiError::Disconnected), Ok(())]);
+    }
+
+    #[test]
+    fn last_messages_of_a_departed_peer_are_still_delivered() {
+        let mut comms = World::communicators(2).unwrap();
+        let peer = comms.pop().unwrap();
+        peer.send(0, Tag(1), b"parting words").unwrap();
+        drop(peer);
+        let env = comms[0].recv(None, None).unwrap();
+        assert_eq!(&env.payload[..], b"parting words");
+        assert_eq!(comms[0].recv(None, None), Err(MpiError::Disconnected));
+        // A message that matches no receive does not keep one alive.
+        comms[0].send(0, Tag(2), b"to myself").unwrap();
+        assert_eq!(
+            comms[0].recv(None, Some(Tag(3))),
+            Err(MpiError::Disconnected)
+        );
+    }
+
+    #[test]
+    fn panicking_peer_unblocks_a_receiver() {
+        let err = within(WATCHDOG, || {
+            World::run(2, |comm| -> Result<(), MpiError> {
+                if comm.rank() == 0 {
+                    comm.recv(None, None).map(|_| ())
+                } else {
+                    panic!("worker exploded mid-run");
+                }
+            })
+        })
+        .unwrap_err();
+        assert!(matches!(err, MpiError::RankPanicked { rank: 1, .. }));
+    }
+
+    #[test]
+    fn send_to_a_dropped_rank_is_disconnected() {
+        let mut comms = World::communicators(3).unwrap();
+        drop(comms.pop());
+        assert_eq!(comms[0].send(2, Tag(0), b"x"), Err(MpiError::Disconnected));
+        // The others are unaffected.
+        comms[0].send(1, Tag(0), b"y").unwrap();
+        assert_eq!(&comms[1].recv(Some(0), None).unwrap().payload[..], b"y");
+    }
+
+    #[test]
+    fn buffered_sends_never_block_however_many() {
+        // A same-thread harness sends far more than the ring holds
+        // before it receives anything.
+        let mut comms = World::communicators(2).unwrap();
+        let (left, right) = comms.split_at_mut(1);
+        for i in 0..20_000u64 {
+            right[0].send(0, Tag(1), &i.to_le_bytes()).unwrap();
+        }
+        for i in 0..20_000u64 {
+            let env = left[0].try_recv(Some(1), Some(Tag(1))).unwrap();
+            assert_eq!(env.payload[..], i.to_le_bytes());
+        }
+        assert!(left[0].try_recv(None, None).is_none());
+    }
+
+    /// Six producers, 60 000 messages each, one consumer that stalls
+    /// on purpose and mixes `recv` with `try_recv`: content, length and
+    /// per-source order of every message are checked. The stalls let
+    /// the ring fill, so traffic keeps moving between ring and spill.
+    #[test]
+    fn stress_six_producers_against_a_stalling_consumer() {
+        const PRODUCERS: usize = 6;
+        const MESSAGES: u64 = 60_000;
+        const SEED: u64 = 0x006d_6169_6c62_6f78; // "mailbox"
+
+        /// Message `i` of `source`: a seeded length (now and then a
+        /// by-handle one) and bytes that depend on both.
+        fn message(rng: &mut TestRng, source: usize, i: u64) -> Vec<u8> {
+            let len = match rng.below(100) {
+                0 => 4097 + rng.below(2000) as usize,
+                1..=9 => rng.below(4097) as usize,
+                _ => rng.below(130) as usize,
+            };
+            (0..len).map(|k| (i as usize + source + k) as u8).collect()
+        }
+
+        within(Duration::from_secs(300), || {
+            let results = World::run(PRODUCERS + 1, |comm| {
+                let rank = comm.rank();
+                if rank != 0 {
+                    let mut rng = TestRng::new(SEED + rank as u64);
+                    for i in 0..MESSAGES {
+                        comm.send(0, Tag(rank as u32), &message(&mut rng, rank, i))?;
+                    }
+                    return Ok(());
+                }
+                let mut expected: Vec<(TestRng, u64)> = (0..=PRODUCERS)
+                    .map(|source| (TestRng::new(SEED + source as u64), 0))
+                    .collect();
+                let mut pace = TestRng::new(SEED);
+                let mut received = 0;
+                while received < PRODUCERS as u64 * MESSAGES {
+                    let env = match pace.below(3) {
+                        0 => comm.recv(None, None)?,
+                        _ => match comm.try_recv(None, None) {
+                            Some(env) => env,
+                            None => continue,
+                        },
+                    };
+                    let (rng, i) = &mut expected[env.source];
+                    assert_eq!(env.tag, Tag(env.source as u32));
+                    assert_eq!(
+                        env.payload.to_vec(),
+                        message(rng, env.source, *i),
+                        "message {i} from rank {} (seed {SEED:#x})",
+                        env.source
+                    );
+                    *i += 1;
+                    received += 1;
+                    comm.recycle(env.payload);
+                    if pace.below(2000) == 0 {
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                }
+                assert!(comm.try_recv(None, None).is_none());
+                Ok(())
+            })
+            .unwrap();
+            assert!(results.iter().all(Result::is_ok), "{results:?}");
+        });
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //!
 //! PARMONC worker→collector traffic is a fixed record: the two sum
 //! matrices `[Σζ_ij]`, `[Σζ²_ij]` and the sample volume `l_m`
-//! (paper Section 2.2) — roughly 120 KB for the performance test's
-//! 1000×2 matrices plus framing. The codec here is a minimal
-//! little-endian binary layout over [`crate::bytes::Bytes`]; it exists so the
-//! substrate moves *serialized* payloads exactly like MPI would, letting
-//! the benches measure realistic per-message costs.
+//! (paper Section 2.2). For the performance test's 1000×2 matrices the
+//! paper quotes roughly 120 KB per message; here it is 32 048 bytes
+//! (shape, volume and compute time, then two length-prefixed runs of
+//! 2000 `f64`s). The codec here is a minimal little-endian binary
+//! layout over [`crate::bytes::Bytes`]; it exists so the substrate
+//! moves *serialized* payloads exactly like MPI would, letting the
+//! benches measure realistic per-message costs.
 
 use crate::bytes::{Bytes, BytesMut};
 
@@ -105,9 +107,7 @@ impl PayloadWriter {
     pub fn put_f64_slice(&mut self, vs: &[f64]) {
         self.buf.reserve(8 + 8 * vs.len());
         self.buf.put_u64_le(vs.len() as u64);
-        for v in vs {
-            self.buf.put_f64_le(*v);
-        }
+        self.buf.put_f64_slice_le(vs);
     }
 
     /// Finalizes into an immutable payload.
@@ -173,7 +173,9 @@ impl PayloadReader {
                 what: "truncated f64 vector",
             });
         }
-        Ok((0..len).map(|_| self.buf.get_f64_le()).collect())
+        let mut out = vec![0.0; len];
+        self.buf.get_f64_slice_le(&mut out);
+        Ok(out)
     }
 
     /// Reads a length-prefixed `f64` sequence into an existing slice,
@@ -196,9 +198,7 @@ impl PayloadReader {
                 what: "truncated f64 vector",
             });
         }
-        for slot in out {
-            *slot = self.buf.get_f64_le();
-        }
+        self.buf.get_f64_slice_le(out);
         Ok(())
     }
 
@@ -264,9 +264,8 @@ mod tests {
     #[test]
     fn performance_test_message_size() {
         // The paper's performance-test message: two 1000x2 sum matrices
-        // plus the sample volume — sanity-check the ~120 KB claim's
-        // order of magnitude (ours is 2*2000*8 ≈ 32 KB of sums; the
-        // paper's 120 KB includes additional bookkeeping).
+        // plus the sample volume. The paper quotes ~120 KB; ours is
+        // 2*2000*8 ≈ 32 KB of sums plus their length prefixes.
         let mut w = PayloadWriter::new();
         w.put_u64(1); // sample volume
         w.put_f64_slice(&vec![0.0; 2000]);

@@ -53,6 +53,7 @@ pub mod collective;
 pub mod comm;
 pub mod envelope;
 pub mod error;
+mod mailbox;
 pub mod plan;
 pub mod pool;
 pub mod transport;
@@ -64,3 +65,37 @@ pub use error::MpiError;
 pub use plan::{CollectionPlan, Topology};
 pub use pool::BufferPool;
 pub use transport::Transport;
+
+/// Shared by the unit tests of the concurrent modules.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Runs `f` on its own thread and returns its result, or panics if
+    /// it has not finished within `limit` — a hang becomes a failure
+    /// instead of a stuck test run.
+    pub(crate) fn within<T: Send + 'static>(
+        limit: Duration,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        let (done, finished) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = done.send(f());
+        });
+        match finished.recv_timeout(limit) {
+            Ok(value) => {
+                worker
+                    .join()
+                    .expect("watched thread panicked after finishing");
+                value
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("still running after {limit:?}"),
+            // The sender was dropped without a value: `f` panicked.
+            Err(mpsc::RecvTimeoutError::Disconnected) => match worker.join() {
+                Err(panic) => std::panic::resume_unwind(panic),
+                Ok(()) => unreachable!("the watched thread sends before it returns"),
+            },
+        }
+    }
+}

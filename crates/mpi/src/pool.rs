@@ -7,10 +7,17 @@
 //! sender takes one, encodes into it, freezes it into a
 //! [`Bytes`] payload (no copy — see [`crate::bytes`]), and once the
 //! receiver has decoded the message the allocation is
-//! [`recycle`](BufferPool::recycle)d for the next send. Within one
-//! process (threads-as-ranks substrate) the same pool serves both
-//! sides, so steady-state traffic reuses a handful of buffers instead
-//! of allocating per message.
+//! [`recycle`](BufferPool::recycle)d for the next send.
+//!
+//! Every rank owns its pool and is the only one to lock it. On the
+//! threads-as-ranks substrate a message that fits the destination's
+//! ring is copied in, so the sender recycles its encode buffer at
+//! once, and the receiver copies it out into a buffer from *its* pool
+//! and recycles that after decoding: take and recycle balance on each
+//! side, and no allocation crosses threads. (One pool shared by all
+//! ranks of a world put a lock and the buffers' cache lines between
+//! the cores on every message.) Payloads too large for the ring travel
+//! by handle and end up in the receiver's pool, up to its bound.
 
 use std::sync::Mutex;
 

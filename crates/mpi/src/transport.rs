@@ -9,7 +9,8 @@
 //! same collector/worker code runs unchanged over any substrate:
 //!
 //! * the in-process thread substrate ([`Communicator`], this crate) —
-//!   ranks are OS threads exchanging [`Envelope`]s over channels;
+//!   ranks are OS threads exchanging [`Envelope`]s through per-rank
+//!   in-place mailboxes;
 //! * the out-of-process socket substrate (`parmonc-ipc`) — ranks are
 //!   forked worker processes exchanging the same length-prefixed
 //!   envelopes over Unix-domain sockets;
