@@ -16,6 +16,7 @@
 //! `n0`.
 
 use parmonc::{RealizationStream, Realize};
+use parmonc_rng::distributions::exponential;
 use parmonc_rng::UniformSource;
 
 /// Constant-kernel coagulation workload.
@@ -83,7 +84,7 @@ impl ConstantKernelCoagulation {
             let k = clusters as f64;
             let rate = self.kernel * k * (k - 1.0) / 2.0;
             let t_next = if rate > 0.0 {
-                t - rng.next_f64().ln() / rate
+                t + exponential(rng, rate)
             } else {
                 f64::INFINITY
             };

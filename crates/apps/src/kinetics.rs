@@ -21,6 +21,7 @@
 //! observation times as a `points × 1` matrix.
 
 use parmonc::{RealizationStream, Realize};
+use parmonc_rng::distributions::exponential;
 use parmonc_rng::UniformSource;
 
 /// The immigration–death SSA workload.
@@ -109,7 +110,7 @@ impl ImmigrationDeath {
             let a_deg = self.k_deg * n as f64;
             let a_total = a_prod + a_deg;
             // Exponential waiting time to the next reaction.
-            let dt = -rng.next_f64().ln() / a_total;
+            let dt = exponential(rng, a_total);
             let t_next = t + dt;
 
             // Record every observation time the jump passes over.

@@ -8,6 +8,7 @@ use parmonc_bench::harness::{
 use parmonc_rng::baseline::{Lcg40, SplitMix64, XorShift64Star};
 use parmonc_rng::limbs::{limb_step, U128Limbs};
 use parmonc_rng::{Lcg128, StreamHierarchy, StreamId, UniformSource, DEFAULT_MULTIPLIER};
+use parmonc_sde::{euler_step, EulerScheme, OutputGrid, PaperDiffusion};
 
 const BATCH: u64 = 10_000;
 
@@ -245,9 +246,25 @@ fn bench_stream_setup(c: &mut Criterion) {
     }
 }
 
+/// Normal sampling: the in-crate Box–Muller kernel one pair at a time
+/// and over the batched fill, against the libm Box–Muller it replaced —
+/// kept in this bench only, as the yardstick. Same two uniforms per
+/// pair on every arm.
 fn bench_normal_sampling(c: &mut Criterion) {
     let mut group = c.benchmark_group("normal_pair");
     group.throughput(Throughput::Elements(BATCH));
+    group.bench_function("libm_box_muller_pair", |b| {
+        let mut rng = Lcg128::new();
+        b.iter(|| {
+            let mut acc = 0.0;
+            for _ in 0..BATCH / 2 {
+                let r = (-2.0 * rng.next_f64().ln()).sqrt();
+                let (sin, cos) = (2.0 * std::f64::consts::PI * rng.next_f64()).sin_cos();
+                acc += r * cos + r * sin;
+            }
+            black_box(acc)
+        })
+    });
     group.bench_function("box_muller_pair", |b| {
         let mut rng = Lcg128::new();
         b.iter(|| {
@@ -270,8 +287,9 @@ fn bench_normal_sampling(c: &mut Criterion) {
         })
     });
     group.bench_function("batched_fill", |b| {
-        // Box–Muller over the batched uniform fill — bitwise identical
-        // to box_muller_pair, uniforms drawn through the lane engine.
+        // Bitwise identical to box_muller_pair: uniforms through the
+        // lane engine, the transform over a whole chunk at the widest
+        // vector width the build and the CPU allow.
         let mut rng = Lcg128::new();
         let mut buf = vec![0.0f64; BATCH as usize];
         b.iter(|| {
@@ -280,6 +298,58 @@ fn bench_normal_sampling(c: &mut Criterion) {
         })
     });
     group.finish();
+    if let (Some(libm), Some(fill)) = (
+        median_of("normal_pair/libm_box_muller_pair"),
+        median_of("normal_pair/batched_fill"),
+    ) {
+        record_metric("ratio_normal_fill_speedup", libm / fill);
+    }
+}
+
+/// The paper's section 4 routine at the repository benchmark's size
+/// (1000 × 2 output matrix, 20 steps per row): the step-by-step
+/// `euler_step` loop — libm-free but one scalar pair per step — against
+/// the block-drawn `realize_into`, which is pinned to it bit for bit.
+fn bench_sde_path(c: &mut Criterion) {
+    const POINTS: usize = 1000;
+    const STRIDE: usize = 20;
+    let scheme = EulerScheme::new(
+        PaperDiffusion::default(),
+        1e-3,
+        OutputGrid::new(POINTS, STRIDE),
+    );
+    let mut group = c.benchmark_group("sde_path");
+    group.throughput(Throughput::Elements((POINTS * STRIDE) as u64));
+    group.bench_function("paper_1000x2x20/step_by_step", |b| {
+        let mut rng = Lcg128::new();
+        let mut out = vec![0.0f64; POINTS * 2];
+        let sqrt_h = scheme.h().sqrt();
+        b.iter(|| {
+            let mut x = [0.0f64; 2];
+            for row in out.chunks_exact_mut(2) {
+                for _ in 0..STRIDE {
+                    euler_step(scheme.sde(), &mut x, scheme.h(), sqrt_h, &mut rng);
+                }
+                row.copy_from_slice(&x);
+            }
+            black_box(out[out.len() - 1])
+        })
+    });
+    group.bench_function("paper_1000x2x20/realize_into", |b| {
+        let mut rng = Lcg128::new();
+        let mut out = vec![0.0f64; POINTS * 2];
+        b.iter(|| {
+            scheme.realize_into(&mut rng, &mut out);
+            black_box(out[out.len() - 1])
+        })
+    });
+    group.finish();
+    if let (Some(steps), Some(block)) = (
+        median_of("sde_path/paper_1000x2x20/step_by_step"),
+        median_of("sde_path/paper_1000x2x20/realize_into"),
+    ) {
+        record_metric("ratio_sde_block_speedup", steps / block);
+    }
 }
 
 criterion_group!(
@@ -288,6 +358,7 @@ criterion_group!(
     bench_batched_fill,
     bench_stream_setup,
     bench_stream_jump,
-    bench_normal_sampling
+    bench_normal_sampling,
+    bench_sde_path
 );
 criterion_main!(benches);

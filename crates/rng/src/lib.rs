@@ -59,14 +59,18 @@
 //! * [`stream`] — [`RealizationStream`], the `rnd128()`-style handle a
 //!   user routine draws base random numbers from.
 //! * [`distributions`] — transformations of base random numbers into the
-//!   distributions the workloads need (normal, exponential, Poisson, …).
+//!   distributions the workloads need (normal, exponential, Poisson, …),
+//!   on in-crate `ln`/`sin`/`cos` kernels: no libm, the same bits on
+//!   every host and at every vector width.
 //! * [`baseline`] — comparison generators: the 40-bit LCG the paper
 //!   cites as having an *insufficient* period, xorshift64*, splitmix64.
 //!
 //! With the `simd` cargo feature an additional runtime-dispatched
-//! AVX-512 IFMA fill kernel backs [`Lcg128::fill_f64`]; see
-//! [`simd_fill_active`]. The crate forbids `unsafe` everywhere except
-//! that one feature-gated intrinsics module.
+//! AVX-512 IFMA fill kernel backs [`Lcg128::fill_f64`] (see
+//! [`simd_fill_active`]), and
+//! [`distributions::fill_standard_normal`] runs its transform at the
+//! widest of AVX2 / AVX-512F the CPU has. The crate forbids `unsafe`
+//! everywhere except that one feature-gated module.
 
 #![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
 #![deny(unsafe_code)]

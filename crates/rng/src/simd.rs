@@ -1,4 +1,7 @@
-//! Runtime-dispatched AVX-512 IFMA fill kernel (the `simd` feature).
+//! Runtime-dispatched x86-64 kernels (the `simd` feature): the AVX-512
+//! IFMA uniform fill, and the wide compilations of the normal transform.
+//!
+//! # Uniform fill
 //!
 //! The portable lane engine ([`crate::lanes`]) already reaches the
 //! scalar multiplier-port throughput limit — LLVM turns both the scalar
@@ -24,9 +27,18 @@
 //!   power of two commutes with IEEE rounding — via `vcvtuqq2pd`
 //!   (AVX-512DQ) and one FMA.
 //!
+//! # Normal transform
+//!
+//! [`box_muller_pairs`] is multiversioning, not a second kernel: the
+//! safe `#[inline(always)]` body in [`crate::distributions`] is compiled
+//! again under `avx2` and under `avx512f`, and the widest the CPU has is
+//! called. The body uses no fused multiply-add (the wrappers do not
+//! enable `fma`, and Rust never contracts `a*b + c`), so every width
+//! produces the bits of the scalar call.
+//!
 //! Everything here is behind `is_x86_feature_detected!` at runtime and
 //! the `simd` cargo feature at compile time; every other build falls
-//! back to the portable lane engine.
+//! back to the portable lane engine and the baseline-width transform.
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
@@ -44,14 +56,65 @@ pub(crate) const MIN_SIMD_LEN: usize = 64;
 const F64_SCALE: f64 = 1.0 / (1u64 << 53) as f64;
 const MASK52: u64 = (1 << 52) - 1;
 
-/// Whether the CPU supports the kernel (cached after the first call).
-pub(crate) fn supported() -> bool {
-    static SUPPORTED: OnceLock<bool> = OnceLock::new();
-    *SUPPORTED.get_or_init(|| {
-        std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512dq")
-            && std::arch::is_x86_feature_detected!("avx512ifma")
+/// What the CPU offers the kernels of this module.
+#[derive(Clone, Copy)]
+struct Cpu {
+    /// AVX-512F + DQ + IFMA: the uniform fill kernel.
+    ifma: bool,
+    avx512f: bool,
+    avx2: bool,
+}
+
+/// The detected features (cached after the first call).
+fn cpu() -> Cpu {
+    static CPU: OnceLock<Cpu> = OnceLock::new();
+    *CPU.get_or_init(|| {
+        let avx512f = std::arch::is_x86_feature_detected!("avx512f");
+        Cpu {
+            ifma: avx512f
+                && std::arch::is_x86_feature_detected!("avx512dq")
+                && std::arch::is_x86_feature_detected!("avx512ifma"),
+            avx512f,
+            avx2: std::arch::is_x86_feature_detected!("avx2"),
+        }
     })
+}
+
+/// Whether the CPU supports the uniform fill kernel.
+pub(crate) fn supported() -> bool {
+    cpu().ifma
+}
+
+/// [`crate::distributions::box_muller_pairs`] at the widest vector
+/// width the CPU has; the same bits at every width.
+#[inline]
+pub(crate) fn box_muller_pairs(z: &mut [f64]) {
+    let cpu = cpu();
+    if cpu.avx512f {
+        // SAFETY: avx512f was detected.
+        unsafe { box_muller_pairs_avx512f(z) }
+    } else if cpu.avx2 {
+        // SAFETY: avx2 was detected.
+        unsafe { box_muller_pairs_avx2(z) }
+    } else {
+        crate::distributions::box_muller_pairs(z);
+    }
+}
+
+/// # Safety
+///
+/// The CPU must support `avx2`.
+#[target_feature(enable = "avx2")]
+unsafe fn box_muller_pairs_avx2(z: &mut [f64]) {
+    crate::distributions::box_muller_pairs(z);
+}
+
+/// # Safety
+///
+/// The CPU must support `avx512f`.
+#[target_feature(enable = "avx512f")]
+unsafe fn box_muller_pairs_avx512f(z: &mut [f64]) {
+    crate::distributions::box_muller_pairs(z);
 }
 
 /// Fills `dest` from `state`, bitwise identical to the scalar
@@ -229,6 +292,38 @@ mod tests {
             let new_state = fill_f64(1, DEFAULT_MULTIPLIER, &mut got).unwrap();
             assert_eq!(got, expected, "len={len}");
             assert_eq!(new_state, s, "state after len={len}");
+        }
+    }
+
+    /// Every dispatch level this CPU has, and the dispatcher itself,
+    /// equal the plain loop bit for bit — whole vectors and ragged
+    /// remainders alike.
+    #[test]
+    fn box_muller_levels_match_the_plain_loop_bitwise() {
+        let mut rng = crate::Lcg128::new();
+        let mut lengths = parmonc_testkit::TestRng::new(0x5EED_0014);
+        let cpu = cpu();
+        for _ in 0..200 {
+            let len = 2 * lengths.below(300) as usize;
+            let mut u = vec![0.0f64; len];
+            rng.fill_f64(&mut u);
+            let run = |transform: &dyn Fn(&mut [f64])| -> Vec<u64> {
+                let mut z = u.clone();
+                transform(&mut z);
+                z.iter().map(|z| z.to_bits()).collect()
+            };
+            let plain = run(&crate::distributions::box_muller_pairs);
+            assert_eq!(run(&box_muller_pairs), plain, "dispatched, len={len}");
+            if cpu.avx2 {
+                // SAFETY: avx2 was detected.
+                let got = run(&|z| unsafe { box_muller_pairs_avx2(z) });
+                assert_eq!(got, plain, "avx2, len={len}");
+            }
+            if cpu.avx512f {
+                // SAFETY: avx512f was detected.
+                let got = run(&|z| unsafe { box_muller_pairs_avx512f(z) });
+                assert_eq!(got, plain, "avx512f, len={len}");
+            }
         }
     }
 

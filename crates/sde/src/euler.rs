@@ -1,9 +1,14 @@
 //! The generalized Euler method (paper formula (9)) with trajectory
 //! recording on an output grid.
 
+use parmonc_rng::distributions::fill_standard_normal;
 use parmonc_rng::UniformSource;
 
-use crate::{euler_step, Sde};
+use crate::{euler_update, Sde};
+
+/// Standard normals drawn per refill in [`EulerScheme::realize_into`]:
+/// one chunk of [`fill_standard_normal`], i.e. 128 steps.
+const NORMAL_BLOCK: usize = 256;
 
 /// The output grid of the performance test: record the state at
 /// `t_i = i · stride · h` for `i = 1..=points`.
@@ -100,6 +105,15 @@ impl<S: Sde<2>> EulerScheme<S> {
     /// matrix (row-major: `out[2*i] = ξ₁(t_i)`, `out[2*i+1] = ξ₂(t_i)`)
     /// — the paper's `difftraj` routine.
     ///
+    /// Bit for bit the trajectory of `points · stride` calls of
+    /// [`euler_step`](crate::euler_step), and the same
+    /// `2 · points · stride` base random numbers in the same order — but
+    /// the normals are drawn a block at a time through
+    /// [`fill_standard_normal`] (batched uniforms, vectorised
+    /// transform). They do not depend on the state, so pre-drawing them
+    /// is valid for every [`Sde`]; drift and diffusion are still
+    /// evaluated per step from the current state.
+    ///
     /// # Panics
     ///
     /// Panics if `out.len() != points * 2`.
@@ -111,12 +125,27 @@ impl<S: Sde<2>> EulerScheme<S> {
         );
         let mut x = self.sde.initial();
         let sqrt_h = self.h.sqrt();
-        for i in 0..self.grid.points {
-            for _ in 0..self.grid.stride {
-                euler_step(&self.sde, &mut x, self.h, sqrt_h, rng);
+        let mut normals = [0.0f64; NORMAL_BLOCK];
+        let mut rows = out.chunks_exact_mut(2);
+        let mut steps_left = self.grid.total_steps();
+        let mut steps_to_row = self.grid.stride;
+        while steps_left > 0 {
+            // The last block is cut to the steps that remain, so exactly
+            // the step-by-step loop's draws are made.
+            let steps = steps_left.min(NORMAL_BLOCK / 2);
+            let normals = &mut normals[..2 * steps];
+            fill_standard_normal(rng, normals);
+            for z in normals.chunks_exact(2) {
+                euler_update(&self.sde, &mut x, self.h, sqrt_h, &[z[0], z[1]]);
+                steps_to_row -= 1;
+                if steps_to_row == 0 {
+                    rows.next()
+                        .expect("one row per stride steps")
+                        .copy_from_slice(&x);
+                    steps_to_row = self.grid.stride;
+                }
             }
-            out[2 * i] = x[0];
-            out[2 * i + 1] = x[1];
+            steps_left -= steps;
         }
     }
 }
@@ -124,8 +153,108 @@ impl<S: Sde<2>> EulerScheme<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problems::PaperDiffusion;
-    use parmonc_rng::Lcg128;
+    use crate::euler_step;
+    use crate::problems::{GeometricBrownian, OrnsteinUhlenbeck, PaperDiffusion};
+    use parmonc_rng::{Lcg128, StreamHierarchy, StreamId};
+    use parmonc_testkit::prelude::*;
+
+    /// The step-by-step loop `realize_into` used to be, and must equal.
+    fn realize_step_by_step<S: Sde<2>, R: UniformSource>(
+        scheme: &EulerScheme<S>,
+        rng: &mut R,
+    ) -> Vec<f64> {
+        let mut x = scheme.sde.initial();
+        let sqrt_h = scheme.h.sqrt();
+        let mut out = Vec::with_capacity(scheme.grid.points * 2);
+        for _ in 0..scheme.grid.points {
+            for _ in 0..scheme.grid.stride {
+                euler_step(&scheme.sde, &mut x, scheme.h, sqrt_h, rng);
+            }
+            out.extend_from_slice(&x);
+        }
+        out
+    }
+
+    /// Block path ≡ step loop, bit for bit, on a raw generator and on a
+    /// realization stream (whose equality covers `drawn()` and the
+    /// generator state).
+    fn assert_block_path_equals_step_loop<S: Sde<2> + Clone>(
+        sde: &S,
+        points: usize,
+        stride: usize,
+        skip: u128,
+    ) -> Result<(), TestCaseError> {
+        let scheme = EulerScheme::new(sde.clone(), 1e-3, OutputGrid::new(points, stride));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let mut block_rng = Lcg128::new();
+        block_rng.jump(skip);
+        let mut step_rng = block_rng.clone();
+        let mut out = vec![0.0; points * 2];
+        scheme.realize_into(&mut block_rng, &mut out);
+        let expected = realize_step_by_step(&scheme, &mut step_rng);
+        prop_assert_eq!(bits(&out), bits(&expected));
+        prop_assert_eq!(block_rng.state(), step_rng.state());
+
+        let mut block_stream = StreamHierarchy::default()
+            .realization_stream(StreamId::new(1, 2, skip as u64))
+            .unwrap();
+        let mut step_stream = block_stream.clone();
+        scheme.realize_into(&mut block_stream, &mut out);
+        let expected = realize_step_by_step(&scheme, &mut step_stream);
+        prop_assert_eq!(bits(&out), bits(&expected));
+        prop_assert_eq!(block_stream.drawn(), (2 * points * stride) as u64);
+        prop_assert_eq!(block_stream, step_stream);
+        Ok(())
+    }
+
+    /// All three problem types: constant coefficients, and the two with
+    /// state-dependent drift and diffusion.
+    fn assert_on_every_problem(
+        points: usize,
+        stride: usize,
+        skip: u128,
+    ) -> Result<(), TestCaseError> {
+        assert_block_path_equals_step_loop(&PaperDiffusion::default(), points, stride, skip)?;
+        assert_block_path_equals_step_loop(&GeometricBrownian::default(), points, stride, skip)?;
+        assert_block_path_equals_step_loop(&OrnsteinUhlenbeck::default(), points, stride, skip)
+    }
+
+    proptest! {
+        /// Random grids: stride 1, strides that do not divide the
+        /// 128-step block, totals far below and far above one block.
+        #[test]
+        fn block_path_equals_step_loop(
+            points in 1usize..40,
+            stride in 1usize..40,
+            skip in 0u128..10_000,
+        ) {
+            assert_on_every_problem(points, stride, skip)?;
+        }
+    }
+
+    #[test]
+    fn block_path_equals_step_loop_around_one_block() {
+        // 2·points·stride just below, equal to and just above one block
+        // of normals, with the block boundary inside, on and between
+        // output rows; and the benchmark's 1000 × 20 grid.
+        let steps = NORMAL_BLOCK / 2;
+        for (points, stride) in [
+            (1, steps - 1),
+            (1, steps),
+            (1, steps + 1),
+            (steps - 1, 1),
+            (steps, 1),
+            (steps + 1, 1),
+            (2, steps / 2),
+            (3, steps / 2 + 1),
+            (7, 37),
+            (1000, 20),
+        ] {
+            assert_on_every_problem(points, stride, 0)
+                .unwrap_or_else(|e| panic!("points={points} stride={stride}: {e}"));
+        }
+    }
 
     #[test]
     fn grid_arithmetic() {

@@ -56,8 +56,9 @@ pub trait Sde<const DIM: usize> {
 
 /// One generalized-Euler step (paper formula (9)) for any [`Sde`].
 ///
-/// Exposed as a free function so benches can measure the per-step cost
-/// in isolation.
+/// The single-step API, and the oracle the block-drawn
+/// [`EulerScheme::realize_into`] is pinned to bit for bit; benches use
+/// it to measure the per-step cost in isolation.
 #[inline]
 pub fn euler_step<const DIM: usize, S, R>(
     sde: &S,
@@ -69,17 +70,32 @@ pub fn euler_step<const DIM: usize, S, R>(
     S: Sde<DIM> + ?Sized,
     R: UniformSource + ?Sized,
 {
+    let mut z = [0.0; DIM];
+    // Pairs of normals from one Box–Muller transform: no wasted base
+    // random numbers for even DIM.
+    for pair in z.chunks_mut(2) {
+        let (z1, z2) = parmonc_rng::distributions::standard_normal_pair(rng);
+        pair[0] = z1;
+        if let Some(second) = pair.get_mut(1) {
+            *second = z2;
+        }
+    }
+    euler_update(sde, x, h, sqrt_h, &z);
+}
+
+/// The deterministic half of a step: `x += h·a(x) + √h·B(x)·z` for
+/// already-drawn standard normals `z`.
+#[inline]
+pub(crate) fn euler_update<const DIM: usize, S: Sde<DIM> + ?Sized>(
+    sde: &S,
+    x: &mut [f64; DIM],
+    h: f64,
+    sqrt_h: f64,
+    z: &[f64; DIM],
+) {
     let drift = sde.drift(x);
     let diff = sde.diffusion_diag(x);
-    let mut i = 0;
-    while i < DIM {
-        // Pairs of normals from one Box–Muller transform: no wasted
-        // base random numbers for even DIM.
-        let (z1, z2) = parmonc_rng::distributions::standard_normal_pair(rng);
-        x[i] += h * drift[i] + sqrt_h * diff[i] * z1;
-        if i + 1 < DIM {
-            x[i + 1] += h * drift[i + 1] + sqrt_h * diff[i + 1] * z2;
-        }
-        i += 2;
+    for i in 0..DIM {
+        x[i] += h * drift[i] + sqrt_h * diff[i] * z[i];
     }
 }

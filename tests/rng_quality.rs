@@ -66,3 +66,51 @@ fn custom_genparam_hierarchy_still_passes_cross_tests() {
     let r = crossstream::test_cross_uniformity(&h, 0, 1, 160_000, 16);
     assert!(r.passes(ALPHA), "{r:?}");
 }
+
+#[test]
+fn kernel_normals_have_normal_cells_moments_and_tails() {
+    // 10⁶ normals from the in-crate Box–Muller kernel, drawn the way
+    // the SDE path draws them, against N(0, 1): χ² over 64 equiprobable
+    // cells of Φ(z), the first four moments, the within-pair
+    // correlation, and the |z| > 4 tail count.
+    use parmonc_rng::distributions::fill_standard_normal;
+    use parmonc_rngtest::special::{normal_sf, normal_two_sided};
+    use parmonc_rngtest::uniformity::chi2_equal_cells;
+
+    let mut stream = StreamHierarchy::default()
+        .realization_stream(StreamId::new(1, 2, 3))
+        .unwrap();
+    let n = 1_000_000usize;
+    let mut z = vec![0.0f64; n];
+    fill_standard_normal(&mut stream, &mut z);
+    assert_eq!(stream.drawn(), n as u64);
+    let nf = n as f64;
+
+    let mut cells = [0u64; 64];
+    for &x in &z {
+        let p = 1.0 - normal_sf(x);
+        cells[((p * 64.0) as usize).min(63)] += 1;
+    }
+    let (stat, p_value) = chi2_equal_cells(&cells);
+    assert!(p_value > ALPHA, "chi2 = {stat}, p = {p_value}");
+
+    // Sampling sd of the k-th raw moment of N(0,1): sqrt(Var(Z^k)/n)
+    // with Var Z = 1, Var Z² = 2, Var Z³ = 15, Var Z⁴ = 96.
+    let moment = |k: i32| z.iter().map(|x| x.powi(k)).sum::<f64>() / nf;
+    for (k, expected, var) in [(1, 0.0, 1.0), (2, 1.0, 2.0), (3, 0.0, 15.0), (4, 3.0, 96.0)] {
+        let dev = (moment(k) - expected) / (var / nf).sqrt();
+        assert!(normal_two_sided(dev) > ALPHA, "moment {k} off by {dev} sd");
+    }
+
+    // The two variates of one transform: products have mean 0, sd 1.
+    let pairs = nf / 2.0;
+    let cov = z.chunks_exact(2).map(|p| p[0] * p[1]).sum::<f64>() / pairs;
+    let dev = cov * pairs.sqrt();
+    assert!(normal_two_sided(dev) > ALPHA, "pair correlation {dev} sd");
+
+    // P(|Z| > 4) = 6.334·10⁻⁵: a binomial count, mean 63.3, sd 7.96.
+    let p_tail = 6.334_248_366_623_984e-5;
+    let tail = z.iter().filter(|x| x.abs() > 4.0).count() as f64;
+    let dev = (tail - nf * p_tail) / (nf * p_tail * (1.0 - p_tail)).sqrt();
+    assert!(dev.abs() < 3.3, "{tail} values beyond 4 sd ({dev} sd off)");
+}
