@@ -36,10 +36,11 @@ pub enum Transport {
     /// world shares one address space.
     #[default]
     Threads,
-    /// Ranks are separate *processes*: rank 0 re-executes the current
-    /// binary once per worker and exchanges the same length-prefixed
-    /// envelopes over Unix-domain sockets (`parmonc-ipc`) — the
-    /// paper's actual deployment shape, one address space per rank.
+    /// Ranks are separate *processes*: rank 0 launches the current
+    /// binary once per worker, and each child joins over a private
+    /// Unix-domain socket with the same lease handshake a TCP worker
+    /// uses (`parmonc-ipc`) — the paper's actual deployment shape, one
+    /// address space per rank.
     ///
     /// The re-execution runs the user program's `main` again in every
     /// worker up to the `run()` call, where the runtime diverts into
@@ -47,7 +48,7 @@ pub enum Transport {
     /// [`crate::ipc::is_worker`].
     Processes,
     /// Ranks are remote *hosts*: rank 0 listens on a TCP address
-    /// ([`ParmoncBuilder::listen`]) and workers started independently
+    /// ([`NetOptions::listen`]) and workers started independently
     /// — typically on other machines — dial in with
     /// [`ParmoncBuilder::run_worker`], complete a versioned handshake
     /// (see `docs/wire-protocol.md`), and lease an untouched leapfrog
@@ -156,7 +157,7 @@ pub struct RunConfig {
     /// connection. Deterministic — jitter is drawn from a hash of
     /// `(rank, attempt)`, never the wall clock — so a scripted network
     /// fault replays the same recovery bit-identically. Tune with the
-    /// `reconnect_*` builder methods; see `docs/cluster.md`.
+    /// `reconnect_*` setters of [`NetOptions`]; see `docs/cluster.md`.
     pub reconnect: ReconnectPolicy,
     /// TCP backend, collector side: `true` resumes a *crashed*
     /// collector session instead of starting a fresh one — the lease
@@ -165,7 +166,7 @@ pub struct RunConfig {
     /// ranks and sequence dedup state, and accumulation restarts from
     /// the original baseline (the cumulative-subtotal discipline makes
     /// re-sent subtotals idempotent). Set via
-    /// [`ParmoncBuilder::resume_listen`].
+    /// [`NetOptions::resume_listen`].
     pub resume_collector: bool,
     /// Arguments the process backend passes to the re-executed worker
     /// binary (excluding the program name; the hidden worker flag is
@@ -360,9 +361,7 @@ impl RunConfig {
 /// ([`NetOptions::listen`], [`NetOptions::join`],
 /// [`NetOptions::resume_listen`]), refined with the chained setters,
 /// and applied with [`ParmoncBuilder::net`] — which also selects
-/// [`Transport::Tcp`]. This replaces the scattered `listen`/`join`/
-/// `resume_listen`/`tcp_io_timeout`/`reconnect_*` builder setters, so
-/// transport and topology configuration read as one surface.
+/// [`Transport::Tcp`].
 ///
 /// ```
 /// use std::time::Duration;
@@ -685,9 +684,9 @@ impl ParmoncBuilder {
     }
 
     /// Selects the transport substrate: [`Transport::Threads`] (the
-    /// default, in-process), [`Transport::Processes`] (forked worker
-    /// processes over Unix-domain sockets), or [`Transport::Tcp`]
-    /// (remote workers dialing in; see [`ParmoncBuilder::listen`]).
+    /// default, in-process), [`Transport::Processes`] (launched worker
+    /// processes over a Unix-domain socket), or [`Transport::Tcp`]
+    /// (remote workers dialing in; see [`NetOptions::listen`]).
     /// Estimates are bit-identical across backends for the same
     /// configuration and seed.
     #[must_use]
@@ -723,112 +722,6 @@ impl ParmoncBuilder {
     #[must_use]
     pub fn topology(mut self, topology: Topology) -> Self {
         self.config.topology = topology;
-        self
-    }
-
-    /// Selects the TCP transport and sets the address rank 0 listens
-    /// on, e.g. `"0.0.0.0:7070"`. Port 0 binds an ephemeral port; the
-    /// actually bound address is written to
-    /// `parmonc_data/collector.addr` so scripts can discover it. See
-    /// `docs/cluster.md` for a multi-host walkthrough.
-    #[deprecated(since = "0.2.0", note = "use `net(NetOptions::listen(addr))`")]
-    #[must_use]
-    pub fn listen(mut self, addr: impl Into<String>) -> Self {
-        self.config.transport = Transport::Tcp;
-        self.config.listen_addr = Some(addr.into());
-        self
-    }
-
-    /// Selects the TCP transport and sets the collector address a
-    /// worker dials, e.g. `"collector.example:7070"`. Only consumed by
-    /// [`ParmoncBuilder::run_worker`]; [`ParmoncBuilder::run`] ignores
-    /// it.
-    #[deprecated(since = "0.2.0", note = "use `net(NetOptions::join(addr))`")]
-    #[must_use]
-    pub fn join(mut self, addr: impl Into<String>) -> Self {
-        self.config.transport = Transport::Tcp;
-        self.config.join_addr = Some(addr.into());
-        self
-    }
-
-    /// Sets the TCP per-connection I/O timeout (default 10 s). Writes
-    /// that stall this long fail the connection and hand the worker to
-    /// the liveness plane.
-    #[deprecated(since = "0.2.0", note = "use `NetOptions::io_timeout` via `net(..)`")]
-    #[must_use]
-    pub fn tcp_io_timeout(mut self, timeout: Duration) -> Self {
-        self.config.tcp_io_timeout = timeout;
-        self
-    }
-
-    /// Selects the TCP transport and *resumes* a crashed collector
-    /// session on `addr` instead of starting a fresh one: the lease
-    /// table and session epoch are reloaded from
-    /// `parmonc_data/results/leases.dat` and accumulation restarts
-    /// from the original baseline, so workers that survived the crash
-    /// rejoin with their ranks intact and the run completes with
-    /// bit-identical estimates. `addr` must be the address the crashed
-    /// collector's workers are redialing (see `docs/cluster.md` for
-    /// the restart runbook).
-    ///
-    /// # Errors (at run time)
-    ///
-    /// The run fails with [`ParmoncError::NothingToResume`] if no
-    /// lease table or baseline from the crashed session exists in the
-    /// output directory.
-    #[deprecated(since = "0.2.0", note = "use `net(NetOptions::resume_listen(addr))`")]
-    #[must_use]
-    pub fn resume_listen(mut self, addr: impl Into<String>) -> Self {
-        self.config.transport = Transport::Tcp;
-        self.config.listen_addr = Some(addr.into());
-        self.config.resume_collector = true;
-        self
-    }
-
-    /// Sets the maximum TCP dial attempts per (re)connection (default
-    /// 10; must be at least 1 — the initial dial counts).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `NetOptions::reconnect_attempts` via `net(..)`"
-    )]
-    #[must_use]
-    pub fn reconnect_attempts(mut self, attempts: u32) -> Self {
-        self.config.reconnect.attempts = attempts;
-        self
-    }
-
-    /// Sets the delay before the second dial attempt (default 25 ms);
-    /// it doubles per attempt up to the ceiling.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `NetOptions::reconnect_base_delay` via `net(..)`"
-    )]
-    #[must_use]
-    pub fn reconnect_base_delay(mut self, delay: Duration) -> Self {
-        self.config.reconnect.base_delay = delay;
-        self
-    }
-
-    /// Sets the ceiling on the (pre-jitter) reconnect delay (default
-    /// 1 s).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `NetOptions::reconnect_max_delay` via `net(..)`"
-    )]
-    #[must_use]
-    pub fn reconnect_max_delay(mut self, delay: Duration) -> Self {
-        self.config.reconnect.max_delay = delay;
-        self
-    }
-
-    /// Sets the timeout for each individual dial attempt (default 2 s).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `NetOptions::reconnect_attempt_timeout` via `net(..)`"
-    )]
-    #[must_use]
-    pub fn reconnect_attempt_timeout(mut self, timeout: Duration) -> Self {
-        self.config.reconnect.attempt_timeout = timeout;
         self
     }
 
@@ -879,7 +772,7 @@ impl ParmoncBuilder {
     }
 
     /// Runs as a remote *worker* of a TCP run: dials the collector set
-    /// with [`ParmoncBuilder::join`], leases a rank via the versioned
+    /// with [`NetOptions::join`], leases a rank via the versioned
     /// handshake (`docs/wire-protocol.md`), simulates the granted
     /// leapfrog stream range with `realize`, and returns when the
     /// quota is done or the collector tells it to stop.
@@ -900,7 +793,7 @@ impl ParmoncBuilder {
         R: crate::realize::Realize + Sync,
     {
         let config = self.build()?;
-        crate::runner::run_tcp_worker(config, &realize)
+        crate::runner::socket_worker(&config, &realize, None)
     }
 }
 
@@ -1061,23 +954,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(!cfg.resume_collector);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_setters_still_configure_the_same_fields() {
-        let cfg = Parmonc::builder(1, 1)
-            .max_sample_volume(10)
-            .processors(2)
-            .listen("127.0.0.1:0")
-            .tcp_io_timeout(Duration::from_secs(3))
-            .reconnect_attempts(7)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.transport, Transport::Tcp);
-        assert_eq!(cfg.listen_addr.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(cfg.tcp_io_timeout, Duration::from_secs(3));
-        assert_eq!(cfg.reconnect.attempts, 7);
     }
 
     #[test]

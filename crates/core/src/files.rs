@@ -204,15 +204,6 @@ impl ResultsDir {
         self.root.join("results/leases.dat")
     }
 
-    /// Writes the TCP collector's encoded lease table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParmoncError::Io`] if the write fails.
-    pub fn save_lease_table(&self, encoded: &str) -> Result<(), ParmoncError> {
-        self.write_atomic(&self.lease_table_path(), encoded)
-    }
-
     /// Loads the persisted lease table, or `None` if absent.
     ///
     /// # Errors
@@ -762,7 +753,7 @@ mod tests {
         let rd = ResultsDir::create(&dir).unwrap();
         assert!(rd.load_lease_table().unwrap().is_none());
         let encoded = "parmonc-leases v1\nepoch 00000000deadbeef\nsize 2\nrank 1 1 0 7\n";
-        rd.save_lease_table(encoded).unwrap();
+        fs::write(rd.lease_table_path(), encoded).unwrap();
         assert_eq!(rd.load_lease_table().unwrap().as_deref(), Some(encoded));
     }
 

@@ -69,8 +69,8 @@ pub use runner::{Parmonc, RunReport};
 pub use parmonc_rng::{LeapConfig, RealizationStream, StreamHierarchy, StreamId};
 pub use parmonc_stats::{MatrixAccumulator, MatrixSummary};
 
-/// Re-export of the multi-process transport crate, for callers that
-/// need the re-execution plumbing directly: [`ipc::is_worker`] to guard
+/// Re-export of the socket transport crate, for callers that need the
+/// process backend's re-execution plumbing directly: [`ipc::is_worker`] to guard
 /// destructive test setup against running again in a re-executed
 /// worker, and [`ipc::WORKER_FLAG`] so argument parsers can strip the
 /// hidden re-execution marker. Selecting the backend itself goes

@@ -11,16 +11,17 @@
 //! when the total sample volume reaches `maxsv` or the wall-clock
 //! deadline passes.
 
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use parmonc_faults::{FaultHandle, FaultKind};
 use parmonc_ipc::{
-    ChildTransport, JoinOptions, LeaseSnapshot, ListenOptions, ProcessTransport, SpawnOptions,
-    TcpCollectorTransport, TcpWorkerTransport, WorkerInfo,
+    JoinOptions, LeaseSnapshot, ListenOptions, TcpCollectorTransport, TcpWorkerTransport,
+    WorkerInfo,
 };
 use parmonc_mpi::Transport as Comm;
-use parmonc_mpi::{Bytes, CollectionPlan, Envelope, MpiError, World};
+use parmonc_mpi::{Bytes, CollectionPlan, Communicator, Envelope, MpiError, World};
 use parmonc_obs::{
     CollectorActivity, ConvergenceTracker, EventKind, JsonlSink, MemorySink, MetricsSink, Monitor,
     MonitorSummary, RunMode, RunTransport, SpanEmitter, SpanPhase,
@@ -205,13 +206,32 @@ fn resume_baseline(
     }
 }
 
+/// The references every rank's loop reads and none of them owns — what
+/// used to travel as seven positional arguments.
+struct RunCtx<'a, R: ?Sized> {
+    config: &'a RunConfig,
+    hierarchy: &'a StreamHierarchy,
+    dir: &'a ResultsDir,
+    realize: &'a R,
+    /// The rank's own monitor: the run's on rank 0 and on thread
+    /// workers, the forwarding one on a socket worker.
+    monitor: &'a Monitor,
+    faults: &'a FaultHandle,
+    start: Instant,
+}
+
 /// Runs the simulation. This is the body behind
 /// [`ParmoncBuilder::run`](crate::config::ParmoncBuilder::run).
 ///
 /// With [`Transport::Processes`], this call is also the worker-side
-/// entry point: a re-executed worker process runs the user program up
-/// to this call, where the `PARMONC_WORKER_*` environment diverts it
-/// into the worker loop and the process exits without returning.
+/// entry point: a launched worker process runs the user program up to
+/// this call, where the `PARMONC_WORKER_SOCKET` environment diverts it
+/// into the worker loop and the process exits without returning — so
+/// the re-executed user `main` continues past `run()` in the parent
+/// only.
+///
+/// The match below only *constructs the world*; one driver then runs
+/// the ranks over it, whatever it is made of.
 ///
 /// # Errors
 ///
@@ -220,15 +240,117 @@ pub fn run<R>(config: RunConfig, realize: R) -> Result<RunReport, ParmoncError>
 where
     R: Realize + Sync,
 {
-    match config.transport {
-        Transport::Processes => {
-            if let Some(info) = parmonc_ipc::worker_env() {
-                run_worker_process(&info, &config, &realize);
-            }
-            run_processes(config, realize)
+    if config.transport == Transport::Processes {
+        if let Some(info) = parmonc_ipc::worker_env() {
+            let code = match socket_worker(&config, &realize, Some(&info)) {
+                Ok(()) => 0,
+                Err(e) => {
+                    eprintln!("parmonc worker: {e}");
+                    1
+                }
+            };
+            std::process::exit(code);
         }
-        Transport::Tcp => run_tcp_collector(config, realize),
-        Transport::Threads => run_threads(config, realize),
+    }
+    let start = Instant::now();
+    let transport = match config.transport {
+        Transport::Threads => RunTransport::Threads,
+        Transport::Processes => RunTransport::Processes,
+        Transport::Tcp if config.listen_addr.is_none() => {
+            return Err(ParmoncError::Config(
+                "the TCP transport needs a listen address on the collector: use \
+                 .net(NetOptions::listen(\"host:port\")) (workers use \
+                 .net(NetOptions::join(addr)) + run_worker)"
+                    .into(),
+            ));
+        }
+        Transport::Tcp => RunTransport::Tcp,
+    };
+    let setup = prepare(&config, transport)?;
+    let ctx = RunCtx {
+        config: &config,
+        hierarchy: &setup.hierarchy,
+        dir: &setup.dir,
+        realize: &realize,
+        monitor: &setup.monitor,
+        faults: &setup.faults,
+        start,
+    };
+    let baseline = setup.baseline.clone();
+    let mut collector = match config.transport {
+        // Ranks are scoped OS threads over the `parmonc-mpi` mailbox
+        // world: rank 0 stays here, ranks 1.. go to the driver's scope.
+        Transport::Threads => {
+            let mut locals = World::communicators_faulted(
+                config.processors,
+                setup.monitor.clone(),
+                setup.faults.clone(),
+            )?;
+            let comm = locals.remove(0);
+            drive(&ctx, baseline, None, comm, locals, |comm| {
+                drop(comm);
+                Ok(())
+            })
+        }
+        // The launcher returns once every child has joined; the grant
+        // told each its rank, quota, parent and flags. No address (the
+        // socket is private to the run) and no crash–resume (a crashed
+        // parent orphans nothing).
+        Transport::Processes => {
+            let opts = listen_options(&config, &setup, String::new(), None, None);
+            let world = parmonc_ipc::launch(opts, config.worker_args.clone())
+                .io_ctx("launching worker processes")?;
+            drive(&ctx, baseline, None, world, Vec::new(), |mut world| {
+                world.shutdown().io_ctx("shutting down worker processes")
+            })
+        }
+        Transport::Tcp => {
+            let (world, resume_own) = listen(&config, &setup)?;
+            drive(
+                &ctx,
+                baseline,
+                resume_own,
+                world,
+                Vec::new(),
+                |mut world| world.shutdown().io_ctx("shutting down the TCP listener"),
+            )
+        }
+    }?;
+    let elapsed = start.elapsed();
+    // The final averaging pass is one more save-point. It always runs
+    // (unlike the in-loop ones, which only fire when `averaging_period`
+    // elapses), so every monitored run records at least one
+    // averaging_pass and one save_point event.
+    let spans = SpanEmitter::new(&setup.monitor, 0, config.trace_spans);
+    let averaged = collector.save_point(&ctx, &spans)?;
+    setup.dir.clear_worker_subtotals()?;
+    Ok(finish(&config, setup, elapsed, collector, averaged))
+}
+
+/// What a socket world — listening on TCP or launched — is opened
+/// with: everything its grants will tell the workers.
+fn listen_options(
+    config: &RunConfig,
+    setup: &RunSetup,
+    addr: String,
+    resume: Option<LeaseSnapshot>,
+    persist: Option<PathBuf>,
+) -> ListenOptions {
+    let plan = config.collection_plan();
+    ListenOptions {
+        addr,
+        size: config.processors,
+        monitor: setup.monitor.clone(),
+        faults: setup.faults.clone(),
+        config_digest: config.wire_digest(),
+        quotas: (1..config.processors).map(|m| config.quota(m)).collect(),
+        io_timeout: config.tcp_io_timeout,
+        resume,
+        persist,
+        trace_spans: config.trace_spans,
+        parents: (1..config.processors)
+            .map(|r| plan.parent(r).unwrap_or(0))
+            .collect(),
     }
 }
 
@@ -344,160 +466,21 @@ fn prepare(config: &RunConfig, transport: RunTransport) -> Result<RunSetup, Parm
     })
 }
 
-/// The thread backend: ranks are scoped OS threads over the
-/// `parmonc-mpi` channel world.
-fn run_threads<R>(config: RunConfig, realize: R) -> Result<RunReport, ParmoncError>
-where
-    R: Realize + Sync,
-{
-    let start = Instant::now();
-    let setup = prepare(&config, RunTransport::Threads)?;
-    let comms = World::communicators_faulted(
-        config.processors,
-        setup.monitor.clone(),
-        setup.faults.clone(),
-    )?;
-
-    // Shared slot for an error raised inside a rank (first one wins).
-    let failure: Mutex<Option<ParmoncError>> = Mutex::new(None);
-    let config = Arc::new(config);
-    let realize = &realize;
-
-    let collector_out: Mutex<Option<CollectorOutcome>> = Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for comm in comms {
-            let config = Arc::clone(&config);
-            let hierarchy = setup.hierarchy.clone();
-            let dir = setup.dir.clone();
-            let baseline = setup.baseline.clone();
-            let failure = &failure;
-            let collector_out = &collector_out;
-            let monitor = setup.monitor.clone();
-            let faults = setup.faults.clone();
-            handles.push(scope.spawn(move || {
-                let result = if comm.rank() == 0 {
-                    let mut comm = comm;
-                    rank0_loop(
-                        &mut comm, &config, &hierarchy, &dir, baseline, realize, start, &monitor,
-                        &faults, None,
-                    )
-                    .map(|outcome| {
-                        *collector_out.lock().unwrap() = Some(outcome);
-                    })
-                } else {
-                    let parent = config.collection_plan().parent(comm.rank()).unwrap_or(0);
-                    worker_loop(
-                        comm,
-                        &config,
-                        &hierarchy,
-                        &dir,
-                        realize,
-                        start,
-                        &monitor,
-                        &faults,
-                        config.trace_spans,
-                        parent,
-                    )
-                };
-                if let Err(e) = result {
-                    failure.lock().unwrap().get_or_insert(e);
-                }
-            }));
-        }
-        for h in handles {
-            if h.join().is_err() {
-                failure
-                    .lock()
-                    .unwrap()
-                    .get_or_insert(ParmoncError::Mpi(MpiError::RankPanicked {
-                        rank: usize::MAX,
-                        message: "a rank panicked".into(),
-                    }));
-            }
-        }
-    });
-
-    if let Some(e) = failure.into_inner().unwrap() {
-        return Err(e);
-    }
-    let outcome = collector_out
-        .into_inner()
-        .unwrap()
-        .expect("rank 0 always produces collector state on success");
-    finish(&config, setup, start, outcome)
-}
-
-/// The process backend, parent side: spawn the workers, run the
-/// collector loop over the socket world, then tear the world down
-/// before folding the report.
-fn run_processes<R>(config: RunConfig, realize: R) -> Result<RunReport, ParmoncError>
-where
-    R: Realize + Sync,
-{
-    let start = Instant::now();
-    let setup = prepare(&config, RunTransport::Processes)?;
-    let plan = config.collection_plan();
-    let mut transport = ProcessTransport::spawn(SpawnOptions {
-        size: config.processors,
-        monitor: setup.monitor.clone(),
-        faults: setup.faults.clone(),
-        worker_args: config.worker_args.clone(),
-        trace_spans: config.trace_spans,
-        parents: (1..config.processors)
-            .map(|r| plan.parent(r).unwrap_or(0))
-            .collect(),
-    })
-    .io_ctx("spawning worker processes")?;
-    let result = rank0_loop(
-        &mut transport,
-        &config,
-        &setup.hierarchy,
-        &setup.dir,
-        setup.baseline.clone(),
-        &realize,
-        start,
-        &setup.monitor,
-        &setup.faults,
-        None,
-    );
-    // Reap the children before propagating any collector error, so no
-    // failure path leaks worker processes; shutdown also joins the
-    // socket readers, guaranteeing every forwarded worker event is in
-    // the sinks before the epilogue folds the trace.
-    let shutdown = transport.shutdown();
-    let outcome = result?;
-    shutdown.io_ctx("shutting down worker processes")?;
-    finish(&config, setup, start, outcome)
-}
-
-/// The TCP backend, collector side: bind the listener, record the
-/// actually bound address in `parmonc_data/collector.addr`, then run
-/// the identical collector loop over the elastic-membership TCP world.
+/// The TCP backend's world: bind the listener, record the actually
+/// bound address in `parmonc_data/collector.addr`, and — on a
+/// crash-resume — hand back rank 0's own saved progress.
 ///
 /// Unlike the process backend nobody is spawned here: every worker
 /// rank starts life as an *unleased* slot. Remote workers started with
 /// [`ParmoncBuilder::run_worker`](crate::config::ParmoncBuilder::run_worker)
 /// dial in and lease slots; slots that never join go quiet past the
 /// liveness timeout and their budget is reassigned exactly as if a
-/// spawned worker had died — the estimate stays bit-identical either
+/// launched worker had died — the estimate stays bit-identical either
 /// way because stream coordinates are fixed by `(seqnum, rank)`.
-fn run_tcp_collector<R>(config: RunConfig, realize: R) -> Result<RunReport, ParmoncError>
-where
-    R: Realize + Sync,
-{
-    let start = Instant::now();
-    let Some(addr) = config.listen_addr.clone() else {
-        return Err(ParmoncError::Config(
-            "the TCP transport needs a listen address on the collector: use \
-             .net(NetOptions::listen(\"host:port\")) (workers use .net(NetOptions::join(addr)) \
-             + run_worker)"
-                .into(),
-        ));
-    };
-    let setup = prepare(&config, RunTransport::Tcp)?;
-    let quotas: Vec<u64> = (1..config.processors).map(|m| config.quota(m)).collect();
+fn listen(
+    config: &RunConfig,
+    setup: &RunSetup,
+) -> Result<(TcpCollectorTransport, Option<Subtotal>), ParmoncError> {
     // Crash-resume: reload the crashed session's lease table so the
     // listener comes back with the same epoch, every lease a worker
     // holds is recognized on rejoin, and the sequence dedup state
@@ -533,23 +516,14 @@ where
     } else {
         None
     };
-    let plan = config.collection_plan();
-    let mut transport = TcpCollectorTransport::listen(ListenOptions {
-        addr,
-        size: config.processors,
-        monitor: setup.monitor.clone(),
-        faults: setup.faults.clone(),
-        config_digest: config.wire_digest(),
-        quotas,
-        io_timeout: config.tcp_io_timeout,
-        resume,
-        persist: Some(setup.dir.lease_table_path()),
-        trace_spans: config.trace_spans,
-        parents: (1..config.processors)
-            .map(|r| plan.parent(r).unwrap_or(0))
-            .collect(),
-    })
-    .io_ctx("binding the collector TCP listener")?;
+    let addr = config
+        .listen_addr
+        .clone()
+        .expect("run() refuses a TCP collector without a listen address");
+    let persist = Some(setup.dir.lease_table_path());
+    let transport =
+        TcpCollectorTransport::listen(listen_options(config, setup, addr, resume, persist))
+            .io_ctx("binding the collector TCP listener")?;
     if let Some(leases) = resumed_leases {
         setup.monitor.emit(
             Some(0),
@@ -562,54 +536,127 @@ where
     setup
         .dir
         .write_collector_addr(&transport.local_addr().to_string())?;
-    let result = rank0_loop(
-        &mut transport,
-        &config,
-        &setup.hierarchy,
-        &setup.dir,
-        setup.baseline.clone(),
-        &realize,
-        start,
-        &setup.monitor,
-        &setup.faults,
-        resume_own,
-    );
-    // Tear the world down before folding the report, mirroring the
-    // process backend: shutdown joins the per-connection readers, so
-    // every forwarded worker event is in the sinks before the epilogue
-    // folds the trace.
-    let shutdown = transport.shutdown();
-    let outcome = result?;
-    shutdown.io_ctx("shutting down the TCP listener")?;
-    finish(&config, setup, start, outcome)
+    Ok((transport, resume_own))
 }
 
-/// The TCP backend, worker side: dial the collector, lease a rank via
-/// the versioned handshake, then run the identical worker loop. This
-/// is the body behind
-/// [`ParmoncBuilder::run_worker`](crate::config::ParmoncBuilder::run_worker).
-pub(crate) fn run_tcp_worker<R: Realize>(
-    config: RunConfig,
+/// The one collector driver: rank 0's loop and `locals` (the thread
+/// world's ranks 1.., none for a socket world) each run on a scoped
+/// thread, and the world is torn down as soon as rank 0's loop returns
+/// — before the workers are joined and before the report is folded. The
+/// order matters twice: a thread worker still lingering (a relay
+/// waiting on a lost descendant) winds down only when rank 0's mailbox
+/// closes, and a socket world's teardown joins its readers, so every
+/// forwarded worker event is in the sinks — and every child reaped —
+/// whatever the outcome.
+///
+/// Rank 0 gets a thread of its own, started *first*, and the calling
+/// thread only joins — the arrangement the thread backend always had.
+/// Running rank 0 on the calling thread instead measured up to twice
+/// the wall time on two-rank thread runs of a few milliseconds (on
+/// tmpfs as on ext4; the repository benchmark's `setup_s` +35–45 %,
+/// `sde_strict_threads` realizations/s −6 %): on the two-vCPU box a
+/// spawner that stays busy leaves the ranks sharing a core for a good
+/// part of so short a run.
+fn drive<C: Comm + Send, R: Realize + Sync>(
+    ctx: &RunCtx<'_, R>,
+    baseline: MatrixAccumulator,
+    resume_own: Option<Subtotal>,
+    comm: C,
+    locals: Vec<Communicator>,
+    teardown: impl FnOnce(C) -> Result<(), ParmoncError> + Send,
+) -> Result<Collector, ParmoncError> {
+    // Shared slots: the first error raised inside a rank wins, and
+    // rank 0 leaves the collector it built.
+    let failure: Mutex<Option<ParmoncError>> = Mutex::new(None);
+    let collected: Mutex<Option<Collector>> = Mutex::new(None);
+    let fail = |e: ParmoncError| {
+        let mut slot = failure
+            .lock()
+            .expect("the slot is never held across a panic");
+        slot.get_or_insert(e);
+    };
+    std::thread::scope(|scope| {
+        let mut handles = vec![scope.spawn(|| {
+            let mut comm = comm;
+            match rank0_loop(ctx, &mut comm, baseline, resume_own) {
+                Ok(collector) => {
+                    *collected.lock().expect("only rank 0 writes it") = Some(collector)
+                }
+                Err(e) => fail(e),
+            }
+            // A panicking rank 0 unwinds through `comm` instead, which
+            // tears the world down just the same.
+            teardown(comm).unwrap_or_else(fail);
+        })];
+        handles.extend(locals.into_iter().map(|comm| {
+            scope.spawn(|| {
+                let parent = ctx
+                    .config
+                    .collection_plan()
+                    .parent(comm.rank())
+                    .unwrap_or(0);
+                worker_loop(ctx, comm, ctx.config.trace_spans, parent).unwrap_or_else(fail);
+            })
+        }));
+        for h in handles {
+            if h.join().is_err() {
+                fail(ParmoncError::Mpi(MpiError::RankPanicked {
+                    rank: usize::MAX,
+                    message: "a rank panicked".into(),
+                }));
+            }
+        }
+    });
+    match failure.into_inner().expect("every rank has been joined") {
+        Some(e) => Err(e),
+        None => Ok(collected
+            .into_inner()
+            .expect("every rank has been joined")
+            .expect("rank 0 always produces collector state on success")),
+    }
+}
+
+/// The one socket-worker entry: a remote TCP worker (`launched` is
+/// `None`; the body behind
+/// [`ParmoncBuilder::run_worker`](crate::config::ParmoncBuilder::run_worker))
+/// dials the configured collector address, a launched process-backend
+/// child dials the socket its parent named — then both lease a rank via
+/// the versioned handshake and run the identical worker loop.
+pub(crate) fn socket_worker<R: Realize>(
+    config: &RunConfig,
     realize: &R,
+    launched: Option<&WorkerInfo>,
 ) -> Result<(), ParmoncError> {
     let start = Instant::now();
-    let Some(addr) = config.join_addr.clone() else {
-        return Err(ParmoncError::Config(
-            "run_worker needs a collector address: use .join(\"host:port\")".into(),
-        ));
+    let addr = match launched {
+        Some(info) => info.socket.display().to_string(),
+        None => config.join_addr.clone().ok_or_else(|| {
+            ParmoncError::Config(
+                "run_worker needs a collector address: use .net(NetOptions::join(\"host:port\"))"
+                    .into(),
+            )
+        })?,
     };
+    // Each worker builds its own fault handle from the same seeded
+    // plan; fault sequence counters are per-(src, dst, tag) channel,
+    // and this process only ever *sends* on its own rank's channels,
+    // so the decisions match the shared-handle thread backend exactly.
     let faults = config.faults.build();
     let dir = ResultsDir::create(&config.output_dir)?.with_faults(faults.clone());
     let hierarchy = StreamHierarchy::new(config.leaps);
-    let comm = TcpWorkerTransport::join(JoinOptions {
+    let opts = JoinOptions {
         addr,
         config_digest: config.wire_digest(),
         faults: faults.clone(),
         io_timeout: config.tcp_io_timeout,
         reconnect: config.reconnect,
         clock_skew_s: config.clock_skew_s,
-    })
-    .io_ctx("joining the TCP collector")?;
+    };
+    let comm = if launched.is_some() {
+        TcpWorkerTransport::join_unix(opts).io_ctx("joining the parent's collector socket")?
+    } else {
+        TcpWorkerTransport::join(opts).io_ctx("joining the TCP collector")?
+    };
     // The digest already proved both sides agree on the configuration;
     // this cross-check catches quota-dealing bugs, where agreement on
     // the inputs still produced a different split.
@@ -629,72 +676,27 @@ pub(crate) fn run_tcp_worker<R: Realize>(
     // same grant: the collector owns the topology.
     let trace_spans = comm.spans().is_enabled();
     let parent = comm.granted_parent();
-    worker_loop(
-        comm,
-        &config,
-        &hierarchy,
-        &dir,
-        realize,
-        start,
-        &monitor,
-        &faults,
-        trace_spans,
-        parent,
-    )
-}
-
-/// The process backend, worker side: never returns — the worker loop
-/// runs to completion and the process exits, so the re-executed user
-/// `main` continues past `run()` in the parent only.
-fn run_worker_process<R: Realize>(info: &WorkerInfo, config: &RunConfig, realize: &R) -> ! {
-    let code = match worker_process_body(info, config, realize) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("parmonc worker rank {}: {e}", info.rank);
-            1
-        }
-    };
-    std::process::exit(code);
-}
-
-fn worker_process_body<R: Realize>(
-    info: &WorkerInfo,
-    config: &RunConfig,
-    realize: &R,
-) -> Result<(), ParmoncError> {
-    let start = Instant::now();
-    // Each worker builds its own fault handle from the same seeded
-    // plan; fault sequence counters are per-(src, dst, tag) channel,
-    // and this process only ever *sends* on its own rank's channels,
-    // so the decisions match the shared-handle thread backend exactly.
-    let faults = config.faults.build();
-    let dir = ResultsDir::create(&config.output_dir)?.with_faults(faults.clone());
-    let hierarchy = StreamHierarchy::new(config.leaps);
-    let comm = ChildTransport::connect(info, faults.clone())
-        .io_ctx("connecting to the collector socket")?;
-    let monitor = comm.monitor();
-    worker_loop(
-        comm,
+    let ctx = RunCtx {
         config,
-        &hierarchy,
-        &dir,
+        hierarchy: &hierarchy,
+        dir: &dir,
         realize,
+        monitor: &monitor,
+        faults: &faults,
         start,
-        &monitor,
-        &faults,
-        info.spans,
-        info.parent,
-    )
+    };
+    worker_loop(&ctx, comm, trace_spans, parent)
 }
 
-/// The rank-0-side epilogue shared by both backends: the final
-/// averaging pass, result files, and the report.
+/// The rank-0-side epilogue: folds the final averaging pass and the
+/// collector's bookkeeping into the report.
 fn finish(
     config: &RunConfig,
     setup: RunSetup,
-    start: Instant,
-    outcome: CollectorOutcome,
-) -> Result<RunReport, ParmoncError> {
+    elapsed: Duration,
+    collector: Collector,
+    averaged: Averaged,
+) -> RunReport {
     let RunSetup {
         dir,
         monitor,
@@ -703,77 +705,14 @@ fn finish(
         checkpoint_recovered,
         ..
     } = setup;
-    let CollectorOutcome {
-        state,
-        lost_workers,
-        reassigned_realizations,
-        mut convergence,
-    } = outcome;
-
-    // Final averaging and save. This path always runs (unlike the
-    // in-loop save-points, which only fire when `averaging_period`
-    // elapses), so every monitored run records at least one
-    // averaging_pass and one save_point event.
-    let spans = SpanEmitter::new(&monitor, 0, config.trace_spans);
-    let sp_merge = spans.start(SpanPhase::CollectorMerge, None);
-    let pass_started = Instant::now();
-    let max_age = state.max_snapshot_age();
-    let total = state.total()?;
-    let summary = total.summary();
+    let Collector { state, live, .. } = collector;
+    let Averaged {
+        total,
+        summary,
+        mean_time,
+        ..
+    } = averaged;
     let new_volume = state.new_volume();
-    let elapsed = start.elapsed();
-    let mean_time = if new_volume == 0 {
-        0.0
-    } else {
-        state.compute_seconds() / new_volume as f64
-    };
-    let log = LogReport {
-        sample_volume: total.count(),
-        mean_time_per_realization: mean_time,
-        eps_max: summary.eps_max,
-        rho_max: summary.rho_max,
-        sigma2_max: summary.sigma2_max,
-        processors: config.processors,
-        seqnum: config.seqnum,
-    };
-    let save_started = Instant::now();
-    let sp_ck = spans.start(SpanPhase::Checkpoint, Some(sp_merge));
-    dir.save_results(&summary, &log)?;
-    dir.save_checkpoint(&total)?;
-    dir.clear_worker_subtotals()?;
-    spans.end(sp_ck, SpanPhase::Checkpoint);
-    if monitor.is_enabled() {
-        monitor.emit(
-            Some(0),
-            EventKind::SavePoint {
-                volume: total.count(),
-                duration_seconds: save_started.elapsed().as_secs_f64(),
-            },
-        );
-        monitor.emit(
-            Some(0),
-            EventKind::AveragingPass {
-                volume: total.count(),
-                duration_seconds: pass_started.elapsed().as_secs_f64(),
-                eps_max: Some(summary.eps_max),
-                max_snapshot_age_seconds: max_age,
-            },
-        );
-        let eps_max = if total.count() < 2 {
-            f64::INFINITY
-        } else {
-            summary.eps_max
-        };
-        convergence.observe(
-            &monitor,
-            Some(0),
-            total.count(),
-            &summary.means,
-            &summary.abs_errors,
-            eps_max,
-        );
-    }
-    spans.end(sp_merge, SpanPhase::CollectorMerge);
 
     let worker_volumes: Vec<u64> = state
         .latest
@@ -808,7 +747,7 @@ fn finish(
         summary
     });
 
-    Ok(RunReport {
+    RunReport {
         total_volume: total.count(),
         new_volume,
         resumed_volume,
@@ -819,10 +758,10 @@ fn finish(
         worker_volumes,
         results_dir: dir,
         monitor: monitor_summary,
-        lost_workers,
-        reassigned_realizations,
+        lost_workers: live.lost,
+        reassigned_realizations: live.reassigned,
         checkpoint_recovered,
-    })
+    }
 }
 
 /// How often, at most, a worker rewrites its on-disk subtotal file.
@@ -850,20 +789,23 @@ struct WorkerControl {
 ///
 /// Returns `None` when a scripted fault crashed the rank first: no
 /// final subtotal is emitted and the caller lets the rank vanish.
-#[allow(clippy::too_many_arguments)] // internal: one call site per rank kind
 fn simulate_quota<R: Realize + ?Sized>(
+    ctx: &RunCtx<'_, R>,
     rank: usize,
-    config: &RunConfig,
-    hierarchy: &StreamHierarchy,
-    dir: &ResultsDir,
-    realize: &R,
-    start: Instant,
     crash_after: Option<u64>,
     spans: &SpanEmitter,
     mut emit: impl FnMut(&MatrixAccumulator, f64, bool) -> Result<bool, ParmoncError>,
     mut heartbeat: impl FnMut() -> Result<(), ParmoncError>,
     mut poll_control: impl FnMut() -> Result<WorkerControl, ParmoncError>,
 ) -> Result<Option<Subtotal>, ParmoncError> {
+    let RunCtx {
+        config,
+        hierarchy,
+        dir,
+        realize,
+        start,
+        ..
+    } = *ctx;
     let mut quota = config.quota(rank);
     let mut acc = MatrixAccumulator::new(config.nrow, config.ncol)?;
     let mut out = vec![0.0f64; config.nrow * config.ncol];
@@ -1077,7 +1019,6 @@ fn flush_relay<C: Comm>(
 /// and the post-final linger loop: drain every pending envelope —
 /// control orders from rank 0, subtotals from the subtree — then flush
 /// one coalesced batch upstream if anything changed.
-#[allow(clippy::too_many_arguments)] // internal plumbing
 fn relay_service<C: Comm>(
     comm: &std::cell::RefCell<C>,
     rank: usize,
@@ -1134,19 +1075,19 @@ fn relay_service<C: Comm>(
     Ok(ctl)
 }
 
-#[allow(clippy::too_many_arguments)] // internal: one call site per backend
 fn worker_loop<C: Comm, R: Realize + ?Sized>(
+    ctx: &RunCtx<'_, R>,
     comm: C,
-    config: &RunConfig,
-    hierarchy: &StreamHierarchy,
-    dir: &ResultsDir,
-    realize: &R,
-    start: Instant,
-    monitor: &Monitor,
-    faults: &FaultHandle,
     trace_spans: bool,
     parent: usize,
 ) -> Result<(), ParmoncError> {
+    let RunCtx {
+        config,
+        monitor,
+        faults,
+        start,
+        ..
+    } = *ctx;
     let rank = comm.rank();
     let size = comm.size();
     let crash_after = faults.crash_after(rank);
@@ -1168,12 +1109,8 @@ fn worker_loop<C: Comm, R: Realize + ?Sized>(
     let relay =
         std::cell::RefCell::new(RelayBuffer::new(config.collection_plan().descendants(rank)));
     let finished = simulate_quota(
+        ctx,
         rank,
-        config,
-        hierarchy,
-        dir,
-        realize,
-        start,
         crash_after,
         &spans,
         |acc, compute_seconds, is_final| {
@@ -1317,294 +1254,305 @@ impl Liveness {
     }
 }
 
-/// What `rank0_loop` hands back to `run`.
-struct CollectorOutcome {
+/// Everything the collector knows: the per-rank subtotals, which
+/// finals are in, who is alive, and whether the run is winding down.
+/// `rank0_loop` builds one, drives it from the inbox, and hands it back
+/// to `run` for the final averaging pass.
+struct Collector {
     state: CollectorState,
-    lost_workers: Vec<usize>,
-    reassigned_realizations: u64,
-    /// Error-bar trajectory recorder, handed back so the final
-    /// averaging pass in [`run`] lands in the same trajectory.
+    /// Whether each rank's final subtotal has been folded in.
+    finals: Vec<bool>,
+    live: Liveness,
+    plan: CollectionPlan,
+    /// Set once error-controlled stopping has been broadcast: lost
+    /// budget is no longer reassigned.
+    stopping: bool,
+    /// Error-bar trajectory recorder; strictly read-only with respect
+    /// to estimation — it observes already-computed summaries, so
+    /// estimates stay bit-identical with the metrics plane on or off.
+    /// The final averaging pass in `finish` lands in the same
+    /// trajectory.
     convergence: ConvergenceTracker,
 }
 
-/// Splits `budget` realizations dropped by `from` as evenly as possible
-/// across surviving workers that are still simulating; shares that
-/// cannot be delivered (no survivors, or the survivor exited between
-/// the liveness check and the send) fall to the collector itself.
-fn reassign<C: Comm>(
-    live: &mut Liveness,
-    from: usize,
-    budget: u64,
-    finals: &[bool],
-    comm: &C,
-    monitor: &Monitor,
-) {
-    live.reassigned += budget;
-    let survivors: Vec<usize> = (1..live.alive.len())
-        .filter(|&m| m != from && live.alive[m] && !finals[m])
-        .collect();
-    let mut self_share = 0u64;
-    if survivors.is_empty() {
-        self_share = budget;
-    } else {
-        let per = budget / survivors.len() as u64;
-        let mut rem = budget % survivors.len() as u64;
-        for &m in &survivors {
-            let share = per + u64::from(rem > 0);
-            rem = rem.saturating_sub(1);
-            if share == 0 {
-                continue;
-            }
-            match comm.send(m, TAG_EXTEND, &share.to_le_bytes()) {
-                Ok(()) => {
-                    live.extended[m] += share;
-                    monitor.emit(
-                        Some(0),
-                        EventKind::WorkReassigned {
-                            from_worker: from,
-                            to_worker: m,
-                            realizations: share,
-                        },
-                    );
-                }
-                Err(_) => self_share += share,
-            }
+impl Collector {
+    fn new(config: &RunConfig, baseline: MatrixAccumulator, size: usize) -> Self {
+        Self {
+            state: CollectorState::new(baseline, size),
+            finals: vec![false; size],
+            live: Liveness::new(size),
+            plan: config.collection_plan(),
+            stopping: false,
+            convergence: ConvergenceTracker::with_target(config.target_abs_error),
         }
     }
-    if self_share > 0 {
-        live.extended[0] += self_share;
-        live.self_extra += self_share;
-        monitor.emit(
+
+    /// Splits `budget` realizations dropped by `from` as evenly as
+    /// possible across surviving workers that are still simulating;
+    /// shares that cannot be delivered (no survivors, or the survivor
+    /// exited between the liveness check and the send) fall to the
+    /// collector itself.
+    fn reassign<C: Comm>(&mut self, from: usize, budget: u64, comm: &C, monitor: &Monitor) {
+        let live = &mut self.live;
+        live.reassigned += budget;
+        let survivors: Vec<usize> = (1..live.alive.len())
+            .filter(|&m| m != from && live.alive[m] && !self.finals[m])
+            .collect();
+        let mut self_share = 0u64;
+        if survivors.is_empty() {
+            self_share = budget;
+        } else {
+            let per = budget / survivors.len() as u64;
+            let mut rem = budget % survivors.len() as u64;
+            for &m in &survivors {
+                let share = per + u64::from(rem > 0);
+                rem = rem.saturating_sub(1);
+                if share == 0 {
+                    continue;
+                }
+                match comm.send(m, TAG_EXTEND, &share.to_le_bytes()) {
+                    Ok(()) => {
+                        live.extended[m] += share;
+                        monitor.emit(
+                            Some(0),
+                            EventKind::WorkReassigned {
+                                from_worker: from,
+                                to_worker: m,
+                                realizations: share,
+                            },
+                        );
+                    }
+                    Err(_) => self_share += share,
+                }
+            }
+        }
+        if self_share > 0 {
+            live.extended[0] += self_share;
+            live.self_extra += self_share;
+            monitor.emit(
+                Some(0),
+                EventKind::WorkReassigned {
+                    from_worker: from,
+                    to_worker: 0,
+                    realizations: self_share,
+                },
+            );
+        }
+    }
+
+    /// Declares `dead` lost: keeps its last cumulative subtotal (those
+    /// realizations are complete and unbiased), reassigns the rest of
+    /// its budget, and records the loss — or fails the whole run when
+    /// the configuration demands that. Under a tree topology the dead
+    /// rank may have been a relay: its still-live children are
+    /// reparented straight to the collector so their subtotals keep
+    /// flowing (cumulative semantics make anything buffered in the dead
+    /// relay redundant with the child's next send).
+    fn declare_lost<C: Comm, R: ?Sized>(
+        &mut self,
+        ctx: &RunCtx<'_, R>,
+        comm: &C,
+        dead: usize,
+    ) -> Result<(), ParmoncError> {
+        let received = self.state.latest[dead]
+            .as_ref()
+            .map_or(0, |s| s.acc.count());
+        if ctx.config.fail_on_worker_loss {
+            return Err(ParmoncError::WorkerLost {
+                rank: dead,
+                received_realizations: received,
+            });
+        }
+        self.live.alive[dead] = false;
+        self.live.lost.push(dead);
+        // On an elastic-membership substrate (a socket world), the dead
+        // rank's lease must never be granted again: its remaining
+        // budget is about to be reassigned, so a late joiner on this
+        // rank would double-count.
+        comm.retire_rank(dead);
+        ctx.monitor.emit(
             Some(0),
-            EventKind::WorkReassigned {
-                from_worker: from,
-                to_worker: 0,
-                realizations: self_share,
+            EventKind::WorkerLost {
+                worker: dead,
+                received_realizations: received,
             },
         );
+        for child in self.plan.children(dead) {
+            if self.live.alive[child] && !self.finals[child] {
+                // Best-effort: a child that cannot be reached will fall
+                // back to the collector on its own Disconnected error.
+                let _ = comm.send(child, TAG_REPARENT, &0u64.to_le_bytes());
+            }
+        }
+        let budget = (ctx.config.quota(dead) + self.live.extended[dead]).saturating_sub(received);
+        if budget > 0 && !self.stopping {
+            self.reassign(dead, budget, comm, ctx.monitor);
+        }
+        Ok(())
     }
-}
 
-/// Declares `dead` lost: keeps its last cumulative subtotal (those
-/// realizations are complete and unbiased), reassigns the rest of its
-/// budget, and records the loss — or fails the whole run when the
-/// configuration demands that. Under a tree topology the dead rank may
-/// have been a relay: its still-live children are reparented straight
-/// to the collector so their subtotals keep flowing (cumulative
-/// semantics make anything buffered in the dead relay redundant with
-/// the child's next send).
-#[allow(clippy::too_many_arguments)] // internal plumbing
-fn declare_lost<C: Comm>(
-    live: &mut Liveness,
-    dead: usize,
-    config: &RunConfig,
-    plan: &CollectionPlan,
-    state: &CollectorState,
-    finals: &[bool],
-    comm: &C,
-    monitor: &Monitor,
-    stopping: bool,
-) -> Result<(), ParmoncError> {
-    let received = state.latest[dead].as_ref().map_or(0, |s| s.acc.count());
-    if config.fail_on_worker_loss {
-        return Err(ParmoncError::WorkerLost {
-            rank: dead,
-            received_realizations: received,
-        });
+    /// Sweeps for ranks that have gone quiet past the liveness timeout
+    /// and declares them lost. With `force`, every still-awaited rank
+    /// is declared immediately — used when the transport reports all
+    /// senders disconnected, so no further message can ever arrive.
+    fn check_liveness<C: Comm, R: ?Sized>(
+        &mut self,
+        ctx: &RunCtx<'_, R>,
+        comm: &C,
+        force: bool,
+        now: Instant,
+    ) -> Result<(), ParmoncError> {
+        let dead: Vec<usize> = (1..self.live.alive.len())
+            .filter(|&m| {
+                self.live.alive[m]
+                    && !self.finals[m]
+                    && (force
+                        || now
+                            .checked_duration_since(self.live.last_heard[m])
+                            .is_some_and(|age| age >= ctx.config.liveness_timeout))
+            })
+            .collect();
+        for m in dead {
+            self.declare_lost(ctx, comm, m)?;
+        }
+        Ok(())
     }
-    live.alive[dead] = false;
-    live.lost.push(dead);
-    // On an elastic-membership substrate (TCP), the dead rank's lease
-    // must never be granted again: its remaining budget is about to be
-    // reassigned, so a late joiner on this rank would double-count.
-    comm.retire_rank(dead);
-    monitor.emit(
-        Some(0),
-        EventKind::WorkerLost {
-            worker: dead,
-            received_realizations: received,
-        },
-    );
-    for child in plan.children(dead) {
-        if live.alive[child] && !finals[child] {
-            // Best-effort: a child that cannot be reached will fall
-            // back to the collector on its own Disconnected error.
-            let _ = comm.send(child, TAG_REPARENT, &0u64.to_le_bytes());
+
+    /// Marks `rank`'s final received. A final from a rank that was
+    /// extended but fell short (the extension raced its exit) gets the
+    /// shortfall re-reassigned so the budget is never silently dropped;
+    /// base-quota shortfalls (deadline, stop broadcast) are left alone.
+    /// Idempotent at the call sites: a relay re-flushing a batch can
+    /// replay a final flag, so callers guard on `!finals[rank]`.
+    fn note_final<C: Comm, R: ?Sized>(&mut self, ctx: &RunCtx<'_, R>, comm: &C, rank: usize) {
+        self.finals[rank] = true;
+        let count = self.state.latest[rank]
+            .as_ref()
+            .map_or(0, |s| s.acc.count());
+        let expected = ctx.config.quota(rank) + self.live.extended[rank];
+        let shortfall = expected.saturating_sub(count).min(self.live.extended[rank]);
+        let deadline_passed = ctx
+            .config
+            .deadline
+            .is_some_and(|d| ctx.start.elapsed() >= d);
+        if shortfall > 0 && self.live.alive[rank] && !self.stopping && !deadline_passed {
+            self.reassign(rank, shortfall, comm, ctx.monitor);
         }
     }
-    let budget = (config.quota(dead) + live.extended[dead]).saturating_sub(received);
-    if budget > 0 && !stopping {
-        reassign(live, dead, budget, finals, comm, monitor);
-    }
-    Ok(())
-}
 
-/// Sweeps for ranks that have gone quiet past the liveness timeout and
-/// declares them lost. With `force`, every still-awaited rank is
-/// declared immediately — used when the transport reports all senders
-/// disconnected, so no further message can ever arrive.
-#[allow(clippy::too_many_arguments)] // internal plumbing
-fn check_liveness<C: Comm>(
-    live: &mut Liveness,
-    finals: &[bool],
-    config: &RunConfig,
-    plan: &CollectionPlan,
-    state: &CollectorState,
-    comm: &C,
-    monitor: &Monitor,
-    stopping: bool,
-    force: bool,
-    now: Instant,
-) -> Result<(), ParmoncError> {
-    let dead: Vec<usize> = (1..live.alive.len())
-        .filter(|&m| {
-            live.alive[m]
-                && !finals[m]
-                && (force
-                    || now
-                        .checked_duration_since(live.last_heard[m])
-                        .is_some_and(|age| age >= config.liveness_timeout))
-        })
-        .collect();
-    for m in dead {
-        declare_lost(
-            live, m, config, plan, state, finals, comm, monitor, stopping,
-        )?;
-    }
-    Ok(())
-}
-
-/// Marks `rank`'s final received. A final from a rank that was
-/// extended but fell short (the extension raced its exit) gets the
-/// shortfall re-reassigned so the budget is never silently dropped;
-/// base-quota shortfalls (deadline, stop broadcast) are left alone.
-/// Idempotent at the call sites: a relay re-flushing a batch can
-/// replay a final flag, so callers guard on `!finals[rank]`.
-#[allow(clippy::too_many_arguments)] // internal plumbing
-fn note_final<C: Comm>(
-    rank: usize,
-    state: &CollectorState,
-    finals: &mut [bool],
-    live: &mut Liveness,
-    config: &RunConfig,
-    comm: &C,
-    monitor: &Monitor,
-    start: Instant,
-    stopping: bool,
-) {
-    finals[rank] = true;
-    let count = state.latest[rank].as_ref().map_or(0, |s| s.acc.count());
-    let expected = config.quota(rank) + live.extended[rank];
-    let shortfall = expected.saturating_sub(count).min(live.extended[rank]);
-    let deadline_passed = config.deadline.is_some_and(|d| start.elapsed() >= d);
-    if shortfall > 0 && live.alive[rank] && !stopping && !deadline_passed {
-        reassign(live, rank, shortfall, finals, comm, monitor);
-    }
-}
-
-/// Folds one inbound envelope into the collector state. Returns `true`
-/// for data messages (heartbeats only refresh liveness). Under a tree
-/// topology the envelope may be a relay's [`TAG_BATCH`]: each entry is
-/// credited to its *original* rank — liveness, subtotal, and final
-/// alike — so the estimate and the loss accounting are independent of
-/// how subtotals were routed.
-#[allow(clippy::too_many_arguments)] // internal plumbing
-fn collector_handle<C: Comm>(
-    env: Envelope,
-    state: &mut CollectorState,
-    finals: &mut [bool],
-    live: &mut Liveness,
-    config: &RunConfig,
-    comm: &C,
-    monitor: &Monitor,
-    start: Instant,
-    stopping: bool,
-    now: Instant,
-) -> Result<bool, ParmoncError> {
-    let source = env.source;
-    live.heard_from(source, now);
-    if env.tag == TAG_HEARTBEAT {
-        return Ok(false);
-    }
-    if env.tag == TAG_BATCH {
-        for entry in decode_batch(&env.payload)? {
-            if entry.rank == 0 || entry.rank >= finals.len() || finals[entry.rank] {
-                // After a rank's final, anything still in flight for it
-                // is a relay's stale copy or a retransmitted final —
-                // never newer state. Absorbing it could *regress* the
-                // rank's cumulative subtotal when the final took a
-                // different path (e.g. the hub's route fallback).
-                continue;
-            }
-            // The entry's payload reached us via the relay, but it is
-            // the origin rank's own recent subtotal: proof of life.
-            live.heard_from(entry.rank, now);
-            state.absorb(entry.rank, &entry.payload, now)?;
-            if entry.is_final {
-                note_final(
-                    entry.rank, state, finals, live, config, comm, monitor, start, stopping,
-                );
-            }
-            // Batch entry payloads alias one shared frame buffer —
-            // never recycle them into the pool.
+    /// Folds one inbound envelope into the collector state. Returns
+    /// `true` for data messages (heartbeats only refresh liveness).
+    /// Under a tree topology the envelope may be a relay's
+    /// [`TAG_BATCH`]: each entry is credited to its *original* rank —
+    /// liveness, subtotal, and final alike — so the estimate and the
+    /// loss accounting are independent of how subtotals were routed.
+    fn handle<C: Comm, R: ?Sized>(
+        &mut self,
+        ctx: &RunCtx<'_, R>,
+        comm: &C,
+        env: Envelope,
+        now: Instant,
+    ) -> Result<bool, ParmoncError> {
+        let source = env.source;
+        self.live.heard_from(source, now);
+        if env.tag == TAG_HEARTBEAT {
+            return Ok(false);
         }
-        return Ok(true);
-    }
-    if finals[source] {
+        if env.tag == TAG_BATCH {
+            for entry in decode_batch(&env.payload)? {
+                if entry.rank == 0 || entry.rank >= self.finals.len() || self.finals[entry.rank] {
+                    // After a rank's final, anything still in flight for it
+                    // is a relay's stale copy or a retransmitted final —
+                    // never newer state. Absorbing it could *regress* the
+                    // rank's cumulative subtotal when the final took a
+                    // different path (e.g. the hub's route fallback).
+                    continue;
+                }
+                // The entry's payload reached us via the relay, but it is
+                // the origin rank's own recent subtotal: proof of life.
+                self.live.heard_from(entry.rank, now);
+                self.state.absorb(entry.rank, &entry.payload, now)?;
+                if entry.is_final {
+                    self.note_final(ctx, comm, entry.rank);
+                }
+                // Batch entry payloads alias one shared frame buffer —
+                // never recycle them into the pool.
+            }
+            return Ok(true);
+        }
+        if self.finals[source] {
+            comm.recycle(env.payload);
+            return Ok(true);
+        }
+        let is_final = env.tag == TAG_FINAL;
+        self.state.absorb(source, &env.payload, now)?;
         comm.recycle(env.payload);
-        return Ok(true);
-    }
-    let is_final = env.tag == TAG_FINAL;
-    state.absorb(source, &env.payload, now)?;
-    comm.recycle(env.payload);
-    if is_final {
-        note_final(
-            source, state, finals, live, config, comm, monitor, start, stopping,
-        );
-    }
-    Ok(true)
-}
-
-/// Notifies every worker of error-controlled stopping. A worker that
-/// already sent its final and exited has dropped its inbox; that is
-/// not an error for a stop notification.
-fn broadcast_stop<C: Comm>(comm: &C, size: usize) -> Result<(), ParmoncError> {
-    for dest in 1..size {
-        match comm.send(dest, TAG_STOP, &[]) {
-            Ok(()) | Err(MpiError::Disconnected) => {}
-            Err(e) => return Err(e.into()),
+        if is_final {
+            self.note_final(ctx, comm, source);
         }
+        Ok(true)
     }
-    Ok(())
+
+    /// Error-controlled stopping: once a save-point's `eps_max` meets
+    /// the configured target, notifies every worker — once. A worker
+    /// that already sent its final and exited has dropped its inbox;
+    /// that is not an error for a stop notification.
+    fn stop_if_converged<C: Comm>(
+        &mut self,
+        config: &RunConfig,
+        comm: &C,
+        eps_max: f64,
+    ) -> Result<(), ParmoncError> {
+        let met = config
+            .target_abs_error
+            .is_some_and(|target| eps_max <= target);
+        if self.stopping || !met {
+            return Ok(());
+        }
+        for dest in 1..comm.size() {
+            match comm.send(dest, TAG_STOP, &[]) {
+                Ok(()) | Err(MpiError::Disconnected) => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        self.stopping = true;
+        Ok(())
+    }
 }
 
-#[allow(clippy::too_many_arguments)] // internal: one call site per backend
 #[allow(clippy::too_many_lines)]
 fn rank0_loop<C: Comm, R: Realize + ?Sized>(
+    ctx: &RunCtx<'_, R>,
     comm: &mut C,
-    config: &RunConfig,
-    hierarchy: &StreamHierarchy,
-    dir: &ResultsDir,
     baseline: MatrixAccumulator,
-    realize: &R,
-    start: Instant,
-    monitor: &Monitor,
-    faults: &FaultHandle,
     resume_own: Option<Subtotal>,
-) -> Result<CollectorOutcome, ParmoncError> {
+) -> Result<Collector, ParmoncError> {
+    let RunCtx {
+        config,
+        hierarchy,
+        dir,
+        realize,
+        monitor,
+        faults,
+        start,
+    } = *ctx;
     let crash_after = faults.crash_after(0);
     let size = comm.size();
-    let plan = config.collection_plan();
-    let mut state = CollectorState::new(baseline, size);
-    let mut finals = vec![false; size];
-    let mut live = Liveness::new(size);
+    let mut collector = Collector::new(config, baseline, size);
     let mut last_average = Instant::now();
     let mut tracker = SegmentTracker::new(monitor);
     let spans = SpanEmitter::new(monitor, 0, config.trace_spans);
-    // Strictly read-only with respect to estimation: it observes
-    // already-computed summaries, so estimates stay bit-identical with
-    // the metrics plane on or off.
-    let mut convergence = ConvergenceTracker::with_target(config.target_abs_error);
+    let report_progress = |acc: &MatrixAccumulator, compute_seconds: f64| {
+        if monitor.is_enabled() {
+            monitor.emit(
+                Some(0),
+                EventKind::Realizations {
+                    completed: acc.count(),
+                    compute_seconds,
+                },
+            );
+        }
+    };
 
     // Rank 0 simulates its own quota inline, draining asynchronously
     // arriving worker messages between realizations and writing
@@ -1625,7 +1573,6 @@ fn rank0_loop<C: Comm, R: Realize + ?Sized>(
     let mut out = vec![0.0f64; config.nrow * config.ncol];
     let mut last_pass = Instant::now();
     let mut last_file_write: Option<Instant> = None;
-    let mut stop_broadcast = false;
     // Incremental stream cursor for rank 0's own simulation; persists
     // across the main loop *and* the reassignment-absorbing loop below,
     // so every advance is one 128-bit multiply instead of three
@@ -1638,8 +1585,8 @@ fn rank0_loop<C: Comm, R: Realize + ?Sized>(
         // Absorb work reassigned to the collector itself: it continues
         // on its own stream coordinates past its original quota, so no
         // subsequence is reused.
-        quota += std::mem::take(&mut live.self_extra);
-        if r >= quota || stop_broadcast {
+        quota += std::mem::take(&mut collector.live.self_extra);
+        if r >= quota || collector.stopping {
             break;
         }
         if let Some(deadline) = config.deadline {
@@ -1682,16 +1629,8 @@ fn rank0_loop<C: Comm, R: Realize + ?Sized>(
             Exchange::Periodic => now.duration_since(last_pass) >= config.pass_period,
         };
         if due {
-            if monitor.is_enabled() {
-                monitor.emit(
-                    Some(0),
-                    EventKind::Realizations {
-                        completed: acc.count(),
-                        compute_seconds,
-                    },
-                );
-            }
-            state.update_own(&acc, compute_seconds, now);
+            report_progress(&acc, compute_seconds);
+            collector.state.update_own(&acc, compute_seconds, now);
             if last_file_write.is_none_or(|t| now.duration_since(t) >= WORKER_FILE_PERIOD) {
                 dir.save_worker_state(0, &acc, compute_seconds)?;
                 last_file_write = Some(now);
@@ -1701,18 +1640,7 @@ fn rank0_loop<C: Comm, R: Realize + ?Sized>(
         let drain_started = monitor.is_enabled().then(Instant::now);
         let mut received = 0usize;
         while let Some(env) = comm.try_recv(None, None) {
-            if collector_handle(
-                env,
-                &mut state,
-                &mut finals,
-                &mut live,
-                config,
-                &*comm,
-                monitor,
-                start,
-                stop_broadcast,
-                now,
-            )? {
+            if collector.handle(ctx, &*comm, env, now)? {
                 received += 1;
             }
         }
@@ -1721,68 +1649,38 @@ fn rank0_loop<C: Comm, R: Realize + ?Sized>(
                 tracker.punch(CollectorActivity::Receiving, t);
             }
         }
-        check_liveness(
-            &mut live,
-            &finals,
-            config,
-            &plan,
-            &state,
-            &*comm,
-            monitor,
-            stop_broadcast,
-            false,
-            now,
-        )?;
+        collector.check_liveness(ctx, &*comm, false, now)?;
         if now.duration_since(last_average) >= config.averaging_period {
             // The running rank-0 subtotal must be visible to the
             // save-point (and to the error-control check below) even
             // between passes.
-            state.update_own(&acc, compute_seconds, now);
+            collector.state.update_own(&acc, compute_seconds, now);
             let save_started = Instant::now();
-            let eps_max = save_point(
-                dir,
-                config,
-                &state,
-                start,
-                monitor,
-                &spans,
-                &mut convergence,
-            )?;
+            let eps_max = collector.save_point(ctx, &spans)?.eps_max;
             tracker.punch(CollectorActivity::Saving, save_started);
             last_average = Instant::now();
-            if let Some(target) = config.target_abs_error {
-                if eps_max <= target && !stop_broadcast {
-                    broadcast_stop(comm, size)?;
-                    stop_broadcast = true;
-                }
-            }
+            collector.stop_if_converged(config, &*comm, eps_max)?;
         }
     }
-    if monitor.is_enabled() {
-        monitor.emit(
-            Some(0),
-            EventKind::Realizations {
-                completed: acc.count(),
-                compute_seconds,
-            },
-        );
-    }
+    report_progress(&acc, compute_seconds);
     dir.save_worker_state(0, &acc, compute_seconds)?;
-    state.update_own(&acc, compute_seconds, Instant::now());
-    finals[0] = true;
+    collector
+        .state
+        .update_own(&acc, compute_seconds, Instant::now());
+    collector.finals[0] = true;
 
     // Wait for every *live* worker's final message, sweeping for dead
     // ranks between arrivals instead of blocking forever, and absorbing
     // any reassignments that land on the collector itself.
     let sweep = config.heartbeat_period;
     loop {
-        if live.self_extra > 0 {
+        if collector.live.self_extra > 0 {
             let deadline_passed = config.deadline.is_some_and(|d| start.elapsed() >= d);
-            if stop_broadcast || deadline_passed {
+            if collector.stopping || deadline_passed {
                 // The run is winding down anyway; forfeit the budget.
-                live.self_extra = 0;
+                collector.live.self_extra = 0;
             } else {
-                let extra = std::mem::take(&mut live.self_extra);
+                let extra = std::mem::take(&mut collector.live.self_extra);
                 tracker.switch(CollectorActivity::Computing);
                 for _ in 0..extra {
                     if config.deadline.is_some_and(|d| start.elapsed() >= d) {
@@ -1795,39 +1693,27 @@ fn rank0_loop<C: Comm, R: Realize + ?Sized>(
                     compute_seconds += t0.elapsed().as_secs_f64();
                     acc.add(&out)?;
                 }
-                if monitor.is_enabled() {
-                    monitor.emit(
-                        Some(0),
-                        EventKind::Realizations {
-                            completed: acc.count(),
-                            compute_seconds,
-                        },
-                    );
-                }
+                report_progress(&acc, compute_seconds);
                 dir.save_worker_state(0, &acc, compute_seconds)?;
-                state.update_own(&acc, compute_seconds, Instant::now());
+                collector
+                    .state
+                    .update_own(&acc, compute_seconds, Instant::now());
                 continue;
             }
         }
-        if !finals.iter().zip(&live.alive).any(|(f, a)| *a && !*f) {
+        if !collector
+            .finals
+            .iter()
+            .zip(&collector.live.alive)
+            .any(|(f, a)| *a && !*f)
+        {
             break;
         }
         tracker.switch(CollectorActivity::Waiting);
         match comm.recv_timeout(None, None, sweep) {
             Ok(Some(env)) => {
                 let received_at = Instant::now();
-                if collector_handle(
-                    env,
-                    &mut state,
-                    &mut finals,
-                    &mut live,
-                    config,
-                    &*comm,
-                    monitor,
-                    start,
-                    stop_broadcast,
-                    received_at,
-                )? {
+                if collector.handle(ctx, &*comm, env, received_at)? {
                     tracker.punch(CollectorActivity::Receiving, received_at);
                 }
             }
@@ -1835,52 +1721,17 @@ fn rank0_loop<C: Comm, R: Realize + ?Sized>(
             // Every rank that could still send has exited: nothing more
             // can arrive, so every awaited rank is dead right now.
             Err(MpiError::Disconnected) => {
-                check_liveness(
-                    &mut live,
-                    &finals,
-                    config,
-                    &plan,
-                    &state,
-                    &*comm,
-                    monitor,
-                    stop_broadcast,
-                    true,
-                    Instant::now(),
-                )?;
+                collector.check_liveness(ctx, &*comm, true, Instant::now())?;
             }
             Err(e) => return Err(e.into()),
         }
-        check_liveness(
-            &mut live,
-            &finals,
-            config,
-            &plan,
-            &state,
-            &*comm,
-            monitor,
-            stop_broadcast,
-            false,
-            Instant::now(),
-        )?;
+        collector.check_liveness(ctx, &*comm, false, Instant::now())?;
         if last_average.elapsed() >= config.averaging_period {
             let save_started = Instant::now();
-            let eps_max = save_point(
-                dir,
-                config,
-                &state,
-                start,
-                monitor,
-                &spans,
-                &mut convergence,
-            )?;
+            let eps_max = collector.save_point(ctx, &spans)?.eps_max;
             tracker.punch(CollectorActivity::Saving, save_started);
             last_average = Instant::now();
-            if let Some(target) = config.target_abs_error {
-                if eps_max <= target && !stop_broadcast {
-                    broadcast_stop(comm, size)?;
-                    stop_broadcast = true;
-                }
-            }
+            collector.stop_if_converged(config, &*comm, eps_max)?;
         }
     }
     // Drain any stragglers (a worker may have sent subtotals after the
@@ -1898,16 +1749,20 @@ fn rank0_loop<C: Comm, R: Realize + ?Sized>(
             // in, which makes the entry stale by definition. Entry
             // payloads alias the batch frame — no recycling.
             for entry in decode_batch(&env.payload)? {
-                if entry.rank == 0 || entry.rank >= size || finals[entry.rank] {
+                if entry.rank == 0 || entry.rank >= size || collector.finals[entry.rank] {
                     continue;
                 }
-                state.absorb(entry.rank, &entry.payload, drain_started)?;
+                collector
+                    .state
+                    .absorb(entry.rank, &entry.payload, drain_started)?;
             }
             drained = true;
             continue;
         }
-        if env.source < size && !finals[env.source] {
-            state.absorb(env.source, &env.payload, drain_started)?;
+        if env.source < size && !collector.finals[env.source] {
+            collector
+                .state
+                .absorb(env.source, &env.payload, drain_started)?;
             drained = true;
         }
         comm.recycle(env.payload);
@@ -1916,12 +1771,7 @@ fn rank0_loop<C: Comm, R: Realize + ?Sized>(
         tracker.punch(CollectorActivity::Receiving, drain_started);
     }
     tracker.finish();
-    Ok(CollectorOutcome {
-        state,
-        lost_workers: live.lost,
-        reassigned_realizations: live.reassigned,
-        convergence,
-    })
+    Ok(collector)
 }
 
 /// Builds the collector's [`EventKind::CollectorSegment`] timeline,
@@ -1995,83 +1845,101 @@ impl<'a> SegmentTracker<'a> {
     }
 }
 
-/// Periodic save-point: average everything received so far and rewrite
-/// the result files (the paper's "periodically calculates and saves in
-/// files the subtotal results"). Returns the current `eps_max` so the
-/// caller can apply error-controlled stopping.
-#[allow(clippy::too_many_arguments)] // internal plumbing
-fn save_point(
-    dir: &ResultsDir,
-    config: &RunConfig,
-    state: &CollectorState,
-    start: Instant,
-    monitor: &Monitor,
-    spans: &SpanEmitter,
-    convergence: &mut ConvergenceTracker,
-) -> Result<f64, ParmoncError> {
-    let sp_merge = spans.start(SpanPhase::CollectorMerge, None);
-    let pass_started = Instant::now();
-    let max_age = state.max_snapshot_age();
-    let total = state.total()?;
-    let summary = total.summary();
-    let new_volume = state.new_volume();
-    let mean_time = if new_volume == 0 {
-        0.0
-    } else {
-        state.compute_seconds() / new_volume as f64
-    };
-    let _ = start; // wall-clock kept for symmetry with the final report
-    let log = LogReport {
-        sample_volume: total.count(),
-        mean_time_per_realization: mean_time,
-        eps_max: summary.eps_max,
-        rho_max: summary.rho_max,
-        sigma2_max: summary.sigma2_max,
-        processors: config.processors,
-        seqnum: config.seqnum,
-    };
-    let save_started = Instant::now();
-    let sp_ck = spans.start(SpanPhase::Checkpoint, Some(sp_merge));
-    dir.save_results(&summary, &log)?;
-    dir.save_checkpoint(&total)?;
-    spans.end(sp_ck, SpanPhase::Checkpoint);
-    if monitor.is_enabled() {
-        monitor.emit(
-            Some(0),
-            EventKind::SavePoint {
-                volume: total.count(),
-                duration_seconds: save_started.elapsed().as_secs_f64(),
-            },
-        );
-        monitor.emit(
-            Some(0),
-            EventKind::AveragingPass {
-                volume: total.count(),
-                duration_seconds: pass_started.elapsed().as_secs_f64(),
-                eps_max: Some(summary.eps_max),
-                max_snapshot_age_seconds: max_age,
-            },
-        );
-    }
-    spans.end(sp_merge, SpanPhase::CollectorMerge);
-    // A near-empty sample reports eps_max = 0 vacuously; never let it
-    // trigger error-controlled stopping.
-    let eps_max = if total.count() < 2 {
-        f64::INFINITY
-    } else {
-        summary.eps_max
-    };
-    if monitor.is_enabled() {
-        convergence.observe(
+/// What one averaging pass produced.
+struct Averaged {
+    total: MatrixAccumulator,
+    summary: MatrixSummary,
+    /// Mean compute time per new realization (the paper's τ_ζ).
+    mean_time: f64,
+    /// The largest error bar — infinite while the sample is too small
+    /// to have one — for error-controlled stopping.
+    eps_max: f64,
+}
+
+impl Collector {
+    /// Save-point: average everything received so far and rewrite the
+    /// result files (the paper's "periodically calculates and saves in
+    /// files the subtotal results").
+    fn save_point<R: ?Sized>(
+        &mut self,
+        ctx: &RunCtx<'_, R>,
+        spans: &SpanEmitter,
+    ) -> Result<Averaged, ParmoncError> {
+        let RunCtx {
+            config,
+            dir,
             monitor,
-            Some(0),
-            total.count(),
-            &summary.means,
-            &summary.abs_errors,
+            ..
+        } = *ctx;
+        let state = &self.state;
+        let sp_merge = spans.start(SpanPhase::CollectorMerge, None);
+        let pass_started = Instant::now();
+        let max_age = state.max_snapshot_age();
+        let total = state.total()?;
+        let summary = total.summary();
+        let new_volume = state.new_volume();
+        let mean_time = if new_volume == 0 {
+            0.0
+        } else {
+            state.compute_seconds() / new_volume as f64
+        };
+        let log = LogReport {
+            sample_volume: total.count(),
+            mean_time_per_realization: mean_time,
+            eps_max: summary.eps_max,
+            rho_max: summary.rho_max,
+            sigma2_max: summary.sigma2_max,
+            processors: config.processors,
+            seqnum: config.seqnum,
+        };
+        let save_started = Instant::now();
+        let sp_ck = spans.start(SpanPhase::Checkpoint, Some(sp_merge));
+        dir.save_results(&summary, &log)?;
+        dir.save_checkpoint(&total)?;
+        spans.end(sp_ck, SpanPhase::Checkpoint);
+        if monitor.is_enabled() {
+            monitor.emit(
+                Some(0),
+                EventKind::SavePoint {
+                    volume: total.count(),
+                    duration_seconds: save_started.elapsed().as_secs_f64(),
+                },
+            );
+            monitor.emit(
+                Some(0),
+                EventKind::AveragingPass {
+                    volume: total.count(),
+                    duration_seconds: pass_started.elapsed().as_secs_f64(),
+                    eps_max: Some(summary.eps_max),
+                    max_snapshot_age_seconds: max_age,
+                },
+            );
+        }
+        spans.end(sp_merge, SpanPhase::CollectorMerge);
+        // A near-empty sample reports eps_max = 0 vacuously; never let it
+        // trigger error-controlled stopping.
+        let eps_max = if total.count() < 2 {
+            f64::INFINITY
+        } else {
+            summary.eps_max
+        };
+        if monitor.is_enabled() {
+            self.convergence.observe(
+                monitor,
+                Some(0),
+                total.count(),
+                &summary.means,
+                &summary.abs_errors,
+                eps_max,
+            );
+        }
+        Ok(Averaged {
+            total,
+            summary,
+            mean_time,
             eps_max,
-        );
+        })
     }
-    Ok(eps_max)
 }
 
 #[cfg(test)]

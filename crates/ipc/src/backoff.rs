@@ -7,8 +7,8 @@
 //! `min(base * 2^k, max)` scaled by a jitter factor in `[0.5, 1.0)`
 //! drawn from a splitmix64 hash of `(seed, attempt)` — never the wall
 //! clock, so the same seed replays the same schedule on every run and
-//! both backends. Used by the Unix-socket `connect_with_retry`, the
-//! TCP join dial, and the TCP worker's automatic reconnect.
+//! both backends. Used by the join dial and the worker's automatic
+//! reconnect.
 
 use std::time::Duration;
 
@@ -23,7 +23,7 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 
 /// The retry policy for dialing (and re-dialing) a collector.
 ///
-/// All parameters are exposed on `ParmoncBuilder`
+/// All parameters are exposed on `parmonc`'s `NetOptions`
 /// (`reconnect_attempts`, `reconnect_base_delay`,
 /// `reconnect_max_delay`, `reconnect_attempt_timeout`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

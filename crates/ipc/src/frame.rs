@@ -7,17 +7,17 @@
 //! frame sequence number (0 = unsequenced protocol traffic) that lets
 //! the collector deduplicate frames replayed after a reconnect. A band
 //! of tags above the collective range is reserved for the transports'
-//! own protocol and never surfaces as envelopes: the connection
-//! handshakes, forwarded monitor events, and the TCP
-//! join/grant/reject/rejoin exchange. The full byte-level contract
+//! own protocol and never surfaces as envelopes: forwarded monitor
+//! events, the join/grant/reject/rejoin handshake, clock alignment and
+//! hub routing. The full byte-level contract
 //! (including a worked hexdump) is documented in
 //! `docs/wire-protocol.md`.
 
 use std::io::{self, Read, Write};
 
-/// The handshake frame a worker sends right after connecting: the
-/// payload is the spawn token, the source is the worker's rank.
-pub const TAG_IPC_HELLO: u32 = 0xFFFF_FF00;
+// 0xFFFF_FF00 is retired, not reused: it was the hello frame of the
+// process backend's own handshake. The `TCP_` prefix on the tags that
+// follow is historical — both socket backends speak them.
 
 /// A forwarded monitor event: the payload is one schema-valid
 /// `run_metrics.jsonl` line, re-emitted by the parent with the

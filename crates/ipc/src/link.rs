@@ -1,23 +1,21 @@
 //! Shared plumbing for both ends of a socket world: the matching
-//! mailbox, queue-depth accounting, the fault-gated send path, and
-//! the monitor-event forwarding sink.
+//! mailbox, queue-depth accounting, per-link wire and clock state, the
+//! monitor-event forwarding sink, and the reader pump.
 
-use std::cell::RefCell;
 use std::io::{BufReader, Read, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use parmonc_faults::{FaultHandle, FaultKind, SendAction};
 use parmonc_mpi::bytes::Bytes;
 use parmonc_mpi::envelope::{Envelope, Tag};
 use parmonc_mpi::error::MpiError;
 use parmonc_obs::{Event, EventKind, EventSink, Monitor};
 
 use crate::frame::{
-    read_frame, write_frame, ClockSync, Frame, FRAME_HEADER_LEN, TAG_IPC_EVENT, TAG_IPC_HELLO,
-    TAG_TCP_CLOCK, TAG_TCP_CLOCK_PROBE, TAG_TCP_CLOCK_REPLY,
+    read_frame, write_frame, ClockSync, Frame, FRAME_HEADER_LEN, TAG_IPC_EVENT, TAG_TCP_CLOCK,
+    TAG_TCP_CLOCK_PROBE, TAG_TCP_CLOCK_REPLY,
 };
 
 /// Per-link wire counters, shared between the link's reader thread and
@@ -150,7 +148,7 @@ pub(crate) struct Mailbox {
     inbox: Receiver<Envelope>,
     pending: std::collections::VecDeque<Envelope>,
     monitor: Monitor,
-    stats: Option<Arc<InboxStats>>,
+    stats: Arc<InboxStats>,
 }
 
 impl Mailbox {
@@ -158,7 +156,7 @@ impl Mailbox {
         rank: usize,
         inbox: Receiver<Envelope>,
         monitor: Monitor,
-        stats: Option<Arc<InboxStats>>,
+        stats: Arc<InboxStats>,
     ) -> Self {
         Self {
             rank,
@@ -182,18 +180,16 @@ impl Mailbox {
     }
 
     fn note_delivery(&self, env: &Envelope) {
-        if let Some(stats) = &self.stats {
-            let depth = stats.note_delivery();
-            self.monitor.emit(
-                Some(self.rank),
-                EventKind::MessageReceived {
-                    source: env.source,
-                    tag: env.tag.0,
-                    bytes: env.payload.len() as u64,
-                    queue_depth: depth,
-                },
-            );
-        }
+        let depth = self.stats.note_delivery();
+        self.monitor.emit(
+            Some(self.rank),
+            EventKind::MessageReceived {
+                source: env.source,
+                tag: env.tag.0,
+                bytes: env.payload.len() as u64,
+                queue_depth: depth,
+            },
+        );
     }
 
     pub(crate) fn recv(
@@ -270,147 +266,23 @@ impl Mailbox {
     }
 }
 
-/// A message the fault plane is holding back on this side of the
-/// socket (same aging discipline as the thread substrate).
-#[derive(Debug)]
-struct DelayedSend {
-    remaining: u32,
-    dest: usize,
-    tag: Tag,
-    payload: Bytes,
-}
-
-/// The fault-gated send path, shared by parent and worker sides: the
-/// deterministic fault plane may deliver, drop, duplicate or hold a
-/// message, with the identical observable semantics of
-/// `Communicator::send_bytes`. The raw delivery (socket frame or
-/// in-process enqueue) is supplied by the caller.
-#[derive(Debug)]
-pub(crate) struct SendGate {
-    rank: usize,
-    faults: FaultHandle,
-    monitor: Monitor,
-    delayed: RefCell<Vec<DelayedSend>>,
-}
-
-impl SendGate {
-    pub(crate) fn new(rank: usize, faults: FaultHandle, monitor: Monitor) -> Self {
-        Self {
-            rank,
-            faults,
-            monitor,
-            delayed: RefCell::new(Vec::new()),
-        }
-    }
-
-    fn deliver(
-        &self,
-        dest: usize,
-        tag: Tag,
-        payload: &Bytes,
-        raw: &dyn Fn(usize, Tag, &Bytes) -> Result<(), MpiError>,
-    ) -> Result<(), MpiError> {
-        raw(dest, tag, payload)?;
-        self.monitor.emit(
-            Some(self.rank),
-            EventKind::MessageSent {
-                dest,
-                tag: tag.0,
-                bytes: payload.len() as u64,
-            },
-        );
-        Ok(())
-    }
-
-    fn note_fault(&self, kind: FaultKind, seq: u64) {
-        self.monitor.emit(
-            Some(self.rank),
-            EventKind::FaultInjected {
-                fault: kind.as_str().to_string(),
-                detail: Some(seq),
-            },
-        );
-    }
-
-    pub(crate) fn send(
-        &self,
-        dest: usize,
-        tag: Tag,
-        payload: Bytes,
-        raw: &dyn Fn(usize, Tag, &Bytes) -> Result<(), MpiError>,
-    ) -> Result<(), MpiError> {
-        if !self.faults.is_enabled() {
-            return self.deliver(dest, tag, &payload, raw);
-        }
-        self.flush_delayed(false, raw)?;
-        let (seq, action) = self.faults.on_send(self.rank, dest, tag.0);
-        match action {
-            SendAction::Deliver => self.deliver(dest, tag, &payload, raw),
-            SendAction::Drop => {
-                self.note_fault(FaultKind::MessageDrop, seq);
-                Ok(())
-            }
-            SendAction::Duplicate => {
-                self.note_fault(FaultKind::MessageDuplicate, seq);
-                self.deliver(dest, tag, &payload, raw)?;
-                self.deliver(dest, tag, &payload, raw)
-            }
-            SendAction::Delay { hold_sends } => {
-                self.note_fault(FaultKind::MessageDelay, seq);
-                if hold_sends == 0 {
-                    return self.deliver(dest, tag, &payload, raw);
-                }
-                self.delayed.borrow_mut().push(DelayedSend {
-                    remaining: hold_sends,
-                    dest,
-                    tag,
-                    payload,
-                });
-                Ok(())
-            }
-        }
-    }
-
-    /// Ages held-back messages by one send and delivers the due ones
-    /// (with `force`, everything — the teardown path, so a delayed
-    /// message is late, never lost).
-    pub(crate) fn flush_delayed(
-        &self,
-        force: bool,
-        raw: &dyn Fn(usize, Tag, &Bytes) -> Result<(), MpiError>,
-    ) -> Result<(), MpiError> {
-        if self.delayed.borrow().is_empty() {
-            return Ok(());
-        }
-        let due: Vec<DelayedSend> = {
-            let mut held = self.delayed.borrow_mut();
-            if !force {
-                for entry in held.iter_mut() {
-                    entry.remaining = entry.remaining.saturating_sub(1);
-                }
-            }
-            let mut due = Vec::new();
-            let mut i = 0;
-            while i < held.len() {
-                if force || held[i].remaining == 0 {
-                    due.push(held.remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            due
-        };
-        for entry in due {
-            self.deliver(entry.dest, entry.tag, &entry.payload, raw)?;
-        }
-        Ok(())
-    }
+/// Records a message that left `rank` for `dest` — what the thread
+/// substrate's `Communicator` reports for its own sends.
+pub(crate) fn note_sent(monitor: &Monitor, rank: usize, dest: usize, tag: Tag, bytes: usize) {
+    monitor.emit(
+        Some(rank),
+        EventKind::MessageSent {
+            dest,
+            tag: tag.0,
+            bytes: bytes as u64,
+        },
+    );
 }
 
 /// An [`EventSink`] that serializes every event as a
-/// [`TAG_IPC_EVENT`] frame over the worker's socket (Unix or TCP),
-/// for the parent to re-emit into the run's real monitor with the
-/// child's timestamps. Write failures are counted, not propagated — a
+/// [`TAG_IPC_EVENT`] frame over the worker's socket, for the collector
+/// to re-emit into the run's real monitor with the worker's
+/// timestamps. Write failures are counted, not propagated — a
 /// dying parent must not turn monitoring into a worker crash.
 #[derive(Debug)]
 pub(crate) struct ForwardSink<W> {
@@ -486,28 +358,28 @@ pub fn admit_seq(last_seq: &AtomicU64, seq: u64) -> bool {
 }
 
 /// Everything one link's reader thread needs besides the stream and
-/// the inbox: the monitor it re-emits into, its identity, and the
-/// optional per-link planes (depth stats, source vetting, dedup, wire
-/// telemetry, clock alignment).
+/// the inbox: the monitor it re-emits into, its identity, the inbox
+/// depth and wire counters, and the planes only one side runs (source
+/// vetting, dedup, clock alignment, routing).
 pub(crate) struct LinkHooks {
     /// The run monitor forwarded events are re-emitted into.
     pub monitor: Monitor,
     /// The rank whose inbox this reader feeds (attribution for
     /// queue-depth and torn-frame events).
     pub local_rank: usize,
-    /// Queue-depth accounting, if the inbox is monitored.
-    pub stats: Option<Arc<InboxStats>>,
+    /// Queue-depth accounting of the inbox.
+    pub stats: Arc<InboxStats>,
     /// Frames whose source field names any other rank are dropped — a
     /// connection speaks for exactly the rank it was leased, so a
     /// misbehaving peer cannot inject envelopes attributed to someone
-    /// else (the child side of the Unix backend passes `None`: the
-    /// parent is rank 0 and frames need no vetting).
+    /// else (worker-side readers pass `None`: routed frames carry their
+    /// origin rank, and the hub has already vetted it).
     pub expect_source: Option<u32>,
     /// Sequenced frames already admitted once (per [`admit_seq`]) are
     /// dropped — the exactly-once guarantee under reconnect replay.
     pub dedup: Option<Arc<AtomicU64>>,
     /// Per-link wire counters (frames/bytes in, dedup drops).
-    pub wire: Option<Arc<WireTelemetry>>,
+    pub wire: Arc<WireTelemetry>,
     /// Collector-side clock alignment: [`TAG_TCP_CLOCK`] frames update
     /// the offset, and forwarded events are re-emitted on the
     /// corrected run clock with the raw stamp preserved.
@@ -540,29 +412,11 @@ impl std::fmt::Debug for LinkHooks {
     }
 }
 
-impl LinkHooks {
-    /// Hooks with every optional plane off — the bare reader.
-    pub(crate) fn bare(monitor: Monitor, local_rank: usize) -> Self {
-        Self {
-            monitor,
-            local_rank,
-            stats: None,
-            expect_source: None,
-            dedup: None,
-            wire: None,
-            clock: None,
-            clock_responder: None,
-            route: None,
-        }
-    }
-}
-
 /// Pumps frames off one socket into the mpsc inbox until EOF or
 /// error. [`TAG_IPC_EVENT`] frames are decoded and re-emitted into
 /// the monitor with the child's timestamp (corrected onto the run
 /// clock when the link is clock-aligned) instead of being enqueued;
-/// stray hello frames are ignored, clock frames are handled per the
-/// hooks. Exits when the peer closes or the receiving side has
+/// clock frames are handled per the hooks. Exits when the peer closes or the receiving side has
 /// dropped its inbox; a mid-frame EOF (the peer died, or the fault
 /// plane tore the frame, mid-write) is surfaced as a `torn_frame`
 /// monitor event instead of a silent drop.
@@ -582,9 +436,7 @@ pub(crate) fn pump_frames(stream: impl Read, tx: Sender<Envelope>, hooks: LinkHo
     loop {
         match read_frame(&mut reader) {
             Ok(Some(frame)) => {
-                if let Some(wire) = &wire {
-                    wire.count_in(FRAME_HEADER_LEN + frame.payload.len());
-                }
+                wire.count_in(FRAME_HEADER_LEN + frame.payload.len());
                 if expect_source.is_some_and(|s| frame.source != s) {
                     continue;
                 }
@@ -604,9 +456,6 @@ pub(crate) fn pump_frames(stream: impl Read, tx: Sender<Envelope>, hooks: LinkHo
                     }
                     continue;
                 }
-                if frame.tag == TAG_IPC_HELLO {
-                    continue;
-                }
                 if frame.tag == TAG_TCP_CLOCK {
                     if let (Some(clock), Some(sync)) = (&clock, ClockSync::decode(&frame.payload)) {
                         clock.set_offset(sync.offset_s);
@@ -623,9 +472,7 @@ pub(crate) fn pump_frames(stream: impl Read, tx: Sender<Envelope>, hooks: LinkHo
                     if !admit_seq(last, frame.seq) {
                         // A replay of a frame that already made it
                         // through before the link broke.
-                        if let Some(wire) = &wire {
-                            wire.count_dedup_drop();
-                        }
+                        wire.count_dedup_drop();
                         continue;
                     }
                 }
@@ -637,9 +484,7 @@ pub(crate) fn pump_frames(stream: impl Read, tx: Sender<Envelope>, hooks: LinkHo
                     }
                     continue;
                 }
-                if let Some(stats) = &stats {
-                    stats.note_enqueue(&monitor, local_rank);
-                }
+                stats.note_enqueue(&monitor, local_rank);
                 let env = Envelope {
                     source: frame.source as usize,
                     tag: Tag(frame.tag),

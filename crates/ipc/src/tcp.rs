@@ -1,8 +1,11 @@
-//! The multi-host TCP backend: one collector listening on a socket
-//! address, remote workers dialing in — with *elastic* membership and
-//! automatic recovery on both sides of every link.
+//! The socket world: one collector listening, workers dialing in — with
+//! rank *leases* and automatic recovery on both sides of every link.
+//! Both socket backends are this module: over TCP
+//! ([`TcpCollectorTransport::listen`], elastic membership) or over the
+//! launcher's Unix-domain socket ([`crate::launch`], which waits until
+//! every child it spawned has joined). The `Tcp` in the type and tag
+//! names is historical.
 //!
-//! Unlike the Unix-socket backend, the world is not built by spawning:
 //! [`TcpCollectorTransport::listen`] binds a listener and returns
 //! immediately with zero workers connected. Each logical worker rank
 //! is a *lease*: a dialing worker completes the versioned
@@ -50,18 +53,19 @@
 //!   run's heartbeat-based liveness plane, which sees the same
 //!   evidence on every backend.
 //!
-//! The *physical* wiring is the same star as the other backends: every
-//! connection runs between a worker and rank 0, and a connection speaks
-//! only for the rank it was leased (frames claiming another source are
-//! dropped). The *logical* collection topology may be a tree
-//! ([`parmonc_mpi::Topology::Tree`]): each grant carries the worker's
-//! collection parent, worker sends addressed to a rank other than 0 are
-//! wrapped as [`TAG_IPC_ROUTE`] frames, and the collector forwards the
-//! inner frame over the destination's live connection — after dedup, so
-//! exactly-once survives reconnect replays.
+//! The *physical* wiring is a star: every connection runs between a
+//! worker and rank 0, and a connection speaks only for the rank it was
+//! leased (frames claiming another source are dropped). The *logical*
+//! collection topology may be a tree ([`parmonc_mpi::Topology::Tree`]):
+//! each grant carries the worker's collection parent, worker sends
+//! addressed to a rank other than 0 are wrapped as [`TAG_IPC_ROUTE`]
+//! frames, and the collector forwards the inner frame over the
+//! destination's live connection — after dedup, so exactly-once
+//! survives reconnect replays.
 
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::SocketAddr;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex};
@@ -72,6 +76,7 @@ use parmonc_faults::FaultHandle;
 use parmonc_mpi::bytes::Bytes;
 use parmonc_mpi::envelope::{Envelope, Tag};
 use parmonc_mpi::error::MpiError;
+use parmonc_mpi::gate::FaultGate;
 use parmonc_mpi::pool::BufferPool;
 use parmonc_mpi::transport::Transport;
 use parmonc_obs::{EventKind, Monitor, SpanEmitter, SpanPhase};
@@ -84,15 +89,17 @@ use crate::frame::{
     TAG_IPC_ROUTE, TAG_TCP_CLOCK, TAG_TCP_CLOCK_PROBE, TAG_TCP_CLOCK_REPLY, TAG_TCP_GRANT,
     TAG_TCP_JOIN, TAG_TCP_REJECT, TAG_TCP_REJOIN, TCP_MAGIC, TCP_PROTOCOL_VERSION,
 };
+use crate::launcher::Children;
 use crate::link::{
-    pump_frames, ForwardSink, InboxStats, LinkClock, LinkHooks, Mailbox, SendGate, WireTelemetry,
+    note_sent, pump_frames, ForwardSink, InboxStats, LinkClock, LinkHooks, Mailbox, WireTelemetry,
 };
+use crate::socket::{Endpoint, Listener, Socket};
 
 /// How often a blocked reader wakes to check the stop flag — the
 /// kernel receive timeout under [`PatientReader`].
 const READ_POLL: Duration = Duration::from_millis(50);
 
-/// How long the acceptor sleeps between polls of the non-blocking
+/// How long the acceptor parks between polls of the non-blocking
 /// listener.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
@@ -103,8 +110,8 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 const CLOCK_SYNC_INTERVAL_S: f64 = 2.0;
 
 /// A fresh, non-zero session epoch for a newly armed collector. Drawn
-/// from the wall clock and pid (like the Unix backend's spawn token),
-/// which never feeds the estimates — bit-identity is unaffected.
+/// from the wall clock and pid, which never feed the estimates —
+/// bit-identity is unaffected.
 fn fresh_epoch() -> u64 {
     let nanos = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -121,7 +128,7 @@ fn fresh_epoch() -> u64 {
 /// liveness plane on heartbeat evidence, not by the transport.
 #[derive(Debug)]
 struct PatientReader {
-    inner: TcpStream,
+    inner: Socket,
     stop: Arc<AtomicBool>,
 }
 
@@ -131,7 +138,7 @@ impl Read for PatientReader {
             if self.stop.load(Ordering::Relaxed) {
                 return Ok(0);
             }
-            match self.inner.read(buf) {
+            match (&self.inner).read(buf) {
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -149,9 +156,9 @@ impl Read for PatientReader {
 /// which ranks were ever leased or retired, and the last admitted
 /// sequence number per rank (so dedup survives the restart).
 ///
-/// Produced by [`TcpCollectorTransport::snapshot`] (or the
-/// [`Transport::membership_snapshot`] hook), persisted by the runner
-/// alongside the checkpoint, and fed back via
+/// Produced by [`TcpCollectorTransport::snapshot`], persisted by the
+/// collector itself on every membership change (see
+/// [`ListenOptions::persist`]), and fed back via
 /// [`ListenOptions::resume`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeaseSnapshot {
@@ -245,7 +252,7 @@ impl LeaseSnapshot {
 struct LeaseState {
     /// Write halves indexed by `rank - 1`; `None` while the rank is
     /// unleased or after its connection dropped.
-    writers: Vec<Option<Arc<Mutex<TcpStream>>>>,
+    writers: Vec<Option<Arc<Mutex<Socket>>>>,
     /// Ranks that have been leased at least once. Fresh joiners are
     /// dealt never-touched ranks first: a rank whose worker already
     /// completed frees its slot on disconnect, and handing that slot
@@ -282,7 +289,7 @@ impl LeaseState {
     /// streams is idempotent under replace-then-sum), or `None` when
     /// every rank is either connected or retired. Returns the rank and
     /// the new connection generation.
-    fn lease(&mut self, writer: Arc<Mutex<TcpStream>>) -> Option<(usize, u64)> {
+    fn lease(&mut self, writer: Arc<Mutex<Socket>>) -> Option<(usize, u64)> {
         let free = |&(_, (w, &retired)): &(usize, (&Option<_>, &bool))| -> bool {
             w.is_none() && !retired
         };
@@ -322,7 +329,7 @@ impl LeaseState {
     /// holds, replacing (and hanging up) any half-open previous
     /// connection. The caller has validated rank bounds, epoch and
     /// digest; this refuses only never-leased and retired ranks.
-    fn rejoin(&mut self, rank: usize, writer: Arc<Mutex<TcpStream>>) -> Result<u64, &'static str> {
+    fn rejoin(&mut self, rank: usize, writer: Arc<Mutex<Socket>>) -> Result<u64, &'static str> {
         let i = rank - 1;
         if !self.ever_leased[i] {
             return Err("rejoin names a rank that was never leased");
@@ -334,7 +341,7 @@ impl LeaseState {
             // The previous connection is half-open (the worker saw the
             // break first). Hang it up so its reader exits promptly.
             if let Ok(stream) = old.lock() {
-                let _ = stream.shutdown(Shutdown::Both);
+                stream.hang_up();
             }
         }
         self.writers[i] = Some(writer);
@@ -434,14 +441,18 @@ pub struct ListenOptions {
     pub parents: Vec<usize>,
 }
 
-/// Everything a handshake thread needs to admit a joiner.
+/// What the collector shares with its acceptor, handshake and reader
+/// threads: everything a handshake needs to admit a joiner, and the
+/// lease table both sides work on.
+#[derive(Debug)]
 struct AcceptorCtx {
     stop: Arc<AtomicBool>,
     lease: Arc<Mutex<LeaseState>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    readers: Mutex<Vec<JoinHandle<()>>>,
     /// In-flight handshake threads (see [`accept_loop`]); joined at
     /// shutdown so no admit can race the teardown.
-    handshakes: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    handshakes: Mutex<Vec<JoinHandle<()>>>,
+    /// Feeds the collector's own inbox (reader threads, and self-sends).
     tx: Sender<Envelope>,
     monitor: Monitor,
     stats: Arc<InboxStats>,
@@ -455,31 +466,27 @@ struct AcceptorCtx {
     parents: Vec<usize>,
 }
 
-/// Rank 0 of a TCP world: the listener, lease table, and
+/// Rank 0 of a socket world: the listener, lease table, and
 /// collector-side transport.
 ///
-/// Construction returns with *zero* workers connected; membership is
-/// elastic. A logical rank that never connects is eventually declared
-/// lost by the collector's liveness sweep and its budget reassigned —
-/// exactly the worker-loss path — so a run completes at full volume
-/// whether or not every lease is ever taken.
+/// [`TcpCollectorTransport::listen`] returns with *zero* workers
+/// connected; membership is elastic. A logical rank that never connects
+/// is eventually declared lost by the collector's liveness sweep and
+/// its budget reassigned — exactly the worker-loss path — so a run
+/// completes at full volume whether or not every lease is ever taken.
+/// A world built by [`crate::launch`] is the same collector over a
+/// Unix-domain socket, returned once every spawned child holds a lease.
 #[derive(Debug)]
 pub struct TcpCollectorTransport {
-    size: usize,
+    ctx: Arc<AcceptorCtx>,
     pool: BufferPool,
-    monitor: Monitor,
-    gate: SendGate,
+    gate: FaultGate,
     mailbox: Mailbox,
-    stats: Arc<InboxStats>,
-    self_tx: Sender<Envelope>,
-    lease: Arc<Mutex<LeaseState>>,
-    epoch: u64,
     local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
-    handshakes: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    persist: Option<std::path::PathBuf>,
+    /// The worker processes of a launched world (see [`crate::launch`]);
+    /// `None` for a TCP world, whose workers are somebody else's.
+    pub(crate) launched: Option<Children>,
     shut_down: bool,
 }
 
@@ -492,6 +499,12 @@ impl TcpCollectorTransport {
     /// that does not cover `size - 1` ranks, or a resume snapshot
     /// whose world size disagrees with the configuration.
     pub fn listen(opts: ListenOptions) -> io::Result<Self> {
+        Self::listen_on(&Endpoint::Tcp(opts.addr.clone()), opts)
+    }
+
+    /// [`TcpCollectorTransport::listen`] on either kind of endpoint;
+    /// `opts.addr` is not consulted.
+    pub(crate) fn listen_on(endpoint: &Endpoint, opts: ListenOptions) -> io::Result<Self> {
         if opts.size == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -512,13 +525,11 @@ impl TcpCollectorTransport {
                 ));
             }
         }
-        let listener = crate::reuse::bind_reuseaddr(opts.addr.as_str())?;
-        listener.set_nonblocking(true)?;
+        let listener = Listener::bind(endpoint)?;
         let local_addr = listener.local_addr()?;
 
         let (tx, rx) = mpsc::channel();
         let stats = Arc::new(InboxStats::default());
-        let stop = Arc::new(AtomicBool::new(false));
         let workers = opts.size.saturating_sub(1);
         let (epoch, ever_leased, retired, last_seqs) = match opts.resume {
             Some(s) => (
@@ -550,8 +561,6 @@ impl TcpCollectorTransport {
                 .map(|_| Arc::new(LinkClock::default()))
                 .collect(),
         }));
-        let readers = Arc::new(Mutex::new(Vec::new()));
-        let handshakes = Arc::new(Mutex::new(Vec::new()));
         if let Some(path) = &opts.persist {
             // Capture the session epoch on disk before any worker can
             // join, so even a pre-join crash resumes the same session.
@@ -563,11 +572,11 @@ impl TcpCollectorTransport {
         }
 
         let ctx = Arc::new(AcceptorCtx {
-            stop: Arc::clone(&stop),
-            lease: Arc::clone(&lease),
-            readers: Arc::clone(&readers),
-            handshakes: Arc::clone(&handshakes),
-            tx: tx.clone(),
+            stop: Arc::new(AtomicBool::new(false)),
+            lease,
+            readers: Mutex::new(Vec::new()),
+            handshakes: Mutex::new(Vec::new()),
+            tx,
             monitor: opts.monitor.clone(),
             stats: Arc::clone(&stats),
             size: opts.size,
@@ -575,30 +584,25 @@ impl TcpCollectorTransport {
             config_digest: opts.config_digest,
             epoch,
             io_timeout: opts.io_timeout,
-            persist: opts.persist.clone(),
+            persist: opts.persist,
             trace_spans: opts.trace_spans,
             parents: opts.parents,
         });
         let acceptor = std::thread::Builder::new()
             .name("parmonc-tcp-accept".into())
-            .spawn(move || accept_loop(&listener, &ctx))?;
+            .spawn({
+                let ctx = Arc::clone(&ctx);
+                move || accept_loop(&listener, &ctx)
+            })?;
 
         Ok(Self {
-            size: opts.size,
+            ctx,
             pool: BufferPool::new(parmonc_mpi::pool::DEFAULT_POOL_CAPACITY),
-            monitor: opts.monitor.clone(),
-            gate: SendGate::new(0, opts.faults, opts.monitor.clone()),
-            mailbox: Mailbox::new(0, rx, opts.monitor, Some(Arc::clone(&stats))),
-            stats,
-            self_tx: tx,
-            lease,
-            epoch,
+            gate: FaultGate::new(0, opts.faults, opts.monitor.clone()),
+            mailbox: Mailbox::new(0, rx, opts.monitor, stats),
             local_addr,
-            stop,
             acceptor: Some(acceptor),
-            handshakes,
-            readers,
-            persist: opts.persist,
+            launched: None,
             shut_down: false,
         })
     }
@@ -615,19 +619,19 @@ impl TcpCollectorTransport {
     /// session, carried over from the snapshot on resume.
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.ctx.epoch
     }
 
     /// The current membership image, for persistence alongside the
     /// run's checkpoint (see [`LeaseSnapshot`]).
     #[must_use]
     pub fn snapshot(&self) -> LeaseSnapshot {
-        let workers = self.size.saturating_sub(1);
-        match self.lease.lock() {
-            Ok(lease) => lease.snapshot(self.epoch, self.size),
+        let workers = self.ctx.size.saturating_sub(1);
+        match self.ctx.lease.lock() {
+            Ok(lease) => lease.snapshot(self.ctx.epoch, self.ctx.size),
             Err(_) => LeaseSnapshot {
-                epoch: self.epoch,
-                size: self.size,
+                epoch: self.ctx.epoch,
+                size: self.ctx.size,
                 ever_leased: vec![false; workers],
                 retired: vec![false; workers],
                 last_seqs: vec![0; workers],
@@ -635,20 +639,35 @@ impl TcpCollectorTransport {
         }
     }
 
-    fn raw_send(&self, dest: usize, tag: Tag, payload: &Bytes) -> Result<(), MpiError> {
+    /// How many ranks have been leased at least once — what the
+    /// launcher polls until every child has joined. Each poll also
+    /// cuts the acceptor's idle wait short: dials are imminent, and a
+    /// child left to the 5 ms poll starts computing that much later.
+    pub(crate) fn ever_leased(&self) -> usize {
+        if let Some(acceptor) = &self.acceptor {
+            acceptor.thread().unpark();
+        }
+        let leased = self.snapshot().ever_leased;
+        leased.iter().filter(|&&leased| leased).count()
+    }
+
+    fn raw_send(&self, dest: usize, tag: Tag, payload: Bytes) -> Result<(), MpiError> {
+        let bytes = payload.len();
         if dest == 0 {
-            self.stats.note_enqueue(&self.monitor, 0);
-            return self
-                .self_tx
+            self.ctx.stats.note_enqueue(&self.ctx.monitor, 0);
+            self.ctx
+                .tx
                 .send(Envelope {
                     source: 0,
                     tag,
-                    payload: payload.clone(),
+                    payload,
                 })
-                .map_err(|_| MpiError::Disconnected);
+                .map_err(|_| MpiError::Disconnected)?;
+            note_sent(&self.ctx.monitor, 0, dest, tag, bytes);
+            return Ok(());
         }
         let (writer, wire) = {
-            let lease = self.lease.lock().map_err(|_| MpiError::Disconnected)?;
+            let lease = self.ctx.lease.lock().map_err(|_| MpiError::Disconnected)?;
             let writer = lease
                 .writers
                 .get(dest - 1)
@@ -657,68 +676,88 @@ impl TcpCollectorTransport {
                 .ok_or(MpiError::Disconnected)?;
             (writer, Arc::clone(&lease.wire[dest - 1]))
         };
-        let mut stream = writer.lock().map_err(|_| MpiError::Disconnected)?;
-        write_frame(&mut *stream, 0, tag.0, payload).map_err(|_| MpiError::Disconnected)?;
-        wire.count_out(FRAME_HEADER_LEN + payload.len());
+        {
+            let mut stream = writer.lock().map_err(|_| MpiError::Disconnected)?;
+            write_frame(&mut *stream, 0, tag.0, &payload).map_err(|_| MpiError::Disconnected)?;
+        }
+        wire.count_out(FRAME_HEADER_LEN + bytes);
+        note_sent(&self.ctx.monitor, 0, dest, tag, bytes);
         Ok(())
     }
 
-    /// Tears the world down: force-flushes fault-delayed sends, raises
-    /// the stop flag, shuts every live connection down (remote workers
-    /// see EOF), and joins the acceptor and reader threads — which
-    /// guarantees every forwarded worker event is in the monitor's
-    /// sinks on return. Idempotent.
+    /// Tears the world down: force-flushes fault-delayed sends, waits
+    /// for a launched world's children to exit on their own (killing
+    /// any that outlive the deadline), raises the stop flag, shuts
+    /// every live connection down (remote workers see EOF), and joins
+    /// the acceptor and reader threads — which guarantees every
+    /// forwarded worker event is in the monitor's sinks on return.
+    /// Idempotent.
+    ///
+    /// Children are reaped *before* the connections close: a child that
+    /// has sent its final flushes its own sinks and exits by itself, so
+    /// its readers are already at EOF when they are joined and nothing
+    /// it forwarded is cut off — and no child sits out a reconnect
+    /// schedule against a parent that has already gone.
     ///
     /// # Errors
     ///
-    /// None today; the signature reserves the right.
+    /// The first wait/kill error of a launched world, after every child
+    /// is reaped anyway.
     pub fn shutdown(&mut self) -> io::Result<()> {
         if self.shut_down {
             return Ok(());
         }
         self.shut_down = true;
-        let _ = self
-            .gate
-            .flush_delayed(true, &|d, t, p| self.raw_send(d, t, p));
-        self.stop.store(true, Ordering::Relaxed);
-        if let Ok(lease) = self.lease.lock() {
+        let _ = self.gate.flush(true, |d, t, p| self.raw_send(d, t, p));
+        let reaped = self.launched.as_mut().map_or(Ok(()), Children::wait_exit);
+        self.ctx.stop.store(true, Ordering::Relaxed);
+        if let Ok(lease) = self.ctx.lease.lock() {
             for writer in lease.writers.iter().flatten() {
                 if let Ok(stream) = writer.lock() {
-                    let _ = stream.shutdown(Shutdown::Both);
+                    stream.hang_up();
                 }
             }
         }
         if let Some(handle) = self.acceptor.take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
         // With the acceptor gone no new handshake can start; joining
         // the in-flight ones (bounded by the handshake read timeout)
         // guarantees no reader is spawned after the drain below.
-        let handshakes: Vec<_> = match self.handshakes.lock() {
+        let handshakes: Vec<_> = match self.ctx.handshakes.lock() {
             Ok(mut handshakes) => handshakes.drain(..).collect(),
             Err(_) => Vec::new(),
         };
         for handle in handshakes {
             let _ = handle.join();
         }
-        let handles: Vec<_> = match self.readers.lock() {
+        let handles: Vec<_> = match self.ctx.readers.lock() {
             Ok(mut readers) => readers.drain(..).collect(),
             Err(_) => Vec::new(),
         };
         for handle in handles {
             let _ = handle.join();
         }
-        if let Ok(mut lease) = self.lease.lock() {
+        if let Ok(mut lease) = self.ctx.lease.lock() {
             for writer in lease.writers.iter_mut() {
                 *writer = None;
             }
         }
-        Ok(())
+        // Removes a launched world's socket directory.
+        self.launched = None;
+        reaped
     }
 }
 
 impl Drop for TcpCollectorTransport {
     fn drop(&mut self) {
+        // Unclean teardown of a launched world (panic or early error):
+        // kill immediately rather than waiting out the exit deadline.
+        // (A completed shutdown has already let the children go.)
+        if let Some(children) = &mut self.launched {
+            children.kill();
+        }
         let _ = self.shutdown();
     }
 }
@@ -729,30 +768,22 @@ impl Transport for TcpCollectorTransport {
     }
 
     fn size(&self) -> usize {
-        self.size
+        self.ctx.size
     }
 
     fn pool(&self) -> &BufferPool {
         &self.pool
     }
 
-    fn recycle(&self, payload: Bytes) {
-        self.pool.recycle(payload);
-    }
-
-    fn send(&self, dest: usize, tag: Tag, payload: &[u8]) -> Result<(), MpiError> {
-        self.send_bytes(dest, tag, Bytes::copy_from_slice(payload))
-    }
-
     fn send_bytes(&self, dest: usize, tag: Tag, payload: Bytes) -> Result<(), MpiError> {
-        if dest >= self.size {
+        if dest >= self.ctx.size {
             return Err(MpiError::InvalidRank {
                 rank: dest,
-                size: self.size,
+                size: self.ctx.size,
             });
         }
         self.gate
-            .send(dest, tag, payload, &|d, t, p| self.raw_send(d, t, p))
+            .send(dest, tag, payload, |d, t, p| self.raw_send(d, t, p))
     }
 
     fn recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Result<Envelope, MpiError> {
@@ -777,19 +808,15 @@ impl Transport for TcpCollectorTransport {
     }
 
     fn retire_rank(&self, rank: usize) {
-        if rank == 0 || rank >= self.size {
+        if rank == 0 || rank >= self.ctx.size {
             return;
         }
-        if let Ok(mut lease) = self.lease.lock() {
+        if let Ok(mut lease) = self.ctx.lease.lock() {
             lease.retired[rank - 1] = true;
-            if let Some(path) = &self.persist {
-                persist_lease_table(path, &lease.snapshot(self.epoch, self.size));
+            if let Some(path) = &self.ctx.persist {
+                persist_lease_table(path, &lease.snapshot(self.ctx.epoch, self.ctx.size));
             }
         }
-    }
-
-    fn membership_snapshot(&self) -> Option<String> {
-        Some(self.snapshot().encode())
     }
 }
 
@@ -799,7 +826,7 @@ impl Transport for TcpCollectorTransport {
 /// inline would let one stalled dialer block every other join — and,
 /// worse, the rejoins of healthy reconnecting workers — for up to
 /// `io_timeout` per such connection.
-fn accept_loop(listener: &TcpListener, ctx: &Arc<AcceptorCtx>) {
+fn accept_loop(listener: &Listener, ctx: &Arc<AcceptorCtx>) {
     while !ctx.stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, peer)) => {
@@ -827,8 +854,9 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<AcceptorCtx>) {
                 }
             }
             // WouldBlock is the idle case; any other accept error is
-            // transient on a healthy listener, so keep serving.
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            // transient on a healthy listener, so keep serving. Parked,
+            // not asleep: shutdown cuts the wait short.
+            Err(_) => std::thread::park_timeout(ACCEPT_POLL),
         }
     }
 }
@@ -837,10 +865,8 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<AcceptorCtx>) {
 /// on success, leases it a rank, answers with the grant, and wires up
 /// its reader. Invalid requests are answered with a reject frame and
 /// dropped; a failure here never disturbs the rest of the world.
-fn admit(stream: TcpStream, peer: SocketAddr, ctx: &AcceptorCtx) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(ctx.io_timeout))?;
-    stream.set_write_timeout(Some(ctx.io_timeout))?;
+fn admit(stream: Socket, peer: Option<String>, ctx: &AcceptorCtx) -> io::Result<()> {
+    stream.configure(ctx.io_timeout)?;
     let frame = match read_frame(&mut &stream)? {
         Some(frame) if frame.tag == TAG_TCP_JOIN || frame.tag == TAG_TCP_REJOIN => frame,
         // Silent, closed, or alien connection: drop it without reply.
@@ -1040,7 +1066,7 @@ fn admit(stream: TcpStream, peer: SocketAddr, ctx: &AcceptorCtx) -> io::Result<(
             Some(0),
             EventKind::WorkerJoined {
                 worker: rank,
-                addr: Some(peer.to_string()),
+                addr: peer,
             },
         );
     }
@@ -1137,10 +1163,10 @@ fn admit(stream: TcpStream, peer: SocketAddr, ctx: &AcceptorCtx) -> io::Result<(
                     LinkHooks {
                         monitor: monitor.clone(),
                         local_rank: 0,
-                        stats: Some(stats),
+                        stats,
                         expect_source: Some(rank as u32),
                         dedup: Some(last_seq),
-                        wire: Some(Arc::clone(&wire)),
+                        wire: Arc::clone(&wire),
                         clock: Some(clock),
                         clock_responder: Some(responder),
                         route: Some(route),
@@ -1180,14 +1206,14 @@ fn admit(stream: TcpStream, peer: SocketAddr, ctx: &AcceptorCtx) -> io::Result<(
 
 /// Answers a refused join with a reject frame and closes the
 /// connection.
-fn reject(stream: &TcpStream, code: RejectCode, reason: &str) -> io::Result<()> {
+fn reject(stream: &Socket, code: RejectCode, reason: &str) -> io::Result<()> {
     let payload = Reject {
         code,
         reason: reason.to_string(),
     }
     .encode();
     let _ = write_frame(&mut &*stream, 0, TAG_TCP_REJECT, &payload);
-    let _ = stream.shutdown(Shutdown::Both);
+    stream.hang_up();
     Ok(())
 }
 
@@ -1216,33 +1242,17 @@ pub struct JoinOptions {
     pub clock_skew_s: f64,
 }
 
-/// How one dial-and-handshake attempt failed: transiently (worth
-/// retrying on the backoff schedule) or permanently (the collector
-/// answered with a reject — retrying cannot change its mind).
+/// How one handshake attempt failed: transiently (worth retrying on
+/// the backoff schedule) or permanently (the collector answered with a
+/// reject, or with a grant for somebody else — retrying cannot change
+/// its mind).
 enum HandshakeError {
     Transient(io::Error),
     Permanent(io::Error),
 }
 
-/// Resolves and dials `addr`, trying each resolved address once.
-fn dial(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
-    let mut last_err = None;
-    for candidate in addr.to_socket_addrs()? {
-        match TcpStream::connect_timeout(&candidate, timeout) {
-            Ok(stream) => return Ok(stream),
-            Err(e) => last_err = Some(e),
-        }
-    }
-    Err(last_err.unwrap_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::AddrNotAvailable,
-            "collector address resolved to nothing",
-        )
-    }))
-}
-
 /// Reads and classifies the collector's handshake reply.
-fn read_grant(stream: &TcpStream) -> Result<Grant, HandshakeError> {
+fn read_grant(stream: &Socket) -> Result<Grant, HandshakeError> {
     let reply = read_frame(&mut &*stream)
         .map_err(HandshakeError::Transient)?
         .ok_or_else(|| {
@@ -1275,6 +1285,101 @@ fn read_grant(stream: &TcpStream) -> Result<Grant, HandshakeError> {
     }
 }
 
+/// What a worker needs to reach its collector, at join time and again
+/// at every reconnect: where to dial, what to present, and the clock
+/// and wire counters every handshake reads and writes.
+#[derive(Debug)]
+struct Uplink {
+    endpoint: Endpoint,
+    config_digest: u64,
+    io_timeout: Duration,
+    reconnect: ReconnectPolicy,
+    /// This side's wire counters; flushed as a `wire_stats` event
+    /// (link 0: the uplink to the collector) at drop.
+    wire: Arc<WireTelemetry>,
+    /// The instant the local event clock started — shared by the
+    /// monitor and every handshake/probe timestamp, so `t0`/`t3`
+    /// samples and event stamps are on one clock.
+    clock_epoch: Instant,
+    /// The deterministic skew from [`JoinOptions::clock_skew_s`].
+    skew_s: f64,
+}
+
+impl Uplink {
+    /// The worker's local event clock: seconds since the transport
+    /// started dialing, plus the configured deterministic skew.
+    fn local_now(&self) -> f64 {
+        self.clock_epoch.elapsed().as_secs_f64() + self.skew_s
+    }
+
+    fn dial(&self) -> io::Result<Socket> {
+        self.endpoint
+            .dial(self.reconnect.attempt_timeout.min(self.io_timeout))
+    }
+
+    /// The one handshake, on a freshly dialed stream: a join (`lease`
+    /// is `None`) or a rejoin naming the `(epoch, rank)` this worker
+    /// already holds. Returns the grant and the local `t3` sample, with
+    /// the stream left in the patient read discipline.
+    fn attach(
+        &self,
+        stream: &Socket,
+        lease: Option<(u64, usize)>,
+    ) -> Result<(Grant, f64), HandshakeError> {
+        use HandshakeError::{Permanent, Transient};
+        stream.configure(self.io_timeout).map_err(Transient)?;
+        let t0_s = self.local_now();
+        let (tag, request) = match lease {
+            None => {
+                let mut join = JoinRequest::new(self.config_digest);
+                join.t0_s = t0_s;
+                (TAG_TCP_JOIN, join.encode().to_vec())
+            }
+            Some((epoch, rank)) => {
+                let mut rejoin = Rejoin::new(self.config_digest, epoch, rank as u32);
+                rejoin.t0_s = t0_s;
+                (TAG_TCP_REJOIN, rejoin.encode().to_vec())
+            }
+        };
+        write_frame(&mut &*stream, 0, tag, &request).map_err(Transient)?;
+        self.wire.count_out(FRAME_HEADER_LEN + request.len());
+        let grant = read_grant(stream)?;
+        let t3_s = self.local_now();
+        self.wire.count_in(FRAME_HEADER_LEN + grant.encode().len());
+        let (rank, size) = (grant.rank as usize, grant.size as usize);
+        match lease {
+            None if rank == 0 || rank >= size => {
+                return Err(Permanent(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "grant leased an impossible rank",
+                )));
+            }
+            Some((epoch, held)) if rank != held || grant.epoch != epoch => {
+                return Err(Permanent(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "rejoin grant does not match the original lease",
+                )));
+            }
+            _ => {}
+        }
+        // Close the RTT-symmetric offset estimate and report it before
+        // any event frame: written on the bare stream (pre fault-plane
+        // wrap) so clock traffic never consumes a scripted frame
+        // ordinal, and ordered ahead of every forwarded (or replayed)
+        // event by the wire itself.
+        if grant.monitor {
+            let sync = ClockSync::estimate(t0_s, grant.t_recv_s, grant.t_reply_s, t3_s);
+            let payload = sync.encode();
+            write_frame(&mut &*stream, grant.rank, TAG_TCP_CLOCK, &payload).map_err(Transient)?;
+            self.wire.count_out(FRAME_HEADER_LEN + payload.len());
+        }
+        stream
+            .set_read_timeout(Some(READ_POLL))
+            .map_err(Transient)?;
+        Ok((grant, t3_s))
+    }
+}
+
 /// Builds the worker-side answer to a [`TAG_TCP_CLOCK_REPLY`]: close
 /// the four-timestamp exchange with a local `t3` sample and report the
 /// fresh offset estimate back to the collector. The report is written
@@ -1284,7 +1389,7 @@ fn read_grant(stream: &TcpStream) -> Result<Grant, HandshakeError> {
 /// skipped entirely while the link is severed (the next rejoin grant
 /// re-syncs instead).
 fn clock_reply_responder(
-    writer: Arc<Mutex<FaultyStream<TcpStream>>>,
+    writer: Arc<Mutex<FaultyStream<Socket>>>,
     wire: Arc<WireTelemetry>,
     rank: usize,
     local_now: impl Fn() -> f64 + Send + 'static,
@@ -1310,13 +1415,13 @@ fn clock_reply_responder(
     })
 }
 
-/// A remote worker's end of a TCP world: dials the collector,
-/// completes the handshake, and speaks for exactly the rank it was
-/// leased. A broken connection does not kill the worker — sends
-/// transparently re-dial on the seeded [`ReconnectPolicy`] schedule,
-/// re-attach with a [`Rejoin`] handshake, and retry the failed frame
-/// under its original sequence number (so the collector's dedup keeps
-/// delivery exactly-once).
+/// A worker's end of a socket world: dials the collector, completes
+/// the handshake, and speaks for exactly the rank it was leased. A
+/// broken connection does not kill the worker — sends transparently
+/// re-dial on the seeded [`ReconnectPolicy`] schedule, re-attach with a
+/// [`Rejoin`] handshake, and retry the failed frame under its original
+/// sequence number (so the collector's dedup keeps delivery
+/// exactly-once).
 #[derive(Debug)]
 pub struct TcpWorkerTransport {
     rank: usize,
@@ -1327,9 +1432,9 @@ pub struct TcpWorkerTransport {
     parent: usize,
     pool: BufferPool,
     monitor: Monitor,
-    gate: SendGate,
+    gate: FaultGate,
     mailbox: Mailbox,
-    writer: Arc<Mutex<FaultyStream<TcpStream>>>,
+    writer: Arc<Mutex<FaultyStream<Socket>>>,
     stop: Arc<AtomicBool>,
     reader: Mutex<Option<JoinHandle<()>>>,
     /// Readers orphaned by reconnects; they exit on their own once
@@ -1338,25 +1443,13 @@ pub struct TcpWorkerTransport {
     /// Kept so reconnect can respawn readers feeding the same inbox.
     tx: Sender<Envelope>,
     stats: Arc<InboxStats>,
-    addr: String,
-    config_digest: u64,
+    uplink: Uplink,
     epoch: u64,
-    io_timeout: Duration,
-    reconnect: ReconnectPolicy,
     faults: FaultHandle,
     next_seq: AtomicU64,
-    /// This side's wire counters; flushed as a `wire_stats` event
-    /// (link 0: the uplink to the collector) at drop.
-    wire: Arc<WireTelemetry>,
     /// Span emitter for this worker's phases; enabled by grant flag
     /// bit 1 on monitored runs, inert otherwise.
     spans: SpanEmitter,
-    /// The instant the local event clock started — shared by the
-    /// monitor and every handshake/probe timestamp, so `t0`/`t3`
-    /// samples and event stamps are on one clock.
-    clock_epoch: Instant,
-    /// The deterministic skew from [`JoinOptions::clock_skew_s`].
-    skew_s: f64,
     /// `f64` bits of the local clock at the last offset exchange
     /// (handshake, rejoin, or probe) — the re-sync throttle.
     last_sync: AtomicU64,
@@ -1377,7 +1470,18 @@ impl TcpWorkerTransport {
     /// surfaced as [`io::ErrorKind::ConnectionRefused`] with the
     /// collector's reason in the message.
     pub fn join(opts: JoinOptions) -> io::Result<Self> {
-        let dial_timeout = opts.reconnect.attempt_timeout.min(opts.io_timeout);
+        Self::join_on(Endpoint::Tcp(opts.addr.clone()), opts)
+    }
+
+    /// [`TcpWorkerTransport::join`] for a worker process started by
+    /// [`crate::launch`]: `opts.addr` is the path of the launcher's
+    /// Unix-domain socket ([`crate::WorkerInfo::socket`]), everything
+    /// else — handshake, lease, reconnect, errors — is the same.
+    pub fn join_unix(opts: JoinOptions) -> io::Result<Self> {
+        Self::join_on(Endpoint::Unix(PathBuf::from(&opts.addr)), opts)
+    }
+
+    fn join_on(endpoint: Endpoint, opts: JoinOptions) -> io::Result<Self> {
         // The backoff seed identifies the link, but the rank is not
         // known until the grant — seed the initial dial per process
         // and per join instead, so a fleet of workers dialing a
@@ -1388,39 +1492,26 @@ impl TcpWorkerTransport {
         let dial_seed = splitmix64(
             (u64::from(std::process::id()) << 32) ^ DIAL_NONCE.fetch_add(1, Ordering::Relaxed),
         );
-        // The local event clock starts *before* the dial: the
-        // handshake's `t0`/`t3` samples and every later event stamp
-        // must come off one clock, or the offset exchange would
-        // correct the wrong thing.
-        let clock_epoch = Instant::now();
-        let skew_s = opts.clock_skew_s;
-        let local_now = move || clock_epoch.elapsed().as_secs_f64() + skew_s;
-        let stream = crate::backoff::retry(opts.reconnect, dial_seed, |_| {
-            dial(&opts.addr, dial_timeout)
-        })?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(opts.io_timeout))?;
-        stream.set_write_timeout(Some(opts.io_timeout))?;
-        let wire = Arc::new(WireTelemetry::default());
-        let mut request = JoinRequest::new(opts.config_digest);
-        request.t0_s = local_now();
-        let t0_s = request.t0_s;
-        write_frame(&mut &stream, 0, TAG_TCP_JOIN, &request.encode())?;
-        wire.count_out(FRAME_HEADER_LEN + request.encode().len());
-        let grant = match read_grant(&stream) {
-            Ok(grant) => grant,
+        let uplink = Uplink {
+            endpoint,
+            config_digest: opts.config_digest,
+            io_timeout: opts.io_timeout,
+            reconnect: opts.reconnect,
+            wire: Arc::new(WireTelemetry::default()),
+            // The local event clock starts *before* the dial: the
+            // handshake's `t0`/`t3` samples and every later event stamp
+            // must come off one clock, or the offset exchange would
+            // correct the wrong thing.
+            clock_epoch: Instant::now(),
+            skew_s: opts.clock_skew_s,
+        };
+        let stream = crate::backoff::retry(opts.reconnect, dial_seed, |_| uplink.dial())?;
+        let (grant, t3_s) = match uplink.attach(&stream, None) {
+            Ok(granted) => granted,
             Err(HandshakeError::Transient(e) | HandshakeError::Permanent(e)) => return Err(e),
         };
-        let t3_s = local_now();
-        wire.count_in(FRAME_HEADER_LEN + grant.encode().len());
         let rank = grant.rank as usize;
         let size = grant.size as usize;
-        if rank == 0 || rank >= size {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "grant leased an impossible rank",
-            ));
-        }
         // A parent outside the world (or naming ourselves) is treated
         // as star rather than rejected: collection degrades, estimates
         // are unaffected.
@@ -1428,18 +1519,6 @@ impl TcpWorkerTransport {
             p if p < size && p != rank => p,
             _ => 0,
         };
-        // Close the RTT-symmetric offset estimate and report it before
-        // any event frame: written on the bare stream (pre fault-plane
-        // wrap) so clock traffic never consumes a scripted frame
-        // ordinal, and ordered ahead of every forwarded event by the
-        // wire itself.
-        let sync = ClockSync::estimate(t0_s, grant.t_recv_s, grant.t_reply_s, t3_s);
-        if grant.monitor {
-            let payload = sync.encode();
-            write_frame(&mut &stream, rank as u32, TAG_TCP_CLOCK, &payload)?;
-            wire.count_out(FRAME_HEADER_LEN + payload.len());
-        }
-        stream.set_read_timeout(Some(READ_POLL))?;
         let writer = Arc::new(Mutex::new(FaultyStream::new(
             stream.try_clone()?,
             rank,
@@ -1447,82 +1526,80 @@ impl TcpWorkerTransport {
         )));
         let monitor = if grant.monitor {
             Monitor::new_skewed_from(
-                clock_epoch,
+                uplink.clock_epoch,
                 vec![Box::new(ForwardSink::new(
                     Arc::clone(&writer),
                     rank,
-                    Arc::clone(&wire),
+                    Arc::clone(&uplink.wire),
                 ))],
-                skew_s,
+                uplink.skew_s,
             )
         } else {
             Monitor::disabled()
         };
-        let spans = SpanEmitter::new(&monitor, rank, grant.spans);
-        let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(InboxStats::default());
         let (tx, rx) = mpsc::channel();
-        let patient = PatientReader {
-            inner: stream,
-            stop: Arc::clone(&stop),
-        };
-        let thread_monitor = monitor.clone();
-        let thread_stats = Arc::clone(&stats);
-        let thread_tx = tx.clone();
-        let responder =
-            clock_reply_responder(Arc::clone(&writer), Arc::clone(&wire), rank, local_now);
-        let thread_wire = Arc::clone(&wire);
-        let reader = std::thread::Builder::new()
-            .name(format!("parmonc-tcp-r{rank}"))
-            .spawn(move || {
-                pump_frames(
-                    patient,
-                    thread_tx,
-                    LinkHooks {
-                        monitor: thread_monitor,
-                        local_rank: rank,
-                        stats: Some(thread_stats),
-                        // Routed frames carry the *origin* rank (a
-                        // relay receives its children's subtotals via
-                        // the hub), so any source is acceptable here.
-                        expect_source: None,
-                        dedup: None,
-                        wire: Some(thread_wire),
-                        clock: None,
-                        clock_responder: Some(responder),
-                        route: None,
-                    },
-                );
-            })?;
-        Ok(Self {
+        let this = Self {
             rank,
             size,
             quota: grant.quota,
             parent,
             pool: BufferPool::new(parmonc_mpi::pool::DEFAULT_POOL_CAPACITY),
-            monitor: monitor.clone(),
-            gate: SendGate::new(rank, opts.faults.clone(), monitor),
-            mailbox: Mailbox::new(rank, rx, Monitor::disabled(), Some(stats.clone())),
+            spans: SpanEmitter::new(&monitor, rank, grant.spans),
+            gate: FaultGate::new(rank, opts.faults.clone(), monitor.clone()),
+            monitor,
+            mailbox: Mailbox::new(rank, rx, Monitor::disabled(), Arc::clone(&stats)),
             writer,
-            stop,
-            reader: Mutex::new(Some(reader)),
+            stop: Arc::new(AtomicBool::new(false)),
+            reader: Mutex::new(None),
             stale_readers: Mutex::new(Vec::new()),
             tx,
             stats,
-            addr: opts.addr,
-            config_digest: opts.config_digest,
+            uplink,
             epoch: grant.epoch,
-            io_timeout: opts.io_timeout,
-            reconnect: opts.reconnect,
             faults: opts.faults,
             next_seq: AtomicU64::new(0),
-            wire,
-            spans,
-            clock_epoch,
-            skew_s,
             last_sync: AtomicU64::new(t3_s.to_bits()),
             pending_spans: Mutex::new(Vec::new()),
-        })
+        };
+        let reader = this.spawn_reader(stream)?;
+        this.reader
+            .lock()
+            .expect("no other thread has seen this transport yet")
+            .replace(reader);
+        Ok(this)
+    }
+
+    /// Starts the thread pumping `stream` into this worker's inbox.
+    fn spawn_reader(&self, stream: Socket) -> io::Result<JoinHandle<()>> {
+        let patient = PatientReader {
+            inner: stream,
+            stop: Arc::clone(&self.stop),
+        };
+        let (clock_epoch, skew_s) = (self.uplink.clock_epoch, self.uplink.skew_s);
+        let hooks = LinkHooks {
+            monitor: self.monitor.clone(),
+            local_rank: self.rank,
+            stats: Arc::clone(&self.stats),
+            // Routed frames carry the *origin* rank (a relay receives
+            // its children's subtotals via the hub), so any source is
+            // acceptable here.
+            expect_source: None,
+            dedup: None,
+            wire: Arc::clone(&self.uplink.wire),
+            clock: None,
+            clock_responder: Some(clock_reply_responder(
+                Arc::clone(&self.writer),
+                Arc::clone(&self.uplink.wire),
+                self.rank,
+                move || clock_epoch.elapsed().as_secs_f64() + skew_s,
+            )),
+            route: None,
+        };
+        let tx = self.tx.clone();
+        std::thread::Builder::new()
+            .name(format!("parmonc-tcp-r{}", self.rank))
+            .spawn(move || pump_frames(patient, tx, hooks))
     }
 
     /// The worker's monitor: enabled (forwarding over the socket) when
@@ -1563,7 +1640,7 @@ impl TcpWorkerTransport {
     /// fault plane's partition veto — re-attach with a rejoin
     /// handshake, swap the stream under the [`FaultyStream`], and
     /// respawn the reader.
-    fn reconnect_locked(&self, stream: &mut FaultyStream<TcpStream>) -> io::Result<()> {
+    fn reconnect_locked(&self, stream: &mut FaultyStream<Socket>) -> io::Result<()> {
         if self.stop.load(Ordering::Relaxed) {
             return Err(io::Error::new(
                 io::ErrorKind::NotConnected,
@@ -1573,13 +1650,13 @@ impl TcpWorkerTransport {
         // The recovery is timed here but reported later: the span
         // would be forwarded through the very writer lock this method
         // holds, so it is queued and drained once the lock is free.
-        let span_start_s = self.local_now();
+        let span_start_s = self.uplink.local_now();
         // Hang the old connection up explicitly: when only the fault
         // plane broke the link, the kernel socket is still healthy and
         // the collector would otherwise keep the half-open connection
         // (and our rank's writer slot) alive.
-        let _ = stream.get_ref().shutdown(Shutdown::Both);
-        let mut backoff = Backoff::new(self.reconnect, self.rank as u64);
+        stream.get_ref().hang_up();
+        let mut backoff = Backoff::new(self.uplink.reconnect, self.rank as u64);
         let mut last_err: Option<io::Error> = None;
         loop {
             let Some(delay) = backoff.next_delay() else {
@@ -1600,33 +1677,20 @@ impl TcpWorkerTransport {
                 ));
                 continue;
             }
-            let dial_timeout = self.reconnect.attempt_timeout.min(self.io_timeout);
-            self.wire.count_dial();
-            let candidate = match dial(&self.addr, dial_timeout) {
-                Ok(s) => s,
-                Err(e) => {
-                    last_err = Some(e);
-                    continue;
-                }
-            };
-            let configured = candidate
-                .set_nodelay(true)
-                .and_then(|()| candidate.set_read_timeout(Some(self.io_timeout)))
-                .and_then(|()| candidate.set_write_timeout(Some(self.io_timeout)));
-            if let Err(e) = configured {
-                last_err = Some(e);
-                continue;
-            }
-            let mut rejoin = Rejoin::new(self.config_digest, self.epoch, self.rank as u32);
-            rejoin.t0_s = self.local_now();
-            if let Err(e) = write_frame(&mut &candidate, 0, TAG_TCP_REJOIN, &rejoin.encode()) {
-                last_err = Some(e);
-                continue;
-            }
-            self.wire
-                .count_out(FRAME_HEADER_LEN + rejoin.encode().len());
-            let grant = match read_grant(&candidate) {
-                Ok(grant) => grant,
+            self.uplink.wire.count_dial();
+            let attempt = self
+                .uplink
+                .dial()
+                .map_err(HandshakeError::Transient)
+                .and_then(|candidate| {
+                    let (_, t3_s) = self
+                        .uplink
+                        .attach(&candidate, Some((self.epoch, self.rank)))?;
+                    let write_half = candidate.try_clone().map_err(HandshakeError::Transient)?;
+                    Ok((candidate, write_half, t3_s))
+                });
+            let (candidate, write_half, t3_s) = match attempt {
+                Ok(attached) => attached,
                 // A reject is final: the collector will answer every
                 // retry the same way (wrong epoch, retired rank, ...).
                 Err(HandshakeError::Permanent(e)) => return Err(e),
@@ -1635,83 +1699,14 @@ impl TcpWorkerTransport {
                     continue;
                 }
             };
-            let t3_s = self.local_now();
-            self.wire.count_in(FRAME_HEADER_LEN + grant.encode().len());
-            if grant.rank as usize != self.rank || grant.epoch != self.epoch {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "rejoin grant does not match the original lease",
-                ));
-            }
-            // The rejoin grant doubles as a fresh offset exchange —
-            // reported on the bare candidate (pre fault-plane wrap),
-            // ahead of any replayed event frame.
-            if self.monitor.is_enabled() {
-                let sync = ClockSync::estimate(rejoin.t0_s, grant.t_recv_s, grant.t_reply_s, t3_s);
-                let payload = sync.encode();
-                if let Err(e) =
-                    write_frame(&mut &candidate, self.rank as u32, TAG_TCP_CLOCK, &payload)
-                {
-                    last_err = Some(e);
-                    continue;
-                }
-                self.wire.count_out(FRAME_HEADER_LEN + payload.len());
-                self.last_sync.store(t3_s.to_bits(), Ordering::Relaxed);
-            }
-            let prepared = candidate
-                .set_read_timeout(Some(READ_POLL))
-                .and_then(|()| candidate.try_clone());
-            let write_half = match prepared {
-                Ok(clone) => clone,
-                Err(e) => {
-                    last_err = Some(e);
-                    continue;
-                }
-            };
+            // The rejoin grant doubled as a fresh offset exchange.
+            self.last_sync.store(t3_s.to_bits(), Ordering::Relaxed);
             // The link is back. The old reader exits on its own (its
             // socket is shut down); joining it here could deadlock —
             // it may be blocked forwarding an event through the very
             // writer lock we hold — so it is parked for drop instead.
             stream.replace(write_half);
-            let patient = PatientReader {
-                inner: candidate,
-                stop: Arc::clone(&self.stop),
-            };
-            let thread_monitor = self.monitor.clone();
-            let thread_stats = Arc::clone(&self.stats);
-            let thread_tx = self.tx.clone();
-            let rank = self.rank;
-            let clock_epoch = self.clock_epoch;
-            let skew_s = self.skew_s;
-            let responder = clock_reply_responder(
-                Arc::clone(&self.writer),
-                Arc::clone(&self.wire),
-                rank,
-                move || clock_epoch.elapsed().as_secs_f64() + skew_s,
-            );
-            let thread_wire = Arc::clone(&self.wire);
-            let spawned = std::thread::Builder::new()
-                .name(format!("parmonc-tcp-r{rank}"))
-                .spawn(move || {
-                    pump_frames(
-                        patient,
-                        thread_tx,
-                        LinkHooks {
-                            monitor: thread_monitor,
-                            local_rank: rank,
-                            stats: Some(thread_stats),
-                            // Any source: routed frames carry the
-                            // origin rank (see the join-time reader).
-                            expect_source: None,
-                            dedup: None,
-                            wire: Some(thread_wire),
-                            clock: None,
-                            clock_responder: Some(responder),
-                            route: None,
-                        },
-                    );
-                });
-            match spawned {
+            match self.spawn_reader(candidate) {
                 Ok(handle) => {
                     if let Ok(mut slot) = self.reader.lock() {
                         let old = slot.replace(handle);
@@ -1727,14 +1722,14 @@ impl TcpWorkerTransport {
             }
             if self.spans.is_enabled() {
                 if let Ok(mut pending) = self.pending_spans.lock() {
-                    pending.push((span_start_s, self.local_now()));
+                    pending.push((span_start_s, self.uplink.local_now()));
                 }
             }
             return Ok(());
         }
     }
 
-    fn raw_send(&self, dest: usize, tag: Tag, payload: &Bytes) -> Result<(), MpiError> {
+    fn raw_send(&self, dest: usize, tag: Tag, payload: Bytes) -> Result<(), MpiError> {
         if dest >= self.size {
             return Err(MpiError::Disconnected);
         }
@@ -1746,9 +1741,9 @@ impl TcpWorkerTransport {
         let (wire_tag, wrapped);
         let on_wire: &[u8] = if dest == 0 {
             wire_tag = tag.0;
-            payload
+            &payload
         } else {
-            wrapped = encode_route(dest as u32, tag.0, payload);
+            wrapped = encode_route(dest as u32, tag.0, &payload);
             wire_tag = TAG_IPC_ROUTE;
             &wrapped
         };
@@ -1773,7 +1768,7 @@ impl TcpWorkerTransport {
                     .map_err(|_| MpiError::Disconnected)
             };
             if sent.is_ok() {
-                self.wire.count_out(FRAME_HEADER_LEN + on_wire.len());
+                self.uplink.wire.count_out(FRAME_HEADER_LEN + on_wire.len());
                 self.maybe_probe(&mut stream);
             }
             sent
@@ -1781,13 +1776,10 @@ impl TcpWorkerTransport {
         // Reconnect spans are measured under the writer lock but
         // forwarded through it — drain them only now that it is free.
         self.flush_pending_spans();
+        if result.is_ok() {
+            note_sent(&self.monitor, self.rank, dest, tag, payload.len());
+        }
         result
-    }
-
-    /// The worker's local event clock: seconds since the transport
-    /// started dialing, plus the configured deterministic skew.
-    fn local_now(&self) -> f64 {
-        self.clock_epoch.elapsed().as_secs_f64() + self.skew_s
     }
 
     /// Piggybacks a clock probe on an outgoing send when the last
@@ -1795,11 +1787,11 @@ impl TcpWorkerTransport {
     /// probe is written through the inner stream so clock traffic
     /// never consumes a scripted fault ordinal, and skipped while the
     /// link is severed — the rejoin grant re-syncs instead.
-    fn maybe_probe(&self, stream: &mut FaultyStream<TcpStream>) {
+    fn maybe_probe(&self, stream: &mut FaultyStream<Socket>) {
         if !self.monitor.is_enabled() || stream.is_severed() {
             return;
         }
-        let now_s = self.local_now();
+        let now_s = self.uplink.local_now();
         if now_s - f64::from_bits(self.last_sync.load(Ordering::Relaxed)) < CLOCK_SYNC_INTERVAL_S {
             return;
         }
@@ -1811,7 +1803,7 @@ impl TcpWorkerTransport {
             &payload,
         );
         if written.is_ok() {
-            self.wire.count_out(FRAME_HEADER_LEN + payload.len());
+            self.uplink.wire.count_out(FRAME_HEADER_LEN + payload.len());
             self.last_sync.store(now_s.to_bits(), Ordering::Relaxed);
         }
     }
@@ -1848,9 +1840,7 @@ impl Drop for TcpWorkerTransport {
         // delayed message is late, never lost. Then hang up, which
         // unblocks our reader and tells the collector we left.
         self.stop.store(true, Ordering::Relaxed);
-        let _ = self
-            .gate
-            .flush_delayed(true, &|d, t, p| self.raw_send(d, t, p));
+        let _ = self.gate.flush(true, |d, t, p| self.raw_send(d, t, p));
         self.flush_pending_spans();
         // The uplink's final accounting, forwarded while the socket is
         // still up: frames and bytes both ways, reconnect dials, and
@@ -1860,11 +1850,11 @@ impl Drop for TcpWorkerTransport {
         if self.monitor.is_enabled() {
             self.monitor.emit(
                 Some(self.rank),
-                self.wire.to_event(0, self.monitor.dropped_events()),
+                self.uplink.wire.to_event(0, self.monitor.dropped_events()),
             );
         }
         if let Ok(stream) = self.writer.lock() {
-            let _ = stream.get_ref().shutdown(Shutdown::Both);
+            stream.get_ref().hang_up();
         }
         if let Ok(mut slot) = self.reader.lock() {
             if let Some(handle) = slot.take() {
@@ -1892,14 +1882,6 @@ impl Transport for TcpWorkerTransport {
         &self.pool
     }
 
-    fn recycle(&self, payload: Bytes) {
-        self.pool.recycle(payload);
-    }
-
-    fn send(&self, dest: usize, tag: Tag, payload: &[u8]) -> Result<(), MpiError> {
-        self.send_bytes(dest, tag, Bytes::copy_from_slice(payload))
-    }
-
     fn send_bytes(&self, dest: usize, tag: Tag, payload: Bytes) -> Result<(), MpiError> {
         if dest >= self.size {
             return Err(MpiError::InvalidRank {
@@ -1908,7 +1890,7 @@ impl Transport for TcpWorkerTransport {
             });
         }
         self.gate
-            .send(dest, tag, payload, &|d, t, p| self.raw_send(d, t, p))
+            .send(dest, tag, payload, |d, t, p| self.raw_send(d, t, p))
     }
 
     fn recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Result<Envelope, MpiError> {
@@ -1937,20 +1919,53 @@ impl Transport for TcpWorkerTransport {
 mod tests {
     use super::*;
     use parmonc_faults::FaultPlan;
+    use std::net::{Shutdown, TcpStream};
     use std::time::Instant;
 
     const TIMEOUT: Duration = Duration::from_secs(5);
 
-    fn collector(size: usize, quotas: Vec<u64>) -> TcpCollectorTransport {
-        collector_with(size, quotas, None)
+    /// The two address families one protocol runs over. The handshake
+    /// tests below take the kind as an input: what holds on loopback
+    /// TCP must hold on the launcher's Unix-domain socket.
+    #[derive(Clone, Copy, Debug)]
+    enum Kind {
+        Tcp,
+        Unix,
     }
 
-    fn collector_with(
-        size: usize,
-        quotas: Vec<u64>,
-        resume: Option<LeaseSnapshot>,
-    ) -> TcpCollectorTransport {
-        TcpCollectorTransport::listen(ListenOptions {
+    const KINDS: [Kind; 2] = [Kind::Tcp, Kind::Unix];
+
+    /// A listening collector of the given kind (digest 42) and the
+    /// endpoint its workers dial.
+    fn world(kind: Kind, size: usize, quotas: Vec<u64>) -> (TcpCollectorTransport, Endpoint) {
+        static NONCE: AtomicU64 = AtomicU64::new(0);
+        let bind = match kind {
+            Kind::Tcp => Endpoint::Tcp("127.0.0.1:0".into()),
+            Kind::Unix => Endpoint::Unix(std::env::temp_dir().join(format!(
+                "parmonc-ipc-test-{}-{}.sock",
+                std::process::id(),
+                NONCE.fetch_add(1, Ordering::Relaxed)
+            ))),
+        };
+        let collector = TcpCollectorTransport::listen_on(&bind, options(size, quotas, None))
+            .expect("bind the test endpoint");
+        let dial = match bind {
+            Endpoint::Tcp(_) => Endpoint::Tcp(collector.local_addr().to_string()),
+            unix @ Endpoint::Unix(_) => unix,
+        };
+        (collector, dial)
+    }
+
+    /// Shuts a [`world`] down and removes its socket file, if it has one.
+    fn close(mut collector: TcpCollectorTransport, endpoint: &Endpoint) {
+        collector.shutdown().unwrap();
+        if let Endpoint::Unix(path) = endpoint {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+
+    fn options(size: usize, quotas: Vec<u64>, resume: Option<LeaseSnapshot>) -> ListenOptions {
+        ListenOptions {
             addr: "127.0.0.1:0".into(),
             size,
             monitor: Monitor::disabled(),
@@ -1962,16 +1977,19 @@ mod tests {
             persist: None,
             trace_spans: false,
             parents: Vec::new(),
-        })
-        .expect("listen on loopback")
+        }
     }
 
-    fn join(addr: String, digest: u64) -> io::Result<TcpWorkerTransport> {
-        join_with(addr, digest, FaultHandle::disabled())
+    fn join_at(
+        endpoint: Endpoint,
+        digest: u64,
+        faults: FaultHandle,
+    ) -> io::Result<TcpWorkerTransport> {
+        TcpWorkerTransport::join_on(endpoint, join_options(String::new(), digest, faults))
     }
 
-    fn join_with(addr: String, digest: u64, faults: FaultHandle) -> io::Result<TcpWorkerTransport> {
-        TcpWorkerTransport::join(JoinOptions {
+    fn join_options(addr: String, digest: u64, faults: FaultHandle) -> JoinOptions {
+        JoinOptions {
             addr,
             config_digest: digest,
             faults,
@@ -1983,14 +2001,30 @@ mod tests {
                 attempt_timeout: TIMEOUT,
             },
             clock_skew_s: 0.0,
-        })
+        }
+    }
+
+    fn collector(size: usize, quotas: Vec<u64>) -> TcpCollectorTransport {
+        collector_with(size, quotas, None)
+    }
+
+    fn collector_with(
+        size: usize,
+        quotas: Vec<u64>,
+        resume: Option<LeaseSnapshot>,
+    ) -> TcpCollectorTransport {
+        TcpCollectorTransport::listen(options(size, quotas, resume)).expect("listen on loopback")
+    }
+
+    fn join(addr: String, digest: u64) -> io::Result<TcpWorkerTransport> {
+        TcpWorkerTransport::join(join_options(addr, digest, FaultHandle::disabled()))
     }
 
     /// Dials a raw join frame and returns the decoded reject.
-    fn raw_join_reject(addr: SocketAddr, request: &JoinRequest) -> Reject {
-        let mut stream = TcpStream::connect(addr).unwrap();
+    fn raw_join_reject(endpoint: &Endpoint, request: &JoinRequest) -> Reject {
+        let stream = endpoint.dial(TIMEOUT).unwrap();
         stream.set_read_timeout(Some(TIMEOUT)).unwrap();
-        write_frame(&mut stream, 0, TAG_TCP_JOIN, &request.encode()).unwrap();
+        write_frame(&mut &stream, 0, TAG_TCP_JOIN, &request.encode()).unwrap();
         let reply = read_frame(&mut &stream).unwrap().expect("a reply frame");
         assert_eq!(reply.tag, TAG_TCP_REJECT);
         Reject::decode(&reply.payload).expect("well-formed reject")
@@ -2017,35 +2051,48 @@ mod tests {
 
     #[test]
     fn grants_a_lease_and_round_trips_envelopes() {
-        let mut collector = collector(2, vec![125]);
-        let addr = collector.local_addr().to_string();
-        let epoch = collector.epoch();
-        let worker_side = std::thread::spawn(move || {
-            let mut worker = join(addr, 42).expect("join succeeds");
-            assert_eq!(worker.rank(), 1);
-            assert_eq!(worker.size(), 2);
-            assert_eq!(worker.granted_quota(), 125);
-            assert_eq!(worker.epoch(), epoch);
-            worker.send(0, Tag(7), b"subtotal").unwrap();
-            let env = worker.recv(Some(0), Some(Tag(9))).unwrap();
-            assert_eq!(&env.payload[..], b"ack");
-        });
-        let env = collector.recv(Some(1), Some(Tag(7))).unwrap();
-        assert_eq!(env.source, 1);
-        assert_eq!(&env.payload[..], b"subtotal");
-        collector.send(1, Tag(9), b"ack").unwrap();
-        worker_side.join().unwrap();
-        collector.shutdown().unwrap();
+        for kind in KINDS {
+            let (mut collector, endpoint) = world(kind, 2, vec![125]);
+            let epoch = collector.epoch();
+            let dial = endpoint.clone();
+            let worker_side = std::thread::spawn(move || {
+                let mut worker = join_at(dial, 42, FaultHandle::disabled()).expect("join succeeds");
+                assert_eq!(worker.rank(), 1);
+                assert_eq!(worker.size(), 2);
+                assert_eq!(worker.granted_quota(), 125);
+                assert_eq!(worker.epoch(), epoch);
+                worker.send(0, Tag(7), b"subtotal").unwrap();
+                let env = worker.recv(Some(0), Some(Tag(9))).unwrap();
+                assert_eq!(&env.payload[..], b"ack");
+            });
+            let env = collector.recv(Some(1), Some(Tag(7))).unwrap();
+            assert_eq!(env.source, 1, "{kind:?}");
+            assert_eq!(&env.payload[..], b"subtotal");
+            collector.send(1, Tag(9), b"ack").unwrap();
+            worker_side.join().unwrap();
+            close(collector, &endpoint);
+        }
     }
 
+    /// What keeps a stray local process that finds the launcher's
+    /// socket from claiming a rank — the job the spawn token used to
+    /// do: without the magic it is turned away, and no lease is spent
+    /// on it.
     #[test]
     fn wrong_magic_is_rejected() {
-        let mut collector = collector(2, vec![10]);
-        let mut request = JoinRequest::new(42);
-        request.magic = 0x0BAD_CAFE;
-        let reject = raw_join_reject(collector.local_addr(), &request);
-        assert_eq!(reject.code, RejectCode::BadMagic);
-        collector.shutdown().unwrap();
+        for kind in KINDS {
+            let (collector, endpoint) = world(kind, 2, vec![10]);
+            let mut request = JoinRequest::new(42);
+            request.magic = 0x0BAD_CAFE;
+            let reject = raw_join_reject(&endpoint, &request);
+            assert_eq!(reject.code, RejectCode::BadMagic, "{kind:?}");
+            assert_eq!(
+                collector.ever_leased(),
+                0,
+                "{kind:?}: a reject costs no lease"
+            );
+            close(collector, &endpoint);
+        }
     }
 
     #[test]
@@ -2053,7 +2100,7 @@ mod tests {
         let mut collector = collector(2, vec![10]);
         let mut request = JoinRequest::new(42);
         request.version = TCP_PROTOCOL_VERSION + 1;
-        let reject = raw_join_reject(collector.local_addr(), &request);
+        let reject = raw_join_reject(&Endpoint::Tcp(collector.local_addr().to_string()), &request);
         assert_eq!(reject.code, RejectCode::VersionMismatch);
         assert!(reject.reason.contains("version"), "{}", reject.reason);
         collector.shutdown().unwrap();
@@ -2061,11 +2108,18 @@ mod tests {
 
     #[test]
     fn config_digest_mismatch_is_rejected_with_the_reason() {
-        let mut collector = collector(2, vec![10]);
-        let err = join(collector.local_addr().to_string(), 43).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
-        assert!(err.to_string().contains("digest"), "{err}");
-        collector.shutdown().unwrap();
+        for kind in KINDS {
+            let (collector, endpoint) = world(kind, 2, vec![10]);
+            let err = join_at(endpoint.clone(), 43, FaultHandle::disabled()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused, "{kind:?}");
+            assert!(err.to_string().contains("digest"), "{kind:?}: {err}");
+            assert_eq!(
+                collector.ever_leased(),
+                0,
+                "{kind:?}: a reject costs no lease"
+            );
+            close(collector, &endpoint);
+        }
     }
 
     #[test]
@@ -2076,7 +2130,7 @@ mod tests {
         // reassigned": the late joiner must be refused, not leased a
         // double-counted stream range.
         collector.retire_rank(1);
-        let reject = raw_join_reject(addr, &JoinRequest::new(42));
+        let reject = raw_join_reject(&Endpoint::Tcp(addr.to_string()), &JoinRequest::new(42));
         assert_eq!(reject.code, RejectCode::BudgetExhausted);
         collector.shutdown().unwrap();
     }
@@ -2369,25 +2423,27 @@ mod tests {
         // The fault plane severs rank 1's link after 2 frames; the
         // worker transport must reconnect on its own and every
         // envelope must arrive exactly once.
-        let mut collector = collector(2, vec![10]);
-        let addr = collector.local_addr().to_string();
-        let faults = FaultPlan::new(9).sever_connection(1, 2).build();
-        let worker_side = std::thread::spawn(move || {
-            let worker = join_with(addr, 42, faults).expect("join succeeds");
-            for i in 0..5u8 {
-                worker
-                    .send(0, Tag(7), &[i])
-                    .expect("send survives the severance");
+        for kind in KINDS {
+            let (mut collector, endpoint) = world(kind, 2, vec![10]);
+            let dial = endpoint.clone();
+            let faults = FaultPlan::new(9).sever_connection(1, 2).build();
+            let worker_side = std::thread::spawn(move || {
+                let worker = join_at(dial, 42, faults).expect("join succeeds");
+                for i in 0..5u8 {
+                    worker
+                        .send(0, Tag(7), &[i])
+                        .expect("send survives the severance");
+                }
+            });
+            let mut got = Vec::new();
+            for _ in 0..5 {
+                let env = collector.recv(Some(1), Some(Tag(7))).unwrap();
+                got.push(env.payload[0]);
             }
-        });
-        let mut got = Vec::new();
-        for _ in 0..5 {
-            let env = collector.recv(Some(1), Some(Tag(7))).unwrap();
-            got.push(env.payload[0]);
+            assert_eq!(got, vec![0, 1, 2, 3, 4], "{kind:?}");
+            worker_side.join().unwrap();
+            close(collector, &endpoint);
         }
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
-        worker_side.join().unwrap();
-        collector.shutdown().unwrap();
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Worker-process self-identification.
 //!
-//! The process backend re-executes the current binary for each worker
-//! rank. The *environment* is the authoritative channel: the parent
-//! sets the `PARMONC_WORKER_*` variables on each child, and the
-//! runner's first action is to check [`worker_env`] and divert into
-//! the worker loop ("hijack") before any of the user program's own
-//! side effects can repeat. The [`WORKER_FLAG`] argument is appended
-//! to the child's argv as a human-visible marker (`ps` shows it) and
-//! so CLI parsers can strip it; it is not load-bearing.
+//! The process backend re-executes the current binary once per worker.
+//! The *environment* is the authoritative channel: the launcher sets
+//! `PARMONC_WORKER_SOCKET` on each child, and the runner's first action
+//! is to check [`worker_env`] and divert into the worker loop
+//! ("hijack") before any of the user program's own side effects can
+//! repeat. The socket path is all a child is told — rank, world size,
+//! quota, collection parent and the monitor and span flags arrive in
+//! the join handshake's grant, exactly as for a remote TCP worker. The
+//! [`WORKER_FLAG`] argument is appended to the child's argv as a
+//! human-visible marker (`ps` shows it) and so CLI parsers can strip
+//! it; it is not load-bearing.
 
 use std::path::PathBuf;
 
@@ -15,91 +18,32 @@ use std::path::PathBuf;
 /// stripped by the CLI/demo argument parsers, otherwise inert.
 pub const WORKER_FLAG: &str = "--parmonc-worker";
 
-const ENV_RANK: &str = "PARMONC_WORKER_RANK";
-const ENV_SIZE: &str = "PARMONC_WORKER_SIZE";
 const ENV_SOCKET: &str = "PARMONC_WORKER_SOCKET";
-const ENV_TOKEN: &str = "PARMONC_WORKER_TOKEN";
-const ENV_MONITOR: &str = "PARMONC_WORKER_MONITOR";
-const ENV_SPANS: &str = "PARMONC_WORKER_SPANS";
-const ENV_PARENT: &str = "PARMONC_WORKER_PARENT";
 
-/// Everything a spawned worker needs to join its parent's world.
+/// What a spawned worker needs to join its parent's world.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerInfo {
-    /// This worker's rank (1-based ranks; rank 0 is the parent).
-    pub rank: usize,
-    /// World size including the parent.
-    pub size: usize,
     /// Path of the parent's Unix-domain listening socket.
     pub socket: PathBuf,
-    /// Spawn token echoed back in the hello frame, so a stray process
-    /// connecting to the socket cannot impersonate a rank.
-    pub token: String,
-    /// Whether the parent run is monitored — if so the worker forwards
-    /// its monitor events over the socket.
-    pub monitor: bool,
-    /// Whether span tracing is on — if so the worker loop wraps its
-    /// phases in `span_started`/`span_ended` events. Only meaningful
-    /// on monitored runs.
-    pub spans: bool,
-    /// The rank this worker's subtotal envelopes should flow to under
-    /// the run's collection topology: 0 under a star (the default),
-    /// possibly an interior relay rank under a tree.
-    pub parent: usize,
 }
 
 impl WorkerInfo {
     /// The environment variables to set on a spawned worker.
     #[must_use]
     pub fn to_env(&self) -> Vec<(&'static str, String)> {
-        vec![
-            (ENV_RANK, self.rank.to_string()),
-            (ENV_SIZE, self.size.to_string()),
-            (ENV_SOCKET, self.socket.display().to_string()),
-            (ENV_TOKEN, self.token.clone()),
-            (
-                ENV_MONITOR,
-                String::from(if self.monitor { "1" } else { "0" }),
-            ),
-            (ENV_SPANS, String::from(if self.spans { "1" } else { "0" })),
-            (ENV_PARENT, self.parent.to_string()),
-        ]
+        vec![(ENV_SOCKET, self.socket.display().to_string())]
     }
 }
 
 /// Reads the worker environment, if this process was spawned as a
-/// worker rank. Returns `None` unless *all* required variables are
-/// present and well-formed.
+/// worker.
 #[must_use]
 pub fn worker_env() -> Option<WorkerInfo> {
-    let rank: usize = std::env::var(ENV_RANK).ok()?.parse().ok()?;
-    let size: usize = std::env::var(ENV_SIZE).ok()?.parse().ok()?;
     let socket = PathBuf::from(std::env::var(ENV_SOCKET).ok()?);
-    let token = std::env::var(ENV_TOKEN).ok()?;
-    if rank == 0 || rank >= size {
-        return None;
-    }
-    let monitor = std::env::var(ENV_MONITOR).ok().as_deref() == Some("1");
-    let spans = std::env::var(ENV_SPANS).ok().as_deref() == Some("1");
-    // Absent or malformed means star (report to the collector): spawned
-    // by an older parent, or a hand-launched worker.
-    let parent = std::env::var(ENV_PARENT)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&p| p < size)
-        .unwrap_or(0);
-    Some(WorkerInfo {
-        rank,
-        size,
-        socket,
-        token,
-        monitor,
-        spans,
-        parent,
-    })
+    Some(WorkerInfo { socket })
 }
 
-/// Whether this process is a spawned worker rank. Use this to guard
+/// Whether this process is a spawned worker. Use this to guard
 /// destructive setup (removing output directories, printing banners)
 /// that must only run in the parent: a worker re-executes the user
 /// program's `main` up to the `run()` call, and anything before that
@@ -116,20 +60,13 @@ mod tests {
     #[test]
     fn env_round_trips_through_to_env() {
         let info = WorkerInfo {
-            rank: 2,
-            size: 4,
             socket: PathBuf::from("/tmp/parmonc-ipc-1/rank0.sock"),
-            token: "deadbeef".into(),
-            monitor: true,
-            spans: true,
-            parent: 1,
         };
         let env = info.to_env();
-        assert_eq!(env.len(), 7);
-        assert!(env.iter().any(|(k, v)| *k == ENV_RANK && v == "2"));
-        assert!(env.iter().any(|(k, v)| *k == ENV_MONITOR && v == "1"));
-        assert!(env.iter().any(|(k, v)| *k == ENV_SPANS && v == "1"));
-        assert!(env.iter().any(|(k, v)| *k == ENV_PARENT && v == "1"));
+        assert_eq!(env.len(), 1);
+        assert!(env
+            .iter()
+            .any(|(k, v)| *k == ENV_SOCKET && v == "/tmp/parmonc-ipc-1/rank0.sock"));
     }
 
     // `worker_env()` itself reads real process environment; tests do

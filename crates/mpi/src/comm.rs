@@ -1,29 +1,19 @@
 //! The world launcher and per-rank communicator.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parmonc_faults::{FaultHandle, FaultKind, SendAction};
+use parmonc_faults::FaultHandle;
 use parmonc_obs::{EventKind, Monitor};
 
 use crate::bytes::Bytes;
 use crate::envelope::{Envelope, Tag};
 use crate::error::MpiError;
+use crate::gate::FaultGate;
 use crate::mailbox::{Cursor, Mailbox};
 use crate::pool::BufferPool;
-
-/// A message the fault plane is holding back: it leaves the sender
-/// only after `remaining` further sends from the same rank.
-#[derive(Debug)]
-struct DelayedSend {
-    remaining: u32,
-    dest: usize,
-    tag: Tag,
-    payload: Bytes,
-}
 
 /// Per-receiver inbox statistics for monitored worlds: how many
 /// messages sit undelivered in each rank's inbox, and the largest such
@@ -80,10 +70,10 @@ pub struct Communicator {
     /// The deterministic fault plane (disabled = one dead branch per
     /// send).
     faults: FaultHandle,
-    /// Messages the fault plane is holding back. Only touched when the
-    /// fault plane is enabled; flushed on [`Drop`] so a held message is
-    /// late, never lost (unless scripted as a drop).
-    delayed: RefCell<Vec<DelayedSend>>,
+    /// What the enabled plane does to a send. Force-flushed on [`Drop`]
+    /// so a held message is late, never lost (unless scripted as a
+    /// drop).
+    gate: FaultGate,
     /// This rank's buffer freelist, locked by no other rank: encode
     /// buffers come back to it as soon as their bytes are in the
     /// destination's ring, and received payloads are copied out into
@@ -216,36 +206,8 @@ impl Communicator {
         if !self.faults.is_enabled() {
             return self.send_now(dest, tag, payload);
         }
-        // Every send ages the held-back messages; due ones leave first
-        // so a delayed message is overtaken by exactly `hold_sends`
-        // later sends.
-        self.flush_delayed(false)?;
-        let (seq, action) = self.faults.on_send(self.rank, dest, tag.0);
-        match action {
-            SendAction::Deliver => self.send_now(dest, tag, payload),
-            SendAction::Drop => {
-                self.note_fault(FaultKind::MessageDrop, seq);
-                Ok(())
-            }
-            SendAction::Duplicate => {
-                self.note_fault(FaultKind::MessageDuplicate, seq);
-                self.send_now(dest, tag, payload.clone())?;
-                self.send_now(dest, tag, payload)
-            }
-            SendAction::Delay { hold_sends } => {
-                self.note_fault(FaultKind::MessageDelay, seq);
-                if hold_sends == 0 {
-                    return self.send_now(dest, tag, payload);
-                }
-                self.delayed.borrow_mut().push(DelayedSend {
-                    remaining: hold_sends,
-                    dest,
-                    tag,
-                    payload,
-                });
-                Ok(())
-            }
-        }
+        self.gate
+            .send(dest, tag, payload, |d, t, p| self.send_now(d, t, p))
     }
 
     /// The unfaulted send path: enqueue for `dest`, with monitored
@@ -269,48 +231,6 @@ impl Communicator {
                 Err(e)
             }
         }
-    }
-
-    /// Ages held-back messages by one send and delivers the due ones
-    /// (or, with `force`, everything — the [`Drop`] path, so a delayed
-    /// message is late, never lost).
-    fn flush_delayed(&self, force: bool) -> Result<(), MpiError> {
-        if self.delayed.borrow().is_empty() {
-            return Ok(());
-        }
-        let due: Vec<DelayedSend> = {
-            let mut held = self.delayed.borrow_mut();
-            if !force {
-                for entry in held.iter_mut() {
-                    entry.remaining = entry.remaining.saturating_sub(1);
-                }
-            }
-            let mut due = Vec::new();
-            let mut i = 0;
-            while i < held.len() {
-                if force || held[i].remaining == 0 {
-                    due.push(held.remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            due
-        };
-        for entry in due {
-            self.send_now(entry.dest, entry.tag, entry.payload)?;
-        }
-        Ok(())
-    }
-
-    /// Emits a `fault_injected` monitor event for a message fault.
-    fn note_fault(&self, kind: FaultKind, seq: u64) {
-        self.monitor.emit(
-            Some(self.rank),
-            EventKind::FaultInjected {
-                fault: kind.as_str().to_string(),
-                detail: Some(seq),
-            },
-        );
     }
 
     fn matches(env: &Envelope, source: Option<usize>, tag: Option<Tag>) -> bool {
@@ -440,7 +360,7 @@ impl Drop for Communicator {
         // A rank tearing down force-flushes anything the fault plane
         // was holding, so "delayed" can never silently become "lost".
         // Errors are ignored: the receiver may already be gone.
-        let _ = self.flush_delayed(true);
+        let _ = self.gate.flush(true, |d, t, p| self.send_now(d, t, p));
         self.world.mailboxes[self.rank].close();
         // Only a receiver left alone gives up, so only the departure
         // that leaves one communicator behind has anyone to wake.
@@ -534,7 +454,7 @@ impl World {
                 monitor: monitor.clone(),
                 stats: stats.clone(),
                 faults: faults.clone(),
-                delayed: RefCell::new(Vec::new()),
+                gate: FaultGate::new(rank, faults.clone(), monitor.clone()),
                 pool: BufferPool::default(),
             })
             .collect())

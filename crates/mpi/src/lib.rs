@@ -53,6 +53,7 @@ pub mod collective;
 pub mod comm;
 pub mod envelope;
 pub mod error;
+pub mod gate;
 mod mailbox;
 pub mod plan;
 pub mod pool;
@@ -62,6 +63,7 @@ pub use bytes::{Bytes, BytesMut};
 pub use comm::{Communicator, World};
 pub use envelope::{Envelope, Tag};
 pub use error::MpiError;
+pub use gate::FaultGate;
 pub use plan::{CollectionPlan, Topology};
 pub use pool::BufferPool;
 pub use transport::Transport;

@@ -11,18 +11,18 @@
 //! * the in-process thread substrate ([`Communicator`], this crate) —
 //!   ranks are OS threads exchanging [`Envelope`]s through per-rank
 //!   in-place mailboxes;
-//! * the out-of-process socket substrate (`parmonc-ipc`) — ranks are
-//!   forked worker processes exchanging the same length-prefixed
-//!   envelopes over Unix-domain sockets;
-//! * the multi-host TCP substrate (`parmonc-ipc`'s `tcp` module) —
-//!   ranks are remote worker processes that dial the collector and
-//!   lease a rank via a versioned handshake, with elastic membership.
+//! * the socket substrate (`parmonc-ipc`) — ranks are processes that
+//!   dial the collector, lease a rank via a versioned handshake and
+//!   exchange the same length-prefixed envelopes: remote workers over
+//!   TCP with elastic membership, or children a launcher started on
+//!   this host, over a Unix-domain socket.
 //!
 //! The collectives ([`Transport::barrier`] and friends) are provided
 //! methods layered on the point-to-point surface, so an implementor
-//! only supplies the eleven required primitives —
-//! [`Transport::retire_rank`] is an optional lifecycle hint that only
-//! elastic-membership substrates act on.
+//! only supplies the eight required primitives — [`Transport::send`]
+//! and [`Transport::recycle`] default to the copying and pooling
+//! obvious, and [`Transport::retire_rank`] is an optional lifecycle
+//! hint that only rank-leasing substrates act on.
 
 use std::time::Duration;
 
@@ -55,7 +55,9 @@ pub trait Transport {
     /// Returns a fully consumed payload's allocation to the freelist
     /// (the receiver-side half of the recycling contract). No-op if
     /// other handles to the payload are still alive.
-    fn recycle(&self, payload: Bytes);
+    fn recycle(&self, payload: Bytes) {
+        let _ = self.pool().recycle(payload);
+    }
 
     /// Sends `payload` to rank `dest` with tag `tag`. Asynchronous and
     /// non-blocking (buffered send).
@@ -64,7 +66,9 @@ pub trait Transport {
     ///
     /// [`MpiError::InvalidRank`] for an out-of-range destination, or
     /// [`MpiError::Disconnected`] if the destination is gone.
-    fn send(&self, dest: usize, tag: Tag, payload: &[u8]) -> Result<(), MpiError>;
+    fn send(&self, dest: usize, tag: Tag, payload: &[u8]) -> Result<(), MpiError> {
+        self.send_bytes(dest, tag, Bytes::copy_from_slice(payload))
+    }
 
     /// Zero-copy variant of [`Transport::send`] for payloads already in
     /// [`Bytes`] form.
@@ -106,25 +110,14 @@ pub trait Transport {
     /// Declares that `rank`'s realization budget has been reassigned
     /// and the rank must never rejoin the world.
     ///
-    /// The collector calls this when it declares a worker lost. For
-    /// fixed-membership substrates (threads, spawned processes) it is
-    /// meaningless and the default is a no-op; an elastic-membership
-    /// substrate (TCP) must stop leasing the rank to new joiners, or a
+    /// The collector calls this when it declares a worker lost. For the
+    /// thread substrate it is meaningless and the default is a no-op; a
+    /// substrate that leases ranks (the socket world) must stop leasing
+    /// the rank to new joiners, or a
     /// late joiner would redo realizations the collector already dealt
     /// to the survivors and the estimate would double-count them.
     fn retire_rank(&self, rank: usize) {
         let _ = rank;
-    }
-
-    /// A serialized image of this transport's membership state, for
-    /// persistence alongside a run checkpoint — enough for a restarted
-    /// collector to resume the same session (lease table, session
-    /// epoch, per-rank dedup state). `None` for fixed-membership
-    /// substrates, where membership is rebuilt by construction and
-    /// there is nothing to persist; the TCP collector returns its
-    /// encoded lease snapshot.
-    fn membership_snapshot(&self) -> Option<String> {
-        None
     }
 
     /// Blocks until every rank has entered the barrier.
@@ -194,10 +187,6 @@ impl Transport for Communicator {
 
     fn pool(&self) -> &BufferPool {
         Communicator::pool(self)
-    }
-
-    fn recycle(&self, payload: Bytes) {
-        Communicator::recycle(self, payload);
     }
 
     fn send(&self, dest: usize, tag: Tag, payload: &[u8]) -> Result<(), MpiError> {

@@ -1,9 +1,13 @@
-//! Chaos integration: seeded fault matrices driven through three
+//! Chaos integration: seeded fault matrices driven through four
 //! engines — the real-thread runner (`mpi_*` tests), the virtual
-//! cluster simulator (`simcluster_*` tests), and the loopback TCP
-//! backend with scripted link severance (`tcp_*` tests) — plus the
-//! resume-after-crash and framing-robustness satellites. CI runs the
-//! prefixes as separate matrix jobs.
+//! cluster simulator (`simcluster_*` tests), the loopback TCP backend
+//! with scripted link severance (`tcp_*` tests), and the process
+//! backend, which inherits that resilience through the launcher
+//! (`proc_*` tests) — plus the resume-after-crash and
+//! framing-robustness satellites. CI runs the prefixes as separate
+//! matrix jobs.
+
+mod common;
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -11,7 +15,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parmonc::messages::Subtotal;
-use parmonc::prelude::{Exchange, NetOptions, Parmonc, RealizeFn, Resume, RunReport, Topology};
+use parmonc::prelude::{
+    Exchange, NetOptions, Parmonc, RealizeFn, Resume, RunReport, Topology, Transport,
+};
 use parmonc_faults::{mutate_bytes, FaultPlan, Mutation};
 use parmonc_mpi::bytes::Bytes;
 use parmonc_obs::{MemorySink, Monitor};
@@ -276,6 +282,63 @@ fn tcp_chaos_matrix_severed_links_heal() {
             "seed {seed}: trace never recorded a rejoin: {kinds:?}"
         );
     }
+}
+
+/// Process-backend chaos: the launcher's children speak the lease
+/// protocol, so a scripted severance of worker 1's link heals on the
+/// seeded reconnect instead of costing the worker — nobody is declared
+/// lost, the volume is full, the trace records the rejoin, and the
+/// estimate is bit-identical to a fault-free thread run.
+///
+/// One process-backend run per test function, and it comes first: the
+/// launched children re-execute this libtest binary with
+/// `[test_fn, "--exact"]`, rebuild the same configuration (hence the
+/// PID-free directory, wiped only in the parent) and divert into the
+/// worker loop inside that first `run()`.
+#[test]
+fn proc_severed_link_heals() {
+    let scratch = |name: &str| {
+        let dir = std::env::temp_dir().join(format!("parmonc-chaos-proc-{name}"));
+        if !parmonc::ipc::is_worker() {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        dir
+    };
+    let configure = |dir: PathBuf| {
+        Parmonc::builder(1, 2)
+            .max_sample_volume(900)
+            .processors(3)
+            .seqnum(4)
+            .exchange(Exchange::EveryRealization)
+            .monitor()
+            .output_dir(dir)
+    };
+    let healed = configure(scratch("severed"))
+        .faults(FaultPlan::new(21).sever_connection(1, 8))
+        .worker_args(["proc_severed_link_heals", "--exact"])
+        .transport(Transport::Processes)
+        .run(uniform())
+        .unwrap();
+    let healthy = configure(scratch("threads")).run(uniform()).unwrap();
+
+    assert!(
+        healed.lost_workers.is_empty(),
+        "a severed link must heal, not cost the worker: lost {:?}",
+        healed.lost_workers
+    );
+    assert_eq!(healed.new_volume, 900);
+    assert_eq!(healed.worker_volumes, healthy.worker_volumes);
+    assert_eq!(
+        healed.summary, healthy.summary,
+        "estimates must survive the severance bit-identically"
+    );
+    let kinds = validated_kinds(&healed);
+    assert!(
+        kinds.contains("worker_reconnected"),
+        "trace never recorded the rejoin: {kinds:?}"
+    );
+
+    common::assert_no_orphans();
 }
 
 /// Tree-topology chaos, real-thread half: crashing an *interior relay*

@@ -30,11 +30,14 @@
 //! * in a test that runs both backends, the process run must come
 //!   first, so workers divert before reaching the thread run.
 
+mod common;
+
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Duration;
 
+use common::assert_no_orphans;
 use parmonc::prelude::{
     Exchange, NetOptions, Parmonc, ParmoncBuilder, RealizeFn, RunReport, Topology, Transport,
 };
@@ -83,61 +86,6 @@ fn trace_kinds(report: &RunReport) -> BTreeSet<&'static str> {
         .collect()
 }
 
-/// Asserts the process backend left nothing behind: no live worker
-/// children of this process, no zombies, and no `parmonc-ipc-*` socket
-/// directories belonging to this PID.
-fn assert_no_orphans() {
-    let me = std::process::id();
-    let mut orphans = Vec::new();
-    for entry in std::fs::read_dir("/proc").into_iter().flatten().flatten() {
-        let name = entry.file_name();
-        let Some(pid) = name.to_str().and_then(|s| s.parse::<u32>().ok()) else {
-            continue;
-        };
-        let Ok(stat) = std::fs::read_to_string(format!("/proc/{pid}/stat")) else {
-            continue;
-        };
-        // Field 4 of /proc/pid/stat (after the parenthesized comm) is
-        // the parent PID.
-        let Some(after_comm) = stat.rsplit(')').next() else {
-            continue;
-        };
-        let mut fields = after_comm.split_whitespace();
-        let _state = fields.next();
-        let Some(ppid) = fields.next().and_then(|p| p.parse::<u32>().ok()) else {
-            continue;
-        };
-        if ppid != me {
-            continue;
-        }
-        // Our only children are re-executed workers; any survivor with
-        // the worker environment is an orphan.
-        let environ = std::fs::read(format!("/proc/{pid}/environ")).unwrap_or_default();
-        if environ
-            .split(|&b| b == 0)
-            .any(|kv| kv.starts_with(b"PARMONC_WORKER_RANK="))
-        {
-            orphans.push(pid);
-        }
-    }
-    assert!(orphans.is_empty(), "orphaned worker processes: {orphans:?}");
-
-    let leftovers: Vec<_> = std::fs::read_dir(std::env::temp_dir())
-        .unwrap()
-        .flatten()
-        .filter(|e| {
-            e.file_name()
-                .to_str()
-                .is_some_and(|n| n.starts_with(&format!("parmonc-ipc-{me}-")))
-        })
-        .map(|e| e.path())
-        .collect();
-    assert!(
-        leftovers.is_empty(),
-        "socket dirs not removed: {leftovers:?}"
-    );
-}
-
 /// Same config + seed on both backends: bit-identical estimates and the
 /// same monitor event vocabulary. The process run comes first (see the
 /// module docs) and must leave no orphans.
@@ -176,11 +124,17 @@ fn process_and_thread_backends_agree() {
     assert!(processes.lost_workers.is_empty());
     assert!(threads.lost_workers.is_empty());
 
-    // Identical monitor event vocabularies (timing may reorder events,
-    // but both backends must surface the same *kinds* of observability).
-    // The socket backend additionally reports per-link wire telemetry,
-    // which a shared-memory run has no wire to measure.
+    // The process vocabulary is the thread vocabulary plus membership
+    // and per-link wire telemetry (timing may reorder events, but both
+    // backends must surface the same *kinds* of observability): the
+    // children join through the lease handshake like any TCP worker,
+    // and a shared-memory run has no wire to measure.
     let mut process_kinds = trace_kinds(&processes);
+    assert!(
+        process_kinds.remove("worker_joined"),
+        "join events recorded"
+    );
+    assert!(process_kinds.remove("worker_left"), "leave events recorded");
     assert!(
         process_kinds.remove("wire_stats"),
         "socket backend must flush its wire counters on shutdown"
@@ -192,6 +146,8 @@ fn process_and_thread_backends_agree() {
     let summary = processes.monitor.as_ref().expect("monitored run");
     assert_eq!(summary.dropped_events, 0);
     assert_eq!(summary.forwarded_dropped_events, 0);
+    assert_eq!(summary.workers_joined, 3);
+    assert_eq!(summary.workers_left, 3);
 
     assert_no_orphans();
 }
@@ -238,6 +194,38 @@ fn faulted_process_run_shuts_down_cleanly() {
     assert_eq!(summary.dropped_events, 0);
     assert_eq!(summary.forwarded_dropped_events, 0);
 
+    assert_no_orphans();
+}
+
+/// The launcher's failure path: children that never reach the `run()`
+/// call that launched them (here, a libtest filter matching no test)
+/// exit without joining. The launch fails fast — well inside the join
+/// deadline — with every child reaped and the socket directory gone.
+#[test]
+fn failed_launch_reaps_every_child() {
+    let _guard = SEQ.lock().unwrap_or_else(|e| e.into_inner());
+    let started = std::time::Instant::now();
+    let err = builder_for("no_such_test_function", 1, 1)
+        .max_sample_volume(100)
+        .processors(3)
+        .transport(Transport::Processes)
+        .output_dir(scratch("failed-launch"))
+        .run(uniform())
+        .unwrap_err();
+    assert!(
+        matches!(err, parmonc::ParmoncError::Io { .. }),
+        "expected the launch itself to fail, got: {err}"
+    );
+    let msg = err.to_string();
+    assert!(
+        msg.contains("exited") && msg.contains("0 of 2 joined"),
+        "expected the exited-before-joining diagnosis, got: {msg}"
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(15),
+        "a failed launch must not sit out the join deadline ({:?})",
+        started.elapsed()
+    );
     assert_no_orphans();
 }
 
@@ -757,6 +745,31 @@ fn span_tracing_keeps_estimates_bit_identical_across_backends() {
         .count();
     assert!(worker_spans > 0, "no forwarded worker spans in TCP trace");
 
+    // A launched child joins through the same handshake, so its events
+    // too arrive on the collector's run clock (the raw local stamp kept
+    // alongside) and stay monotone per rank — not on each child's own
+    // clock, offset by its spawn latency.
+    let process_events = trace_events(&traced_processes);
+    for rank in [1usize, 2] {
+        let forwarded: Vec<&parmonc_obs::Event> = process_events
+            .iter()
+            .filter(|e| e.rank == Some(rank) && e.raw_time_s.is_some())
+            .collect();
+        assert!(
+            forwarded.len() >= 4,
+            "rank {rank}: only {} forwarded events carry raw_time_s",
+            forwarded.len()
+        );
+        for pair in forwarded.windows(2) {
+            assert!(
+                pair[1].time_s >= pair[0].time_s,
+                "rank {rank}: aligned clock went backwards ({} -> {})",
+                pair[0].time_s,
+                pair[1].time_s
+            );
+        }
+    }
+
     assert_no_orphans();
 }
 
@@ -916,9 +929,12 @@ fn tree_topology_agrees_with_star_on_thread_and_process_backends() {
     }
 
     // Same observability vocabulary as the star on the same substrate;
-    // the socket backend's wire telemetry is its usual extra.
+    // the socket backend's membership and wire telemetry are its usual
+    // extras.
     assert_eq!(trace_kinds(&tree_threads), trace_kinds(&star_threads));
     let mut process_kinds = trace_kinds(&tree_processes);
+    assert!(process_kinds.remove("worker_joined"));
+    assert!(process_kinds.remove("worker_left"));
     assert!(process_kinds.remove("wire_stats"));
     assert_eq!(process_kinds, trace_kinds(&star_threads));
 
