@@ -118,6 +118,21 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// Every fault kind, in declaration order.
+    pub const ALL: [Self; 11] = [
+        Self::RankCrash,
+        Self::MessageDrop,
+        Self::MessageDuplicate,
+        Self::MessageDelay,
+        Self::TornWrite,
+        Self::BitFlip,
+        Self::IoInterrupt,
+        Self::NetSever,
+        Self::NetStall,
+        Self::NetTear,
+        Self::NetPartition,
+    ];
+
     /// The wire name used by `fault_injected` monitor events.
     #[must_use]
     pub fn as_str(self) -> &'static str {
@@ -1023,20 +1038,12 @@ mod tests {
 
     #[test]
     fn fault_kind_names_match_the_schema_vocabulary() {
-        let kinds = [
-            FaultKind::RankCrash,
-            FaultKind::MessageDrop,
-            FaultKind::MessageDuplicate,
-            FaultKind::MessageDelay,
-            FaultKind::TornWrite,
-            FaultKind::BitFlip,
-            FaultKind::IoInterrupt,
-            FaultKind::NetSever,
-            FaultKind::NetStall,
-            FaultKind::NetTear,
-            FaultKind::NetPartition,
-        ];
-        let names: Vec<&str> = kinds.iter().map(|k| k.as_str()).collect();
+        // `ALL` is in declaration order, so a variant added anywhere
+        // but last shifts a discriminant off its position.
+        for (position, kind) in FaultKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, position);
+        }
+        let names: Vec<&str> = FaultKind::ALL.iter().map(|k| k.as_str()).collect();
         assert_eq!(
             names,
             vec![

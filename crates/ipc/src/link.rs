@@ -30,6 +30,7 @@ pub(crate) struct WireTelemetry {
     bytes_out: AtomicU64,
     dials: AtomicU64,
     dedup_dropped: AtomicU64,
+    events_undecoded: AtomicU64,
 }
 
 impl WireTelemetry {
@@ -55,9 +56,17 @@ impl WireTelemetry {
         self.dedup_dropped.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts one forwarded event frame that was not a decodable
+    /// event line, and so never reached the trace.
+    pub(crate) fn count_undecoded_event(&self) {
+        self.events_undecoded.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// The end-of-link `wire_stats` event for this side of link
-    /// `link`, carrying `events_dropped` forwarded-event losses.
-    pub(crate) fn to_event(&self, link: usize, events_dropped: u64) -> EventKind {
+    /// `link`. Its `events_dropped` is what this side lost: the
+    /// `sink_dropped` events its own sinks failed to write or forward,
+    /// plus the forwarded frames it could not decode.
+    pub(crate) fn to_event(&self, link: usize, sink_dropped: u64) -> EventKind {
         EventKind::WireStats {
             link,
             frames_in: self.frames_in.load(Ordering::Relaxed),
@@ -66,7 +75,7 @@ impl WireTelemetry {
             bytes_out: self.bytes_out.load(Ordering::Relaxed),
             dials: self.dials.load(Ordering::Relaxed),
             dedup_dropped: self.dedup_dropped.load(Ordering::Relaxed),
-            events_dropped,
+            events_dropped: sink_dropped + self.events_undecoded.load(Ordering::Relaxed),
         }
     }
 }
@@ -441,18 +450,22 @@ pub(crate) fn pump_frames(stream: impl Read, tx: Sender<Envelope>, hooks: LinkHo
                     continue;
                 }
                 if frame.tag == TAG_IPC_EVENT {
-                    if let Ok(text) = std::str::from_utf8(&frame.payload) {
-                        if let Ok(event) = parmonc_obs::schema::parse_line(text) {
-                            match &clock {
-                                Some(clock) => monitor.emit_aligned(
-                                    clock.normalize(event.time_s),
-                                    Some(event.time_s),
-                                    event.rank,
-                                    event.kind,
-                                ),
-                                None => monitor.emit_at(event.time_s, event.rank, event.kind),
-                            }
+                    let decoded = std::str::from_utf8(&frame.payload)
+                        .ok()
+                        .and_then(|text| parmonc_obs::schema::parse_line(text).ok());
+                    match (decoded, &clock) {
+                        (Some(event), Some(clock)) => monitor.emit_aligned(
+                            clock.normalize(event.time_s),
+                            Some(event.time_s),
+                            event.rank,
+                            event.kind,
+                        ),
+                        (Some(event), None) => {
+                            monitor.emit_at(event.time_s, event.rank, event.kind);
                         }
+                        // Far-side trace loss must show: the link's
+                        // `wire_stats` carries the count.
+                        (None, _) => wire.count_undecoded_event(),
                     }
                     continue;
                 }
@@ -517,6 +530,76 @@ pub(crate) fn pump_frames(stream: impl Read, tx: Sender<Envelope>, hooks: LinkHo
 mod tests {
     use super::*;
     use crate::backoff::splitmix64;
+
+    /// A forwarded event frame that is not UTF-8, or not a line the
+    /// schema decodes, costs exactly itself: its neighbours reach the
+    /// trace, and the link's `wire_stats` counts the loss.
+    #[test]
+    fn undecodable_forwarded_events_are_counted_not_silently_dropped() {
+        let good = |completed| {
+            let kind = EventKind::Realizations {
+                completed,
+                compute_seconds: 0.5,
+            };
+            Event::at(1.0, Some(3), kind).to_json_line().into_bytes()
+        };
+        let mut stream = Vec::new();
+        for payload in [
+            good(10),
+            vec![0xff, 0xfe],
+            br#"{"v":1,"kind":"mystery","time_s":0}"#.to_vec(),
+            good(20),
+        ] {
+            write_frame(&mut stream, 3, TAG_IPC_EVENT, &payload).unwrap();
+        }
+
+        let sink = Arc::new(parmonc_obs::MemorySink::new());
+        let wire = Arc::new(WireTelemetry::default());
+        let (tx, _rx) = std::sync::mpsc::channel();
+        pump_frames(
+            stream.as_slice(),
+            tx,
+            LinkHooks {
+                monitor: Monitor::new(vec![Box::new(Arc::clone(&sink))]),
+                local_rank: 0,
+                stats: Arc::default(),
+                expect_source: Some(3),
+                dedup: None,
+                wire: Arc::clone(&wire),
+                clock: None,
+                clock_responder: None,
+                route: None,
+            },
+        );
+
+        let completed: Vec<u64> = sink
+            .snapshot()
+            .iter()
+            .filter_map(|event| match event.kind {
+                EventKind::Realizations { completed, .. } => Some(completed),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(completed, [10, 20]);
+        // The collector end has no sinks of its own to lose events in…
+        let EventKind::WireStats {
+            events_dropped,
+            frames_in,
+            ..
+        } = wire.to_event(3, 0)
+        else {
+            unreachable!("to_event builds wire_stats");
+        };
+        assert_eq!((frames_in, events_dropped), (4, 2));
+        // …and a worker end adds what its sinks dropped.
+        assert!(matches!(
+            wire.to_event(3, 5),
+            EventKind::WireStats {
+                events_dropped: 7,
+                ..
+            }
+        ));
+    }
 
     /// Property: over *any* seeded schedule of reconnect replays and
     /// duplications, [`admit_seq`] admits exactly the strictly-rising

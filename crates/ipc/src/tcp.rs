@@ -1182,7 +1182,10 @@ fn admit(stream: Socket, peer: Option<String>, ctx: &AcceptorCtx) -> io::Result<
                 // the worker already rejoined) stays silent — the
                 // reconnect event told that story. The collector-side
                 // wire totals go out first, so a trace always pairs a
-                // departure with the link's final accounting.
+                // departure with the link's final accounting (the
+                // collector forwards nothing over the link, so its
+                // only event losses are the frames it could not
+                // decode, which the telemetry counted).
                 if let Ok(mut l) = lease.lock() {
                     if l.generation[rank - 1] == generation {
                         l.writers[rank - 1] = None;

@@ -2,508 +2,392 @@
 //! substrate and the cluster simulator can report, with its JSONL
 //! encoding.
 //!
-//! One [`Event`] is one line of `run_metrics.jsonl`. The schema is
-//! documented field-by-field in `docs/observability.md`; the encoder
-//! here and the validator in [`crate::schema`] are the two normative
-//! implementations.
+//! One [`Event`] is one line of `run_metrics.jsonl`, documented field
+//! by field in `docs/observability.md`. The schema is declared here,
+//! once: a `vocab!` table per closed string set and one `events!` table
+//! of the kinds (macros in `wire.rs`), from which the encoder, the
+//! validator and decoder in [`crate::schema`], the metric labels and
+//! the test samples are generated.
 
-use std::fmt::Write as _;
+use crate::wire::{events, push_quoted, vocab, KindClass, WireField};
 
 /// Schema version stamped on every emitted line (the `"v"` field).
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// Which engine produced a trace: real threads or the discrete-event
-/// cluster simulator. Both emit the same event kinds so traces are
-/// directly comparable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunMode {
-    /// The real-thread runner (`parmonc::runner`).
-    Threads,
-    /// The virtual-time simulator (`parmonc-simcluster`).
-    SimCluster,
-}
-
-impl RunMode {
-    /// The wire name of the mode.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Threads => "threads",
-            Self::SimCluster => "simcluster",
-        }
+vocab! {
+    /// Which engine produced a trace: real threads or the discrete-event
+    /// cluster simulator. Both emit the same event kinds so traces are
+    /// directly comparable.
+    pub enum RunMode {
+        /// The real-thread runner (`parmonc::runner`).
+        Threads = "threads",
+        /// The virtual-time simulator (`parmonc-simcluster`).
+        SimCluster = "simcluster",
     }
 }
 
-/// Which transport substrate carried a real run's rank traffic: the
-/// in-process thread channels, the multi-process Unix-socket backend,
-/// or the multi-host TCP backend. Distinct from [`RunMode`]: the
-/// simulator has no transport, and all transports run the identical
-/// collector code, so the label appears as an *optional* `transport`
-/// field on `run_started`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunTransport {
-    /// Ranks are OS threads exchanging envelopes over channels.
-    Threads,
-    /// Ranks are forked worker processes exchanging envelopes over
-    /// Unix-domain sockets (`parmonc-ipc`).
-    Processes,
-    /// Ranks are remote worker processes dialing the collector over
-    /// TCP, with elastic membership (`parmonc-ipc`'s `tcp` module).
-    Tcp,
-}
-
-impl RunTransport {
-    /// The wire name of the transport.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Threads => "threads",
-            Self::Processes => "processes",
-            Self::Tcp => "tcp",
-        }
-    }
-
-    /// Parses a wire name back into the transport.
-    #[must_use]
-    pub fn from_str_opt(s: &str) -> Option<Self> {
-        match s {
-            "threads" => Some(Self::Threads),
-            "processes" => Some(Self::Processes),
-            "tcp" => Some(Self::Tcp),
-            _ => None,
-        }
+vocab! {
+    /// Which transport substrate carried a real run's rank traffic: the
+    /// in-process thread channels, the multi-process Unix-socket backend,
+    /// or the multi-host TCP backend. Distinct from [`RunMode`]: the
+    /// simulator has no transport, and all transports run the identical
+    /// collector code, so the label appears as an *optional* `transport`
+    /// field on `run_started`.
+    pub enum RunTransport series("parmonc_transport_info", "transport") {
+        /// Ranks are OS threads exchanging envelopes over channels.
+        Threads = "threads",
+        /// Ranks are forked worker processes exchanging envelopes over
+        /// Unix-domain sockets (`parmonc-ipc`).
+        Processes = "processes",
+        /// Ranks are remote worker processes dialing the collector over
+        /// TCP, with elastic membership (`parmonc-ipc`'s `tcp` module).
+        Tcp = "tcp",
     }
 }
 
-/// What the collector (rank 0) was doing during a trace segment.
-///
-/// This enum used to live in `parmonc-simcluster`; it moved here so the
-/// real-thread runner and the simulator label collector time with the
-/// same vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollectorActivity {
-    /// Simulating its own realizations.
-    Computing,
-    /// Receiving and folding worker subtotals.
-    Receiving,
-    /// Averaging and writing a save-point.
-    Saving,
-    /// Idle, waiting for messages.
-    Waiting,
-}
-
-impl CollectorActivity {
-    /// The wire name of the activity.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Computing => "computing",
-            Self::Receiving => "receiving",
-            Self::Saving => "saving",
-            Self::Waiting => "waiting",
-        }
-    }
-
-    /// Parses a wire name back into the activity.
-    #[must_use]
-    pub fn from_str_opt(s: &str) -> Option<Self> {
-        match s {
-            "computing" => Some(Self::Computing),
-            "receiving" => Some(Self::Receiving),
-            "saving" => Some(Self::Saving),
-            "waiting" => Some(Self::Waiting),
-            _ => None,
-        }
+vocab! {
+    /// What the collector (rank 0) was doing during a trace segment.
+    ///
+    /// This enum used to live in `parmonc-simcluster`; it moved here so the
+    /// real-thread runner and the simulator label collector time with the
+    /// same vocabulary.
+    pub enum CollectorActivity series("parmonc_collector_seconds_total", "activity") {
+        /// Simulating its own realizations.
+        Computing = "computing",
+        /// Receiving and folding worker subtotals.
+        Receiving = "receiving",
+        /// Averaging and writing a save-point.
+        Saving = "saving",
+        /// Idle, waiting for messages.
+        Waiting = "waiting",
     }
 }
 
-/// The run phase a tracing span covers.
-///
-/// Spans wrap the phases that already exist implicitly in the runner
-/// and worker loops; the vocabulary is fixed so the trace tooling
-/// (`parmonc-trace timeline` / `critical-path`) can reason about
-/// dependencies between phases without free-text matching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanPhase {
-    /// Positioning the leapfrog stream cursor for a rank's quota.
-    StreamPosition,
-    /// One batch of realizations between exchange points.
-    RealizationBatch,
-    /// Encoding and sending one cumulative subtotal.
-    SubtotalSend,
-    /// The collector folding received subtotals and averaging.
-    CollectorMerge,
-    /// The collector writing a checkpoint / save-point.
-    Checkpoint,
-    /// An interior relay rank (tree collection topology) coalescing
-    /// its children's latest subtotals into one upstream batch.
-    RelayMerge,
-    /// A worker redialing the collector after a broken link.
-    Reconnect,
+vocab! {
+    /// The run phase a tracing span covers.
+    ///
+    /// Spans wrap the phases that already exist implicitly in the runner
+    /// and worker loops; the vocabulary is fixed so the trace tooling
+    /// (`parmonc-trace timeline` / `critical-path`) can reason about
+    /// dependencies between phases without free-text matching.
+    pub enum SpanPhase series("parmonc_spans_total", "phase") {
+        /// Positioning the leapfrog stream cursor for a rank's quota.
+        StreamPosition = "stream_position",
+        /// One batch of realizations between exchange points.
+        RealizationBatch = "realization_batch",
+        /// Encoding and sending one cumulative subtotal.
+        SubtotalSend = "subtotal_send",
+        /// The collector folding received subtotals and averaging.
+        CollectorMerge = "collector_merge",
+        /// The collector writing a checkpoint / save-point.
+        Checkpoint = "checkpoint",
+        /// An interior relay rank (tree collection topology) coalescing
+        /// its children's latest subtotals into one upstream batch.
+        RelayMerge = "relay_merge",
+        /// A worker redialing the collector after a broken link.
+        Reconnect = "reconnect",
+    }
 }
 
-impl SpanPhase {
-    /// The wire name of the phase.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::StreamPosition => "stream_position",
-            Self::RealizationBatch => "realization_batch",
-            Self::SubtotalSend => "subtotal_send",
-            Self::CollectorMerge => "collector_merge",
-            Self::Checkpoint => "checkpoint",
-            Self::RelayMerge => "relay_merge",
-            Self::Reconnect => "reconnect",
-        }
-    }
+/// The `fault_injected.fault` vocabulary. `parmonc_faults::FaultKind`
+/// spells the same names in a crate this one shares no edge with; the
+/// umbrella test `fault_names_match_the_schema` holds the two together.
+const FAULT_NAMES: &[&str] = &[
+    "rank_crash",
+    "message_drop",
+    "message_duplicate",
+    "message_delay",
+    "torn_write",
+    "bit_flip",
+    "io_interrupt",
+    "net_sever",
+    "net_stall",
+    "net_tear",
+    "net_partition",
+];
 
-    /// Parses a wire name back into the phase.
-    #[must_use]
-    pub fn from_str_opt(s: &str) -> Option<Self> {
-        match s {
-            "stream_position" => Some(Self::StreamPosition),
-            "realization_batch" => Some(Self::RealizationBatch),
-            "subtotal_send" => Some(Self::SubtotalSend),
-            "collector_merge" => Some(Self::CollectorMerge),
-            "checkpoint" => Some(Self::Checkpoint),
-            "relay_merge" => Some(Self::RelayMerge),
-            "reconnect" => Some(Self::Reconnect),
-            _ => None,
-        }
+events! {
+    /// The payload of one monitor event.
+    ///
+    /// Kinds map 1:1 to the `"kind"` discriminator on the wire; see
+    /// `docs/observability.md` for units and paper mapping.
+    pub enum EventKind {
+        /// A run began. First event of every trace.
+        RunStarted = "run_started", Always {
+            /// Real threads or the cluster simulator.
+            mode: RunMode,
+            /// Processor (rank) count `M`.
+            processors: usize,
+            /// Target total sample volume `maxsv` / `L`.
+            max_sample_volume: u64,
+            /// The "experiments" subsequence number; `None` for virtual
+            /// runs, which draw no random numbers.
+            seqnum: Option<u64>,
+            /// Realization matrix rows; `None` for virtual runs.
+            nrow: Option<usize>,
+            /// Realization matrix columns; `None` for virtual runs.
+            ncol: Option<usize>,
+            /// Which transport substrate carries rank traffic; `None` for
+            /// virtual (simulated) runs, which have no transport.
+            transport: Option<RunTransport>,
+        },
+        /// A rank's cumulative realization progress (emitted at exchange
+        /// points, not per realization, to bound overhead).
+        Realizations = "realizations", Always {
+            /// Realizations completed by this rank so far.
+            completed: u64,
+            /// Seconds this rank has spent computing realizations so far.
+            compute_seconds: f64,
+        },
+        /// A point-to-point message left a rank.
+        MessageSent = "message_sent", Always {
+            /// Destination rank.
+            dest: usize,
+            /// Message tag (the runner uses 1 = subtotal, 2 = final,
+            /// 3 = stop).
+            tag: u32,
+            /// Payload bytes.
+            bytes: u64,
+        },
+        /// A point-to-point message was delivered to its receiver.
+        MessageReceived = "message_received", Always {
+            /// Source rank.
+            source: usize,
+            /// Message tag.
+            tag: u32,
+            /// Payload bytes.
+            bytes: u64,
+            /// Messages still queued for this receiver after the delivery.
+            queue_depth: u64,
+        },
+        /// A receiver's queue depth reached a new maximum.
+        QueueHighWater = "queue_high_water", Always {
+            /// The new high-water mark (messages enqueued and undelivered).
+            depth: u64,
+        },
+        /// The collector averaged all subtotals received so far
+        /// (formula (5)).
+        AveragingPass = "averaging_pass", Always {
+            /// Total sample volume folded into the average.
+            volume: u64,
+            /// Wall (or virtual) seconds the pass took, including the
+            /// save-point write.
+            duration_seconds: f64,
+            /// Largest absolute stochastic error after the pass; absent in
+            /// virtual runs, which carry no estimates.
+            eps_max: Option<f64>,
+            /// Age of the stalest per-rank subtotal folded in; absent if no
+            /// worker has reported yet.
+            max_snapshot_age_seconds: Option<f64>,
+        },
+        /// The collector rewrote the result files.
+        SavePoint = "save_point", Always {
+            /// Total sample volume in the saved results.
+            volume: u64,
+            /// Seconds the write took.
+            duration_seconds: f64,
+        },
+        /// One contiguous activity segment on the collector's timeline.
+        CollectorSegment = "collector_segment", Always {
+            /// What the collector was doing.
+            activity: CollectorActivity,
+            /// Segment start, seconds since run start.
+            start_s: f64,
+            /// Segment end, seconds since run start.
+            end_s: f64,
+        },
+        /// The run finished. Last event of every trace.
+        RunCompleted = "run_completed", Always {
+            /// Realizations simulated by the run.
+            realizations: u64,
+            /// The paper's `T_comp`: seconds from start until the collector
+            /// saved the final results.
+            t_comp_seconds: f64,
+            /// Subtotal messages the collector received.
+            messages: u64,
+            /// Payload bytes the collector received.
+            bytes: u64,
+        },
+        /// The deterministic fault plane injected a scripted fault.
+        FaultInjected = "fault_injected", Fault {
+            /// Which fault fired: one of the `parmonc_faults::FaultKind`
+            /// wire names, listed in the `fault_injected` entry of
+            /// `docs/observability.md`.
+            fault in FAULT_NAMES: String,
+            /// Kind-specific detail: the crash realization for
+            /// `rank_crash`, the message sequence number for message
+            /// faults; absent for I/O faults.
+            detail: Option<u64>,
+        },
+        /// The collector declared a worker dead after its liveness timeout
+        /// expired. The worker's last *cumulative* subtotal stays in the
+        /// average.
+        WorkerLost = "worker_lost", Fault {
+            /// The rank declared dead.
+            worker: usize,
+            /// Realizations the collector had received from it, which
+            /// remain in the estimate.
+            received_realizations: u64,
+        },
+        /// The collector reassigned a dead worker's remaining realization
+        /// budget to a survivor, on the survivor's own leapfrog streams.
+        WorkReassigned = "work_reassigned", Fault {
+            /// The dead rank whose budget is being redistributed.
+            from_worker: usize,
+            /// The surviving rank taking over the work.
+            to_worker: usize,
+            /// How many extra realizations the survivor will simulate.
+            realizations: u64,
+        },
+        /// A resume found the primary checkpoint corrupt (or missing) and
+        /// recovered from the last-good `.bak` generation.
+        CheckpointRecovered = "checkpoint_recovered", Fault {
+            /// Sample volume of the recovered checkpoint.
+            volume: u64,
+        },
+        /// One point of a functional's error-bar trajectory, emitted by the
+        /// [`crate::ConvergenceTracker`] after each averaging pass.
+        MetricsSnapshot = "metrics_snapshot", Always {
+            /// Index of the estimated functional (row-major position in the
+            /// realization matrix).
+            functional: u64,
+            /// Total sample volume folded into the estimate.
+            n: u64,
+            /// The current sample mean; absent in virtual runs, which carry
+            /// no estimates.
+            mean: Option<f64>,
+            /// The current absolute stochastic error bar; absent in virtual
+            /// runs and while `n < 2`.
+            err: Option<f64>,
+        },
+        /// The run's largest error bar first dropped to the configured
+        /// target — the principled "stop when ε ≤ target" signal. Emitted
+        /// at most once per run, and only when a target is configured.
+        TargetPrecisionReached = "target_precision_reached", Conditional {
+            /// Total sample volume when the target was reached.
+            n: u64,
+            /// The largest absolute error bar at that point.
+            eps_max: f64,
+            /// The configured target it dropped below.
+            target: f64,
+        },
+        /// An elastic-membership worker completed the join handshake and
+        /// was leased a rank (TCP backend only).
+        WorkerJoined = "worker_joined", Conditional {
+            /// The leased logical rank.
+            worker: usize,
+            /// The peer's socket address, when known.
+            addr: Option<String>,
+        },
+        /// An elastic-membership worker's connection closed — worker exit,
+        /// crash, or run shutdown (TCP backend only).
+        WorkerLeft = "worker_left", Conditional {
+            /// The departing logical rank.
+            worker: usize,
+        },
+        /// A worker that already held a lease re-attached after a broken
+        /// connection or a collector restart, keeping its rank (TCP
+        /// backend only).
+        WorkerReconnected = "worker_reconnected", Fault {
+            /// The rank that re-attached.
+            worker: usize,
+        },
+        /// A restarted collector re-armed an interrupted run: the lease
+        /// table and checkpoint were reloaded and the original session
+        /// epoch re-announced (TCP backend only).
+        CollectorResumed = "collector_resumed", Fault {
+            /// The session epoch, in lowercase hex (a string because JSON
+            /// numbers lose precision above 2^53).
+            epoch: String,
+            /// How many worker ranks had ever been leased before the crash.
+            leases: usize,
+        },
+        /// A reader hit EOF in the middle of a frame — the peer died (or
+        /// the fault plane tore the frame) mid-write. The partial frame is
+        /// rejected, never delivered.
+        TornFrame = "torn_frame", Fault {
+            /// The rank whose link carried the torn frame.
+            source: usize,
+        },
+        /// A tracing span opened (emitted only when span tracing is
+        /// enabled). Span ids are run-unique: the emitting rank lives in
+        /// the id's high bits, a process-local counter in the low bits.
+        SpanStarted = "span_started", Conditional {
+            /// The run-unique span id.
+            span: u64,
+            /// The enclosing span's id, if any.
+            parent: Option<u64>,
+            /// Which run phase the span covers.
+            phase: SpanPhase,
+        },
+        /// A tracing span closed. Duration is `time_s` here minus `time_s`
+        /// of the matching `span_started`, both on the corrected run clock.
+        SpanEnded = "span_ended", Conditional {
+            /// The run-unique span id being closed.
+            span: u64,
+            /// The phase, repeated so a trace with a lost start event is
+            /// still attributable.
+            phase: SpanPhase,
+        },
+        /// Per-link wire telemetry, emitted when a socket link (Unix-domain
+        /// or TCP) is torn down. Counts cover the link's whole life,
+        /// including frames that carried protocol traffic rather than
+        /// envelopes.
+        WireStats = "wire_stats", Conditional {
+            /// The peer rank on the other end of the link.
+            link: usize,
+            /// Frames read off the link.
+            frames_in: u64,
+            /// Payload + header bytes read off the link.
+            bytes_in: u64,
+            /// Frames written to the link.
+            frames_out: u64,
+            /// Payload + header bytes written to the link.
+            bytes_out: u64,
+            /// Reconnect dials attempted on the link (TCP workers only).
+            dials: u64,
+            /// Frames dropped as exactly-once duplicates (`admit_seq`).
+            dedup_dropped: u64,
+            /// Events lost on this link end: what a worker's sinks failed
+            /// to write or forward, or — on the collector's end — the
+            /// forwarded event frames that did not decode. Surfaced so
+            /// the collector's summary can account for trace truncation
+            /// on the far side of the wire.
+            events_dropped: u64,
+        },
     }
-
-    /// Every phase name, in schema order.
-    pub const ALL: [&'static str; 7] = [
-        "stream_position",
-        "realization_batch",
-        "subtotal_send",
-        "collector_merge",
-        "checkpoint",
-        "relay_merge",
-        "reconnect",
-    ];
 }
 
-/// The payload of one monitor event.
-///
-/// Kinds map 1:1 to the `"kind"` discriminator on the wire; see
-/// `docs/observability.md` for units and paper mapping.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
-    /// A run began. First event of every trace.
-    RunStarted {
-        /// Real threads or the cluster simulator.
-        mode: RunMode,
-        /// Processor (rank) count `M`.
-        processors: usize,
-        /// Target total sample volume `maxsv` / `L`.
-        max_sample_volume: u64,
-        /// The "experiments" subsequence number; `None` for virtual
-        /// runs, which draw no random numbers.
-        seqnum: Option<u64>,
-        /// Realization matrix rows; `None` for virtual runs.
-        nrow: Option<usize>,
-        /// Realization matrix columns; `None` for virtual runs.
-        ncol: Option<usize>,
-        /// Which transport substrate carries rank traffic; `None` for
-        /// virtual (simulated) runs, which have no transport.
-        transport: Option<RunTransport>,
-    },
-    /// A rank's cumulative realization progress (emitted at exchange
-    /// points, not per realization, to bound overhead).
-    Realizations {
-        /// Realizations completed by this rank so far.
-        completed: u64,
-        /// Seconds this rank has spent computing realizations so far.
-        compute_seconds: f64,
-    },
-    /// A point-to-point message left a rank.
-    MessageSent {
-        /// Destination rank.
-        dest: usize,
-        /// Message tag (the runner uses 1 = subtotal, 2 = final,
-        /// 3 = stop).
-        tag: u32,
-        /// Payload bytes.
-        bytes: u64,
-    },
-    /// A point-to-point message was delivered to its receiver.
-    MessageReceived {
-        /// Source rank.
-        source: usize,
-        /// Message tag.
-        tag: u32,
-        /// Payload bytes.
-        bytes: u64,
-        /// Messages still queued for this receiver after the delivery.
-        queue_depth: u64,
-    },
-    /// A receiver's queue depth reached a new maximum.
-    QueueHighWater {
-        /// The new high-water mark (messages enqueued and undelivered).
-        depth: u64,
-    },
-    /// The collector averaged all subtotals received so far
-    /// (formula (5)).
-    AveragingPass {
-        /// Total sample volume folded into the average.
-        volume: u64,
-        /// Wall (or virtual) seconds the pass took, including the
-        /// save-point write.
-        duration_seconds: f64,
-        /// Largest absolute stochastic error after the pass; absent in
-        /// virtual runs, which carry no estimates.
-        eps_max: Option<f64>,
-        /// Age of the stalest per-rank subtotal folded in; absent if no
-        /// worker has reported yet.
-        max_snapshot_age_seconds: Option<f64>,
-    },
-    /// The collector rewrote the result files.
-    SavePoint {
-        /// Total sample volume in the saved results.
-        volume: u64,
-        /// Seconds the write took.
-        duration_seconds: f64,
-    },
-    /// One contiguous activity segment on the collector's timeline.
-    CollectorSegment {
-        /// What the collector was doing.
-        activity: CollectorActivity,
-        /// Segment start, seconds since run start.
-        start_s: f64,
-        /// Segment end, seconds since run start.
-        end_s: f64,
-    },
-    /// The run finished. Last event of every trace.
-    RunCompleted {
-        /// Realizations simulated by the run.
-        realizations: u64,
-        /// The paper's `T_comp`: seconds from start until the collector
-        /// saved the final results.
-        t_comp_seconds: f64,
-        /// Subtotal messages the collector received.
-        messages: u64,
-        /// Payload bytes the collector received.
-        bytes: u64,
-    },
-    /// The deterministic fault plane injected a scripted fault.
-    FaultInjected {
-        /// Which fault fired, from the fixed vocabulary
-        /// (`rank_crash`, `message_drop`, `message_duplicate`,
-        /// `message_delay`, `torn_write`, `bit_flip`, `io_interrupt`).
-        fault: String,
-        /// Kind-specific detail: the crash realization for
-        /// `rank_crash`, the message sequence number for message
-        /// faults; absent for I/O faults.
-        detail: Option<u64>,
-    },
-    /// The collector declared a worker dead after its liveness timeout
-    /// expired. The worker's last *cumulative* subtotal stays in the
-    /// average.
-    WorkerLost {
-        /// The rank declared dead.
-        worker: usize,
-        /// Realizations the collector had received from it, which
-        /// remain in the estimate.
-        received_realizations: u64,
-    },
-    /// The collector reassigned a dead worker's remaining realization
-    /// budget to a survivor, on the survivor's own leapfrog streams.
-    WorkReassigned {
-        /// The dead rank whose budget is being redistributed.
-        from_worker: usize,
-        /// The surviving rank taking over the work.
-        to_worker: usize,
-        /// How many extra realizations the survivor will simulate.
-        realizations: u64,
-    },
-    /// A resume found the primary checkpoint corrupt (or missing) and
-    /// recovered from the last-good `.bak` generation.
-    CheckpointRecovered {
-        /// Sample volume of the recovered checkpoint.
-        volume: u64,
-    },
-    /// One point of a functional's error-bar trajectory, emitted by the
-    /// [`crate::ConvergenceTracker`] after each averaging pass.
-    MetricsSnapshot {
-        /// Index of the estimated functional (row-major position in the
-        /// realization matrix).
-        functional: u64,
-        /// Total sample volume folded into the estimate.
-        n: u64,
-        /// The current sample mean; absent in virtual runs, which carry
-        /// no estimates.
-        mean: Option<f64>,
-        /// The current absolute stochastic error bar; absent in virtual
-        /// runs and while `n < 2`.
-        err: Option<f64>,
-    },
-    /// The run's largest error bar first dropped to the configured
-    /// target — the principled "stop when ε ≤ target" signal. Emitted
-    /// at most once per run, and only when a target is configured.
-    TargetPrecisionReached {
-        /// Total sample volume when the target was reached.
-        n: u64,
-        /// The largest absolute error bar at that point.
-        eps_max: f64,
-        /// The configured target it dropped below.
-        target: f64,
-    },
-    /// An elastic-membership worker completed the join handshake and
-    /// was leased a rank (TCP backend only).
-    WorkerJoined {
-        /// The leased logical rank.
-        worker: usize,
-        /// The peer's socket address, when known.
-        addr: Option<String>,
-    },
-    /// An elastic-membership worker's connection closed — worker exit,
-    /// crash, or run shutdown (TCP backend only).
-    WorkerLeft {
-        /// The departing logical rank.
-        worker: usize,
-    },
-    /// A worker that already held a lease re-attached after a broken
-    /// connection or a collector restart, keeping its rank (TCP
-    /// backend only).
-    WorkerReconnected {
-        /// The rank that re-attached.
-        worker: usize,
-    },
-    /// A restarted collector re-armed an interrupted run: the lease
-    /// table and checkpoint were reloaded and the original session
-    /// epoch re-announced (TCP backend only).
-    CollectorResumed {
-        /// The session epoch, in lowercase hex (a string because JSON
-        /// numbers lose precision above 2^53).
-        epoch: String,
-        /// How many worker ranks had ever been leased before the crash.
-        leases: usize,
-    },
-    /// A reader hit EOF in the middle of a frame — the peer died (or
-    /// the fault plane tore the frame) mid-write. The partial frame is
-    /// rejected, never delivered.
-    TornFrame {
-        /// The rank whose link carried the torn frame.
-        source: usize,
-    },
-    /// A tracing span opened (emitted only when span tracing is
-    /// enabled). Span ids are run-unique: the emitting rank lives in
-    /// the id's high bits, a process-local counter in the low bits.
-    SpanStarted {
-        /// The run-unique span id.
-        span: u64,
-        /// The enclosing span's id, if any.
-        parent: Option<u64>,
-        /// Which run phase the span covers.
-        phase: SpanPhase,
-    },
-    /// A tracing span closed. Duration is `time_s` here minus `time_s`
-    /// of the matching `span_started`, both on the corrected run clock.
-    SpanEnded {
-        /// The run-unique span id being closed.
-        span: u64,
-        /// The phase, repeated so a trace with a lost start event is
-        /// still attributable.
-        phase: SpanPhase,
-    },
-    /// Per-link wire telemetry, emitted when a socket link (Unix-domain
-    /// or TCP) is torn down. Counts cover the link's whole life,
-    /// including frames that carried protocol traffic rather than
-    /// envelopes.
-    WireStats {
-        /// The peer rank on the other end of the link.
-        link: usize,
-        /// Frames read off the link.
-        frames_in: u64,
-        /// Payload + header bytes read off the link.
-        bytes_in: u64,
-        /// Frames written to the link.
-        frames_out: u64,
-        /// Payload + header bytes written to the link.
-        bytes_out: u64,
-        /// Reconnect dials attempted on the link (TCP workers only).
-        dials: u64,
-        /// Frames dropped as exactly-once duplicates (`admit_seq`).
-        dedup_dropped: u64,
-        /// Events the emitting side's sinks failed to write — a
-        /// worker's forwarded-sink drop count, surfaced so the
-        /// collector's summary can account for trace truncation on the
-        /// far side of the wire.
-        events_dropped: u64,
-    },
+/// The names of the kinds of one class, in schema order; `N` must be
+/// [`count_class`] of it.
+const fn kinds_of_class<const N: usize>(class: KindClass) -> [&'static str; N] {
+    let mut names = [""; N];
+    let (mut n, mut i) = (0, 0);
+    while i < KINDS.len() {
+        if KINDS[i].class as u8 == class as u8 {
+            names[n] = KINDS[i].name;
+            n += 1;
+        }
+        i += 1;
+    }
+    names
+}
+
+const fn count_class(class: KindClass) -> usize {
+    let (mut n, mut i) = (0, 0);
+    while i < KINDS.len() {
+        n += (KINDS[i].class as u8 == class as u8) as usize;
+        i += 1;
+    }
+    n
 }
 
 impl EventKind {
-    /// The wire name of the kind (the `"kind"` field).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::RunStarted { .. } => "run_started",
-            Self::Realizations { .. } => "realizations",
-            Self::MessageSent { .. } => "message_sent",
-            Self::MessageReceived { .. } => "message_received",
-            Self::QueueHighWater { .. } => "queue_high_water",
-            Self::AveragingPass { .. } => "averaging_pass",
-            Self::SavePoint { .. } => "save_point",
-            Self::CollectorSegment { .. } => "collector_segment",
-            Self::RunCompleted { .. } => "run_completed",
-            Self::FaultInjected { .. } => "fault_injected",
-            Self::WorkerLost { .. } => "worker_lost",
-            Self::WorkReassigned { .. } => "work_reassigned",
-            Self::CheckpointRecovered { .. } => "checkpoint_recovered",
-            Self::MetricsSnapshot { .. } => "metrics_snapshot",
-            Self::TargetPrecisionReached { .. } => "target_precision_reached",
-            Self::WorkerJoined { .. } => "worker_joined",
-            Self::WorkerLeft { .. } => "worker_left",
-            Self::WorkerReconnected { .. } => "worker_reconnected",
-            Self::CollectorResumed { .. } => "collector_resumed",
-            Self::TornFrame { .. } => "torn_frame",
-            Self::SpanStarted { .. } => "span_started",
-            Self::SpanEnded { .. } => "span_ended",
-            Self::WireStats { .. } => "wire_stats",
-        }
-    }
-
-    /// Every kind name, in schema order.
-    pub const ALL_KINDS: [&'static str; 23] = [
-        "run_started",
-        "realizations",
-        "message_sent",
-        "message_received",
-        "queue_high_water",
-        "averaging_pass",
-        "save_point",
-        "collector_segment",
-        "run_completed",
-        "fault_injected",
-        "worker_lost",
-        "work_reassigned",
-        "checkpoint_recovered",
-        "metrics_snapshot",
-        "target_precision_reached",
-        "worker_joined",
-        "worker_left",
-        "worker_reconnected",
-        "collector_resumed",
-        "torn_frame",
-        "span_started",
-        "span_ended",
-        "wire_stats",
-    ];
-
     /// The kinds only emitted on fault/recovery paths; a fault-free run
     /// exercises exactly `ALL_KINDS` minus these and
     /// [`Self::CONDITIONAL_KINDS`].
-    pub const FAULT_KINDS: [&'static str; 7] = [
-        "fault_injected",
-        "worker_lost",
-        "work_reassigned",
-        "checkpoint_recovered",
-        "worker_reconnected",
-        "collector_resumed",
-        "torn_frame",
-    ];
+    pub const FAULT_KINDS: [&'static str; count_class(KindClass::Fault)] =
+        kinds_of_class(KindClass::Fault);
 
     /// The kinds that depend on run configuration rather than run
     /// health: `target_precision_reached` only fires when a
@@ -513,14 +397,8 @@ impl EventKind {
     /// tracing is enabled, and `wire_stats` only on socket transports
     /// (Unix-domain or TCP). A fault-free run emits exactly
     /// `ALL_KINDS` minus `FAULT_KINDS` minus these.
-    pub const CONDITIONAL_KINDS: [&'static str; 6] = [
-        "target_precision_reached",
-        "worker_joined",
-        "worker_left",
-        "span_started",
-        "span_ended",
-        "wire_stats",
-    ];
+    pub const CONDITIONAL_KINDS: [&'static str; count_class(KindClass::Conditional)] =
+        kinds_of_class(KindClass::Conditional);
 }
 
 /// One monitor event: a timestamp, the emitting rank (if any), and the
@@ -539,18 +417,6 @@ pub struct Event {
     pub raw_time_s: Option<f64>,
     /// The payload.
     pub kind: EventKind,
-}
-
-/// Formats an `f64` for the wire: finite values use Rust's shortest
-/// round-trip `Display`; non-finite values (which valid metrics never
-/// produce, but a defensive encoder must not emit as bare words JSON
-/// rejects) become `null`.
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
 }
 
 impl Event {
@@ -587,219 +453,12 @@ impl Event {
     #[must_use]
     pub fn to_json_line(&self) -> String {
         let mut s = String::with_capacity(128);
-        let _ = write!(
-            s,
-            "{{\"v\":{SCHEMA_VERSION},\"kind\":\"{}\"",
-            self.kind.name()
-        );
-        s.push_str(",\"time_s\":");
-        push_f64(&mut s, self.time_s);
-        if let Some(raw) = self.raw_time_s {
-            s.push_str(",\"raw_time_s\":");
-            push_f64(&mut s, raw);
-        }
-        if let Some(rank) = self.rank {
-            let _ = write!(s, ",\"rank\":{rank}");
-        }
-        match &self.kind {
-            EventKind::RunStarted {
-                mode,
-                processors,
-                max_sample_volume,
-                seqnum,
-                nrow,
-                ncol,
-                transport,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"mode\":\"{}\",\"processors\":{processors},\"max_sample_volume\":{max_sample_volume}",
-                    mode.as_str()
-                );
-                if let Some(seqnum) = seqnum {
-                    let _ = write!(s, ",\"seqnum\":{seqnum}");
-                }
-                if let Some(nrow) = nrow {
-                    let _ = write!(s, ",\"nrow\":{nrow}");
-                }
-                if let Some(ncol) = ncol {
-                    let _ = write!(s, ",\"ncol\":{ncol}");
-                }
-                if let Some(transport) = transport {
-                    let _ = write!(s, ",\"transport\":\"{}\"", transport.as_str());
-                }
-            }
-            EventKind::Realizations {
-                completed,
-                compute_seconds,
-            } => {
-                let _ = write!(s, ",\"completed\":{completed},\"compute_seconds\":");
-                push_f64(&mut s, *compute_seconds);
-            }
-            EventKind::MessageSent { dest, tag, bytes } => {
-                let _ = write!(s, ",\"dest\":{dest},\"tag\":{tag},\"bytes\":{bytes}");
-            }
-            EventKind::MessageReceived {
-                source,
-                tag,
-                bytes,
-                queue_depth,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"source\":{source},\"tag\":{tag},\"bytes\":{bytes},\"queue_depth\":{queue_depth}"
-                );
-            }
-            EventKind::QueueHighWater { depth } => {
-                let _ = write!(s, ",\"depth\":{depth}");
-            }
-            EventKind::AveragingPass {
-                volume,
-                duration_seconds,
-                eps_max,
-                max_snapshot_age_seconds,
-            } => {
-                let _ = write!(s, ",\"volume\":{volume},\"duration_seconds\":");
-                push_f64(&mut s, *duration_seconds);
-                if let Some(eps) = eps_max {
-                    s.push_str(",\"eps_max\":");
-                    push_f64(&mut s, *eps);
-                }
-                if let Some(age) = max_snapshot_age_seconds {
-                    s.push_str(",\"max_snapshot_age_seconds\":");
-                    push_f64(&mut s, *age);
-                }
-            }
-            EventKind::SavePoint {
-                volume,
-                duration_seconds,
-            } => {
-                let _ = write!(s, ",\"volume\":{volume},\"duration_seconds\":");
-                push_f64(&mut s, *duration_seconds);
-            }
-            EventKind::CollectorSegment {
-                activity,
-                start_s,
-                end_s,
-            } => {
-                let _ = write!(s, ",\"activity\":\"{}\",\"start_s\":", activity.as_str());
-                push_f64(&mut s, *start_s);
-                s.push_str(",\"end_s\":");
-                push_f64(&mut s, *end_s);
-            }
-            EventKind::RunCompleted {
-                realizations,
-                t_comp_seconds,
-                messages,
-                bytes,
-            } => {
-                let _ = write!(s, ",\"realizations\":{realizations},\"t_comp_seconds\":");
-                push_f64(&mut s, *t_comp_seconds);
-                let _ = write!(s, ",\"messages\":{messages},\"bytes\":{bytes}");
-            }
-            EventKind::FaultInjected { fault, detail } => {
-                let _ = write!(s, ",\"fault\":\"{fault}\"");
-                if let Some(detail) = detail {
-                    let _ = write!(s, ",\"detail\":{detail}");
-                }
-            }
-            EventKind::WorkerLost {
-                worker,
-                received_realizations,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"worker\":{worker},\"received_realizations\":{received_realizations}"
-                );
-            }
-            EventKind::WorkReassigned {
-                from_worker,
-                to_worker,
-                realizations,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"from_worker\":{from_worker},\"to_worker\":{to_worker},\"realizations\":{realizations}"
-                );
-            }
-            EventKind::CheckpointRecovered { volume } => {
-                let _ = write!(s, ",\"volume\":{volume}");
-            }
-            EventKind::MetricsSnapshot {
-                functional,
-                n,
-                mean,
-                err,
-            } => {
-                let _ = write!(s, ",\"functional\":{functional},\"n\":{n}");
-                if let Some(mean) = mean {
-                    s.push_str(",\"mean\":");
-                    push_f64(&mut s, *mean);
-                }
-                if let Some(err) = err {
-                    s.push_str(",\"err\":");
-                    push_f64(&mut s, *err);
-                }
-            }
-            EventKind::TargetPrecisionReached { n, eps_max, target } => {
-                let _ = write!(s, ",\"n\":{n},\"eps_max\":");
-                push_f64(&mut s, *eps_max);
-                s.push_str(",\"target\":");
-                push_f64(&mut s, *target);
-            }
-            EventKind::WorkerJoined { worker, addr } => {
-                let _ = write!(s, ",\"worker\":{worker}");
-                if let Some(addr) = addr {
-                    // Socket addresses never contain characters that
-                    // need JSON escaping.
-                    let _ = write!(s, ",\"addr\":\"{addr}\"");
-                }
-            }
-            EventKind::WorkerLeft { worker } => {
-                let _ = write!(s, ",\"worker\":{worker}");
-            }
-            EventKind::WorkerReconnected { worker } => {
-                let _ = write!(s, ",\"worker\":{worker}");
-            }
-            EventKind::CollectorResumed { epoch, leases } => {
-                // The epoch is hex digits only, never needing escapes.
-                let _ = write!(s, ",\"epoch\":\"{epoch}\",\"leases\":{leases}");
-            }
-            EventKind::TornFrame { source } => {
-                let _ = write!(s, ",\"source\":{source}");
-            }
-            EventKind::SpanStarted {
-                span,
-                parent,
-                phase,
-            } => {
-                let _ = write!(s, ",\"span\":{span}");
-                if let Some(parent) = parent {
-                    let _ = write!(s, ",\"parent\":{parent}");
-                }
-                let _ = write!(s, ",\"phase\":\"{}\"", phase.as_str());
-            }
-            EventKind::SpanEnded { span, phase } => {
-                let _ = write!(s, ",\"span\":{span},\"phase\":\"{}\"", phase.as_str());
-            }
-            EventKind::WireStats {
-                link,
-                frames_in,
-                bytes_in,
-                frames_out,
-                bytes_out,
-                dials,
-                dedup_dropped,
-                events_dropped,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"link\":{link},\"frames_in\":{frames_in},\"bytes_in\":{bytes_in},\
-                     \"frames_out\":{frames_out},\"bytes_out\":{bytes_out},\"dials\":{dials},\
-                     \"dedup_dropped\":{dedup_dropped},\"events_dropped\":{events_dropped}"
-                );
-            }
-        }
+        SCHEMA_VERSION.push_field("{\"v\":", &mut s);
+        push_quoted(",\"kind\":", self.kind.name(), &mut s);
+        self.time_s.push_field(",\"time_s\":", &mut s);
+        self.raw_time_s.push_field(",\"raw_time_s\":", &mut s);
+        self.rank.push_field(",\"rank\":", &mut s);
+        self.kind.push_fields(&mut s);
         s.push('}');
         s
     }
@@ -809,113 +468,17 @@ impl Event {
 mod tests {
     use super::*;
 
+    /// The generated samples cover the table: one entry per kind in
+    /// schema order, every row of the kind it is filed under.
     #[test]
-    fn kind_names_match_all_kinds_list() {
-        let kinds: Vec<EventKind> = vec![
-            EventKind::RunStarted {
-                mode: RunMode::Threads,
-                processors: 1,
-                max_sample_volume: 1,
-                seqnum: None,
-                nrow: None,
-                ncol: None,
-                transport: None,
-            },
-            EventKind::Realizations {
-                completed: 0,
-                compute_seconds: 0.0,
-            },
-            EventKind::MessageSent {
-                dest: 0,
-                tag: 0,
-                bytes: 0,
-            },
-            EventKind::MessageReceived {
-                source: 0,
-                tag: 0,
-                bytes: 0,
-                queue_depth: 0,
-            },
-            EventKind::QueueHighWater { depth: 0 },
-            EventKind::AveragingPass {
-                volume: 0,
-                duration_seconds: 0.0,
-                eps_max: None,
-                max_snapshot_age_seconds: None,
-            },
-            EventKind::SavePoint {
-                volume: 0,
-                duration_seconds: 0.0,
-            },
-            EventKind::CollectorSegment {
-                activity: CollectorActivity::Waiting,
-                start_s: 0.0,
-                end_s: 0.0,
-            },
-            EventKind::RunCompleted {
-                realizations: 0,
-                t_comp_seconds: 0.0,
-                messages: 0,
-                bytes: 0,
-            },
-            EventKind::FaultInjected {
-                fault: "rank_crash".into(),
-                detail: None,
-            },
-            EventKind::WorkerLost {
-                worker: 0,
-                received_realizations: 0,
-            },
-            EventKind::WorkReassigned {
-                from_worker: 0,
-                to_worker: 0,
-                realizations: 0,
-            },
-            EventKind::CheckpointRecovered { volume: 0 },
-            EventKind::MetricsSnapshot {
-                functional: 0,
-                n: 0,
-                mean: None,
-                err: None,
-            },
-            EventKind::TargetPrecisionReached {
-                n: 0,
-                eps_max: 0.0,
-                target: 0.0,
-            },
-            EventKind::WorkerJoined {
-                worker: 0,
-                addr: None,
-            },
-            EventKind::WorkerLeft { worker: 0 },
-            EventKind::WorkerReconnected { worker: 0 },
-            EventKind::CollectorResumed {
-                epoch: "0".into(),
-                leases: 0,
-            },
-            EventKind::TornFrame { source: 0 },
-            EventKind::SpanStarted {
-                span: 0,
-                parent: None,
-                phase: SpanPhase::StreamPosition,
-            },
-            EventKind::SpanEnded {
-                span: 0,
-                phase: SpanPhase::StreamPosition,
-            },
-            EventKind::WireStats {
-                link: 0,
-                frames_in: 0,
-                bytes_in: 0,
-                frames_out: 0,
-                bytes_out: 0,
-                dials: 0,
-                dedup_dropped: 0,
-                events_dropped: 0,
-            },
-        ];
-        let names: Vec<&str> = kinds.iter().map(EventKind::name).collect();
+    fn samples_cover_every_kind() {
+        let samples = samples();
+        let names: Vec<&str> = samples.iter().map(|kind| kind.name).collect();
         assert_eq!(names, EventKind::ALL_KINDS);
+        for kind in &samples {
+            assert!(kind.rows.len() >= 2, "{}: both forms", kind.name);
+            assert!(kind.rows.iter().all(|row| row.name() == kind.name));
+        }
     }
 
     #[test]
@@ -998,17 +561,28 @@ mod tests {
         assert!(line.contains("\"duration_seconds\":null"));
     }
 
+    /// Every vocabulary's names parse back to the value that spells
+    /// them — and label its metric series — and nothing else parses.
     #[test]
-    fn run_transport_round_trips_and_encodes_optionally() {
-        for t in [
-            RunTransport::Threads,
-            RunTransport::Processes,
-            RunTransport::Tcp,
-        ] {
-            assert_eq!(RunTransport::from_str_opt(t.as_str()), Some(t));
+    fn vocabularies_round_trip() {
+        macro_rules! round_trips {
+            ($Vocab:ident $(, $label:literal)?) => {
+                for name in $Vocab::ALL {
+                    let value = $Vocab::from_str_opt(name).expect("listed name");
+                    assert_eq!(value.as_str(), name);
+                    $(assert!(value.series().ends_with(&format!("{{{}=\"{name}\"}}", $label)));)?
+                }
+                assert_eq!($Vocab::from_str_opt("daydreaming"), None);
+            };
         }
-        assert_eq!(RunTransport::from_str_opt("carrier-pigeon"), None);
+        round_trips!(RunMode);
+        round_trips!(RunTransport, "transport");
+        round_trips!(CollectorActivity, "activity");
+        round_trips!(SpanPhase, "phase");
+    }
 
+    #[test]
+    fn transport_label_is_encoded_only_when_present() {
         let make = |transport| {
             Event::at(
                 0.0,
@@ -1031,15 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn span_phase_round_trips() {
-        for name in SpanPhase::ALL {
-            let phase = SpanPhase::from_str_opt(name).expect("known phase");
-            assert_eq!(phase.as_str(), name);
-        }
-        assert_eq!(SpanPhase::from_str_opt("daydreaming"), None);
-    }
-
-    #[test]
     fn raw_time_is_encoded_only_when_present() {
         let kind = EventKind::SpanStarted {
             span: 9,
@@ -1058,18 +623,5 @@ mod tests {
         assert!(aligned.contains("\"raw_time_s\":6.25"));
         assert!(aligned.contains("\"parent\":4"));
         assert!(aligned.contains("\"phase\":\"subtotal_send\""));
-    }
-
-    #[test]
-    fn collector_activity_round_trips() {
-        for a in [
-            CollectorActivity::Computing,
-            CollectorActivity::Receiving,
-            CollectorActivity::Saving,
-            CollectorActivity::Waiting,
-        ] {
-            assert_eq!(CollectorActivity::from_str_opt(a.as_str()), Some(a));
-        }
-        assert_eq!(CollectorActivity::from_str_opt("napping"), None);
     }
 }

@@ -62,6 +62,7 @@ mod monitor;
 pub mod schema;
 mod span;
 mod summary;
+mod wire;
 
 pub use convergence::{ConvergenceTracker, TrajectoryPoint};
 pub use event::{

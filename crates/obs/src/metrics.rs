@@ -28,7 +28,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use crate::event::{Event, EventKind};
+use crate::event::{CollectorActivity, Event, EventKind};
 use crate::monitor::EventSink;
 
 /// Log-histogram resolution: buckets per power of two. 8 sub-buckets
@@ -591,69 +591,25 @@ impl fmt::Debug for MetricsSink {
     }
 }
 
-/// Static digit labels so hot events never allocate a label string
-/// (message tags are tiny integers).
-fn tag_label(tag: u32) -> &'static str {
-    match tag {
-        0 => "0",
-        1 => "1",
-        2 => "2",
-        3 => "3",
-        4 => "4",
-        5 => "5",
-        6 => "6",
-        7 => "7",
-        8 => "8",
-        9 => "9",
-        _ => "other",
-    }
-}
-
-fn sent_counter(tag: u32) -> &'static str {
-    match tag_label(tag) {
-        "0" => "parmonc_messages_sent_total{tag=\"0\"}",
-        "1" => "parmonc_messages_sent_total{tag=\"1\"}",
-        "2" => "parmonc_messages_sent_total{tag=\"2\"}",
-        "3" => "parmonc_messages_sent_total{tag=\"3\"}",
-        "4" => "parmonc_messages_sent_total{tag=\"4\"}",
-        "5" => "parmonc_messages_sent_total{tag=\"5\"}",
-        "6" => "parmonc_messages_sent_total{tag=\"6\"}",
-        "7" => "parmonc_messages_sent_total{tag=\"7\"}",
-        "8" => "parmonc_messages_sent_total{tag=\"8\"}",
-        "9" => "parmonc_messages_sent_total{tag=\"9\"}",
-        _ => "parmonc_messages_sent_total{tag=\"other\"}",
-    }
-}
-
-fn received_counter(tag: u32) -> &'static str {
-    match tag_label(tag) {
-        "0" => "parmonc_messages_received_total{tag=\"0\"}",
-        "1" => "parmonc_messages_received_total{tag=\"1\"}",
-        "2" => "parmonc_messages_received_total{tag=\"2\"}",
-        "3" => "parmonc_messages_received_total{tag=\"3\"}",
-        "4" => "parmonc_messages_received_total{tag=\"4\"}",
-        "5" => "parmonc_messages_received_total{tag=\"5\"}",
-        "6" => "parmonc_messages_received_total{tag=\"6\"}",
-        "7" => "parmonc_messages_received_total{tag=\"7\"}",
-        "8" => "parmonc_messages_received_total{tag=\"8\"}",
-        "9" => "parmonc_messages_received_total{tag=\"9\"}",
-        _ => "parmonc_messages_received_total{tag=\"other\"}",
-    }
-}
-
-/// Spans are emitted per exchange batch on the hot path, so the
-/// per-phase counter names are static like the tag counters.
-fn span_counter(phase: crate::event::SpanPhase) -> &'static str {
-    use crate::event::SpanPhase;
-    match phase {
-        SpanPhase::StreamPosition => "parmonc_spans_total{phase=\"stream_position\"}",
-        SpanPhase::RealizationBatch => "parmonc_spans_total{phase=\"realization_batch\"}",
-        SpanPhase::SubtotalSend => "parmonc_spans_total{phase=\"subtotal_send\"}",
-        SpanPhase::CollectorMerge => "parmonc_spans_total{phase=\"collector_merge\"}",
-        SpanPhase::Checkpoint => "parmonc_spans_total{phase=\"checkpoint\"}",
-        SpanPhase::RelayMerge => "parmonc_spans_total{phase=\"relay_merge\"}",
-        SpanPhase::Reconnect => "parmonc_spans_total{phase=\"reconnect\"}",
-    }
+/// The static series name of `$family` for a message tag, so hot
+/// events never allocate a label string (message tags are tiny
+/// integers).
+macro_rules! by_tag {
+    ($family:literal, $tag:expr) => {
+        match $tag {
+            0 => concat!($family, "{tag=\"0\"}"),
+            1 => concat!($family, "{tag=\"1\"}"),
+            2 => concat!($family, "{tag=\"2\"}"),
+            3 => concat!($family, "{tag=\"3\"}"),
+            4 => concat!($family, "{tag=\"4\"}"),
+            5 => concat!($family, "{tag=\"5\"}"),
+            6 => concat!($family, "{tag=\"6\"}"),
+            7 => concat!($family, "{tag=\"7\"}"),
+            8 => concat!($family, "{tag=\"8\"}"),
+            9 => concat!($family, "{tag=\"9\"}"),
+            _ => concat!($family, "{tag=\"other\"}"),
+        }
+    };
 }
 
 /// The runner's heartbeat message tag (`parmonc::messages`): tag-4
@@ -727,20 +683,7 @@ impl EventSink for MetricsSink {
                 if let Some(transport) = transport {
                     // Prometheus info-style gauge: the transport rides
                     // as a label, the value is always 1.
-                    r.set_gauge(
-                        match transport {
-                            crate::event::RunTransport::Threads => {
-                                "parmonc_transport_info{transport=\"threads\"}"
-                            }
-                            crate::event::RunTransport::Processes => {
-                                "parmonc_transport_info{transport=\"processes\"}"
-                            }
-                            crate::event::RunTransport::Tcp => {
-                                "parmonc_transport_info{transport=\"tcp\"}"
-                            }
-                        },
-                        1.0,
-                    );
+                    r.set_gauge(transport.series(), 1.0);
                 }
             }
             EventKind::Realizations {
@@ -764,7 +707,7 @@ impl EventSink for MetricsSink {
                 }
             }
             EventKind::MessageSent { tag, bytes, .. } => {
-                r.inc_counter(sent_counter(*tag), 1.0);
+                r.inc_counter(by_tag!("parmonc_messages_sent_total", *tag), 1.0);
                 r.inc_counter("parmonc_bytes_sent_total", *bytes as f64);
                 r.observe("parmonc_message_bytes", *bytes as f64);
             }
@@ -774,7 +717,7 @@ impl EventSink for MetricsSink {
                 bytes,
                 queue_depth,
             } => {
-                r.inc_counter(received_counter(*tag), 1.0);
+                r.inc_counter(by_tag!("parmonc_messages_received_total", *tag), 1.0);
                 r.inc_counter("parmonc_bytes_received_total", *bytes as f64);
                 r.observe("parmonc_queue_depth", *queue_depth as f64);
                 if *tag == TAG_HEARTBEAT {
@@ -818,14 +761,8 @@ impl EventSink for MetricsSink {
                 end_s,
             } => {
                 let duration = end_s - start_s;
-                let key = match activity.as_str() {
-                    "computing" => "parmonc_collector_seconds_total{activity=\"computing\"}",
-                    "receiving" => "parmonc_collector_seconds_total{activity=\"receiving\"}",
-                    "saving" => "parmonc_collector_seconds_total{activity=\"saving\"}",
-                    _ => "parmonc_collector_seconds_total{activity=\"waiting\"}",
-                };
-                r.inc_counter(key, duration);
-                if activity.as_str() == "waiting" {
+                r.inc_counter(activity.series(), duration);
+                if *activity == CollectorActivity::Waiting {
                     r.observe("parmonc_collector_wait_seconds", duration);
                 }
             }
@@ -914,7 +851,7 @@ impl EventSink for MetricsSink {
                     let mut state = self.state.lock().expect("metrics sink poisoned");
                     state.open_spans.remove(span)
                 };
-                r.inc_counter(span_counter(*phase), 1.0);
+                r.inc_counter(phase.series(), 1.0);
                 if let Some(started) = started {
                     let duration = event.time_s - started;
                     if duration >= 0.0 {
@@ -981,7 +918,7 @@ impl EventSink for MetricsSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CollectorActivity, RunMode};
+    use crate::event::RunMode;
 
     /// A tiny deterministic generator for property tests (no external
     /// RNG dependency; the obs crate is dependency-free).

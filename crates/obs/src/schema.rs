@@ -4,75 +4,55 @@
 //! reader (the wire format is deliberately flat: string, number and
 //! `null` values only) and checks it against the documented schema —
 //! version, kind discriminator, required fields, field types, and no
-//! unknown fields. Tests use it to prove that what the runner and the
-//! simulator write is exactly what `docs/observability.md` promises.
+//! unknown fields — by decoding it with the table `event.rs` declares.
+//! Tests use it to prove that what the runner and the simulator write
+//! is exactly what `docs/observability.md` promises.
 
-use crate::event::{CollectorActivity, Event, EventKind, SCHEMA_VERSION};
-
-/// A parsed flat JSON value.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    Num(f64),
-    Null,
-}
+use crate::event::{Event, KINDS, SCHEMA_VERSION};
+use crate::wire::{Fields, Value};
 
 /// Parses a single flat JSON object (`{"key":value,...}`) with string,
 /// number and `null` values. Returns key/value pairs in order.
 fn parse_flat_object(line: &str) -> Result<Vec<(String, Value)>, String> {
-    let mut chars = line.trim().char_indices().peekable();
     let s = line.trim();
+    let mut chars = s.char_indices().peekable();
     let err = |msg: &str, at: usize| format!("{msg} at byte {at} in {s:?}");
+    // Reads a string on from its (consumed) opening quote at `open`.
+    let string = |chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>, open| {
+        let mut text = String::new();
+        loop {
+            let (i, c) = chars
+                .next()
+                .ok_or_else(|| err("unterminated string", open))?;
+            match c {
+                '"' => return Ok::<_, String>(text),
+                '\\' => text.push(chars.next().ok_or_else(|| err("bad escape", i))?.1),
+                _ => text.push(c),
+            }
+        }
+    };
 
     let mut pairs = Vec::new();
     match chars.next() {
         Some((_, '{')) => {}
         other => return Err(err("expected '{'", other.map_or(0, |(i, _)| i))),
     }
-    // Empty object.
     if let Some(&(_, '}')) = chars.peek() {
         chars.next();
     } else {
         loop {
-            // Key.
             let (ki, kc) = chars.next().ok_or_else(|| err("unterminated object", 0))?;
             if kc != '"' {
                 return Err(err("expected '\"' starting key", ki));
             }
-            let mut key = String::new();
-            loop {
-                let (i, c) = chars.next().ok_or_else(|| err("unterminated key", ki))?;
-                match c {
-                    '"' => break,
-                    '\\' => {
-                        let (_, esc) = chars.next().ok_or_else(|| err("bad escape", i))?;
-                        key.push(esc);
-                    }
-                    _ => key.push(c),
-                }
-            }
+            let key = string(&mut chars, ki)?;
             match chars.next() {
                 Some((_, ':')) => {}
                 other => return Err(err("expected ':'", other.map_or(0, |(i, _)| i))),
             }
-            // Value.
             let (vi, vc) = chars.next().ok_or_else(|| err("missing value", 0))?;
             let value = match vc {
-                '"' => {
-                    let mut text = String::new();
-                    loop {
-                        let (i, c) = chars.next().ok_or_else(|| err("unterminated string", vi))?;
-                        match c {
-                            '"' => break,
-                            '\\' => {
-                                let (_, esc) = chars.next().ok_or_else(|| err("bad escape", i))?;
-                                text.push(esc);
-                            }
-                            _ => text.push(c),
-                        }
-                    }
-                    Value::Str(text)
-                }
+                '"' => Value::Str(string(&mut chars, vi)?),
                 'n' => {
                     for expected in ['u', 'l', 'l'] {
                         match chars.next() {
@@ -113,167 +93,8 @@ fn parse_flat_object(line: &str) -> Result<Vec<(String, Value)>, String> {
     Ok(pairs)
 }
 
-/// Expected type of one schema field.
-#[derive(Debug, Clone, Copy)]
-enum FieldType {
-    /// A non-negative integer-valued number.
-    UInt,
-    /// Any number, or `null` (the encoder writes `null` for non-finite
-    /// values).
-    Num,
-    /// A string drawn from a fixed vocabulary (empty slice = any).
-    Enum(&'static [&'static str]),
-}
-
-fn check_type(key: &str, value: &Value, ty: FieldType) -> Result<(), String> {
-    match (ty, value) {
-        (FieldType::UInt, Value::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(()),
-        (FieldType::UInt, _) => Err(format!("field {key:?} must be a non-negative integer")),
-        (FieldType::Num, Value::Num(_) | Value::Null) => Ok(()),
-        (FieldType::Num, Value::Str(_)) => Err(format!("field {key:?} must be a number or null")),
-        (FieldType::Enum(vocab), Value::Str(s)) => {
-            if vocab.is_empty() || vocab.contains(&s.as_str()) {
-                Ok(())
-            } else {
-                Err(format!("field {key:?} has unknown value {s:?}"))
-            }
-        }
-        (FieldType::Enum(_), _) => Err(format!("field {key:?} must be a string")),
-    }
-}
-
-/// A list of (field name, expected type) pairs.
-type FieldSpec = &'static [(&'static str, FieldType)];
-
-/// Required and optional kind-specific fields for one event kind.
-fn kind_fields(kind: &str) -> Option<(FieldSpec, FieldSpec)> {
-    use FieldType::{Enum, Num, UInt};
-    const MODES: &[&str] = &["threads", "simcluster"];
-    const TRANSPORTS: &[&str] = &["threads", "processes", "tcp"];
-    const ACTIVITIES: &[&str] = &["computing", "receiving", "saving", "waiting"];
-    const PHASES: &[&str] = &[
-        "stream_position",
-        "realization_batch",
-        "subtotal_send",
-        "collector_merge",
-        "checkpoint",
-        "reconnect",
-    ];
-    const FAULTS: &[&str] = &[
-        "rank_crash",
-        "message_drop",
-        "message_duplicate",
-        "message_delay",
-        "torn_write",
-        "bit_flip",
-        "io_interrupt",
-        "net_sever",
-        "net_stall",
-        "net_tear",
-        "net_partition",
-    ];
-    Some(match kind {
-        "run_started" => (
-            &[
-                ("mode", Enum(MODES)),
-                ("processors", UInt),
-                ("max_sample_volume", UInt),
-            ][..],
-            &[
-                ("seqnum", UInt),
-                ("nrow", UInt),
-                ("ncol", UInt),
-                ("transport", Enum(TRANSPORTS)),
-            ][..],
-        ),
-        "realizations" => (
-            &[("completed", UInt), ("compute_seconds", Num)][..],
-            &[][..],
-        ),
-        "message_sent" => (
-            &[("dest", UInt), ("tag", UInt), ("bytes", UInt)][..],
-            &[][..],
-        ),
-        "message_received" => (
-            &[
-                ("source", UInt),
-                ("tag", UInt),
-                ("bytes", UInt),
-                ("queue_depth", UInt),
-            ][..],
-            &[][..],
-        ),
-        "queue_high_water" => (&[("depth", UInt)][..], &[][..]),
-        "averaging_pass" => (
-            &[("volume", UInt), ("duration_seconds", Num)][..],
-            &[("eps_max", Num), ("max_snapshot_age_seconds", Num)][..],
-        ),
-        "save_point" => (&[("volume", UInt), ("duration_seconds", Num)][..], &[][..]),
-        "collector_segment" => (
-            &[
-                ("activity", Enum(ACTIVITIES)),
-                ("start_s", Num),
-                ("end_s", Num),
-            ][..],
-            &[][..],
-        ),
-        "run_completed" => (
-            &[
-                ("realizations", UInt),
-                ("t_comp_seconds", Num),
-                ("messages", UInt),
-                ("bytes", UInt),
-            ][..],
-            &[][..],
-        ),
-        "fault_injected" => (&[("fault", Enum(FAULTS))][..], &[("detail", UInt)][..]),
-        "worker_lost" => (
-            &[("worker", UInt), ("received_realizations", UInt)][..],
-            &[][..],
-        ),
-        "work_reassigned" => (
-            &[
-                ("from_worker", UInt),
-                ("to_worker", UInt),
-                ("realizations", UInt),
-            ][..],
-            &[][..],
-        ),
-        "checkpoint_recovered" => (&[("volume", UInt)][..], &[][..]),
-        "metrics_snapshot" => (
-            &[("functional", UInt), ("n", UInt)][..],
-            &[("mean", Num), ("err", Num)][..],
-        ),
-        "target_precision_reached" => (
-            &[("n", UInt), ("eps_max", Num), ("target", Num)][..],
-            &[][..],
-        ),
-        "worker_joined" => (&[("worker", UInt)][..], &[("addr", Enum(&[]))][..]),
-        "worker_left" => (&[("worker", UInt)][..], &[][..]),
-        "worker_reconnected" => (&[("worker", UInt)][..], &[][..]),
-        "collector_resumed" => (&[("epoch", Enum(&[])), ("leases", UInt)][..], &[][..]),
-        "torn_frame" => (&[("source", UInt)][..], &[][..]),
-        "span_started" => (
-            &[("span", UInt), ("phase", Enum(PHASES))][..],
-            &[("parent", UInt)][..],
-        ),
-        "span_ended" => (&[("span", UInt), ("phase", Enum(PHASES))][..], &[][..]),
-        "wire_stats" => (
-            &[
-                ("link", UInt),
-                ("frames_in", UInt),
-                ("bytes_in", UInt),
-                ("frames_out", UInt),
-                ("bytes_out", UInt),
-                ("dials", UInt),
-                ("dedup_dropped", UInt),
-                ("events_dropped", UInt),
-            ][..],
-            &[][..],
-        ),
-        _ => return None,
-    })
-}
+/// The fields every line may carry besides its kind's own.
+const ENVELOPE: [&str; 5] = ["v", "kind", "time_s", "raw_time_s", "rank"];
 
 /// Validates one `run_metrics.jsonl` line against schema version
 /// [`SCHEMA_VERSION`], returning the event kind name on success.
@@ -294,69 +115,17 @@ fn kind_fields(kind: &str) -> Option<(FieldSpec, FieldSpec)> {
 /// assert!(validate_line(r#"{"v":1,"kind":"queue_high_water","time_s":0.5}"#).is_err());
 /// ```
 pub fn validate_line(line: &str) -> Result<&'static str, String> {
-    let pairs = parse_flat_object(line)?;
-    let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-
-    match get("v") {
-        Some(Value::Num(n)) if *n == SCHEMA_VERSION as f64 => {}
-        Some(_) => return Err(format!("\"v\" must be {SCHEMA_VERSION}")),
-        None => return Err("missing \"v\"".into()),
-    }
-    let kind = match get("kind") {
-        Some(Value::Str(s)) => s.clone(),
-        _ => return Err("missing or non-string \"kind\"".into()),
-    };
-    let canonical = EventKind::ALL_KINDS
-        .iter()
-        .find(|k| **k == kind)
-        .copied()
-        .ok_or_else(|| format!("unknown kind {kind:?}"))?;
-    check_type(
-        "time_s",
-        get("time_s").ok_or("missing \"time_s\"")?,
-        FieldType::Num,
-    )?;
-    if let Some(raw) = get("raw_time_s") {
-        check_type("raw_time_s", raw, FieldType::Num)?;
-    }
-    if let Some(rank) = get("rank") {
-        check_type("rank", rank, FieldType::UInt)?;
-    }
-
-    let (required, optional) = kind_fields(&kind).expect("kind already validated");
-    for (name, ty) in required {
-        let value = get(name).ok_or_else(|| format!("kind {kind:?} missing field {name:?}"))?;
-        check_type(name, value, *ty)?;
-    }
-    for (name, ty) in optional {
-        if let Some(value) = get(name) {
-            check_type(name, value, *ty)?;
-        }
-    }
-    for (key, _) in &pairs {
-        let known = matches!(
-            key.as_str(),
-            "v" | "kind" | "time_s" | "raw_time_s" | "rank"
-        ) || required.iter().any(|(n, _)| n == key)
-            || optional.iter().any(|(n, _)| n == key);
-        if !known {
-            return Err(format!("kind {kind:?} has unknown field {key:?}"));
-        }
-    }
-    if canonical == "collector_segment" {
-        if let Some(Value::Str(activity)) = get("activity") {
-            debug_assert!(CollectorActivity::from_str_opt(activity).is_some());
-        }
-    }
-    Ok(canonical)
+    parse_line(line).map(|event| event.kind.name())
 }
 
 /// Decodes one `run_metrics.jsonl` line back into an [`Event`] — the
 /// inverse of [`Event::to_json_line`], used by post-hoc trace tooling
-/// (`parmonc-trace`). The line is schema-validated first, so a
-/// successful decode is guaranteed to be a faithful round-trip (up to
-/// non-finite floats, which the wire encodes as `null` and the decoder
-/// reads back as `NaN` for required fields / `None` for optional ones).
+/// (`parmonc-trace`). Decoding *is* validation — one parse, one walk
+/// over the kind's declared fields — so a successful decode is
+/// guaranteed to be a faithful round-trip (up to non-finite floats,
+/// which the wire encodes as `null` and the decoder reads back as `NaN`
+/// for required fields / `None` for optional ones), and this rejects
+/// exactly what [`validate_line`] rejects.
 ///
 /// # Errors
 ///
@@ -375,165 +144,38 @@ pub fn validate_line(line: &str) -> Result<&'static str, String> {
 /// assert_eq!(event.kind, EventKind::QueueHighWater { depth: 3 });
 /// ```
 pub fn parse_line(line: &str) -> Result<Event, String> {
-    use crate::event::RunMode;
-
-    let kind_name = validate_line(line)?;
     let pairs = parse_flat_object(line)?;
     let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    // Validation already proved required fields exist with the right
-    // types; the fallbacks below are unreachable but keep the
-    // accessors total.
-    let num = |key: &str| match get(key) {
-        Some(Value::Num(n)) => *n,
-        _ => f64::NAN,
-    };
-    let opt_num = |key: &str| match get(key) {
-        Some(Value::Num(n)) => Some(*n),
-        _ => None,
-    };
-    let uint = |key: &str| match get(key) {
-        Some(Value::Num(n)) => *n as u64,
-        _ => 0,
-    };
-    let opt_uint = |key: &str| match get(key) {
-        Some(Value::Num(n)) => Some(*n as u64),
-        _ => None,
-    };
-    let text = |key: &str| match get(key) {
-        Some(Value::Str(s)) => s.clone(),
-        _ => String::new(),
-    };
 
-    let kind = match kind_name {
-        "run_started" => EventKind::RunStarted {
-            mode: if text("mode") == "simcluster" {
-                RunMode::SimCluster
-            } else {
-                RunMode::Threads
-            },
-            processors: uint("processors") as usize,
-            max_sample_volume: uint("max_sample_volume"),
-            seqnum: opt_uint("seqnum"),
-            nrow: opt_uint("nrow").map(|n| n as usize),
-            ncol: opt_uint("ncol").map(|n| n as usize),
-            transport: crate::event::RunTransport::from_str_opt(&text("transport")),
-        },
-        "realizations" => EventKind::Realizations {
-            completed: uint("completed"),
-            compute_seconds: num("compute_seconds"),
-        },
-        "message_sent" => EventKind::MessageSent {
-            dest: uint("dest") as usize,
-            tag: uint("tag") as u32,
-            bytes: uint("bytes"),
-        },
-        "message_received" => EventKind::MessageReceived {
-            source: uint("source") as usize,
-            tag: uint("tag") as u32,
-            bytes: uint("bytes"),
-            queue_depth: uint("queue_depth"),
-        },
-        "queue_high_water" => EventKind::QueueHighWater {
-            depth: uint("depth"),
-        },
-        "averaging_pass" => EventKind::AveragingPass {
-            volume: uint("volume"),
-            duration_seconds: num("duration_seconds"),
-            eps_max: opt_num("eps_max"),
-            max_snapshot_age_seconds: opt_num("max_snapshot_age_seconds"),
-        },
-        "save_point" => EventKind::SavePoint {
-            volume: uint("volume"),
-            duration_seconds: num("duration_seconds"),
-        },
-        "collector_segment" => EventKind::CollectorSegment {
-            activity: CollectorActivity::from_str_opt(&text("activity"))
-                .unwrap_or(CollectorActivity::Waiting),
-            start_s: num("start_s"),
-            end_s: num("end_s"),
-        },
-        "run_completed" => EventKind::RunCompleted {
-            realizations: uint("realizations"),
-            t_comp_seconds: num("t_comp_seconds"),
-            messages: uint("messages"),
-            bytes: uint("bytes"),
-        },
-        "fault_injected" => EventKind::FaultInjected {
-            fault: text("fault"),
-            detail: opt_uint("detail"),
-        },
-        "worker_lost" => EventKind::WorkerLost {
-            worker: uint("worker") as usize,
-            received_realizations: uint("received_realizations"),
-        },
-        "work_reassigned" => EventKind::WorkReassigned {
-            from_worker: uint("from_worker") as usize,
-            to_worker: uint("to_worker") as usize,
-            realizations: uint("realizations"),
-        },
-        "checkpoint_recovered" => EventKind::CheckpointRecovered {
-            volume: uint("volume"),
-        },
-        "metrics_snapshot" => EventKind::MetricsSnapshot {
-            functional: uint("functional"),
-            n: uint("n"),
-            mean: opt_num("mean"),
-            err: opt_num("err"),
-        },
-        "target_precision_reached" => EventKind::TargetPrecisionReached {
-            n: uint("n"),
-            eps_max: num("eps_max"),
-            target: num("target"),
-        },
-        "worker_joined" => EventKind::WorkerJoined {
-            worker: uint("worker") as usize,
-            addr: match get("addr") {
-                Some(Value::Str(s)) => Some(s.clone()),
-                _ => None,
-            },
-        },
-        "worker_left" => EventKind::WorkerLeft {
-            worker: uint("worker") as usize,
-        },
-        "worker_reconnected" => EventKind::WorkerReconnected {
-            worker: uint("worker") as usize,
-        },
-        "collector_resumed" => EventKind::CollectorResumed {
-            epoch: text("epoch"),
-            leases: uint("leases") as usize,
-        },
-        "torn_frame" => EventKind::TornFrame {
-            source: uint("source") as usize,
-        },
-        "span_started" => EventKind::SpanStarted {
-            span: uint("span"),
-            parent: opt_uint("parent"),
-            phase: crate::event::SpanPhase::from_str_opt(&text("phase"))
-                .unwrap_or(crate::event::SpanPhase::RealizationBatch),
-        },
-        "span_ended" => EventKind::SpanEnded {
-            span: uint("span"),
-            phase: crate::event::SpanPhase::from_str_opt(&text("phase"))
-                .unwrap_or(crate::event::SpanPhase::RealizationBatch),
-        },
-        "wire_stats" => EventKind::WireStats {
-            link: uint("link") as usize,
-            frames_in: uint("frames_in"),
-            bytes_in: uint("bytes_in"),
-            frames_out: uint("frames_out"),
-            bytes_out: uint("bytes_out"),
-            dials: uint("dials"),
-            dedup_dropped: uint("dedup_dropped"),
-            events_dropped: uint("events_dropped"),
-        },
-        _ => unreachable!("validate_line only returns known kinds"),
+    match get("v") {
+        Some(Value::Num(n)) if *n == SCHEMA_VERSION as f64 => {}
+        Some(_) => return Err(format!("\"v\" must be {SCHEMA_VERSION}")),
+        None => return Err("missing \"v\"".into()),
+    }
+    let Some(Value::Str(kind)) = get("kind") else {
+        return Err("missing or non-string \"kind\"".into());
     };
-    Ok(Event {
-        time_s: num("time_s"),
-        rank: opt_uint("rank").map(|r| r as usize),
-        raw_time_s: opt_num("raw_time_s"),
-        kind,
-    })
+    let spec = KINDS
+        .iter()
+        .find(|spec| spec.name == kind)
+        .ok_or_else(|| format!("unknown kind {kind:?}"))?;
+    let fields = Fields {
+        kind: spec.name,
+        pairs: &pairs,
+    };
+    let event = Event {
+        time_s: fields.take("time_s", None)?,
+        rank: fields.take("rank", None)?,
+        raw_time_s: fields.take("raw_time_s", None)?,
+        kind: (spec.decode)(&fields)?,
+    };
+    match pairs
+        .iter()
+        .find(|(key, _)| !ENVELOPE.contains(&&**key) && !spec.fields.contains(&&**key))
+    {
+        Some((key, _)) => Err(format!("kind {kind:?} has unknown field {key:?}")),
+        None => Ok(event),
+    }
 }
 
 #[cfg(test)]
@@ -545,138 +187,101 @@ mod tests {
         Event::at(0.25, Some(1), kind).to_json_line()
     }
 
-    /// One populated sample of every event kind, in schema order.
-    fn all_kind_samples() -> Vec<EventKind> {
-        vec![
-            EventKind::RunStarted {
-                mode: RunMode::SimCluster,
-                processors: 8,
-                max_sample_volume: 1000,
-                seqnum: Some(3),
-                nrow: Some(1),
-                ncol: Some(2),
-                transport: None,
-            },
-            EventKind::Realizations {
-                completed: 12,
-                compute_seconds: 0.5,
-            },
-            EventKind::MessageSent {
-                dest: 0,
-                tag: 1,
-                bytes: 48,
-            },
-            EventKind::MessageReceived {
-                source: 2,
-                tag: 1,
-                bytes: 48,
-                queue_depth: 4,
-            },
-            EventKind::QueueHighWater { depth: 5 },
-            EventKind::AveragingPass {
-                volume: 100,
-                duration_seconds: 0.01,
-                eps_max: Some(0.002),
-                max_snapshot_age_seconds: Some(1.5),
-            },
-            EventKind::SavePoint {
-                volume: 100,
-                duration_seconds: 0.001,
-            },
-            EventKind::CollectorSegment {
-                activity: crate::event::CollectorActivity::Receiving,
-                start_s: 0.0,
-                end_s: 1.0,
-            },
-            EventKind::RunCompleted {
-                realizations: 1000,
-                t_comp_seconds: 2.0,
-                messages: 40,
-                bytes: 1920,
-            },
-            EventKind::FaultInjected {
-                fault: "message_drop".into(),
-                detail: Some(7),
-            },
-            EventKind::WorkerLost {
-                worker: 3,
-                received_realizations: 120,
-            },
-            EventKind::WorkReassigned {
-                from_worker: 3,
-                to_worker: 1,
-                realizations: 40,
-            },
-            EventKind::CheckpointRecovered { volume: 500 },
-            EventKind::MetricsSnapshot {
-                functional: 1,
-                n: 200,
-                mean: Some(0.785),
-                err: Some(0.003),
-            },
-            EventKind::TargetPrecisionReached {
-                n: 200,
-                eps_max: 0.0019,
-                target: 0.002,
-            },
-            EventKind::WorkerJoined {
-                worker: 2,
-                addr: Some("10.0.0.5:49152".into()),
-            },
-            EventKind::WorkerLeft { worker: 2 },
-            EventKind::WorkerReconnected { worker: 2 },
-            EventKind::CollectorResumed {
-                epoch: "1f9add3c0e7b2a45".into(),
-                leases: 3,
-            },
-            EventKind::TornFrame { source: 2 },
-            EventKind::SpanStarted {
-                span: (2 << 40) | 7,
-                parent: Some(2 << 40),
-                phase: crate::event::SpanPhase::SubtotalSend,
-            },
-            EventKind::SpanEnded {
-                span: (2 << 40) | 7,
-                phase: crate::event::SpanPhase::SubtotalSend,
-            },
-            EventKind::WireStats {
-                link: 2,
-                frames_in: 120,
-                bytes_in: 9800,
-                frames_out: 4,
-                bytes_out: 112,
-                dials: 1,
-                dedup_dropped: 3,
-                events_dropped: 0,
-            },
-        ]
+    /// Stamps a sample payload with the bare envelope (even rows) or
+    /// the full one (odd rows), so a kind's row 0 is its required-only
+    /// form and its row 1 the all-optionals form.
+    fn stamp((row, kind): (usize, &EventKind)) -> Event {
+        Event {
+            time_s: 0.25 + row as f64,
+            rank: (row % 2 == 1).then_some(row),
+            raw_time_s: (row % 2 == 1).then_some(7.5),
+            kind: kind.clone(),
+        }
     }
 
+    /// Every value of every vocabulary, in every kind that carries it —
+    /// and both forms of every kind — survives `to_json_line` →
+    /// `validate_line` → `parse_line` unchanged.
     #[test]
-    fn every_encoded_kind_validates() {
-        let kinds = all_kind_samples();
-        assert_eq!(kinds.len(), EventKind::ALL_KINDS.len());
-        for kind in kinds {
-            let expected = kind.name();
-            let encoded = line(kind);
-            assert_eq!(
-                validate_line(&encoded).as_deref(),
-                Ok(expected),
-                "line: {encoded}"
+    fn every_sample_round_trips() {
+        for kind in crate::event::samples() {
+            for (field, vocab) in &kind.fields {
+                for name in *vocab {
+                    let carried = format!("\"{field}\":\"{name}\"");
+                    assert!(
+                        kind.rows
+                            .iter()
+                            .any(|row| line(row.clone()).contains(&carried)),
+                        "no {} sample carries {carried}",
+                        kind.name
+                    );
+                }
+            }
+            for event in kind.rows.iter().enumerate().map(stamp) {
+                let encoded = event.to_json_line();
+                assert_eq!(
+                    validate_line(&encoded).as_deref(),
+                    Ok(kind.name),
+                    "line: {encoded}"
+                );
+                assert_eq!(parse_line(&encoded).as_ref(), Ok(&event), "line: {encoded}");
+            }
+        }
+    }
+
+    /// The wire is byte-identical to what schema version 1 has always
+    /// written: the fixture was produced by the hand-written encoder
+    /// this table replaced, from both forms of every kind it knew, and
+    /// every one of its lines must still come out. (A kind added since
+    /// is additive; its forms can be appended to the fixture.)
+    #[test]
+    fn encoder_matches_the_golden_lines() {
+        let golden = include_str!("../tests/golden/events_v1.jsonl");
+        let forms: Vec<String> = crate::event::samples()
+            .iter()
+            .flat_map(|kind| kind.rows[..2].iter().enumerate().map(stamp))
+            .map(|event| event.to_json_line())
+            .collect();
+        assert_eq!(golden.lines().count(), 2 * 23, "version 1 had 23 kinds");
+        for line in golden.lines() {
+            assert!(
+                forms.iter().any(|form| form == line),
+                "no longer written: {line}"
             );
         }
     }
 
+    /// `docs/observability.md` documents what the table declares: an
+    /// entry per kind whose field table names every field, with every
+    /// vocabulary value in the row of the field that carries it.
     #[test]
-    fn parse_line_round_trips_every_kind() {
-        for kind in all_kind_samples() {
-            let event = Event::at(0.25, Some(1), kind);
-            let decoded = parse_line(&event.to_json_line()).expect("round trip");
-            assert_eq!(decoded, event);
+    fn docs_describe_every_kind_field_and_vocabulary_value() {
+        let docs = include_str!("../../../docs/observability.md");
+        for kind in crate::event::samples() {
+            let heading = format!("**`{}`**", kind.name);
+            let entry = docs
+                .split_once(&heading)
+                .unwrap_or_else(|| panic!("no {heading} entry"))
+                .1;
+            // An entry runs to the next kind's entry or section heading.
+            let end = ["\n**`", "\n#"]
+                .iter()
+                .filter_map(|stop| entry.find(stop))
+                .min();
+            let entry = &entry[..end.unwrap_or(entry.len())];
+            for (field, vocab) in &kind.fields {
+                let row = entry
+                    .lines()
+                    .find(|row| row.starts_with('|') && row.contains(&format!("`{field}`")))
+                    .unwrap_or_else(|| panic!("{heading} has no row for `{field}`"));
+                for name in *vocab {
+                    assert!(
+                        row.contains(&format!("\"{name}\"")) || row.contains(&format!("`{name}`")),
+                        "{heading}: the `{field}` row does not list {name}"
+                    );
+                }
+            }
         }
-        // Rank-less events round-trip too.
-        let event = Event::at(3.5, None, EventKind::QueueHighWater { depth: 2 });
-        assert_eq!(parse_line(&event.to_json_line()).unwrap(), event);
     }
 
     #[test]

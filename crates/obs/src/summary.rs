@@ -421,19 +421,9 @@ impl MonitorSummary {
         if !self.collector_seconds.is_empty() {
             let total: f64 = self.collector_seconds.values().sum();
             let _ = write!(out, "  collector time:");
-            for activity in [
-                CollectorActivity::Computing,
-                CollectorActivity::Receiving,
-                CollectorActivity::Saving,
-                CollectorActivity::Waiting,
-            ] {
-                if let Some(seconds) = self.collector_seconds.get(activity.as_str()) {
-                    let _ = write!(
-                        out,
-                        " {} {:.1}%",
-                        activity.as_str(),
-                        100.0 * seconds / total
-                    );
+            for activity in CollectorActivity::ALL {
+                if let Some(seconds) = self.collector_seconds.get(activity) {
+                    let _ = write!(out, " {activity} {:.1}%", 100.0 * seconds / total);
                 }
             }
             out.push('\n');

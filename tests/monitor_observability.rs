@@ -180,3 +180,22 @@ fn metrics_plane_does_not_perturb_faulted_simulation() {
     let monitored = simulate_faulted(&config, 800, &plan, 50.0, &monitor);
     assert_eq!(plain, monitored);
 }
+
+/// The fault plane and the schema each spell the `fault_injected`
+/// vocabulary (the two crates share no dependency edge): every name
+/// the plane can emit must be one the validator accepts.
+#[test]
+fn fault_names_match_the_schema() {
+    for fault in parmonc_faults::FaultKind::ALL {
+        let kind = EventKind::FaultInjected {
+            fault: fault.as_str().into(),
+            detail: None,
+        };
+        let line = parmonc_obs::Event::at(0.5, Some(1), kind).to_json_line();
+        assert_eq!(
+            parmonc_obs::schema::validate_line(&line),
+            Ok("fault_injected"),
+            "{line}"
+        );
+    }
+}

@@ -941,6 +941,66 @@ fn tree_topology_agrees_with_star_on_thread_and_process_backends() {
     assert_no_orphans();
 }
 
+/// A span-traced tree run explains its relays: on threads every trace
+/// line decodes and each relay rank (1 and 2, of seven at arity 2)
+/// closes `relay_merge` spans; on processes those spans are *forwarded*
+/// events, which the collector must decode to keep — it once dropped
+/// them, silently, for not knowing the phase's name. The (single)
+/// process run comes first — see the module docs.
+#[test]
+fn relay_merge_spans_reach_the_trace_on_thread_and_process_backends() {
+    let _guard = SEQ.lock().unwrap_or_else(|e| e.into_inner());
+    let configure = |b: ParmoncBuilder, dir: &str| {
+        b.max_sample_volume(2_100)
+            .processors(7)
+            .seqnum(5)
+            .exchange(Exchange::EveryRealization)
+            .topology(Topology::Tree { arity: 2 })
+            .monitor()
+            .trace_spans()
+            .output_dir(scratch(dir))
+    };
+    let processes = configure(
+        builder_for(
+            "relay_merge_spans_reach_the_trace_on_thread_and_process_backends",
+            1,
+            2,
+        ),
+        "relay-spans-processes",
+    )
+    .transport(Transport::Processes)
+    .run(uniform())
+    .unwrap();
+    let threads = configure(Parmonc::builder(1, 2), "relay-spans-threads")
+        .transport(Transport::Threads)
+        .run(uniform())
+        .unwrap();
+
+    for (backend, report) in [("processes", &processes), ("threads", &threads)] {
+        let events = trace_events(report);
+        for relay in [1, 2] {
+            let closed = events.iter().any(|e| {
+                e.rank == Some(relay)
+                    && matches!(
+                        e.kind,
+                        parmonc_obs::EventKind::SpanEnded {
+                            phase: parmonc_obs::SpanPhase::RelayMerge,
+                            ..
+                        }
+                    )
+            });
+            assert!(
+                closed,
+                "{backend}: relay {relay} closed no relay_merge span"
+            );
+        }
+        // Nothing was lost on the way to the collector's trace.
+        let summary = report.monitor.as_ref().expect("monitored");
+        assert_eq!(summary.forwarded_dropped_events, 0, "{backend}");
+    }
+    assert_no_orphans();
+}
+
 /// The same tree-vs-star conformance over TCP: four remote workers
 /// dial loopback, rank 1 relays for ranks 3 and 4 (a depth-2 tree),
 /// and the estimate matches a star thread run bit for bit. The
