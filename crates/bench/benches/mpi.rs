@@ -1,7 +1,8 @@
 //! Message-passing substrate costs: subtotal encode/decode at the
 //! paper's message size, point-to-point round trip, the gather
 //! pattern the collector runs, the strict-exchange message stream over
-//! the mailbox against the channel design it replaced, and — via a
+//! the mailbox (queued, and latest-wins in place) against the channel
+//! design it replaced, and — via a
 //! counting global allocator —
 //! the bytes allocated per subtotal emit on the clone-encode path the
 //! runner used to take versus the pooled borrowed-encode path it takes
@@ -10,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parmonc::messages::Subtotal;
 use parmonc_bench::harness::{
@@ -272,6 +273,53 @@ fn stream_over_mailbox(messages: u64, steps: u32) -> f64 {
     )
 }
 
+/// The stream as the runner sends it now: every message published in
+/// place as a latest-wins one, the consumer looking at its inbox once
+/// per poll period (the runner's `INBOX_POLL_PERIOD`) and finding the
+/// newest. A queued message behind the last publish ends the stream,
+/// as a worker's final does.
+fn stream_latest_in_place(messages: u64, steps: u32) -> f64 {
+    const POLL_PERIOD: Duration = Duration::from_micros(2);
+    let mut comms = World::communicators(2).unwrap();
+    let producer = comms.pop().expect("rank 1");
+    let mut consumer = comms.pop().expect("rank 0");
+    let mut published = 0;
+    let mut last_poll = Instant::now();
+    timed_stream(
+        messages,
+        steps,
+        move |i| {
+            producer
+                .send_latest_with(0, Tag(1), 64, |sink| {
+                    (0..8).for_each(|k| sink.put_u64(i + k));
+                })
+                .unwrap();
+            published += 1;
+            if published == messages {
+                producer.send(0, Tag(2), &[]).unwrap();
+            }
+        },
+        || {
+            let now = Instant::now();
+            if now.duration_since(last_poll) < POLL_PERIOD {
+                return 0;
+            }
+            last_poll = now;
+            let mut accounted = 0;
+            while let Some(env) = consumer.try_recv(None, None) {
+                if env.tag == Tag(2) {
+                    // Every publish before it was delivered or
+                    // superseded.
+                    accounted = messages;
+                }
+                black_box(env.payload.first());
+                consumer.recycle(env.payload);
+            }
+            accounted
+        },
+    )
+}
+
 /// The same stream over the design the mailbox replaced, kept here
 /// only as the yardstick: an `mpsc` channel of envelopes whose
 /// payloads come from one mutex-guarded freelist both threads use.
@@ -303,27 +351,33 @@ fn stream_over_channel(messages: u64, steps: u32) -> f64 {
     )
 }
 
-/// The claim behind the mailbox: on the strict-exchange stream it must
-/// beat the channel-plus-shared-pool design by the committed
-/// `ratio_mailbox_stream_speedup`.
+/// The claims behind the mailbox: on the strict-exchange stream its
+/// queue must beat the channel-plus-shared-pool design by the
+/// committed `ratio_mailbox_stream_speedup`, and its latest-wins
+/// register the queue by `ratio_latest_stream_speedup`.
 fn bench_mailbox_stream(c: &mut Criterion) {
     let messages = if fast_mode() { 50_000 } else { 400_000 };
     let steps = calibrate_spin_work();
-    // Both arms back to back per round, and the ratio taken per round:
+    // All arms back to back per round, and the ratios taken per round:
     // the arms differ by what two cores do to each other, so a round
     // in which the host gave this process one core reads ≈ 400 ns on
-    // both and ≈ 1× — nothing contends — and must not be mixed with
-    // the others. The median round is recorded.
-    let mut rounds: Vec<(f64, f64)> = (0..5)
+    // all of them and ≈ 1× — nothing contends — and must not be mixed
+    // with the others. The median round of each ratio is recorded.
+    let rounds: Vec<[f64; 3]> = (0..5)
         .map(|_| {
-            (
+            [
                 stream_over_channel(messages, steps),
                 stream_over_mailbox(messages, steps),
-            )
+                stream_latest_in_place(messages, steps),
+            ]
         })
         .collect();
-    rounds.sort_by(|a, b| (a.0 / a.1).total_cmp(&(b.0 / b.1)));
-    let (channel, mailbox) = rounds[rounds.len() / 2];
+    let median_round = |slow: usize, fast: usize| {
+        let mut sorted = rounds.clone();
+        sorted.sort_by(|a, b| (a[slow] / a[fast]).total_cmp(&(b[slow] / b[fast])));
+        sorted[sorted.len() / 2]
+    };
+    let [channel, mailbox, _] = median_round(0, 1);
     println!(
         "mailbox_stream: mailbox {:.0} ns, mpsc + shared pool {:.0} ns per message ({steps} work steps), speedup {:.2}x",
         mailbox * 1e9,
@@ -333,6 +387,15 @@ fn bench_mailbox_stream(c: &mut Criterion) {
     record_metric("mailbox_stream/mailbox", mailbox);
     record_metric("mailbox_stream/mpsc_shared_pool", channel);
     record_metric("ratio_mailbox_stream_speedup", channel / mailbox);
+    let [_, queued, latest] = median_round(1, 2);
+    println!(
+        "mailbox_stream: latest-wins in place {:.0} ns against {:.0} ns queued, speedup {:.2}x",
+        latest * 1e9,
+        queued * 1e9,
+        queued / latest
+    );
+    record_metric("mailbox_stream/latest_in_place", latest);
+    record_metric("ratio_latest_stream_speedup", queued / latest);
     let _ = c;
 }
 

@@ -10,7 +10,7 @@
 //! idempotent.
 
 use parmonc_mpi::bytes::Bytes;
-use parmonc_mpi::envelope::{PayloadReader, PayloadWriter};
+use parmonc_mpi::envelope::{PayloadReader, WordSink};
 use parmonc_mpi::pool::BufferPool;
 use parmonc_mpi::{MpiError, Tag};
 use parmonc_stats::MatrixAccumulator;
@@ -81,23 +81,27 @@ impl Subtotal {
         pool: &BufferPool,
     ) -> Bytes {
         let (nrow, ncol) = acc.shape();
-        let w = PayloadWriter::from_buffer(pool.take(Self::encoded_len(nrow, ncol)));
-        Self::encode_into_writer(acc, compute_seconds, w)
+        let mut buf = pool.take(Self::encoded_len(nrow, ncol));
+        Self::encode_state_into(acc, compute_seconds, &mut WordSink::buffer(&mut buf));
+        buf.freeze()
     }
 
-    fn encode_into_writer(
+    /// The one encoder: writes the [`Subtotal::encoded_len`] bytes of
+    /// borrowed accumulator state into `sink` — a buffer, or a
+    /// destination's inbox in place
+    /// ([`Transport::send_latest_with`](parmonc_mpi::Transport::send_latest_with)).
+    pub(crate) fn encode_state_into(
         acc: &MatrixAccumulator,
         compute_seconds: f64,
-        mut w: PayloadWriter,
-    ) -> Bytes {
+        sink: &mut WordSink<'_>,
+    ) {
         let (nrow, ncol) = acc.shape();
-        w.put_u64(nrow as u64);
-        w.put_u64(ncol as u64);
-        w.put_u64(acc.count());
-        w.put_f64(compute_seconds);
-        w.put_f64_slice(acc.sums());
-        w.put_f64_slice(acc.sums_sq());
-        w.finish()
+        sink.put_u64(nrow as u64);
+        sink.put_u64(ncol as u64);
+        sink.put_u64(acc.count());
+        sink.put_f64(compute_seconds);
+        sink.put_f64_slice(acc.sums());
+        sink.put_f64_slice(acc.sums_sq());
     }
 
     /// Deserializes from a message payload.
@@ -343,7 +347,7 @@ mod tests {
     #[test]
     fn shape_mismatch_rejected() {
         // Claim 2x2 but provide 6 sums.
-        let mut w = PayloadWriter::new();
+        let mut w = parmonc_mpi::envelope::PayloadWriter::new();
         w.put_u64(2);
         w.put_u64(2);
         w.put_u64(1);

@@ -767,6 +767,17 @@ fn finish(
 /// How often, at most, a worker rewrites its on-disk subtotal file.
 const WORKER_FILE_PERIOD: Duration = Duration::from_millis(500);
 
+/// How often, at most, a simulating rank looks at its inbox. Looking
+/// pulls the cache lines the senders write across the die, and the
+/// senders then pay to get them back — on every realization, if every
+/// realization looks. At any realization time above this (the paper's
+/// are milliseconds) every realization still looks; below it the
+/// newest subtotal of each sender is read this often and the ones in
+/// between are superseded unread, which formula (5) cannot tell apart.
+/// EXPERIMENTS.md (PR 17) has the sweep: the step is between 0 and
+/// 2 µs, a gentle slope beyond.
+const INBOX_POLL_PERIOD: Duration = Duration::from_micros(2);
+
 /// What a worker's control-message poll found: a stop broadcast and/or
 /// extra realizations reassigned to it from a lost rank.
 #[derive(Debug, Default)]
@@ -825,10 +836,22 @@ fn simulate_quota<R: Realize + ?Sized>(
     let mut batch_span: u64 = 0;
 
     let mut r: u64 = 0;
+    // The post-realization clock read of the iteration before, and
+    // when the inbox is next looked at: on the first iteration, then
+    // once per period — and always before deciding the quota is done
+    // (an extension may be waiting).
+    let mut now = last_pass;
+    let mut next_poll = now;
     loop {
-        let ctl = poll_control()?;
-        quota += ctl.extra;
-        if ctl.stop || r >= quota {
+        if r >= quota || now >= next_poll {
+            let ctl = poll_control()?;
+            next_poll = now + INBOX_POLL_PERIOD;
+            quota += ctl.extra;
+            if ctl.stop {
+                break;
+            }
+        }
+        if r >= quota {
             break;
         }
         if let Some(deadline) = config.deadline {
@@ -851,7 +874,7 @@ fn simulate_quota<R: Realize + ?Sized>(
         // overhead in the strictest exchange mode.
         let t0 = Instant::now();
         realize.realize(&mut stream, &mut out);
-        let now = Instant::now();
+        now = Instant::now();
         compute_seconds += now.duration_since(t0).as_secs_f64();
         acc.add(&out)?;
         r += 1;
@@ -940,11 +963,16 @@ impl RelayBuffer {
     }
 
     /// Replaces the stored payload for `rank` (cumulative subtotals:
-    /// newest wins). The final flag is sticky — a retransmit after the
-    /// final must not demote it.
+    /// newest wins) — unless it holds that rank's final and this is
+    /// not one: a final is the rank's last word, so a non-final behind
+    /// it is a straggler (a delayed message flushed late) that would
+    /// go upstream as a regressed payload flagged final. The same
+    /// guard the collector's `handle` has.
     fn absorb(&mut self, rank: usize, payload: Bytes, is_final: bool) {
-        let sticky = is_final || self.latest.get(&rank).is_some_and(|(_, f)| *f);
-        self.latest.insert(rank, (payload, sticky));
+        if !is_final && self.latest.get(&rank).is_some_and(|(_, held)| *held) {
+            return;
+        }
+        self.latest.insert(rank, (payload, is_final));
         self.dirty = true;
     }
 
@@ -1126,22 +1154,33 @@ fn worker_loop<C: Comm, R: Realize + ?Sized>(
                     },
                 );
             }
-            let tag = if is_final { TAG_FINAL } else { TAG_SUBTOTAL };
             let c = comm.borrow();
+            // Encoded straight from the borrowed accumulator. A
+            // non-final subtotal is superseded by the next one, and is
+            // sent as such: on threads it is written into the
+            // receiver's inbox in place; on sockets, and for the final
+            // everywhere, into a recycled send buffer that is queued.
+            let send = |dest: usize| {
+                if is_final {
+                    let payload = Subtotal::encode_state_pooled(acc, compute_seconds, c.pool());
+                    c.send_bytes(dest, TAG_FINAL, payload)
+                } else {
+                    let (nrow, ncol) = acc.shape();
+                    let len = Subtotal::encoded_len(nrow, ncol);
+                    c.send_latest_with(dest, TAG_SUBTOTAL, len, |sink| {
+                        Subtotal::encode_state_into(acc, compute_seconds, sink);
+                    })
+                }
+            };
             let dest = parent.get();
-            // Encode straight from the borrowed accumulator into a
-            // recycled send buffer: no `acc.clone()`, and in steady
-            // state no allocation either.
-            let payload = Subtotal::encode_state_pooled(acc, compute_seconds, c.pool());
-            match c.send_bytes(dest, tag, payload) {
+            match send(dest) {
                 Ok(()) => Ok(dest == 0),
                 Err(MpiError::Disconnected) if dest != 0 => {
                     // The relay is gone: degrade to reporting straight
                     // to the collector and retry once — the subtotal
                     // is cumulative, so the retry cannot double-count.
                     parent.set(0);
-                    let payload = Subtotal::encode_state_pooled(acc, compute_seconds, c.pool());
-                    match c.send_bytes(0, tag, payload) {
+                    match send(0) {
                         Ok(()) => Ok(true),
                         Err(MpiError::Disconnected) => {
                             lost_collector.set(true);
@@ -1573,6 +1612,9 @@ fn rank0_loop<C: Comm, R: Realize + ?Sized>(
     let mut out = vec![0.0f64; config.nrow * config.ncol];
     let mut last_pass = Instant::now();
     let mut last_file_write: Option<Instant> = None;
+    // When the inbox is next looked at (see `INBOX_POLL_PERIOD`): after
+    // the first realization, then once per period.
+    let mut next_poll = last_pass;
     // Incremental stream cursor for rank 0's own simulation; persists
     // across the main loop *and* the reassignment-absorbing loop below,
     // so every advance is one 128-bit multiply instead of three
@@ -1637,16 +1679,19 @@ fn rank0_loop<C: Comm, R: Realize + ?Sized>(
             }
             last_pass = now;
         }
-        let drain_started = monitor.is_enabled().then(Instant::now);
-        let mut received = 0usize;
-        while let Some(env) = comm.try_recv(None, None) {
-            if collector.handle(ctx, &*comm, env, now)? {
-                received += 1;
+        if now >= next_poll {
+            next_poll = now + INBOX_POLL_PERIOD;
+            let drain_started = monitor.is_enabled().then(Instant::now);
+            let mut received = 0usize;
+            while let Some(env) = comm.try_recv(None, None) {
+                if collector.handle(ctx, &*comm, env, now)? {
+                    received += 1;
+                }
             }
-        }
-        if received > 0 {
-            if let Some(t) = drain_started {
-                tracker.punch(CollectorActivity::Receiving, t);
+            if received > 0 {
+                if let Some(t) = drain_started {
+                    tracker.punch(CollectorActivity::Receiving, t);
+                }
             }
         }
         collector.check_liveness(ctx, &*comm, false, now)?;
@@ -2310,6 +2355,41 @@ mod tests {
             report.new_volume
         );
         assert!((report.summary.means[0] - 0.5).abs() < 0.05);
+    }
+
+    /// A rank's final is its last word to a relay too. A non-final
+    /// that arrives behind it — the thread substrate's fault gate
+    /// force-flushes a delayed subtotal at teardown, after the final —
+    /// used to replace the payload while the final flag stayed: the
+    /// relay then forwarded a regressed subtotal flagged final, and the
+    /// collector counted it.
+    #[test]
+    fn relay_ignores_a_straggler_behind_a_final() {
+        let subtotal = |realizations: usize| {
+            let mut acc = MatrixAccumulator::new(1, 1).unwrap();
+            for _ in 0..realizations {
+                acc.add(&[1.0]).unwrap();
+            }
+            Subtotal {
+                acc,
+                compute_seconds: 0.0,
+            }
+            .encode()
+        };
+        let mut relay = RelayBuffer::new(vec![3]);
+        relay.absorb(3, subtotal(10), false);
+        relay.absorb(3, subtotal(12), true);
+        relay.note_flushed();
+        relay.absorb(3, subtotal(11), false);
+        assert!(!relay.dirty, "a straggler is nothing to forward");
+        let batch = decode_batch(&relay.encode()).unwrap();
+        assert_eq!(batch.len(), 1);
+        assert!(batch[0].is_final);
+        assert_eq!(batch[0].payload, subtotal(12));
+        // A retransmitted final still replaces (and stays final).
+        relay.absorb(3, subtotal(12), true);
+        assert!(relay.dirty);
+        assert!(decode_batch(&relay.encode()).unwrap()[0].is_final);
     }
 
     #[test]

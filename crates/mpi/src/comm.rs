@@ -9,11 +9,12 @@ use parmonc_faults::FaultHandle;
 use parmonc_obs::{EventKind, Monitor};
 
 use crate::bytes::Bytes;
-use crate::envelope::{Envelope, Tag};
+use crate::envelope::{Envelope, Tag, WordSink};
 use crate::error::MpiError;
 use crate::gate::FaultGate;
 use crate::mailbox::{Cursor, Mailbox};
 use crate::pool::BufferPool;
+use crate::transport::send_latest_queued;
 
 /// Per-receiver inbox statistics for monitored worlds: how many
 /// messages sit undelivered in each rank's inbox, and the largest such
@@ -54,6 +55,16 @@ struct Shared {
 /// source and tag filters; messages that arrive but do not match are
 /// buffered and delivered to a later matching receive, preserving
 /// per-(source, tag) order.
+///
+/// A communicator can move to another thread but cannot be shared
+/// between threads: being the *only* writer of its rank's latest-wins
+/// slots ([`Communicator::send_latest_with`]) is what lets it write
+/// them in place.
+///
+/// ```compile_fail
+/// fn shared_between_threads<T: Sync>() {}
+/// shared_between_threads::<parmonc_mpi::Communicator>();
+/// ```
 #[derive(Debug)]
 pub struct Communicator {
     rank: usize,
@@ -233,15 +244,73 @@ impl Communicator {
         }
     }
 
+    /// Sends a latest-wins message written by `fill` — see
+    /// [`Transport::send_latest_with`](crate::Transport::send_latest_with).
+    /// Here `fill` writes into `dest`'s inbox in place: no encode
+    /// buffer, no copy, and `dest` finds only the newest such message
+    /// of this rank when it looks. A payload that does not fit the
+    /// in-place slot is built in a buffer from this rank's pool and
+    /// goes by handle, still latest-wins.
+    ///
+    /// A world with a fault plane attached
+    /// ([`World::communicators_faulted`]) queues the message like
+    /// [`Communicator::send_bytes`], so a plan keeps scripting every
+    /// single one.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Communicator::send`].
+    ///
+    /// # Panics
+    ///
+    /// If `fill` writes another number of bytes than `len`.
+    pub fn send_latest_with(
+        &self,
+        dest: usize,
+        tag: Tag,
+        len: usize,
+        fill: impl FnOnce(&mut WordSink<'_>),
+    ) -> Result<(), MpiError> {
+        // The queued path also reports an invalid destination.
+        if self.faults.is_enabled() || dest >= self.size() {
+            return send_latest_queued(self, dest, tag, len, fill);
+        }
+        let depth = self.note_enqueue(dest);
+        match self.world.mailboxes[dest].publish(self.rank, tag, len, &self.pool, fill) {
+            Ok(superseded) => {
+                // The message this one replaced will never be
+                // delivered: it leaves the backlog here.
+                if superseded {
+                    self.undo_enqueue(dest);
+                }
+                let depth = depth.unwrap_or(0).saturating_sub(u64::from(superseded));
+                self.note_send(dest, tag, len, depth);
+                Ok(())
+            }
+            Err(e) => {
+                self.undo_enqueue(dest);
+                Err(e)
+            }
+        }
+    }
+
     fn matches(env: &Envelope, source: Option<usize>, tag: Option<Tag>) -> bool {
         source.is_none_or(|s| env.source == s) && tag.is_none_or(|t| env.tag == t)
     }
 
     fn take_pending(&mut self, source: Option<usize>, tag: Option<Tag>) -> Option<Envelope> {
-        let idx = self
-            .pending
-            .iter()
-            .position(|e| Self::matches(e, source, tag))?;
+        // Over the two slices, not `VecDeque::iter().position(..)`:
+        // whether that compiles to a loop or to a call of the
+        // iterator's out-of-line `try_fold` per scan depends on how
+        // the crate happens to be split into codegen units, and a
+        // rank-ordered gather over 512 ranks is nothing but this scan
+        // (`gather_scaling/star_m512` read 2× either way).
+        let (front, back) = self.pending.as_slices();
+        let found = |e: &Envelope| Self::matches(e, source, tag);
+        let idx = match front.iter().position(found) {
+            Some(idx) => idx,
+            None => front.len() + back.iter().position(found)?,
+        };
         self.pending.remove(idx)
     }
 
@@ -439,7 +508,7 @@ impl World {
             return Err(MpiError::EmptyWorld);
         }
         let world = Arc::new(Shared {
-            mailboxes: (0..size).map(|_| Mailbox::new()).collect(),
+            mailboxes: (0..size).map(|_| Mailbox::new(size)).collect(),
             live: AtomicUsize::new(size),
         });
         let stats = monitor
@@ -740,6 +809,99 @@ mod tests {
     }
 
     #[test]
+    fn latest_wins_send_is_superseded_and_never_overtaken() {
+        let mut comms = World::communicators(2).unwrap();
+        let (left, right) = comms.split_at_mut(1);
+        let (receiver, sender) = (&mut left[0], &right[0]);
+        for value in [1u64, 2, 3] {
+            sender
+                .send_latest_with(0, Tag(1), 8, |sink| sink.put_u64(value))
+                .unwrap();
+        }
+        sender.send(0, Tag(2), b"final").unwrap();
+        // The newest of the three, ahead of what was queued after it.
+        let env = receiver.try_recv(None, None).unwrap();
+        assert_eq!((env.source, env.tag), (1, Tag(1)));
+        assert_eq!(env.payload[..], 3u64.to_le_bytes());
+        assert_eq!(receiver.try_recv(None, None).unwrap().tag, Tag(2));
+        assert!(receiver.try_recv(None, None).is_none());
+        // No encode buffer was taken for any of them.
+        assert_eq!(sender.pool().idle(), 1, "only the queued send's buffer");
+        assert!(matches!(
+            sender.send_latest_with(5, Tag(1), 0, |_| {}),
+            Err(MpiError::InvalidRank { rank: 5, size: 2 })
+        ));
+    }
+
+    #[test]
+    fn latest_wins_send_counts_superseded_messages_out_of_the_backlog() {
+        let sink = Arc::new(MemorySink::new());
+        let monitor = Monitor::new(vec![Box::new(Arc::clone(&sink))]);
+        let mut comms = World::communicators_monitored(2, monitor).unwrap();
+        let (left, right) = comms.split_at_mut(1);
+        for value in [1u64, 2, 3] {
+            right[0]
+                .send_latest_with(0, Tag(1), 8, |sink| sink.put_u64(value))
+                .unwrap();
+        }
+        right[0].send(0, Tag(2), b"final").unwrap();
+        while left[0].try_recv(None, None).is_some() {}
+        let events = sink.snapshot();
+        let sent: Vec<u32> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::MessageSent { tag, .. } => Some(tag),
+                _ => None,
+            })
+            .collect();
+        let received: Vec<(u32, u64)> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::MessageReceived {
+                    tag, queue_depth, ..
+                } => Some((tag, queue_depth)),
+                _ => None,
+            })
+            .collect();
+        let high_water: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::QueueHighWater { depth } => Some(depth),
+                _ => None,
+            })
+            .collect();
+        // Every publish is a message sent; two of them were superseded
+        // unread, so two never arrive and never deepen the backlog.
+        assert_eq!(sent, vec![1, 1, 1, 2]);
+        assert_eq!(received, vec![(1, 1), (2, 0)]);
+        assert_eq!(high_water, vec![1, 2]);
+    }
+
+    #[test]
+    fn latest_wins_send_is_queued_in_a_faulted_world() {
+        use parmonc_faults::FaultPlan;
+        // The plan's one rule never fires: the fault plane is enabled,
+        // and that alone keeps every message on the queue, numbered.
+        let faults = FaultPlan::new(1).drop_message(1, 0, 9, 0).build();
+        let mut comms =
+            World::communicators_faulted(2, Monitor::disabled(), faults.clone()).unwrap();
+        let (left, right) = comms.split_at_mut(1);
+        for value in [1u64, 2, 3] {
+            right[0]
+                .send_latest_with(0, Tag(1), 8, |sink| sink.put_u64(value))
+                .unwrap();
+        }
+        for value in [1u64, 2, 3] {
+            let env = left[0].try_recv(None, None).unwrap();
+            assert_eq!(env.payload[..], value.to_le_bytes());
+        }
+        assert!(left[0].try_recv(None, None).is_none());
+        assert!(faults.records().is_empty());
+        // The fourth send to (0, tag 1) is message number 3 of its lane.
+        assert_eq!(faults.on_send(1, 0, 1).0, 3);
+    }
+
+    #[test]
     fn blocked_recv_learns_that_its_peers_are_gone() {
         // Both orders occur over the repetitions: the peer exits first,
         // or rank 0 is already asleep when it does.
@@ -783,6 +945,15 @@ mod tests {
         drop(peer);
         let env = comms[0].recv(None, None).unwrap();
         assert_eq!(&env.payload[..], b"parting words");
+        assert_eq!(comms[0].recv(None, None), Err(MpiError::Disconnected));
+        // A published message counts as buffered just the same.
+        let mut comms = World::communicators(2).unwrap();
+        let peer = comms.pop().unwrap();
+        peer.send_latest_with(0, Tag(1), 8, |sink| sink.put_u64(7))
+            .unwrap();
+        drop(peer);
+        let env = comms[0].recv(None, None).unwrap();
+        assert_eq!(env.payload[..], 7u64.to_le_bytes());
         assert_eq!(comms[0].recv(None, None), Err(MpiError::Disconnected));
         // A message that matches no receive does not keep one alive.
         comms[0].send(0, Tag(2), b"to myself").unwrap();

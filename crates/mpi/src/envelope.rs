@@ -10,9 +10,12 @@
 //! moves *serialized* payloads exactly like MPI would, letting the
 //! benches measure realistic per-message costs.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::bytes::{Bytes, BytesMut};
 
 use crate::error::MpiError;
+use crate::pool::BufferPool;
 
 /// A message tag, used for matching like MPI's `tag` argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -86,7 +89,7 @@ impl PayloadWriter {
     }
 
     /// Creates a writer over a caller-supplied builder — typically one
-    /// taken from a [`BufferPool`](crate::pool::BufferPool) so encoding
+    /// taken from a [`BufferPool`] so encoding
     /// reuses a retired send buffer instead of allocating.
     #[must_use]
     pub fn from_buffer(buf: BytesMut) -> Self {
@@ -105,15 +108,126 @@ impl PayloadWriter {
 
     /// Appends a length-prefixed slice of `f64`s.
     pub fn put_f64_slice(&mut self, vs: &[f64]) {
-        self.buf.reserve(8 + 8 * vs.len());
-        self.buf.put_u64_le(vs.len() as u64);
-        self.buf.put_f64_slice_le(vs);
+        WordSink::buffer(&mut self.buf).put_f64_slice(vs);
     }
 
     /// Finalizes into an immutable payload.
     #[must_use]
     pub fn finish(self) -> Bytes {
         self.buf.freeze()
+    }
+}
+
+/// Where an encoder puts a payload, one 8-byte little-endian word at a
+/// time: appended to a byte buffer, or stored straight into the words
+/// of a destination's latest-wins slot
+/// ([`Transport::send_latest_with`](crate::Transport::send_latest_with)
+/// on the thread substrate). An encoder written against the sink
+/// produces the same bytes either way.
+#[derive(Debug)]
+pub struct WordSink<'a>(Sink<'a>);
+
+#[derive(Debug)]
+enum Sink<'a> {
+    /// Appends to the buffer; `start` is its length when the sink was
+    /// made.
+    Buffer { buf: &'a mut BytesMut, start: usize },
+    /// Stores into `words[at..]`; a store past the end panics.
+    Words { words: &'a [AtomicU64], at: usize },
+}
+
+impl<'a> WordSink<'a> {
+    /// A sink appending to `buf`.
+    #[must_use]
+    pub fn buffer(buf: &'a mut BytesMut) -> Self {
+        let start = buf.len();
+        Self(Sink::Buffer { buf, start })
+    }
+
+    /// The `len` bytes `fill` writes, in a buffer taken from `pool`.
+    ///
+    /// # Panics
+    ///
+    /// If `fill` writes another number of bytes than `len`.
+    pub(crate) fn fill_pooled(
+        pool: &BufferPool,
+        len: usize,
+        fill: impl FnOnce(&mut WordSink<'_>),
+    ) -> Bytes {
+        let mut buf = pool.take(len);
+        let mut sink = WordSink::buffer(&mut buf);
+        fill(&mut sink);
+        sink.assert_filled(len);
+        buf.freeze()
+    }
+
+    /// A sink filling exactly `words`, in place.
+    pub(crate) fn words(words: &'a [AtomicU64]) -> Self {
+        Self(Sink::Words { words, at: 0 })
+    }
+
+    /// Appends a `u64`.
+    pub fn put_u64(&mut self, v: u64) {
+        match &mut self.0 {
+            Sink::Buffer { buf, .. } => buf.put_u64_le(v),
+            Sink::Words { words, at } => {
+                // Relaxed: the slot's state word publishes the payload.
+                words[*at].store(v, Ordering::Relaxed);
+                *at += 1;
+            }
+        }
+    }
+
+    /// Appends an `f64` (raw bits, so NaNs round-trip).
+    pub fn put_f64(&mut self, v: f64) {
+        self.put_u64(v.to_bits());
+    }
+
+    /// Appends a length-prefixed slice of `f64`s, in bulk.
+    pub fn put_f64_slice(&mut self, vs: &[f64]) {
+        match &mut self.0 {
+            Sink::Buffer { buf, .. } => {
+                buf.reserve(8 + 8 * vs.len());
+                buf.put_u64_le(vs.len() as u64);
+                buf.put_f64_slice_le(vs);
+            }
+            Sink::Words { words, at } => {
+                let run = &words[*at..=*at + vs.len()];
+                run[0].store(vs.len() as u64, Ordering::Relaxed);
+                for (word, v) in run[1..].iter().zip(vs) {
+                    word.store(v.to_bits(), Ordering::Relaxed);
+                }
+                *at += run.len();
+            }
+        }
+    }
+
+    /// Appends raw bytes; a ragged tail is zero-padded to a whole word
+    /// in place, so it must be the last thing written.
+    #[cfg(test)]
+    pub(crate) fn put_bytes(&mut self, bytes: &[u8]) {
+        match &mut self.0 {
+            Sink::Buffer { buf, .. } => buf.put_slice(bytes),
+            Sink::Words { words, at } => {
+                crate::mailbox::store_words(&words[*at..], bytes);
+                *at += bytes.len().div_ceil(8);
+            }
+        }
+    }
+
+    /// Panics unless exactly `len` payload bytes (for an in-place sink:
+    /// their whole words) have been written — an encoder that disagrees
+    /// with the length it announced would publish another message's
+    /// tail.
+    pub(crate) fn assert_filled(&self, len: usize) {
+        let (written, announced) = match &self.0 {
+            Sink::Buffer { buf, start } => (buf.len() - start, len),
+            Sink::Words { at, .. } => (at * 8, len.next_multiple_of(8)),
+        };
+        assert_eq!(
+            written, announced,
+            "the encoder wrote another length than it announced"
+        );
     }
 }
 

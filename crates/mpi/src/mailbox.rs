@@ -1,6 +1,8 @@
 //! The thread substrate's per-rank inbox: a fixed multi-producer /
-//! single-consumer ring of in-place records, plus one locked spill
-//! queue for everything the ring cannot take.
+//! single-consumer ring of in-place records, one locked spill queue
+//! for everything the ring cannot take, and beside them one
+//! latest-wins slot per source for messages that supersede their
+//! predecessors.
 //!
 //! In the strictest exchange mode every realization sends one small
 //! message to rank 0, so the inbox *is* the parallel overhead. A
@@ -48,6 +50,57 @@
 //! ring earlier has been delivered, and per-(source, tag) order holds
 //! across ring → spill → ring. The ring is reused in place and never
 //! grown: fresh blocks cost their page faults on every turn-over.
+//!
+//! # Latest-wins slots
+//!
+//! Ring and spill are a *queue*: every message is delivered. A
+//! cumulative subtotal does not need that — the receiver replaces what
+//! it holds, so one that is superseded before anybody looked is dead
+//! weight. [`Mailbox::publish`] is the register beside the queue: each
+//! source owns one [`Slot`], a triple buffer of line-aligned words.
+//! The writer fills the buffer it owns *in place* and hands it over
+//! with one `swap` on the slot's state word (which of the three
+//! buffers, a dirty bit, byte length, tag); the reader takes the
+//! newest with one compare-exchange on the same word. Neither ever
+//! waits for the other, neither ever sees a half-written payload, and
+//! a publish touches no line the reader writes unless the reader took
+//! something in between. A seqlock would need one buffer less but
+//! makes the *reader* retry while the writer is busy — and in the
+//! regime this is for the writer is always busy.
+//!
+//! The table of slots is allocated by the first publish an inbox
+//! receives and a slot's buffers by the first publish of its source,
+//! sized for that payload: an inbox nobody publishes to (every rank
+//! but the collector and the relays) owns neither. A payload that
+//! does not fit — larger than [`INLINE_MAX`] or than the buffers were
+//! sized for — goes *by handle* through the same state word: the
+//! slot's one-deep cell holds its [`Bytes`], and a superseded handle
+//! goes back to its sender's pool. Memory per inbox is bounded by
+//! sources × payload, whatever the rates.
+//!
+//! ## The contract
+//!
+//! * **Superseding.** A published message is only ever dropped in
+//!   favour of a *newer published message from the same source*.
+//!   Nothing pushed to the queue is ever dropped, and a publish never
+//!   displaces a queued message.
+//! * **Order.** Before a queued message from source *s* is delivered,
+//!   *s*'s unread slot is delivered first. So once a queued message
+//!   has been delivered, nothing its sender published before it can
+//!   still arrive: published messages of one source are delivered in
+//!   the order sent, queued ones too, and a queued message never
+//!   overtakes a published one. (The reverse is allowed: a publish may
+//!   be delivered ahead of a message its source queued earlier.) The
+//!   slot goes ahead *once* per queued message, so republishing cannot
+//!   hold the queue back.
+//! * **Fairness.** After the queue, [`Mailbox::poll`] visits every
+//!   slot at most once per drain pass (a pass ends with the `None`
+//!   that says "nothing deliverable"), so a writer that republishes
+//!   faster than the reader takes cannot pin a `while let Some(..)`
+//!   drain loop.
+//!
+//! A slot has one writer (the source rank's communicator, which is
+//! not `Sync`) and one reader (the inbox's owner).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -55,7 +108,7 @@ use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::bytes::Bytes;
-use crate::envelope::{Envelope, Tag};
+use crate::envelope::{Envelope, Tag, WordSink};
 use crate::error::MpiError;
 use crate::pool::BufferPool;
 
@@ -92,7 +145,7 @@ fn record_lines(len: usize) -> u64 {
 
 /// Copies `bytes` into `words` as little-endian words, zero-padding a
 /// ragged tail.
-fn store_words(words: &[AtomicU64], bytes: &[u8]) {
+pub(crate) fn store_words(words: &[AtomicU64], bytes: &[u8]) {
     let mut chunks = bytes.chunks_exact(8);
     for (word, chunk) in words.iter().zip(&mut chunks) {
         let chunk = chunk.try_into().expect("chunks_exact(8)");
@@ -106,6 +159,17 @@ fn store_words(words: &[AtomicU64], bytes: &[u8]) {
     }
 }
 
+/// Copies the `len` payload bytes held in `words` into a buffer from
+/// `pool` (the receiver's).
+fn copy_out(words: &[AtomicU64], len: usize, pool: &BufferPool) -> Bytes {
+    let mut buf = pool.take(len.next_multiple_of(8));
+    for word in &words[..len.div_ceil(8)] {
+        buf.put_u64_le(word.load(Ordering::Relaxed));
+    }
+    buf.truncate(len);
+    buf.freeze()
+}
+
 /// Locks a mutex whose data every update leaves valid, so a poisoned
 /// lock (a rank panicked while holding it) is still safe to enter —
 /// and [`Drop`] paths must not panic.
@@ -113,16 +177,16 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The ring's storage, line-aligned.
-struct Ring {
+/// Line-aligned storage of [`AtomicU64`] words.
+struct Lines {
     words: Box<[AtomicU64]>,
     /// Index of the first word that starts a 64-byte line.
     base: usize,
 }
 
-impl Ring {
-    fn new() -> Self {
-        let words: Box<[AtomicU64]> = (0..RING_LINES as usize * LINE_WORDS + LINE_WORDS - 1)
+impl Lines {
+    fn new(lines: usize) -> Self {
+        let words: Box<[AtomicU64]> = (0..lines * LINE_WORDS + LINE_WORDS - 1)
             .map(|_| AtomicU64::new(0))
             .collect();
         let misaligned = words.as_ptr() as usize % 64;
@@ -130,16 +194,213 @@ impl Ring {
         Self { words, base }
     }
 
+    /// The `lines` lines starting at line `first`.
+    fn span(&self, first: usize, lines: usize) -> &[AtomicU64] {
+        let start = self.base + first * LINE_WORDS;
+        &self.words[start..start + lines * LINE_WORDS]
+    }
+}
+
+/// The ring's storage.
+struct Ring(Lines);
+
+impl Ring {
+    fn new() -> Self {
+        Self(Lines::new(RING_LINES as usize))
+    }
+
     /// The `lines` lines starting at position `pos` (which must not
     /// straddle the end of the ring).
     fn lines(&self, pos: u64, lines: u64) -> &[AtomicU64] {
-        let start = self.base + (pos % RING_LINES) as usize * LINE_WORDS;
-        &self.words[start..start + lines as usize * LINE_WORDS]
+        self.0.span((pos % RING_LINES) as usize, lines as usize)
     }
 
     /// The first word of the line at position `pos`.
     fn header(&self, pos: u64) -> &AtomicU64 {
-        &self.words[self.base + (pos % RING_LINES) as usize * LINE_WORDS]
+        &self.lines(pos, 1)[0]
+    }
+}
+
+/// Slot state bit: a published message nobody has taken yet.
+const DIRTY: u64 = 1 << 63;
+/// Slot state bit: the message is the [`Bytes`] in the slot's cell,
+/// not the words of a buffer.
+const BY_HANDLE: u64 = 1 << 62;
+/// Slot state bits 60–61: the buffer neither side owns right now — the
+/// newest published one while [`DIRTY`], a spare otherwise.
+const INDEX_SHIFT: u32 = 60;
+/// Slot state bits 32–59: the payload's byte length (inline messages).
+const SLOT_LEN_SHIFT: u32 = 32;
+const SLOT_LEN_MASK: u64 = (1 << (INDEX_SHIFT - SLOT_LEN_SHIFT)) - 1;
+
+/// Which buffer a slot state word names.
+fn buffer_index(state: u64) -> u64 {
+    state >> INDEX_SHIFT & 3
+}
+
+/// A slot's three buffers, `lines` lines each.
+struct Buffers {
+    storage: Lines,
+    lines: usize,
+}
+
+impl Buffers {
+    /// Buffers that hold `words` payload words.
+    fn sized_for(words: usize) -> Self {
+        let lines = words.div_ceil(LINE_WORDS).max(1);
+        Self {
+            storage: Lines::new(3 * lines),
+            lines,
+        }
+    }
+
+    /// Buffer `index`'s first `words` words, if it is that large.
+    fn get(&self, index: u64, words: usize) -> Option<&[AtomicU64]> {
+        (words <= self.lines * LINE_WORDS)
+            .then(|| &self.storage.span(index as usize * self.lines, self.lines)[..words])
+    }
+}
+
+/// One source's latest-wins register in one inbox (see the module
+/// docs). Of the three buffers the writer owns `back`, the reader
+/// `front` and the state word the third; a publish swaps `back` with
+/// the state's, a take swaps `front` with it, so the three indices
+/// stay a permutation and nobody writes a buffer somebody reads.
+///
+/// Two lines, shared with no other slot. In the in-place regime the
+/// only words of them anybody writes are `state`, `back` and `front`,
+/// which the compiler keeps together; `buffers` is read-only once set
+/// and `cell` idle.
+#[repr(align(64))]
+struct Slot {
+    /// `[DIRTY | BY_HANDLE | buffer index | byte length | tag]`.
+    state: AtomicU64,
+    /// The buffer the next publish fills. Only the writer touches it —
+    /// on this line because the writer has just swapped `state`.
+    back: AtomicU64,
+    /// The buffer the last take read. Only the reader touches it.
+    front: AtomicU64,
+    /// Allocated and sized by the source's first inline publish.
+    buffers: OnceLock<Buffers>,
+    /// The by-handle message. A by-handle publish replaces it and
+    /// swaps `state` under this lock, and a take of a by-handle state
+    /// word happens under it, so word and cell cannot disagree.
+    cell: Mutex<Option<Bytes>>,
+}
+
+impl Slot {
+    fn new() -> Self {
+        Self {
+            state: AtomicU64::new(1 << INDEX_SHIFT),
+            back: AtomicU64::new(0),
+            front: AtomicU64::new(2),
+            buffers: OnceLock::new(),
+            cell: Mutex::new(None),
+        }
+    }
+
+    /// Makes `fill`'s payload the slot's content; `true` if that
+    /// superseded a message nobody had taken. A payload that does not
+    /// fit the buffers is built in a buffer from `pool` (the sender's)
+    /// and goes by handle.
+    fn publish(
+        &self,
+        tag: Tag,
+        len: usize,
+        pool: &BufferPool,
+        fill: impl FnOnce(&mut WordSink<'_>),
+    ) -> bool {
+        let back = self.back.load(Ordering::Relaxed);
+        let words = len.div_ceil(8);
+        let inline = (len <= INLINE_MAX)
+            .then(|| self.buffers.get_or_init(|| Buffers::sized_for(words)))
+            .and_then(|buffers| buffers.get(back, words));
+        let word = DIRTY | back << INDEX_SHIFT | u64::from(tag.0);
+        let old = if let Some(buffer) = inline {
+            let mut sink = WordSink::words(buffer);
+            fill(&mut sink);
+            sink.assert_filled(len);
+            // The hand-over: Release for the words above, Acquire for
+            // the reader's last reads of the buffer this takes back,
+            // SeqCst because it must also order against the `waiting`
+            // load that follows in `Mailbox::publish`.
+            let old = self
+                .state
+                .swap(word | (len as u64) << SLOT_LEN_SHIFT, Ordering::SeqCst);
+            if old & (DIRTY | BY_HANDLE) == DIRTY | BY_HANDLE {
+                // The superseded message sits in the cell.
+                if let Some(stale) = lock(&self.cell).take() {
+                    let _ = pool.recycle(stale);
+                }
+            }
+            old
+        } else {
+            let payload = WordSink::fill_pooled(pool, len, fill);
+            let mut cell = lock(&self.cell);
+            let stale = cell.replace(payload);
+            let old = self.state.swap(word | BY_HANDLE, Ordering::SeqCst);
+            drop(cell);
+            if let Some(stale) = stale {
+                let _ = pool.recycle(stale);
+            }
+            old
+        };
+        self.back.store(buffer_index(old), Ordering::Relaxed);
+        old & DIRTY != 0
+    }
+
+    /// Replaces the state word `seen` by a clean one naming the
+    /// reader's `front` buffer; `false` if a publish got in between.
+    /// Release hands `front` (read to the end by the previous take) to
+    /// the writer, Acquire makes the published words visible.
+    fn claim(&self, seen: u64) -> bool {
+        let clean = self.front.load(Ordering::Relaxed) << INDEX_SHIFT;
+        let claimed = self
+            .state
+            .compare_exchange(seen, clean, Ordering::AcqRel, Ordering::Relaxed)
+            .is_ok();
+        if claimed {
+            self.front.store(buffer_index(seen), Ordering::Relaxed);
+        }
+        claimed
+    }
+
+    /// Takes the newest published message, if there is an unread one.
+    /// `order` as in [`Mailbox::poll`].
+    fn take(&self, source: usize, pool: &BufferPool, order: Ordering) -> Option<Envelope> {
+        loop {
+            let seen = self.state.load(order);
+            if seen & DIRTY == 0 {
+                return None;
+            }
+            // Claimed by compare-exchange on exactly the word seen: a
+            // publish in between makes it fail, and the newer word is
+            // looked at instead.
+            let payload = if seen & BY_HANDLE != 0 {
+                let mut cell = lock(&self.cell);
+                if !self.claim(seen) {
+                    continue;
+                }
+                cell.take()
+                    .expect("a by-handle state word is published with its cell filled")
+            } else {
+                if !self.claim(seen) {
+                    continue;
+                }
+                let len = (seen >> SLOT_LEN_SHIFT & SLOT_LEN_MASK) as usize;
+                let words = self
+                    .buffers
+                    .get()
+                    .and_then(|buffers| buffers.get(buffer_index(seen), len.div_ceil(8)))
+                    .expect("an inline state word names a buffer that holds its payload");
+                copy_out(words, len, pool)
+            };
+            return Some(Envelope {
+                source,
+                tag: Tag(seen as u32),
+                payload,
+            });
+        }
     }
 }
 
@@ -162,6 +423,11 @@ pub(crate) struct Cursor {
     head: u64,
     /// `head` as last published to the producers.
     published: u64,
+    /// The next slot the current drain pass looks at.
+    scan: usize,
+    /// The source whose slot has just been delivered ahead of the
+    /// queued message it has at the front: that message is due next.
+    ahead_of: Option<usize>,
 }
 
 /// One rank's inbox.
@@ -181,6 +447,11 @@ pub(crate) struct Mailbox {
     /// `(mark, envelope)`: by-handle messages, each deliverable once
     /// the consumer's position has reached `mark`.
     spill: Mutex<VecDeque<(u64, Envelope)>>,
+    /// One latest-wins slot per source rank, allocated by the first
+    /// publish: an inbox nobody publishes to owns no table.
+    slots: OnceLock<Box<[Slot]>>,
+    /// Ranks in the world (the length of `slots`).
+    sources: usize,
     sleep: Mutex<()>,
     wake: Condvar,
 }
@@ -192,13 +463,15 @@ impl core::fmt::Debug for Mailbox {
             .field("consumed", &self.cursors.consumed)
             .field("ring", &self.ring.get().is_some())
             .field("spilled", &self.spilled)
+            .field("slots", &self.slots.get().is_some())
             .field("closed", &self.closed)
             .finish_non_exhaustive()
     }
 }
 
 impl Mailbox {
-    pub(crate) fn new() -> Self {
+    /// The inbox of one rank in a world of `sources` ranks.
+    pub(crate) fn new(sources: usize) -> Self {
         Self {
             cursors: Cursors {
                 claim: AtomicU64::new(0),
@@ -209,6 +482,8 @@ impl Mailbox {
             waiting: AtomicBool::new(false),
             closed: AtomicBool::new(false),
             spill: Mutex::new(VecDeque::new()),
+            slots: OnceLock::new(),
+            sources,
             sleep: Mutex::new(()),
             wake: Condvar::new(),
         }
@@ -253,6 +528,61 @@ impl Mailbox {
         };
         self.wake_if_waiting();
         Ok(kept)
+    }
+
+    /// Publishes a latest-wins message (module docs): `fill` writes the
+    /// `len` payload bytes into `source`'s slot in place, or — when
+    /// they do not fit it — into a buffer from `pool`, the sender's
+    /// own. Never blocks. `Ok(true)` if this superseded a message from
+    /// `source` that had not been taken.
+    ///
+    /// # Errors
+    ///
+    /// [`MpiError::Disconnected`] if the owning rank is gone.
+    ///
+    /// # Panics
+    ///
+    /// If `fill` writes another number of bytes than `len`.
+    pub(crate) fn publish(
+        &self,
+        source: usize,
+        tag: Tag,
+        len: usize,
+        pool: &BufferPool,
+        fill: impl FnOnce(&mut WordSink<'_>),
+    ) -> Result<bool, MpiError> {
+        if self.closed.load(Ordering::Acquire) {
+            return Err(MpiError::Disconnected);
+        }
+        let slots = self
+            .slots
+            .get_or_init(|| (0..self.sources).map(|_| Slot::new()).collect());
+        let superseded = slots[source].publish(tag, len, pool, fill);
+        self.wake_if_waiting();
+        Ok(superseded)
+    }
+
+    /// What goes ahead of the queued message from `source` the
+    /// consumer has reached: the source's unread slot content, once.
+    /// Whatever the source published before it queued that message was
+    /// visible when the message was (its swaps precede the commit the
+    /// consumer read), so one take has it, or its successor; what the
+    /// slot holds after that was published later — and looking again
+    /// would let a source that republishes faster than the consumer
+    /// takes hold back the queue behind its own message for ever.
+    fn take_ahead_of_queued(
+        &self,
+        cursor: &mut Cursor,
+        source: usize,
+        pool: &BufferPool,
+        order: Ordering,
+    ) -> Option<Envelope> {
+        if cursor.ahead_of.take() == Some(source) {
+            return None;
+        }
+        let env = self.slots.get()?.get(source)?.take(source, pool, order)?;
+        cursor.ahead_of = Some(source);
+        Some(env)
     }
 
     /// Copies the message into the ring if it fits; `false` sends the
@@ -313,9 +643,11 @@ impl Mailbox {
         true
     }
 
-    /// Takes the next deliverable message, if any. `order` is the
-    /// ordering of the loads that decide "nothing there": `Acquire` on
-    /// the polling path, `SeqCst` for the re-poll before sleeping.
+    /// Takes the next deliverable message, if any: the queue first —
+    /// but ahead of each queued message its source's unread slot —
+    /// then every slot once per drain pass. `order` is the ordering of
+    /// the loads that decide "nothing there": `Acquire` on the polling
+    /// path, `SeqCst` for the re-poll before sleeping.
     pub(crate) fn poll(
         &self,
         cursor: &mut Cursor,
@@ -337,31 +669,46 @@ impl Mailbox {
                 let lines = record_lines(len);
                 let record = ring.lines(cursor.head, lines);
                 let meta = record[1].load(Ordering::Relaxed);
-                let mut buf = pool.take(len.next_multiple_of(8));
-                for word in &record[HEADER_WORDS..HEADER_WORDS + len.div_ceil(8)] {
-                    buf.put_u64_le(word.load(Ordering::Relaxed));
+                let source = (meta >> 32) as usize;
+                // The record stays for the next poll if its sender's
+                // slot goes first.
+                if let Some(env) = self.take_ahead_of_queued(cursor, source, pool, order) {
+                    return Some(env);
                 }
-                buf.truncate(len);
+                let payload = copy_out(&record[HEADER_WORDS..], len, pool);
                 self.release(ring, cursor, lines);
                 return Some(Envelope {
-                    source: (meta >> 32) as usize,
+                    source,
                     tag: Tag(meta as u32),
-                    payload: buf.freeze(),
+                    payload,
                 });
             }
         }
         // The ring is empty at `head`, or holds a record still being
         // written there — which the mark check below waits out.
-        if self.spilled.load(order) == 0 {
-            return None;
+        if self.spilled.load(order) != 0 {
+            let mut queue = lock(&self.spill);
+            if let Some((_, env)) = queue.front().filter(|(mark, _)| *mark <= cursor.head) {
+                if let Some(env) = self.take_ahead_of_queued(cursor, env.source, pool, order) {
+                    return Some(env);
+                }
+                let (_, env) = queue.pop_front()?;
+                self.spilled.store(queue.len(), Ordering::Release);
+                return Some(env);
+            }
         }
-        let mut queue = lock(&self.spill);
-        if queue.front()?.0 > cursor.head {
-            return None;
+        if let Some(slots) = self.slots.get() {
+            while let Some(slot) = slots.get(cursor.scan) {
+                cursor.scan += 1;
+                if let Some(env) = slot.take(cursor.scan - 1, pool, order) {
+                    return Some(env);
+                }
+            }
         }
-        let (_, env) = queue.pop_front()?;
-        self.spilled.store(queue.len(), Ordering::Release);
-        Some(env)
+        // The pass is over: every slot has been looked at once since
+        // the last `None`.
+        cursor.scan = 0;
+        None
     }
 
     /// Returns `lines` lines at the consumer's position to the
@@ -417,12 +764,15 @@ impl Mailbox {
             // one sleep costs one notification however many senders
             // arrive before this thread is back on a core.
             self.waiting.store(true, Ordering::SeqCst);
+            // "Nothing there" must come from a whole drain pass.
+            cursor.scan = 0;
             if let Some(env) = self.poll(cursor, pool, Ordering::SeqCst) {
                 break Ok(Some(env));
             }
             if !peers_alive() {
                 // Whatever a peer sent, it sent before it left: look
-                // once more now that its departure is visible.
+                // once more now that its departure is visible (from
+                // slot 0 again: the `None` above ended the pass).
                 break self
                     .poll(cursor, pool, Ordering::SeqCst)
                     .map(Some)
@@ -526,7 +876,7 @@ mod tests {
         let mut returned = false;
         let mut check = |seed: u64| -> Result<(), TestCaseError> {
             let mut rng = TestRng::new(seed);
-            let mailbox = Mailbox::new();
+            let mailbox = Mailbox::new(4);
             let pool = BufferPool::default();
             let mut cursor = Cursor::default();
             let mut next_seq: BTreeMap<(usize, u32), u64> = BTreeMap::new();
@@ -606,7 +956,7 @@ mod tests {
     /// line 0 behind a padding record, whatever the sizes around it.
     #[test]
     fn records_never_straddle_the_end_of_the_ring() {
-        let mailbox = Mailbox::new();
+        let mailbox = Mailbox::new(4);
         let pool = BufferPool::default();
         let mut cursor = Cursor::default();
         // 65-line records do not divide the ring: every lap ends in a
@@ -629,7 +979,7 @@ mod tests {
     fn sleeper_wakes_for_every_single_send() {
         const ROUNDS: u64 = 10_000;
         within(Duration::from_secs(120), || {
-            let mailbox = Mailbox::new();
+            let mailbox = Mailbox::new(4);
             std::thread::scope(|scope| {
                 scope.spawn(|| {
                     let pool = BufferPool::default();
@@ -653,9 +1003,432 @@ mod tests {
         });
     }
 
+    /// The tag the model tests publish under; queued messages use 0
+    /// and 1.
+    const LATEST: Tag = Tag(100);
+
+    fn publish_bytes(
+        mailbox: &Mailbox,
+        source: usize,
+        bytes: &[u8],
+        pool: &BufferPool,
+    ) -> Result<bool, MpiError> {
+        mailbox.publish(source, LATEST, bytes.len(), pool, |sink| {
+            sink.put_bytes(bytes);
+        })
+    }
+
+    /// The latest-wins contract against a model, over seeded mixes of
+    /// `publish`, queued `push` and `poll` from four sources and every
+    /// boundary size. The model is the mechanism (queue first, a
+    /// source's slot once ahead of its queued message, then each slot
+    /// once per pass) and must predict every poll exactly; the contract
+    /// is then checked on what was delivered, in its own words.
+    #[test]
+    fn latest_wins_traffic_keeps_the_order_contract() {
+        const SOURCES: usize = 4;
+        /// What a source published before it queued message `q`.
+        #[derive(Default)]
+        struct Lane {
+            /// The newest publish nobody has taken: (number, payload).
+            slot: Option<(u64, Vec<u8>)>,
+            published: u64,
+            /// Number of the newest publish delivered.
+            delivered: Option<u64>,
+            /// `published` when each undelivered queued message was sent.
+            published_before: VecDeque<u64>,
+        }
+        let mut handle_over_inline = false;
+        let mut inline_over_handle = false;
+        let mut outgrew_the_slot = false;
+        let mut republished_within_a_pass = false;
+        let mut check = |seed: u64| -> Result<(), TestCaseError> {
+            let mut rng = TestRng::new(seed);
+            let mailbox = Mailbox::new(SOURCES);
+            let (pool, sender_pool) = (BufferPool::default(), BufferPool::default());
+            let mut cursor = Cursor::default();
+            let mut lanes: Vec<Lane> = (0..SOURCES).map(|_| Lane::default()).collect();
+            let mut queue: VecDeque<(usize, u32, Vec<u8>)> = VecDeque::new();
+            let mut scan = 0;
+            let mut ahead_of = None;
+            let mut taken_this_pass = [false; SOURCES];
+            for _ in 0..400 {
+                let source = rng.below(SOURCES as u64) as usize;
+                match rng.below(5) {
+                    0 | 1 => {
+                        let lane = &mut lanes[source];
+                        let len = boundary_len(&mut rng, 14);
+                        let bytes = lane_payload(source, LATEST.0, lane.published, len);
+                        let was = mailbox
+                            .slots
+                            .get()
+                            .map(|s| s[source].state.load(Ordering::Relaxed));
+                        let superseded = publish_bytes(&mailbox, source, &bytes, &sender_pool)
+                            .expect("open mailbox");
+                        prop_assert_eq!(superseded, lane.slot.is_some());
+                        let now = mailbox.slots.get().expect("published")[source]
+                            .state
+                            .load(Ordering::Relaxed);
+                        let by_handle = now & BY_HANDLE != 0;
+                        prop_assert!(by_handle || len <= INLINE_MAX);
+                        outgrew_the_slot |= by_handle && len <= INLINE_MAX;
+                        if let Some(was) = was.filter(|was| was & DIRTY != 0) {
+                            handle_over_inline |= by_handle && was & BY_HANDLE == 0;
+                            inline_over_handle |= !by_handle && was & BY_HANDLE != 0;
+                        }
+                        republished_within_a_pass |= taken_this_pass[source];
+                        lane.slot = Some((lane.published, bytes));
+                        lane.published += 1;
+                    }
+                    2 => {
+                        let tag = rng.below(2) as u32;
+                        let number = queue.len() as u64 + rng.below(1000);
+                        let bytes = lane_payload(source, tag, number, boundary_len(&mut rng, 14));
+                        mailbox
+                            .push(source, Tag(tag), Bytes::from(bytes.clone()))
+                            .expect("open mailbox");
+                        let lane = &mut lanes[source];
+                        lane.published_before.push_back(lane.published);
+                        queue.push_back((source, tag, bytes));
+                    }
+                    _ => {
+                        for _ in 0..rng.below(4) {
+                            // The model's poll.
+                            let expected = match queue.front() {
+                                Some(&(source, ..)) => {
+                                    let went_ahead = ahead_of.take() == Some(source);
+                                    if !went_ahead && lanes[source].slot.is_some() {
+                                        ahead_of = Some(source);
+                                    }
+                                    ahead_of
+                                }
+                                None => loop {
+                                    if scan == SOURCES {
+                                        break None;
+                                    }
+                                    scan += 1;
+                                    if lanes[scan - 1].slot.is_some() {
+                                        break Some(scan - 1);
+                                    }
+                                },
+                            };
+                            let got = mailbox.poll(&mut cursor, &pool, Ordering::Acquire);
+                            if let Some(source) = expected {
+                                let lane = &mut lanes[source];
+                                let (number, bytes) = lane.slot.take().expect("predicted");
+                                let env = got.expect("an unread slot is deliverable");
+                                prop_assert_eq!((env.source, env.tag), (source, LATEST));
+                                prop_assert_eq!(env.payload.to_vec(), bytes);
+                                // Published messages arrive in the order sent.
+                                prop_assert!(lane.delivered.is_none_or(|d| d < number));
+                                lane.delivered = Some(number);
+                                taken_this_pass[source] = true;
+                            } else if let Some((source, tag, bytes)) = queue.pop_front() {
+                                let env = got.expect("a queued message is deliverable");
+                                prop_assert_eq!((env.source, env.tag), (source, Tag(tag)));
+                                prop_assert_eq!(env.payload.to_vec(), bytes);
+                                // Whatever its source published before it
+                                // has arrived — itself or a successor.
+                                let lane = &mut lanes[source];
+                                let before = lane.published_before.pop_front().expect("queued");
+                                prop_assert!(before == 0 || lane.delivered >= Some(before - 1));
+                            } else {
+                                prop_assert!(got.is_none(), "the pass should be over");
+                                scan = 0;
+                                taken_this_pass = [false; SOURCES];
+                            }
+                        }
+                    }
+                }
+            }
+            // The newest publish of every source is delivered in the end,
+            // and nothing is delivered that was not sent.
+            let mut idle_polls = 0;
+            while idle_polls < 2 {
+                match mailbox.poll(&mut cursor, &pool, Ordering::Acquire) {
+                    None => idle_polls += 1,
+                    Some(env) if env.tag == LATEST => {
+                        let lane = &mut lanes[env.source];
+                        let (number, bytes) = lane.slot.take().expect("one unread publish");
+                        prop_assert_eq!(env.payload.to_vec(), bytes);
+                        lane.delivered = Some(number);
+                    }
+                    Some(env) => {
+                        let (source, tag, bytes) = queue.pop_front().expect("one queued message");
+                        prop_assert_eq!((env.source, env.tag.0), (source, tag));
+                        prop_assert_eq!(env.payload.to_vec(), bytes);
+                        let lane = &mut lanes[source];
+                        let before = lane.published_before.pop_front().expect("queued");
+                        prop_assert!(before == 0 || lane.delivered >= Some(before - 1));
+                    }
+                }
+            }
+            prop_assert!(queue.is_empty());
+            for lane in &lanes {
+                prop_assert!(lane.slot.is_none());
+                prop_assert_eq!(lane.delivered, lane.published.checked_sub(1));
+            }
+            Ok(())
+        };
+        let result = TestRunner::with_cases(64).run_named(
+            "latest_wins_traffic_keeps_the_order_contract",
+            &any::<u64>(),
+            &mut check,
+        );
+        if let Err(msg) = result {
+            panic!("{msg}");
+        }
+        assert!(
+            handle_over_inline
+                && inline_over_handle
+                && outgrew_the_slot
+                && republished_within_a_pass,
+            "the traffic never left the easy path"
+        );
+    }
+
+    /// Three publishers at full speed — 64-byte counters, 4 KiB ones
+    /// (inline, the largest that is), and one alternating between a
+    /// line and a by-handle size — against a reader that polls, and
+    /// now and then sleeps. Every delivered payload is one publish
+    /// (all its words carry one counter), counters never go back, a
+    /// queued heartbeat never overtakes the counter published before
+    /// it, and each source's queued final arrives after its last
+    /// counter and all its heartbeats.
+    #[test]
+    fn latest_wins_stress_never_tears_and_never_goes_back() {
+        const PUBLISHES: u64 = 1_000_000;
+        const BEAT_EVERY: u64 = 1 << 14;
+        const FINAL: Tag = Tag(2);
+        const HEARTBEAT: Tag = Tag(4);
+        /// Bytes of publisher `source`'s counter `i`.
+        fn size(source: usize, i: u64) -> usize {
+            match source {
+                1 => 64,
+                2 => INLINE_MAX,
+                _ if i.is_multiple_of(2) => 64,
+                _ => INLINE_MAX + 64,
+            }
+        }
+        within(Duration::from_secs(600), || {
+            let mailbox = Mailbox::new(4);
+            std::thread::scope(|scope| {
+                for source in 1..4 {
+                    let mailbox = &mailbox;
+                    scope.spawn(move || {
+                        let pool = BufferPool::default();
+                        for i in 0..PUBLISHES {
+                            if i % BEAT_EVERY == BEAT_EVERY - 1 {
+                                let beat = Bytes::from(i.to_le_bytes().to_vec());
+                                mailbox.push(source, HEARTBEAT, beat).expect("open mailbox");
+                            }
+                            let len = size(source, i);
+                            mailbox
+                                .publish(source, LATEST, len, &pool, |sink| {
+                                    for _ in 0..len / 8 {
+                                        sink.put_u64(i);
+                                    }
+                                })
+                                .expect("open mailbox");
+                        }
+                        mailbox
+                            .push(source, FINAL, Bytes::new())
+                            .expect("open mailbox");
+                        assert!(pool.idle() <= 2, "superseded handles pile up");
+                    });
+                }
+                let pool = BufferPool::default();
+                let mut cursor = Cursor::default();
+                let mut newest = [None::<u64>; 4];
+                let mut beats = [0; 4];
+                let mut finals = 0;
+                let mut delivered = 0u64;
+                while finals < 3 {
+                    let env = if delivered.is_multiple_of(1024) {
+                        mailbox
+                            .wait(&mut cursor, &pool, None, || true)
+                            .expect("peers alive")
+                            .expect("no deadline")
+                    } else {
+                        match mailbox.poll(&mut cursor, &pool, Ordering::Acquire) {
+                            Some(env) => env,
+                            None => continue,
+                        }
+                    };
+                    delivered += 1;
+                    if env.tag == FINAL {
+                        assert_eq!(newest[env.source], Some(PUBLISHES - 1), "final overtook");
+                        assert_eq!(beats[env.source], PUBLISHES / BEAT_EVERY);
+                        finals += 1;
+                        continue;
+                    }
+                    if env.tag == HEARTBEAT {
+                        let next = u64::from_le_bytes(env.payload[..].try_into().unwrap());
+                        assert!(newest[env.source] >= Some(next - 1), "heartbeat overtook");
+                        beats[env.source] += 1;
+                        continue;
+                    }
+                    let mut words = env
+                        .payload
+                        .chunks_exact(8)
+                        .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")));
+                    let counter = words.next().expect("no empty publish");
+                    assert!(words.all(|w| w == counter), "a torn payload");
+                    assert_eq!(env.len(), size(env.source, counter));
+                    assert!(newest[env.source] < Some(counter), "a counter went back");
+                    newest[env.source] = Some(counter);
+                    let _ = pool.recycle(env.payload);
+                }
+                assert!(mailbox
+                    .poll(&mut cursor, &pool, Ordering::Acquire)
+                    .is_none());
+            });
+        });
+    }
+
+    /// [`sleeper_wakes_for_every_single_send`] for `publish`: the
+    /// producer publishes only while the consumer is (about to be)
+    /// asleep, so a lost wake-up hangs both. A woken consumer raises
+    /// `waiting` again before it looks, which lets the next publish
+    /// in: rounds may be superseded, the last one may not be lost.
+    #[test]
+    fn latest_wins_publish_wakes_a_sleeper_every_time() {
+        const ROUNDS: u64 = 10_000;
+        within(Duration::from_secs(120), || {
+            let mailbox = Mailbox::new(2);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let pool = BufferPool::default();
+                    let mut cursor = Cursor::default();
+                    let mut newest = None;
+                    while newest < Some(ROUNDS - 1) {
+                        let env = mailbox
+                            .wait(&mut cursor, &pool, None, || true)
+                            .expect("peers alive")
+                            .expect("no deadline");
+                        let round = u64::from_le_bytes(env.payload[..].try_into().unwrap());
+                        assert!(newest < Some(round), "round {round} after {newest:?}");
+                        newest = Some(round);
+                    }
+                });
+                let pool = BufferPool::default();
+                for round in 0..ROUNDS {
+                    while !mailbox.waiting.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    mailbox
+                        .publish(1, LATEST, 8, &pool, |sink| sink.put_u64(round))
+                        .unwrap();
+                }
+            });
+        });
+    }
+
+    /// A register, not a queue: a million publishes nobody reads leave
+    /// the ring unclaimed, the spill queue empty, the sender's pool
+    /// balanced — and one message to deliver.
+    #[test]
+    fn latest_wins_publishes_nobody_reads_take_no_space() {
+        let mailbox = Mailbox::new(2);
+        let (pool, sender_pool) = (BufferPool::default(), BufferPool::default());
+        let mut cursor = Cursor::default();
+        for i in 0..1_000_000u64 {
+            let superseded = mailbox
+                .publish(1, LATEST, 64, &sender_pool, |sink| {
+                    (0..8).for_each(|k| sink.put_u64(i + k));
+                })
+                .unwrap();
+            assert_eq!(superseded, i > 0);
+        }
+        assert_eq!(sender_pool.idle(), 0, "in place: no buffer is ever taken");
+        // By handle, a superseded buffer goes back to its sender: two
+        // allocations serve any number of publishes.
+        for i in 0..10_000u64 {
+            mailbox
+                .publish(1, LATEST, INLINE_MAX + 8, &sender_pool, |sink| {
+                    (0..=INLINE_MAX as u64 / 8).for_each(|_| sink.put_u64(i));
+                })
+                .unwrap();
+            assert!(sender_pool.idle() <= 1);
+        }
+        assert!(mailbox.ring.get().is_none());
+        assert_eq!(mailbox.cursors.claim.load(Ordering::Relaxed), 0);
+        assert!(lock(&mailbox.spill).is_empty());
+        let env = mailbox.poll(&mut cursor, &pool, Ordering::Acquire).unwrap();
+        assert_eq!(
+            (env.source, env.tag, env.len()),
+            (1, LATEST, INLINE_MAX + 8)
+        );
+        assert_eq!(env.payload[..8], 9_999u64.to_le_bytes());
+        assert!(mailbox
+            .poll(&mut cursor, &pool, Ordering::Acquire)
+            .is_none());
+    }
+
+    #[test]
+    fn latest_wins_slot_is_sized_by_its_first_publish() {
+        let mailbox = Mailbox::new(3);
+        let pool = BufferPool::default();
+        assert!(mailbox.slots.get().is_none(), "no publish, no table");
+        publish_bytes(&mailbox, 2, &[7u8; 100], &pool).unwrap();
+        let slots = mailbox.slots.get().expect("allocated by the first publish");
+        assert!(slots[1].buffers.get().is_none(), "another source's slot");
+        let buffers = slots[2].buffers.get().expect("sized by this publish");
+        assert_eq!(buffers.lines, 2);
+        assert_eq!(buffers.storage.span(0, 1).as_ptr() as usize % 64, 0);
+        assert_eq!(core::mem::size_of::<Slot>(), 128);
+        let line = |offset: usize| offset / 64;
+        assert_eq!(
+            line(core::mem::offset_of!(Slot, state)),
+            line(core::mem::offset_of!(Slot, front))
+        );
+        // Two lines hold 128 bytes; one more goes by handle.
+        publish_bytes(&mailbox, 2, &[8u8; 128], &pool).unwrap();
+        assert_eq!(slots[2].state.load(Ordering::Relaxed) & BY_HANDLE, 0);
+        publish_bytes(&mailbox, 2, &[9u8; 129], &pool).unwrap();
+        assert_ne!(slots[2].state.load(Ordering::Relaxed) & BY_HANDLE, 0);
+        let mut cursor = Cursor::default();
+        let env = mailbox.poll(&mut cursor, &pool, Ordering::Acquire).unwrap();
+        assert_eq!(env.payload.to_vec(), vec![9u8; 129]);
+    }
+
+    /// The slot goes ahead of a queued message once. Were it looked at
+    /// on every poll, a source that republishes between polls would
+    /// hold back its own queued message, and the queue behind it, for
+    /// as long as it kept publishing.
+    #[test]
+    fn latest_wins_republishing_cannot_hold_back_the_queue() {
+        let mailbox = Mailbox::new(2);
+        let pool = BufferPool::default();
+        let mut cursor = Cursor::default();
+        let mut poll = || mailbox.poll(&mut cursor, &pool, Ordering::Acquire);
+        for by_handle in [false, true] {
+            publish_bytes(&mailbox, 1, b"before", &pool).unwrap();
+            let queued = vec![1u8; if by_handle { INLINE_MAX + 1 } else { 1 }];
+            mailbox.push(1, Tag(0), Bytes::from(queued)).unwrap();
+            mailbox.push(0, Tag(0), Bytes::new()).unwrap();
+            assert_eq!(poll().unwrap().payload.to_vec(), b"before");
+            publish_bytes(&mailbox, 1, b"after", &pool).unwrap();
+            let next_two = (poll().unwrap(), poll().unwrap());
+            assert_eq!((next_two.0.source, next_two.0.tag), (1, Tag(0)));
+            assert_eq!((next_two.1.source, next_two.1.tag), (0, Tag(0)));
+            assert_eq!(poll().unwrap().payload.to_vec(), b"after");
+            assert!(poll().is_none(), "the pass is over");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another length than it announced")]
+    fn latest_wins_publish_checks_the_announced_length() {
+        let mailbox = Mailbox::new(1);
+        let _ = mailbox.publish(0, LATEST, 16, &BufferPool::default(), |sink| {
+            sink.put_u64(1)
+        });
+    }
+
     #[test]
     fn wait_honours_its_deadline_and_the_peers_leaving() {
-        let mailbox = Mailbox::new();
+        let mailbox = Mailbox::new(4);
         let pool = BufferPool::default();
         let mut cursor = Cursor::default();
         let soon = Instant::now() + Duration::from_millis(10);
@@ -668,10 +1441,22 @@ mod tests {
             mailbox.wait(&mut cursor, &pool, None, || false),
             Err(MpiError::Disconnected)
         );
-        // A message buffered before the peers left is still delivered.
+        // A message buffered before the peers left is still delivered —
+        // a published one too, from a slot the last pass had passed.
         mailbox.push(2, Tag(5), Bytes::from(vec![1u8])).unwrap();
         let env = mailbox.wait(&mut cursor, &pool, None, || false).unwrap();
         assert_eq!(env.expect("buffered message").source, 2);
+        publish_bytes(&mailbox, 3, b"newest", &pool).unwrap();
+        assert!(mailbox
+            .poll(&mut cursor, &pool, Ordering::Acquire)
+            .is_some());
+        publish_bytes(&mailbox, 1, b"parting", &pool).unwrap();
+        let env = mailbox.wait(&mut cursor, &pool, None, || false).unwrap();
+        assert_eq!(env.expect("published message").source, 1);
+        assert_eq!(
+            mailbox.wait(&mut cursor, &pool, None, || false),
+            Err(MpiError::Disconnected)
+        );
     }
 
     #[test]
@@ -692,7 +1477,7 @@ mod tests {
 
     #[test]
     fn an_unused_mailbox_owns_no_ring() {
-        let mailbox = Mailbox::new();
+        let mailbox = Mailbox::new(4);
         let pool = BufferPool::default();
         let mut cursor = Cursor::default();
         assert!(mailbox
@@ -714,7 +1499,7 @@ mod tests {
 
     #[test]
     fn inline_payload_comes_back_to_the_sender() {
-        let mailbox = Mailbox::new();
+        let mailbox = Mailbox::new(4);
         let pool = BufferPool::default();
         let mut cursor = Cursor::default();
         let payload = Bytes::from(vec![1u8, 2, 3]);
@@ -727,7 +1512,7 @@ mod tests {
 
     #[test]
     fn full_ring_spills_and_order_survives_the_return() {
-        let mailbox = Mailbox::new();
+        let mailbox = Mailbox::new(4);
         let pool = BufferPool::default();
         let mut cursor = Cursor::default();
         // 64-byte payloads take two lines: the ring holds 512, the
@@ -755,10 +1540,14 @@ mod tests {
 
     #[test]
     fn closed_mailbox_refuses_sends() {
-        let mailbox = Mailbox::new();
+        let mailbox = Mailbox::new(4);
         mailbox.close();
         assert_eq!(
             mailbox.push(0, Tag(0), Bytes::new()),
+            Err(MpiError::Disconnected)
+        );
+        assert_eq!(
+            publish_bytes(&mailbox, 0, b"late", &BufferPool::default()),
             Err(MpiError::Disconnected)
         );
     }

@@ -21,7 +21,8 @@
 //! methods layered on the point-to-point surface, so an implementor
 //! only supplies the eight required primitives — [`Transport::send`]
 //! and [`Transport::recycle`] default to the copying and pooling
-//! obvious, and [`Transport::retire_rank`] is an optional lifecycle
+//! obvious, [`Transport::send_latest_with`] to an ordinary queued
+//! send, and [`Transport::retire_rank`] is an optional lifecycle
 //! hint that only rank-leasing substrates act on.
 
 use std::time::Duration;
@@ -29,7 +30,7 @@ use std::time::Duration;
 use crate::bytes::Bytes;
 use crate::collective;
 use crate::comm::Communicator;
-use crate::envelope::{Envelope, Tag};
+use crate::envelope::{Envelope, Tag, WordSink};
 use crate::error::MpiError;
 use crate::pool::BufferPool;
 
@@ -77,6 +78,41 @@ pub trait Transport {
     ///
     /// Same as [`Transport::send`].
     fn send_bytes(&self, dest: usize, tag: Tag, payload: Bytes) -> Result<(), MpiError>;
+
+    /// Sends a *latest-wins* message of `len` bytes, written by `fill`:
+    /// one that supersedes this rank's earlier latest-wins messages to
+    /// `dest` — a cumulative subtotal, of which the receiver only ever
+    /// wants the newest. The substrate may drop it in favour of a
+    /// newer latest-wins message from this rank that `dest` has not
+    /// taken yet, and for nothing else; a message sent with
+    /// [`Transport::send`] or [`Transport::send_bytes`] afterwards is
+    /// never delivered ahead of it (or of the one that superseded it).
+    ///
+    /// The default encodes into a buffer from [`Transport::pool`] and
+    /// queues it with [`Transport::send_bytes`]: every message is
+    /// delivered, which is what the socket substrates put on the wire.
+    /// The thread substrate lets `fill` write into the destination's
+    /// inbox in place.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Transport::send`].
+    ///
+    /// # Panics
+    ///
+    /// If `fill` writes another number of bytes than `len`.
+    fn send_latest_with(
+        &self,
+        dest: usize,
+        tag: Tag,
+        len: usize,
+        fill: impl FnOnce(&mut WordSink<'_>),
+    ) -> Result<(), MpiError>
+    where
+        Self: Sized,
+    {
+        send_latest_queued(self, dest, tag, len, fill)
+    }
 
     /// Blocking receive of the next message matching the optional
     /// `source` and `tag` filters.
@@ -176,6 +212,19 @@ pub trait Transport {
     }
 }
 
+/// [`Transport::send_latest_with`] as an ordinary queued send: `fill`
+/// encodes into a pooled buffer, which [`Transport::send_bytes`] takes.
+pub(crate) fn send_latest_queued<T: Transport>(
+    transport: &T,
+    dest: usize,
+    tag: Tag,
+    len: usize,
+    fill: impl FnOnce(&mut WordSink<'_>),
+) -> Result<(), MpiError> {
+    let payload = WordSink::fill_pooled(transport.pool(), len, fill);
+    transport.send_bytes(dest, tag, payload)
+}
+
 impl Transport for Communicator {
     fn rank(&self) -> usize {
         Communicator::rank(self)
@@ -195,6 +244,16 @@ impl Transport for Communicator {
 
     fn send_bytes(&self, dest: usize, tag: Tag, payload: Bytes) -> Result<(), MpiError> {
         Communicator::send_bytes(self, dest, tag, payload)
+    }
+
+    fn send_latest_with(
+        &self,
+        dest: usize,
+        tag: Tag,
+        len: usize,
+        fill: impl FnOnce(&mut WordSink<'_>),
+    ) -> Result<(), MpiError> {
+        Communicator::send_latest_with(self, dest, tag, len, fill)
     }
 
     fn recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Result<Envelope, MpiError> {

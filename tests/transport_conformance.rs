@@ -941,6 +941,133 @@ fn tree_topology_agrees_with_star_on_thread_and_process_backends() {
     assert_no_orphans();
 }
 
+/// Strict exchange on threads is a register: a worker publishes after
+/// every realization and the receiver reads the newest when it looks,
+/// so at τ ≈ 0 nearly every subtotal is superseded unread. None of
+/// that may reach the estimate. Each shape — star at m = 2, 4 and 7, a
+/// binary tree at m = 7 (relays reading registers, the root a queue of
+/// batches) — must reproduce, bit for bit, the serial merge of the
+/// ranks' streams in rank order, and the same run forced onto the
+/// queued path, where every message is delivered (an enabled fault
+/// plane keeps the world on the queue; this plan's one rule never
+/// fires).
+#[test]
+fn latest_wins_exchange_matches_the_serial_merge_and_the_queued_path() {
+    use parmonc::{StreamHierarchy, StreamId};
+    use parmonc_stats::MatrixAccumulator;
+
+    let _guard = SEQ.lock().unwrap_or_else(|e| e.into_inner());
+    const VOLUME: u64 = 140_000;
+    const SEQNUM: u64 = 11;
+    let serial = |m: usize| {
+        let config = Parmonc::builder(1, 2)
+            .max_sample_volume(VOLUME)
+            .processors(m)
+            .build()
+            .unwrap();
+        let hierarchy = StreamHierarchy::default();
+        let mut total = MatrixAccumulator::new(1, 2).unwrap();
+        for rank in 0..m {
+            let mut acc = MatrixAccumulator::new(1, 2).unwrap();
+            let mut cursor = hierarchy
+                .cursor(StreamId::new(SEQNUM, rank as u64, 0))
+                .unwrap();
+            for _ in 0..config.quota(rank) {
+                let mut stream = cursor.next_stream().unwrap();
+                acc.add(&[stream.next_f64(), stream.next_f64()]).unwrap();
+            }
+            total.merge(&acc).unwrap();
+        }
+        total.summary()
+    };
+    let never_fires = || FaultPlan::new(1).drop_message(1, 0, 99, u64::MAX);
+    for (m, topology) in [
+        (2, Topology::Star),
+        (4, Topology::Star),
+        (7, Topology::Star),
+        (7, Topology::Tree { arity: 2 }),
+    ] {
+        let run = |dir: &str, queued: bool| {
+            let builder = Parmonc::builder(1, 2)
+                .max_sample_volume(VOLUME)
+                .processors(m)
+                .seqnum(SEQNUM)
+                .exchange(Exchange::EveryRealization)
+                .topology(topology)
+                .output_dir(scratch(&format!("latest-{m}-{topology:?}-{dir}")));
+            let builder = if queued {
+                builder.faults(never_fires())
+            } else {
+                builder
+            };
+            let report = builder.run(uniform()).unwrap();
+            let checkpoint = std::fs::read(report.results_dir.checkpoint_path()).unwrap();
+            (report, checkpoint)
+        };
+        let (register, register_checkpoint) = run("register", false);
+        let (queued, queued_checkpoint) = run("queued", true);
+        let what = format!("m = {m}, {topology:?}");
+        assert_eq!(
+            register.summary,
+            serial(m),
+            "{what}: against the serial merge"
+        );
+        assert_eq!(
+            register.summary, queued.summary,
+            "{what}: against the queue"
+        );
+        assert_eq!(register_checkpoint, queued_checkpoint, "{what}");
+        for report in [&register, &queued] {
+            assert_eq!(report.new_volume, VOLUME, "{what}");
+            assert!(report.lost_workers.is_empty(), "{what}");
+        }
+    }
+}
+
+/// The register under the monitor: every publish is a `message_sent`,
+/// every delivery a `message_received`, and the difference on the
+/// subtotal tag is what was superseded unread — so the collector's
+/// backlog of subtotals can no longer outgrow the world.
+#[test]
+fn latest_wins_exchange_is_accounted_for_in_the_trace() {
+    use parmonc_obs::EventKind;
+
+    let _guard = SEQ.lock().unwrap_or_else(|e| e.into_inner());
+    let report = Parmonc::builder(1, 2)
+        .max_sample_volume(60_000)
+        .processors(2)
+        .exchange(Exchange::EveryRealization)
+        .monitor()
+        .output_dir(scratch("latest-monitored"))
+        .run(uniform())
+        .unwrap();
+    assert_eq!(report.new_volume, 60_000);
+    // `trace_events` validates every line against the schema.
+    let events = trace_events(&report);
+    let subtotal = parmonc::messages::TAG_SUBTOTAL.0;
+    let sent = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::MessageSent { tag, .. } if tag == subtotal))
+        .count();
+    let received = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::MessageReceived { tag, .. } if tag == subtotal))
+        .count();
+    // The worker sends one subtotal per realization but its last (the
+    // final travels under its own tag).
+    assert_eq!(sent, 30_000 - 1);
+    assert!(received >= 1 && received <= sent, "{received} of {sent}");
+    let deepest = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::QueueHighWater { depth } => Some(depth),
+            _ => None,
+        })
+        .max()
+        .expect("rank 0 received something");
+    assert!(deepest <= 2, "a backlog of {deepest} in a world of two");
+}
+
 /// A span-traced tree run explains its relays: on threads every trace
 /// line decodes and each relay rank (1 and 2, of seven at arity 2)
 /// closes `relay_merge` spans; on processes those spans are *forwarded*
