@@ -7,6 +7,12 @@
 //! `bound_tcp_transport_overhead_pct` so `hotpath_compare` gates them
 //! against the committed ceilings in `BENCH_hotpath.json`.
 //!
+//! A second pair pins the exchange governor's gain where it is largest:
+//! τ ≈ 0 and 32 KB subtotals under strict exchange over loopback TCP,
+//! governed against the same run under a fault plan whose one rule
+//! never fires (a faulted world ships every realization) — recorded as
+//! `ratio_governed_tcp_speedup`.
+//!
 //! # Re-execution discipline
 //!
 //! The process backend re-executes *this bench binary* once per worker,
@@ -22,12 +28,14 @@ use std::path::Path;
 use std::time::Instant;
 
 use parmonc::ipc::FaultyStream;
-use parmonc::prelude::{Exchange, NetOptions, Parmonc, RealizeFn, Transport};
+use parmonc::prelude::{
+    Exchange, NetOptions, Parmonc, ParmoncBuilder, Realize, RealizeFn, Transport,
+};
 use parmonc_bench::harness::{
     black_box, criterion_group, criterion_main, fast_mode, record_metric, Criterion,
 };
 use parmonc_bench::ScaledDiffusion;
-use parmonc_faults::FaultHandle;
+use parmonc_faults::{FaultHandle, FaultPlan};
 
 /// One full run of the laptop-scale diffusion workload on the given
 /// transport; returns wall seconds (setup + spawn + ranks + final
@@ -57,35 +65,25 @@ fn run_once(transport: Transport, dir: &Path) -> f64 {
     elapsed
 }
 
-/// One full run over loopback TCP: a collector listening on an
-/// ephemeral port plus one in-process worker thread dialing it — the
-/// real wire conversation (handshake, framing, heartbeats), only the
-/// remote host is simulated. Returns wall seconds including the
-/// listener setup and the worker's address discovery.
-fn run_once_tcp(dir: &Path, worker_dir: &Path) -> f64 {
-    let workload = ScaledDiffusion::new(40);
-    let volume = if fast_mode() { 150 } else { 600 };
+/// One full run over loopback TCP of whatever `configure` builds (it
+/// is called once per side): a collector listening on an ephemeral
+/// port plus one in-process worker thread dialing it — the real wire
+/// conversation (handshake, framing, heartbeats), only the remote host
+/// is simulated. Returns wall seconds including the listener setup and
+/// the worker's address discovery.
+fn run_once_tcp<R: Realize + Send + Sync + 'static>(
+    dir: &Path,
+    worker_dir: &Path,
+    volume: u64,
+    configure: impl Fn() -> (ParmoncBuilder, R),
+) -> f64 {
     let _ = std::fs::remove_dir_all(dir);
     let _ = std::fs::remove_dir_all(worker_dir);
-    let builder = |out: &Path| {
-        let scheme = workload.scheme().clone();
-        (
-            Parmonc::builder(ScaledDiffusion::POINTS, 2)
-                .max_sample_volume(volume)
-                .processors(2)
-                .exchange(Exchange::EveryRealization)
-                .output_dir(out),
-            RealizeFn::new(move |rng, out: &mut [f64]| scheme.realize_into(rng, out)),
-        )
-    };
     let started = Instant::now();
     let collector = {
-        let (b, realize) = builder(dir);
-        std::thread::spawn(move || {
-            b.net(NetOptions::listen("127.0.0.1:0"))
-                .run(realize)
-                .unwrap()
-        })
+        let (b, realize) = configure();
+        let b = b.output_dir(dir).net(NetOptions::listen("127.0.0.1:0"));
+        std::thread::spawn(move || b.run(realize).unwrap())
     };
     let addr_path = dir.join("parmonc_data").join("collector.addr");
     let addr = loop {
@@ -97,14 +95,51 @@ fn run_once_tcp(dir: &Path, worker_dir: &Path) -> f64 {
         }
         std::thread::sleep(std::time::Duration::from_millis(1));
     };
-    let (b, realize) = builder(worker_dir);
-    b.net(NetOptions::join(addr)).run_worker(realize).unwrap();
+    let (b, realize) = configure();
+    b.output_dir(worker_dir)
+        .net(NetOptions::join(addr))
+        .run_worker(realize)
+        .unwrap();
     let report = collector.join().unwrap();
     let elapsed = started.elapsed().as_secs_f64();
     assert_eq!(report.new_volume, volume);
     let _ = std::fs::remove_dir_all(dir);
     let _ = std::fs::remove_dir_all(worker_dir);
     elapsed
+}
+
+/// The diffusion workload of [`run_once`], for the TCP arm.
+fn diffusion(volume: u64) -> (ParmoncBuilder, impl Realize + Send + Sync + 'static) {
+    let scheme = ScaledDiffusion::new(40).scheme().clone();
+    (
+        Parmonc::builder(ScaledDiffusion::POINTS, 2)
+            .max_sample_volume(volume)
+            .processors(2)
+            .exchange(Exchange::EveryRealization),
+        RealizeFn::new(move |rng, out: &mut [f64]| scheme.realize_into(rng, out)),
+    )
+}
+
+/// τ ≈ 0 with 32 KB subtotals under strict exchange — a 1000 × 2
+/// matrix filled by one batched draw. `ungoverned` attaches a fault
+/// plan whose one rule never fires: the run, its bytes and its estimate
+/// are the same, but every realization's subtotal crosses the socket.
+fn free_matrix(
+    volume: u64,
+    ungoverned: bool,
+) -> (ParmoncBuilder, impl Realize + Send + Sync + 'static) {
+    let builder = Parmonc::builder(1000, 2)
+        .max_sample_volume(volume)
+        .processors(2)
+        .exchange(Exchange::EveryRealization);
+    (
+        if ungoverned {
+            builder.faults(FaultPlan::new(1).drop_message(1, 0, 99, u64::MAX))
+        } else {
+            builder
+        },
+        RealizeFn::new(|rng, out: &mut [f64]| rng.fill_f64(out)),
+    )
 }
 
 /// The fastest observed run — the noise-robust estimator for a
@@ -140,9 +175,12 @@ fn bench_transport_overhead(_c: &mut Criterion) {
     let mut processes = Vec::with_capacity(samples);
     let mut tcp = Vec::with_capacity(samples);
     let mut threads = Vec::with_capacity(samples);
+    let volume = if fast_mode() { 150 } else { 600 };
     for _ in 0..samples {
         processes.push(run_once(Transport::Processes, &proc_dir));
-        tcp.push(run_once_tcp(&tcp_dir, &tcp_worker_dir));
+        tcp.push(run_once_tcp(&tcp_dir, &tcp_worker_dir, volume, || {
+            diffusion(volume)
+        }));
         threads.push(run_once(Transport::Threads, &thread_dir));
     }
     let proc_min = minimum(&processes);
@@ -179,7 +217,6 @@ fn bench_transport_overhead(_c: &mut Criterion) {
         }
         per_write = per_write.min(started.elapsed().as_secs_f64() / iters as f64);
     }
-    let volume = if fast_mode() { 150 } else { 600 };
     let net_overhead = 2.0 * per_write / (tcp_min / volume as f64);
     println!(
         "net_fault_plane: disabled wrapped write {:.2} ns, 2x-budget ratio {:.4}%",
@@ -187,6 +224,26 @@ fn bench_transport_overhead(_c: &mut Criterion) {
         net_overhead * 100.0
     );
     record_metric("bound_net_fault_plane_overhead_pct", net_overhead * 100.0);
+
+    // The exchange governor's pair, interleaved like the triples above.
+    let volume = if fast_mode() { 10_000 } else { 40_000 };
+    let mut governed = Vec::with_capacity(samples);
+    let mut ungoverned = Vec::with_capacity(samples);
+    for _ in 0..samples {
+        ungoverned.push(run_once_tcp(&tcp_dir, &tcp_worker_dir, volume, || {
+            free_matrix(volume, true)
+        }));
+        governed.push(run_once_tcp(&tcp_dir, &tcp_worker_dir, volume, || {
+            free_matrix(volume, false)
+        }));
+    }
+    let (governed, ungoverned) = (minimum(&governed), minimum(&ungoverned));
+    println!(
+        "governed_tcp: every realization shipped {ungoverned:.4} s, governed {governed:.4} s \
+         ({:.2}x)",
+        ungoverned / governed
+    );
+    record_metric("ratio_governed_tcp_speedup", ungoverned / governed);
 }
 
 criterion_group!(benches, bench_transport_overhead);

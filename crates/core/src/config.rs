@@ -61,8 +61,21 @@ pub enum Transport {
 /// When workers ship subtotals to rank 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Exchange {
-    /// Ship after every completed realization — the "strictest
-    /// conditions" of the paper's performance test (Section 4).
+    /// Offer a subtotal after every completed realization — the
+    /// "strictest conditions" of the paper's performance test
+    /// (Section 4). An offer ships unless exchange would then cost the
+    /// rank more than an eighth of its time: after one ships, the next
+    /// is due `min(8 × cost, heartbeat_period)` later, where `cost` is
+    /// what the runtime spent on that exchange (encode, send, any time
+    /// blocked in a socket write), measured from the clock reads the
+    /// loop already takes. With a realization time above `8 × cost` —
+    /// the paper's 7.7 s, or anything above a few tens of microseconds
+    /// on threads — exactly one subtotal per realization ships; below
+    /// it the ones in between are superseded unsent, which the
+    /// collector's replace-then-sum (formula (5)) cannot tell from
+    /// having merged them. The final subtotal always ships, so final
+    /// estimates do not depend on any of this. A run with an enabled
+    /// [`FaultPlan`] ships every realization.
     EveryRealization,
     /// Ship when `perpass` has elapsed since the last send (the normal
     /// production mode, Section 3.2).

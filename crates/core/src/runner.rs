@@ -778,6 +778,85 @@ const WORKER_FILE_PERIOD: Duration = Duration::from_millis(500);
 /// 2 µs, a gentle slope beyond.
 const INBOX_POLL_PERIOD: Duration = Duration::from_micros(2);
 
+/// Exchange may cost a rank at most one part in this many of its time.
+/// EXPERIMENTS.md (PR 19) has the sweep on `matrix_strict_tcp`: 1 is no
+/// governor at all in effect, 4 to 32 is a plateau, and 8 sits in it.
+const EXCHANGE_COST_MULTIPLE: u32 = 8;
+
+/// Decides when a rank's next *non-final* subtotal is due, so that
+/// exchange costs the rank at most one part in
+/// [`EXCHANGE_COST_MULTIPLE`] of its time.
+///
+/// A rank *offers* a cumulative subtotal after every realization that
+/// its exchange mode makes due; the governor withholds an offer only
+/// in favour of a newer one from the same rank — subtotals are
+/// cumulative and the collector does replace-then-sum, so formula (5)
+/// cannot tell a withheld subtotal from one it merged and then
+/// replaced. The contract:
+///
+/// * the first offer is always due, and the final subtotal is never
+///   asked about — it always ships;
+/// * after a subtotal ships at `sent_at`, the next is due at
+///   `sent_at + min(EXCHANGE_COST_MULTIPLE × cost, cap)`, where `cost`
+///   is everything the runtime did between two calls of the user's
+///   routine in the iteration that shipped: accumulate, encode, the
+///   send *including any time blocked in a socket write*, the inbox
+///   look and stream positioning. A congested link or a slow collector
+///   lengthens the interval by itself — back-pressure is followed, not
+///   configured;
+/// * so with a realization time τ ≥ `EXCHANGE_COST_MULTIPLE × cost`
+///   (the paper's 7.7 s, and anything above a few tens of µs on
+///   threads) every offer ships, exactly `quota − 1` non-finals;
+/// * `cap` is the heartbeat period: no interval between shipped
+///   subtotals exceeds it by more than one realization, so the
+///   liveness plane sees the same cadence as before. A zero `cap` is
+///   the ungoverned rule (every offer ships), which is what a world
+///   with an enabled fault plan gets: scripted message and frame
+///   ordinals count every realization's subtotal.
+///
+/// Both instants it is fed are clock reads the loop takes anyway (the
+/// pair around the user's routine); the governor never reads a clock.
+#[derive(Debug)]
+struct ExchangeGovernor {
+    cap: Duration,
+    /// When the last subtotal shipped, until the next realization's
+    /// start prices it.
+    unpriced: Option<Instant>,
+    /// `None` until the first shipped subtotal has been priced.
+    not_before: Option<Instant>,
+}
+
+impl ExchangeGovernor {
+    fn new(cap: Duration) -> Self {
+        Self {
+            cap,
+            unpriced: None,
+            not_before: None,
+        }
+    }
+
+    /// Whether an offer made at `now` (a post-realization clock read)
+    /// ships.
+    fn due(&self, now: Instant) -> bool {
+        self.not_before.is_none_or(|t| now >= t)
+    }
+
+    /// A subtotal offered at `now` has been sent.
+    fn shipped(&mut self, now: Instant) {
+        self.unpriced = Some(now);
+    }
+
+    /// The user's routine is about to be called, at `t0` (the
+    /// pre-realization clock read): prices the iteration that shipped.
+    fn realization_starts(&mut self, t0: Instant) {
+        if let Some(sent_at) = self.unpriced.take() {
+            let cost = t0.duration_since(sent_at);
+            let hold = cost.saturating_mul(EXCHANGE_COST_MULTIPLE).min(self.cap);
+            self.not_before = Some(sent_at + hold);
+        }
+    }
+}
+
 /// What a worker's control-message poll found: a stop broadcast and/or
 /// extra realizations reassigned to it from a lost rank.
 #[derive(Debug, Default)]
@@ -814,10 +893,22 @@ fn simulate_quota<R: Realize + ?Sized>(
         hierarchy,
         dir,
         realize,
+        faults,
         start,
         ..
     } = *ctx;
     let mut quota = config.quota(rank);
+    // One `due` rule: strict exchange is periodic exchange with a zero
+    // period, and the governor holds either to its share.
+    let period = match config.exchange {
+        Exchange::EveryRealization => Duration::ZERO,
+        Exchange::Periodic => config.pass_period,
+    };
+    let mut governor = ExchangeGovernor::new(if faults.is_enabled() {
+        Duration::ZERO
+    } else {
+        config.heartbeat_period
+    });
     let mut acc = MatrixAccumulator::new(config.nrow, config.ncol)?;
     let mut out = vec![0.0f64; config.nrow * config.ncol];
     let mut compute_seconds = 0.0f64;
@@ -873,16 +964,14 @@ fn simulate_quota<R: Realize + ?Sized>(
         // syscalls and used to dominate the runtime's per-realization
         // overhead in the strictest exchange mode.
         let t0 = Instant::now();
+        governor.realization_starts(t0);
         realize.realize(&mut stream, &mut out);
         now = Instant::now();
         compute_seconds += now.duration_since(t0).as_secs_f64();
         acc.add(&out)?;
         r += 1;
 
-        let due = match config.exchange {
-            Exchange::EveryRealization => true,
-            Exchange::Periodic => now.duration_since(last_pass) >= config.pass_period,
-        };
+        let due = now.duration_since(last_pass) >= period && governor.due(now);
         if due && r < quota {
             let sp_send = spans.start(SpanPhase::SubtotalSend, Some(batch_span));
             let contacted_collector = emit(&acc, compute_seconds, false)?;
@@ -895,6 +984,12 @@ fn simulate_quota<R: Realize + ?Sized>(
                 dir.save_worker_state(rank, &acc, compute_seconds)?;
                 spans.end(sp_ck, SpanPhase::Checkpoint);
                 last_file_write = Some(now);
+            } else {
+                // An iteration that also rewrote the state file is not
+                // priced: that fsync is the save-point's cost, not
+                // exchange's, and eight times its milliseconds would
+                // withhold subtotals the paper's regime must ship.
+                governor.shipped(now);
             }
             spans.end(batch_span, SpanPhase::RealizationBatch);
             batch_span = 0;
@@ -2390,6 +2485,100 @@ mod tests {
         relay.absorb(3, subtotal(12), true);
         assert!(relay.dirty);
         assert!(decode_batch(&relay.encode()).unwrap()[0].is_final);
+    }
+
+    /// Drives an [`ExchangeGovernor`] through `n` iterations of the
+    /// simulation loop on synthetic instants: the user's routine takes
+    /// `tau`, and the runtime work after it `cost(i)` when iteration
+    /// `i` ships and nothing when it withholds. Returns the offsets
+    /// (from the loop's start) of the offers that shipped.
+    fn governed_offers(
+        n: u32,
+        tau: Duration,
+        cap: Duration,
+        cost: impl Fn(u32) -> Duration,
+    ) -> Vec<Duration> {
+        let start = Instant::now();
+        let mut governor = ExchangeGovernor::new(cap);
+        let mut shipped = Vec::new();
+        let mut t0 = start;
+        for i in 0..n {
+            governor.realization_starts(t0);
+            let now = t0 + tau;
+            t0 = now;
+            if governor.due(now) {
+                governor.shipped(now);
+                shipped.push(now.duration_since(start));
+                t0 += cost(i);
+            }
+        }
+        shipped
+    }
+
+    const HEARTBEAT: Duration = Duration::from_millis(250);
+
+    #[test]
+    fn governor_ships_every_offer_when_the_routine_outlasts_its_share() {
+        let cost = Duration::from_micros(5);
+        // τ = 8 × cost exactly is the boundary, and it is inside.
+        for tau in [cost * EXCHANGE_COST_MULTIPLE, Duration::from_secs(8)] {
+            let shipped = governed_offers(1_000, tau, HEARTBEAT, |_| cost);
+            assert_eq!(shipped.len(), 1_000, "τ = {tau:?}");
+        }
+    }
+
+    #[test]
+    fn governor_holds_a_free_routine_to_its_share() {
+        // τ ≪ cost (the synthetic clock needs τ > 0 to advance through
+        // a hold): one offer in every 8 × cost of wall ships.
+        let (tau, cost) = (Duration::from_micros(1), Duration::from_micros(20));
+        let n = 100_000;
+        let shipped = governed_offers(n, tau, HEARTBEAT, |_| cost);
+        let exchange = cost * shipped.len() as u32;
+        let total = tau * n + exchange;
+        assert!(
+            exchange <= total / EXCHANGE_COST_MULTIPLE + cost,
+            "{exchange:?} of {total:?} went to exchange ({} shipped)",
+            shipped.len()
+        );
+        assert!(shipped.len() > 1, "and it is not starved either");
+        // An exchange that costs nothing is never held.
+        let frozen = governed_offers(1_000, Duration::ZERO, HEARTBEAT, |_| Duration::ZERO);
+        assert_eq!(frozen.len(), 1_000);
+    }
+
+    #[test]
+    fn governor_caps_a_stall_at_the_heartbeat_period() {
+        // One send blocks for a second (a full socket buffer): the
+        // next offer is due a heartbeat period after it, not 8 s.
+        let tau = Duration::from_millis(1);
+        let stall = |i: u32| {
+            if i == 0 {
+                Duration::from_secs(1)
+            } else {
+                Duration::from_micros(10)
+            }
+        };
+        let shipped = governed_offers(2_000, tau, HEARTBEAT, stall);
+        assert_eq!(shipped[0], tau, "the first realization is always due");
+        // Offers are only made after a realization, so the stall itself
+        // (longer than the cap) passes before the next one.
+        assert_eq!(shipped[1], tau + Duration::from_secs(1) + tau);
+        for pair in shipped.windows(2).skip(1) {
+            assert!(pair[1] - pair[0] <= HEARTBEAT + tau, "{pair:?}");
+        }
+        // A stall shorter than the cap ÷ 8 is followed, not capped.
+        let brief = |i: u32| Duration::from_millis(if i == 0 { 10 } else { 0 });
+        let shipped = governed_offers(200, tau, HEARTBEAT, brief);
+        assert_eq!(shipped[1] - shipped[0], Duration::from_millis(80));
+    }
+
+    #[test]
+    fn governor_with_a_zero_cap_ships_every_offer() {
+        let shipped = governed_offers(1_000, Duration::ZERO, Duration::ZERO, |_| {
+            Duration::from_micros(20)
+        });
+        assert_eq!(shipped.len(), 1_000);
     }
 
     #[test]

@@ -103,6 +103,13 @@ const READ_POLL: Duration = Duration::from_millis(50);
 /// listener.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
+/// How long a monitored collector waits at shutdown for the workers
+/// that are still connected to hang up by themselves (see
+/// [`TcpCollectorTransport::shutdown`]), polling every
+/// [`DEPARTURE_POLL`].
+const DEPARTURE_LINGER: Duration = Duration::from_millis(100);
+const DEPARTURE_POLL: Duration = Duration::from_micros(200);
+
 /// How often a monitored worker refreshes its clock-offset estimate by
 /// piggybacking a [`TAG_TCP_CLOCK_PROBE`] on an outgoing send. Clock
 /// traffic never feeds the estimates, so the cadence is a trace-quality
@@ -697,7 +704,10 @@ impl TcpCollectorTransport {
     /// has sent its final flushes its own sinks and exits by itself, so
     /// its readers are already at EOF when they are joined and nothing
     /// it forwarded is cut off — and no child sits out a reconnect
-    /// schedule against a parent that has already gone.
+    /// schedule against a parent that has already gone. A TCP world has
+    /// no children to reap; in a monitored run it waits instead, up to
+    /// 100 ms, for the workers still connected to hang up by
+    /// themselves, for the same reason.
     ///
     /// # Errors
     ///
@@ -710,6 +720,26 @@ impl TcpCollectorTransport {
         self.shut_down = true;
         let _ = self.gate.flush(true, |d, t, p| self.raw_send(d, t, p));
         let reaped = self.launched.as_mut().map_or(Ok(()), Children::wait_exit);
+        // A launched world's children have exited by now, and their
+        // links with them. A TCP worker hangs up by itself within
+        // microseconds of its final message, but what it forwards on
+        // the way out — the events around that message, its link's
+        // accounting — may still be in flight when a collector that
+        // was only waiting for that message gets here. A monitored run
+        // gives those readers a bounded moment to reach the end of
+        // their streams (each clears its writer slot there): the trace
+        // keeps its tail, and our own hang-up below does not cut a
+        // frame in half for its reader to report as `torn_frame`.
+        if self.ctx.monitor.is_enabled() {
+            let deadline = Instant::now() + DEPARTURE_LINGER;
+            let connected = || {
+                let lease = self.ctx.lease.lock();
+                lease.is_ok_and(|lease| lease.writers.iter().any(Option::is_some))
+            };
+            while connected() && Instant::now() < deadline {
+                std::thread::sleep(DEPARTURE_POLL);
+            }
+        }
         self.ctx.stop.store(true, Ordering::Relaxed);
         if let Ok(lease) = self.ctx.lease.lock() {
             for writer in lease.writers.iter().flatten() {

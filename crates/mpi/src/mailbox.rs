@@ -606,7 +606,12 @@ impl Mailbox {
             let to_end = RING_LINES - claim % RING_LINES;
             let pad = if lines > to_end { to_end } else { 0 };
             let end = claim + pad + lines;
-            if end - self.cursors.consumed.load(Ordering::Acquire) > RING_LINES {
+            // `claim` may be stale (read before other producers claimed
+            // and the consumer passed them), leaving `end` behind
+            // `consumed`: nothing is known to be full then, and the
+            // exchange below fails and refreshes it.
+            let consumed = self.cursors.consumed.load(Ordering::Acquire);
+            if end.saturating_sub(consumed) > RING_LINES {
                 return false;
             }
             match self.cursors.claim.compare_exchange_weak(

@@ -15,7 +15,8 @@ use crate::multiplier::PERIOD_EXPONENT;
 use crate::multiplier::{DEFAULT_MULTIPLIER, MODULUS_BITS};
 
 /// Scale factor turning the top 53 bits of the state into a double in
-/// the *open* interval (0, 1): `alpha = (top53 + 0.5) · 2^-53`.
+/// `(0, 1]`: `alpha = (top53 + 0.5) · 2^-53` (see [`Lcg128::next_f64`]
+/// for the one grid point that reaches `1.0`).
 const F64_SCALE: f64 = 1.0 / (1u64 << 53) as f64;
 
 /// The base 128-bit multiplicative congruential generator (paper
@@ -32,7 +33,7 @@ const F64_SCALE: f64 = 1.0 / (1u64 << 53) as f64;
 ///
 /// let mut rng = Lcg128::new();
 /// let a = rng.next_f64();
-/// assert!(a > 0.0 && a < 1.0);
+/// assert!(a > 0.0 && a <= 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Lcg128 {
@@ -118,13 +119,24 @@ impl Lcg128 {
         self.state
     }
 
-    /// Returns the next base random number `alpha ∈ (0, 1)`.
+    /// Returns the next base random number `alpha ∈ (0, 1]`.
     ///
-    /// The paper defines `alpha_k = u_k · 2^-128`; converting the full
-    /// 128-bit state to `f64` could round up to exactly `1.0`, so we take
-    /// the top 53 bits and centre within the bin:
-    /// `alpha = (⌊u/2^75⌋ + 0.5) · 2^-53`, which is always strictly inside
-    /// `(0, 1)` and differs from the exact value by less than `2^-53`.
+    /// The paper defines `alpha_k = u_k · 2^-128`; we take the top 53
+    /// bits and centre within the bin:
+    /// `alpha = (⌊u/2^75⌋ + 0.5) · 2^-53`, which is never zero and
+    /// differs from the exact value by less than `2^-53`.
+    ///
+    /// It is **not** always below one. From `2^52` up the `+ 0.5` is not
+    /// representable and rounds to even, so at the top grid point
+    /// `⌊u/2^75⌋ = 2^53 − 1` the sum rounds up to `2^53` and the draw is
+    /// exactly `1.0` — with probability `2^-53` per draw. `-ln(alpha)`
+    /// (what [`exponential`](crate::distributions::exponential) takes)
+    /// and comparisons `alpha < p` are safe; code that takes
+    /// `ln(1 − alpha)` or divides by `1 − alpha` must guard that value.
+    /// Moving the endpoint would move bits of every stream and every
+    /// golden vector, so it is pinned by a unit test instead
+    /// (`top_grid_point_draws_exactly_one`): changing it is a decision,
+    /// not an accident.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
         let u = self.next_raw();
@@ -309,6 +321,34 @@ mod tests {
             let a = rng.next_f64();
             assert!(a > 0.0 && a < 1.0, "alpha out of (0,1): {a}");
         }
+    }
+
+    /// The generator one step before `state`: the multiplier's order
+    /// is `2^126`, so its inverse is its `(2^126 − 1)`-th power.
+    fn one_step_before(state: u128) -> Lcg128 {
+        let inverse = crate::jump::power_for(DEFAULT_MULTIPLIER, (1 << PERIOD_EXPONENT) - 1);
+        assert_eq!(DEFAULT_MULTIPLIER.wrapping_mul(inverse), 1);
+        Lcg128::with_state(state.wrapping_mul(inverse))
+    }
+
+    /// Pins the endpoint the rustdoc of `next_f64` admits to: the
+    /// interval is `(0, 1]`, the `1.0` at one grid point in `2^53`.
+    #[test]
+    fn top_grid_point_draws_exactly_one() {
+        let top = u128::MAX;
+        assert_eq!(one_step_before(top).next_f64(), 1.0);
+        // The batched paths (lanes, and SIMD from 64 values up) draw
+        // the same bits.
+        for len in [1, 128] {
+            let mut batch = vec![0.0f64; len];
+            one_step_before(top).fill_f64(&mut batch);
+            assert_eq!(batch[0], 1.0, "a fill of {len}");
+        }
+        // One grid point lower is the largest draw below one, and the
+        // bottom one is the smallest above zero.
+        let below = one_step_before(top - (1 << (MODULUS_BITS - 53))).next_f64();
+        assert_eq!(below, 1.0 - f64::EPSILON);
+        assert_eq!(one_step_before(1).next_f64(), 0.5 * F64_SCALE);
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //! let hierarchy = StreamHierarchy::default();
 //! // the stream for experiment 2, processor 7, realization 0:
 //! let mut rng = hierarchy.realization_stream(StreamId::new(2, 7, 0)).unwrap();
-//! let alpha = rng.next_f64(); // a base random number in (0, 1)
-//! assert!(alpha > 0.0 && alpha < 1.0);
+//! let alpha = rng.next_f64(); // a base random number in (0, 1]
+//! assert!(alpha > 0.0 && alpha <= 1.0);
 //! ```
 //!
 //! # Crate layout

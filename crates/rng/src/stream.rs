@@ -21,7 +21,9 @@ use crate::lcg128::Lcg128;
 /// the baseline generators, so every workload can be exercised with
 /// every generator in benches and statistical tests.
 pub trait UniformSource {
-    /// Returns the next base random number in the open interval (0, 1).
+    /// Returns the next base random number: never zero, and below one
+    /// except that [`Lcg128`] reaches exactly `1.0` at one grid point in
+    /// `2^53` (see [`Lcg128::next_f64`]).
     fn next_f64(&mut self) -> f64;
 
     /// Returns the next 64 uniformly distributed bits.
@@ -133,7 +135,8 @@ impl RealizationStream {
     }
 
     /// Returns the next base random number — the `rnd128()` of the
-    /// paper.
+    /// paper — in `(0, 1]`: exactly `1.0` with probability `2^-53` (see
+    /// [`Lcg128::next_f64`]), so guard `ln(1 − alpha)`.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
         self.drawn += 1;
