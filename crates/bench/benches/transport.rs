@@ -35,7 +35,7 @@ use parmonc_bench::harness::{
     black_box, criterion_group, criterion_main, fast_mode, record_metric, Criterion,
 };
 use parmonc_bench::ScaledDiffusion;
-use parmonc_faults::{FaultHandle, FaultPlan};
+use parmonc_faults::FaultHandle;
 
 /// One full run of the laptop-scale diffusion workload on the given
 /// transport; returns wall seconds (setup + spawn + ranks + final
@@ -134,7 +134,7 @@ fn free_matrix(
         .exchange(Exchange::EveryRealization);
     (
         if ungoverned {
-            builder.faults(FaultPlan::new(1).drop_message(1, 0, 99, u64::MAX))
+            builder.faults(parmonc_bench::never_firing_plan())
         } else {
             builder
         },

@@ -74,8 +74,11 @@ pub enum Exchange {
     /// it the ones in between are superseded unsent, which the
     /// collector's replace-then-sum (formula (5)) cannot tell from
     /// having merged them. The final subtotal always ships, so final
-    /// estimates do not depend on any of this. A run with an enabled
-    /// [`FaultPlan`] ships every realization.
+    /// estimates do not depend on any of this. A routine shorter than
+    /// 0.5 µs is timed in blocks of up to 64 calls, and the offer is
+    /// made once per block; at 0.5 µs and above a block is one call. A
+    /// run with an enabled [`FaultPlan`] runs blocks of one and ships
+    /// every realization.
     EveryRealization,
     /// Ship when `perpass` has elapsed since the last send (the normal
     /// production mode, Section 3.2).

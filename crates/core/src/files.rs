@@ -16,7 +16,12 @@
 //! `func*.dat` match the paper's files; `checkpoint.dat` holds the raw
 //! `(Σζ, Σζ², l)` sums so `res = 1` resumption is exact rather than
 //! reconstructed from rounded means, and `workers/` is what the
-//! `manaver` command averages after an aborted job (Section 3.4).
+//! `manaver` command averages after an aborted job (Section 3.4). The
+//! mean time per realization in `func_log.dat` is the ranks' timed
+//! intervals summed over the new volume: an interval is one call of the
+//! user's routine when that takes 0.5 µs or more; a shorter routine is
+//! timed a block of calls at a time, the runtime's accumulate and stream
+//! positioning between the block's calls included.
 //!
 //! All writes go through a uniquely named temp file that is fsynced,
 //! renamed into place, and followed by an fsync of the parent

@@ -26,7 +26,7 @@ use parmonc_obs::{
     CollectorActivity, ConvergenceTracker, EventKind, JsonlSink, MemorySink, MetricsSink, Monitor,
     MonitorSummary, RunMode, RunTransport, SpanEmitter, SpanPhase,
 };
-use parmonc_rng::{StreamHierarchy, StreamId};
+use parmonc_rng::{StreamCursor, StreamHierarchy, StreamId};
 use parmonc_stats::report::LogReport;
 use parmonc_stats::{MatrixAccumulator, MatrixSummary};
 
@@ -67,7 +67,12 @@ pub struct RunReport {
     pub resumed_volume: u64,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
-    /// Mean compute time per realization, seconds (the paper's τ_ζ).
+    /// Mean compute time per realization, seconds (the paper's τ_ζ):
+    /// the ranks' timed intervals, summed, over the new volume. An
+    /// interval is one call of the user's routine when that takes
+    /// 0.5 µs or more; a shorter routine is timed in blocks of up to 64
+    /// calls, and the interval then also covers the runtime's
+    /// accumulate and stream positioning between the block's calls.
     pub mean_time_per_realization: f64,
     /// Number of processors used.
     pub processors: usize,
@@ -218,6 +223,16 @@ struct RunCtx<'a, R: ?Sized> {
     monitor: &'a Monitor,
     faults: &'a FaultHandle,
     start: Instant,
+}
+
+impl<R: ?Sized> RunCtx<'_, R> {
+    /// Whether the run's wall-clock budget, if it has one, was spent
+    /// by `now`.
+    fn deadline_passed(&self, now: Instant) -> bool {
+        self.config
+            .deadline
+            .is_some_and(|d| now.duration_since(self.start) >= d)
+    }
 }
 
 /// Runs the simulation. This is the body behind
@@ -783,6 +798,18 @@ const INBOX_POLL_PERIOD: Duration = Duration::from_micros(2);
 /// governor at all in effect, 4 to 32 is a plateau, and 8 sits in it.
 const EXCHANGE_COST_MULTIPLE: u32 = 8;
 
+/// How long, at least, the realizations between one pair of clock reads
+/// should last together. A clock read costs ≈ 30 ns and the time-gated
+/// bookkeeping behind it a little more, so at this value timing and
+/// bookkeeping cost a rank about an eighth of its time — the share
+/// [`EXCHANGE_COST_MULTIPLE`] gives exchange — and a routine of 0.5 µs
+/// or more is still timed call by call. EXPERIMENTS.md (PR 20) has the
+/// sweep.
+const TIMING_BLOCK: Duration = Duration::from_nanos(500);
+
+/// The most realizations one pair of clock reads may cover.
+const MAX_TIMING_BLOCK: u64 = 64;
+
 /// Decides when a rank's next *non-final* subtotal is due, so that
 /// exchange costs the rank at most one part in
 /// [`EXCHANGE_COST_MULTIPLE`] of its time.
@@ -857,6 +884,117 @@ impl ExchangeGovernor {
     }
 }
 
+/// How many realizations the next timed block runs, given that the last
+/// one ran `block` of them in `elapsed`: as many as fit [`TIMING_BLOCK`]
+/// at the rate just measured, at most twice the last block and at most
+/// `cap` ([`MAX_TIMING_BLOCK`], or 1 in a world with an enabled fault
+/// plan, where scripted ordinals count every realization's subtotal).
+///
+/// So the first block of every loop is one realization; a routine that
+/// takes [`TIMING_BLOCK`] or longer stays at one, where the loop reads
+/// the clock around every call exactly as it did before blocks existed;
+/// and one block that outlasts [`TIMING_BLOCK`] — a rare long call —
+/// sends the stride straight back toward one.
+fn next_block(block: u64, elapsed: Duration, cap: u64) -> u64 {
+    let fit = TIMING_BLOCK.as_nanos() * u128::from(block) / elapsed.as_nanos().max(1);
+    u64::try_from(fit)
+        .unwrap_or(u64::MAX)
+        .clamp(1, (2 * block).min(cap))
+}
+
+/// One rank's realization loop: where its next stream starts, the
+/// buffer the user's routine fills, and how many realizations the next
+/// pair of clock reads covers.
+struct RealizationLoop {
+    cursor: StreamCursor,
+    out: Vec<f64>,
+    /// Realizations in the next timed block; see [`next_block`].
+    block: u64,
+    block_cap: u64,
+}
+
+impl RealizationLoop {
+    /// Positions `rank`'s cursor at its realization `done`. One
+    /// incremental cursor instead of a fresh three-level leapfrog
+    /// positioning (three 128-bit modpows) per realization: advancing
+    /// to the next realization stream is a single 128-bit multiply and
+    /// yields bit-identical streams (see `parmonc_rng::StreamCursor`).
+    fn new<R: ?Sized>(
+        ctx: &RunCtx<'_, R>,
+        rank: usize,
+        done: u64,
+        spans: &SpanEmitter,
+    ) -> Result<Self, ParmoncError> {
+        let config = ctx.config;
+        let sp_position = spans.start(SpanPhase::StreamPosition, None);
+        let cursor = ctx
+            .hierarchy
+            .cursor(StreamId::new(config.seqnum, rank as u64, done))?;
+        spans.end(sp_position, SpanPhase::StreamPosition);
+        Ok(Self {
+            cursor,
+            out: vec![0.0f64; config.nrow * config.ncol],
+            block: 1,
+            block_cap: if ctx.faults.is_enabled() {
+                1
+            } else {
+                MAX_TIMING_BLOCK
+            },
+        })
+    }
+
+    /// The one realization body: runs the next block — at most
+    /// `remaining ≥ 1` realizations — into `acc` between one pair of
+    /// clock reads. Returns how many it ran, the read before the first
+    /// call of the user's routine and the read after the last.
+    ///
+    /// Every realization lies inside exactly one timed interval and
+    /// keeps every per-realization check (`out` zeroed, the cursor's
+    /// capacity check, `add`'s shape and non-finite checks), and the
+    /// same streams are added in the same order whatever the block
+    /// length: the volume and the estimate do not depend on it. A
+    /// block of one is the loop as it was, read for read — and the
+    /// first block of every loop, every block of a routine that takes
+    /// [`TIMING_BLOCK`] or longer and every block in a world with an
+    /// enabled fault plan (so a scripted crash ordinal, which implies
+    /// one, is met exactly) is a block of one. A longer block's interval
+    /// also covers the accumulate and stream positioning *between* its
+    /// realizations (in place of the clock read per realization it used
+    /// to cover), and everything time-gated in the caller — the `due`
+    /// rule, the inbox poll, liveness, heartbeat, averaging, the
+    /// deadline — runs once per block against the second read.
+    ///
+    /// One loop with one call site per step rather than a peeled first
+    /// or last iteration: a block of one and a block of sixty-four run
+    /// the same code (docs/performance.md, "Timing blocks").
+    fn simulate_block<R: Realize + ?Sized>(
+        &mut self,
+        realize: &R,
+        acc: &mut MatrixAccumulator,
+        remaining: u64,
+    ) -> Result<(u64, Instant, Instant), ParmoncError> {
+        let n = self.block.min(remaining);
+        let (mut t0, mut now) = (None, None);
+        for i in 0..n {
+            self.out.fill(0.0);
+            let mut stream = self.cursor.next_stream()?;
+            if i == 0 {
+                t0 = Some(Instant::now());
+            }
+            realize.realize(&mut stream, &mut self.out);
+            if i + 1 == n {
+                now = Some(Instant::now());
+            }
+            acc.add(&self.out)?;
+        }
+        let (t0, now) = t0
+            .zip(now)
+            .expect("a timed block holds at least one realization");
+        self.block = next_block(n, now.duration_since(t0), self.block_cap);
+        Ok((n, t0, now))
+    }
+}
+
 /// What a worker's control-message poll found: a stop broadcast and/or
 /// extra realizations reassigned to it from a lost rank.
 #[derive(Debug, Default)]
@@ -890,11 +1028,9 @@ fn simulate_quota<R: Realize + ?Sized>(
 ) -> Result<Option<Subtotal>, ParmoncError> {
     let RunCtx {
         config,
-        hierarchy,
         dir,
         realize,
         faults,
-        start,
         ..
     } = *ctx;
     let mut quota = config.quota(rank);
@@ -910,27 +1046,20 @@ fn simulate_quota<R: Realize + ?Sized>(
         config.heartbeat_period
     });
     let mut acc = MatrixAccumulator::new(config.nrow, config.ncol)?;
-    let mut out = vec![0.0f64; config.nrow * config.ncol];
     let mut compute_seconds = 0.0f64;
     let mut last_pass = Instant::now();
     let mut last_contact = Instant::now();
     let mut last_file_write: Option<Instant> = None;
-    // One incremental cursor instead of a fresh three-level leapfrog
-    // positioning (three 128-bit modpows) per realization; advancing to
-    // the next realization stream is a single 128-bit multiply and
-    // yields bit-identical streams (see `parmonc_rng::StreamCursor`).
-    let sp_position = spans.start(SpanPhase::StreamPosition, None);
-    let mut cursor = hierarchy.cursor(StreamId::new(config.seqnum, rank as u64, 0))?;
-    spans.end(sp_position, SpanPhase::StreamPosition);
+    let mut sim = RealizationLoop::new(ctx, rank, 0, spans)?;
     // The currently open realization-batch span (0 between batches or
     // with spans off — `start`/`end` treat 0 as "nothing open").
     let mut batch_span: u64 = 0;
 
     let mut r: u64 = 0;
-    // The post-realization clock read of the iteration before, and
-    // when the inbox is next looked at: on the first iteration, then
-    // once per period — and always before deciding the quota is done
-    // (an extension may be waiting).
+    // The post-realization clock read of the block before, and when
+    // the inbox is next looked at: on the first iteration, then once
+    // per period — and always before deciding the quota is done (an
+    // extension may be waiting).
     let mut now = last_pass;
     let mut next_poll = now;
     loop {
@@ -945,10 +1074,8 @@ fn simulate_quota<R: Realize + ?Sized>(
         if r >= quota {
             break;
         }
-        if let Some(deadline) = config.deadline {
-            if start.elapsed() >= deadline {
-                break;
-            }
+        if ctx.deadline_passed(now) {
+            break;
         }
         if crash_after.is_some_and(|n| r >= n) {
             return Ok(None);
@@ -956,20 +1083,15 @@ fn simulate_quota<R: Realize + ?Sized>(
         if spans.is_enabled() && batch_span == 0 {
             batch_span = spans.start(SpanPhase::RealizationBatch, None);
         }
-        out.fill(0.0);
-        let mut stream = cursor.next_stream()?;
-        // Two clock reads per realization: the pair timing the user
-        // routine. Every other time-gated check below reuses `now` via
-        // `duration_since`, which is pure arithmetic — clock reads are
-        // syscalls and used to dominate the runtime's per-realization
-        // overhead in the strictest exchange mode.
-        let t0 = Instant::now();
+        // Two clock reads per block: the pair timing the user routine.
+        // Every time-gated check below reuses `now` via
+        // `duration_since`, which is pure arithmetic — clock reads used
+        // to dominate the runtime's per-realization overhead.
+        let (n, t0, read) = sim.simulate_block(realize, &mut acc, quota - r)?;
+        now = read;
         governor.realization_starts(t0);
-        realize.realize(&mut stream, &mut out);
-        now = Instant::now();
         compute_seconds += now.duration_since(t0).as_secs_f64();
-        acc.add(&out)?;
-        r += 1;
+        r += n;
 
         let due = now.duration_since(last_pass) >= period && governor.due(now);
         if due && r < quota {
@@ -1208,7 +1330,6 @@ fn worker_loop<C: Comm, R: Realize + ?Sized>(
         config,
         monitor,
         faults,
-        start,
         ..
     } = *ctx;
     let rank = comm.rank();
@@ -1322,7 +1443,7 @@ fn worker_loop<C: Comm, R: Realize + ?Sized>(
     if finished.is_some() && relay.borrow().is_relay() {
         let mut last_beat = Instant::now();
         while !relay.borrow().all_finals_forwarded() && !lost_collector.get() {
-            if config.deadline.is_some_and(|d| start.elapsed() >= d) {
+            if ctx.deadline_passed(Instant::now()) {
                 break;
             }
             let ctl = relay_service(&comm, rank, size, &parent, &relay, &lost_collector, &spans)?;
@@ -1565,10 +1686,7 @@ impl Collector {
             .map_or(0, |s| s.acc.count());
         let expected = ctx.config.quota(rank) + self.live.extended[rank];
         let shortfall = expected.saturating_sub(count).min(self.live.extended[rank]);
-        let deadline_passed = ctx
-            .config
-            .deadline
-            .is_some_and(|d| ctx.start.elapsed() >= d);
+        let deadline_passed = ctx.deadline_passed(Instant::now());
         if shortfall > 0 && self.live.alive[rank] && !self.stopping && !deadline_passed {
             self.reassign(rank, shortfall, comm, ctx.monitor);
         }
@@ -1654,7 +1772,6 @@ impl Collector {
     }
 }
 
-#[allow(clippy::too_many_lines)]
 fn rank0_loop<C: Comm, R: Realize + ?Sized>(
     ctx: &RunCtx<'_, R>,
     comm: &mut C,
@@ -1663,12 +1780,11 @@ fn rank0_loop<C: Comm, R: Realize + ?Sized>(
 ) -> Result<Collector, ParmoncError> {
     let RunCtx {
         config,
-        hierarchy,
         dir,
         realize,
         monitor,
         faults,
-        start,
+        ..
     } = *ctx;
     let crash_after = faults.crash_after(0);
     let size = comm.size();
@@ -1704,20 +1820,17 @@ fn rank0_loop<C: Comm, R: Realize + ?Sized>(
         None => (MatrixAccumulator::new(config.nrow, config.ncol)?, 0.0),
     };
     let mut r: u64 = acc.count();
-    let mut out = vec![0.0f64; config.nrow * config.ncol];
     let mut last_pass = Instant::now();
     let mut last_file_write: Option<Instant> = None;
     // When the inbox is next looked at (see `INBOX_POLL_PERIOD`): after
     // the first realization, then once per period.
     let mut next_poll = last_pass;
-    // Incremental stream cursor for rank 0's own simulation; persists
-    // across the main loop *and* the reassignment-absorbing loop below,
-    // so every advance is one 128-bit multiply instead of three
-    // modpows, on exactly the same stream coordinates.
-    let sp_position = spans.start(SpanPhase::StreamPosition, None);
-    let mut cursor = hierarchy.cursor(StreamId::new(config.seqnum, 0, r))?;
-    spans.end(sp_position, SpanPhase::StreamPosition);
-
+    // Rank 0's own simulation; persists across the main loop *and* the
+    // reassignment-absorbing loop below, on one run of stream
+    // coordinates.
+    let mut sim = RealizationLoop::new(ctx, 0, r, &spans)?;
+    // The post-realization clock read of the block before.
+    let mut now = last_pass;
     loop {
         // Absorb work reassigned to the collector itself: it continues
         // on its own stream coordinates past its original quota, so no
@@ -1726,10 +1839,8 @@ fn rank0_loop<C: Comm, R: Realize + ?Sized>(
         if r >= quota || collector.stopping {
             break;
         }
-        if let Some(deadline) = config.deadline {
-            if start.elapsed() >= deadline {
-                break;
-            }
+        if ctx.deadline_passed(now) {
+            break;
         }
         if crash_after.is_some_and(|n| r >= n) {
             // Scripted collector crash: record it, then vanish abruptly
@@ -1749,17 +1860,13 @@ fn rank0_loop<C: Comm, R: Realize + ?Sized>(
             return Err(ParmoncError::CollectorCrashed { after });
         }
         tracker.switch(CollectorActivity::Computing);
-        out.fill(0.0);
-        let mut stream = cursor.next_stream()?;
-        let t0 = Instant::now();
-        realize.realize(&mut stream, &mut out);
-        // The one post-realization clock read; every time-gated check
-        // below reuses it, so the runtime adds exactly two `Instant`
-        // syscalls per realization regardless of exchange mode.
-        let now = Instant::now();
+        // The two clock reads of a block; every time-gated check below
+        // reuses the second, so the runtime adds exactly two `Instant`
+        // reads per block regardless of exchange mode.
+        let (n, t0, read) = sim.simulate_block(realize, &mut acc, quota - r)?;
+        now = read;
         compute_seconds += now.duration_since(t0).as_secs_f64();
-        acc.add(&out)?;
-        r += 1;
+        r += n;
 
         let due = match config.exchange {
             Exchange::EveryRealization => true,
@@ -1815,23 +1922,19 @@ fn rank0_loop<C: Comm, R: Realize + ?Sized>(
     let sweep = config.heartbeat_period;
     loop {
         if collector.live.self_extra > 0 {
-            let deadline_passed = config.deadline.is_some_and(|d| start.elapsed() >= d);
-            if collector.stopping || deadline_passed {
+            if collector.stopping || ctx.deadline_passed(Instant::now()) {
                 // The run is winding down anyway; forfeit the budget.
                 collector.live.self_extra = 0;
             } else {
-                let extra = std::mem::take(&mut collector.live.self_extra);
+                let mut left = std::mem::take(&mut collector.live.self_extra);
                 tracker.switch(CollectorActivity::Computing);
-                for _ in 0..extra {
-                    if config.deadline.is_some_and(|d| start.elapsed() >= d) {
+                while left > 0 {
+                    let (n, t0, now) = sim.simulate_block(realize, &mut acc, left)?;
+                    compute_seconds += now.duration_since(t0).as_secs_f64();
+                    left -= n;
+                    if ctx.deadline_passed(now) {
                         break;
                     }
-                    out.fill(0.0);
-                    let mut stream = cursor.next_stream()?;
-                    let t0 = Instant::now();
-                    realize.realize(&mut stream, &mut out);
-                    compute_seconds += t0.elapsed().as_secs_f64();
-                    acc.add(&out)?;
                 }
                 report_progress(&acc, compute_seconds);
                 dir.save_worker_state(0, &acc, compute_seconds)?;
@@ -2297,21 +2400,42 @@ mod tests {
             report.new_volume < 1_000_000,
             "deadline must stop the run early"
         );
+        // A slow routine is timed call by call, so the deadline is
+        // compared after every call: a realization that starts has seen
+        // fewer than 150 ÷ 5 finish before it, on either rank.
+        assert!(
+            report.worker_volumes.iter().all(|&v| v <= 30),
+            "{:?}: a rank ran past the deadline by more than one realization",
+            report.worker_volumes
+        );
         // The files still reflect what was simulated.
         assert!(report.results_dir.checkpoint_path().is_file());
     }
 
+    /// A free routine is timed in blocks, and still every realization
+    /// lies inside one timed interval: each rank's compute time is
+    /// positive and no more than the run's wall.
     #[test]
     fn mean_time_per_realization_is_positive() {
         let dir = tempdir("tau");
         let report = Parmonc::builder(1, 1)
-            .max_sample_volume(200)
-            .processors(2)
+            .max_sample_volume(200_003)
+            .processors(3)
+            .monitor()
             .output_dir(&dir)
             .run(uniform_mean())
             .unwrap();
-        assert!(report.mean_time_per_realization >= 0.0);
+        assert!(report.mean_time_per_realization > 0.0);
         assert!(report.elapsed > Duration::ZERO);
+        let summary = report.monitor.expect("monitored run");
+        for rank in 0..3 {
+            let seconds = summary.ranks[&rank].compute_seconds;
+            assert!(
+                0.0 < seconds && seconds <= report.elapsed.as_secs_f64(),
+                "rank {rank}: {seconds} s of {:?}",
+                report.elapsed
+            );
+        }
     }
 
     #[test]
@@ -2376,6 +2500,7 @@ mod tests {
         let report = Parmonc::builder(1, 1)
             .max_sample_volume(2000)
             .processors(4)
+            .exchange(Exchange::EveryRealization)
             .faults(FaultPlan::new(42).crash_rank(2, 10))
             .heartbeat_period(Duration::from_millis(10))
             .liveness_timeout(Duration::from_millis(100))
@@ -2383,8 +2508,12 @@ mod tests {
             .run(uniform_mean())
             .unwrap();
         assert_eq!(report.lost_workers, vec![2]);
-        assert_eq!(report.reassigned_realizations, 500);
-        // The dead rank's whole budget was made up elsewhere.
+        // A faulted world runs blocks of one and ships every offer: the
+        // rank crashed after exactly its scripted ten realizations, and
+        // the subtotal holding all ten had shipped.
+        assert_eq!(report.worker_volumes[2], 10);
+        assert_eq!(report.reassigned_realizations, 490);
+        // The rest of the dead rank's budget was made up elsewhere.
         assert_eq!(report.new_volume, 2000);
         assert!((report.summary.means[0] - 0.5).abs() < 0.05);
     }
@@ -2413,6 +2542,7 @@ mod tests {
         let report = Parmonc::builder(1, 1)
             .max_sample_volume(1200)
             .processors(3)
+            .exchange(Exchange::EveryRealization)
             .faults(FaultPlan::new(9).crash_rank(1, 5))
             .heartbeat_period(Duration::from_millis(10))
             .liveness_timeout(Duration::from_millis(100))
@@ -2423,7 +2553,11 @@ mod tests {
         let summary = report.monitor.expect("monitored run");
         assert_eq!(summary.workers_lost, 1);
         assert!(summary.faults_injected >= 1, "rank_crash must be recorded");
-        assert_eq!(summary.reassigned_realizations, 400);
+        // One offer per realization up to the scripted ordinal, each
+        // shipped (blocks of one, nothing withheld), then the crash.
+        assert_eq!(summary.ranks[&1].realizations, 5);
+        assert!(summary.ranks[&1].messages_sent >= 5);
+        assert_eq!(summary.reassigned_realizations, 395);
         assert_eq!(report.new_volume, 1200);
     }
 
@@ -2579,6 +2713,79 @@ mod tests {
             Duration::from_micros(20)
         });
         assert_eq!(shipped.len(), 1_000);
+    }
+
+    /// Feeds [`next_block`] a routine that takes `per(i)` on its
+    /// `i`-th call; returns the length of every block run until
+    /// `calls` calls are done.
+    fn strides(calls: u64, cap: u64, per: impl Fn(u64) -> Duration) -> Vec<u64> {
+        let (mut done, mut block, mut lens) = (0, 1, Vec::new());
+        while done < calls {
+            let n = block.min(calls - done);
+            let elapsed = (done..done + n).map(&per).sum();
+            lens.push(n);
+            done += n;
+            block = next_block(n, elapsed, cap);
+        }
+        lens
+    }
+
+    #[test]
+    fn timing_block_stays_one_for_a_routine_that_fills_it() {
+        // matrix_strict_tcp's 0.9 µs, sde_strict_threads' 120 µs, the
+        // paper's 7.7 s — and the boundary itself, which is inside.
+        for tau in [
+            TIMING_BLOCK,
+            Duration::from_nanos(900),
+            Duration::from_micros(120),
+            Duration::from_millis(7_700),
+        ] {
+            let lens = strides(1_000, MAX_TIMING_BLOCK, |_| tau);
+            assert!(lens.iter().all(|&n| n == 1), "τ = {tau:?}");
+        }
+    }
+
+    #[test]
+    fn timing_block_grows_by_doubling_to_what_fits_and_no_further() {
+        // A 2 ns routine would fit 250 times: doubling, then the cap.
+        let lens = strides(1_000, MAX_TIMING_BLOCK, |_| Duration::from_nanos(2));
+        assert_eq!(lens[..8], [1, 2, 4, 8, 16, 32, 64, 64]);
+        assert!(lens.iter().all(|&n| n <= MAX_TIMING_BLOCK));
+        // A 60 ns routine fits eight times, and settles there.
+        let lens = strides(1_000, MAX_TIMING_BLOCK, |_| Duration::from_nanos(60));
+        assert_eq!(lens[..6], [1, 2, 4, 8, 8, 8]);
+        // A clock that did not advance reads as "everything fits".
+        assert_eq!(next_block(4, Duration::ZERO, MAX_TIMING_BLOCK), 8);
+        // The quota's tail is run exactly, whatever the stride.
+        assert_eq!(lens.iter().sum::<u64>(), 1_000);
+    }
+
+    #[test]
+    fn timing_block_returns_to_one_after_one_long_block() {
+        // Every 100th call takes 5 ms: the block that holds it is
+        // followed by a block of one, and no block holds two of them.
+        let per = |i: u64| {
+            if i % 100 == 99 {
+                Duration::from_millis(5)
+            } else {
+                Duration::from_nanos(10)
+            }
+        };
+        let lens = strides(10_000, MAX_TIMING_BLOCK, per);
+        let mut first = 0;
+        for pair in lens.windows(2) {
+            if (first..first + pair[0]).any(|i| i % 100 == 99) {
+                assert_eq!(pair[1], 1, "after the block at call {first}");
+            }
+            first += pair[0];
+        }
+        assert_eq!(lens.iter().max(), Some(&50), "and it grows back");
+    }
+
+    #[test]
+    fn timing_block_is_one_under_a_fault_plan() {
+        let lens = strides(100, 1, |_| Duration::from_nanos(2));
+        assert!(lens.iter().all(|&n| n == 1));
     }
 
     #[test]

@@ -71,7 +71,9 @@ impl std::error::Error for ParseError {}
 pub struct LogReport {
     /// Total sample volume `l`.
     pub sample_volume: u64,
-    /// Mean computer time per realization, seconds.
+    /// Mean computer time per realization, seconds. The runner times
+    /// a routine shorter than 0.5 µs in blocks of calls, so below that
+    /// the figure includes its own accumulate and stream positioning.
     pub mean_time_per_realization: f64,
     /// Upper bound of the absolute errors.
     pub eps_max: f64,

@@ -977,6 +977,13 @@ fn run_over_tcp(
     })
 }
 
+/// An enabled fault plan whose one rule never fires: the world it is
+/// attached to runs timing blocks of one realization, ships every
+/// offer and queues every message, and nothing is ever dropped.
+fn never_fires() -> FaultPlan {
+    FaultPlan::new(1).drop_message(1, 0, 99, u64::MAX)
+}
+
 /// Strict exchange *offers* a subtotal after every realization; what
 /// becomes of the offer depends on the substrate and on the exchange
 /// governor. On threads a shipped subtotal lands in a register the
@@ -991,6 +998,12 @@ fn run_over_tcp(
 /// same run under an enabled fault plane, where every realization's
 /// subtotal ships and every message is queued and delivered (this
 /// plan's one rule never fires).
+///
+/// The same holds for the timing blocks a routine this short is run in
+/// (up to 64 realizations between two clock reads; the faulted arm runs
+/// blocks of one): a prime volume, which no block length divides on any
+/// rank, at m = 1, 2 and 3, under strict and periodic exchange, on
+/// threads and over TCP, comes out exact in volume and in every bit.
 #[test]
 fn latest_wins_exchange_matches_the_serial_merge_and_the_queued_path() {
     use parmonc::{StreamHierarchy, StreamId};
@@ -1021,26 +1034,34 @@ fn latest_wins_exchange_matches_the_serial_merge_and_the_queued_path() {
         }
         total.summary()
     };
-    let never_fires = || FaultPlan::new(1).drop_message(1, 0, 99, u64::MAX);
     const SMALL: ((usize, usize), u64) = ((1, 2), 140_000);
     const LARGE: ((usize, usize), u64) = ((1000, 2), 4_000);
-    for ((shape, volume), m, topology, tcp) in [
-        (SMALL, 2, Topology::Star, false),
-        (SMALL, 4, Topology::Star, false),
-        (SMALL, 7, Topology::Star, false),
-        (SMALL, 7, Topology::Tree { arity: 2 }, false),
-        (SMALL, 2, Topology::Star, true),
-        (LARGE, 2, Topology::Star, false),
-        (LARGE, 2, Topology::Star, true),
+    const PRIME: ((usize, usize), u64) = ((1, 2), 100_003);
+    const STRICT: Exchange = Exchange::EveryRealization;
+    for ((shape, volume), m, topology, tcp, exchange) in [
+        (SMALL, 2, Topology::Star, false, STRICT),
+        (SMALL, 4, Topology::Star, false, STRICT),
+        (SMALL, 7, Topology::Star, false, STRICT),
+        (SMALL, 7, Topology::Tree { arity: 2 }, false, STRICT),
+        (SMALL, 2, Topology::Star, true, STRICT),
+        (LARGE, 2, Topology::Star, false, STRICT),
+        (LARGE, 2, Topology::Star, true, STRICT),
+        (PRIME, 1, Topology::Star, false, STRICT),
+        (PRIME, 1, Topology::Star, false, Exchange::Periodic),
+        (PRIME, 2, Topology::Star, false, Exchange::Periodic),
+        (PRIME, 3, Topology::Star, false, STRICT),
+        (PRIME, 3, Topology::Star, false, Exchange::Periodic),
+        (PRIME, 2, Topology::Star, true, Exchange::Periodic),
+        (PRIME, 3, Topology::Star, true, STRICT),
     ] {
-        let what = format!("{shape:?}, m = {m}, {topology:?}, tcp: {tcp}");
+        let what = format!("{shape:?}, m = {m}, {topology:?}, tcp: {tcp}, {exchange:?}");
         let run = |arm: &str, faulted: bool| {
             let configure = || {
                 let builder = Parmonc::builder(shape.0, shape.1)
                     .max_sample_volume(volume)
                     .processors(m)
                     .seqnum(SEQNUM)
-                    .exchange(Exchange::EveryRealization)
+                    .exchange(exchange)
                     .topology(topology);
                 if faulted {
                     builder.faults(never_fires())
@@ -1048,7 +1069,10 @@ fn latest_wins_exchange_matches_the_serial_merge_and_the_queued_path() {
                     builder
                 }
             };
-            let name = format!("latest-{}-{m}-{topology:?}-{tcp}-{arm}", shape.0);
+            let name = format!(
+                "latest-{}-{volume}-{m}-{topology:?}-{tcp}-{exchange:?}-{arm}",
+                shape.0
+            );
             let report = if tcp {
                 run_over_tcp(&name, m, configure)
             } else {
@@ -1135,6 +1159,82 @@ fn latest_wins_exchange_is_accounted_for_in_the_trace() {
         .max()
         .expect("rank 0 received something");
     assert!(deepest <= 2, "a backlog of {deepest} in a world of two");
+
+    // The same run under a fault plan (whose one rule never fires) is
+    // the exception both mechanisms make: blocks of one realization,
+    // nothing withheld, everything queued — the worker offers, ships
+    // and has delivered exactly its quota minus one.
+    let faulted = Parmonc::builder(1, 2)
+        .max_sample_volume(2_001)
+        .processors(2)
+        .exchange(Exchange::EveryRealization)
+        .faults(never_fires())
+        .monitor()
+        .output_dir(scratch("latest-monitored-faulted"))
+        .run(uniform())
+        .unwrap();
+    assert_eq!(subtotal_traffic(&trace_events(&faulted)), (999, 999));
+}
+
+/// A routine whose calls alternate between nanoseconds and 5 ms — the
+/// worst case for a block length learned from the last block. Growth is
+/// capped at doubling and a block that outlasts its 0.5 µs falls back
+/// to one realization, so no block holds two long calls: the time-gated
+/// checks (here the heartbeat) run late by at most one of them, nobody
+/// is declared lost, and the reported mean time per realization still
+/// accounts for the ranks' loop time.
+#[test]
+fn timing_blocks_keep_the_heartbeat_under_a_routine_with_rare_long_calls() {
+    use parmonc_obs::EventKind;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Instant;
+
+    let _guard = SEQ.lock().unwrap_or_else(|e| e.into_inner());
+    const LONG: Duration = Duration::from_millis(5);
+    const HEARTBEAT: Duration = Duration::from_millis(20);
+    const VOLUME: u64 = 120;
+    let long_nanos = AtomicU64::new(0);
+    let alternating = RealizeFn::new(|rng, out| {
+        if rng.id().realization % 2 == 1 {
+            let started = Instant::now();
+            std::thread::sleep(LONG);
+            long_nanos.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
+        out[0] = rng.next_f64();
+    });
+    let report = Parmonc::builder(1, 1)
+        .max_sample_volume(VOLUME)
+        .processors(2)
+        .heartbeat_period(HEARTBEAT)
+        .liveness_timeout(Duration::from_millis(500))
+        .monitor()
+        .output_dir(scratch("rare-long-calls"))
+        .run(alternating)
+        .unwrap();
+    assert_eq!(report.new_volume, VOLUME);
+    assert!(report.lost_workers.is_empty());
+
+    let heartbeat = parmonc::messages::TAG_HEARTBEAT.0;
+    let beats: Vec<f64> = trace_events(&report)
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::MessageSent { tag, .. } if tag == heartbeat))
+        .map(|e| e.time_s)
+        .collect();
+    assert!(beats.len() >= 3, "{} heartbeats in ≈ 150 ms", beats.len());
+    // One long call late at most; the other three are the box's noise.
+    let bound = (HEARTBEAT + 4 * LONG).as_secs_f64();
+    for pair in beats.windows(2) {
+        assert!(pair[1] - pair[0] <= bound, "heartbeats at {pair:?}");
+    }
+
+    // Every long call lies inside a timed interval, and the intervals
+    // hold little else.
+    let timed = report.mean_time_per_realization * VOLUME as f64;
+    let long = Duration::from_nanos(long_nanos.load(Ordering::Relaxed)).as_secs_f64();
+    assert!(
+        long <= timed && timed <= 1.1 * long,
+        "{timed} s timed against {long} s of long calls"
+    );
 }
 
 /// The paper's regime is preserved: when the user's routine takes far
