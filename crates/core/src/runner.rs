@@ -11,6 +11,8 @@
 //! when the total sample volume reaches `maxsv` or the wall-clock
 //! deadline passes.
 
+#![warn(clippy::too_many_lines, clippy::too_many_arguments)]
+
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -124,19 +126,14 @@ impl CollectorState {
     }
 
     /// Refreshes rank 0's own snapshot from its borrowed running
-    /// accumulator, reusing the previous snapshot's allocations.
-    fn update_own(&mut self, acc: &MatrixAccumulator, compute_seconds: f64, now: Instant) {
+    /// subtotal, reusing the previous snapshot's allocations.
+    fn update_own(&mut self, own: &Subtotal, now: Instant) {
         match &mut self.latest[0] {
             Some(sub) => {
-                sub.acc.clone_from(acc);
-                sub.compute_seconds = compute_seconds;
+                sub.acc.clone_from(&own.acc);
+                sub.compute_seconds = own.compute_seconds;
             }
-            slot => {
-                *slot = Some(Subtotal {
-                    acc: acc.clone(),
-                    compute_seconds,
-                });
-            }
+            slot => *slot = Some(own.clone()),
         }
         self.updated_at[0] = Some(now);
     }
@@ -232,6 +229,19 @@ impl<R: ?Sized> RunCtx<'_, R> {
         self.config
             .deadline
             .is_some_and(|d| now.duration_since(self.start) >= d)
+    }
+
+    /// Records that a scripted fault took `rank` down after `after`
+    /// realizations.
+    fn record_crash(&self, rank: usize, after: u64) {
+        self.monitor.emit(
+            Some(rank),
+            EventKind::FaultInjected {
+                fault: FaultKind::RankCrash.as_str().to_string(),
+                detail: Some(after),
+            },
+        );
+        self.faults.note_crash(rank, after);
     }
 }
 
@@ -779,7 +789,7 @@ fn finish(
     }
 }
 
-/// How often, at most, a worker rewrites its on-disk subtotal file.
+/// How often, at most, a rank rewrites its on-disk subtotal file.
 const WORKER_FILE_PERIOD: Duration = Duration::from_millis(500);
 
 /// How often, at most, a simulating rank looks at its inbox. Looking
@@ -828,7 +838,9 @@ const MAX_TIMING_BLOCK: u64 = 64;
 ///   is everything the runtime did between two calls of the user's
 ///   routine in the iteration that shipped: accumulate, encode, the
 ///   send *including any time blocked in a socket write*, the inbox
-///   look and stream positioning. A congested link or a slow collector
+///   look and stream positioning — on rank 0, whose offer refreshes
+///   the collector's snapshot of it in place, the copy and whatever
+///   collecting its poll did. A congested link or a slow collector
 ///   lengthens the interval by itself — back-pressure is followed, not
 ///   configured;
 /// * so with a realization time τ ≥ `EXCHANGE_COST_MULTIPLE × cost`
@@ -902,36 +914,65 @@ fn next_block(block: u64, elapsed: Duration, cap: u64) -> u64 {
         .clamp(1, (2 * block).min(cap))
 }
 
-/// One rank's realization loop: where its next stream starts, the
-/// buffer the user's routine fills, and how many realizations the next
-/// pair of clock reads covers.
+/// One rank's simulation, owned by whoever runs [`simulate_quota`] on
+/// it: how far it is to go, what it has accumulated, where its next
+/// stream starts, the buffer the user's routine fills, how many
+/// realizations the next pair of clock reads covers, and the emitter of
+/// the rank's spans. The loop can be
+/// left and entered again on the same value and carries on at the next
+/// stream coordinate.
 struct RealizationLoop {
+    rank: usize,
+    /// Realizations this rank is to have simulated in all: its dealt
+    /// quota, grown by whatever a poll reports reassigned to it.
+    quota: u64,
+    /// The rank's cumulative subtotal; `own.acc.count()` realizations
+    /// are done.
+    own: Subtotal,
     cursor: StreamCursor,
     out: Vec<f64>,
     /// Realizations in the next timed block; see [`next_block`].
     block: u64,
     block_cap: u64,
+    spans: SpanEmitter,
 }
 
 impl RealizationLoop {
-    /// Positions `rank`'s cursor at its realization `done`. One
-    /// incremental cursor instead of a fresh three-level leapfrog
+    /// Starts `rank` from `resumed` — the subtotal a crashed session of
+    /// the same experiment left in the rank's state file — or from
+    /// nothing, with the cursor at the first realization not in it: the
+    /// exact coordinates the crashed run would have simulated next, so
+    /// the continuation is bit-identical. (A stale file merely replays
+    /// some realizations; same coordinates, same values, replaced not
+    /// summed.)
+    ///
+    /// One incremental cursor instead of a fresh three-level leapfrog
     /// positioning (three 128-bit modpows) per realization: advancing
     /// to the next realization stream is a single 128-bit multiply and
     /// yields bit-identical streams (see `parmonc_rng::StreamCursor`).
     fn new<R: ?Sized>(
         ctx: &RunCtx<'_, R>,
         rank: usize,
-        done: u64,
+        resumed: Option<Subtotal>,
         spans: &SpanEmitter,
     ) -> Result<Self, ParmoncError> {
         let config = ctx.config;
+        let own = match resumed {
+            Some(own) => own,
+            None => Subtotal {
+                acc: MatrixAccumulator::new(config.nrow, config.ncol)?,
+                compute_seconds: 0.0,
+            },
+        };
         let sp_position = spans.start(SpanPhase::StreamPosition, None);
-        let cursor = ctx
-            .hierarchy
-            .cursor(StreamId::new(config.seqnum, rank as u64, done))?;
+        let cursor =
+            ctx.hierarchy
+                .cursor(StreamId::new(config.seqnum, rank as u64, own.acc.count()))?;
         spans.end(sp_position, SpanPhase::StreamPosition);
         Ok(Self {
+            rank,
+            quota: config.quota(rank),
+            own,
             cursor,
             out: vec![0.0f64; config.nrow * config.ncol],
             block: 1,
@@ -940,13 +981,29 @@ impl RealizationLoop {
             } else {
                 MAX_TIMING_BLOCK
             },
+            spans: spans.clone(),
         })
     }
 
-    /// The one realization body: runs the next block — at most
-    /// `remaining ≥ 1` realizations — into `acc` between one pair of
-    /// clock reads. Returns how many it ran, the read before the first
-    /// call of the user's routine and the read after the last.
+    /// Realizations simulated so far.
+    fn done(&self) -> u64 {
+        self.own.acc.count()
+    }
+
+    /// Rewrites the rank's on-disk state file — what `manaver` and a
+    /// crash-resume read — under a `checkpoint` span.
+    fn save_state(&self, dir: &ResultsDir, parent_span: u64) -> Result<(), ParmoncError> {
+        let sp_ck = self.spans.start(SpanPhase::Checkpoint, Some(parent_span));
+        dir.save_worker_state(self.rank, &self.own.acc, self.own.compute_seconds)?;
+        self.spans.end(sp_ck, SpanPhase::Checkpoint);
+        Ok(())
+    }
+
+    /// The one realization body: runs the next block — at most what is
+    /// left of the quota, which must be something — into `own` between
+    /// one pair of clock reads, and books the interval as compute time.
+    /// Returns the read before the first call of the user's routine and
+    /// the read after the last.
     ///
     /// Every realization lies inside exactly one timed interval and
     /// keeps every per-realization check (`out` zeroed, the cursor's
@@ -954,15 +1011,16 @@ impl RealizationLoop {
     /// same streams are added in the same order whatever the block
     /// length: the volume and the estimate do not depend on it. A
     /// block of one is the loop as it was, read for read — and the
-    /// first block of every loop, every block of a routine that takes
-    /// [`TIMING_BLOCK`] or longer and every block in a world with an
-    /// enabled fault plan (so a scripted crash ordinal, which implies
-    /// one, is met exactly) is a block of one. A longer block's interval
-    /// also covers the accumulate and stream positioning *between* its
-    /// realizations (in place of the clock read per realization it used
-    /// to cover), and everything time-gated in the caller — the `due`
-    /// rule, the inbox poll, liveness, heartbeat, averaging, the
-    /// deadline — runs once per block against the second read.
+    /// first block of every pass through the loop, every block of a
+    /// routine that takes [`TIMING_BLOCK`] or longer and every block in
+    /// a world with an enabled fault plan (so a scripted crash ordinal,
+    /// which implies one, is met exactly) is a block of one. A longer
+    /// block's interval also covers the accumulate and stream
+    /// positioning *between* its realizations (in place of the clock
+    /// read per realization it used to cover), and everything
+    /// time-gated in the caller — the `due` rule, the inbox poll,
+    /// liveness, heartbeat, averaging, the deadline — runs once per
+    /// block against the second read.
     ///
     /// One loop with one call site per step rather than a peeled first
     /// or last iteration: a block of one and a block of sixty-four run
@@ -970,10 +1028,8 @@ impl RealizationLoop {
     fn simulate_block<R: Realize + ?Sized>(
         &mut self,
         realize: &R,
-        acc: &mut MatrixAccumulator,
-        remaining: u64,
-    ) -> Result<(u64, Instant, Instant), ParmoncError> {
-        let n = self.block.min(remaining);
+    ) -> Result<(Instant, Instant), ParmoncError> {
+        let n = self.block.min(self.quota - self.done());
         let (mut t0, mut now) = (None, None);
         for i in 0..n {
             self.out.fill(0.0);
@@ -985,55 +1041,88 @@ impl RealizationLoop {
             if i + 1 == n {
                 now = Some(Instant::now());
             }
-            acc.add(&self.out)?;
+            self.own.acc.add(&self.out)?;
         }
         let (t0, now) = t0
             .zip(now)
             .expect("a timed block holds at least one realization");
-        self.block = next_block(n, now.duration_since(t0), self.block_cap);
-        Ok((n, t0, now))
+        let elapsed = now.duration_since(t0);
+        self.own.compute_seconds += elapsed.as_secs_f64();
+        self.block = next_block(n, elapsed, self.block_cap);
+        Ok((t0, now))
     }
 }
 
-/// What a worker's control-message poll found: a stop broadcast and/or
-/// extra realizations reassigned to it from a lost rank.
+/// What a rank's poll found: an order to stop and/or extra realizations
+/// reassigned to it from a lost rank.
 #[derive(Debug, Default)]
-struct WorkerControl {
+struct Control {
     stop: bool,
     extra: u64,
 }
 
-/// The simulation loop common to every rank: simulate the quota,
-/// periodically emitting cumulative subtotals via `emit`, heartbeating
-/// through quiet stretches, and growing the quota when `poll_control`
-/// reports reassigned work (extension realizations run on this rank's
-/// *own* stream coordinates past its original quota, so no leapfrog
-/// subsequence is ever reused).
+/// What [`simulate_quota`] asks of the rank it runs on. A [`Worker`]
+/// ships its subtotals upstream and takes orders from rank 0; [`Rank0`]
+/// is the collector they arrive at, and its own subtotal enters formula
+/// (5) exactly as any other rank's does.
+trait Role {
+    /// Takes the rank's cumulative subtotal as of `now`. Returns whether
+    /// that counted as contact with rank 0: under a tree topology a
+    /// worker's subtotals flow to a relay, which keeps the *collector*
+    /// blind to the send — the heartbeat cadence must not be reset by
+    /// it, or the liveness plane would starve.
+    fn offer(&mut self, own: &Subtotal, now: Instant, is_final: bool)
+        -> Result<bool, ParmoncError>;
+
+    /// Tells rank 0 this rank is alive, through a stretch without such
+    /// contact. Rank 0 has nobody to tell.
+    fn heartbeat(&mut self) -> Result<(), ParmoncError> {
+        Ok(())
+    }
+
+    /// Looks at the inbox and does whatever else the rank owes the run
+    /// between realizations.
+    fn poll(&mut self, own: &Subtotal, now: Instant) -> Result<Control, ParmoncError>;
+}
+
+/// The progress event ahead of every offer. Skips event construction
+/// (and the timestamp it takes) entirely when no monitor sink is
+/// attached — this runs once per realization in the strictest exchange
+/// mode.
+fn report_progress(monitor: &Monitor, rank: usize, own: &Subtotal) {
+    if monitor.is_enabled() {
+        monitor.emit(
+            Some(rank),
+            EventKind::Realizations {
+                completed: own.acc.count(),
+                compute_seconds: own.compute_seconds,
+            },
+        );
+    }
+}
+
+/// The simulation loop common to every rank: simulate up to the quota,
+/// offering the cumulative subtotal to `role` whenever the exchange mode
+/// and the governor make one due, rewriting the rank's state file at
+/// most every [`WORKER_FILE_PERIOD`], heartbeating through quiet
+/// stretches, and growing the quota when a poll reports reassigned work
+/// (extension realizations run on this rank's *own* stream coordinates
+/// past its original quota, so no leapfrog subsequence is ever reused).
+/// It ends with the state file and a final offer. Entered again on the
+/// same `sim` — rank 0 does, when work lands on it while it waits for
+/// finals — it picks the extension up from its first poll and carries on
+/// from the next coordinate, every gate live.
 ///
-/// `emit` returns whether the send counted as contact with rank 0:
-/// under a tree topology a worker's subtotals flow to a relay, which
-/// keeps the *collector* blind to the send — the heartbeat cadence
-/// must not be reset by it, or the liveness plane would starve.
-///
-/// Returns `None` when a scripted fault crashed the rank first: no
-/// final subtotal is emitted and the caller lets the rank vanish.
+/// Returns `Some(n)` when a fault scripted for after `n` realizations
+/// crashed the rank first: the crash is recorded, nothing final is
+/// written or offered, and the caller lets the rank vanish.
 fn simulate_quota<R: Realize + ?Sized>(
     ctx: &RunCtx<'_, R>,
-    rank: usize,
-    crash_after: Option<u64>,
-    spans: &SpanEmitter,
-    mut emit: impl FnMut(&MatrixAccumulator, f64, bool) -> Result<bool, ParmoncError>,
-    mut heartbeat: impl FnMut() -> Result<(), ParmoncError>,
-    mut poll_control: impl FnMut() -> Result<WorkerControl, ParmoncError>,
-) -> Result<Option<Subtotal>, ParmoncError> {
-    let RunCtx {
-        config,
-        dir,
-        realize,
-        faults,
-        ..
-    } = *ctx;
-    let mut quota = config.quota(rank);
+    sim: &mut RealizationLoop,
+    role: &mut impl Role,
+) -> Result<Option<u64>, ParmoncError> {
+    let (config, faults) = (ctx.config, ctx.faults);
+    let crash_after = faults.crash_after(sim.rank);
     // One `due` rule: strict exchange is periodic exchange with a zero
     // period, and the governor holds either to its share.
     let period = match config.exchange {
@@ -1045,17 +1134,12 @@ fn simulate_quota<R: Realize + ?Sized>(
     } else {
         config.heartbeat_period
     });
-    let mut acc = MatrixAccumulator::new(config.nrow, config.ncol)?;
-    let mut compute_seconds = 0.0f64;
     let mut last_pass = Instant::now();
-    let mut last_contact = Instant::now();
+    let mut last_contact = last_pass;
     let mut last_file_write: Option<Instant> = None;
-    let mut sim = RealizationLoop::new(ctx, rank, 0, spans)?;
     // The currently open realization-batch span (0 between batches or
     // with spans off — `start`/`end` treat 0 as "nothing open").
     let mut batch_span: u64 = 0;
-
-    let mut r: u64 = 0;
     // The post-realization clock read of the block before, and when
     // the inbox is next looked at: on the first iteration, then once
     // per period — and always before deciding the quota is done (an
@@ -1063,48 +1147,43 @@ fn simulate_quota<R: Realize + ?Sized>(
     let mut now = last_pass;
     let mut next_poll = now;
     loop {
-        if r >= quota || now >= next_poll {
-            let ctl = poll_control()?;
+        if sim.done() >= sim.quota || now >= next_poll {
+            let ctl = role.poll(&sim.own, now)?;
             next_poll = now + INBOX_POLL_PERIOD;
-            quota += ctl.extra;
+            sim.quota += ctl.extra;
             if ctl.stop {
                 break;
             }
         }
-        if r >= quota {
+        if sim.done() >= sim.quota || ctx.deadline_passed(now) {
             break;
         }
-        if ctx.deadline_passed(now) {
-            break;
+        if let Some(after) = crash_after.filter(|&n| sim.done() >= n) {
+            ctx.record_crash(sim.rank, after);
+            return Ok(Some(after));
         }
-        if crash_after.is_some_and(|n| r >= n) {
-            return Ok(None);
-        }
-        if spans.is_enabled() && batch_span == 0 {
-            batch_span = spans.start(SpanPhase::RealizationBatch, None);
+        if sim.spans.is_enabled() && batch_span == 0 {
+            batch_span = sim.spans.start(SpanPhase::RealizationBatch, None);
         }
         // Two clock reads per block: the pair timing the user routine.
         // Every time-gated check below reuses `now` via
         // `duration_since`, which is pure arithmetic — clock reads used
         // to dominate the runtime's per-realization overhead.
-        let (n, t0, read) = sim.simulate_block(realize, &mut acc, quota - r)?;
+        let (t0, read) = sim.simulate_block(ctx.realize)?;
         now = read;
         governor.realization_starts(t0);
-        compute_seconds += now.duration_since(t0).as_secs_f64();
-        r += n;
 
         let due = now.duration_since(last_pass) >= period && governor.due(now);
-        if due && r < quota {
-            let sp_send = spans.start(SpanPhase::SubtotalSend, Some(batch_span));
-            let contacted_collector = emit(&acc, compute_seconds, false)?;
-            spans.end(sp_send, SpanPhase::SubtotalSend);
+        if due && sim.done() < sim.quota {
+            let sp_send = sim.spans.start(SpanPhase::SubtotalSend, Some(batch_span));
+            report_progress(ctx.monitor, sim.rank, &sim.own);
+            let contacted_collector = role.offer(&sim.own, now, false)?;
+            sim.spans.end(sp_send, SpanPhase::SubtotalSend);
             if contacted_collector {
                 last_contact = now;
             }
             if last_file_write.is_none_or(|t| now.duration_since(t) >= WORKER_FILE_PERIOD) {
-                let sp_ck = spans.start(SpanPhase::Checkpoint, Some(batch_span));
-                dir.save_worker_state(rank, &acc, compute_seconds)?;
-                spans.end(sp_ck, SpanPhase::Checkpoint);
+                sim.save_state(ctx.dir, batch_span)?;
                 last_file_write = Some(now);
             } else {
                 // An iteration that also rewrote the state file is not
@@ -1113,31 +1192,27 @@ fn simulate_quota<R: Realize + ?Sized>(
                 // withhold subtotals the paper's regime must ship.
                 governor.shipped(now);
             }
-            spans.end(batch_span, SpanPhase::RealizationBatch);
+            sim.spans.end(batch_span, SpanPhase::RealizationBatch);
             batch_span = 0;
             last_pass = now;
         }
-        // Not an `else`: a tree worker's emit goes to its relay, not
+        // Not an `else`: a tree worker's offer goes to its relay, not
         // to rank 0, so the heartbeat must still fire on schedule even
-        // in the every-realization exchange mode where emits are due
+        // in the every-realization exchange mode where offers are due
         // on every iteration.
         if now.duration_since(last_contact) >= config.heartbeat_period {
-            heartbeat()?;
+            role.heartbeat()?;
             last_contact = now;
         }
     }
 
-    let sp_ck = spans.start(SpanPhase::Checkpoint, Some(batch_span));
-    dir.save_worker_state(rank, &acc, compute_seconds)?;
-    spans.end(sp_ck, SpanPhase::Checkpoint);
-    let sp_send = spans.start(SpanPhase::SubtotalSend, Some(batch_span));
-    emit(&acc, compute_seconds, true)?;
-    spans.end(sp_send, SpanPhase::SubtotalSend);
-    spans.end(batch_span, SpanPhase::RealizationBatch);
-    Ok(Some(Subtotal {
-        acc,
-        compute_seconds,
-    }))
+    sim.save_state(ctx.dir, batch_span)?;
+    let sp_send = sim.spans.start(SpanPhase::SubtotalSend, Some(batch_span));
+    report_progress(ctx.monitor, sim.rank, &sim.own);
+    role.offer(&sim.own, now, true)?;
+    sim.spans.end(sp_send, SpanPhase::SubtotalSend);
+    sim.spans.end(batch_span, SpanPhase::RealizationBatch);
+    Ok(None)
 }
 
 /// How often a lingering relay (own quota done, descendants still
@@ -1172,11 +1247,6 @@ impl RelayBuffer {
             descendants,
             finals_flushed: std::collections::BTreeSet::new(),
         }
-    }
-
-    /// Whether this rank has relay duties at all.
-    fn is_relay(&self) -> bool {
-        !self.descendants.is_empty()
     }
 
     /// Replaces the stored payload for `rank` (cumulative subtotals:
@@ -1222,61 +1292,109 @@ impl RelayBuffer {
     }
 }
 
-/// Flushes the relay buffer upstream as one [`TAG_BATCH`], if dirty.
-/// A vanished upstream relay degrades to the collector (retrying the
-/// same cumulative state, which cannot double-count); a vanished
-/// collector raises `lost_collector`.
-fn flush_relay<C: Comm>(
-    comm: &std::cell::RefCell<C>,
-    parent: &std::cell::Cell<usize>,
-    relay: &std::cell::RefCell<RelayBuffer>,
-    lost_collector: &std::cell::Cell<bool>,
-    spans: &SpanEmitter,
-) -> Result<(), ParmoncError> {
-    let mut rb = relay.borrow_mut();
-    if !rb.dirty {
-        return Ok(());
-    }
-    let sp = spans.start(SpanPhase::RelayMerge, None);
-    let c = comm.borrow();
-    let dest = parent.get();
-    let mut sent = c.send_bytes(dest, TAG_BATCH, rb.encode());
-    if matches!(sent, Err(MpiError::Disconnected)) && dest != 0 {
-        parent.set(0);
-        sent = c.send_bytes(0, TAG_BATCH, rb.encode());
-    }
-    let result = match sent {
-        Ok(()) => {
-            rb.note_flushed();
-            Ok(())
-        }
-        Err(MpiError::Disconnected) => {
-            lost_collector.set(true);
-            Ok(())
-        }
-        Err(e) => Err(e.into()),
-    };
-    spans.end(sp, SpanPhase::RelayMerge);
-    result
+/// A non-collector rank's side of the run: where its subtotals go,
+/// what it relays for the ranks below it, and whether the collector is
+/// still there to talk to.
+struct Worker<'a, C: Comm> {
+    comm: C,
+    /// Where this rank's subtotals flow: rank 0 under a star, an
+    /// interior relay under a tree. Mutable — a vanished or reparented
+    /// relay degrades the route to the collector, never the estimate.
+    parent: usize,
+    relay: RelayBuffer,
+    /// A vanished collector (it aborted the run) is never the worker's
+    /// error: the worker just winds down.
+    lost_collector: bool,
+    spans: &'a SpanEmitter,
 }
 
-/// One control/relay service pass, shared by the in-simulation poll
-/// and the post-final linger loop: drain every pending envelope —
-/// control orders from rank 0, subtotals from the subtree — then flush
-/// one coalesced batch upstream if anything changed.
-fn relay_service<C: Comm>(
-    comm: &std::cell::RefCell<C>,
-    rank: usize,
-    size: usize,
-    parent: &std::cell::Cell<usize>,
-    relay: &std::cell::RefCell<RelayBuffer>,
-    lost_collector: &std::cell::Cell<bool>,
-    spans: &SpanEmitter,
-) -> Result<WorkerControl, ParmoncError> {
-    let mut ctl = WorkerControl::default();
-    {
-        let mut c = comm.borrow_mut();
-        while let Some(env) = c.try_recv(None, None) {
+impl<'a, C: Comm> Worker<'a, C> {
+    fn new<R: ?Sized>(ctx: &RunCtx<'a, R>, comm: C, parent: usize, spans: &'a SpanEmitter) -> Self {
+        let mut worker = Self {
+            relay: RelayBuffer::new(ctx.config.collection_plan().descendants(comm.rank())),
+            comm,
+            parent: 0,
+            lost_collector: false,
+            spans,
+        };
+        worker.set_parent(parent);
+        worker
+    }
+
+    /// Routes this rank's subtotals to `parent` — to the collector, if
+    /// that names no other rank of this world.
+    fn set_parent(&mut self, parent: usize) {
+        self.parent = if parent == self.comm.rank() || parent >= self.comm.size() {
+            0
+        } else {
+            parent
+        };
+    }
+
+    /// Sends `own` to `dest`, encoded straight from the borrowed
+    /// accumulator. A non-final subtotal is superseded by the next one,
+    /// and is sent as such: on threads it is written into the
+    /// receiver's inbox in place; on sockets, and for the final
+    /// everywhere, into a recycled send buffer that is queued.
+    fn send_subtotal(&self, dest: usize, own: &Subtotal, is_final: bool) -> Result<(), MpiError> {
+        let (acc, compute_seconds) = (&own.acc, own.compute_seconds);
+        if is_final {
+            let payload = Subtotal::encode_state_pooled(acc, compute_seconds, self.comm.pool());
+            self.comm.send_bytes(dest, TAG_FINAL, payload)
+        } else {
+            let (nrow, ncol) = acc.shape();
+            let len = Subtotal::encoded_len(nrow, ncol);
+            self.comm.send_latest_with(dest, TAG_SUBTOTAL, len, |sink| {
+                Subtotal::encode_state_into(acc, compute_seconds, sink);
+            })
+        }
+    }
+
+    /// Sends upstream with `send`. A vanished relay degrades the route
+    /// to the collector and retries once — what travels is cumulative,
+    /// so the retry cannot double-count; a vanished collector raises
+    /// `lost_collector`. Returns whether it was sent.
+    fn send_upstream(
+        &mut self,
+        send: impl Fn(&Self, usize) -> Result<(), MpiError>,
+    ) -> Result<bool, ParmoncError> {
+        let mut sent = send(self, self.parent);
+        if matches!(sent, Err(MpiError::Disconnected)) && self.parent != 0 {
+            self.parent = 0;
+            sent = send(self, 0);
+        }
+        match sent {
+            Ok(()) => Ok(true),
+            Err(MpiError::Disconnected) => {
+                self.lost_collector = true;
+                Ok(false)
+            }
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Flushes the relay buffer upstream as one [`TAG_BATCH`], if dirty.
+    fn flush_relay(&mut self) -> Result<(), ParmoncError> {
+        if !self.relay.dirty {
+            return Ok(());
+        }
+        let sp = self.spans.start(SpanPhase::RelayMerge, None);
+        let flushed =
+            self.send_upstream(|w, dest| w.comm.send_bytes(dest, TAG_BATCH, w.relay.encode()));
+        self.spans.end(sp, SpanPhase::RelayMerge);
+        if flushed? {
+            self.relay.note_flushed();
+        }
+        Ok(())
+    }
+
+    /// One control/relay service pass, shared by the in-simulation poll
+    /// and the post-final linger loop: drain every pending envelope —
+    /// control orders from rank 0, subtotals from the subtree — then flush
+    /// one coalesced batch upstream if anything changed.
+    fn relay_service(&mut self) -> Result<Control, ParmoncError> {
+        let mut ctl = Control::default();
+        while let Some(env) = self.comm.try_recv(None, None) {
             match env.tag {
                 // Control is always the collector's voice; a routed
                 // frame from a sibling cannot stop or extend us.
@@ -1289,35 +1407,85 @@ fn relay_service<C: Comm>(
                 TAG_REPARENT if env.source == 0 && env.payload.len() == 8 => {
                     let mut buf = [0u8; 8];
                     buf.copy_from_slice(&env.payload);
-                    let new_parent = u64::from_le_bytes(buf) as usize;
-                    parent.set(if new_parent == rank || new_parent >= size {
-                        0
-                    } else {
-                        new_parent
-                    });
+                    self.set_parent(u64::from_le_bytes(buf) as usize);
                 }
-                TAG_SUBTOTAL | TAG_FINAL if env.source != 0 && env.source < size => {
-                    relay
-                        .borrow_mut()
+                TAG_SUBTOTAL | TAG_FINAL if env.source != 0 && env.source < self.comm.size() => {
+                    self.relay
                         .absorb(env.source, env.payload, env.tag == TAG_FINAL);
                 }
                 TAG_BATCH if env.source != 0 => {
                     // A deeper tree: a child relay's own coalesced
                     // batch folds entry-by-entry into this one.
                     for entry in decode_batch(&env.payload)? {
-                        if entry.rank != 0 && entry.rank < size {
-                            relay
-                                .borrow_mut()
-                                .absorb(entry.rank, entry.payload, entry.is_final);
+                        if entry.rank != 0 && entry.rank < self.comm.size() {
+                            self.relay.absorb(entry.rank, entry.payload, entry.is_final);
                         }
                     }
                 }
                 _ => {}
             }
         }
+        self.flush_relay()?;
+        Ok(ctl)
     }
-    flush_relay(comm, parent, relay, lost_collector, spans)?;
-    Ok(ctl)
+
+    /// A relay's own quota is done, but descendants may still be
+    /// computing and their subtotals flow through this rank (a leaf has
+    /// none, and is through at once): keep servicing until every
+    /// descendant's final is flushed upstream, the collector says stop,
+    /// or the uplink goes away (teardown or loss). Heartbeats keep this
+    /// rank visible to the liveness plane meanwhile — a silent relay
+    /// would be declared lost and its children reparented for nothing.
+    fn linger<R: ?Sized>(&mut self, ctx: &RunCtx<'_, R>) -> Result<(), ParmoncError> {
+        let mut last_beat = Instant::now();
+        while !self.relay.all_finals_forwarded() && !self.lost_collector {
+            if ctx.deadline_passed(Instant::now()) || self.relay_service()?.stop {
+                break;
+            }
+            if last_beat.elapsed() >= ctx.config.heartbeat_period {
+                self.heartbeat()?;
+                last_beat = Instant::now();
+            }
+            std::thread::sleep(RELAY_LINGER_POLL);
+        }
+        Ok(())
+    }
+}
+
+impl<C: Comm> Role for Worker<'_, C> {
+    fn offer(
+        &mut self,
+        own: &Subtotal,
+        _now: Instant,
+        is_final: bool,
+    ) -> Result<bool, ParmoncError> {
+        let sent = self.send_upstream(|w, dest| w.send_subtotal(dest, own, is_final))?;
+        Ok(sent && self.parent == 0)
+    }
+
+    /// Heartbeats always run straight to rank 0 on every topology:
+    /// liveness is judged centrally, and a relay must not be able to
+    /// silence its whole subtree by dying.
+    fn heartbeat(&mut self) -> Result<(), ParmoncError> {
+        match self.comm.send(0, TAG_HEARTBEAT, &[]) {
+            Ok(()) => Ok(()),
+            Err(MpiError::Disconnected) => {
+                self.lost_collector = true;
+                Ok(())
+            }
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    fn poll(&mut self, _own: &Subtotal, _now: Instant) -> Result<Control, ParmoncError> {
+        if self.lost_collector {
+            return Ok(Control {
+                stop: true,
+                extra: 0,
+            });
+        }
+        self.relay_service()
+    }
 }
 
 fn worker_loop<C: Comm, R: Realize + ?Sized>(
@@ -1326,152 +1494,14 @@ fn worker_loop<C: Comm, R: Realize + ?Sized>(
     trace_spans: bool,
     parent: usize,
 ) -> Result<(), ParmoncError> {
-    let RunCtx {
-        config,
-        monitor,
-        faults,
-        ..
-    } = *ctx;
     let rank = comm.rank();
-    let size = comm.size();
-    let crash_after = faults.crash_after(rank);
-    let spans = SpanEmitter::new(monitor, rank, trace_spans);
-    // `emit` only needs `&Communicator` (sends), while the control poll
-    // needs `&mut`; a RefCell arbitrates between the closures, which
-    // never run concurrently. A vanished collector (it aborted the run)
-    // is never the worker's error: the worker just winds down.
-    let comm = std::cell::RefCell::new(comm);
-    let lost_collector = std::cell::Cell::new(false);
-    // Where this rank's subtotals flow: rank 0 under a star, an
-    // interior relay under a tree. Mutable — a vanished or reparented
-    // relay degrades the route to the collector, never the estimate.
-    let parent = std::cell::Cell::new(if parent == rank || parent >= size {
-        0
-    } else {
-        parent
-    });
-    let relay =
-        std::cell::RefCell::new(RelayBuffer::new(config.collection_plan().descendants(rank)));
-    let finished = simulate_quota(
-        ctx,
-        rank,
-        crash_after,
-        &spans,
-        |acc, compute_seconds, is_final| {
-            // Skip event construction (and the timestamp it takes)
-            // entirely when no monitor sink is attached — this runs
-            // once per realization in the strictest exchange mode.
-            if monitor.is_enabled() {
-                monitor.emit(
-                    Some(rank),
-                    EventKind::Realizations {
-                        completed: acc.count(),
-                        compute_seconds,
-                    },
-                );
-            }
-            let c = comm.borrow();
-            // Encoded straight from the borrowed accumulator. A
-            // non-final subtotal is superseded by the next one, and is
-            // sent as such: on threads it is written into the
-            // receiver's inbox in place; on sockets, and for the final
-            // everywhere, into a recycled send buffer that is queued.
-            let send = |dest: usize| {
-                if is_final {
-                    let payload = Subtotal::encode_state_pooled(acc, compute_seconds, c.pool());
-                    c.send_bytes(dest, TAG_FINAL, payload)
-                } else {
-                    let (nrow, ncol) = acc.shape();
-                    let len = Subtotal::encoded_len(nrow, ncol);
-                    c.send_latest_with(dest, TAG_SUBTOTAL, len, |sink| {
-                        Subtotal::encode_state_into(acc, compute_seconds, sink);
-                    })
-                }
-            };
-            let dest = parent.get();
-            match send(dest) {
-                Ok(()) => Ok(dest == 0),
-                Err(MpiError::Disconnected) if dest != 0 => {
-                    // The relay is gone: degrade to reporting straight
-                    // to the collector and retry once — the subtotal
-                    // is cumulative, so the retry cannot double-count.
-                    parent.set(0);
-                    match send(0) {
-                        Ok(()) => Ok(true),
-                        Err(MpiError::Disconnected) => {
-                            lost_collector.set(true);
-                            Ok(false)
-                        }
-                        Err(e) => Err(e.into()),
-                    }
-                }
-                Err(MpiError::Disconnected) => {
-                    lost_collector.set(true);
-                    Ok(false)
-                }
-                Err(e) => Err(e.into()),
-            }
-        },
-        // Heartbeats always run straight to rank 0 on every topology:
-        // liveness is judged centrally, and a relay must not be able
-        // to silence its whole subtree by dying.
-        || match comm.borrow().send(0, TAG_HEARTBEAT, &[]) {
-            Ok(()) => Ok(()),
-            Err(MpiError::Disconnected) => {
-                lost_collector.set(true);
-                Ok(())
-            }
-            Err(e) => Err(e.into()),
-        },
-        || {
-            if lost_collector.get() {
-                return Ok(WorkerControl {
-                    stop: true,
-                    ..WorkerControl::default()
-                });
-            }
-            relay_service(&comm, rank, size, &parent, &relay, &lost_collector, &spans)
-        },
-    )?;
-    // A relay's own quota is done, but descendants may still be
-    // computing and their subtotals flow through this rank: keep
-    // servicing until every descendant's final is flushed upstream,
-    // the collector says stop, or the uplink goes away (teardown or
-    // loss). Heartbeats keep this rank visible to the liveness plane
-    // meanwhile — a silent relay would be declared lost and its
-    // children reparented for nothing.
-    if finished.is_some() && relay.borrow().is_relay() {
-        let mut last_beat = Instant::now();
-        while !relay.borrow().all_finals_forwarded() && !lost_collector.get() {
-            if ctx.deadline_passed(Instant::now()) {
-                break;
-            }
-            let ctl = relay_service(&comm, rank, size, &parent, &relay, &lost_collector, &spans)?;
-            if ctl.stop {
-                break;
-            }
-            if last_beat.elapsed() >= config.heartbeat_period {
-                match comm.borrow().send(0, TAG_HEARTBEAT, &[]) {
-                    Ok(()) => last_beat = Instant::now(),
-                    Err(MpiError::Disconnected) => break,
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            std::thread::sleep(RELAY_LINGER_POLL);
-        }
-    }
-    if finished.is_none() {
-        // Scripted crash: record it, then vanish without a final
-        // message — the collector must notice via the liveness sweep.
-        let after = crash_after.unwrap_or(0);
-        monitor.emit(
-            Some(rank),
-            EventKind::FaultInjected {
-                fault: FaultKind::RankCrash.as_str().to_string(),
-                detail: Some(after),
-            },
-        );
-        faults.note_crash(rank, after);
+    let spans = SpanEmitter::new(ctx.monitor, rank, trace_spans);
+    let mut worker = Worker::new(ctx, comm, parent, &spans);
+    let mut sim = RealizationLoop::new(ctx, rank, None, &spans)?;
+    // A crashed rank is gone, relay duties and all, without a final
+    // message: the collector must notice via the liveness sweep.
+    if simulate_quota(ctx, &mut sim, &mut worker)?.is_none() {
+        worker.linger(ctx)?;
     }
     Ok(())
 }
@@ -1511,8 +1541,8 @@ impl Liveness {
 
 /// Everything the collector knows: the per-rank subtotals, which
 /// finals are in, who is alive, and whether the run is winding down.
-/// `rank0_loop` builds one, drives it from the inbox, and hands it back
-/// to `run` for the final averaging pass.
+/// `rank0_loop` builds one, [`Rank0`] drives it from the inbox, and
+/// `run` gets it back for the final averaging pass.
 struct Collector {
     state: CollectorState,
     /// Whether each rank's final subtotal has been folded in.
@@ -1522,6 +1552,9 @@ struct Collector {
     /// Set once error-controlled stopping has been broadcast: lost
     /// budget is no longer reassigned.
     stopping: bool,
+    /// When the last save-point was written (the run's start, before
+    /// the first).
+    last_average: Instant,
     /// Error-bar trajectory recorder; strictly read-only with respect
     /// to estimation — it observes already-computed summaries, so
     /// estimates stay bit-identical with the metrics plane on or off.
@@ -1538,8 +1571,15 @@ impl Collector {
             live: Liveness::new(size),
             plan: config.collection_plan(),
             stopping: false,
+            last_average: Instant::now(),
             convergence: ConvergenceTracker::with_target(config.target_abs_error),
         }
+    }
+
+    /// Whether the next periodic save-point (the paper's `peraver`) is
+    /// due at `now`.
+    fn averaging_due(&self, config: &RunConfig, now: Instant) -> bool {
+        now.duration_since(self.last_average) >= config.averaging_period
     }
 
     /// Splits `budget` realizations dropped by `from` as evenly as
@@ -1772,251 +1812,6 @@ impl Collector {
     }
 }
 
-fn rank0_loop<C: Comm, R: Realize + ?Sized>(
-    ctx: &RunCtx<'_, R>,
-    comm: &mut C,
-    baseline: MatrixAccumulator,
-    resume_own: Option<Subtotal>,
-) -> Result<Collector, ParmoncError> {
-    let RunCtx {
-        config,
-        dir,
-        realize,
-        monitor,
-        faults,
-        ..
-    } = *ctx;
-    let crash_after = faults.crash_after(0);
-    let size = comm.size();
-    let mut collector = Collector::new(config, baseline, size);
-    let mut last_average = Instant::now();
-    let mut tracker = SegmentTracker::new(monitor);
-    let spans = SpanEmitter::new(monitor, 0, config.trace_spans);
-    let report_progress = |acc: &MatrixAccumulator, compute_seconds: f64| {
-        if monitor.is_enabled() {
-            monitor.emit(
-                Some(0),
-                EventKind::Realizations {
-                    completed: acc.count(),
-                    compute_seconds,
-                },
-            );
-        }
-    };
-
-    // Rank 0 simulates its own quota inline, draining asynchronously
-    // arriving worker messages between realizations and writing
-    // periodic save-points every `peraver`.
-    let mut quota = config.quota(0);
-    // On a crash-resume, rank 0's own progress comes back from its
-    // worker subtotal file: `r` realizations are already accumulated,
-    // so the stream cursor starts at realization `r` — the exact
-    // coordinates the crashed run would have simulated next — and the
-    // continuation is bit-identical. (A stale file merely replays some
-    // realizations; same coordinates, same values, replaced not
-    // summed.)
-    let (mut acc, mut compute_seconds) = match resume_own {
-        Some(own) => (own.acc, own.compute_seconds),
-        None => (MatrixAccumulator::new(config.nrow, config.ncol)?, 0.0),
-    };
-    let mut r: u64 = acc.count();
-    let mut last_pass = Instant::now();
-    let mut last_file_write: Option<Instant> = None;
-    // When the inbox is next looked at (see `INBOX_POLL_PERIOD`): after
-    // the first realization, then once per period.
-    let mut next_poll = last_pass;
-    // Rank 0's own simulation; persists across the main loop *and* the
-    // reassignment-absorbing loop below, on one run of stream
-    // coordinates.
-    let mut sim = RealizationLoop::new(ctx, 0, r, &spans)?;
-    // The post-realization clock read of the block before.
-    let mut now = last_pass;
-    loop {
-        // Absorb work reassigned to the collector itself: it continues
-        // on its own stream coordinates past its original quota, so no
-        // subsequence is reused.
-        quota += std::mem::take(&mut collector.live.self_extra);
-        if r >= quota || collector.stopping {
-            break;
-        }
-        if ctx.deadline_passed(now) {
-            break;
-        }
-        if crash_after.is_some_and(|n| r >= n) {
-            // Scripted collector crash: record it, then vanish abruptly
-            // — no stop broadcast, no final save-point. Workers ride
-            // out the outage on their reconnect backoff; the last
-            // save-point, lease table, and worker files on disk are
-            // exactly what a `resume_listen` restart picks up.
-            let after = crash_after.unwrap_or(0);
-            monitor.emit(
-                Some(0),
-                EventKind::FaultInjected {
-                    fault: FaultKind::RankCrash.as_str().to_string(),
-                    detail: Some(after),
-                },
-            );
-            faults.note_crash(0, after);
-            return Err(ParmoncError::CollectorCrashed { after });
-        }
-        tracker.switch(CollectorActivity::Computing);
-        // The two clock reads of a block; every time-gated check below
-        // reuses the second, so the runtime adds exactly two `Instant`
-        // reads per block regardless of exchange mode.
-        let (n, t0, read) = sim.simulate_block(realize, &mut acc, quota - r)?;
-        now = read;
-        compute_seconds += now.duration_since(t0).as_secs_f64();
-        r += n;
-
-        let due = match config.exchange {
-            Exchange::EveryRealization => true,
-            Exchange::Periodic => now.duration_since(last_pass) >= config.pass_period,
-        };
-        if due {
-            report_progress(&acc, compute_seconds);
-            collector.state.update_own(&acc, compute_seconds, now);
-            if last_file_write.is_none_or(|t| now.duration_since(t) >= WORKER_FILE_PERIOD) {
-                dir.save_worker_state(0, &acc, compute_seconds)?;
-                last_file_write = Some(now);
-            }
-            last_pass = now;
-        }
-        if now >= next_poll {
-            next_poll = now + INBOX_POLL_PERIOD;
-            let drain_started = monitor.is_enabled().then(Instant::now);
-            let mut received = 0usize;
-            while let Some(env) = comm.try_recv(None, None) {
-                if collector.handle(ctx, &*comm, env, now)? {
-                    received += 1;
-                }
-            }
-            if received > 0 {
-                if let Some(t) = drain_started {
-                    tracker.punch(CollectorActivity::Receiving, t);
-                }
-            }
-        }
-        collector.check_liveness(ctx, &*comm, false, now)?;
-        if now.duration_since(last_average) >= config.averaging_period {
-            // The running rank-0 subtotal must be visible to the
-            // save-point (and to the error-control check below) even
-            // between passes.
-            collector.state.update_own(&acc, compute_seconds, now);
-            let save_started = Instant::now();
-            let eps_max = collector.save_point(ctx, &spans)?.eps_max;
-            tracker.punch(CollectorActivity::Saving, save_started);
-            last_average = Instant::now();
-            collector.stop_if_converged(config, &*comm, eps_max)?;
-        }
-    }
-    report_progress(&acc, compute_seconds);
-    dir.save_worker_state(0, &acc, compute_seconds)?;
-    collector
-        .state
-        .update_own(&acc, compute_seconds, Instant::now());
-    collector.finals[0] = true;
-
-    // Wait for every *live* worker's final message, sweeping for dead
-    // ranks between arrivals instead of blocking forever, and absorbing
-    // any reassignments that land on the collector itself.
-    let sweep = config.heartbeat_period;
-    loop {
-        if collector.live.self_extra > 0 {
-            if collector.stopping || ctx.deadline_passed(Instant::now()) {
-                // The run is winding down anyway; forfeit the budget.
-                collector.live.self_extra = 0;
-            } else {
-                let mut left = std::mem::take(&mut collector.live.self_extra);
-                tracker.switch(CollectorActivity::Computing);
-                while left > 0 {
-                    let (n, t0, now) = sim.simulate_block(realize, &mut acc, left)?;
-                    compute_seconds += now.duration_since(t0).as_secs_f64();
-                    left -= n;
-                    if ctx.deadline_passed(now) {
-                        break;
-                    }
-                }
-                report_progress(&acc, compute_seconds);
-                dir.save_worker_state(0, &acc, compute_seconds)?;
-                collector
-                    .state
-                    .update_own(&acc, compute_seconds, Instant::now());
-                continue;
-            }
-        }
-        if !collector
-            .finals
-            .iter()
-            .zip(&collector.live.alive)
-            .any(|(f, a)| *a && !*f)
-        {
-            break;
-        }
-        tracker.switch(CollectorActivity::Waiting);
-        match comm.recv_timeout(None, None, sweep) {
-            Ok(Some(env)) => {
-                let received_at = Instant::now();
-                if collector.handle(ctx, &*comm, env, received_at)? {
-                    tracker.punch(CollectorActivity::Receiving, received_at);
-                }
-            }
-            Ok(None) => {}
-            // Every rank that could still send has exited: nothing more
-            // can arrive, so every awaited rank is dead right now.
-            Err(MpiError::Disconnected) => {
-                collector.check_liveness(ctx, &*comm, true, Instant::now())?;
-            }
-            Err(e) => return Err(e.into()),
-        }
-        collector.check_liveness(ctx, &*comm, false, Instant::now())?;
-        if last_average.elapsed() >= config.averaging_period {
-            let save_started = Instant::now();
-            let eps_max = collector.save_point(ctx, &spans)?.eps_max;
-            tracker.punch(CollectorActivity::Saving, save_started);
-            last_average = Instant::now();
-            collector.stop_if_converged(config, &*comm, eps_max)?;
-        }
-    }
-    // Drain any stragglers (a worker may have sent subtotals after the
-    // message we processed last; cumulative semantics make the newest
-    // message authoritative).
-    let drain_started = Instant::now();
-    let mut drained = false;
-    while let Some(env) = comm.try_recv(None, None) {
-        if env.tag == TAG_HEARTBEAT {
-            continue;
-        }
-        if env.tag == TAG_BATCH {
-            // A relay's last coalesced flush: credit each entry to its
-            // origin rank — unless that rank's final is already folded
-            // in, which makes the entry stale by definition. Entry
-            // payloads alias the batch frame — no recycling.
-            for entry in decode_batch(&env.payload)? {
-                if entry.rank == 0 || entry.rank >= size || collector.finals[entry.rank] {
-                    continue;
-                }
-                collector
-                    .state
-                    .absorb(entry.rank, &entry.payload, drain_started)?;
-            }
-            drained = true;
-            continue;
-        }
-        if env.source < size && !collector.finals[env.source] {
-            collector
-                .state
-                .absorb(env.source, &env.payload, drain_started)?;
-            drained = true;
-        }
-        comm.recycle(env.payload);
-    }
-    if drained {
-        tracker.punch(CollectorActivity::Receiving, drain_started);
-    }
-    tracker.finish();
-    Ok(collector)
-}
-
 /// Builds the collector's [`EventKind::CollectorSegment`] timeline,
 /// coalescing consecutive segments of the same activity so that a tight
 /// compute loop emits one segment, not one per realization.
@@ -2176,6 +1971,7 @@ impl Collector {
                 eps_max,
             );
         }
+        self.last_average = Instant::now();
         Ok(Averaged {
             total,
             summary,
@@ -2183,6 +1979,163 @@ impl Collector {
             eps_max,
         })
     }
+}
+
+/// Rank 0's side of the run: the collector, fed from the inbox between
+/// rank 0's own realizations and then until every live worker's final
+/// is in.
+struct Rank0<'a, C: Comm, R: ?Sized> {
+    ctx: &'a RunCtx<'a, R>,
+    comm: &'a mut C,
+    collector: Collector,
+    tracker: SegmentTracker<'a>,
+    spans: &'a SpanEmitter,
+}
+
+impl<C: Comm, R: ?Sized> Rank0<'_, C, R> {
+    /// A periodic save-point (every `peraver`), if one is due at `now`.
+    /// Rank 0's running subtotal `own` must be visible to it (and to
+    /// the error-control check behind it) even between offers; after
+    /// rank 0's final offer there is nothing to refresh.
+    fn average_if_due(&mut self, own: Option<&Subtotal>, now: Instant) -> Result<(), ParmoncError> {
+        if !self.collector.averaging_due(self.ctx.config, now) {
+            return Ok(());
+        }
+        if let Some(own) = own {
+            self.collector.state.update_own(own, now);
+        }
+        let save_started = Instant::now();
+        let eps_max = self.collector.save_point(self.ctx, self.spans)?.eps_max;
+        self.tracker.punch(CollectorActivity::Saving, save_started);
+        self.collector
+            .stop_if_converged(self.ctx.config, &*self.comm, eps_max)
+    }
+
+    /// Waits for every *live* worker's final message, sweeping for dead
+    /// ranks between arrivals instead of blocking forever. Returns
+    /// `true` as soon as a reassignment lands on the collector itself —
+    /// there is simulating to do — and `false` once nobody is awaited.
+    fn wait_for_finals(&mut self) -> Result<bool, ParmoncError> {
+        let ctx = self.ctx;
+        let sweep = ctx.config.heartbeat_period;
+        loop {
+            let collector = &mut self.collector;
+            if collector.live.self_extra > 0 {
+                return Ok(true);
+            }
+            let mut awaited = collector.finals.iter().zip(&collector.live.alive);
+            if !awaited.any(|(f, a)| *a && !*f) {
+                return Ok(false);
+            }
+            self.tracker.switch(CollectorActivity::Waiting);
+            let all_gone = match self.comm.recv_timeout(None, None, sweep) {
+                Ok(Some(env)) => {
+                    let received_at = Instant::now();
+                    if collector.handle(ctx, &*self.comm, env, received_at)? {
+                        self.tracker
+                            .punch(CollectorActivity::Receiving, received_at);
+                    }
+                    false
+                }
+                Ok(None) => false,
+                // Every rank that could still send has exited: nothing more
+                // can arrive, so every awaited rank is dead right now.
+                Err(MpiError::Disconnected) => true,
+                Err(e) => return Err(e.into()),
+            };
+            collector.check_liveness(ctx, &*self.comm, all_gone, Instant::now())?;
+            self.average_if_due(None, Instant::now())?;
+        }
+    }
+
+    /// Folds every message waiting in the inbox into the collector, as
+    /// of `now`.
+    fn drain_inbox(&mut self, now: Instant) -> Result<(), ParmoncError> {
+        let drain_started = self.ctx.monitor.is_enabled().then(Instant::now);
+        let mut received = false;
+        while let Some(env) = self.comm.try_recv(None, None) {
+            received |= self.collector.handle(self.ctx, &*self.comm, env, now)?;
+        }
+        if let Some(t) = drain_started.filter(|_| received) {
+            self.tracker.punch(CollectorActivity::Receiving, t);
+        }
+        Ok(())
+    }
+}
+
+impl<C: Comm, R: ?Sized> Role for Rank0<'_, C, R> {
+    /// Rank 0's subtotal goes nowhere: it refreshes the collector's
+    /// snapshot of rank 0, in place.
+    fn offer(
+        &mut self,
+        own: &Subtotal,
+        now: Instant,
+        is_final: bool,
+    ) -> Result<bool, ParmoncError> {
+        self.collector.state.update_own(own, now);
+        self.collector.finals[0] |= is_final;
+        Ok(true)
+    }
+
+    /// The collector's duties between rank 0's realizations: drain the
+    /// asynchronously arriving worker messages, sweep for ranks gone
+    /// quiet, write a save-point if one is due — and hand rank 0 the
+    /// work reassigned to the collector itself, which it simulates on
+    /// its own stream coordinates past its original quota, so no
+    /// subsequence is reused.
+    fn poll(&mut self, own: &Subtotal, now: Instant) -> Result<Control, ParmoncError> {
+        self.drain_inbox(now)?;
+        self.collector
+            .check_liveness(self.ctx, &*self.comm, false, now)?;
+        self.average_if_due(Some(own), now)?;
+        self.tracker.switch(CollectorActivity::Computing);
+        Ok(Control {
+            stop: self.collector.stopping,
+            extra: std::mem::take(&mut self.collector.live.self_extra),
+        })
+    }
+}
+
+/// Rank 0 is a rank like any other that also collects: it simulates its
+/// quota through [`simulate_quota`], then waits for the workers' finals
+/// — going back into the same loop, on the same stream coordinates,
+/// whenever a lost rank's budget lands on the collector itself
+/// meanwhile. `resume_own` is where a crash-resume starts it: rank 0's
+/// own progress comes back from its state file exactly like any other
+/// rank's.
+fn rank0_loop<C: Comm, R: Realize + ?Sized>(
+    ctx: &RunCtx<'_, R>,
+    comm: &mut C,
+    baseline: MatrixAccumulator,
+    resume_own: Option<Subtotal>,
+) -> Result<Collector, ParmoncError> {
+    let spans = SpanEmitter::new(ctx.monitor, 0, ctx.config.trace_spans);
+    let mut sim = RealizationLoop::new(ctx, 0, resume_own, &spans)?;
+    let mut rank0 = Rank0 {
+        ctx,
+        collector: Collector::new(ctx.config, baseline, comm.size()),
+        comm,
+        tracker: SegmentTracker::new(ctx.monitor),
+        spans: &spans,
+    };
+    loop {
+        if let Some(after) = simulate_quota(ctx, &mut sim, &mut rank0)? {
+            // Scripted collector crash: vanish abruptly — no stop
+            // broadcast, no final save-point. Workers ride out the
+            // outage on their reconnect backoff; the last save-point,
+            // lease table, and worker files on disk are exactly what a
+            // `resume_listen` restart picks up.
+            return Err(ParmoncError::CollectorCrashed { after });
+        }
+        if !rank0.wait_for_finals()? {
+            break;
+        }
+    }
+    // Stragglers: a rank declared lost may have sent on, and its newest
+    // cumulative subtotal is authoritative; `handle` drops what is stale.
+    rank0.drain_inbox(Instant::now())?;
+    rank0.tracker.finish();
+    Ok(rank0.collector)
 }
 
 #[cfg(test)]
@@ -2811,5 +2764,86 @@ mod tests {
         }
         let expected = manual.summary();
         assert!((report.summary.means[0] - expected.means[0]).abs() < 1e-15);
+    }
+
+    /// A role with nobody to talk to: its next poll hands out whatever
+    /// extension is pending.
+    struct Alone {
+        pending: u64,
+    }
+
+    impl Role for Alone {
+        fn offer(&mut self, _: &Subtotal, _: Instant, _: bool) -> Result<bool, ParmoncError> {
+            Ok(true)
+        }
+
+        fn heartbeat(&mut self) -> Result<(), ParmoncError> {
+            Ok(())
+        }
+
+        fn poll(&mut self, _: &Subtotal, _: Instant) -> Result<Control, ParmoncError> {
+            Ok(Control {
+                stop: false,
+                extra: std::mem::take(&mut self.pending),
+            })
+        }
+    }
+
+    /// The loop, driven directly: started from a state of `K`
+    /// realizations (what a crash-resume hands rank 0), run to the quota,
+    /// then entered again for an extension. What it accumulated is one
+    /// pass over stream coordinates `0 .. quota + extra`, bit for bit —
+    /// no coordinate is used twice or skipped across a resume or a
+    /// re-entry.
+    #[test]
+    fn loop_resumed_and_reentered_walks_each_coordinate_once() {
+        const SEQNUM: u64 = 3;
+        const RANK: usize = 1;
+        const K: u64 = 7;
+        const EXTRA: u64 = 13;
+        let config = Parmonc::builder(1, 2)
+            .max_sample_volume(301)
+            .processors(3)
+            .seqnum(SEQNUM)
+            .exchange(Exchange::EveryRealization)
+            .output_dir(tempdir("loop-direct"))
+            .build()
+            .unwrap();
+        let quota = config.quota(RANK);
+        let hierarchy = StreamHierarchy::new(config.leaps);
+        let one_pass = |upto: u64| {
+            let mut acc = MatrixAccumulator::new(1, 2).unwrap();
+            let id = StreamId::new(SEQNUM, RANK as u64, 0);
+            let mut cursor = hierarchy.cursor(id).unwrap();
+            for _ in 0..upto {
+                let mut stream = cursor.next_stream().unwrap();
+                acc.add(&[stream.next_f64(), stream.next_f64()]).unwrap();
+            }
+            acc
+        };
+        let faults = config.faults.build();
+        let ctx = RunCtx {
+            config: &config,
+            hierarchy: &hierarchy,
+            dir: &ResultsDir::create(&config.output_dir).unwrap(),
+            realize: &uniform_mean(),
+            monitor: &Monitor::disabled(),
+            faults: &faults,
+            start: Instant::now(),
+        };
+        let spans = SpanEmitter::disabled();
+        let resumed = Subtotal {
+            acc: one_pass(K),
+            compute_seconds: 0.0,
+        };
+        let mut sim = RealizationLoop::new(&ctx, RANK, Some(resumed), &spans).unwrap();
+        let mut role = Alone { pending: 0 };
+        let crashed = simulate_quota(&ctx, &mut sim, &mut role).unwrap();
+        assert_eq!((crashed, &sim.own.acc), (None, &one_pass(quota)));
+        role.pending = EXTRA;
+        let crashed = simulate_quota(&ctx, &mut sim, &mut role).unwrap();
+        assert_eq!(crashed, None);
+        assert_eq!(sim.own.acc, one_pass(quota + EXTRA));
+        assert_eq!(sim.quota, quota + EXTRA);
     }
 }

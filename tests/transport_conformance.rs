@@ -1120,12 +1120,26 @@ fn subtotal_traffic(events: &[parmonc_obs::Event]) -> (usize, usize) {
     (sent, received)
 }
 
+/// How many times rank 0 refreshed the collector's snapshot of its own
+/// subtotal: each refresh, the final one included, carries a progress
+/// event.
+fn rank0_refreshes(events: &[parmonc_obs::Event]) -> usize {
+    use parmonc_obs::EventKind;
+
+    events
+        .iter()
+        .filter(|e| e.rank == Some(0) && matches!(e.kind, EventKind::Realizations { .. }))
+        .count()
+}
+
 /// Strict exchange at τ ≈ 0 under the monitor: every shipped subtotal
 /// is a `message_sent`, every delivery a `message_received`. The
 /// worker's quota minus one, minus what was sent, is what the governor
 /// withheld at the source; sent minus received is what the register
 /// superseded unread — and the collector's backlog of subtotals cannot
-/// outgrow the world.
+/// outgrow the world. Rank 0 runs the same loop under the same governor:
+/// refreshing its own snapshot is its exchange, and most of its offers
+/// are withheld too.
 #[test]
 fn latest_wins_exchange_is_accounted_for_in_the_trace() {
     use parmonc_obs::EventKind;
@@ -1159,11 +1173,18 @@ fn latest_wins_exchange_is_accounted_for_in_the_trace() {
         .max()
         .expect("rank 0 received something");
     assert!(deepest <= 2, "a backlog of {deepest} in a world of two");
+    let refreshes = rank0_refreshes(&events);
+    assert!(
+        (1..30_000).contains(&refreshes),
+        "rank 0 refreshed {refreshes} times in a quota of 30 000"
+    );
 
     // The same run under a fault plan (whose one rule never fires) is
     // the exception both mechanisms make: blocks of one realization,
     // nothing withheld, everything queued — the worker offers, ships
-    // and has delivered exactly its quota minus one.
+    // and has delivered exactly its quota minus one, and rank 0 (whose
+    // quota is the odd realization) refreshes after every one of its
+    // own.
     let faulted = Parmonc::builder(1, 2)
         .max_sample_volume(2_001)
         .processors(2)
@@ -1173,7 +1194,9 @@ fn latest_wins_exchange_is_accounted_for_in_the_trace() {
         .output_dir(scratch("latest-monitored-faulted"))
         .run(uniform())
         .unwrap();
-    assert_eq!(subtotal_traffic(&trace_events(&faulted)), (999, 999));
+    let events = trace_events(&faulted);
+    assert_eq!(subtotal_traffic(&events), (999, 999));
+    assert_eq!(rank0_refreshes(&events), 1_001);
 }
 
 /// A routine whose calls alternate between nanoseconds and 5 ms — the
@@ -1245,7 +1268,8 @@ fn timing_blocks_keep_the_heartbeat_under_a_routine_with_rare_long_calls() {
 /// τ is 20 ms because the cost is *measured*, so a rank descheduled
 /// for more than τ ÷ 8 between its two clock reads would withhold an
 /// offer — on a shared CI box that takes a 2.5 ms stall landing in a
-/// few hundred microseconds of the run.
+/// few hundred microseconds of the run. Rank 0 is no exception: it
+/// refreshes its own snapshot after every realization.
 #[test]
 fn strict_exchange_ships_every_realization_when_the_routine_is_slow() {
     let _guard = SEQ.lock().unwrap_or_else(|e| e.into_inner());
@@ -1263,9 +1287,126 @@ fn strict_exchange_ships_every_realization_when_the_routine_is_slow() {
         .run(slow)
         .unwrap();
     assert_eq!(report.new_volume, 2 * QUOTA as u64);
-    let (sent, received) = subtotal_traffic(&trace_events(&report));
+    let events = trace_events(&report);
+    let (sent, received) = subtotal_traffic(&events);
     assert_eq!(sent, QUOTA - 1, "every offer but the final's ships");
     assert!(1 <= received && received <= sent);
+    assert_eq!(rank0_refreshes(&events), QUOTA);
+}
+
+/// Work reassigned to the collector while it waits for finals is
+/// simulated by the same loop as its own quota was, every gate live.
+/// Rank 0's own quota costs nothing here and is done at once; rank 1
+/// crashes after three realizations and is declared lost 200 ms later,
+/// so the 997 realizations it owed — half a millisecond each — land on a
+/// collector that is waiting. While it absorbs them it keeps writing
+/// save-points (one per 20 ms; the run's last comes after) and rewrites
+/// its own state file, where it used to write nothing until the whole
+/// extension was simulated; and it simulates them on its own stream
+/// coordinates past its quota, so the estimate is the serial merge of
+/// rank 0's coordinates `0 .. quota + extra` and the prefix rank 1
+/// delivered.
+#[test]
+fn work_reassigned_to_the_waiting_collector_is_simulated_under_every_gate() {
+    use parmonc::{StreamHierarchy, StreamId};
+    use parmonc_obs::{EventKind, SpanPhase};
+    use parmonc_stats::MatrixAccumulator;
+
+    let _guard = SEQ.lock().unwrap_or_else(|e| e.into_inner());
+    const SEQNUM: u64 = 13;
+    const QUOTA: u64 = 1_000;
+    const DELIVERED: u64 = 3;
+    const EXTRA: u64 = QUOTA - DELIVERED;
+    let routine = RealizeFn::new(|rng, out| {
+        let id = rng.id();
+        if id.processor != 0 || id.realization >= QUOTA {
+            std::thread::sleep(Duration::from_micros(500));
+        }
+        out[0] = rng.next_f64();
+    });
+    let report = Parmonc::builder(1, 1)
+        .max_sample_volume(2 * QUOTA)
+        .processors(2)
+        .seqnum(SEQNUM)
+        .exchange(Exchange::EveryRealization)
+        .faults(FaultPlan::new(5).crash_rank(1, DELIVERED))
+        .averaging_period(Duration::from_millis(20))
+        .heartbeat_period(Duration::from_millis(20))
+        .liveness_timeout(Duration::from_millis(200))
+        .monitor()
+        .trace_spans()
+        .output_dir(scratch("absorbed-while-waiting"))
+        .run(routine)
+        .unwrap();
+    assert_eq!(report.lost_workers, vec![1]);
+    assert_eq!(report.new_volume, 2 * QUOTA);
+    assert_eq!(report.worker_volumes, vec![QUOTA + EXTRA, DELIVERED]);
+
+    let hierarchy = StreamHierarchy::default();
+    let mut serial = MatrixAccumulator::new(1, 1).unwrap();
+    for (rank, volume) in report.worker_volumes.iter().enumerate() {
+        let mut acc = MatrixAccumulator::new(1, 1).unwrap();
+        let mut cursor = hierarchy
+            .cursor(StreamId::new(SEQNUM, rank as u64, 0))
+            .unwrap();
+        for _ in 0..*volume {
+            acc.add(&[cursor.next_stream().unwrap().next_f64()])
+                .unwrap();
+        }
+        serial.merge(&acc).unwrap();
+    }
+    assert_eq!(report.summary, serial.summary());
+
+    // Rank 0's events, in the order it emitted them, from the
+    // reassignment to the final offer that ends the absorption.
+    let events: Vec<_> = trace_events(&report)
+        .into_iter()
+        .filter(|e| e.rank == Some(0))
+        .skip_while(|e| !matches!(e.kind, EventKind::WorkReassigned { to_worker: 0, .. }))
+        .collect();
+    let progress = |e: &parmonc_obs::Event| match e.kind {
+        EventKind::Realizations { completed, .. } => Some(completed),
+        _ => None,
+    };
+    let end = events
+        .iter()
+        .position(|e| progress(e) == Some(QUOTA + EXTRA))
+        .expect("the absorption ends with a final offer");
+    let absorption = &events[..end];
+    let passes = absorption
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::AveragingPass { .. }))
+        .count();
+    assert!(passes >= 5, "{passes} save-points in ≈ 0.5 s of absorption");
+    // A state-file rewrite is a `checkpoint` span under the open
+    // realization batch (a save-point's is under a `collector_merge`),
+    // and one with offers still to come is not the one the loop ends on.
+    let batches: BTreeSet<u64> = absorption
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::SpanStarted {
+                span,
+                phase: SpanPhase::RealizationBatch,
+                ..
+            } => Some(span),
+            _ => None,
+        })
+        .collect();
+    let rewrite = absorption
+        .iter()
+        .position(|e| match e.kind {
+            EventKind::SpanStarted {
+                parent: Some(parent),
+                phase: SpanPhase::Checkpoint,
+                ..
+            } => batches.contains(&parent),
+            _ => false,
+        })
+        .expect("rank 0 rewrote its state file while absorbing");
+    assert!(
+        absorption[rewrite..].iter().any(|e| progress(e).is_some()),
+        "the rewrite was not the last thing the absorption did"
+    );
 }
 
 /// A span-traced tree run explains its relays: on threads every trace
