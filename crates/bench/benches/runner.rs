@@ -5,19 +5,11 @@
 //! The interesting number is the per-realization overhead the runtime
 //! adds on top of the user routine — the quantity the paper's
 //! Section 2.2 argues is negligible.
-//!
-//! A last pair pins what timing blocks buy where they buy most: τ ≈ 0,
-//! periodic exchange, one rank — blocked against the same run under a
-//! fault plan whose one rule never fires (a faulted world reads the
-//! clock around every realization) — recorded as
-//! `ratio_timing_block_speedup`.
-
-use std::time::Instant;
 
 use parmonc::{Exchange, Parmonc, RealizeFn};
 use parmonc_bench::harness::{
-    black_box, criterion_group, criterion_main, fast_mode, median_of, record_metric, BenchmarkId,
-    Criterion, Throughput,
+    black_box, criterion_group, criterion_main, median_of, record_metric, BenchmarkId, Criterion,
+    Throughput,
 };
 
 fn bench_full_runs(c: &mut Criterion) {
@@ -149,51 +141,5 @@ fn bench_full_runs(c: &mut Criterion) {
     }
 }
 
-/// One 1 × 1, one-rank, periodic run of a routine that is one draw;
-/// returns wall seconds. `per_realization` attaches a fault plan whose
-/// one rule never fires: same streams, same estimate, blocks of one.
-fn run_free(volume: u64, per_realization: bool) -> f64 {
-    let dir = std::env::temp_dir().join(format!("parmonc-bench-blocks-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let builder = Parmonc::builder(1, 1)
-        .max_sample_volume(volume)
-        .output_dir(&dir);
-    let builder = if per_realization {
-        builder.faults(parmonc_bench::never_firing_plan())
-    } else {
-        builder
-    };
-    let started = Instant::now();
-    let report = builder
-        .run(RealizeFn::new(|rng, out| out[0] = rng.next_f64()))
-        .unwrap();
-    let elapsed = started.elapsed().as_secs_f64();
-    assert_eq!(report.new_volume, volume);
-    let _ = std::fs::remove_dir_all(&dir);
-    elapsed
-}
-
-fn bench_timing_blocks(_c: &mut Criterion) {
-    // Long enough that the ≈ 4 ms of run set-up and final save do not
-    // hide the loop; interleaved, and the fastest of each arm (noise
-    // only ever adds time to a deterministic run).
-    let (volume, samples) = if fast_mode() {
-        (1_000_000, 5)
-    } else {
-        (4_000_000, 11)
-    };
-    let (mut blocked, mut per_realization) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..samples {
-        per_realization = per_realization.min(run_free(volume, true));
-        blocked = blocked.min(run_free(volume, false));
-    }
-    println!(
-        "timing_blocks: a clock-read pair per realization {per_realization:.4} s, \
-         per block {blocked:.4} s ({:.2}x)",
-        per_realization / blocked
-    );
-    record_metric("ratio_timing_block_speedup", per_realization / blocked);
-}
-
-criterion_group!(benches, bench_full_runs, bench_timing_blocks);
+criterion_group!(benches, bench_full_runs);
 criterion_main!(benches);

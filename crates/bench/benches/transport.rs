@@ -7,12 +7,6 @@
 //! `bound_tcp_transport_overhead_pct` so `hotpath_compare` gates them
 //! against the committed ceilings in `BENCH_hotpath.json`.
 //!
-//! A second pair pins the exchange governor's gain where it is largest:
-//! τ ≈ 0 and 32 KB subtotals under strict exchange over loopback TCP,
-//! governed against the same run under a fault plan whose one rule
-//! never fires (a faulted world ships every realization) — recorded as
-//! `ratio_governed_tcp_speedup`.
-//!
 //! # Re-execution discipline
 //!
 //! The process backend re-executes *this bench binary* once per worker,
@@ -65,23 +59,18 @@ fn run_once(transport: Transport, dir: &Path) -> f64 {
     elapsed
 }
 
-/// One full run over loopback TCP of whatever `configure` builds (it
+/// One full run of the same workload over loopback TCP ([`diffusion`]
 /// is called once per side): a collector listening on an ephemeral
 /// port plus one in-process worker thread dialing it — the real wire
 /// conversation (handshake, framing, heartbeats), only the remote host
 /// is simulated. Returns wall seconds including the listener setup and
 /// the worker's address discovery.
-fn run_once_tcp<R: Realize + Send + Sync + 'static>(
-    dir: &Path,
-    worker_dir: &Path,
-    volume: u64,
-    configure: impl Fn() -> (ParmoncBuilder, R),
-) -> f64 {
+fn run_once_tcp(dir: &Path, worker_dir: &Path, volume: u64) -> f64 {
     let _ = std::fs::remove_dir_all(dir);
     let _ = std::fs::remove_dir_all(worker_dir);
     let started = Instant::now();
     let collector = {
-        let (b, realize) = configure();
+        let (b, realize) = diffusion(volume);
         let b = b.output_dir(dir).net(NetOptions::listen("127.0.0.1:0"));
         std::thread::spawn(move || b.run(realize).unwrap())
     };
@@ -95,7 +84,7 @@ fn run_once_tcp<R: Realize + Send + Sync + 'static>(
         }
         std::thread::sleep(std::time::Duration::from_millis(1));
     };
-    let (b, realize) = configure();
+    let (b, realize) = diffusion(volume);
     b.output_dir(worker_dir)
         .net(NetOptions::join(addr))
         .run_worker(realize)
@@ -117,28 +106,6 @@ fn diffusion(volume: u64) -> (ParmoncBuilder, impl Realize + Send + Sync + 'stat
             .processors(2)
             .exchange(Exchange::EveryRealization),
         RealizeFn::new(move |rng, out: &mut [f64]| scheme.realize_into(rng, out)),
-    )
-}
-
-/// τ ≈ 0 with 32 KB subtotals under strict exchange — a 1000 × 2
-/// matrix filled by one batched draw. `ungoverned` attaches a fault
-/// plan whose one rule never fires: the run, its bytes and its estimate
-/// are the same, but every realization's subtotal crosses the socket.
-fn free_matrix(
-    volume: u64,
-    ungoverned: bool,
-) -> (ParmoncBuilder, impl Realize + Send + Sync + 'static) {
-    let builder = Parmonc::builder(1000, 2)
-        .max_sample_volume(volume)
-        .processors(2)
-        .exchange(Exchange::EveryRealization);
-    (
-        if ungoverned {
-            builder.faults(parmonc_bench::never_firing_plan())
-        } else {
-            builder
-        },
-        RealizeFn::new(|rng, out: &mut [f64]| rng.fill_f64(out)),
     )
 }
 
@@ -178,9 +145,7 @@ fn bench_transport_overhead(_c: &mut Criterion) {
     let volume = if fast_mode() { 150 } else { 600 };
     for _ in 0..samples {
         processes.push(run_once(Transport::Processes, &proc_dir));
-        tcp.push(run_once_tcp(&tcp_dir, &tcp_worker_dir, volume, || {
-            diffusion(volume)
-        }));
+        tcp.push(run_once_tcp(&tcp_dir, &tcp_worker_dir, volume));
         threads.push(run_once(Transport::Threads, &thread_dir));
     }
     let proc_min = minimum(&processes);
@@ -224,26 +189,6 @@ fn bench_transport_overhead(_c: &mut Criterion) {
         net_overhead * 100.0
     );
     record_metric("bound_net_fault_plane_overhead_pct", net_overhead * 100.0);
-
-    // The exchange governor's pair, interleaved like the triples above.
-    let volume = if fast_mode() { 10_000 } else { 40_000 };
-    let mut governed = Vec::with_capacity(samples);
-    let mut ungoverned = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        ungoverned.push(run_once_tcp(&tcp_dir, &tcp_worker_dir, volume, || {
-            free_matrix(volume, true)
-        }));
-        governed.push(run_once_tcp(&tcp_dir, &tcp_worker_dir, volume, || {
-            free_matrix(volume, false)
-        }));
-    }
-    let (governed, ungoverned) = (minimum(&governed), minimum(&ungoverned));
-    println!(
-        "governed_tcp: every realization shipped {ungoverned:.4} s, governed {governed:.4} s \
-         ({:.2}x)",
-        ungoverned / governed
-    );
-    record_metric("ratio_governed_tcp_speedup", ungoverned / governed);
 }
 
 criterion_group!(benches, bench_transport_overhead);

@@ -9,7 +9,6 @@ pub mod hotpath;
 use std::time::Duration;
 
 use parmonc::{Exchange, Parmonc, ParmoncError, RealizeFn};
-use parmonc_faults::FaultPlan;
 use parmonc_sde::{EulerScheme, OutputGrid, PaperDiffusion};
 
 /// A laptop-scale version of the paper's diffusion workload: same
@@ -46,16 +45,6 @@ impl ScaledDiffusion {
     pub fn scheme(&self) -> &EulerScheme<PaperDiffusion> {
         &self.scheme
     }
-}
-
-/// An enabled fault plan whose one rule never fires. A world it is
-/// attached to does the same work on the same streams, but without the
-/// runner's economies: it reads the clock around every realization and
-/// ships every realization's subtotal — the "before" arm of the
-/// `ratio_timing_block_speedup` and `ratio_governed_tcp_speedup` pairs.
-#[must_use]
-pub fn never_firing_plan() -> FaultPlan {
-    FaultPlan::new(1).drop_message(1, 0, 99, u64::MAX)
 }
 
 /// Runs the paper's performance-test program (the Section 4 listing)

@@ -168,7 +168,7 @@ impl<R: ?Sized> RunCtx<'_, R> {
                 detail: Some(after),
             },
         );
-        self.faults.note_crash(rank, after);
+        self.faults.note_crash(after);
     }
 }
 
@@ -703,10 +703,7 @@ const MAX_TIMING_BLOCK: u64 = 64;
 ///   threads) every offer ships, exactly `quota − 1` non-finals;
 /// * `cap` is the heartbeat period: no interval between shipped
 ///   subtotals exceeds it by more than one realization, so the
-///   liveness plane sees the same cadence as before. A zero `cap` is
-///   the ungoverned rule (every offer ships), which is what a world
-///   with an enabled fault plan gets: scripted message and frame
-///   ordinals count every realization's subtotal.
+///   liveness plane sees the same cadence as before.
 ///
 /// Both instants it is fed are clock reads the loop takes anyway (the
 /// pair around the user's routine); the governor never reads a clock.
@@ -754,19 +751,18 @@ impl ExchangeGovernor {
 /// How many realizations the next timed block runs, given that the last
 /// one ran `block` of them in `elapsed`: as many as fit [`TIMING_BLOCK`]
 /// at the rate just measured, at most twice the last block and at most
-/// `cap` ([`MAX_TIMING_BLOCK`], or 1 in a world with an enabled fault
-/// plan, where scripted ordinals count every realization's subtotal).
+/// [`MAX_TIMING_BLOCK`].
 ///
 /// So the first block of every loop is one realization; a routine that
 /// takes [`TIMING_BLOCK`] or longer stays at one, where the loop reads
 /// the clock around every call exactly as it did before blocks existed;
 /// and one block that outlasts [`TIMING_BLOCK`] — a rare long call —
 /// sends the stride straight back toward one.
-fn next_block(block: u64, elapsed: Duration, cap: u64) -> u64 {
+fn next_block(block: u64, elapsed: Duration) -> u64 {
     let fit = TIMING_BLOCK.as_nanos() * u128::from(block) / elapsed.as_nanos().max(1);
     u64::try_from(fit)
         .unwrap_or(u64::MAX)
-        .clamp(1, (2 * block).min(cap))
+        .clamp(1, (2 * block).min(MAX_TIMING_BLOCK))
 }
 
 /// One rank's simulation, owned by whoever runs [`simulate_quota`] on
@@ -788,7 +784,6 @@ struct RealizationLoop {
     out: Vec<f64>,
     /// Realizations in the next timed block; see [`next_block`].
     block: u64,
-    block_cap: u64,
     spans: SpanEmitter,
 }
 
@@ -831,11 +826,6 @@ impl RealizationLoop {
             cursor,
             out: vec![0.0f64; config.nrow * config.ncol],
             block: 1,
-            block_cap: if ctx.faults.is_enabled() {
-                1
-            } else {
-                MAX_TIMING_BLOCK
-            },
             spans: spans.clone(),
         })
     }
@@ -854,11 +844,12 @@ impl RealizationLoop {
         Ok(())
     }
 
-    /// The one realization body: runs the next block — at most what is
-    /// left of the quota, which must be something — into `own` between
-    /// one pair of clock reads, and books the interval as compute time.
-    /// Returns the read before the first call of the user's routine and
-    /// the read after the last.
+    /// The one realization body: runs the next block — at most up to
+    /// `stop_at` realizations done in all (the quota, or a scripted
+    /// crash point before it), which must be further than the rank has
+    /// got — into `own` between one pair of clock reads, and books the
+    /// interval as compute time. Returns the read before the first call
+    /// of the user's routine and the read after the last.
     ///
     /// Every realization lies inside exactly one timed interval and
     /// keeps every per-realization check (`out` zeroed, the cursor's
@@ -866,10 +857,9 @@ impl RealizationLoop {
     /// same streams are added in the same order whatever the block
     /// length: the volume and the estimate do not depend on it. A
     /// block of one is the loop as it was, read for read — and the
-    /// first block of every pass through the loop, every block of a
-    /// routine that takes [`TIMING_BLOCK`] or longer and every block in
-    /// a world with an enabled fault plan (so a scripted crash ordinal,
-    /// which implies one, is met exactly) is a block of one. A longer
+    /// first block of every pass through the loop and every block of a
+    /// routine that takes [`TIMING_BLOCK`] or longer is a block of one.
+    /// A longer
     /// block's interval also covers the accumulate and stream
     /// positioning *between* its realizations (in place of the clock
     /// read per realization it used to cover), and everything
@@ -883,8 +873,9 @@ impl RealizationLoop {
     fn simulate_block<R: Realize + ?Sized>(
         &mut self,
         realize: &R,
+        stop_at: u64,
     ) -> Result<(Instant, Instant), ParmoncError> {
-        let n = self.block.min(self.quota - self.done());
+        let n = self.block.min(stop_at - self.done());
         let (mut t0, mut now) = (None, None);
         for i in 0..n {
             self.out.fill(0.0);
@@ -903,7 +894,7 @@ impl RealizationLoop {
             .expect("a timed block holds at least one realization");
         let elapsed = now.duration_since(t0);
         self.own.compute_seconds += elapsed.as_secs_f64();
-        self.block = next_block(n, elapsed, self.block_cap);
+        self.block = next_block(n, elapsed);
         Ok((t0, now))
     }
 }
@@ -969,8 +960,10 @@ fn report_progress(monitor: &Monitor, rank: usize, own: &Subtotal) {
 /// from the next coordinate, every gate live.
 ///
 /// Returns `Some(n)` when a fault scripted for after `n` realizations
-/// crashed the rank first: the crash is recorded, nothing final is
-/// written or offered, and the caller lets the rank vanish.
+/// crashed the rank first — after exactly `n`, whatever the block
+/// length: the crash is recorded, nothing final is written or offered,
+/// and the caller lets the rank vanish. A fault plan changes nothing
+/// else about how the loop simulates, offers or sends.
 fn simulate_quota<R: Realize + ?Sized>(
     ctx: &RunCtx<'_, R>,
     sim: &mut RealizationLoop,
@@ -984,11 +977,7 @@ fn simulate_quota<R: Realize + ?Sized>(
         Exchange::EveryRealization => Duration::ZERO,
         Exchange::Periodic => config.pass_period,
     };
-    let mut governor = ExchangeGovernor::new(if faults.is_enabled() {
-        Duration::ZERO
-    } else {
-        config.heartbeat_period
-    });
+    let mut governor = ExchangeGovernor::new(config.heartbeat_period);
     let mut last_pass = Instant::now();
     let mut last_contact = last_pass;
     let mut last_file_write: Option<Instant> = None;
@@ -1002,6 +991,9 @@ fn simulate_quota<R: Realize + ?Sized>(
     let mut now = last_pass;
     let mut next_poll = now;
     loop {
+        // What the rank's scripted link faults are keyed on, told before
+        // anything below writes a frame.
+        faults.note_progress(sim.rank, sim.done());
         if sim.done() >= sim.quota || now >= next_poll {
             let ctl = role.poll(&sim.own, now)?;
             next_poll = now + INBOX_POLL_PERIOD;
@@ -1024,7 +1016,9 @@ fn simulate_quota<R: Realize + ?Sized>(
         // Every time-gated check below reuses `now` via
         // `duration_since`, which is pure arithmetic — clock reads used
         // to dominate the runtime's per-realization overhead.
-        let (t0, read) = sim.simulate_block(ctx.realize)?;
+        // The crash point bounds the block, so it is met exactly.
+        let stop_at = sim.quota.min(crash_after.unwrap_or(u64::MAX));
+        let (t0, read) = sim.simulate_block(ctx.realize, stop_at)?;
         now = read;
         governor.realization_starts(t0);
 
@@ -1091,6 +1085,44 @@ mod tests {
                 *o = rng.next_f64();
             }
         })
+    }
+
+    /// What `rank` accumulates over its first `upto` stream coordinates
+    /// of experiment `seqnum` under [`uniform_mean`].
+    pub(super) fn rank_pass(
+        seqnum: u64,
+        rank: usize,
+        (nrow, ncol): (usize, usize),
+        upto: u64,
+    ) -> MatrixAccumulator {
+        let mut acc = MatrixAccumulator::new(nrow, ncol).unwrap();
+        let mut out = vec![0.0; nrow * ncol];
+        let mut cursor = StreamHierarchy::default()
+            .cursor(StreamId::new(seqnum, rank as u64, 0))
+            .unwrap();
+        for _ in 0..upto {
+            let mut stream = cursor.next_stream().unwrap();
+            out.fill_with(|| stream.next_f64());
+            acc.add(&out).unwrap();
+        }
+        acc
+    }
+
+    /// The outcome oracle of a [`uniform_mean`] run, whatever befell it:
+    /// the serial merge, in rank order, of the first `volumes[rank]`
+    /// streams of every rank — what the report says contributed.
+    pub(super) fn serial_merge(
+        seqnum: u64,
+        shape: (usize, usize),
+        volumes: &[u64],
+    ) -> MatrixSummary {
+        let mut total = MatrixAccumulator::new(shape.0, shape.1).unwrap();
+        for (rank, &volume) in volumes.iter().enumerate() {
+            total
+                .merge(&rank_pass(seqnum, rank, shape, volume))
+                .unwrap();
+        }
+        total.summary()
     }
 
     #[test]
@@ -1420,25 +1452,17 @@ mod tests {
         assert_eq!(shipped[1] - shipped[0], Duration::from_millis(80));
     }
 
-    #[test]
-    fn governor_with_a_zero_cap_ships_every_offer() {
-        let shipped = governed_offers(1_000, Duration::ZERO, Duration::ZERO, |_| {
-            Duration::from_micros(20)
-        });
-        assert_eq!(shipped.len(), 1_000);
-    }
-
     /// Feeds [`next_block`] a routine that takes `per(i)` on its
     /// `i`-th call; returns the length of every block run until
     /// `calls` calls are done.
-    fn strides(calls: u64, cap: u64, per: impl Fn(u64) -> Duration) -> Vec<u64> {
+    fn strides(calls: u64, per: impl Fn(u64) -> Duration) -> Vec<u64> {
         let (mut done, mut block, mut lens) = (0, 1, Vec::new());
         while done < calls {
             let n = block.min(calls - done);
             let elapsed = (done..done + n).map(&per).sum();
             lens.push(n);
             done += n;
-            block = next_block(n, elapsed, cap);
+            block = next_block(n, elapsed);
         }
         lens
     }
@@ -1453,7 +1477,7 @@ mod tests {
             Duration::from_micros(120),
             Duration::from_millis(7_700),
         ] {
-            let lens = strides(1_000, MAX_TIMING_BLOCK, |_| tau);
+            let lens = strides(1_000, |_| tau);
             assert!(lens.iter().all(|&n| n == 1), "τ = {tau:?}");
         }
     }
@@ -1461,14 +1485,14 @@ mod tests {
     #[test]
     fn timing_block_grows_by_doubling_to_what_fits_and_no_further() {
         // A 2 ns routine would fit 250 times: doubling, then the cap.
-        let lens = strides(1_000, MAX_TIMING_BLOCK, |_| Duration::from_nanos(2));
+        let lens = strides(1_000, |_| Duration::from_nanos(2));
         assert_eq!(lens[..8], [1, 2, 4, 8, 16, 32, 64, 64]);
         assert!(lens.iter().all(|&n| n <= MAX_TIMING_BLOCK));
         // A 60 ns routine fits eight times, and settles there.
-        let lens = strides(1_000, MAX_TIMING_BLOCK, |_| Duration::from_nanos(60));
+        let lens = strides(1_000, |_| Duration::from_nanos(60));
         assert_eq!(lens[..6], [1, 2, 4, 8, 8, 8]);
         // A clock that did not advance reads as "everything fits".
-        assert_eq!(next_block(4, Duration::ZERO, MAX_TIMING_BLOCK), 8);
+        assert_eq!(next_block(4, Duration::ZERO), 8);
         // The quota's tail is run exactly, whatever the stride.
         assert_eq!(lens.iter().sum::<u64>(), 1_000);
     }
@@ -1484,7 +1508,7 @@ mod tests {
                 Duration::from_nanos(10)
             }
         };
-        let lens = strides(10_000, MAX_TIMING_BLOCK, per);
+        let lens = strides(10_000, per);
         let mut first = 0;
         for pair in lens.windows(2) {
             if (first..first + pair[0]).any(|i| i % 100 == 99) {
@@ -1493,12 +1517,6 @@ mod tests {
             first += pair[0];
         }
         assert_eq!(lens.iter().max(), Some(&50), "and it grows back");
-    }
-
-    #[test]
-    fn timing_block_is_one_under_a_fault_plan() {
-        let lens = strides(100, 1, |_| Duration::from_nanos(2));
-        assert!(lens.iter().all(|&n| n == 1));
     }
 
     #[test]
@@ -1549,6 +1567,31 @@ mod tests {
         }
     }
 
+    /// Hands `drive` the loop of rank `RANK` of `config`, started from
+    /// `resumed`, with nothing around it: no monitor, no spans.
+    fn drive_loop(
+        config: &RunConfig,
+        resumed: Option<Subtotal>,
+        drive: impl FnOnce(&RunCtx<'_, dyn Realize>, &mut RealizationLoop),
+    ) {
+        let faults = config.faults.build();
+        let ctx: RunCtx<'_, dyn Realize> = RunCtx {
+            config,
+            hierarchy: &StreamHierarchy::new(config.leaps),
+            dir: &ResultsDir::create(&config.output_dir).unwrap(),
+            realize: &uniform_mean(),
+            monitor: &Monitor::disabled(),
+            faults: &faults,
+            start: Instant::now(),
+        };
+        let spans = SpanEmitter::disabled();
+        let mut sim = RealizationLoop::new(&ctx, RANK, resumed, &spans).unwrap();
+        drive(&ctx, &mut sim);
+    }
+
+    const SEQNUM: u64 = 3;
+    const RANK: usize = 1;
+
     /// The loop, driven directly: started from a state of `K`
     /// realizations (what a crash-resume hands rank 0), run to the quota,
     /// then entered again for an extension. What it accumulated is one
@@ -1557,8 +1600,6 @@ mod tests {
     /// re-entry.
     #[test]
     fn loop_resumed_and_reentered_walks_each_coordinate_once() {
-        const SEQNUM: u64 = 3;
-        const RANK: usize = 1;
         const K: u64 = 7;
         const EXTRA: u64 = 13;
         let config = Parmonc::builder(1, 2)
@@ -1570,40 +1611,54 @@ mod tests {
             .build()
             .unwrap();
         let quota = config.quota(RANK);
-        let hierarchy = StreamHierarchy::new(config.leaps);
-        let one_pass = |upto: u64| {
-            let mut acc = MatrixAccumulator::new(1, 2).unwrap();
-            let id = StreamId::new(SEQNUM, RANK as u64, 0);
-            let mut cursor = hierarchy.cursor(id).unwrap();
-            for _ in 0..upto {
-                let mut stream = cursor.next_stream().unwrap();
-                acc.add(&[stream.next_f64(), stream.next_f64()]).unwrap();
-            }
-            acc
-        };
-        let faults = config.faults.build();
-        let ctx = RunCtx {
-            config: &config,
-            hierarchy: &hierarchy,
-            dir: &ResultsDir::create(&config.output_dir).unwrap(),
-            realize: &uniform_mean(),
-            monitor: &Monitor::disabled(),
-            faults: &faults,
-            start: Instant::now(),
-        };
-        let spans = SpanEmitter::disabled();
+        let one_pass = |upto| rank_pass(SEQNUM, RANK, (1, 2), upto);
         let resumed = Subtotal {
             acc: one_pass(K),
             compute_seconds: 0.0,
         };
-        let mut sim = RealizationLoop::new(&ctx, RANK, Some(resumed), &spans).unwrap();
-        let mut role = Alone { pending: 0 };
-        let crashed = simulate_quota(&ctx, &mut sim, &mut role).unwrap();
-        assert_eq!((crashed, &sim.own.acc), (None, &one_pass(quota)));
-        role.pending = EXTRA;
-        let crashed = simulate_quota(&ctx, &mut sim, &mut role).unwrap();
-        assert_eq!(crashed, None);
-        assert_eq!(sim.own.acc, one_pass(quota + EXTRA));
-        assert_eq!(sim.quota, quota + EXTRA);
+        drive_loop(&config, Some(resumed), |ctx, sim| {
+            let mut role = Alone { pending: 0 };
+            let crashed = simulate_quota(ctx, sim, &mut role).unwrap();
+            assert_eq!((crashed, &sim.own.acc), (None, &one_pass(quota)));
+            role.pending = EXTRA;
+            let crashed = simulate_quota(ctx, sim, &mut role).unwrap();
+            assert_eq!(crashed, None);
+            assert_eq!(sim.own.acc, one_pass(quota + EXTRA));
+            assert_eq!(sim.quota, quota + EXTRA);
+        });
+    }
+
+    /// A fault plan does not change how the loop runs: a free routine
+    /// is timed in blocks under one too, and the scripted crash point
+    /// bounds the block that would run past it — the rank stops after
+    /// exactly that many realizations, a number no block length divides.
+    #[test]
+    fn scripted_crash_is_met_exactly_by_a_loop_running_in_blocks() {
+        use parmonc_faults::{FaultKind, FaultPlan};
+        const AFTER: u64 = 1_000_003;
+        let config = Parmonc::builder(1, 2)
+            .max_sample_volume(3 * AFTER + 300)
+            .processors(3)
+            .seqnum(SEQNUM)
+            .exchange(Exchange::EveryRealization)
+            .faults(FaultPlan::new(1).crash_rank(RANK, AFTER))
+            .output_dir(tempdir("loop-crash"))
+            .build()
+            .unwrap();
+        assert!(config.quota(RANK) > AFTER);
+        drive_loop(&config, None, |ctx, sim| {
+            let crashed = simulate_quota(ctx, sim, &mut Alone { pending: 0 }).unwrap();
+            assert_eq!((crashed, sim.done()), (Some(AFTER), AFTER));
+            // The stride the loop had reached when the crash point cut
+            // its last block short (to 4: 127 realizations of doubling,
+            // then blocks of 64).
+            assert!(sim.block > 1, "the loop ran blocks of {}", sim.block);
+            let records = ctx.faults.records();
+            assert_eq!(records.len(), 1);
+            assert_eq!(
+                (records[0].kind, records[0].detail),
+                (FaultKind::RankCrash, Some(AFTER))
+            );
+        });
     }
 }

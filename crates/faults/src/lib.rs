@@ -1,12 +1,15 @@
 //! Deterministic fault injection for PARMONC.
 //!
 //! A [`FaultPlan`] scripts every fault a chaos test wants to see —
-//! rank crashes after realization *N*, message drop/duplication/delay
-//! by `(src, dst, tag, sequence)`, and I/O faults (torn writes, bit
+//! rank crashes and link faults once a rank has completed *N*
+//! realizations, message drop/duplication/delay by
+//! `(src, dst, tag, sequence)`, and I/O faults (torn writes, bit
 //! flips, `ErrorKind::Interrupted`) — from a single seed and its own
-//! small generator, never the wall clock. The same plan therefore
-//! injects the same faults on every run and on both engines (the
-//! real-thread runner and the virtual-time cluster simulator).
+//! small generator, never the wall clock. What a *run* is scripted by
+//! is the acting rank's realization count, which no send or exchange
+//! optimisation changes: a plan means the same run however many
+//! subtotals cross. A plan does not change how the runner it is
+//! attached to simulates, exchanges or sends.
 //!
 //! Instrumented code holds a [`FaultHandle`], which mirrors the
 //! `Monitor` pattern from `parmonc-obs`: the disabled handle
@@ -18,8 +21,8 @@
 //! operation (message coordinates, write ordinal), so they do not
 //! depend on thread interleaving: [`FaultPlan::message_action`] and
 //! [`FaultPlan::crash_point`] can be consulted independently by the
-//! simulator, while the handle adds the per-channel sequence counters
-//! and write counters a live run needs.
+//! simulator, while the handle adds the per-channel sequence counters,
+//! write counters and per-rank progress a live run needs.
 //!
 //! # Example
 //!
@@ -106,7 +109,8 @@ pub enum FaultKind {
     BitFlip,
     /// A write fails once with `ErrorKind::Interrupted`.
     IoInterrupt,
-    /// A transport connection is severed at a scripted frame ordinal.
+    /// A transport connection is severed at a frame boundary once its
+    /// rank's progress reaches the scripted point.
     NetSever,
     /// An outbound frame is held on the wire for a scripted delay.
     NetStall,
@@ -172,6 +176,20 @@ pub enum SendAction {
     },
 }
 
+impl SendAction {
+    /// The [`FaultKind`] this action injects; `None` for a plain
+    /// delivery.
+    #[must_use]
+    pub fn kind(self) -> Option<FaultKind> {
+        match self {
+            Self::Deliver => None,
+            Self::Drop => Some(FaultKind::MessageDrop),
+            Self::Duplicate => Some(FaultKind::MessageDuplicate),
+            Self::Delay { .. } => Some(FaultKind::MessageDelay),
+        }
+    }
+}
+
 /// A fault injected into one file write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoFault {
@@ -234,29 +252,36 @@ pub enum NetAction {
     Tear,
 }
 
-/// One scripted network-fault rule on a worker rank's link.
-#[derive(Debug, Clone, PartialEq)]
-enum NetRule {
-    /// Break the link when its outbound frame counter reaches
-    /// `after_frame`.
-    Sever { rank: usize, after_frame: u64 },
-    /// Delay each of the first `frames` outbound frames by `millis`.
-    Stall {
-        rank: usize,
-        frames: u64,
-        millis: u64,
-    },
-    /// Cut the frame with this ordinal mid-write.
-    Tear { rank: usize, ordinal: u64 },
+impl NetAction {
+    /// The [`FaultKind`] this action injects; `None` for a plain
+    /// delivery.
+    #[must_use]
+    pub fn kind(self) -> Option<FaultKind> {
+        match self {
+            Self::Deliver => None,
+            Self::Stall { .. } => Some(FaultKind::NetStall),
+            Self::Sever => Some(FaultKind::NetSever),
+            Self::Tear => Some(FaultKind::NetTear),
+        }
+    }
 }
 
-/// A scripted partition: the named ranks lose their link at
-/// `from_frame` and their next `duration_attempts` reconnect attempts
-/// fail deterministically (time-free "duration").
+/// One scripted network-fault rule on a worker rank's link: `action`
+/// befalls the first outbound frame that starts once the rank has
+/// completed `after` realizations, once.
+#[derive(Debug, Clone, PartialEq)]
+struct NetRule {
+    rank: usize,
+    after: u64,
+    action: NetAction,
+}
+
+/// A scripted partition: the named ranks lose their link (a sever
+/// [`NetRule`] each) and their next `duration_attempts` reconnect
+/// attempts fail deterministically (time-free "duration").
 #[derive(Debug, Clone, PartialEq)]
 struct PartitionRule {
     ranks: Vec<usize>,
-    from_frame: u64,
     duration_attempts: u64,
 }
 
@@ -424,51 +449,58 @@ impl FaultPlan {
         self
     }
 
-    /// Scripts the link of worker `rank` to break once its outbound
-    /// frame counter reaches `after_frame` (0-based: `after_frame`
-    /// frames have been fully written when the break happens). The
-    /// worker's transport is expected to reconnect and resume.
-    #[must_use]
-    pub fn sever_connection(mut self, rank: usize, after_frame: u64) -> Self {
-        self.net_rules.push(NetRule::Sever { rank, after_frame });
-        self
-    }
-
-    /// Scripts each of the first `frames` outbound frames on worker
-    /// `rank`'s link to be held on the wire for `millis` milliseconds
-    /// before delivery.
-    #[must_use]
-    pub fn stall_link(mut self, rank: usize, frames: u64, millis: u64) -> Self {
-        self.net_rules.push(NetRule::Stall {
+    /// Scripts `action` for the first outbound frame worker `rank`
+    /// starts once it has completed `after` realizations (as last told
+    /// by [`FaultHandle::note_progress`]). Each rule fires once.
+    fn net_rule(mut self, rank: usize, after: u64, action: NetAction) -> Self {
+        self.net_rules.push(NetRule {
             rank,
-            frames,
-            millis,
+            after,
+            action,
         });
         self
     }
 
-    /// Scripts the outbound frame with ordinal `ordinal` (0-based) on
-    /// worker `rank`'s link to be cut mid-write: the receiver gets a
-    /// torn frame and the connection breaks.
+    /// Scripts the link of worker `rank` to break, before any byte of
+    /// the frame is written, at the first frame boundary once the rank
+    /// has completed `after` realizations. The worker's transport is
+    /// expected to reconnect and resume.
     #[must_use]
-    pub fn tear_frame(mut self, rank: usize, ordinal: u64) -> Self {
-        self.net_rules.push(NetRule::Tear { rank, ordinal });
-        self
+    pub fn sever_connection(self, rank: usize, after: u64) -> Self {
+        self.net_rule(rank, after, NetAction::Sever)
     }
 
-    /// Scripts a partition: every rank in `ranks` loses its link when
-    /// its outbound frame counter reaches `from_frame`, and its next
-    /// `duration_frames` reconnect attempts fail deterministically
-    /// before the partition heals — a time-free "duration" that
-    /// exercises the seeded backoff without wall-clock dependence.
+    /// Scripts the first outbound frame worker `rank` starts once it
+    /// has completed `after` realizations to be held on the wire for
+    /// `millis` milliseconds before delivery.
     #[must_use]
-    pub fn partition(mut self, ranks: &[usize], from_frame: u64, duration_frames: u64) -> Self {
+    pub fn stall_link(self, rank: usize, after: u64, millis: u64) -> Self {
+        self.net_rule(rank, after, NetAction::Stall { millis })
+    }
+
+    /// Scripts the first outbound frame worker `rank` starts once it
+    /// has completed `after` realizations to be cut mid-write: the
+    /// receiver gets a torn frame and the connection breaks.
+    #[must_use]
+    pub fn tear_frame(self, rank: usize, after: u64) -> Self {
+        self.net_rule(rank, after, NetAction::Tear)
+    }
+
+    /// Scripts a partition: every rank in `ranks` loses its link at the
+    /// first frame boundary once it has completed `after` realizations,
+    /// and its next `duration_attempts` reconnect attempts fail
+    /// deterministically before the partition heals — a time-free
+    /// "duration" that exercises the seeded backoff without wall-clock
+    /// dependence.
+    #[must_use]
+    pub fn partition(mut self, ranks: &[usize], after: u64, duration_attempts: u64) -> Self {
         self.partitions.push(PartitionRule {
             ranks: ranks.to_vec(),
-            from_frame,
-            duration_attempts: duration_frames,
+            duration_attempts,
         });
-        self
+        ranks
+            .iter()
+            .fold(self, |plan, &rank| plan.sever_connection(rank, after))
     }
 
     /// True if the plan scripts nothing — [`Self::build`] then returns
@@ -486,57 +518,10 @@ impl FaultPlan {
 
     /// True if the plan scripts any network fault (sever/stall/tear or
     /// a partition) on worker `rank`'s link. Transports use this to
-    /// skip the frame-accounting wrapper entirely on unaffected links.
+    /// skip the frame-boundary wrapper entirely on unaffected links.
     #[must_use]
     pub fn targets_link(&self, rank: usize) -> bool {
-        self.net_rules.iter().any(|r| match r {
-            NetRule::Sever { rank: r, .. }
-            | NetRule::Stall { rank: r, .. }
-            | NetRule::Tear { rank: r, .. } => *r == rank,
-        }) || self.partitions.iter().any(|p| p.ranks.contains(&rank))
-    }
-
-    /// The fate of the `frame`-th outbound frame (0-based) on worker
-    /// `rank`'s link. Pure: tear rules are checked first, then
-    /// severances (including partition onsets), then stalls.
-    #[must_use]
-    pub fn net_action(&self, rank: usize, frame: u64) -> NetAction {
-        for rule in &self.net_rules {
-            if let NetRule::Tear { rank: r, ordinal } = rule {
-                if *r == rank && *ordinal == frame {
-                    return NetAction::Tear;
-                }
-            }
-        }
-        for rule in &self.net_rules {
-            if let NetRule::Sever {
-                rank: r,
-                after_frame,
-            } = rule
-            {
-                if *r == rank && *after_frame == frame {
-                    return NetAction::Sever;
-                }
-            }
-        }
-        for p in &self.partitions {
-            if p.ranks.contains(&rank) && p.from_frame == frame {
-                return NetAction::Sever;
-            }
-        }
-        for rule in &self.net_rules {
-            if let NetRule::Stall {
-                rank: r,
-                frames,
-                millis,
-            } = rule
-            {
-                if *r == rank && frame < *frames {
-                    return NetAction::Stall { millis: *millis };
-                }
-            }
-        }
-        NetAction::Deliver
+        self.net_rules.iter().any(|r| r.rank == rank)
     }
 
     /// True if worker `rank`'s `attempt`-th reconnect attempt (0-based,
@@ -600,7 +585,8 @@ impl FaultPlan {
                     state: Mutex::new(State {
                         seqs: HashMap::new(),
                         io_counts: vec![0; self.io_rules.len()],
-                        net_frames: HashMap::new(),
+                        progress: HashMap::new(),
+                        net_fired: vec![false; self.net_rules.len()],
                         net_attempts: HashMap::new(),
                         records: Vec::new(),
                     }),
@@ -617,8 +603,9 @@ pub struct FaultRecord {
     /// Which fault fired.
     pub kind: FaultKind,
     /// Kind-specific detail: the message sequence number for message
-    /// faults, the write ordinal for I/O faults; `None` for crashes
-    /// recorded without one.
+    /// faults, the write ordinal for I/O faults, the scripted
+    /// realization count for crashes and link faults, the attempt
+    /// ordinal for partition vetoes.
     pub detail: Option<u64>,
 }
 
@@ -629,8 +616,11 @@ struct State {
     seqs: HashMap<(usize, usize, u32), u64>,
     /// Writes seen so far per I/O rule.
     io_counts: Vec<u64>,
-    /// Outbound frames seen so far per worker link.
-    net_frames: HashMap<usize, u64>,
+    /// Realizations completed so far per rank with a scripted link
+    /// fault, as last told by [`FaultHandle::note_progress`].
+    progress: HashMap<usize, u64>,
+    /// Which network rules have fired (each does once).
+    net_fired: Vec<bool>,
     /// Reconnect attempts seen so far per worker link.
     net_attempts: HashMap<usize, u64>,
     /// Everything injected so far.
@@ -691,13 +681,7 @@ impl FaultHandle {
         let seq = *seq_ref;
         *seq_ref += 1;
         let action = inner.plan.message_action(src, dst, tag, seq);
-        let kind = match action {
-            SendAction::Deliver => None,
-            SendAction::Drop => Some(FaultKind::MessageDrop),
-            SendAction::Duplicate => Some(FaultKind::MessageDuplicate),
-            SendAction::Delay { .. } => Some(FaultKind::MessageDelay),
-        };
-        if let Some(kind) = kind {
+        if let Some(kind) = action.kind() {
             state.records.push(FaultRecord {
                 kind,
                 detail: Some(seq),
@@ -706,10 +690,10 @@ impl FaultHandle {
         (seq, action)
     }
 
-    /// Records that `rank` is about to execute its scripted crash.
-    pub fn note_crash(&self, rank: usize, after: u64) {
+    /// Records that a rank is about to execute its crash, scripted
+    /// for after `after` realizations.
+    pub fn note_crash(&self, after: u64) {
         if let Some(inner) = self.inner.as_deref() {
-            let _ = rank;
             inner
                 .state
                 .lock()
@@ -755,43 +739,55 @@ impl FaultHandle {
     }
 
     /// True if the plan scripts any network fault on worker `rank`'s
-    /// link — a transport may skip its frame-accounting wrapper when
+    /// link — a transport may skip its frame-boundary wrapper when
     /// this is false. The disabled handle answers `false`.
     #[must_use]
     pub fn targets_link(&self, rank: usize) -> bool {
-        self.inner
-            .as_deref()
-            .is_some_and(|i| i.plan.targets_link(rank))
+        self.link(rank).is_some()
     }
 
-    /// Numbers an outbound frame on worker `rank`'s link and decides
-    /// its fate. The disabled handle always answers `Deliver` without
-    /// locking.
-    pub fn on_frame(&self, rank: usize) -> NetAction {
-        let Some(inner) = self.inner.as_deref() else {
-            return NetAction::Deliver;
-        };
-        if !inner.plan.targets_link(rank) {
-            return NetAction::Deliver;
+    /// What is behind the handle, if it scripts a link fault for `rank`.
+    fn link(&self, rank: usize) -> Option<&Inner> {
+        self.inner.as_deref().filter(|i| i.plan.targets_link(rank))
+    }
+
+    /// Tells the plane that `rank` has completed `done` realizations —
+    /// what its scripted link faults are keyed on. The simulation loop
+    /// calls this once per timed block; the disabled handle, and a
+    /// plan with no link fault for `rank`, return without locking.
+    pub fn note_progress(&self, rank: usize, done: u64) {
+        if let Some(inner) = self.link(rank) {
+            let mut state = inner.state.lock().expect("fault state poisoned");
+            state.progress.insert(rank, done);
         }
-        let mut state = inner.state.lock().expect("fault state poisoned");
-        let frame_ref = state.net_frames.entry(rank).or_insert(0);
-        let frame = *frame_ref;
-        *frame_ref += 1;
-        let action = inner.plan.net_action(rank, frame);
-        let kind = match action {
-            NetAction::Deliver => None,
-            NetAction::Stall { .. } => Some(FaultKind::NetStall),
-            NetAction::Sever => Some(FaultKind::NetSever),
-            NetAction::Tear => Some(FaultKind::NetTear),
+    }
+
+    /// Decides the fate of the outbound frame worker `rank` is about
+    /// to start: that of the first rule scripted for the rank, in plan
+    /// order, whose realization count the rank has reached and which
+    /// has not fired yet. The disabled handle always answers `Deliver`
+    /// without locking.
+    pub fn on_frame(&self, rank: usize) -> NetAction {
+        let Some(inner) = self.link(rank) else {
+            return NetAction::Deliver;
         };
-        if let Some(kind) = kind {
+        let mut state = inner.state.lock().expect("fault state poisoned");
+        let done = state.progress.get(&rank).copied().unwrap_or(0);
+        let due =
+            inner.plan.net_rules.iter().enumerate().find(|(idx, rule)| {
+                rule.rank == rank && rule.after <= done && !state.net_fired[*idx]
+            });
+        let Some((idx, rule)) = due else {
+            return NetAction::Deliver;
+        };
+        state.net_fired[idx] = true;
+        if let Some(kind) = rule.action.kind() {
             state.records.push(FaultRecord {
                 kind,
-                detail: Some(frame),
+                detail: Some(rule.after),
             });
         }
-        action
+        rule.action
     }
 
     /// Numbers a reconnect attempt on worker `rank`'s link and decides
@@ -975,7 +971,7 @@ mod tests {
         assert_eq!(plan.crash_point(1), None);
         let handle = plan.build();
         assert_eq!(handle.crash_after(2), Some(50));
-        handle.note_crash(2, 50);
+        handle.note_crash(50);
         assert_eq!(handle.records()[0].kind, FaultKind::RankCrash);
     }
 
@@ -1063,34 +1059,65 @@ mod tests {
     }
 
     #[test]
-    fn net_rules_fire_on_exact_frame_ordinals() {
+    fn net_rules_fire_once_when_their_rank_has_got_that_far() {
         let plan = FaultPlan::new(5)
             .sever_connection(1, 3)
-            .stall_link(2, 2, 40)
-            .tear_frame(3, 1);
+            .stall_link(2, 0, 40)
+            .tear_frame(3, 1)
+            .sever_connection(3, 1);
         assert!(plan.targets_link(1) && plan.targets_link(2) && plan.targets_link(3));
         assert!(!plan.targets_link(4));
-        assert_eq!(plan.net_action(1, 2), NetAction::Deliver);
-        assert_eq!(plan.net_action(1, 3), NetAction::Sever);
-        assert_eq!(plan.net_action(1, 4), NetAction::Deliver); // fires once
-        assert_eq!(plan.net_action(2, 0), NetAction::Stall { millis: 40 });
-        assert_eq!(plan.net_action(2, 1), NetAction::Stall { millis: 40 });
-        assert_eq!(plan.net_action(2, 2), NetAction::Deliver);
-        assert_eq!(plan.net_action(3, 1), NetAction::Tear);
-        assert_eq!(plan.net_action(4, 0), NetAction::Deliver);
+        let handle = plan.build();
+        // However many frames rank 1 writes, nothing happens before its
+        // third realization is done — and then it happens to the next
+        // frame, once.
+        for done in 0..3 {
+            handle.note_progress(1, done);
+            assert_eq!(handle.on_frame(1), NetAction::Deliver);
+            assert_eq!(handle.on_frame(1), NetAction::Deliver);
+        }
+        handle.note_progress(1, 64);
+        assert_eq!(handle.on_frame(1), NetAction::Sever);
+        assert_eq!(handle.on_frame(1), NetAction::Deliver);
+        // A rule scripted for zero realizations is due from the start.
+        assert_eq!(handle.on_frame(2), NetAction::Stall { millis: 40 });
+        assert_eq!(handle.on_frame(2), NetAction::Deliver);
+        // Two rules due at once fire on consecutive frames, in plan
+        // order; another rank's progress is not this rank's.
+        assert_eq!(handle.on_frame(3), NetAction::Deliver);
+        handle.note_progress(3, 1);
+        assert_eq!(handle.on_frame(3), NetAction::Tear);
+        assert_eq!(handle.on_frame(3), NetAction::Sever);
+        assert_eq!(handle.on_frame(3), NetAction::Deliver);
+        assert_eq!(handle.on_frame(4), NetAction::Deliver);
+        let fired: Vec<(FaultKind, Option<u64>)> = handle
+            .records()
+            .into_iter()
+            .map(|r| (r.kind, r.detail))
+            .collect();
+        assert_eq!(
+            fired,
+            vec![
+                (FaultKind::NetSever, Some(3)),
+                (FaultKind::NetStall, Some(0)),
+                (FaultKind::NetTear, Some(1)),
+                (FaultKind::NetSever, Some(1)),
+            ]
+        );
     }
 
     #[test]
-    fn handle_counts_frames_and_reconnect_attempts_per_rank() {
+    fn handle_counts_reconnect_attempts_per_rank() {
         let handle = FaultPlan::new(7)
             .sever_connection(1, 1)
             .partition(&[2], 0, 2)
             .build();
-        assert_eq!(handle.on_frame(1), NetAction::Deliver); // frame 0
-        assert_eq!(handle.on_frame(1), NetAction::Sever); // frame 1
-        assert_eq!(handle.on_frame(1), NetAction::Deliver); // frame 2
-                                                            // Rank 2 loses its link at frame 0 and stays partitioned for
-                                                            // two reconnect attempts.
+        assert_eq!(handle.on_frame(1), NetAction::Deliver);
+        handle.note_progress(1, 1);
+        assert_eq!(handle.on_frame(1), NetAction::Sever);
+        assert_eq!(handle.on_frame(1), NetAction::Deliver);
+        // Rank 2 loses its link at its first frame and stays
+        // partitioned for two reconnect attempts.
         assert_eq!(handle.on_frame(2), NetAction::Sever);
         assert!(handle.on_reconnect_attempt(2));
         assert!(handle.on_reconnect_attempt(2));
@@ -1112,6 +1139,7 @@ mod tests {
     #[test]
     fn net_faults_disabled_handle_and_empty_plan() {
         let handle = FaultHandle::disabled();
+        handle.note_progress(1, 9);
         assert_eq!(handle.on_frame(1), NetAction::Deliver);
         assert!(!handle.on_reconnect_attempt(1));
         assert!(!handle.targets_link(1));

@@ -8,8 +8,10 @@
 //! torn frame the collector's reader must reject. The wrapper tracks
 //! frame boundaries by parsing the same 20-byte header the codec
 //! writes, so it works identically under the TCP and Unix-socket
-//! backends, and the frame ordinals live in the shared
-//! [`FaultHandle`] so a plan replays bit-identically across backends.
+//! backends. *Which* frame a rule befalls is not counted here: it is
+//! the first to start once the rank's simulation loop has told the
+//! shared [`FaultHandle`] of enough realizations, so a plan scripts
+//! the same outage however few frames a governed worker writes.
 //!
 //! When the plan scripts nothing for this link (including the disabled
 //! handle), every write is a straight passthrough after one boolean
@@ -90,8 +92,8 @@ impl<S: Write> FaultyStream<S> {
     }
 
     /// Installs a fresh stream after a reconnect: clears the severed
-    /// flag and resets to a frame boundary. Frame ordinals continue
-    /// from where the link left off (they live in the fault handle).
+    /// flag and resets to a frame boundary. Rules that fired stay
+    /// fired (that lives in the fault handle).
     pub fn replace(&mut self, inner: S) {
         self.inner = inner;
         self.severed = false;
@@ -199,11 +201,13 @@ mod tests {
     }
 
     #[test]
-    fn sever_breaks_at_the_scripted_frame() {
+    fn sever_breaks_the_first_frame_after_the_scripted_progress() {
         let faults = FaultPlan::new(1).sever_connection(1, 2).build();
-        let mut s = FaultyStream::new(Vec::new(), 1, faults);
+        let mut s = FaultyStream::new(Vec::new(), 1, faults.clone());
         write_frame_seq(&mut s, 1, 7, 1, b"one").unwrap();
+        faults.note_progress(1, 1);
         write_frame_seq(&mut s, 1, 7, 2, b"two").unwrap();
+        faults.note_progress(1, 2);
         let err = write_frame_seq(&mut s, 1, 7, 3, b"three").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
         assert!(s.is_severed());
@@ -219,8 +223,9 @@ mod tests {
     #[test]
     fn tear_writes_half_the_payload_then_breaks() {
         let faults = FaultPlan::new(1).tear_frame(1, 1).build();
-        let mut s = FaultyStream::new(Vec::new(), 1, faults);
+        let mut s = FaultyStream::new(Vec::new(), 1, faults.clone());
         write_frame_seq(&mut s, 1, 7, 1, b"intact").unwrap();
+        faults.note_progress(1, 64);
         let err = write_frame_seq(&mut s, 1, 7, 2, b"12345678").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
         // The wire holds one whole frame plus a torn one: full header,
@@ -236,7 +241,7 @@ mod tests {
 
     #[test]
     fn stall_delivers_the_frame_intact() {
-        let faults = FaultPlan::new(1).stall_link(1, 1, 1).build();
+        let faults = FaultPlan::new(1).stall_link(1, 0, 1).build();
         let mut s = FaultyStream::new(Vec::new(), 1, faults);
         write_frame_seq(&mut s, 1, 7, 1, b"late").unwrap();
         write_frame_seq(&mut s, 1, 7, 2, b"ontime").unwrap();
@@ -251,9 +256,13 @@ mod tests {
         let faults = FaultPlan::new(1).sever_connection(1, 1).build();
         let mut buf = Vec::new();
         write_frame_seq(&mut buf, 1, 7, 1, b"drip").unwrap();
-        let mut s = FaultyStream::new(Vec::new(), 1, faults);
-        for b in &buf {
+        let mut s = FaultyStream::new(Vec::new(), 1, faults.clone());
+        for (i, b) in buf.iter().enumerate() {
             s.write_all(std::slice::from_ref(b)).unwrap();
+            // Progress reported mid-frame waits for the next boundary.
+            if i == 0 {
+                faults.note_progress(1, 1);
+            }
         }
         assert_eq!(frames(s.get_ref()), vec![(7, 1, b"drip".to_vec())]);
         // The next frame is the scripted severance.

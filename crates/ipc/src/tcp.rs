@@ -2453,16 +2453,18 @@ mod tests {
 
     #[test]
     fn worker_transport_survives_a_scripted_severance() {
-        // The fault plane severs rank 1's link after 2 frames; the
-        // worker transport must reconnect on its own and every
-        // envelope must arrive exactly once.
+        // The fault plane severs rank 1's link once it has done 2
+        // realizations (this test is the simulation loop that says
+        // so); the worker transport must reconnect on its own and
+        // every envelope must arrive exactly once.
         for kind in KINDS {
             let (mut collector, endpoint) = world(kind, 2, vec![10]);
             let dial = endpoint.clone();
             let faults = FaultPlan::new(9).sever_connection(1, 2).build();
             let worker_side = std::thread::spawn(move || {
-                let worker = join_at(dial, 42, faults).expect("join succeeds");
+                let worker = join_at(dial, 42, faults.clone()).expect("join succeeds");
                 for i in 0..5u8 {
+                    faults.note_progress(1, u64::from(i));
                     worker
                         .send(0, Tag(7), &[i])
                         .expect("send survives the severance");
@@ -2481,14 +2483,13 @@ mod tests {
 
     #[test]
     fn scripted_partition_blocks_reconnects_until_it_lifts() {
-        // Sever after 1 frame, then veto the first 2 reconnect
-        // attempts: the worker still gets through on the third.
+        // Sever once 1 realization is done, then veto the first 2
+        // reconnect attempts: the worker still gets through on the
+        // third.
         let mut collector = collector(2, vec![10]);
         let addr = collector.local_addr().to_string();
-        let faults = FaultPlan::new(9)
-            .sever_connection(1, 1)
-            .partition(&[1], 1, 2)
-            .build();
+        let faults = FaultPlan::new(9).partition(&[1], 1, 2).build();
+        let progress = faults.clone();
         let worker_side = std::thread::spawn(move || {
             let worker = TcpWorkerTransport::join(JoinOptions {
                 addr,
@@ -2505,6 +2506,7 @@ mod tests {
             })
             .expect("join succeeds");
             worker.send(0, Tag(7), b"before").unwrap();
+            progress.note_progress(1, 1);
             worker
                 .send(0, Tag(7), b"after")
                 .expect("send rides out the partition");

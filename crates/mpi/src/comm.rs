@@ -14,7 +14,6 @@ use crate::error::MpiError;
 use crate::gate::FaultGate;
 use crate::mailbox::{Cursor, Mailbox};
 use crate::pool::BufferPool;
-use crate::transport::send_latest_queued;
 
 /// Per-receiver inbox statistics for monitored worlds: how many
 /// messages sit undelivered in each rank's inbox, and the largest such
@@ -78,12 +77,9 @@ pub struct Communicator {
     monitor: Monitor,
     /// Queue-depth counters, present only in monitored worlds.
     stats: Option<Arc<ChannelStats>>,
-    /// The deterministic fault plane (disabled = one dead branch per
-    /// send).
-    faults: FaultHandle,
-    /// What the enabled plane does to a send. Force-flushed on [`Drop`]
-    /// so a held message is late, never lost (unless scripted as a
-    /// drop).
+    /// The deterministic fault plane in front of every send (disabled =
+    /// one dead branch per send). Force-flushed on [`Drop`] so a held
+    /// message is late, never lost (unless scripted as a drop).
     gate: FaultGate,
     /// This rank's buffer freelist, locked by no other rank: encode
     /// buffers come back to it as soon as their bytes are in the
@@ -208,17 +204,20 @@ impl Communicator {
     ///
     /// Same as [`Communicator::send`].
     pub fn send_bytes(&self, dest: usize, tag: Tag, payload: Bytes) -> Result<(), MpiError> {
-        if dest >= self.size() {
-            return Err(MpiError::InvalidRank {
-                rank: dest,
-                size: self.size(),
-            });
-        }
-        if !self.faults.is_enabled() {
-            return self.send_now(dest, tag, payload);
-        }
+        self.check_dest(dest)?;
         self.gate
             .send(dest, tag, payload, |d, t, p| self.send_now(d, t, p))
+    }
+
+    fn check_dest(&self, dest: usize) -> Result<(), MpiError> {
+        if dest < self.size() {
+            Ok(())
+        } else {
+            Err(MpiError::InvalidRank {
+                rank: dest,
+                size: self.size(),
+            })
+        }
     }
 
     /// The unfaulted send path: enqueue for `dest`, with monitored
@@ -252,10 +251,11 @@ impl Communicator {
     /// in-place slot is built in a buffer from this rank's pool and
     /// goes by handle, still latest-wins.
     ///
-    /// A world with a fault plane attached
-    /// ([`World::communicators_faulted`]) queues the message like
-    /// [`Communicator::send_bytes`], so a plan keeps scripting every
-    /// single one.
+    /// A fault plane ([`World::communicators_faulted`]) decides the
+    /// message's fate in front of the slot: a dropped or held-back one
+    /// is not published (the send that would release a held one
+    /// supersedes it), a duplicated one is published once — a register
+    /// is idempotent — and each is a `fault_injected` event.
     ///
     /// # Errors
     ///
@@ -271,9 +271,10 @@ impl Communicator {
         len: usize,
         fill: impl FnOnce(&mut WordSink<'_>),
     ) -> Result<(), MpiError> {
-        // The queued path also reports an invalid destination.
-        if self.faults.is_enabled() || dest >= self.size() {
-            return send_latest_queued(self, dest, tag, len, fill);
+        self.check_dest(dest)?;
+        let queued = |d, t, p| self.send_now(d, t, p);
+        if !self.gate.admits_latest(dest, tag, queued)? {
+            return Ok(());
         }
         let depth = self.note_enqueue(dest);
         match self.world.mailboxes[dest].publish(self.rank, tag, len, &self.pool, fill) {
@@ -522,7 +523,6 @@ impl World {
                 pending: VecDeque::new(),
                 monitor: monitor.clone(),
                 stats: stats.clone(),
-                faults: faults.clone(),
                 gate: FaultGate::new(rank, faults.clone(), monitor.clone()),
                 pool: BufferPool::default(),
             })
@@ -877,28 +877,82 @@ mod tests {
         assert_eq!(high_water, vec![1, 2]);
     }
 
+    /// A fault plan decides a latest-wins message's fate in front of
+    /// the slot it is published into, and changes nothing else: what is
+    /// published still supersedes and is superseded.
     #[test]
-    fn latest_wins_send_is_queued_in_a_faulted_world() {
-        use parmonc_faults::FaultPlan;
-        // The plan's one rule never fires: the fault plane is enabled,
-        // and that alone keeps every message on the queue, numbered.
-        let faults = FaultPlan::new(1).drop_message(1, 0, 9, 0).build();
-        let mut comms =
-            World::communicators_faulted(2, Monitor::disabled(), faults.clone()).unwrap();
+    fn latest_wins_send_is_published_in_a_faulted_world_unless_its_fate_says_no() {
+        use parmonc_faults::{FaultKind, FaultPlan};
+        let sink = Arc::new(MemorySink::new());
+        let monitor = Monitor::new(vec![Box::new(Arc::clone(&sink))]);
+        let faults = FaultPlan::new(1)
+            .drop_message(1, 0, 1, 1)
+            .delay_message(1, 0, 1, 2, 1)
+            .duplicate_message(1, 0, 1, 4)
+            .build();
+        let mut comms = World::communicators_faulted(2, monitor, faults.clone()).unwrap();
         let (left, right) = comms.split_at_mut(1);
-        for value in [1u64, 2, 3] {
-            right[0]
+        let (receiver, sender) = (&mut left[0], &right[0]);
+        let publish = |value: u64| {
+            sender
                 .send_latest_with(0, Tag(1), 8, |sink| sink.put_u64(value))
                 .unwrap();
-        }
-        for value in [1u64, 2, 3] {
-            let env = left[0].try_recv(None, None).unwrap();
-            assert_eq!(env.payload[..], value.to_le_bytes());
-        }
-        assert!(left[0].try_recv(None, None).is_none());
-        assert!(faults.records().is_empty());
-        // The fourth send to (0, tag 1) is message number 3 of its lane.
-        assert_eq!(faults.on_send(1, 0, 1).0, 3);
+        };
+        let mut newest = || {
+            let env = receiver.try_recv(None, None)?;
+            assert!(receiver.try_recv(None, None).is_none(), "one slot");
+            Some(u64::from_le_bytes(env.payload[..].try_into().unwrap()))
+        };
+        // Message 0 is published; the dropped 1 and the held-back 2
+        // leave it where it is, unread.
+        publish(10);
+        publish(11);
+        publish(12);
+        assert_eq!(newest(), Some(10));
+        // Message 3 would have released the held one: it supersedes it
+        // instead, and nothing comes after.
+        publish(13);
+        assert_eq!(newest(), Some(13));
+        // The duplicated 4 is one publish.
+        publish(14);
+        assert_eq!(newest(), Some(14));
+        // Under a plan too, a publish supersedes the unread one before.
+        publish(15);
+        publish(16);
+        assert_eq!(newest(), Some(16));
+        assert_eq!(sender.pool().idle(), 0, "no message took a buffer");
+
+        let fired: Vec<(FaultKind, Option<u64>)> = faults
+            .records()
+            .into_iter()
+            .map(|r| (r.kind, r.detail))
+            .collect();
+        assert_eq!(
+            fired,
+            vec![
+                (FaultKind::MessageDrop, Some(1)),
+                (FaultKind::MessageDelay, Some(2)),
+                (FaultKind::MessageDuplicate, Some(4)),
+            ]
+        );
+        let events = sink.snapshot();
+        let injected: Vec<&str> = events
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::FaultInjected { fault, .. } => Some(fault.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            injected,
+            ["message_drop", "message_delay", "message_duplicate"]
+        );
+        // Seven messages were numbered and five of them sent.
+        let sent = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::MessageSent { .. }))
+            .count();
+        assert_eq!(sent, 5);
     }
 
     #[test]
@@ -1076,7 +1130,6 @@ mod tests {
         let comms = World::communicators(2).unwrap();
         assert!(comms[0].stats.is_none());
         assert!(!comms[0].monitor.is_enabled());
-        assert!(!comms[0].faults.is_enabled());
     }
 
     #[test]

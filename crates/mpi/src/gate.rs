@@ -3,13 +3,14 @@
 //! The deterministic fault plane may deliver, drop, duplicate or hold
 //! back a message. [`FaultGate`] is that decision and the aging of
 //! held-back messages, once: [`crate::Communicator`] feeds it its
-//! in-process enqueue, the socket endpoints of `parmonc-ipc` their
+//! in-process enqueue — and asks it before publishing a latest-wins
+//! message in place — the socket endpoints of `parmonc-ipc` their
 //! frame write, so a seeded plan has the same observable effect on
 //! every backend.
 
 use std::cell::RefCell;
 
-use parmonc_faults::{FaultHandle, FaultKind, SendAction};
+use parmonc_faults::{FaultHandle, SendAction};
 use parmonc_obs::{EventKind, Monitor};
 
 use crate::bytes::Bytes;
@@ -67,30 +68,16 @@ impl FaultGate {
         payload: Bytes,
         deliver: impl Fn(usize, Tag, Bytes) -> Result<(), MpiError>,
     ) -> Result<(), MpiError> {
-        if !self.faults.is_enabled() {
-            return deliver(dest, tag, payload);
-        }
-        // Every send ages the held-back messages; due ones leave first
-        // so a delayed message is overtaken by exactly `hold_sends`
-        // later sends.
-        self.flush(false, &deliver)?;
-        let (seq, action) = self.faults.on_send(self.rank, dest, tag.0);
-        match action {
-            SendAction::Deliver => deliver(dest, tag, payload),
-            SendAction::Drop => {
-                self.note_fault(FaultKind::MessageDrop, seq);
-                Ok(())
+        match self.decide(dest, tag, &deliver)? {
+            SendAction::Deliver | SendAction::Delay { hold_sends: 0 } => {
+                deliver(dest, tag, payload)
             }
+            SendAction::Drop => Ok(()),
             SendAction::Duplicate => {
-                self.note_fault(FaultKind::MessageDuplicate, seq);
                 deliver(dest, tag, payload.clone())?;
                 deliver(dest, tag, payload)
             }
             SendAction::Delay { hold_sends } => {
-                self.note_fault(FaultKind::MessageDelay, seq);
-                if hold_sends == 0 {
-                    return deliver(dest, tag, payload);
-                }
                 self.delayed.borrow_mut().push(DelayedSend {
                     remaining: hold_sends,
                     dest,
@@ -100,6 +87,59 @@ impl FaultGate {
                 Ok(())
             }
         }
+    }
+
+    /// Passes a *latest-wins* message through the fault plane before it
+    /// is written: whether the caller is to publish it. A register is
+    /// idempotent, so a duplicated message is published once; a dropped
+    /// one is not published; and neither is a held-back one — the send
+    /// that would release it supersedes it. Each is numbered on its
+    /// channel and reported like any other message's fault, and the
+    /// call ages the held-back queued messages (through `deliver`) as
+    /// any send does.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `deliver` returns for a held-back message that came due.
+    pub fn admits_latest(
+        &self,
+        dest: usize,
+        tag: Tag,
+        deliver: impl Fn(usize, Tag, Bytes) -> Result<(), MpiError>,
+    ) -> Result<bool, MpiError> {
+        Ok(matches!(
+            self.decide(dest, tag, &deliver)?,
+            SendAction::Deliver | SendAction::Duplicate | SendAction::Delay { hold_sends: 0 }
+        ))
+    }
+
+    /// Numbers the next message to `(dest, tag)` and decides its fate,
+    /// reporting an injected fault to the monitor. With the disabled
+    /// plane that is `Deliver` after one branch.
+    fn decide(
+        &self,
+        dest: usize,
+        tag: Tag,
+        deliver: &impl Fn(usize, Tag, Bytes) -> Result<(), MpiError>,
+    ) -> Result<SendAction, MpiError> {
+        if !self.faults.is_enabled() {
+            return Ok(SendAction::Deliver);
+        }
+        // Every send ages the held-back messages; due ones leave first
+        // so a delayed message is overtaken by exactly `hold_sends`
+        // later sends.
+        self.flush(false, deliver)?;
+        let (seq, action) = self.faults.on_send(self.rank, dest, tag.0);
+        if let Some(kind) = action.kind() {
+            self.monitor.emit(
+                Some(self.rank),
+                EventKind::FaultInjected {
+                    fault: kind.as_str().to_string(),
+                    detail: Some(seq),
+                },
+            );
+        }
+        Ok(action)
     }
 
     /// Ages held-back messages by one send and delivers the due ones
@@ -138,16 +178,5 @@ impl FaultGate {
             deliver(entry.dest, entry.tag, entry.payload)?;
         }
         Ok(())
-    }
-
-    /// Emits a `fault_injected` monitor event for a message fault.
-    fn note_fault(&self, kind: FaultKind, seq: u64) {
-        self.monitor.emit(
-            Some(self.rank),
-            EventKind::FaultInjected {
-                fault: kind.as_str().to_string(),
-                detail: Some(seq),
-            },
-        );
     }
 }

@@ -111,7 +111,8 @@ pub trait Transport {
     where
         Self: Sized,
     {
-        send_latest_queued(self, dest, tag, len, fill)
+        let payload = WordSink::fill_pooled(self.pool(), len, fill);
+        self.send_bytes(dest, tag, payload)
     }
 
     /// Blocking receive of the next message matching the optional
@@ -210,19 +211,6 @@ pub trait Transport {
     {
         collective::reduce_sum(self, root, value)
     }
-}
-
-/// [`Transport::send_latest_with`] as an ordinary queued send: `fill`
-/// encodes into a pooled buffer, which [`Transport::send_bytes`] takes.
-pub(crate) fn send_latest_queued<T: Transport>(
-    transport: &T,
-    dest: usize,
-    tag: Tag,
-    len: usize,
-    fill: impl FnOnce(&mut WordSink<'_>),
-) -> Result<(), MpiError> {
-    let payload = WordSink::fill_pooled(transport.pool(), len, fill);
-    transport.send_bytes(dest, tag, payload)
 }
 
 impl Transport for Communicator {

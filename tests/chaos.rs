@@ -9,6 +9,7 @@
 
 mod common;
 
+use common::{serial_merge, trace_events};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -55,8 +56,8 @@ fn validated_kinds(report: &RunReport) -> BTreeSet<&'static str> {
 /// The acceptance demo: a monitored 8-rank run with one worker crashed
 /// mid-run and 5 % of messages dropped still completes, reassigns the
 /// lost budget to survivors (on their own fresh streams — never reusing
-/// a leapfrog stream), and lands within the reported error bars of the
-/// fault-free run.
+/// a leapfrog stream), lands within the reported error bars of the
+/// fault-free run, and is the serial merge of the streams it reports.
 #[test]
 fn mpi_chaos_demo_survives_crash_and_drops() {
     let chaotic = Parmonc::builder(1, 1)
@@ -100,6 +101,11 @@ fn mpi_chaos_demo_survives_crash_and_drops() {
     assert!((mf - 0.5).abs() <= ef, "faulted mean {mf} ± {ef}");
     assert!((mh - 0.5).abs() <= eh, "healthy mean {mh} ± {eh}");
     assert!((mf - mh).abs() <= ef + eh, "{mf} ± {ef} vs {mh} ± {eh}");
+    assert!(chaotic.worker_volumes[3] <= 25);
+    assert_eq!(
+        chaotic.summary,
+        serial_merge(3, (1, 1), &chaotic.worker_volumes)
+    );
 
     // The monitor saw the faults, and the whole trace is schema-valid.
     let summary = chaotic.monitor.as_ref().expect("monitored run");
@@ -114,7 +120,10 @@ fn mpi_chaos_demo_survives_crash_and_drops() {
 
 /// The CI chaos matrix, real-thread half: eight seeded fault plans,
 /// each crashing one rank and dropping 5 % of messages, must all
-/// complete at full volume with unbiased estimates.
+/// complete at full volume with unbiased estimates — each the serial
+/// merge of the streams it reports, bit for bit. The plan does not
+/// choose the runner: these runs are timed in blocks, governed and
+/// latest-wins like any other.
 #[test]
 fn mpi_chaos_matrix_eight_seeds() {
     for seed in 0..8u64 {
@@ -149,7 +158,103 @@ fn mpi_chaos_matrix_eight_seeds() {
             "seed {seed}: mean {}",
             report.summary.means[0]
         );
+        assert!(report.worker_volumes[victim] <= 5, "seed {seed}");
+        assert_eq!(
+            report.summary,
+            serial_merge(seed, (1, 1), &report.worker_volumes),
+            "seed {seed}"
+        );
     }
+}
+
+/// A crash between the realizations of a timed block, with a superseded
+/// subtotal in the slot. Rank 1's routine is one draw, so it runs in
+/// blocks of up to 64 and its subtotals are governed; rank 0's first
+/// realization does not return before rank 1's last one has begun, so
+/// rank 0 does not look at its inbox while rank 1 runs to a crash point
+/// no block length divides — nearly every subtotal rank 1 shipped is
+/// superseded unread, and the newest is all that is left of the rank
+/// when the collector looks. It counts in full, the rest of the quota is
+/// made up, and the estimate is the serial merge of what the report says
+/// contributed.
+#[test]
+fn mpi_crash_mid_block_leaves_its_newest_subtotal_in_the_slot() {
+    use parmonc_obs::EventKind;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    const SEQNUM: u64 = 6;
+    const QUOTA: u64 = 300_000;
+    const AFTER: u64 = 200_003;
+    let victim_at_its_last = AtomicBool::new(false);
+    let routine = RealizeFn::new(|rng, out| {
+        match rng.id() {
+            id if id.processor == 1 && id.realization == AFTER - 1 => {
+                victim_at_its_last.store(true, Ordering::Release);
+            }
+            id if id.processor == 0 && id.realization == 0 => {
+                while !victim_at_its_last.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            }
+            _ => {}
+        }
+        out[0] = rng.next_f64();
+    });
+    let report = Parmonc::builder(1, 1)
+        .max_sample_volume(2 * QUOTA)
+        .processors(2)
+        .seqnum(SEQNUM)
+        .exchange(Exchange::EveryRealization)
+        .faults(FaultPlan::new(4).crash_rank(1, AFTER))
+        .heartbeat_period(Duration::from_millis(10))
+        .liveness_timeout(Duration::from_millis(100))
+        .monitor()
+        .output_dir(tempdir("crash-mid-block"))
+        .run(routine)
+        .unwrap();
+    assert_eq!(report.lost_workers, vec![1]);
+    assert_eq!(report.new_volume, 2 * QUOTA);
+    let delivered = report.worker_volumes[1];
+    assert!(delivered <= AFTER, "{delivered} delivered");
+    assert_eq!(delivered + report.reassigned_realizations, QUOTA);
+    assert_eq!(
+        report.summary,
+        serial_merge(SEQNUM, (1, 1), &report.worker_volumes)
+    );
+
+    let events = trace_events(&report);
+    let subtotal = parmonc::messages::TAG_SUBTOTAL.0;
+    let sent = events
+        .iter()
+        .filter(|e| {
+            e.rank == Some(1)
+                && matches!(e.kind, EventKind::MessageSent { tag, .. } if tag == subtotal)
+        })
+        .count() as u64;
+    let received = events
+        .iter()
+        .filter(|e| {
+            matches!(e.kind, EventKind::MessageReceived { source: 1, tag, .. } if tag == subtotal)
+        })
+        .count() as u64;
+    // Under a plan as without one: far fewer subtotals than
+    // realizations leave the rank, and fewer still are ever read.
+    assert!(
+        1 <= received && received < sent && sent < AFTER - 1,
+        "{received} received of {sent} sent in {AFTER} realizations"
+    );
+    // The crash was the scripted one, and what the rank had last
+    // published when it died is what counted.
+    assert!(events.iter().any(|e| e.rank == Some(1)
+        && matches!(
+            &e.kind,
+            EventKind::FaultInjected { fault, detail: Some(AFTER) } if fault == "rank_crash"
+        )));
+    let last_published = events.iter().rev().find_map(|e| match e.kind {
+        EventKind::Realizations { completed, .. } if e.rank == Some(1) => Some(completed),
+        _ => None,
+    });
+    assert_eq!(last_published, Some(delivered));
 }
 
 /// The CI chaos matrix, virtual-time half: the same shape of fault
@@ -212,7 +317,8 @@ fn wait_for_addr(dir: &std::path::Path) -> String {
 }
 
 /// The CI chaos matrix, TCP half: seeded plans sever each worker's link
-/// mid-run; the seeded reconnect/backoff heals every outage, the run
+/// mid-run (at its first frame once it has done that many
+/// realizations); the seeded reconnect/backoff heals every outage, the run
 /// completes at full volume with no workers declared lost, and the
 /// collector's trace records the rejoins.
 #[test]
@@ -380,6 +486,10 @@ fn mpi_tree_relay_crash_reparents_its_children() {
         (report.summary.means[0] - 0.5).abs() < 0.06,
         "mean {}",
         report.summary.means[0]
+    );
+    assert_eq!(
+        report.summary,
+        serial_merge(3, (1, 1), &report.worker_volumes)
     );
     let kinds = validated_kinds(&report);
     for kind in ["worker_lost", "work_reassigned"] {

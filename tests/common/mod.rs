@@ -1,4 +1,52 @@
-//! Shared by the integration tests that launch worker processes.
+//! Shared by the chaos and conformance integration tests.
+
+use parmonc::{StreamHierarchy, StreamId};
+use parmonc_stats::{MatrixAccumulator, MatrixSummary};
+
+/// The outcome oracle (Lubachevsky's criterion): what a run whose
+/// routine fills its `nrow × ncol` output with `next_f64` draws must
+/// report, bit for bit, if rank `r` contributed its first
+/// `worker_volumes[r]` realization streams of experiment `seqnum` — the
+/// serial merge of those streams in rank order. It holds whatever
+/// befell the run (a crash, drops, a reassignment: subtotals are
+/// cumulative, so a degraded run is the same estimator over the streams
+/// it reports), and however many subtotals crossed.
+pub fn serial_merge(
+    seqnum: u64,
+    (nrow, ncol): (usize, usize),
+    worker_volumes: &[u64],
+) -> MatrixSummary {
+    let hierarchy = StreamHierarchy::default();
+    let mut total = MatrixAccumulator::new(nrow, ncol).unwrap();
+    let mut out = vec![0.0; nrow * ncol];
+    for (rank, &volume) in worker_volumes.iter().enumerate() {
+        let mut acc = MatrixAccumulator::new(nrow, ncol).unwrap();
+        let mut cursor = hierarchy
+            .cursor(StreamId::new(seqnum, rank as u64, 0))
+            .unwrap();
+        for _ in 0..volume {
+            let mut stream = cursor.next_stream().unwrap();
+            out.fill_with(|| stream.next_f64());
+            acc.add(&out).unwrap();
+        }
+        total.merge(&acc).unwrap();
+    }
+    total.summary()
+}
+
+/// Parses a run's full event trace (every line schema-validated by
+/// construction of [`parmonc_obs::schema::parse_line`]).
+pub fn trace_events(report: &parmonc::RunReport) -> Vec<parmonc_obs::Event> {
+    let path = report.results_dir.run_metrics_path();
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+    text.lines()
+        .map(|line| {
+            parmonc_obs::schema::parse_line(line)
+                .unwrap_or_else(|e| panic!("invalid trace line {line:?}: {e}"))
+        })
+        .collect()
+}
 
 /// Asserts the process backend left nothing behind: no live worker
 /// children of this process, no zombies, and no `parmonc-ipc-*` socket

@@ -37,7 +37,7 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use common::assert_no_orphans;
+use common::{assert_no_orphans, serial_merge, trace_events};
 use parmonc::prelude::{
     Exchange, NetOptions, Parmonc, ParmoncBuilder, RealizeFn, RunReport, Topology, Transport,
 };
@@ -634,20 +634,6 @@ fn severed_and_collector_crashed_tcp_run_resumes_bit_identically() {
     assert!(kinds.contains("worker_reconnected"), "kinds: {kinds:?}");
 }
 
-/// Parses a run's full event trace (every line schema-validated by
-/// construction of [`parmonc_obs::schema::parse_line`]).
-fn trace_events(report: &RunReport) -> Vec<parmonc_obs::Event> {
-    let path = report.results_dir.run_metrics_path();
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
-    text.lines()
-        .map(|line| {
-            parmonc_obs::schema::parse_line(line)
-                .unwrap_or_else(|e| panic!("invalid trace line {line:?}: {e}"))
-        })
-        .collect()
-}
-
 /// Span tracing is pure observability: turning it on must not move a
 /// single bit of the estimate on any backend. One config runs traced
 /// over processes, TCP, and threads, plus an untraced thread baseline —
@@ -977,13 +963,6 @@ fn run_over_tcp(
     })
 }
 
-/// An enabled fault plan whose one rule never fires: the world it is
-/// attached to runs timing blocks of one realization, ships every
-/// offer and queues every message, and nothing is ever dropped.
-fn never_fires() -> FaultPlan {
-    FaultPlan::new(1).drop_message(1, 0, 99, u64::MAX)
-}
-
 /// Strict exchange *offers* a subtotal after every realization; what
 /// becomes of the offer depends on the substrate and on the exchange
 /// governor. On threads a shipped subtotal lands in a register the
@@ -994,46 +973,17 @@ fn never_fires() -> FaultPlan {
 /// star at m = 2, 4 and 7, a binary tree at m = 7 (relays reading
 /// registers, the root a queue of batches), loopback TCP at m = 2, and
 /// 32 KB subtotals on threads and over TCP — must reproduce, bit for
-/// bit, the serial merge of the ranks' streams in rank order, and the
-/// same run under an enabled fault plane, where every realization's
-/// subtotal ships and every message is queued and delivered (this
-/// plan's one rule never fires).
+/// bit, the serial merge of the ranks' streams in rank order.
 ///
 /// The same holds for the timing blocks a routine this short is run in
-/// (up to 64 realizations between two clock reads; the faulted arm runs
-/// blocks of one): a prime volume, which no block length divides on any
-/// rank, at m = 1, 2 and 3, under strict and periodic exchange, on
-/// threads and over TCP, comes out exact in volume and in every bit.
+/// (up to 64 realizations between two clock reads): a prime volume,
+/// which no block length divides on any rank, at m = 1, 2 and 3, under
+/// strict and periodic exchange, on threads and over TCP, comes out
+/// exact in volume and in every bit.
 #[test]
-fn latest_wins_exchange_matches_the_serial_merge_and_the_queued_path() {
-    use parmonc::{StreamHierarchy, StreamId};
-    use parmonc_stats::MatrixAccumulator;
-
+fn latest_wins_exchange_matches_the_serial_merge() {
     let _guard = SEQ.lock().unwrap_or_else(|e| e.into_inner());
     const SEQNUM: u64 = 11;
-    let serial = |(nrow, ncol): (usize, usize), volume: u64, m: usize| {
-        let config = Parmonc::builder(nrow, ncol)
-            .max_sample_volume(volume)
-            .processors(m)
-            .build()
-            .unwrap();
-        let hierarchy = StreamHierarchy::default();
-        let mut total = MatrixAccumulator::new(nrow, ncol).unwrap();
-        let mut out = vec![0.0; nrow * ncol];
-        for rank in 0..m {
-            let mut acc = MatrixAccumulator::new(nrow, ncol).unwrap();
-            let mut cursor = hierarchy
-                .cursor(StreamId::new(SEQNUM, rank as u64, 0))
-                .unwrap();
-            for _ in 0..config.quota(rank) {
-                let mut stream = cursor.next_stream().unwrap();
-                out.fill_with(|| stream.next_f64());
-                acc.add(&out).unwrap();
-            }
-            total.merge(&acc).unwrap();
-        }
-        total.summary()
-    };
     const SMALL: ((usize, usize), u64) = ((1, 2), 140_000);
     const LARGE: ((usize, usize), u64) = ((1000, 2), 4_000);
     const PRIME: ((usize, usize), u64) = ((1, 2), 100_003);
@@ -1055,51 +1005,38 @@ fn latest_wins_exchange_matches_the_serial_merge_and_the_queued_path() {
         (PRIME, 3, Topology::Star, true, STRICT),
     ] {
         let what = format!("{shape:?}, m = {m}, {topology:?}, tcp: {tcp}, {exchange:?}");
-        let run = |arm: &str, faulted: bool| {
-            let configure = || {
-                let builder = Parmonc::builder(shape.0, shape.1)
-                    .max_sample_volume(volume)
-                    .processors(m)
-                    .seqnum(SEQNUM)
-                    .exchange(exchange)
-                    .topology(topology);
-                if faulted {
-                    builder.faults(never_fires())
-                } else {
-                    builder
-                }
-            };
-            let name = format!(
-                "latest-{}-{volume}-{m}-{topology:?}-{tcp}-{exchange:?}-{arm}",
-                shape.0
-            );
-            let report = if tcp {
-                run_over_tcp(&name, m, configure)
-            } else {
-                configure()
-                    .output_dir(scratch(&name))
-                    .run(uniform())
-                    .unwrap()
-            };
-            let checkpoint = std::fs::read(report.results_dir.checkpoint_path()).unwrap();
-            (report, checkpoint)
+        let configure = || {
+            Parmonc::builder(shape.0, shape.1)
+                .max_sample_volume(volume)
+                .processors(m)
+                .seqnum(SEQNUM)
+                .exchange(exchange)
+                .topology(topology)
         };
-        let (plain, plain_checkpoint) = run("plain", false);
-        let (faulted, faulted_checkpoint) = run("faulted", true);
+        let name = format!(
+            "latest-{}-{volume}-{m}-{topology:?}-{tcp}-{exchange:?}",
+            shape.0
+        );
+        let report = if tcp {
+            run_over_tcp(&name, m, configure)
+        } else {
+            configure()
+                .output_dir(scratch(&name))
+                .run(uniform())
+                .unwrap()
+        };
+        let quotas: Vec<u64> = {
+            let config = configure().build().unwrap();
+            (0..m).map(|rank| config.quota(rank)).collect()
+        };
+        assert_eq!(report.worker_volumes, quotas, "{what}");
+        assert_eq!(report.new_volume, volume, "{what}");
+        assert!(report.lost_workers.is_empty(), "{what}");
         assert_eq!(
-            plain.summary,
-            serial(shape, volume, m),
+            report.summary,
+            serial_merge(SEQNUM, shape, &quotas),
             "{what}: against the serial merge"
         );
-        assert_eq!(
-            plain.summary, faulted.summary,
-            "{what}: against the run that ships and queues everything"
-        );
-        assert_eq!(plain_checkpoint, faulted_checkpoint, "{what}");
-        for report in [&plain, &faulted] {
-            assert_eq!(report.new_volume, volume, "{what}");
-            assert!(report.lost_workers.is_empty(), "{what}");
-        }
     }
 }
 
@@ -1178,25 +1115,52 @@ fn latest_wins_exchange_is_accounted_for_in_the_trace() {
         (1..30_000).contains(&refreshes),
         "rank 0 refreshed {refreshes} times in a quota of 30 000"
     );
+}
 
-    // The same run under a fault plan (whose one rule never fires) is
-    // the exception both mechanisms make: blocks of one realization,
-    // nothing withheld, everything queued — the worker offers, ships
-    // and has delivered exactly its quota minus one, and rank 0 (whose
-    // quota is the odd realization) refreshes after every one of its
-    // own.
-    let faulted = Parmonc::builder(1, 2)
-        .max_sample_volume(2_001)
-        .processors(2)
-        .exchange(Exchange::EveryRealization)
-        .faults(never_fires())
-        .monitor()
-        .output_dir(scratch("latest-monitored-faulted"))
-        .run(uniform())
-        .unwrap();
-    let events = trace_events(&faulted);
-    assert_eq!(subtotal_traffic(&events), (999, 999));
-    assert_eq!(rank0_refreshes(&events), 1_001);
+/// A link severed while the governor is withholding. The severance is
+/// scripted for rank 1's 50 000th realization of 70 000 — a frame
+/// ordinal a governed worker at τ ≈ 0 never comes near, which is why
+/// link faults key on the rank's progress and not on its frame count:
+/// the plan means the same outage whether 69 999 subtotals cross or a
+/// few hundred. The next frame the worker starts breaks the link, the
+/// seeded reconnect heals it, nobody is lost, and the estimate is the
+/// serial merge of the ranks' streams.
+#[test]
+fn tcp_link_severed_while_the_governor_withholds_heals() {
+    use parmonc_obs::EventKind;
+
+    let _guard = SEQ.lock().unwrap_or_else(|e| e.into_inner());
+    const SEQNUM: u64 = 17;
+    const VOLUME: u64 = 140_000;
+    const AFTER: u64 = 50_000;
+    let report = run_over_tcp("severed-withholding", 2, || {
+        Parmonc::builder(1, 2)
+            .max_sample_volume(VOLUME)
+            .processors(2)
+            .seqnum(SEQNUM)
+            .exchange(Exchange::EveryRealization)
+            .faults(FaultPlan::new(3).sever_connection(1, AFTER))
+            .monitor()
+    });
+    assert!(report.lost_workers.is_empty(), "{:?}", report.lost_workers);
+    assert_eq!(report.new_volume, VOLUME);
+    assert_eq!(report.worker_volumes, [VOLUME / 2, VOLUME / 2]);
+    assert_eq!(
+        report.summary,
+        serial_merge(SEQNUM, (1, 2), &report.worker_volumes)
+    );
+    let events = trace_events(&report);
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::WorkerReconnected { .. })),
+        "the trace never recorded the rejoin"
+    );
+    let (_, received) = subtotal_traffic(&events);
+    assert!(
+        (received as u64) < AFTER,
+        "{received} subtotals crossed: the governor withheld nothing?"
+    );
 }
 
 /// A routine whose calls alternate between nanoseconds and 5 ms — the
@@ -1298,7 +1262,8 @@ fn strict_exchange_ships_every_realization_when_the_routine_is_slow() {
 /// simulated by the same loop as its own quota was, every gate live.
 /// Rank 0's own quota costs nothing here and is done at once; rank 1
 /// crashes after three realizations and is declared lost 200 ms later,
-/// so the 997 realizations it owed — half a millisecond each — land on a
+/// so the realizations it owed — 997 or a few more, if the governor
+/// withheld its last offers; half a millisecond each — land on a
 /// collector that is waiting. While it absorbs them it keeps writing
 /// save-points (one per 20 ms; the run's last comes after) and rewrites
 /// its own state file, where it used to write nothing until the whole
@@ -1308,15 +1273,12 @@ fn strict_exchange_ships_every_realization_when_the_routine_is_slow() {
 /// delivered.
 #[test]
 fn work_reassigned_to_the_waiting_collector_is_simulated_under_every_gate() {
-    use parmonc::{StreamHierarchy, StreamId};
     use parmonc_obs::{EventKind, SpanPhase};
-    use parmonc_stats::MatrixAccumulator;
 
     let _guard = SEQ.lock().unwrap_or_else(|e| e.into_inner());
     const SEQNUM: u64 = 13;
     const QUOTA: u64 = 1_000;
-    const DELIVERED: u64 = 3;
-    const EXTRA: u64 = QUOTA - DELIVERED;
+    const CRASH_AFTER: u64 = 3;
     let routine = RealizeFn::new(|rng, out| {
         let id = rng.id();
         if id.processor != 0 || id.realization >= QUOTA {
@@ -1329,7 +1291,7 @@ fn work_reassigned_to_the_waiting_collector_is_simulated_under_every_gate() {
         .processors(2)
         .seqnum(SEQNUM)
         .exchange(Exchange::EveryRealization)
-        .faults(FaultPlan::new(5).crash_rank(1, DELIVERED))
+        .faults(FaultPlan::new(5).crash_rank(1, CRASH_AFTER))
         .averaging_period(Duration::from_millis(20))
         .heartbeat_period(Duration::from_millis(20))
         .liveness_timeout(Duration::from_millis(200))
@@ -1340,22 +1302,14 @@ fn work_reassigned_to_the_waiting_collector_is_simulated_under_every_gate() {
         .unwrap();
     assert_eq!(report.lost_workers, vec![1]);
     assert_eq!(report.new_volume, 2 * QUOTA);
-    assert_eq!(report.worker_volumes, vec![QUOTA + EXTRA, DELIVERED]);
+    let delivered = report.worker_volumes[1];
+    assert!((1..=CRASH_AFTER).contains(&delivered), "{delivered}");
+    assert_eq!(report.worker_volumes[0], 2 * QUOTA - delivered);
 
-    let hierarchy = StreamHierarchy::default();
-    let mut serial = MatrixAccumulator::new(1, 1).unwrap();
-    for (rank, volume) in report.worker_volumes.iter().enumerate() {
-        let mut acc = MatrixAccumulator::new(1, 1).unwrap();
-        let mut cursor = hierarchy
-            .cursor(StreamId::new(SEQNUM, rank as u64, 0))
-            .unwrap();
-        for _ in 0..*volume {
-            acc.add(&[cursor.next_stream().unwrap().next_f64()])
-                .unwrap();
-        }
-        serial.merge(&acc).unwrap();
-    }
-    assert_eq!(report.summary, serial.summary());
+    assert_eq!(
+        report.summary,
+        serial_merge(SEQNUM, (1, 1), &report.worker_volumes)
+    );
 
     // Rank 0's events, in the order it emitted them, from the
     // reassignment to the final offer that ends the absorption.
@@ -1370,7 +1324,7 @@ fn work_reassigned_to_the_waiting_collector_is_simulated_under_every_gate() {
     };
     let end = events
         .iter()
-        .position(|e| progress(e) == Some(QUOTA + EXTRA))
+        .position(|e| progress(e) == Some(2 * QUOTA - delivered))
         .expect("the absorption ends with a final offer");
     let absorption = &events[..end];
     let passes = absorption
