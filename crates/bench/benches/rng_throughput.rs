@@ -203,7 +203,8 @@ fn bench_stream_jump(c: &mut Criterion) {
 
 /// Positioning the next realization stream: a fresh from-scratch
 /// `realization_stream` (jump-table walk) per realization against the
-/// incremental `StreamCursor` (one 128-bit multiply per advance).
+/// incremental `StreamCursor` (one 128-bit multiply per advance),
+/// returning each stream or overwriting one in place.
 fn bench_stream_setup(c: &mut Criterion) {
     let mut group = c.benchmark_group("stream_setup");
     group.throughput(Throughput::Elements(STREAMS));
@@ -231,6 +232,24 @@ fn bench_stream_setup(c: &mut Criterion) {
             let mut acc = 0.0;
             for _ in 0..STREAMS {
                 let mut s = cursor.next_stream().expect("within capacity");
+                acc += s.next_f64();
+            }
+            black_box(acc)
+        })
+    });
+
+    // The runner's step: the same advance, written into one stream the
+    // caller keeps instead of returned by value.
+    group.bench_function("cursor_in_place", |b| {
+        let h = StreamHierarchy::default();
+        let mut cursor = h.cursor(StreamId::new(1, 0, 0)).expect("within capacity");
+        let mut s = h
+            .realization_stream(StreamId::new(1, 0, 0))
+            .expect("within capacity");
+        b.iter(|| {
+            let mut acc = 0.0;
+            for _ in 0..STREAMS {
+                cursor.next_into(&mut s).expect("within capacity");
                 acc += s.next_f64();
             }
             black_box(acc)

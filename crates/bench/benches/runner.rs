@@ -47,32 +47,6 @@ fn bench_full_runs(c: &mut Criterion) {
         );
     }
 
-    // A 10x larger strict run: the difference against l2000 isolates
-    // the *marginal* per-realization cost from the fixed per-run cost
-    // (directory setup and the fsync-backed result writes), which the
-    // small run is dominated by.
-    group.throughput(Throughput::Elements(20_000));
-    group.bench_function("scalar_l20000_m2_strict", |b| {
-        let mut round = 0u32;
-        b.iter(|| {
-            round += 1;
-            let dir = std::env::temp_dir().join(format!(
-                "parmonc-bench-run-l20k-{}-{round}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let report = Parmonc::builder(1, 1)
-                .max_sample_volume(20_000)
-                .processors(2)
-                .exchange(Exchange::EveryRealization)
-                .output_dir(&dir)
-                .run(RealizeFn::new(|rng, out| out[0] = rng.next_f64()))
-                .unwrap();
-            let _ = std::fs::remove_dir_all(&dir);
-            black_box(report.summary.means[0])
-        })
-    });
-
     // The paper's 1000x2 matrix shape, fewer realizations.
     group.throughput(Throughput::Elements(200));
     group.bench_function("matrix_1000x2_l200_m2", |b| {
@@ -125,19 +99,6 @@ fn bench_full_runs(c: &mut Criterion) {
         if let Some(median) = median_of(id) {
             record_metric(key, median / realizations * 1e9);
         }
-    }
-
-    // Marginal per-realization overhead: fixed per-run cost cancels in
-    // the l20000 − l2000 difference. This is the number to compare
-    // against the `pre_pr/` keys in BENCH_hotpath.json.
-    if let (Some(small), Some(large)) = (
-        median_of("full_run/scalar_l2000_m2/strict"),
-        median_of("full_run/scalar_l20000_m2_strict"),
-    ) {
-        record_metric(
-            "hotpath_marginal_ns_per_realization_strict",
-            (large - small) / 18_000.0 * 1e9,
-        );
     }
 }
 

@@ -29,7 +29,7 @@ use parmonc_obs::{
     EventKind, JsonlSink, MemorySink, MetricsSink, Monitor, MonitorSummary, RunMode, RunTransport,
     SpanEmitter, SpanPhase,
 };
-use parmonc_rng::{StreamCursor, StreamHierarchy, StreamId};
+use parmonc_rng::{RealizationStream, StreamCursor, StreamHierarchy, StreamId};
 use parmonc_stats::{MatrixAccumulator, MatrixSummary};
 
 use self::collector::{rank0_loop, Averaged, Collector};
@@ -767,11 +767,11 @@ fn next_block(block: u64, elapsed: Duration) -> u64 {
 
 /// One rank's simulation, owned by whoever runs [`simulate_quota`] on
 /// it: how far it is to go, what it has accumulated, where its next
-/// stream starts, the buffer the user's routine fills, how many
-/// realizations the next pair of clock reads covers, and the emitter of
-/// the rank's spans. The loop can be
-/// left and entered again on the same value and carries on at the next
-/// stream coordinate.
+/// stream starts, the stream and the buffer the user's routine is
+/// handed, how many realizations the next pair of clock reads covers,
+/// and the emitter of the rank's spans. The loop can be left and
+/// entered again on the same value and carries on at the next stream
+/// coordinate.
 struct RealizationLoop {
     rank: usize,
     /// Realizations this rank is to have simulated in all: its dealt
@@ -781,6 +781,9 @@ struct RealizationLoop {
     /// are done.
     own: Subtotal,
     cursor: StreamCursor,
+    /// The one stream every realization is handed, overwritten in place
+    /// by the cursor before each call.
+    stream: RealizationStream,
     out: Vec<f64>,
     /// Realizations in the next timed block; see [`next_block`].
     block: u64,
@@ -799,7 +802,11 @@ impl RealizationLoop {
     /// One incremental cursor instead of a fresh three-level leapfrog
     /// positioning (three 128-bit modpows) per realization: advancing
     /// to the next realization stream is a single 128-bit multiply and
-    /// yields bit-identical streams (see `parmonc_rng::StreamCursor`).
+    /// yields bit-identical streams (see `parmonc_rng::StreamCursor`),
+    /// written into the loop's one stream. That stream starts as the
+    /// rank's coordinate 0, which is in capacity whenever the cursor's
+    /// start is; the first step overwrites it before any routine sees
+    /// it.
     fn new<R: ?Sized>(
         ctx: &RunCtx<'_, R>,
         rank: usize,
@@ -818,12 +825,16 @@ impl RealizationLoop {
         let cursor =
             ctx.hierarchy
                 .cursor(StreamId::new(config.seqnum, rank as u64, own.acc.count()))?;
+        let stream =
+            ctx.hierarchy
+                .realization_stream(StreamId::new(config.seqnum, rank as u64, 0))?;
         spans.end(sp_position, SpanPhase::StreamPosition);
         Ok(Self {
             rank,
             quota: config.quota(rank),
             own,
             cursor,
+            stream,
             out: vec![0.0f64; config.nrow * config.ncol],
             block: 1,
             spans: spans.clone(),
@@ -879,11 +890,11 @@ impl RealizationLoop {
         let (mut t0, mut now) = (None, None);
         for i in 0..n {
             self.out.fill(0.0);
-            let mut stream = self.cursor.next_stream()?;
+            self.cursor.next_into(&mut self.stream)?;
             if i == 0 {
                 t0 = Some(Instant::now());
             }
-            realize.realize(&mut stream, &mut self.out);
+            realize.realize(&mut self.stream, &mut self.out);
             if i + 1 == n {
                 now = Some(Instant::now());
             }
@@ -1088,30 +1099,44 @@ mod tests {
     }
 
     /// What `rank` accumulates over its first `upto` stream coordinates
-    /// of experiment `seqnum` under [`uniform_mean`].
-    pub(super) fn rank_pass(
+    /// of experiment `seqnum` under `routine`: every stream positioned
+    /// from scratch, every `out` zeroed.
+    pub(super) fn rank_pass_with(
+        routine: &dyn Realize,
         seqnum: u64,
         rank: usize,
         (nrow, ncol): (usize, usize),
         upto: u64,
     ) -> MatrixAccumulator {
+        let h = StreamHierarchy::default();
         let mut acc = MatrixAccumulator::new(nrow, ncol).unwrap();
         let mut out = vec![0.0; nrow * ncol];
-        let mut cursor = StreamHierarchy::default()
-            .cursor(StreamId::new(seqnum, rank as u64, 0))
-            .unwrap();
-        for _ in 0..upto {
-            let mut stream = cursor.next_stream().unwrap();
-            out.fill_with(|| stream.next_f64());
+        for r in 0..upto {
+            let mut stream = h
+                .realization_stream(StreamId::new(seqnum, rank as u64, r))
+                .unwrap();
+            out.fill(0.0);
+            routine.realize(&mut stream, &mut out);
             acc.add(&out).unwrap();
         }
         acc
     }
 
-    /// The outcome oracle of a [`uniform_mean`] run, whatever befell it:
-    /// the serial merge, in rank order, of the first `volumes[rank]`
-    /// streams of every rank — what the report says contributed.
-    pub(super) fn serial_merge(
+    /// [`rank_pass_with`] under [`uniform_mean`].
+    pub(super) fn rank_pass(
+        seqnum: u64,
+        rank: usize,
+        shape: (usize, usize),
+        upto: u64,
+    ) -> MatrixAccumulator {
+        rank_pass_with(&uniform_mean(), seqnum, rank, shape, upto)
+    }
+
+    /// The outcome oracle of a run of `routine`, whatever befell it: the
+    /// serial merge, in rank order, of the first `volumes[rank]` streams
+    /// of every rank — what the report says contributed.
+    pub(super) fn serial_merge_with(
+        routine: &dyn Realize,
         seqnum: u64,
         shape: (usize, usize),
         volumes: &[u64],
@@ -1119,10 +1144,19 @@ mod tests {
         let mut total = MatrixAccumulator::new(shape.0, shape.1).unwrap();
         for (rank, &volume) in volumes.iter().enumerate() {
             total
-                .merge(&rank_pass(seqnum, rank, shape, volume))
+                .merge(&rank_pass_with(routine, seqnum, rank, shape, volume))
                 .unwrap();
         }
         total.summary()
+    }
+
+    /// [`serial_merge_with`] under [`uniform_mean`].
+    pub(super) fn serial_merge(
+        seqnum: u64,
+        shape: (usize, usize),
+        volumes: &[u64],
+    ) -> MatrixSummary {
+        serial_merge_with(&uniform_mean(), seqnum, shape, volumes)
     }
 
     #[test]
@@ -1568,10 +1602,12 @@ mod tests {
     }
 
     /// Hands `drive` the loop of rank `RANK` of `config`, started from
-    /// `resumed`, with nothing around it: no monitor, no spans.
+    /// `resumed` and running `realize`, with nothing around it: no
+    /// monitor, no spans.
     fn drive_loop(
         config: &RunConfig,
         resumed: Option<Subtotal>,
+        realize: &(dyn Realize + 'static),
         drive: impl FnOnce(&RunCtx<'_, dyn Realize>, &mut RealizationLoop),
     ) {
         let faults = config.faults.build();
@@ -1579,7 +1615,7 @@ mod tests {
             config,
             hierarchy: &StreamHierarchy::new(config.leaps),
             dir: &ResultsDir::create(&config.output_dir).unwrap(),
-            realize: &uniform_mean(),
+            realize,
             monitor: &Monitor::disabled(),
             faults: &faults,
             start: Instant::now(),
@@ -1616,7 +1652,7 @@ mod tests {
             acc: one_pass(K),
             compute_seconds: 0.0,
         };
-        drive_loop(&config, Some(resumed), |ctx, sim| {
+        drive_loop(&config, Some(resumed), &uniform_mean(), |ctx, sim| {
             let mut role = Alone { pending: 0 };
             let crashed = simulate_quota(ctx, sim, &mut role).unwrap();
             assert_eq!((crashed, &sim.own.acc), (None, &one_pass(quota)));
@@ -1646,7 +1682,7 @@ mod tests {
             .build()
             .unwrap();
         assert!(config.quota(RANK) > AFTER);
-        drive_loop(&config, None, |ctx, sim| {
+        drive_loop(&config, None, &uniform_mean(), |ctx, sim| {
             let crashed = simulate_quota(ctx, sim, &mut Alone { pending: 0 }).unwrap();
             assert_eq!((crashed, sim.done()), (Some(AFTER), AFTER));
             // The stride the loop had reached when the crash point cut
@@ -1659,6 +1695,107 @@ mod tests {
                 (records[0].kind, records[0].detail),
                 (FaultKind::RankCrash, Some(AFTER))
             );
+        });
+    }
+
+    /// Two routines that leave the stream they were handed in a state
+    /// the next realization must not inherit: one draws a
+    /// data-dependent count, the other also replaces the stream
+    /// wholesale with one of another hierarchy on every tenth call.
+    fn unruly_routines() -> [Box<dyn Realize + Send + Sync>; 2] {
+        let foreign = StreamHierarchy::new(parmonc_rng::LeapConfig::new(12, 8, 4).unwrap());
+        let counted = RealizeFn::new(|rng, out: &mut [f64]| {
+            let k = rng.next_u64() % 17;
+            for _ in 0..k {
+                out[0] += rng.next_f64();
+            }
+            out[1] = k as f64;
+        });
+        let replaced = RealizeFn::new(move |rng, out: &mut [f64]| {
+            let k = rng.next_u64() % 5;
+            if rng.id().realization % 10 == 9 {
+                *rng = foreign.realization_stream(StreamId::new(1, 2, k)).unwrap();
+            }
+            out[0] = rng.next_f64();
+            out[1] = rng.next_f64() + k as f64;
+        });
+        [Box::new(counted), Box::new(replaced)]
+    }
+
+    /// The loop's one stream is overwritten whole before every call:
+    /// under blocks of up to 64, what a routine does to it — draws of
+    /// its own choosing, or a foreign stream in its place — leaves every
+    /// later realization as it would be on a fresh stream, bit for bit
+    /// against the serial merge, for one rank driven directly and for a
+    /// whole run.
+    #[test]
+    fn routines_that_disturb_their_stream_match_the_serial_merge() {
+        for (i, routine) in unruly_routines().iter().enumerate() {
+            let config = Parmonc::builder(1, 2)
+                .max_sample_volume(60_003)
+                .processors(3)
+                .seqnum(SEQNUM)
+                .exchange(Exchange::EveryRealization)
+                .output_dir(tempdir(&format!("loop-unruly-{i}")))
+                .build()
+                .unwrap();
+            let quota = config.quota(RANK);
+            drive_loop(&config, None, routine, |ctx, sim| {
+                let crashed = simulate_quota(ctx, sim, &mut Alone { pending: 0 }).unwrap();
+                assert_eq!(crashed, None);
+                assert!(sim.block > 1, "routine {i} ran blocks of {}", sim.block);
+                let expected = rank_pass_with(routine, SEQNUM, RANK, (1, 2), quota);
+                assert_eq!(sim.own.acc, expected, "routine {i}");
+            });
+            let report = Parmonc::builder(1, 2)
+                .max_sample_volume(60_003)
+                .processors(3)
+                .seqnum(SEQNUM)
+                .output_dir(tempdir(&format!("run-unruly-{i}")))
+                .run(routine)
+                .unwrap();
+            let expected = serial_merge_with(routine, SEQNUM, (1, 2), &report.worker_volumes);
+            assert_eq!(report.summary.means, expected.means, "routine {i}");
+            assert_eq!(report.summary.variances, expected.variances, "routine {i}");
+        }
+    }
+
+    /// Capacity is checked at every step as before: a rank resumed at
+    /// the last coordinate its processor subsequence holds simulates
+    /// that one realization and then fails with the cursor's
+    /// out-of-capacity error, as a fresh stream per realization did.
+    #[test]
+    fn loop_fails_at_the_end_of_a_small_processor_subsequence() {
+        let leaps = parmonc_rng::LeapConfig::new(12, 8, 4).unwrap();
+        let last = leaps.realizations() - 1;
+        let config = Parmonc::builder(1, 2)
+            .max_sample_volume(301)
+            .processors(3)
+            .seqnum(SEQNUM)
+            .leaps(leaps)
+            .output_dir(tempdir("loop-capacity"))
+            .build()
+            .unwrap();
+        assert!(config.quota(RANK) > last + 1);
+        // Only the count of the resumed state matters here.
+        let resumed = Subtotal {
+            acc: rank_pass(SEQNUM, RANK, (1, 2), last),
+            compute_seconds: 0.0,
+        };
+        drive_loop(&config, Some(resumed), &uniform_mean(), |ctx, sim| {
+            let err = simulate_quota(ctx, sim, &mut Alone { pending: 0 }).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ParmoncError::Hierarchy(parmonc_rng::HierarchyError::OutOfCapacity {
+                        level: "realization",
+                        index,
+                        capacity,
+                    }) if index == last + 1 && capacity == last + 1
+                ),
+                "{err:?}"
+            );
+            assert_eq!(sim.done(), last + 1);
         });
     }
 }

@@ -123,6 +123,7 @@ impl StreamCursor {
     /// [`realization_stream`](crate::StreamHierarchy::realization_stream)
     /// would for the same address; the cursor is left unchanged, so a
     /// caller can recover with [`next_processor`](Self::next_processor).
+    #[inline]
     pub fn next_stream(&mut self) -> Result<RealizationStream, HierarchyError> {
         let capacity = self.config.realizations();
         if self.id.realization >= capacity {
@@ -140,6 +141,49 @@ impl StreamCursor {
         self.state = self.state.wrapping_mul(self.leap_r);
         self.id.realization += 1;
         Ok(stream)
+    }
+
+    /// [`next_stream`](Self::next_stream) into a stream the caller
+    /// already holds: overwrites `stream` with the realization stream at
+    /// the current address and advances the cursor.
+    ///
+    /// Every field of `stream` is overwritten — generator state,
+    /// multiplier, address, budget, and the draw count (to zero) — so
+    /// nothing a realization routine did to it survives into the next
+    /// realization, not even replacing it wholesale with a stream from
+    /// another hierarchy. The result is `==` the stream
+    /// [`next_stream`](Self::next_stream) would have returned, because it
+    /// is that stream: one step, two ways to receive it.
+    ///
+    /// Cost: the capacity compare, the generator's odd-state assertion
+    /// and one 128-bit multiply, all inlined into the caller's loop; the
+    /// stream is written where it lives instead of being returned
+    /// through the stack. This is the runner's per-realization step.
+    ///
+    /// # Errors
+    ///
+    /// Returns the same [`HierarchyError::OutOfCapacity`] as
+    /// [`next_stream`](Self::next_stream); both the cursor and `stream`
+    /// are left unchanged.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use parmonc_rng::{StreamHierarchy, StreamId};
+    ///
+    /// let h = StreamHierarchy::default();
+    /// let mut cursor = h.cursor(StreamId::new(0, 3, 0)).unwrap();
+    /// let mut stream = h.realization_stream(StreamId::new(0, 3, 0)).unwrap();
+    /// for r in 0..100 {
+    ///     cursor.next_into(&mut stream).unwrap();
+    ///     assert_eq!(stream, h.realization_stream(StreamId::new(0, 3, r)).unwrap());
+    ///     stream.next_f64();
+    /// }
+    /// ```
+    #[inline]
+    pub fn next_into(&mut self, stream: &mut RealizationStream) -> Result<(), HierarchyError> {
+        *stream = self.next_stream()?;
+        Ok(())
     }
 
     /// Moves the cursor to the head of the next processor subsequence
@@ -322,10 +366,32 @@ mod tests {
         assert!(streams.iter().all(|s| s.budget() == 1 << 4));
     }
 
+    #[test]
+    fn next_into_overwrites_a_drawn_foreign_stream() {
+        let h = StreamHierarchy::default();
+        let id = StreamId::new(1, 2, 3);
+        let mut cursor = h.cursor(id).unwrap();
+        // Drawn from, then replaced by a stream of another hierarchy
+        // (other multiplier leaps, other budget, other address).
+        let mut target = h.realization_stream(StreamId::new(0, 0, 0)).unwrap();
+        for _ in 0..5 {
+            target.next_f64();
+        }
+        let foreign = StreamHierarchy::new(LeapConfig::new(12, 8, 4).unwrap());
+        target = foreign.realization_stream(StreamId::new(2, 1, 7)).unwrap();
+        target.next_u64();
+        assert_ne!(target.budget(), h.realization_stream(id).unwrap().budget());
+        cursor.next_into(&mut target).unwrap();
+        // `==` covers every field, the draw count included.
+        assert_eq!(target, h.realization_stream(id).unwrap());
+    }
+
     proptest! {
-        /// Arbitrary interleavings of realization/processor/experiment
-        /// advancement stay bitwise equal to the from-scratch API,
-        /// including stream budgets and draw accounting.
+        /// Arbitrary interleavings of realization (returned or in place),
+        /// processor and experiment advancement stay bitwise equal to the
+        /// from-scratch API, including stream budgets and draw
+        /// accounting; a failed step changes neither the cursor nor the
+        /// stream it was to overwrite.
         #[test]
         fn random_walks_match_from_scratch(
             start_e in 0u64..4,
@@ -337,10 +403,31 @@ mod tests {
             let h = StreamHierarchy::new(cfg);
             let start = StreamId::new(start_e, start_p, start_r);
             let mut cursor = h.cursor(start).unwrap();
+            // The stream `next_into` overwrites; drawn from after each step.
+            let mut target = h.realization_stream(start).unwrap();
             for m in moves {
                 match m {
                     // Bias toward realization steps: that is the hot path.
-                    0..=7 => {
+                    0..=3 => {
+                        let expected = h.realization_stream(cursor.id());
+                        let (before, target_before) = (cursor.clone(), target.clone());
+                        match cursor.next_into(&mut target) {
+                            Ok(()) => {
+                                let mut e = expected.unwrap();
+                                prop_assert_eq!(&target, &e);
+                                for _ in 0..3 {
+                                    prop_assert_eq!(target.next_raw(), e.next_raw());
+                                }
+                                prop_assert_eq!(target.drawn(), e.drawn());
+                            }
+                            Err(err) => {
+                                prop_assert_eq!(err, expected.unwrap_err());
+                                prop_assert_eq!(&cursor, &before);
+                                prop_assert_eq!(&target, &target_before);
+                            }
+                        }
+                    }
+                    4..=7 => {
                         let expected = h.realization_stream(cursor.id());
                         match cursor.next_stream() {
                             Ok(mut s) => {

@@ -68,6 +68,7 @@ impl Lcg128 {
     ///
     /// Panics if `state` or `multiplier` is even.
     #[must_use]
+    #[inline]
     pub fn with_state_and_multiplier(state: u128, multiplier: u128) -> Self {
         assert!(state & 1 == 1, "LCG state must be odd, got {state:#x}");
         assert!(

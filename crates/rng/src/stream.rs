@@ -86,6 +86,7 @@ impl RealizationStream {
     /// Assembles a stream from a positioned generator (crate-internal
     /// construction path used by
     /// [`StreamHierarchy`](crate::StreamHierarchy)).
+    #[inline]
     pub(crate) fn from_parts(rng: Lcg128, id: StreamId, budget: u128) -> Self {
         Self {
             rng,
