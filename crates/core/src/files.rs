@@ -607,24 +607,28 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// The footer line covers every byte before it; a torn write truncates
 /// it (length mismatch or missing footer) and a bit flip breaks the
 /// checksum, so [`decode_checkpoint`] detects both.
+///
+/// The whole file is written into one buffer reserved up front: a data
+/// line is two `{:.16e}` numbers of at most 24 bytes each.
 fn encode_checkpoint(acc: &MatrixAccumulator, compute_seconds: f64) -> String {
+    use std::fmt::Write as _;
+    const LINE_BYTES: usize = 48;
     let (nrow, ncol) = acc.shape();
-    let mut out = format!(
-        "{} {} {} {:.16e}\n",
+    let mut out = String::with_capacity((nrow * ncol + 2) * LINE_BYTES);
+    // Writing into a `String` cannot fail.
+    let _ = writeln!(
+        out,
+        "{} {} {} {:.16e}",
         nrow,
         ncol,
         acc.count(),
         compute_seconds
     );
     for (s, q) in acc.sums().iter().zip(acc.sums_sq()) {
-        out.push_str(&format!("{s:.16e} {q:.16e}\n"));
+        let _ = writeln!(out, "{s:.16e} {q:.16e}");
     }
-    let footer = format!(
-        "# fnv64 {:016x} len {}\n",
-        fnv1a64(out.as_bytes()),
-        out.len()
-    );
-    out.push_str(&footer);
+    let (sum, len) = (fnv1a64(out.as_bytes()), out.len());
+    let _ = writeln!(out, "# fnv64 {sum:016x} len {len}");
     out
 }
 
@@ -964,6 +968,32 @@ mod tests {
         acc.add(&[1.0]).unwrap();
         rd.save_checkpoint(&acc).unwrap();
         assert_eq!(rd.load_checkpoint().unwrap().unwrap().count(), 1);
+    }
+
+    /// The checkpoint format's exact bytes for a fixed 3×2 accumulator,
+    /// as the per-line `format!` encoder wrote them: zeros of both
+    /// signs, a negative, the smallest subnormal, ±1e300 and a count
+    /// above one. A faster encoder must write the same file.
+    #[test]
+    fn checkpoint_encoding_matches_the_golden_bytes() {
+        const GOLDEN: &str = "3 2 7 1.2500000000000000e-1\n\
+            0.0000000000000000e0 0.0000000000000000e0\n\
+            -0.0000000000000000e0 1.0000000000000000e0\n\
+            -3.5000000000000000e0 1.2250000000000000e1\n\
+            4.9406564584124654e-324 2.2250738585071984e-309\n\
+            1.0000000000000001e300 1.0000000000000001e300\n\
+            -1.0000000000000001e300 1.0000000000000001e300\n\
+            # fnv64 72fa7e86ebcb67a3 len 297\n";
+        let sums = vec![0.0, -0.0, -3.5, 5e-324, 1e300, -1e300];
+        let sums_sq = vec![0.0, 1.0, 12.25, 2.225_073_858_507_2e-309, 1e300, 1e300];
+        let acc = MatrixAccumulator::from_parts(3, 2, sums.clone(), sums_sq.clone(), 7).unwrap();
+        let text = encode_checkpoint(&acc, 0.125);
+        assert_eq!(text, GOLDEN);
+        let (decoded, secs) = decode_checkpoint(&text, Path::new("golden.dat")).unwrap();
+        assert_eq!((decoded.shape(), decoded.count(), secs), ((3, 2), 7, 0.125));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(decoded.sums()), bits(&sums));
+        assert_eq!(bits(decoded.sums_sq()), bits(&sums_sq));
     }
 
     #[test]

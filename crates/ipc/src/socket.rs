@@ -8,7 +8,7 @@
 //! `match` per read or write is noise beside the syscall under it.
 
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -47,7 +47,7 @@ impl Endpoint {
     }
 }
 
-/// A bound, non-blocking listening socket of either kind.
+/// A bound, blocking listening socket of either kind.
 #[derive(Debug)]
 pub(crate) enum Listener {
     Tcp(TcpListener),
@@ -55,18 +55,38 @@ pub(crate) enum Listener {
 }
 
 impl Listener {
-    /// Binds `endpoint` (a TCP address with `SO_REUSEADDR`, see
-    /// [`crate::reuse`]) and switches the listener to non-blocking.
+    /// Binds `endpoint`: a TCP address with `SO_REUSEADDR` (see
+    /// [`crate::reuse`]), or a Unix socket path.
     pub(crate) fn bind(endpoint: &Endpoint) -> io::Result<Self> {
-        let listener = match endpoint {
+        Ok(match endpoint {
             Endpoint::Tcp(addr) => Self::Tcp(crate::reuse::bind_reuseaddr(addr.as_str())?),
             Endpoint::Unix(path) => Self::Unix(UnixListener::bind(path)?),
-        };
-        match &listener {
-            Self::Tcp(l) => l.set_nonblocking(true)?,
-            Self::Unix(l) => l.set_nonblocking(true)?,
+        })
+    }
+
+    /// Where this process dials to reach its own listener: the bound
+    /// address, with an unspecified IP (`0.0.0.0`, `::`) replaced by
+    /// the loopback address of the same family, or the socket path.
+    pub(crate) fn self_endpoint(&self) -> io::Result<Endpoint> {
+        match self {
+            Self::Tcp(l) => {
+                let mut addr = l.local_addr()?;
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr {
+                        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                Ok(Endpoint::Tcp(addr.to_string()))
+            }
+            Self::Unix(l) => {
+                let addr = l.local_addr()?;
+                let path = addr.as_pathname().ok_or_else(|| {
+                    io::Error::new(io::ErrorKind::AddrNotAvailable, "unnamed Unix listener")
+                })?;
+                Ok(Endpoint::Unix(path.to_path_buf()))
+            }
         }
-        Ok(listener)
     }
 
     /// The bound TCP address. A Unix listener has no socket address and
@@ -79,19 +99,17 @@ impl Listener {
         }
     }
 
-    /// Accepts one connection, switched back to blocking, with the
+    /// Blocks until one connection arrives and returns it with the
     /// peer's printable address (`None` for a Unix peer: dialing
     /// sockets are unnamed).
     pub(crate) fn accept(&self) -> io::Result<(Socket, Option<String>)> {
         match self {
             Self::Tcp(l) => {
                 let (stream, peer) = l.accept()?;
-                stream.set_nonblocking(false)?;
                 Ok((Socket::Tcp(stream), Some(peer.to_string())))
             }
             Self::Unix(l) => {
                 let (stream, _) = l.accept()?;
-                stream.set_nonblocking(false)?;
                 Ok((Socket::Unix(stream), None))
             }
         }

@@ -99,9 +99,10 @@ use crate::socket::{Endpoint, Listener, Socket};
 /// kernel receive timeout under [`PatientReader`].
 const READ_POLL: Duration = Duration::from_millis(50);
 
-/// How long the acceptor parks between polls of the non-blocking
-/// listener.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long the acceptor pauses after a failed `accept()` (EMFILE,
+/// ECONNABORTED, ...) before it blocks again, so that an error that
+/// repeats cannot spin a core.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(1);
 
 /// How long a monitored collector waits at shutdown for the workers
 /// that are still connected to hang up by themselves (see
@@ -372,27 +373,40 @@ impl LeaseState {
     }
 }
 
-/// Best-effort atomic persistence of the lease table: encode, write a
-/// temp file, fsync, rename into place. Failures are swallowed — a
-/// lost write degrades a *future* crash-resume to a stale (or absent)
-/// table, which the rejoin validation handles; it must never disturb
-/// the running session.
+/// Best-effort atomic persistence of the lease table, under the same
+/// durability contract as the run's result files: encode, write a
+/// temp file named by pid and a process-wide counter, fsync it, rename
+/// it into place, and fsync the parent directory so the rename itself
+/// survives a power failure. Failures are swallowed — a lost write
+/// degrades a *future* crash-resume to a stale (or absent) table,
+/// which the rejoin validation handles; it must never disturb the
+/// running session.
 ///
 /// Callers hold the lease lock across the snapshot *and* this write.
 /// Handshake threads (admit) and the main thread (`retire_rank`) both
-/// persist; without that critical section they could truncate the
-/// shared temp file concurrently and rename a torn table into place,
-/// or rename an older snapshot over a newer one — losing, e.g., a
-/// retired bit whose rank would then be double-counted on resume.
+/// persist; without that critical section they could rename an older
+/// snapshot over a newer one — losing, e.g., a retired bit whose rank
+/// would then be double-counted on resume.
 fn persist_lease_table(path: &std::path::Path, snapshot: &LeaseSnapshot) {
+    static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
     let write = || -> io::Result<()> {
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+        let tmp = path.with_extension(format!(
+            "tmp.{}.{}",
+            std::process::id(),
+            TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
+        ));
         {
             let mut f = std::fs::File::create(&tmp)?;
             f.write_all(snapshot.encode().as_bytes())?;
             f.sync_all()?;
         }
-        std::fs::rename(&tmp, path)
+        std::fs::rename(&tmp, path)?;
+        // As in the result files' writer, a directory that cannot be
+        // opened for syncing is skipped.
+        if let Some(Ok(dir)) = path.parent().map(std::fs::File::open) {
+            dir.sync_all()?;
+        }
+        Ok(())
     };
     let _ = write();
 }
@@ -490,6 +504,9 @@ pub struct TcpCollectorTransport {
     gate: FaultGate,
     mailbox: Mailbox,
     local_addr: SocketAddr,
+    /// Where [`TcpCollectorTransport::shutdown`] dials to wake the
+    /// acceptor out of `accept()` (see [`Listener::self_endpoint`]).
+    wake: Endpoint,
     acceptor: Option<JoinHandle<()>>,
     /// The worker processes of a launched world (see [`crate::launch`]);
     /// `None` for a TCP world, whose workers are somebody else's.
@@ -534,6 +551,7 @@ impl TcpCollectorTransport {
         }
         let listener = Listener::bind(endpoint)?;
         let local_addr = listener.local_addr()?;
+        let wake = listener.self_endpoint()?;
 
         let (tx, rx) = mpsc::channel();
         let stats = Arc::new(InboxStats::default());
@@ -608,6 +626,7 @@ impl TcpCollectorTransport {
             gate: FaultGate::new(0, opts.faults, opts.monitor.clone()),
             mailbox: Mailbox::new(0, rx, opts.monitor, stats),
             local_addr,
+            wake,
             acceptor: Some(acceptor),
             launched: None,
             shut_down: false,
@@ -647,13 +666,10 @@ impl TcpCollectorTransport {
     }
 
     /// How many ranks have been leased at least once — what the
-    /// launcher polls until every child has joined. Each poll also
-    /// cuts the acceptor's idle wait short: dials are imminent, and a
-    /// child left to the 5 ms poll starts computing that much later.
+    /// launcher polls until every child has joined. A read and nothing
+    /// more: the acceptor is blocked in `accept()`, so a child's dial
+    /// is taken the moment it arrives.
     pub(crate) fn ever_leased(&self) -> usize {
-        if let Some(acceptor) = &self.acceptor {
-            acceptor.thread().unpark();
-        }
         let leased = self.snapshot().ever_leased;
         leased.iter().filter(|&&leased| leased).count()
     }
@@ -695,10 +711,20 @@ impl TcpCollectorTransport {
     /// Tears the world down: force-flushes fault-delayed sends, waits
     /// for a launched world's children to exit on their own (killing
     /// any that outlive the deadline), raises the stop flag, shuts
-    /// every live connection down (remote workers see EOF), and joins
-    /// the acceptor and reader threads — which guarantees every
-    /// forwarded worker event is in the monitor's sinks on return.
-    /// Idempotent.
+    /// every live connection down (remote workers see EOF), wakes the
+    /// acceptor out of `accept()` by dialing its own listener, and
+    /// joins the acceptor, handshake and reader threads — which
+    /// guarantees every forwarded worker event is in the monitor's
+    /// sinks on return. Idempotent.
+    ///
+    /// The wake dial goes to the bound address — to loopback when the
+    /// listener is bound to `0.0.0.0` or `::` — or to the Unix socket
+    /// path, which still exists here because a launched world's
+    /// directory is removed last. If that dial fails (a full listen
+    /// backlog, a host that filters loopback), the acceptor is not
+    /// joined: shutdown returns rather than hang, and the acceptor,
+    /// which checks the stop flag after every `accept()` return, exits
+    /// at the next connection that reaches it.
     ///
     /// Children are reaped *before* the connections close: a child that
     /// has sent its final flushes its own sinks and exits by itself, so
@@ -740,7 +766,7 @@ impl TcpCollectorTransport {
                 std::thread::sleep(DEPARTURE_POLL);
             }
         }
-        self.ctx.stop.store(true, Ordering::Relaxed);
+        self.ctx.stop.store(true, Ordering::Release);
         if let Ok(lease) = self.ctx.lease.lock() {
             for writer in lease.writers.iter().flatten() {
                 if let Ok(stream) = writer.lock() {
@@ -749,8 +775,10 @@ impl TcpCollectorTransport {
             }
         }
         if let Some(handle) = self.acceptor.take() {
-            handle.thread().unpark();
-            let _ = handle.join();
+            // Held open until the join; the acceptor drops its end unread.
+            if let Ok(_wake) = self.wake.dial(self.ctx.io_timeout) {
+                let _ = handle.join();
+            }
         }
         // With the acceptor gone no new handshake can start; joining
         // the in-flight ones (bounded by the handshake read timeout)
@@ -850,15 +878,26 @@ impl Transport for TcpCollectorTransport {
     }
 }
 
-/// The acceptor: polls the non-blocking listener until shutdown,
-/// handing each dialing connection to a short handshake thread. The
-/// handshake reads with the `io_timeout` read timeout, so running it
-/// inline would let one stalled dialer block every other join — and,
-/// worse, the rejoins of healthy reconnecting workers — for up to
-/// `io_timeout` per such connection.
+/// The acceptor: blocks in `accept()` until shutdown, handing each
+/// dialing connection to a short handshake thread. The handshake reads
+/// with the `io_timeout` read timeout, so running it inline would let
+/// one stalled dialer block every other join — and, worse, the rejoins
+/// of healthy reconnecting workers — for up to `io_timeout` per such
+/// connection.
+///
+/// Every return from `accept()` checks the stop flag first: shutdown
+/// raises it and then dials the listener itself, so the wake
+/// connection (or any dialer that raced it) is dropped unhandled and
+/// the loop ends. A dial costs no poll interval: it is taken the
+/// moment it arrives.
 fn accept_loop(listener: &Listener, ctx: &Arc<AcceptorCtx>) {
-    while !ctx.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Pairs with shutdown's `Release` store, made before its dial.
+        if ctx.stop.load(Ordering::Acquire) {
+            return;
+        }
+        match accepted {
             Ok((stream, peer)) => {
                 let hs_ctx = Arc::clone(ctx);
                 let spawned = std::thread::Builder::new()
@@ -883,10 +922,9 @@ fn accept_loop(listener: &Listener, ctx: &Arc<AcceptorCtx>) {
                     handshakes.push(handle);
                 }
             }
-            // WouldBlock is the idle case; any other accept error is
-            // transient on a healthy listener, so keep serving. Parked,
-            // not asleep: shutdown cuts the wait short.
-            Err(_) => std::thread::park_timeout(ACCEPT_POLL),
+            // An accept error (EMFILE, ECONNABORTED) is transient on a
+            // healthy listener, so keep serving after a short pause.
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -1971,6 +2009,11 @@ mod tests {
     /// A listening collector of the given kind (digest 42) and the
     /// endpoint its workers dial.
     fn world(kind: Kind, size: usize, quotas: Vec<u64>) -> (TcpCollectorTransport, Endpoint) {
+        world_with(kind, options(size, quotas, None))
+    }
+
+    /// A [`world`] listening with `opts`.
+    fn world_with(kind: Kind, opts: ListenOptions) -> (TcpCollectorTransport, Endpoint) {
         static NONCE: AtomicU64 = AtomicU64::new(0);
         let bind = match kind {
             Kind::Tcp => Endpoint::Tcp("127.0.0.1:0".into()),
@@ -1980,8 +2023,8 @@ mod tests {
                 NONCE.fetch_add(1, Ordering::Relaxed)
             ))),
         };
-        let collector = TcpCollectorTransport::listen_on(&bind, options(size, quotas, None))
-            .expect("bind the test endpoint");
+        let collector =
+            TcpCollectorTransport::listen_on(&bind, opts).expect("bind the test endpoint");
         let dial = match bind {
             Endpoint::Tcp(_) => Endpoint::Tcp(collector.local_addr().to_string()),
             unix @ Endpoint::Unix(_) => unix,
@@ -2301,6 +2344,125 @@ mod tests {
         drop(stalled);
         drop(worker);
         collector.shutdown().unwrap();
+    }
+
+    /// Runs `body` on its own thread and fails if it has not returned
+    /// within `limit`, so that a shutdown which never wakes its
+    /// acceptor fails the test instead of hanging the suite.
+    fn within<T: Send + 'static>(limit: Duration, body: impl FnOnce() -> T + Send + 'static) -> T {
+        let handle = std::thread::spawn(body);
+        let deadline = Instant::now() + limit;
+        while !handle.is_finished() {
+            assert!(Instant::now() < deadline, "still running after {limit:?}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        handle
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+
+    #[test]
+    fn shutdown_wakes_an_acceptor_nobody_dialed() {
+        static NONCE: AtomicU64 = AtomicU64::new(0);
+        let mut binds = vec![
+            Endpoint::Tcp("127.0.0.1:0".into()),
+            Endpoint::Tcp("0.0.0.0:0".into()),
+            Endpoint::Unix(std::env::temp_dir().join(format!(
+                "parmonc-ipc-wake-{}-{}.sock",
+                std::process::id(),
+                NONCE.fetch_add(1, Ordering::Relaxed)
+            ))),
+        ];
+        if std::net::TcpListener::bind("[::1]:0").is_ok() {
+            binds.push(Endpoint::Tcp("[::]:0".into()));
+        }
+        for bind in binds {
+            let mut collector = TcpCollectorTransport::listen_on(&bind, options(2, vec![10], None))
+                .expect("bind the test endpoint");
+            let wake = collector.wake.clone();
+            if let (Endpoint::Tcp(bound), Endpoint::Tcp(dialed)) = (&bind, &wake) {
+                let dialed: SocketAddr = dialed.parse().unwrap();
+                assert!(dialed.ip().is_loopback(), "{bound} wakes through {dialed}");
+            }
+            let collector = within(Duration::from_secs(20), move || {
+                collector.shutdown().unwrap();
+                collector
+            });
+            // Joined, not skipped: the acceptor has exited and closed
+            // the listener it owned, so nothing answers a dial now.
+            assert!(
+                wake.dial(TIMEOUT).is_err(),
+                "{bind:?}: the acceptor outlived shutdown"
+            );
+            close(collector, &bind);
+        }
+    }
+
+    #[test]
+    fn a_silent_dialer_does_not_hold_shutdown_past_the_handshake_timeout() {
+        let io_timeout = Duration::from_millis(300);
+        for kind in KINDS {
+            let mut opts = options(2, vec![10], None);
+            opts.io_timeout = io_timeout;
+            let (mut collector, endpoint) = world_with(kind, opts);
+            let silent = endpoint.dial(TIMEOUT).unwrap();
+            // Wait until its handshake thread is reading, so shutdown
+            // has to join it.
+            let deadline = Instant::now() + TIMEOUT;
+            while collector.ctx.handshakes.lock().unwrap().is_empty() {
+                assert!(
+                    Instant::now() < deadline,
+                    "{kind:?}: the dial was never accepted"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let started = Instant::now();
+            let collector = within(Duration::from_secs(20), move || {
+                collector.shutdown().unwrap();
+                collector
+            });
+            assert!(
+                started.elapsed() < io_timeout + Duration::from_secs(2),
+                "{kind:?}: shutdown took {:?}",
+                started.elapsed()
+            );
+            drop(silent);
+            close(collector, &endpoint);
+        }
+    }
+
+    /// Shutdown wakes a launched world's acceptor through the socket in
+    /// its private directory; it must still reap the child and remove
+    /// that directory afterwards. Re-executed as the child, this test
+    /// joins as the one worker and returns.
+    #[test]
+    fn a_launched_world_reaps_and_removes_its_socket_directory() {
+        const NAME: &str = "tcp::tests::a_launched_world_reaps_and_removes_its_socket_directory";
+        if let Some(info) = crate::worker_env() {
+            let socket = info.socket.display().to_string();
+            let worker =
+                TcpWorkerTransport::join_unix(join_options(socket, 42, FaultHandle::disabled()))
+                    .expect("the child joins its parent's world");
+            assert_eq!(worker.rank(), 1);
+            return;
+        }
+        let args = vec![NAME.to_string(), "--exact".to_string()];
+        let mut world =
+            crate::launch(options(2, vec![10], None), Some(args)).expect("launch one worker");
+        let Endpoint::Unix(socket) = world.wake.clone() else {
+            panic!("a launched world listens on a Unix socket");
+        };
+        let dir = socket
+            .parent()
+            .expect("the socket's directory")
+            .to_path_buf();
+        assert!(dir.is_dir());
+        let world = within(Duration::from_secs(60), move || {
+            world.shutdown().unwrap();
+            world
+        });
+        assert!(world.launched.is_none(), "the child was not reaped");
+        assert!(!dir.exists(), "{dir:?} outlived shutdown");
     }
 
     #[test]
