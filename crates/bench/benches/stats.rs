@@ -1,7 +1,9 @@
 //! Estimator costs (DESIGN.md ablation #4): raw-sum accumulation vs
 //! Welford, matrix add/merge at the paper's 1000×2 shape, and summary
 //! extraction. `ratio_matrix_add_speedup` is the matrix `add` against
-//! its per-entry-scan yardstick (docs/performance.md, "Accumulation").
+//! its per-entry-scan yardstick (docs/performance.md, "Accumulation");
+//! `ratio_sci_format_speedup` is `report::push_sci` against `write!`
+//! (docs/performance.md, "Run set-up").
 
 use parmonc_bench::harness::{
     black_box, criterion_group, criterion_main, median_of, record_metric, Criterion, Throughput,
@@ -114,5 +116,58 @@ fn scan_then_accumulate(
     Ok(())
 }
 
-criterion_group!(benches, bench_scalar_accumulation, bench_matrix_paper_shape);
+/// The save-point's number formatting: `report::push_sci` against
+/// `write!("{:.16e}")` over the 4 000 sums of a 1000×2 checkpoint, and
+/// a whole `func_ci.dat` at that shape.
+fn bench_report(c: &mut Criterion) {
+    use std::fmt::Write as _;
+    let mut rng = Lcg128::new();
+    let mut acc = MatrixAccumulator::new(1000, 2).unwrap();
+    for _ in 0..100 {
+        let realization: Vec<f64> = (0..2000).map(|_| rng.next_f64() * 40.0 - 20.0).collect();
+        acc.add(&realization).unwrap();
+    }
+    let values: Vec<f64> = acc.sums().iter().chain(acc.sums_sq()).copied().collect();
+    let mut out = String::with_capacity(values.len() * 25);
+
+    let mut group = c.benchmark_group("report");
+    group.throughput(Throughput::Elements(values.len() as u64));
+    group.bench_function("push_sci_4000", |b| {
+        b.iter(|| {
+            out.clear();
+            for &v in black_box(&values) {
+                parmonc_stats::report::push_sci(&mut out, v);
+                out.push(' ');
+            }
+            out.len()
+        })
+    });
+    group.bench_function("write_sci_4000", |b| {
+        b.iter(|| {
+            out.clear();
+            for &v in black_box(&values) {
+                let _ = write!(out, "{v:.16e} ");
+            }
+            out.len()
+        })
+    });
+    let summary = acc.summary();
+    group.bench_function("render_func_ci_1000x2", |b| {
+        b.iter(|| parmonc_stats::report::render_func_ci(black_box(&summary)))
+    });
+    group.finish();
+    if let (Some(fmt), Some(kernel)) = (
+        median_of("report/write_sci_4000"),
+        median_of("report/push_sci_4000"),
+    ) {
+        record_metric("ratio_sci_format_speedup", fmt / kernel);
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_scalar_accumulation,
+    bench_matrix_paper_shape,
+    bench_report
+);
 criterion_main!(benches);

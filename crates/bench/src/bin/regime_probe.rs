@@ -11,9 +11,10 @@
 //! regime_spin_ratio 0.98 (concurrent 0.61 ms, one spin alone 0.62 ms, 1.54 ns per step)
 //! ```
 //!
-//! With `PARMONC_BENCH_JSON` set, the ratio is merged into that file as
-//! `regime_spin_ratio` (informational: `hotpath_compare` gates no key of
-//! that name).
+//! With `PARMONC_BENCH_JSON` set, both numbers it prints are merged
+//! into that file: the ratio as `regime_spin_ratio` and the per-core
+//! speed as `regime_ns_per_step` (informational: `hotpath_compare`
+//! gates no key of either name).
 
 use std::hint::black_box;
 use std::sync::Barrier;
@@ -89,12 +90,13 @@ fn main() {
         .collect();
     rounds.sort_by(|a, b| a.0.total_cmp(&b.0));
     let (ratio, together, alone) = rounds[ROUNDS / 2];
+    let ns_per_step = alone.as_secs_f64() * 1e9 / STEPS as f64;
     println!(
-        "regime_spin_ratio {ratio:.2} (concurrent {:.2} ms, one spin alone {:.2} ms, {:.2} ns per step)",
+        "regime_spin_ratio {ratio:.2} (concurrent {:.2} ms, one spin alone {:.2} ms, {ns_per_step:.2} ns per step)",
         together.as_secs_f64() * 1e3,
         alone.as_secs_f64() * 1e3,
-        alone.as_secs_f64() * 1e9 / STEPS as f64,
     );
     record_metric("regime_spin_ratio", ratio);
+    record_metric("regime_ns_per_step", ns_per_step);
     write_json_if_requested();
 }
