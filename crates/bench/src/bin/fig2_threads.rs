@@ -1,84 +1,157 @@
-//! The paper's performance test on *real threads* at laptop scale.
+//! The paper's performance test (Section 4, Fig. 2) on the runner that
+//! ships, at the paper's processor counts.
 //!
-//! Runs the Section 4 diffusion workload through the actual
-//! `parmonc::runner` (per-realization exchange, collector on rank 0)
-//! with τ scaled down to milliseconds, and reports `T_comp(L)` per
-//! processor count — the thread-level twin of `fig2_sim`.
+//! The paper's realization is τ = 7.7 s of CPU on a processor of its
+//! own. Here the user routine *sleeps* τ instead, then fills its
+//! 1000 × 2 output from its stream, so every subtotal is the size the
+//! paper's program sends. A sleeping rank costs no CPU, so hundreds of
+//! ranks fit on a few cores, and each run still goes through the real
+//! thread-backend collector, mailboxes, exchange governor, relays and
+//! save-point files.
 //!
-//! On a host with ≥ M cores the series reproduces the paper's linear
-//! speedup; on fewer cores (including the single-core CI box this
-//! repository was built on) threads time-share and the expected shape
-//! is instead *constant total throughput* — T_comp ≈ L · τ regardless
-//! of M — which certifies that the runner's exchange machinery adds no
-//! measurable overhead even when every realization triggers a message.
+//! The grid is fixed: M ∈ {1, 8, 64, 128, 256, 512}, star and
+//! `Tree { arity: 8 }`, strict ([`Exchange::EveryRealization`]) and
+//! periodic exchange, τ ∈ {200, 50, 10, 2} ms. A tree of arity 8 over
+//! M ≤ 9 ranks is the star, so those tree cells are not run. Each cell
+//! runs two lengths, `l_per_proc / 2` and `l_per_proc` realizations per
+//! rank (L = n · M), and fits wall = fixed + n · round through the two
+//! points. Efficiency is the per-rank ideal n · τ over `report.elapsed`.
 //!
 //! ```text
-//! fig2_threads [max_procs] [l_per_proc] [steps_per_point] [--monitor]
+//! fig2_threads [max_procs] [l_per_proc] [--monitor]
 //! ```
 //!
-//! With `--monitor`, each run records the observability trace
-//! (`monitor/run_metrics.jsonl` under its results directory) and the
-//! largest-M run's monitor summary table is printed after the series.
+//! `max_procs` (default 512) drops the larger M; `l_per_proc` defaults
+//! to 40. With `PARMONC_BENCH_JSON` set, each cell's record
+//! (`efficiency_short`, `efficiency_long`, `fixed_s`, `round_s`) is
+//! merged into that file under
+//! `fig2_threads/tau<τ>ms/m<M>/<star|tree8>/<strict|periodic>/`; run
+//! `regime_probe` with the same file first to record the box's regime
+//! beside them.
+//! With `--monitor`, each run records its observability trace and the
+//! last run's monitor summary table is printed after the grid.
 
 use std::process::ExitCode;
+use std::time::Duration;
 
-use parmonc_bench::run_diffusion_threads_report;
+use parmonc::prelude::{Exchange, Parmonc, ParmoncError, RealizeFn, RunReport, Topology};
+use parmonc_bench::harness::{record_metric, write_json_if_requested};
+
+const PROCESSORS: [usize; 6] = [1, 8, 64, 128, 256, 512];
+const TAUS_MS: [u64; 4] = [200, 50, 10, 2];
+const ARITY: usize = 8;
+const TREE: Topology = Topology::Tree { arity: ARITY };
+
+/// One run of `per_rank` realizations on each of `m` ranks.
+fn run(
+    m: usize,
+    per_rank: u64,
+    tau: Duration,
+    topology: Topology,
+    exchange: Exchange,
+    monitor: bool,
+) -> Result<RunReport, ParmoncError> {
+    let dir = std::env::temp_dir().join(format!("parmonc-fig2-threads-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut builder = Parmonc::builder(1000, 2)
+        .max_sample_volume(per_rank * m as u64)
+        .processors(m)
+        .topology(topology)
+        .exchange(exchange)
+        .output_dir(&dir);
+    if monitor {
+        builder = builder.monitor();
+    }
+    let report = builder.run(RealizeFn::new(move |rng, out| {
+        std::thread::sleep(tau);
+        rng.fill_f64(out);
+    }));
+    let _ = std::fs::remove_dir_all(&dir);
+    report
+}
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let before = args.len();
     args.retain(|a| a != "--monitor");
     let monitor = args.len() < before;
-    let max_procs: usize = args.first().map_or(8, |s| s.parse().unwrap_or(8));
-    let l_per_proc: u64 = args.get(1).map_or(64, |s| s.parse().unwrap_or(64));
-    let steps: usize = args.get(2).map_or(20, |s| s.parse().unwrap_or(20));
+    let max_procs: usize = args.first().map_or(512, |s| s.parse().unwrap_or(512));
+    let long: u64 = args.get(1).map_or(40, |s| s.parse().unwrap_or(40)).max(2);
+    let short = long / 2;
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("fig2 thread harness: diffusion workload, 1000x2 matrices,");
     println!(
-        "{steps} Euler steps per output point, per-realization exchange; host has {cores} core(s)"
+        "fig2 on the thread runner: the routine sleeps tau, then fills 1000x2; \
+         {short} and {long} realizations per rank; host has {cores} core(s)"
     );
     println!(
-        "{:>5} {:>8} {:>12} {:>14} {:>16}",
-        "M", "L", "T_comp (s)", "tau (s)", "L*tau/T (thru)"
+        "{:>6} {:>4} {:>5} {:>8} {:>9} {:>9} {:>7} {:>7} {:>9} {:>10}",
+        "tau_ms",
+        "M",
+        "topo",
+        "exchange",
+        format!("wall@{short}"),
+        format!("wall@{long}"),
+        format!("eff@{short}"),
+        format!("eff@{long}"),
+        "fixed_s",
+        "round_ms"
     );
 
-    let mut m = 1usize;
     let mut failed = false;
     let mut last_summary = None;
-    while m <= max_procs {
-        let l = l_per_proc * m as u64;
-        let dir =
-            std::env::temp_dir().join(format!("parmonc-fig2-threads-{}-m{m}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        match run_diffusion_threads_report(l, m, steps, &dir, monitor) {
-            Ok(report) => {
-                let t_comp = report.elapsed.as_secs_f64();
-                let tau = report.mean_time_per_realization;
-                let throughput = l as f64 * tau / t_comp;
-                println!("{m:>5} {l:>8} {t_comp:>12.3} {tau:>14.6} {throughput:>16.2}");
-                last_summary = report.monitor;
-            }
-            Err(e) => {
-                eprintln!("M = {m}: {e}");
-                failed = true;
+    for tau_ms in TAUS_MS {
+        let tau = Duration::from_millis(tau_ms);
+        for m in PROCESSORS.into_iter().filter(|&m| m <= max_procs) {
+            for (topo, topology) in [("star", Topology::Star), ("tree8", TREE)] {
+                if topology == TREE && m <= ARITY + 1 {
+                    continue;
+                }
+                for (exch, exchange) in [
+                    ("strict", Exchange::EveryRealization),
+                    ("periodic", Exchange::Periodic),
+                ] {
+                    let mut walls = [0.0f64; 2];
+                    for (wall, n) in walls.iter_mut().zip([short, long]) {
+                        match run(m, n, tau, topology, exchange, monitor) {
+                            Ok(report) => {
+                                *wall = report.elapsed.as_secs_f64();
+                                last_summary = report.monitor;
+                            }
+                            Err(e) => {
+                                eprintln!("tau {tau_ms} ms, M = {m}, {topo}, {exch}, n = {n}: {e}");
+                                failed = true;
+                            }
+                        }
+                    }
+                    let efficiency = |wall: f64, n: u64| n as f64 * tau.as_secs_f64() / wall;
+                    let (eff_short, eff_long) =
+                        (efficiency(walls[0], short), efficiency(walls[1], long));
+                    let round = (walls[1] - walls[0]) / (long - short) as f64;
+                    let fixed = walls[0] - short as f64 * round;
+                    println!(
+                        "{tau_ms:>6} {m:>4} {topo:>5} {exch:>8} {:>9.3} {:>9.3} {eff_short:>7.3} {eff_long:>7.3} {fixed:>9.3} {:>10.2}",
+                        walls[0],
+                        walls[1],
+                        round * 1e3
+                    );
+                    let key = format!("fig2_threads/tau{tau_ms}ms/m{m}/{topo}/{exch}");
+                    record_metric(&format!("{key}/efficiency_short"), eff_short);
+                    record_metric(&format!("{key}/efficiency_long"), eff_long);
+                    record_metric(&format!("{key}/fixed_s"), fixed);
+                    record_metric(&format!("{key}/round_s"), round);
+                }
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
-        m *= 2;
     }
+    write_json_if_requested();
     if let Some(summary) = last_summary {
-        println!("\nmonitor summary of the largest-M run:");
+        println!("\nmonitor summary of the last run:");
         println!("{}", summary.render_table());
     }
     if failed {
         ExitCode::FAILURE
     } else {
-        println!(
-            "\ninterpretation: with >= M cores, T_comp stays flat as M and L grow together\n\
-             (linear speedup); on this {cores}-core host the weak-scaling throughput column\n\
-             (ideal = M x cores-limited) certifies exchange overhead stays negligible."
-        );
         ExitCode::SUCCESS
     }
 }

@@ -6,9 +6,6 @@
 pub mod harness;
 pub mod hotpath;
 
-use std::time::Duration;
-
-use parmonc::{Exchange, Parmonc, ParmoncError, RealizeFn};
 use parmonc_sde::{EulerScheme, OutputGrid, PaperDiffusion};
 
 /// A laptop-scale version of the paper's diffusion workload: same
@@ -47,54 +44,6 @@ impl ScaledDiffusion {
     }
 }
 
-/// Runs the paper's performance-test program (the Section 4 listing)
-/// at laptop scale, optionally with the run monitor attached, and
-/// returns the full report.
-///
-/// # Errors
-///
-/// Propagates runner errors.
-pub fn run_diffusion_threads_report(
-    l: u64,
-    processors: usize,
-    steps_per_point: usize,
-    output_dir: &std::path::Path,
-    monitor: bool,
-) -> Result<parmonc::RunReport, ParmoncError> {
-    let workload = ScaledDiffusion::new(steps_per_point);
-    let scheme = workload.scheme().clone();
-    let difftraj = RealizeFn::new(move |rng, out| scheme.realize_into(rng, out));
-    let mut builder = Parmonc::builder(ScaledDiffusion::POINTS, 2)
-        .max_sample_volume(l)
-        .processors(processors)
-        .exchange(Exchange::EveryRealization)
-        .averaging_period(Duration::ZERO)
-        .output_dir(output_dir);
-    if monitor {
-        builder = builder.monitor();
-    }
-    builder.run(difftraj)
-}
-
-/// Runs the paper's performance-test program (the Section 4 listing)
-/// at laptop scale and returns `(T_comp_seconds, mean_tau_seconds)`.
-///
-/// # Errors
-///
-/// Propagates runner errors.
-pub fn run_diffusion_threads(
-    l: u64,
-    processors: usize,
-    steps_per_point: usize,
-    output_dir: &std::path::Path,
-) -> Result<(f64, f64), ParmoncError> {
-    let report = run_diffusion_threads_report(l, processors, steps_per_point, output_dir, false)?;
-    Ok((
-        report.elapsed.as_secs_f64(),
-        report.mean_time_per_realization,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,14 +56,5 @@ mod tests {
         // Final time stays 100 like the paper.
         let t_end = w.scheme().grid().time(999, w.scheme().h());
         assert!((t_end - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn thread_harness_runs() {
-        let dir = std::env::temp_dir().join(format!("parmonc-benchlib-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (t_comp, tau) = run_diffusion_threads(8, 2, 2, &dir).unwrap();
-        assert!(t_comp > 0.0);
-        assert!(tau > 0.0);
     }
 }

@@ -76,9 +76,9 @@ pub enum Exchange {
     /// having merged them. The final subtotal always ships, so final
     /// estimates do not depend on any of this. A routine shorter than
     /// 0.5 µs is timed in blocks of up to 64 calls, and the offer is
-    /// made once per block; at 0.5 µs and above a block is one call. A
-    /// run with an enabled [`FaultPlan`] runs blocks of one and ships
-    /// every realization.
+    /// made once per block; at 0.5 µs and above a block is one call. An
+    /// enabled [`FaultPlan`] changes none of this: a faulted run is
+    /// timed in blocks and governed like any other.
     EveryRealization,
     /// Ship when `perpass` has elapsed since the last send (the normal
     /// production mode, Section 3.2).

@@ -380,7 +380,8 @@ impl LeaseState {
 /// survives a power failure. Failures are swallowed — a lost write
 /// degrades a *future* crash-resume to a stale (or absent) table,
 /// which the rejoin validation handles; it must never disturb the
-/// running session.
+/// running session — but a failed write removes its temp file, since
+/// nothing else sweeps the directory.
 ///
 /// Callers hold the lease lock across the snapshot *and* this write.
 /// Handshake threads (admit) and the main thread (`retire_rank`) both
@@ -389,12 +390,12 @@ impl LeaseState {
 /// would then be double-counted on resume.
 fn persist_lease_table(path: &std::path::Path, snapshot: &LeaseSnapshot) {
     static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+    let tmp = path.with_extension(format!(
+        "tmp.{}.{}",
+        std::process::id(),
+        TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
+    ));
     let write = || -> io::Result<()> {
-        let tmp = path.with_extension(format!(
-            "tmp.{}.{}",
-            std::process::id(),
-            TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
         {
             let mut f = std::fs::File::create(&tmp)?;
             f.write_all(snapshot.encode().as_bytes())?;
@@ -408,7 +409,11 @@ fn persist_lease_table(path: &std::path::Path, snapshot: &LeaseSnapshot) {
         }
         Ok(())
     };
-    let _ = write();
+    if write().is_err() {
+        // After a successful rename the temp name no longer exists and
+        // this is a no-op.
+        let _ = std::fs::remove_file(&tmp);
+    }
 }
 
 /// Configuration for [`TcpCollectorTransport::listen`].
@@ -2554,6 +2559,32 @@ mod tests {
         let snapshot = LeaseSnapshot::decode(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(snapshot.retired, vec![false, true]);
         collector.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_lease_table_write_leaves_no_temp_file() {
+        // A directory at the table's path makes the rename fail
+        // (EISDIR) after the temp file was written and synced.
+        let dir =
+            std::env::temp_dir().join(format!("parmonc-lease-tmp-leak-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("leases.dat");
+        std::fs::create_dir_all(&path).unwrap();
+        let snapshot = LeaseSnapshot {
+            epoch: 7,
+            size: 3,
+            ever_leased: vec![true, false],
+            retired: vec![false, false],
+            last_seqs: vec![1, 0],
+        };
+        persist_lease_table(&path, &snapshot);
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(path.is_dir(), "the failed write must not replace the path");
+        assert_eq!(names, ["leases.dat"], "temp file left behind");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

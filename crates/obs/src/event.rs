@@ -15,13 +15,14 @@ use crate::wire::{events, push_quoted, vocab, KindClass, WireField};
 pub const SCHEMA_VERSION: u64 = 1;
 
 vocab! {
-    /// Which engine produced a trace: real threads or the discrete-event
-    /// cluster simulator. Both emit the same event kinds so traces are
-    /// directly comparable.
+    /// Which engine produced a trace. Every run the workspace ships
+    /// writes `threads`; the second value stays so that traces of the
+    /// retired virtual-time cluster model still validate and the schema
+    /// version does not move.
     pub enum RunMode {
         /// The real-thread runner (`parmonc::runner`).
         Threads = "threads",
-        /// The virtual-time simulator (`parmonc-simcluster`).
+        /// The retired virtual-time cluster model; no engine writes it.
         SimCluster = "simcluster",
     }
 }
@@ -47,10 +48,6 @@ vocab! {
 
 vocab! {
     /// What the collector (rank 0) was doing during a trace segment.
-    ///
-    /// This enum used to live in `parmonc-simcluster`; it moved here so the
-    /// real-thread runner and the simulator label collector time with the
-    /// same vocabulary.
     pub enum CollectorActivity series("parmonc_collector_seconds_total", "activity") {
         /// Simulating its own realizations.
         Computing = "computing",

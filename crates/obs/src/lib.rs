@@ -1,9 +1,8 @@
 //! Unified run-monitor observability for PARMONC.
 //!
-//! Every engine in the workspace — the real-thread runner in
-//! `parmonc` (core), the in-process message substrate in
-//! `parmonc-mpi`, and the virtual-time cluster simulator in
-//! `parmonc-simcluster` — reports progress through the same small
+//! Every engine in the workspace — the runner in `parmonc` (core) on
+//! each of its transports, and the in-process message substrate in
+//! `parmonc-mpi` — reports progress through the same small
 //! vocabulary of events defined here. A monitored run writes one JSON
 //! object per event to `parmonc_data/monitor/run_metrics.jsonl` and
 //! prints an end-of-run summary table; the schema is documented in

@@ -7,6 +7,5 @@ pub use parmonc_mpi as mpi;
 pub use parmonc_rng as rng;
 pub use parmonc_rngtest as rngtest;
 pub use parmonc_sde as sde;
-pub use parmonc_simcluster as simcluster;
 pub use parmonc_stats as stats;
 pub use parmonc_vr as vr;

@@ -1,8 +1,7 @@
-//! Chaos integration: seeded fault matrices driven through four
-//! engines — the real-thread runner (`mpi_*` tests), the virtual
-//! cluster simulator (`simcluster_*` tests), the loopback TCP backend
-//! with scripted link severance (`tcp_*` tests), and the process
-//! backend, which inherits that resilience through the launcher
+//! Chaos integration: seeded fault matrices driven through three
+//! engines — the real-thread runner (`mpi_*` tests), the loopback TCP
+//! backend with scripted link severance (`tcp_*` tests), and the
+//! process backend, which inherits that resilience through the launcher
 //! (`proc_*` tests) — plus the resume-after-crash and
 //! framing-robustness satellites. CI runs the prefixes as separate
 //! matrix jobs.
@@ -12,7 +11,6 @@ mod common;
 use common::{serial_merge, trace_events};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
 use parmonc::messages::Subtotal;
@@ -21,8 +19,6 @@ use parmonc::prelude::{
 };
 use parmonc_faults::{mutate_bytes, FaultPlan, Mutation};
 use parmonc_mpi::bytes::Bytes;
-use parmonc_obs::{MemorySink, Monitor};
-use parmonc_simcluster::{simulate_faulted, ClusterConfig};
 use parmonc_stats::MatrixAccumulator;
 
 fn tempdir(name: &str) -> PathBuf {
@@ -255,44 +251,6 @@ fn mpi_crash_mid_block_leaves_its_newest_subtotal_in_the_slot() {
         _ => None,
     });
     assert_eq!(last_published, Some(delivered));
-}
-
-/// The CI chaos matrix, virtual-time half: the same shape of fault
-/// plan replayed through the cluster simulator, with schema-validated
-/// fault events.
-#[test]
-fn simcluster_chaos_matrix_eight_seeds() {
-    let config = ClusterConfig::paper_testbed(8);
-    for seed in 0..8u64 {
-        let victim = 1 + (seed as usize % 7);
-        let plan = FaultPlan::new(seed)
-            .crash_rank(victim, 10)
-            .drop_fraction(0.05);
-        let sink = Arc::new(MemorySink::new());
-        let monitor = Monitor::new(vec![Box::new(Arc::clone(&sink))]);
-        let run = simulate_faulted(&config, 800, &plan, 50.0, &monitor);
-        assert!(
-            run.lost_workers.contains(&victim),
-            "seed {seed}: lost {:?}",
-            run.lost_workers
-        );
-        assert!(
-            run.result.realizations >= 800,
-            "seed {seed}: volume {}",
-            run.result.realizations
-        );
-        let events = sink.snapshot();
-        let kinds: BTreeSet<&str> = events
-            .iter()
-            .map(|e| {
-                parmonc_obs::schema::validate_line(&e.to_json_line())
-                    .unwrap_or_else(|err| panic!("seed {seed}: schema violation: {err}"))
-            })
-            .collect();
-        for kind in ["fault_injected", "worker_lost", "work_reassigned"] {
-            assert!(kinds.contains(kind), "seed {seed}: no {kind} event");
-        }
-    }
 }
 
 /// Blocks until the collector under `dir` publishes its bound address
