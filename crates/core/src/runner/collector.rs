@@ -651,16 +651,21 @@ impl<C: Comm, R: ?Sized> Rank0<'_, C, R> {
 }
 
 impl<C: Comm, R: ?Sized> Role for Rank0<'_, C, R> {
-    /// Rank 0's subtotal goes nowhere: it refreshes the collector's
-    /// snapshot of rank 0, in place.
+    /// Rank 0's subtotal goes nowhere. Only the final refreshes the
+    /// collector's snapshot of rank 0: nothing reads that snapshot
+    /// between save-points, and [`Rank0::average_if_due`] refreshes it
+    /// before each one, so copying the matrices on every offer would
+    /// be wasted.
     fn offer(
         &mut self,
         own: &Subtotal,
         now: Instant,
         is_final: bool,
     ) -> Result<bool, ParmoncError> {
-        self.collector.state.update_own(own, now);
-        self.collector.finals[0] |= is_final;
+        if is_final {
+            self.collector.state.update_own(own, now);
+            self.collector.finals[0] = true;
+        }
         Ok(true)
     }
 
@@ -729,10 +734,77 @@ pub(super) fn rank0_loop<C: Comm, R: Realize + ?Sized>(
 mod tests {
     use std::time::Duration;
 
+    use parmonc_mpi::World;
+    use parmonc_obs::Monitor;
+    use parmonc_rng::StreamHierarchy;
+
+    use super::*;
     use crate::config::Exchange;
     use crate::error::ParmoncError;
+    use crate::files::ResultsDir;
     use crate::runner::tests::{serial_merge, tempdir, uniform_mean};
     use crate::runner::Parmonc;
+
+    /// Rank 0's non-final offers leave its snapshot alone. A save-point
+    /// taken between two of them still folds every realization rank 0
+    /// has made, and the final offer leaves the snapshot equal to rank
+    /// 0's subtotal.
+    #[test]
+    fn a_save_point_between_rank0_offers_folds_all_of_rank0() {
+        let config = Parmonc::builder(1, 1)
+            .max_sample_volume(100)
+            .processors(1)
+            .averaging_period(Duration::ZERO)
+            .output_dir(tempdir("rank0-own"))
+            .build()
+            .unwrap();
+        let faults = config.faults.build();
+        let realize = uniform_mean();
+        let ctx: RunCtx<'_, dyn Realize> = RunCtx {
+            config: &config,
+            hierarchy: &StreamHierarchy::new(config.leaps),
+            dir: &ResultsDir::create(&config.output_dir).unwrap(),
+            realize: &realize,
+            monitor: &Monitor::disabled(),
+            faults: &faults,
+            start: Instant::now(),
+        };
+        let mut comm = World::communicators(1).unwrap().pop().unwrap();
+        let spans = SpanEmitter::disabled();
+        let mut rank0 = Rank0 {
+            ctx: &ctx,
+            comm: &mut comm,
+            collector: Collector::new(&config, MatrixAccumulator::new(1, 1).unwrap(), 1),
+            tracker: SegmentTracker::new(ctx.monitor),
+            spans: &spans,
+        };
+        let mut own = Subtotal {
+            acc: MatrixAccumulator::new(1, 1).unwrap(),
+            compute_seconds: 0.0,
+        };
+        let realization = |own: &mut Subtotal, v: f64| {
+            own.acc.add(&[v]).unwrap();
+            own.compute_seconds += 1e-6;
+        };
+
+        realization(&mut own, 0.25);
+        rank0.offer(&own, Instant::now(), false).unwrap();
+        realization(&mut own, 0.5);
+        realization(&mut own, 0.75);
+        // With a zero averaging period every poll writes a save-point.
+        rank0.poll(&own, Instant::now()).unwrap();
+        let saved = ctx.dir.load_checkpoint().unwrap().expect("a save-point");
+        assert_eq!(saved, own.acc);
+
+        realization(&mut own, 1.0);
+        rank0.offer(&own, Instant::now(), false).unwrap();
+        realization(&mut own, 0.125);
+        rank0.offer(&own, Instant::now(), true).unwrap();
+        let snapshot = rank0.collector.state.latest[0].as_ref().unwrap();
+        assert_eq!(snapshot.acc, own.acc);
+        assert_eq!(snapshot.compute_seconds, own.compute_seconds);
+        assert!(rank0.collector.finals[0]);
+    }
 
     #[test]
     fn error_controlled_stopping_halts_before_maxsv() {

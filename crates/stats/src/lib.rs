@@ -36,8 +36,15 @@
 //! assert_eq!(s.mean, 2.5);
 //! assert!(s.abs_error > 0.0);
 //! ```
+//!
+//! With the `simd` cargo feature, [`MatrixAccumulator::add`] runs its
+//! wide path (a realization of eight entries or more) through an AVX2
+//! build of the same safe code when the CPU has AVX2, chosen at
+//! runtime. The crate forbids `unsafe` everywhere except that one
+//! feature-gated module.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
+#![deny(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod confidence;
@@ -47,6 +54,8 @@ pub mod matrix;
 pub mod moments;
 pub mod report;
 pub mod running;
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+mod simd;
 
 pub use confidence::{confidence_interval, ConfidenceInterval, GAMMA_997};
 pub use error::StatsError;

@@ -106,6 +106,7 @@ fn accumulate_realization(sums: &mut [f64], sums_sq: &mut [f64], z: &[f64]) {
 /// Whether every entry of `z` is finite, with no branch per entry:
 /// `v * 0.0` is ±0 for a finite `v` and NaN for ±∞ or NaN, and NaN
 /// survives every later add, so one `== 0.0` per lane decides. Exact.
+#[inline(always)]
 fn all_finite(z: &[f64]) -> bool {
     let mut lanes = [0.0f64; LANES];
     let mut zc = z.chunks_exact(LANES);
@@ -118,6 +119,37 @@ fn all_finite(z: &[f64]) -> bool {
         *l += v * 0.0;
     }
     lanes.iter().all(|&l| l == 0.0)
+}
+
+/// [`MatrixAccumulator::add`] for a realization of at least one chunk,
+/// after the shape check: the finiteness fold, the scan only when the
+/// fold fails (to name the first bad entry), then the accumulate pass.
+/// On error `sums` and `sums_sq` are untouched. A safe body, compiled
+/// into [`add_wide_dispatched`] and, with the `simd` feature, once more
+/// under AVX2 (`crate::simd`).
+#[inline(always)]
+pub(crate) fn add_wide(sums: &mut [f64], sums_sq: &mut [f64], z: &[f64]) -> Result<(), StatsError> {
+    if !all_finite(z) {
+        if let Some((index, &value)) = z.iter().enumerate().find(|(_, v)| !v.is_finite()) {
+            return Err(StatsError::NonFinite { index, value });
+        }
+    }
+    accumulate_realization(sums, sums_sq, z);
+    Ok(())
+}
+
+/// [`add_wide`] out of line: the one call `add` makes for a wide
+/// realization. With the `simd` feature on x86-64 it is the runtime
+/// dispatcher in `crate::simd`.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+use crate::simd::add_wide as add_wide_dispatched;
+
+/// [`add_wide`] out of line at the baseline width: the one call `add`
+/// makes for a wide realization.
+#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+#[inline(never)]
+fn add_wide_dispatched(sums: &mut [f64], sums_sq: &mut [f64], z: &[f64]) -> Result<(), StatsError> {
+    add_wide(sums, sums_sq, z)
 }
 
 /// The full averaged output for a matrix estimator: the four matrices
@@ -245,7 +277,9 @@ impl MatrixAccumulator {
     /// Records one matrix realization given as a flat row-major slice.
     ///
     /// Two vectorised passes, no branch per entry: a finiteness fold,
-    /// then the accumulation — ≈ 0.8 µs at the paper's 1000 × 2.
+    /// then the accumulation. With the `simd` feature on a CPU with
+    /// AVX2 both run at AVX2 width, chosen at runtime, with the same
+    /// bits as the baseline build.
     ///
     /// # Errors
     ///
@@ -254,11 +288,11 @@ impl MatrixAccumulator {
     /// index and value of the first NaN/infinite entry, as a scan would
     /// give. On either error the accumulator is left untouched.
     ///
-    /// Inlined into the caller, with its accumulate pass: for a
-    /// one-cell realization the whole call is the length compare, a
-    /// finiteness test and two adds. `always`, because at ≈ 1.3 KB with
-    /// the chunked pass LLVM declines a plain `#[inline]` and the
-    /// runner's loop would pay a call per realization.
+    /// Inlined into the caller (`always`: the runner's loop must not pay
+    /// a call for a one-cell realization). Below one 8-entry chunk the
+    /// whole call stays inline: for a one-cell realization it is the
+    /// length compare, a finiteness test and two adds. From one chunk up
+    /// it is one out-of-line call into the fold and accumulate pass.
     #[inline(always)]
     pub fn add(&mut self, realization: &[f64]) -> Result<(), StatsError> {
         if realization.len() != self.sums.len() {
@@ -267,15 +301,16 @@ impl MatrixAccumulator {
                 got_len: realization.len(),
             });
         }
-        // The scan runs only to name a bad entry, or below one chunk.
-        if realization.len() < LANES || !all_finite(realization) {
+        if realization.len() < LANES {
             if let Some((index, &value)) =
                 realization.iter().enumerate().find(|(_, v)| !v.is_finite())
             {
                 return Err(StatsError::NonFinite { index, value });
             }
+            accumulate_realization(&mut self.sums, &mut self.sums_sq, realization);
+        } else {
+            add_wide_dispatched(&mut self.sums, &mut self.sums_sq, realization)?;
         }
-        accumulate_realization(&mut self.sums, &mut self.sums_sq, realization);
         self.count += 1;
         Ok(())
     }
