@@ -17,8 +17,8 @@ use parmonc::messages::Subtotal;
 use parmonc_bench::harness::{
     black_box, criterion_group, criterion_main, fast_mode, record_metric, Criterion, Throughput,
 };
-use parmonc_mpi::collective::{barrier, gather_plan};
-use parmonc_mpi::{BufferPool, Bytes, CollectionPlan, Envelope, Tag, Topology, World};
+use parmonc_mpi::collective::{barrier, gather};
+use parmonc_mpi::{BufferPool, Bytes, Envelope, Tag, World};
 use parmonc_stats::MatrixAccumulator;
 
 /// Counts every byte requested from the allocator; deallocations are
@@ -129,20 +129,17 @@ fn bench_gather_pattern(c: &mut Criterion) {
 }
 
 /// Wall seconds the *root* spends inside `rounds` back-to-back gathers
-/// over a world of `size` ranks collecting along `topology`. A barrier
-/// first, so thread-spawn cost stays outside the timed window; the
-/// root's elapsed time is the collection critical path — under a star
-/// it receives (and contends with) `size - 1` senders per round, under
-/// a tree only its direct children, with the merge fan-in parallelized
-/// across the relay ranks.
-fn timed_gathers(size: usize, topology: Topology, rounds: usize) -> f64 {
+/// over a world of `size` ranks. A barrier first, so thread-spawn cost
+/// stays outside the timed window; the root's elapsed time is the
+/// collection critical path — it receives (and contends with)
+/// `size - 1` senders per round.
+fn timed_gathers(size: usize, rounds: usize) -> f64 {
     let results = World::run(size, move |comm| {
-        let plan = CollectionPlan::new(topology, 0, comm.size());
         let value = [comm.rank() as f64, 1.0, 0.5, -0.5];
         barrier(comm)?;
         let started = Instant::now();
         for _ in 0..rounds {
-            black_box(gather_plan(comm, &plan, &value)?);
+            black_box(gather(comm, 0, &value)?);
         }
         Ok(started.elapsed().as_secs_f64())
     })
@@ -154,36 +151,18 @@ fn timed_gathers(size: usize, topology: Topology, rounds: usize) -> f64 {
         .expect("gather succeeds")
 }
 
-/// The collector-side scaling claim behind the tree topology: at
-/// m = 512 simulated ranks, collecting over a k-ary tree must beat the
-/// rank-0 star by at least the committed `ratio_tree_collect_speedup`
-/// (the star's root handles every sender itself; the tree bounds its
-/// fan-in by the arity). Smaller worlds are printed for the scaling
-/// curve but only the 512-rank ratio is gated — at m = 8 the tree's
-/// extra hop can even lose, and should.
+/// How the root's gather cost grows with the world, up to m = 512
+/// simulated ranks: per-round seconds, best of three, for the scaling
+/// curve. Informational — nothing here is gated.
 fn bench_gather_scaling(c: &mut Criterion) {
     let rounds = if fast_mode() { 8 } else { 24 };
-    let mut ratio_at_512 = None;
     for &m in &[8usize, 64, 512] {
-        // Alternate arms to spread machine-load drift across both.
-        let mut star = f64::INFINITY;
-        let mut tree = f64::INFINITY;
-        for _ in 0..3 {
-            star = star.min(timed_gathers(m, Topology::Star, rounds));
-            tree = tree.min(timed_gathers(m, Topology::Tree { arity: 8 }, rounds));
-        }
-        let ratio = star / tree;
-        println!("gather_scaling/m{m}: star {star:.6} s, tree(8) {tree:.6} s, speedup {ratio:.2}x");
+        let star = (0..3)
+            .map(|_| timed_gathers(m, rounds))
+            .fold(f64::INFINITY, f64::min);
+        println!("gather_scaling/m{m}: star {star:.6} s");
         record_metric(&format!("gather_scaling/star_m{m}"), star / rounds as f64);
-        record_metric(&format!("gather_scaling/tree_m{m}"), tree / rounds as f64);
-        if m == 512 {
-            ratio_at_512 = Some(ratio);
-        }
     }
-    record_metric(
-        "ratio_tree_collect_speedup",
-        ratio_at_512.expect("512-rank arm ran"),
-    );
     let _ = c;
 }
 

@@ -6,16 +6,14 @@
 //! 1000 × 2 output from its stream, so every subtotal is the size the
 //! paper's program sends. A sleeping rank costs no CPU, so hundreds of
 //! ranks fit on a few cores, and each run still goes through the real
-//! thread-backend collector, mailboxes, exchange governor, relays and
+//! thread-backend collector, mailboxes, exchange governor and
 //! save-point files.
 //!
-//! The grid is fixed: M ∈ {1, 8, 64, 128, 256, 512}, star and
-//! `Tree { arity: 8 }`, strict ([`Exchange::EveryRealization`]) and
-//! periodic exchange, τ ∈ {200, 50, 10, 2} ms. A tree of arity 8 over
-//! M ≤ 9 ranks is the star, so those tree cells are not run. Each cell
-//! runs two lengths, `l_per_proc / 2` and `l_per_proc` realizations per
-//! rank (L = n · M), and fits wall = fixed + n · round through the two
-//! points. Efficiency is the per-rank ideal n · τ over `report.elapsed`.
+//! The grid is fixed: M ∈ {1, 8, 64, 128, 256, 512}, strict
+//! ([`Exchange::EveryRealization`]) and periodic exchange,
+//! τ ∈ {200, 50, 10, 2} ms. Each cell runs two lengths, `l_per_proc / 2`
+//! and `l_per_proc` realizations per rank (L = n · M), and fits
+//! wall = fixed + n · round through the two points. Efficiency is the per-rank ideal n · τ over `report.elapsed`.
 //!
 //! ```text
 //! fig2_threads [max_procs] [l_per_proc] [--monitor]
@@ -25,7 +23,8 @@
 //! to 40. With `PARMONC_BENCH_JSON` set, each cell's record
 //! (`efficiency_short`, `efficiency_long`, `fixed_s`, `round_s`) is
 //! merged into that file under
-//! `fig2_threads/tau<τ>ms/m<M>/<star|tree8>/<strict|periodic>/`; run
+//! `fig2_threads/tau<τ>ms/m<M>/star/<strict|periodic>/` (the `star`
+//! segment keeps the keys of earlier recordings); run
 //! `regime_probe` with the same file first to record the box's regime
 //! beside them.
 //! With `--monitor`, each run records its observability trace and the
@@ -34,20 +33,17 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use parmonc::prelude::{Exchange, Parmonc, ParmoncError, RealizeFn, RunReport, Topology};
+use parmonc::prelude::{Exchange, Parmonc, ParmoncError, RealizeFn, RunReport};
 use parmonc_bench::harness::{record_metric, write_json_if_requested};
 
 const PROCESSORS: [usize; 6] = [1, 8, 64, 128, 256, 512];
 const TAUS_MS: [u64; 4] = [200, 50, 10, 2];
-const ARITY: usize = 8;
-const TREE: Topology = Topology::Tree { arity: ARITY };
 
 /// One run of `per_rank` realizations on each of `m` ranks.
 fn run(
     m: usize,
     per_rank: u64,
     tau: Duration,
-    topology: Topology,
     exchange: Exchange,
     monitor: bool,
 ) -> Result<RunReport, ParmoncError> {
@@ -56,7 +52,6 @@ fn run(
     let mut builder = Parmonc::builder(1000, 2)
         .max_sample_volume(per_rank * m as u64)
         .processors(m)
-        .topology(topology)
         .exchange(exchange)
         .output_dir(&dir);
     if monitor {
@@ -85,10 +80,9 @@ fn main() -> ExitCode {
          {short} and {long} realizations per rank; host has {cores} core(s)"
     );
     println!(
-        "{:>6} {:>4} {:>5} {:>8} {:>9} {:>9} {:>7} {:>7} {:>9} {:>10}",
+        "{:>6} {:>4} {:>8} {:>9} {:>9} {:>7} {:>7} {:>9} {:>10}",
         "tau_ms",
         "M",
-        "topo",
         "exchange",
         format!("wall@{short}"),
         format!("wall@{long}"),
@@ -103,44 +97,39 @@ fn main() -> ExitCode {
     for tau_ms in TAUS_MS {
         let tau = Duration::from_millis(tau_ms);
         for m in PROCESSORS.into_iter().filter(|&m| m <= max_procs) {
-            for (topo, topology) in [("star", Topology::Star), ("tree8", TREE)] {
-                if topology == TREE && m <= ARITY + 1 {
-                    continue;
-                }
-                for (exch, exchange) in [
-                    ("strict", Exchange::EveryRealization),
-                    ("periodic", Exchange::Periodic),
-                ] {
-                    let mut walls = [0.0f64; 2];
-                    for (wall, n) in walls.iter_mut().zip([short, long]) {
-                        match run(m, n, tau, topology, exchange, monitor) {
-                            Ok(report) => {
-                                *wall = report.elapsed.as_secs_f64();
-                                last_summary = report.monitor;
-                            }
-                            Err(e) => {
-                                eprintln!("tau {tau_ms} ms, M = {m}, {topo}, {exch}, n = {n}: {e}");
-                                failed = true;
-                            }
+            for (exch, exchange) in [
+                ("strict", Exchange::EveryRealization),
+                ("periodic", Exchange::Periodic),
+            ] {
+                let mut walls = [0.0f64; 2];
+                for (wall, n) in walls.iter_mut().zip([short, long]) {
+                    match run(m, n, tau, exchange, monitor) {
+                        Ok(report) => {
+                            *wall = report.elapsed.as_secs_f64();
+                            last_summary = report.monitor;
+                        }
+                        Err(e) => {
+                            eprintln!("tau {tau_ms} ms, M = {m}, {exch}, n = {n}: {e}");
+                            failed = true;
                         }
                     }
-                    let efficiency = |wall: f64, n: u64| n as f64 * tau.as_secs_f64() / wall;
-                    let (eff_short, eff_long) =
-                        (efficiency(walls[0], short), efficiency(walls[1], long));
-                    let round = (walls[1] - walls[0]) / (long - short) as f64;
-                    let fixed = walls[0] - short as f64 * round;
-                    println!(
-                        "{tau_ms:>6} {m:>4} {topo:>5} {exch:>8} {:>9.3} {:>9.3} {eff_short:>7.3} {eff_long:>7.3} {fixed:>9.3} {:>10.2}",
-                        walls[0],
-                        walls[1],
-                        round * 1e3
-                    );
-                    let key = format!("fig2_threads/tau{tau_ms}ms/m{m}/{topo}/{exch}");
-                    record_metric(&format!("{key}/efficiency_short"), eff_short);
-                    record_metric(&format!("{key}/efficiency_long"), eff_long);
-                    record_metric(&format!("{key}/fixed_s"), fixed);
-                    record_metric(&format!("{key}/round_s"), round);
                 }
+                let efficiency = |wall: f64, n: u64| n as f64 * tau.as_secs_f64() / wall;
+                let (eff_short, eff_long) =
+                    (efficiency(walls[0], short), efficiency(walls[1], long));
+                let round = (walls[1] - walls[0]) / (long - short) as f64;
+                let fixed = walls[0] - short as f64 * round;
+                println!(
+                    "{tau_ms:>6} {m:>4} {exch:>8} {:>9.3} {:>9.3} {eff_short:>7.3} {eff_long:>7.3} {fixed:>9.3} {:>10.2}",
+                    walls[0],
+                    walls[1],
+                    round * 1e3
+                );
+                let key = format!("fig2_threads/tau{tau_ms}ms/m{m}/star/{exch}");
+                record_metric(&format!("{key}/efficiency_short"), eff_short);
+                record_metric(&format!("{key}/efficiency_long"), eff_long);
+                record_metric(&format!("{key}/fixed_s"), fixed);
+                record_metric(&format!("{key}/round_s"), round);
             }
         }
     }

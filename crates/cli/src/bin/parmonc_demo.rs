@@ -11,13 +11,11 @@
 //! `docs/cluster.md`). `--resume-listen` restarts a *crashed* TCP
 //! collector: the session epoch and lease table are reloaded from the
 //! output directory and the surviving workers rejoin with their ranks
-//! intact (runbook in `docs/cluster.md`). `--tree <arity>` collects
-//! subtotals over a k-ary reduction tree instead of the default
-//! rank-0 star; every side of a TCP run must pass the same value.
+//! intact (runbook in `docs/cluster.md`).
 
 use std::process::ExitCode;
 
-use parmonc::prelude::{NetOptions, Parmonc, ParmoncBuilder, ParmoncError, RunReport, Topology};
+use parmonc::prelude::{NetOptions, Parmonc, ParmoncBuilder, ParmoncError, RunReport};
 use parmonc_apps::{MM1Queue, PiEstimator, SlabTransport};
 use parmonc_cli::{exit_code_for, parse_demo_args, DemoArgs, DemoWorkload};
 
@@ -35,9 +33,6 @@ fn builder_for(args: &DemoArgs, ncol: usize) -> ParmoncBuilder {
     }
     if let Some(addr) = &args.resume_listen {
         b = b.net(NetOptions::resume_listen(addr.clone()));
-    }
-    if let Some(arity) = args.tree_arity {
-        b = b.topology(Topology::Tree { arity });
     }
     if args.monitor {
         b = b.monitor();

@@ -182,10 +182,6 @@ pub struct DemoArgs {
     /// monitor timestamps (`--skew-s`; TCP worker mode only) to
     /// exercise the clock-alignment plane.
     pub skew_s: f64,
-    /// Collection topology: `--tree <arity>` collects subtotals over a
-    /// k-ary reduction tree instead of the default rank-0 star. All
-    /// sides of a TCP run must agree (the shape is handshake-checked).
-    pub tree_arity: Option<usize>,
 }
 
 /// Parses
@@ -211,7 +207,7 @@ where
     const USAGE: &str = "usage: parmonc-demo <pi|transport|queue> [volume] [processors] [dir] \
                          [--monitor] [--spans] [--transport threads|processes|tcp] \
                          [--listen host:port] [--join host:port] [--resume-listen host:port] \
-                         [--skew-s seconds] [--tree arity]";
+                         [--skew-s seconds]";
     let mut values: Vec<String> = args.into_iter().map(|s| s.as_ref().to_string()).collect();
     values.retain(|v| v != parmonc::ipc::WORKER_FLAG);
     let mut transport = Transport::Threads;
@@ -263,20 +259,6 @@ where
             "--transport tcp needs --listen (collector), --join (worker), or --resume-listen \
              (collector restart)\n{USAGE}"
         ));
-    }
-    let mut tree_arity = None;
-    while let Some(pos) = values.iter().position(|v| v == "--tree") {
-        let Some(value) = values.get(pos + 1) else {
-            return Err(format!("--tree requires an arity\n{USAGE}"));
-        };
-        let arity = value
-            .parse::<usize>()
-            .map_err(|_| format!("--tree arity must be an integer, got {value:?}"))?;
-        if arity == 0 {
-            return Err(format!("--tree arity must be at least 1\n{USAGE}"));
-        }
-        tree_arity = Some(arity);
-        values.drain(pos..=pos + 1);
     }
     let mut skew_s = 0.0f64;
     while let Some(pos) = values.iter().position(|v| v == "--skew-s") {
@@ -333,7 +315,6 @@ where
         resume_listen,
         spans,
         skew_s,
-        tree_arity,
     })
 }
 
@@ -1148,20 +1129,6 @@ mod tests {
         assert_eq!(a.volume, 1000);
         assert!(parse_demo_args(["pi", "--skew-s"]).is_err());
         assert!(parse_demo_args(["pi", "--skew-s", "soon"]).is_err());
-    }
-
-    #[test]
-    fn demo_tree_flag() {
-        let a = parse_demo_args(["pi"]).unwrap();
-        assert_eq!(a.tree_arity, None);
-
-        let a = parse_demo_args(["--tree", "2", "pi", "1000", "7"]).unwrap();
-        assert_eq!(a.tree_arity, Some(2));
-        assert_eq!(a.processors, 7);
-
-        assert!(parse_demo_args(["pi", "--tree"]).is_err());
-        assert!(parse_demo_args(["pi", "--tree", "wide"]).is_err());
-        assert!(parse_demo_args(["pi", "--tree", "0"]).is_err());
     }
 
     #[test]

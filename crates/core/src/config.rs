@@ -6,7 +6,6 @@ use std::time::Duration;
 
 use parmonc_faults::FaultPlan;
 use parmonc_ipc::ReconnectPolicy;
-use parmonc_mpi::Topology;
 use parmonc_rng::LeapConfig;
 
 use crate::error::ParmoncError;
@@ -202,15 +201,6 @@ pub struct RunConfig {
     /// accepts workers that were built without the flag (they are told
     /// through the handshake grant instead).
     pub trace_spans: bool,
-    /// The shape of the collection plane: [`Topology::Star`] (every
-    /// worker reports straight to the collector — the default) or
-    /// [`Topology::Tree`] (a k-ary reduction tree with relay ranks
-    /// coalescing their subtree's envelopes). Part of
-    /// [`RunConfig::wire_digest`] — star and tree workers must not mix
-    /// in one world, or they would disagree about who their parent is.
-    /// Estimates are bit-identical across topologies: relays forward
-    /// raw subtotal bytes, never pre-merged floating-point state.
-    pub topology: Topology,
     /// TCP backend, worker side: a deterministic offset (seconds) added
     /// to every local monitor timestamp *before* it leaves the worker —
     /// a test-only knob that emulates an unsynchronized host clock so
@@ -308,21 +298,7 @@ impl RunConfig {
                     .into(),
             ));
         }
-        if let Topology::Tree { arity } = self.topology {
-            if arity == 0 {
-                return Err(ParmoncError::Config(
-                    "tree topology arity must be at least 1".into(),
-                ));
-            }
-        }
         Ok(())
-    }
-
-    /// The parent/children assignment the configured topology induces
-    /// over this run's ranks, rooted at the collector (rank 0).
-    #[must_use]
-    pub fn collection_plan(&self) -> parmonc_mpi::CollectionPlan {
-        parmonc_mpi::CollectionPlan::new(self.topology, 0, self.processors)
     }
 
     /// Per-worker realization quota: worker `m` of `M` simulates
@@ -366,8 +342,6 @@ impl RunConfig {
         eat(&self.leaps.ne().to_le_bytes());
         eat(&self.leaps.np().to_le_bytes());
         eat(&self.leaps.nr().to_le_bytes());
-        eat(&[self.topology.digest_tag()]);
-        eat(&self.topology.digest_arity().to_le_bytes());
         h
     }
 }
@@ -545,7 +519,6 @@ impl ParmoncBuilder {
                 resume_collector: false,
                 worker_args: None,
                 trace_spans: false,
-                topology: Topology::Star,
                 clock_skew_s: 0.0,
             },
         }
@@ -723,21 +696,6 @@ impl ParmoncBuilder {
         self.config.resume_collector = net.resume_collector;
         self.config.tcp_io_timeout = net.io_timeout;
         self.config.reconnect = net.reconnect;
-        self
-    }
-
-    /// Sets the collection topology: [`Topology::Star`] (the default)
-    /// or [`Topology::Tree`] with the given arity. With a tree, the
-    /// interior worker ranks act as *relays*: they absorb their
-    /// children's subtotal envelopes and forward one coalesced batch
-    /// per pass upstream, so the collector's per-pass receive cost is
-    /// bounded by the arity instead of the worker count. Estimates are
-    /// bit-identical across topologies. The shape is part of the
-    /// handshake digest — all workers of a TCP run must configure the
-    /// same topology.
-    #[must_use]
-    pub fn topology(mut self, topology: Topology) -> Self {
-        self.config.topology = topology;
         self
     }
 
@@ -970,47 +928,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(!cfg.resume_collector);
-    }
-
-    #[test]
-    fn topology_is_validated_and_digested() {
-        let star = Parmonc::builder(1, 1)
-            .max_sample_volume(10)
-            .processors(8)
-            .build()
-            .unwrap();
-        assert_eq!(star.topology, Topology::Star);
-
-        let tree = Parmonc::builder(1, 1)
-            .max_sample_volume(10)
-            .processors(8)
-            .topology(Topology::Tree { arity: 2 })
-            .build()
-            .unwrap();
-        assert_eq!(tree.topology, Topology::Tree { arity: 2 });
-        // The shape is part of the handshake digest: a star worker must
-        // not be admitted into a tree run (it would compute the wrong
-        // parent for everyone).
-        assert_ne!(star.wire_digest(), tree.wire_digest());
-        let wider = Parmonc::builder(1, 1)
-            .max_sample_volume(10)
-            .processors(8)
-            .topology(Topology::Tree { arity: 4 })
-            .build()
-            .unwrap();
-        assert_ne!(tree.wire_digest(), wider.wire_digest());
-
-        let plan = tree.collection_plan();
-        assert_eq!(plan.root(), 0);
-        assert_eq!(plan.size(), 8);
-        assert!(plan.is_relay(1));
-
-        let err = Parmonc::builder(1, 1)
-            .max_sample_volume(10)
-            .topology(Topology::Tree { arity: 0 })
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("arity"));
     }
 
     #[test]

@@ -62,7 +62,6 @@ pub use config::{Exchange, NetOptions, ParmoncBuilder, Resume, RunConfig, Transp
 pub use error::ParmoncError;
 pub use files::ResultsDir;
 pub use parmonc_ipc::ReconnectPolicy;
-pub use parmonc_mpi::{CollectionPlan, Topology};
 pub use realize::{DrawBatch, Realize, RealizeFn};
 pub use runner::{Parmonc, RunReport};
 

@@ -34,18 +34,6 @@ pub const TAG_HEARTBEAT: Tag = Tag(4);
 /// remaining budget is reassigned; the survivor simulates the extra
 /// realizations on its *own* fresh leapfrog streams.
 pub const TAG_EXTEND: Tag = Tag(5);
-/// Tag of a relay's coalesced upstream batch (tree collection): the
-/// latest raw subtotal payload per source rank in the relay's subtree,
-/// concatenated as [`BatchEntry`] records. The payloads are forwarded
-/// byte-for-byte — relays never pre-merge floating-point state — so
-/// the root's rank-ordered fold stays bit-identical to the star shape.
-pub const TAG_BATCH: Tag = Tag(6);
-/// Tag of the collector's reparent order (a single `u64` payload: the
-/// new parent rank). Sent to the children of a relay that was declared
-/// lost; they degrade to reporting straight to the named rank
-/// (in practice the collector itself). Honored only from rank 0.
-pub const TAG_REPARENT: Tag = Tag(7);
-
 /// A subtotal snapshot from one worker.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Subtotal {
@@ -169,89 +157,6 @@ impl Subtotal {
     }
 }
 
-/// One record of a [`TAG_BATCH`] frame: the latest raw subtotal
-/// payload a relay holds for one source rank, plus whether that rank's
-/// final subtotal has been seen. The payload bytes are exactly what
-/// the source rank sent — a relay forwards, it never re-encodes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchEntry {
-    /// The rank whose cumulative subtotal this is.
-    pub rank: usize,
-    /// Whether the source rank has sent its [`TAG_FINAL`] message.
-    pub is_final: bool,
-    /// The raw [`Subtotal`] payload, byte-for-byte as sent.
-    pub payload: Bytes,
-}
-
-/// Encodes a [`TAG_BATCH`] payload:
-/// `[count u64]` then per entry `[rank u64][flags u64][len u64][payload]`
-/// (flags bit 0 = final). Entries are written in the iteration order
-/// given — callers pass ascending rank order so batches are
-/// deterministic for a given relay state.
-#[must_use]
-pub fn encode_batch<'a>(entries: impl IntoIterator<Item = (usize, bool, &'a [u8])>) -> Bytes {
-    let entries: Vec<(usize, bool, &[u8])> = entries.into_iter().collect();
-    let total: usize = 8 + entries.iter().map(|(_, _, p)| 24 + p.len()).sum::<usize>();
-    let mut buf = Vec::with_capacity(total);
-    buf.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    for (rank, is_final, payload) in entries {
-        buf.extend_from_slice(&(rank as u64).to_le_bytes());
-        buf.extend_from_slice(&u64::from(is_final).to_le_bytes());
-        buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        buf.extend_from_slice(payload);
-    }
-    Bytes::from(buf)
-}
-
-/// Decodes a [`TAG_BATCH`] payload. Entry payloads are zero-copy
-/// slices sharing the frame's buffer — do *not* recycle the frame into
-/// a [`BufferPool`] while entries are alive.
-///
-/// # Errors
-///
-/// [`ParmoncError::Mpi`] on a truncated or trailing-byte payload.
-pub fn decode_batch(payload: &Bytes) -> Result<Vec<BatchEntry>, ParmoncError> {
-    let malformed = |what| ParmoncError::Mpi(MpiError::MalformedPayload { what });
-    let read_u64 = |buf: &Bytes, at: usize| -> Result<u64, ParmoncError> {
-        let end = at
-            .checked_add(8)
-            .ok_or(malformed("batch offset overflow"))?;
-        if end > buf.len() {
-            return Err(malformed("truncated batch header"));
-        }
-        Ok(u64::from_le_bytes(
-            buf[at..end].try_into().expect("8 bytes"),
-        ))
-    };
-    let count = read_u64(payload, 0)?;
-    let mut entries = Vec::with_capacity(usize::try_from(count).unwrap_or(0).min(4096));
-    let mut at = 8usize;
-    for _ in 0..count {
-        let rank = usize::try_from(read_u64(payload, at)?)
-            .map_err(|_| malformed("batch entry rank does not fit"))?;
-        let flags = read_u64(payload, at + 8)?;
-        let len = usize::try_from(read_u64(payload, at + 16)?)
-            .map_err(|_| malformed("batch entry length does not fit"))?;
-        let start = at + 24;
-        let end = start
-            .checked_add(len)
-            .ok_or(malformed("batch entry length overflow"))?;
-        if end > payload.len() {
-            return Err(malformed("truncated batch entry"));
-        }
-        entries.push(BatchEntry {
-            rank,
-            is_final: flags & 1 != 0,
-            payload: payload.slice(start..end),
-        });
-        at = end;
-    }
-    if at != payload.len() {
-        return Err(malformed("trailing bytes after batch"));
-    }
-    Ok(entries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,43 +260,6 @@ mod tests {
         w.put_f64_slice(&[0.0; 6]);
         w.put_f64_slice(&[0.0; 6]);
         assert!(Subtotal::decode(w.finish()).is_err());
-    }
-
-    #[test]
-    fn batch_round_trips_and_preserves_payload_bytes() {
-        let s = sample();
-        let inner = s.encode();
-        let batch = encode_batch([
-            (3usize, false, inner.as_slice()),
-            (7usize, true, inner.as_slice()),
-        ]);
-        let entries = decode_batch(&batch).unwrap();
-        assert_eq!(entries.len(), 2);
-        assert_eq!((entries[0].rank, entries[0].is_final), (3, false));
-        assert_eq!((entries[1].rank, entries[1].is_final), (7, true));
-        for e in &entries {
-            assert_eq!(
-                e.payload.as_slice(),
-                inner.as_slice(),
-                "bytes must survive verbatim"
-            );
-            assert_eq!(Subtotal::decode(e.payload.clone()).unwrap(), s);
-        }
-        // Empty batches are legal (a relay flushing with nothing new).
-        assert!(decode_batch(&encode_batch([])).unwrap().is_empty());
-    }
-
-    #[test]
-    fn batch_rejects_truncation_and_trailing_bytes() {
-        let s = sample();
-        let inner = s.encode();
-        let batch = encode_batch([(1usize, true, inner.as_slice())]);
-        for cut in [0, 7, 8, 20, batch.len() - 1] {
-            assert!(decode_batch(&batch.slice(..cut)).is_err(), "cut at {cut}");
-        }
-        let mut extended = batch.to_vec();
-        extended.push(0);
-        assert!(decode_batch(&Bytes::from(extended)).is_err());
     }
 
     #[test]

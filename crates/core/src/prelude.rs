@@ -3,7 +3,7 @@
 //! Everything a typical simulation program touches — the builder entry
 //! point, the realization trait and its closure adapter, the report and
 //! error types, and the run-shaping selectors ([`Exchange`],
-//! [`Resume`], [`Transport`], [`Topology`]) — in a single glob:
+//! [`Resume`], [`Transport`]) — in a single glob:
 //!
 //! ```no_run
 //! use parmonc::prelude::*;
@@ -50,25 +50,6 @@
 //! # Ok::<(), ParmoncError>(())
 //! ```
 //!
-//! Collection does not have to be a star: a k-ary [`Topology::Tree`]
-//! turns interior worker ranks into relays that coalesce their
-//! children's subtotals, so the collector receives O(arity) batches
-//! per pass instead of O(m) messages — with bit-identical estimates:
-//!
-//! ```
-//! use parmonc::prelude::*;
-//!
-//! let cfg = Parmonc::builder(1, 1)
-//!     .max_sample_volume(10_000)
-//!     .processors(8)
-//!     .topology(Topology::Tree { arity: 2 })
-//!     .build()?;
-//! let plan = cfg.collection_plan();
-//! assert_eq!(plan.parent(3), Some(1)); // rank 3 reports via relay 1
-//! assert_eq!(plan.children(0), vec![1, 2]); // root sees only 2 ranks
-//! # Ok::<(), ParmoncError>(())
-//! ```
-//!
 //! Deliberately *not* here: the file-format, message and compat
 //! internals (`files`, `messages`, `compat`), the raw RNG machinery
 //! beyond what `RealizeFn` closures receive, and the `parmonc_ipc`
@@ -79,4 +60,3 @@ pub use crate::error::ParmoncError;
 pub use crate::realize::{Realize, RealizeFn};
 pub use crate::runner::{Parmonc, RunReport};
 pub use parmonc_ipc::ReconnectPolicy;
-pub use parmonc_mpi::{CollectionPlan, Topology};

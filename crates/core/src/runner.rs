@@ -245,7 +245,7 @@ where
             })
         }
         // The launcher returns once every child has joined; the grant
-        // told each its rank, quota, parent and flags. No address (the
+        // told each its rank, quota and flags. No address (the
         // socket is private to the run) and no crash–resume (a crashed
         // parent orphans nothing).
         Transport::Processes => {
@@ -288,7 +288,6 @@ fn listen_options(
     resume: Option<LeaseSnapshot>,
     persist: Option<PathBuf>,
 ) -> ListenOptions {
-    let plan = config.collection_plan();
     ListenOptions {
         addr,
         size: config.processors,
@@ -300,9 +299,7 @@ fn listen_options(
         resume,
         persist,
         trace_spans: config.trace_spans,
-        parents: (1..config.processors)
-            .map(|r| plan.parent(r).unwrap_or(0))
-            .collect(),
+        parents: Vec::new(),
     }
 }
 
@@ -495,8 +492,8 @@ fn listen(
 /// world's ranks 1.., none for a socket world) each run on a scoped
 /// thread, and the world is torn down as soon as rank 0's loop returns
 /// — before the workers are joined and before the report is folded. The
-/// order matters twice: a thread worker still lingering (a relay
-/// waiting on a lost descendant) winds down only when rank 0's mailbox
+/// order matters twice: a thread worker still simulating when rank 0
+/// gives up (an aborted run) winds down only when rank 0's mailbox
 /// closes, and a socket world's teardown joins its readers, so every
 /// forwarded worker event is in the sinks — and every child reaped —
 /// whatever the outcome.
@@ -542,12 +539,7 @@ fn drive<C: Comm + Send, R: Realize + Sync>(
         })];
         handles.extend(locals.into_iter().map(|comm| {
             scope.spawn(|| {
-                let parent = ctx
-                    .config
-                    .collection_plan()
-                    .parent(comm.rank())
-                    .unwrap_or(0);
-                worker_loop(ctx, comm, ctx.config.trace_spans, parent).unwrap_or_else(fail);
+                worker_loop(ctx, comm, ctx.config.trace_spans).unwrap_or_else(fail);
             })
         }));
         for h in handles {
@@ -923,13 +915,9 @@ struct Control {
 /// is the collector they arrive at, and its own subtotal enters formula
 /// (5) exactly as any other rank's does.
 trait Role {
-    /// Takes the rank's cumulative subtotal as of `now`. Returns whether
-    /// that counted as contact with rank 0: under a tree topology a
-    /// worker's subtotals flow to a relay, which keeps the *collector*
-    /// blind to the send — the heartbeat cadence must not be reset by
-    /// it, or the liveness plane would starve.
-    fn offer(&mut self, own: &Subtotal, now: Instant, is_final: bool)
-        -> Result<bool, ParmoncError>;
+    /// Takes the rank's cumulative subtotal as of `now`. An offer is
+    /// contact with rank 0: the heartbeat cadence restarts from it.
+    fn offer(&mut self, own: &Subtotal, now: Instant, is_final: bool) -> Result<(), ParmoncError>;
 
     /// Tells rank 0 this rank is alive, through a stretch without such
     /// contact. Rank 0 has nobody to tell.
@@ -1037,11 +1025,9 @@ fn simulate_quota<R: Realize + ?Sized>(
         if due && sim.done() < sim.quota {
             let sp_send = sim.spans.start(SpanPhase::SubtotalSend, Some(batch_span));
             report_progress(ctx.monitor, sim.rank, &sim.own);
-            let contacted_collector = role.offer(&sim.own, now, false)?;
+            role.offer(&sim.own, now, false)?;
             sim.spans.end(sp_send, SpanPhase::SubtotalSend);
-            if contacted_collector {
-                last_contact = now;
-            }
+            last_contact = now;
             if last_file_write.is_none_or(|t| now.duration_since(t) >= WORKER_FILE_PERIOD) {
                 sim.save_state(ctx.dir, batch_span)?;
                 last_file_write = Some(now);
@@ -1056,10 +1042,6 @@ fn simulate_quota<R: Realize + ?Sized>(
             batch_span = 0;
             last_pass = now;
         }
-        // Not an `else`: a tree worker's offer goes to its relay, not
-        // to rank 0, so the heartbeat must still fire on schedule even
-        // in the every-realization exchange mode where offers are due
-        // on every iteration.
         if now.duration_since(last_contact) >= config.heartbeat_period {
             role.heartbeat()?;
             last_contact = now;
@@ -1585,8 +1567,8 @@ mod tests {
     }
 
     impl Role for Alone {
-        fn offer(&mut self, _: &Subtotal, _: Instant, _: bool) -> Result<bool, ParmoncError> {
-            Ok(true)
+        fn offer(&mut self, _: &Subtotal, _: Instant, _: bool) -> Result<(), ParmoncError> {
+            Ok(())
         }
 
         fn heartbeat(&mut self) -> Result<(), ParmoncError> {

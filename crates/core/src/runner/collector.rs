@@ -5,7 +5,7 @@
 use std::time::Instant;
 
 use parmonc_mpi::Transport as Comm;
-use parmonc_mpi::{Bytes, CollectionPlan, Envelope, MpiError};
+use parmonc_mpi::{Bytes, Envelope, MpiError};
 use parmonc_obs::{
     CollectorActivity, ConvergenceTracker, EventKind, Monitor, SpanEmitter, SpanPhase,
 };
@@ -15,9 +15,7 @@ use parmonc_stats::{MatrixAccumulator, MatrixSummary};
 use super::{simulate_quota, Control, RealizationLoop, Role, RunCtx};
 use crate::config::RunConfig;
 use crate::error::ParmoncError;
-use crate::messages::{
-    decode_batch, Subtotal, TAG_BATCH, TAG_EXTEND, TAG_FINAL, TAG_HEARTBEAT, TAG_REPARENT, TAG_STOP,
-};
+use crate::messages::{Subtotal, TAG_EXTEND, TAG_FINAL, TAG_HEARTBEAT, TAG_STOP};
 use crate::realize::Realize;
 
 /// Collector-side state: the latest cumulative subtotal per rank, and
@@ -135,7 +133,6 @@ pub(super) struct Collector {
     /// Whether each rank's final subtotal has been folded in.
     finals: Vec<bool>,
     pub(super) live: Liveness,
-    plan: CollectionPlan,
     /// Set once error-controlled stopping has been broadcast: lost
     /// budget is no longer reassigned.
     stopping: bool,
@@ -156,7 +153,6 @@ impl Collector {
             state: CollectorState::new(baseline, size),
             finals: vec![false; size],
             live: Liveness::new(size),
-            plan: config.collection_plan(),
             stopping: false,
             last_average: Instant::now(),
             convergence: ConvergenceTracker::with_target(config.target_abs_error),
@@ -225,11 +221,7 @@ impl Collector {
     /// Declares `dead` lost: keeps its last cumulative subtotal (those
     /// realizations are complete and unbiased), reassigns the rest of
     /// its budget, and records the loss — or fails the whole run when
-    /// the configuration demands that. Under a tree topology the dead
-    /// rank may have been a relay: its still-live children are
-    /// reparented straight to the collector so their subtotals keep
-    /// flowing (cumulative semantics make anything buffered in the dead
-    /// relay redundant with the child's next send).
+    /// the configuration demands that.
     fn declare_lost<C: Comm, R: ?Sized>(
         &mut self,
         ctx: &RunCtx<'_, R>,
@@ -259,13 +251,6 @@ impl Collector {
                 received_realizations: received,
             },
         );
-        for child in self.plan.children(dead) {
-            if self.live.alive[child] && !self.finals[child] {
-                // Best-effort: a child that cannot be reached will fall
-                // back to the collector on its own Disconnected error.
-                let _ = comm.send(child, TAG_REPARENT, &0u64.to_le_bytes());
-            }
-        }
         let budget = (ctx.config.quota(dead) + self.live.extended[dead]).saturating_sub(received);
         if budget > 0 && !self.stopping {
             self.reassign(dead, budget, comm, ctx.monitor);
@@ -304,8 +289,8 @@ impl Collector {
     /// extended but fell short (the extension raced its exit) gets the
     /// shortfall re-reassigned so the budget is never silently dropped;
     /// base-quota shortfalls (deadline, stop broadcast) are left alone.
-    /// Idempotent at the call sites: a relay re-flushing a batch can
-    /// replay a final flag, so callers guard on `!finals[rank]`.
+    /// Called once per rank: `handle` drops everything a rank sends
+    /// after its final.
     fn note_final<C: Comm, R: ?Sized>(&mut self, ctx: &RunCtx<'_, R>, comm: &C, rank: usize) {
         self.finals[rank] = true;
         let count = self.state.latest[rank]
@@ -321,10 +306,6 @@ impl Collector {
 
     /// Folds one inbound envelope into the collector state. Returns
     /// `true` for data messages (heartbeats only refresh liveness).
-    /// Under a tree topology the envelope may be a relay's
-    /// [`TAG_BATCH`]: each entry is credited to its *original* rank —
-    /// liveness, subtotal, and final alike — so the estimate and the
-    /// loss accounting are independent of how subtotals were routed.
     fn handle<C: Comm, R: ?Sized>(
         &mut self,
         ctx: &RunCtx<'_, R>,
@@ -336,28 +317,6 @@ impl Collector {
         self.live.heard_from(source, now);
         if env.tag == TAG_HEARTBEAT {
             return Ok(false);
-        }
-        if env.tag == TAG_BATCH {
-            for entry in decode_batch(&env.payload)? {
-                if entry.rank == 0 || entry.rank >= self.finals.len() || self.finals[entry.rank] {
-                    // After a rank's final, anything still in flight for it
-                    // is a relay's stale copy or a retransmitted final —
-                    // never newer state. Absorbing it could *regress* the
-                    // rank's cumulative subtotal when the final took a
-                    // different path (e.g. the hub's route fallback).
-                    continue;
-                }
-                // The entry's payload reached us via the relay, but it is
-                // the origin rank's own recent subtotal: proof of life.
-                self.live.heard_from(entry.rank, now);
-                self.state.absorb(entry.rank, &entry.payload, now)?;
-                if entry.is_final {
-                    self.note_final(ctx, comm, entry.rank);
-                }
-                // Batch entry payloads alias one shared frame buffer —
-                // never recycle them into the pool.
-            }
-            return Ok(true);
         }
         if self.finals[source] {
             comm.recycle(env.payload);
@@ -656,17 +615,12 @@ impl<C: Comm, R: ?Sized> Role for Rank0<'_, C, R> {
     /// between save-points, and [`Rank0::average_if_due`] refreshes it
     /// before each one, so copying the matrices on every offer would
     /// be wasted.
-    fn offer(
-        &mut self,
-        own: &Subtotal,
-        now: Instant,
-        is_final: bool,
-    ) -> Result<bool, ParmoncError> {
+    fn offer(&mut self, own: &Subtotal, now: Instant, is_final: bool) -> Result<(), ParmoncError> {
         if is_final {
             self.collector.state.update_own(own, now);
             self.collector.finals[0] = true;
         }
-        Ok(true)
+        Ok(())
     }
 
     /// The collector's duties between rank 0's realizations: drain the

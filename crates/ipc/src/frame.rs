@@ -8,8 +8,8 @@
 //! the collector deduplicate frames replayed after a reconnect. A band
 //! of tags above the collective range is reserved for the transports'
 //! own protocol and never surfaces as envelopes: forwarded monitor
-//! events, the join/grant/reject/rejoin handshake, clock alignment and
-//! hub routing. The full byte-level contract
+//! events, the join/grant/reject/rejoin handshake and clock alignment.
+//! The full byte-level contract
 //! (including a worked hexdump) is documented in
 //! `docs/wire-protocol.md`.
 
@@ -64,38 +64,8 @@ pub const TAG_TCP_CLOCK_REPLY: u32 = 0xFFFF_FF07;
 /// forwarded events onto the corrected run clock.
 pub const TAG_TCP_CLOCK: u32 = 0xFFFF_FF08;
 
-/// A frame routed *through* the hub: the socket substrates are
-/// physically a star around rank 0, so when a tree
-/// [`Topology`](parmonc_mpi::Topology) asks a worker to send to a rank
-/// other than 0 the worker wraps the inner frame as
-/// `[dest u32][inner_tag u32][inner payload...]` under this tag. The
-/// hub unwraps it after dedup and forwards the inner frame to `dest`
-/// with the *original* source, so the destination cannot tell the
-/// message was relayed. See [`encode_route`]/[`decode_route`].
-pub const TAG_IPC_ROUTE: u32 = 0xFFFF_FF09;
-
-/// Wraps an inner frame for hub routing: `[dest u32][tag u32][payload]`.
-#[must_use]
-pub fn encode_route(dest: u32, inner_tag: u32, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(8 + payload.len());
-    buf.extend_from_slice(&dest.to_le_bytes());
-    buf.extend_from_slice(&inner_tag.to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf
-}
-
-/// Unwraps a [`TAG_IPC_ROUTE`] payload into `(dest, inner_tag, inner
-/// payload)`; `None` if the payload is shorter than the 8-byte route
-/// header.
-#[must_use]
-pub fn decode_route(payload: &[u8]) -> Option<(u32, u32, &[u8])> {
-    if payload.len() < 8 {
-        return None;
-    }
-    let dest = u32::from_le_bytes(payload[0..4].try_into().ok()?);
-    let tag = u32::from_le_bytes(payload[4..8].try_into().ok()?);
-    Some((dest, tag, &payload[8..]))
-}
+// 0xFFFF_FF09 is retired, not reused: it wrapped frames the hub routed
+// between workers for tree collection (protocol version 4).
 
 /// Magic number opening every [`JoinRequest`]: the little-endian bytes
 /// spell `PMNC`. A connection whose first frame does not carry it is
@@ -111,8 +81,10 @@ pub const TCP_MAGIC: u32 = 0x434E_4D50;
 /// clock-alignment timestamps and added the clock tag band
 /// ([`TAG_TCP_CLOCK_PROBE`]..[`TAG_TCP_CLOCK`]); version 4 gave the
 /// [`Grant`] a parent-assignment field (tree collection topologies)
-/// and added [`TAG_IPC_ROUTE`] hub routing.
-pub const TCP_PROTOCOL_VERSION: u16 = 4;
+/// and added hub routing under tag `0xFFFF_FF09`; version 5 removed
+/// both again with the tree — the grant's parent field is reserved
+/// zero once more, and the routing tag is retired.
+pub const TCP_PROTOCOL_VERSION: u16 = 5;
 
 /// The 24-byte [`TAG_TCP_JOIN`] payload:
 /// `[magic u32][version u16][reserved u16][config_digest u64][t0_s f64]`.
@@ -174,7 +146,7 @@ impl JoinRequest {
 }
 
 /// The 48-byte [`TAG_TCP_GRANT`] payload:
-/// `[version u16][flags u16][rank u32][size u32][parent u32][quota u64][epoch u64][t_recv_s f64][t_reply_s f64]`.
+/// `[version u16][flags u16][rank u32][size u32][reserved u32][quota u64][epoch u64][t_recv_s f64][t_reply_s f64]`.
 /// Flags bit 0 = the run is monitored (the worker should forward its
 /// events); bit 1 = span tracing is on (the worker should emit
 /// `span_started`/`span_ended` events around its phases).
@@ -191,11 +163,6 @@ pub struct Grant {
     pub rank: u32,
     /// World size including the collector.
     pub size: u32,
-    /// The rank this worker's subtotal envelopes should flow to under
-    /// the run's collection topology: 0 under a star, possibly an
-    /// interior relay rank under a tree. Was a reserved zero field in
-    /// protocol version 3, so the star default is wire-compatible.
-    pub parent: u32,
     /// The realization quota of the leased rank; the worker
     /// cross-checks it against its own configuration.
     pub quota: u64,
@@ -221,7 +188,7 @@ impl Grant {
         buf[2..4].copy_from_slice(&flags.to_le_bytes());
         buf[4..8].copy_from_slice(&self.rank.to_le_bytes());
         buf[8..12].copy_from_slice(&self.size.to_le_bytes());
-        buf[12..16].copy_from_slice(&self.parent.to_le_bytes());
+        // bytes 12..16 reserved, zero
         buf[16..24].copy_from_slice(&self.quota.to_le_bytes());
         buf[24..32].copy_from_slice(&self.epoch.to_le_bytes());
         buf[32..40].copy_from_slice(&self.t_recv_s.to_le_bytes());
@@ -242,7 +209,6 @@ impl Grant {
             spans: flags & 2 != 0,
             rank: u32::from_le_bytes(payload[4..8].try_into().ok()?),
             size: u32::from_le_bytes(payload[8..12].try_into().ok()?),
-            parent: u32::from_le_bytes(payload[12..16].try_into().ok()?),
             quota: u64::from_le_bytes(payload[16..24].try_into().ok()?),
             epoch: u64::from_le_bytes(payload[24..32].try_into().ok()?),
             t_recv_s: f64::from_le_bytes(payload[32..40].try_into().ok()?),
@@ -679,7 +645,6 @@ mod tests {
                     spans,
                     rank: 3,
                     size: 8,
-                    parent: 1,
                     quota: 125_000,
                     epoch: 0x0123_4567_89AB_CDEF,
                     t_recv_s: 9.5,
@@ -687,20 +652,11 @@ mod tests {
                 };
                 let buf = grant.encode();
                 assert_eq!(buf.len(), 48);
+                assert_eq!(&buf[12..16], &[0; 4], "the reserved bytes stay zero");
                 assert_eq!(Grant::decode(&buf), Some(grant));
             }
         }
         assert_eq!(Grant::decode(&[0u8; 32]), None, "v2 grants are refused");
-    }
-
-    #[test]
-    fn route_wrap_round_trips_and_rejects_short_payloads() {
-        let wrapped = encode_route(5, 6, b"inner-bytes");
-        let (dest, tag, inner) = decode_route(&wrapped).unwrap();
-        assert_eq!((dest, tag, inner), (5, 6, &b"inner-bytes"[..]));
-        let empty = encode_route(2, 9, b"");
-        assert_eq!(decode_route(&empty), Some((2, 9, &b""[..])));
-        assert_eq!(decode_route(&wrapped[..7]), None, "truncated route header");
     }
 
     #[test]

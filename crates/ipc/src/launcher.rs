@@ -5,7 +5,7 @@
 //! more — there is no second protocol. A child runs the user program up
 //! to its `run()` call, where the runner finds [`crate::worker_env`]
 //! and simply *joins* ([`crate::TcpWorkerTransport::join_unix`]): rank,
-//! size, quota, collection parent and the monitor and span flags arrive
+//! size, quota and the monitor and span flags arrive
 //! in the grant, as they do for a remote TCP worker. A stray local
 //! process that finds the socket cannot claim a rank for the same
 //! reason a stray TCP dialer cannot: it must present the magic, the

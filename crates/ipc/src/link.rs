@@ -369,7 +369,7 @@ pub fn admit_seq(last_seq: &AtomicU64, seq: u64) -> bool {
 /// Everything one link's reader thread needs besides the stream and
 /// the inbox: the monitor it re-emits into, its identity, the inbox
 /// depth and wire counters, and the planes only one side runs (source
-/// vetting, dedup, clock alignment, routing).
+/// vetting, dedup, clock alignment).
 pub(crate) struct LinkHooks {
     /// The run monitor forwarded events are re-emitted into.
     pub monitor: Monitor,
@@ -381,8 +381,7 @@ pub(crate) struct LinkHooks {
     /// Frames whose source field names any other rank are dropped — a
     /// connection speaks for exactly the rank it was leased, so a
     /// misbehaving peer cannot inject envelopes attributed to someone
-    /// else (worker-side readers pass `None`: routed frames carry their
-    /// origin rank, and the hub has already vetted it).
+    /// else (worker-side readers expect the collector, rank 0).
     pub expect_source: Option<u32>,
     /// Sequenced frames already admitted once (per [`admit_seq`]) are
     /// dropped — the exactly-once guarantee under reconnect replay.
@@ -398,18 +397,10 @@ pub(crate) struct LinkHooks {
     /// receipt/reply timestamps) or a [`TAG_TCP_CLOCK_REPLY`] (worker
     /// side closes the estimate and reports it back).
     pub clock_responder: Option<FrameHook>,
-    /// Hub-side forwarding of [`crate::frame::TAG_IPC_ROUTE`] frames:
-    /// the socket substrates are physically a star, so worker-to-worker
-    /// traffic (tree collection topologies) is wrapped for the hub,
-    /// which unwraps and re-sends the inner frame to its destination
-    /// with the original source. Invoked *after* dedup, so routed
-    /// frames keep the link's exactly-once guarantee. Hubless readers
-    /// leave this `None` and routed frames are dropped.
-    pub route: Option<FrameHook>,
 }
 
 /// A reader-thread callback handed one decoded [`Frame`]; see
-/// [`LinkHooks::clock_responder`] and [`LinkHooks::route`].
+/// [`LinkHooks::clock_responder`].
 pub type FrameHook = Box<dyn Fn(&Frame) + Send>;
 
 impl std::fmt::Debug for LinkHooks {
@@ -439,7 +430,6 @@ pub(crate) fn pump_frames(stream: impl Read, tx: Sender<Envelope>, hooks: LinkHo
         wire,
         clock,
         clock_responder,
-        route,
     } = hooks;
     let mut reader = BufReader::new(stream);
     loop {
@@ -488,14 +478,6 @@ pub(crate) fn pump_frames(stream: impl Read, tx: Sender<Envelope>, hooks: LinkHo
                         wire.count_dedup_drop();
                         continue;
                     }
-                }
-                if frame.tag == crate::frame::TAG_IPC_ROUTE {
-                    // Past dedup: a routed frame is forwarded at most
-                    // once even across reconnect replays.
-                    if let Some(route) = &route {
-                        route(&frame);
-                    }
-                    continue;
                 }
                 stats.note_enqueue(&monitor, local_rank);
                 let env = Envelope {
@@ -568,7 +550,6 @@ mod tests {
                 wire: Arc::clone(&wire),
                 clock: None,
                 clock_responder: None,
-                route: None,
             },
         );
 

@@ -53,15 +53,10 @@
 //!   run's heartbeat-based liveness plane, which sees the same
 //!   evidence on every backend.
 //!
-//! The *physical* wiring is a star: every connection runs between a
-//! worker and rank 0, and a connection speaks only for the rank it was
-//! leased (frames claiming another source are dropped). The *logical*
-//! collection topology may be a tree ([`parmonc_mpi::Topology::Tree`]):
-//! each grant carries the worker's collection parent, worker sends
-//! addressed to a rank other than 0 are wrapped as [`TAG_IPC_ROUTE`]
-//! frames, and the collector forwards the inner frame over the
-//! destination's live connection — after dedup, so exactly-once
-//! survives reconnect replays.
+//! The wiring is a star, like the collection it carries: every
+//! connection runs between a worker and rank 0, and a connection
+//! speaks only for the rank it was leased (frames claiming another
+//! source are dropped).
 
 use std::io::{self, Read, Write};
 use std::net::SocketAddr;
@@ -84,10 +79,10 @@ use parmonc_obs::{EventKind, Monitor, SpanEmitter, SpanPhase};
 use crate::backoff::{splitmix64, Backoff, ReconnectPolicy};
 use crate::faulty::FaultyStream;
 use crate::frame::{
-    decode_route, encode_route, read_frame, write_frame, write_frame_seq, ClockProbe, ClockReply,
-    ClockSync, Frame, Grant, JoinRequest, Reject, RejectCode, Rejoin, FRAME_HEADER_LEN,
-    TAG_IPC_ROUTE, TAG_TCP_CLOCK, TAG_TCP_CLOCK_PROBE, TAG_TCP_CLOCK_REPLY, TAG_TCP_GRANT,
-    TAG_TCP_JOIN, TAG_TCP_REJECT, TAG_TCP_REJOIN, TCP_MAGIC, TCP_PROTOCOL_VERSION,
+    read_frame, write_frame, write_frame_seq, ClockProbe, ClockReply, ClockSync, Frame, Grant,
+    JoinRequest, Reject, RejectCode, Rejoin, FRAME_HEADER_LEN, TAG_TCP_CLOCK, TAG_TCP_CLOCK_PROBE,
+    TAG_TCP_CLOCK_REPLY, TAG_TCP_GRANT, TAG_TCP_JOIN, TAG_TCP_REJECT, TAG_TCP_REJOIN, TCP_MAGIC,
+    TCP_PROTOCOL_VERSION,
 };
 use crate::launcher::Children;
 use crate::link::{
@@ -458,12 +453,11 @@ pub struct ListenOptions {
     /// change visible to a worker, so a crash can never lose a lease
     /// a worker believes it holds. `None` disables persistence.
     pub persist: Option<std::path::PathBuf>,
-    /// Per-rank collection parents under the run's topology, indexed
-    /// by `rank - 1`. Echoed in each grant so the worker knows where
-    /// its subtotal envelopes should flow: 0 under a star (an empty
-    /// vector means star for every rank), an interior relay rank under
-    /// a tree. A parent that has retired is remapped to 0 at grant
-    /// time, so a late joiner never routes into a hole.
+    /// Every worker reports to rank 0, so the only values accepted are
+    /// an empty vector or zeros: [`TcpCollectorTransport::listen`]
+    /// refuses any other entry with [`io::ErrorKind::InvalidInput`].
+    /// Kept only so exhaustive struct literals of `ListenOptions` keep
+    /// compiling.
     pub parents: Vec<usize>,
 }
 
@@ -489,7 +483,6 @@ struct AcceptorCtx {
     io_timeout: Duration,
     persist: Option<std::path::PathBuf>,
     trace_spans: bool,
-    parents: Vec<usize>,
 }
 
 /// Rank 0 of a socket world: the listener, lease table, and
@@ -525,8 +518,9 @@ impl TcpCollectorTransport {
     /// # Errors
     ///
     /// Bind/thread-spawn failures, a zero world size, a quota table
-    /// that does not cover `size - 1` ranks, or a resume snapshot
-    /// whose world size disagrees with the configuration.
+    /// that does not cover `size - 1` ranks, a non-zero entry in
+    /// `parents`, or a resume snapshot whose world size disagrees with
+    /// the configuration.
     pub fn listen(opts: ListenOptions) -> io::Result<Self> {
         Self::listen_on(&Endpoint::Tcp(opts.addr.clone()), opts)
     }
@@ -544,6 +538,12 @@ impl TcpCollectorTransport {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "quota table must have one entry per worker rank",
+            ));
+        }
+        if opts.parents.iter().any(|&parent| parent != 0) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "every worker reports to rank 0: parents must be empty or all zero",
             ));
         }
         if let Some(snapshot) = &opts.resume {
@@ -616,7 +616,6 @@ impl TcpCollectorTransport {
             io_timeout: opts.io_timeout,
             persist: opts.persist,
             trace_spans: opts.trace_spans,
-            parents: opts.parents,
         });
         let acceptor = std::thread::Builder::new()
             .name("parmonc-tcp-accept".into())
@@ -1059,24 +1058,6 @@ fn admit(stream: Socket, peer: Option<String>, ctx: &AcceptorCtx) -> io::Result<
             persist_lease_table(path, &l.snapshot(ctx.epoch, ctx.size));
         }
     }
-    // The worker's collection parent under the run's topology. A
-    // parent whose lease has retired is remapped to 0: that relay is
-    // gone for good (its budget reassigned), so the joiner reports
-    // straight to the collector instead of routing into a hole.
-    let parent = {
-        let configured = ctx.parents.get(rank - 1).copied().unwrap_or(0);
-        let unusable = configured != 0
-            && ctx
-                .lease
-                .lock()
-                .map(|l| l.retired.get(configured - 1).copied().unwrap_or(true))
-                .unwrap_or(true);
-        if unusable {
-            0
-        } else {
-            configured
-        }
-    };
     let grant = Grant {
         version: TCP_PROTOCOL_VERSION,
         monitor: ctx.monitor.is_enabled(),
@@ -1084,7 +1065,6 @@ fn admit(stream: Socket, peer: Option<String>, ctx: &AcceptorCtx) -> io::Result<
         rank: rank as u32,
         size: ctx.size as u32,
         quota: ctx.quotas[rank - 1],
-        parent: parent as u32,
         epoch: ctx.epoch,
         t_recv_s,
         // `t2`: sampled as late as possible before the reply hits the
@@ -1170,58 +1150,6 @@ fn admit(stream: Socket, peer: Option<String>, ctx: &AcceptorCtx) -> io::Result<
             }
         })
     };
-    // Hub-side routing for tree topologies: a worker's send addressed
-    // to its relay parent arrives here wrapped as [`TAG_IPC_ROUTE`]
-    // and is forwarded over the destination's live connection with the
-    // *original* source (vetted by `expect_source` before the route
-    // branch, so a worker cannot spoof another rank). Runs after
-    // dedup, so exactly-once survives reconnect replays. A destination
-    // with no live writer (dead, or mid-rejoin) gets its frame
-    // delivered to the hub's own inbox instead: the hub is the
-    // collection root, so anything a relay would have forwarded is
-    // absorbable directly, and the replace-then-sum fold makes the
-    // duplicate against the relay's eventual copy benign. This path
-    // must never block — it runs on the source connection's reader
-    // thread, and stalling it would starve that worker's heartbeats
-    // and get a healthy rank declared lost.
-    let route: Box<dyn Fn(&Frame) + Send> = {
-        let tx = ctx.tx.clone();
-        let monitor = ctx.monitor.clone();
-        let stats = Arc::clone(&ctx.stats);
-        let lease = Arc::clone(&ctx.lease);
-        let size = ctx.size;
-        Box::new(move |frame: &Frame| {
-            let Some((dest, tag, inner)) = decode_route(&frame.payload) else {
-                return;
-            };
-            let dest = dest as usize;
-            if dest != 0 && dest < size {
-                let slot = lease.lock().ok().and_then(|l| {
-                    l.writers
-                        .get(dest - 1)
-                        .cloned()
-                        .flatten()
-                        .map(|w| (w, Arc::clone(&l.wire[dest - 1])))
-                });
-                if let Some((writer, dest_wire)) = slot {
-                    if let Ok(mut stream) = writer.lock() {
-                        if write_frame(&mut *stream, frame.source, tag, inner).is_ok() {
-                            dest_wire.count_out(FRAME_HEADER_LEN + inner.len());
-                            return;
-                        }
-                    }
-                }
-            } else if dest >= size {
-                return;
-            }
-            stats.note_enqueue(&monitor, 0);
-            let _ = tx.send(Envelope {
-                source: frame.source as usize,
-                tag: Tag(tag),
-                payload: Bytes::copy_from_slice(inner),
-            });
-        })
-    };
     let spawned = std::thread::Builder::new()
         .name(format!("parmonc-tcp-w{rank}"))
         .spawn({
@@ -1242,7 +1170,6 @@ fn admit(stream: Socket, peer: Option<String>, ctx: &AcceptorCtx) -> io::Result<
                         wire: Arc::clone(&wire),
                         clock: Some(clock),
                         clock_responder: Some(responder),
-                        route: Some(route),
                     },
                 );
                 // The connection is gone (worker exit, crash, rejoin
@@ -1503,9 +1430,6 @@ pub struct TcpWorkerTransport {
     rank: usize,
     size: usize,
     quota: u64,
-    /// The collection parent the grant assigned: 0 under a star,
-    /// possibly an interior relay rank under a tree.
-    parent: usize,
     pool: BufferPool,
     monitor: Monitor,
     gate: FaultGate,
@@ -1588,13 +1512,6 @@ impl TcpWorkerTransport {
         };
         let rank = grant.rank as usize;
         let size = grant.size as usize;
-        // A parent outside the world (or naming ourselves) is treated
-        // as star rather than rejected: collection degrades, estimates
-        // are unaffected.
-        let parent = match grant.parent as usize {
-            p if p < size && p != rank => p,
-            _ => 0,
-        };
         let writer = Arc::new(Mutex::new(FaultyStream::new(
             stream.try_clone()?,
             rank,
@@ -1619,7 +1536,6 @@ impl TcpWorkerTransport {
             rank,
             size,
             quota: grant.quota,
-            parent,
             pool: BufferPool::new(parmonc_mpi::pool::DEFAULT_POOL_CAPACITY),
             spans: SpanEmitter::new(&monitor, rank, grant.spans),
             gate: FaultGate::new(rank, opts.faults.clone(), monitor.clone()),
@@ -1657,10 +1573,8 @@ impl TcpWorkerTransport {
             monitor: self.monitor.clone(),
             local_rank: self.rank,
             stats: Arc::clone(&self.stats),
-            // Routed frames carry the *origin* rank (a relay receives
-            // its children's subtotals via the hub), so any source is
-            // acceptable here.
-            expect_source: None,
+            // The only peer on this link is the collector.
+            expect_source: Some(0),
             dedup: None,
             wire: Arc::clone(&self.uplink.wire),
             clock: None,
@@ -1670,7 +1584,6 @@ impl TcpWorkerTransport {
                 self.rank,
                 move || clock_epoch.elapsed().as_secs_f64() + skew_s,
             )),
-            route: None,
         };
         let tx = self.tx.clone();
         std::thread::Builder::new()
@@ -1691,15 +1604,6 @@ impl TcpWorkerTransport {
     #[must_use]
     pub fn granted_quota(&self) -> u64 {
         self.quota
-    }
-
-    /// The collection parent the grant assigned under the run's
-    /// topology: 0 under a star (the default), an interior relay rank
-    /// under a tree. Workers emit their subtotal envelopes toward this
-    /// rank and fall back to 0 if it goes away.
-    #[must_use]
-    pub fn granted_parent(&self) -> usize {
-        self.parent
     }
 
     /// The session epoch from the grant; a resumed collector
@@ -1806,23 +1710,14 @@ impl TcpWorkerTransport {
     }
 
     fn raw_send(&self, dest: usize, tag: Tag, payload: Bytes) -> Result<(), MpiError> {
-        if dest >= self.size {
-            return Err(MpiError::Disconnected);
+        // The link runs to the collector and nowhere else.
+        if dest != 0 {
+            return Err(MpiError::InvalidRank {
+                rank: dest,
+                size: self.size,
+            });
         }
-        // The physical link always runs to the hub. A send addressed
-        // to any other rank (a tree worker emitting to its relay
-        // parent) is wrapped as a routed frame; the collector unwraps
-        // it past dedup and forwards the inner frame, so the route
-        // consumes a sequence number exactly like a direct send.
-        let (wire_tag, wrapped);
-        let on_wire: &[u8] = if dest == 0 {
-            wire_tag = tag.0;
-            &payload
-        } else {
-            wrapped = encode_route(dest as u32, tag.0, &payload);
-            wire_tag = TAG_IPC_ROUTE;
-            &wrapped
-        };
+        let (wire_tag, on_wire) = (tag.0, &payload[..]);
         let result = {
             let mut stream = self.writer.lock().map_err(|_| MpiError::Disconnected)?;
             // One sequence number per *logical* send, assigned under the
@@ -2607,13 +2502,13 @@ mod tests {
         assert_eq!(LeaseSnapshot::decode(&padded), None);
     }
 
+    /// `parents` survives only as a field of the struct literal: every
+    /// worker reports to rank 0, so a listen that names any other
+    /// parent is refused before it binds, and a worker's send to
+    /// another worker is refused too.
     #[test]
-    fn routed_frames_reach_a_relay_through_the_hub() {
-        // Tree topology at the transport level: rank 2's grant names
-        // rank 1 as its collection parent, and a send addressed to
-        // rank 1 travels worker 2 -> hub -> worker 1 with the origin
-        // rank preserved.
-        let mut collector = TcpCollectorTransport::listen(ListenOptions {
+    fn only_star_parents_are_accepted() {
+        let options = |parents: Vec<usize>| ListenOptions {
             addr: "127.0.0.1:0".into(),
             size: 3,
             monitor: Monitor::disabled(),
@@ -2624,23 +2519,20 @@ mod tests {
             resume: None,
             persist: None,
             trace_spans: false,
-            parents: vec![0, 1],
-        })
-        .expect("listen on loopback");
+            parents,
+        };
+        let err = TcpCollectorTransport::listen(options(vec![0, 1]))
+            .expect_err("a tree of parents is refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let mut collector =
+            TcpCollectorTransport::listen(options(vec![0, 0])).expect("zeros are the star");
         let addr = collector.local_addr().to_string();
-        let mut relay = join(addr.clone(), 42).expect("rank 1 joins");
-        assert_eq!(relay.granted_parent(), 0, "rank 1 reports to the collector");
-        let sender = join(addr, 42).expect("rank 2 joins");
-        assert_eq!(sender.granted_parent(), 1, "rank 2 reports to the relay");
-        sender.send(1, Tag(7), b"uphill").unwrap();
-        let env = relay
-            .recv(None, Some(Tag(7)))
-            .expect("routed frame arrives");
-        assert_eq!(env.source, 2, "the origin rank survives the hop");
-        assert_eq!(&env.payload[..], b"uphill");
-        // A retired parent is remapped to 0 at grant time, so a late
-        // (re)joiner never routes into a hole.
-        collector.retire_rank(1);
+        let _first = join(addr.clone(), 42).expect("rank 1 joins");
+        let second = join(addr, 42).expect("rank 2 joins");
+        assert!(matches!(
+            second.send(1, Tag(7), b"sideways"),
+            Err(MpiError::InvalidRank { rank: 1, size: 3 })
+        ));
         collector.shutdown().unwrap();
     }
 

@@ -6,7 +6,7 @@
 //! is to check [`worker_env`] and divert into the worker loop
 //! ("hijack") before any of the user program's own side effects can
 //! repeat. The socket path is all a child is told — rank, world size,
-//! quota, collection parent and the monitor and span flags arrive in
+//! quota and the monitor and span flags arrive in
 //! the join handshake's grant, exactly as for a remote TCP worker. The
 //! [`WORKER_FLAG`] argument is appended to the child's argv as a
 //! human-visible marker (`ps` shows it) and so CLI parsers can strip

@@ -6,20 +6,17 @@
 //! [`reduce_sum`] to validate the substrate against closed-form
 //! answers.
 //!
-//! Every collective routes through a [`CollectionPlan`]: the classic
-//! entry points ([`barrier`], [`gather`], [`reduce_sum`]) are thin
-//! wrappers over the `_plan` variants with a star plan, so the same
-//! code runs a flat star or a k-ary reduction tree. The root is
-//! explicit everywhere — nothing below assumes rank 0.
+//! Every collective is a star: the root talks to every other rank
+//! directly. The root is explicit everywhere but in [`barrier`] —
+//! nothing else assumes rank 0.
 //!
-//! Determinism contract: [`reduce_sum_plan`] folds contributions in
-//! ascending *rank* order at the root (never partial sums at relays,
-//! never arrival order), so the result is bit-identical across
-//! topologies and backends despite floating-point non-associativity.
+//! Determinism contract: [`reduce_sum`] folds contributions in
+//! ascending *rank* order at the root (never arrival order), so the
+//! result is bit-identical across backends despite floating-point
+//! non-associativity.
 
 use crate::envelope::{PayloadReader, PayloadWriter, Tag};
 use crate::error::MpiError;
-use crate::plan::{CollectionPlan, Topology};
 use crate::transport::Transport;
 
 /// Tag space reserved for collectives (high bit set so user tags in the
@@ -30,12 +27,6 @@ const TAG_BARRIER_IN: Tag = Tag(COLLECTIVE_BASE);
 const TAG_BARRIER_OUT: Tag = Tag(COLLECTIVE_BASE + 1);
 const TAG_BCAST: Tag = Tag(COLLECTIVE_BASE + 2);
 const TAG_GATHER: Tag = Tag(COLLECTIVE_BASE + 3);
-
-/// The star plan the classic wrappers use: today's shape, explicit
-/// root.
-fn star(root: usize, size: usize) -> CollectionPlan {
-    CollectionPlan::new(Topology::Star, root, size)
-}
 
 fn check_root<T: Transport>(comm: &T, root: usize) -> Result<(), MpiError> {
     if root >= comm.size() {
@@ -54,28 +45,16 @@ fn check_root<T: Transport>(comm: &T, root: usize) -> Result<(), MpiError> {
 ///
 /// Propagates transport errors ([`MpiError::Disconnected`]).
 pub fn barrier<T: Transport>(comm: &mut T) -> Result<(), MpiError> {
-    let plan = star(0, comm.size());
-    barrier_plan(comm, &plan)
-}
-
-/// Blocks until every rank has entered the barrier, synchronizing
-/// along the plan's edges: arrivals roll up child → parent, the
-/// release rolls back down parent → child.
-///
-/// # Errors
-///
-/// Propagates transport errors ([`MpiError::Disconnected`]).
-pub fn barrier_plan<T: Transport>(comm: &mut T, plan: &CollectionPlan) -> Result<(), MpiError> {
-    let rank = comm.rank();
-    for &child in &plan.children(rank) {
-        comm.recv(Some(child), Some(TAG_BARRIER_IN))?;
-    }
-    if let Some(parent) = plan.parent(rank) {
-        comm.send(parent, TAG_BARRIER_IN, &[])?;
-        comm.recv(Some(parent), Some(TAG_BARRIER_OUT))?;
-    }
-    for &child in &plan.children(rank) {
-        comm.send(child, TAG_BARRIER_OUT, &[])?;
+    if comm.rank() == 0 {
+        for src in 1..comm.size() {
+            comm.recv(Some(src), Some(TAG_BARRIER_IN))?;
+        }
+        for dest in 1..comm.size() {
+            comm.send(dest, TAG_BARRIER_OUT, &[])?;
+        }
+    } else {
+        comm.send(0, TAG_BARRIER_IN, &[])?;
+        comm.recv(Some(0), Some(TAG_BARRIER_OUT))?;
     }
     Ok(())
 }
@@ -122,76 +101,22 @@ pub fn gather<T: Transport>(
     value: &[f64],
 ) -> Result<Option<Vec<Vec<f64>>>, MpiError> {
     check_root(comm, root)?;
-    let plan = star(root, comm.size());
-    gather_plan(comm, &plan, value)
-}
-
-/// Gathers each rank's `value` vector on the plan's root, rolling the
-/// contributions up the tree: each rank receives one coalesced batch
-/// of `(rank, vector)` entries per child (covering the child's whole
-/// subtree), appends its own entry, and forwards one batch to its
-/// parent. The root returns `Some(values_by_rank)`, other ranks return
-/// `None`.
-///
-/// # Errors
-///
-/// Propagates transport errors; [`MpiError::MalformedPayload`] if a
-/// batch names an out-of-range or duplicate rank.
-pub fn gather_plan<T: Transport>(
-    comm: &mut T,
-    plan: &CollectionPlan,
-    value: &[f64],
-) -> Result<Option<Vec<Vec<f64>>>, MpiError> {
-    let rank = comm.rank();
-    let size = comm.size();
-    let mut by_rank: Vec<Option<Vec<f64>>> = vec![None; size];
-    by_rank[rank] = Some(value.to_vec());
-    for &child in &plan.children(rank) {
-        let env = comm.recv(Some(child), Some(TAG_GATHER))?;
-        let mut r = PayloadReader::new(env.payload);
-        let count = r.get_u64()?;
-        for _ in 0..count {
-            let entry_rank =
-                usize::try_from(r.get_u64()?).map_err(|_| MpiError::MalformedPayload {
-                    what: "gather entry rank does not fit",
-                })?;
-            let vec = r.get_f64_vec()?;
-            if entry_rank >= size || by_rank[entry_rank].is_some() {
-                return Err(MpiError::MalformedPayload {
-                    what: "gather batch names an out-of-range or duplicate rank",
-                });
-            }
-            by_rank[entry_rank] = Some(vec);
+    if comm.rank() != root {
+        let mut w = PayloadWriter::with_capacity(8 + value.len() * 8);
+        w.put_f64_slice(value);
+        comm.send_bytes(root, TAG_GATHER, w.finish())?;
+        return Ok(None);
+    }
+    let mut out = Vec::with_capacity(comm.size());
+    for src in 0..comm.size() {
+        if src == root {
+            out.push(value.to_vec());
+        } else {
+            let env = comm.recv(Some(src), Some(TAG_GATHER))?;
+            out.push(PayloadReader::new(env.payload).get_f64_vec()?);
         }
     }
-    match plan.parent(rank) {
-        None => {
-            let mut out = Vec::with_capacity(size);
-            for slot in by_rank {
-                out.push(slot.ok_or(MpiError::MalformedPayload {
-                    what: "gather finished with a rank unaccounted for",
-                })?);
-            }
-            Ok(Some(out))
-        }
-        Some(parent) => {
-            let entries: Vec<(usize, &Vec<f64>)> = by_rank
-                .iter()
-                .enumerate()
-                .filter_map(|(r, v)| v.as_ref().map(|v| (r, v)))
-                .collect();
-            let mut w = PayloadWriter::with_capacity(
-                8 + entries.iter().map(|(_, v)| 16 + v.len() * 8).sum::<usize>(),
-            );
-            w.put_u64(entries.len() as u64);
-            for (entry_rank, vec) in entries {
-                w.put_u64(entry_rank as u64);
-                w.put_f64_slice(vec);
-            }
-            comm.send_bytes(parent, TAG_GATHER, w.finish())?;
-            Ok(None)
-        }
-    }
+    Ok(Some(out))
 }
 
 /// Reduces each rank's `value` vector by entrywise summation on `root`;
@@ -199,41 +124,21 @@ pub fn gather_plan<T: Transport>(
 ///
 /// This is the collective formulation of the paper's formula (5): the
 /// averaged estimate is the reduce-sum of per-processor `(Σζ, Σζ², l)`
-/// divided through by the total volume.
+/// divided through by the total volume. Implemented as a gather of the
+/// raw per-rank vectors followed by one ascending-rank fold at the
+/// root.
 ///
 /// # Errors
 ///
-/// Propagates transport errors; [`MpiError::MalformedPayload`] if rank
-/// contributions have mismatched lengths.
+/// Propagates transport errors, [`MpiError::InvalidRank`] for a bad
+/// root, and [`MpiError::MalformedPayload`] if rank contributions have
+/// mismatched lengths.
 pub fn reduce_sum<T: Transport>(
     comm: &mut T,
     root: usize,
     value: &[f64],
 ) -> Result<Option<Vec<f64>>, MpiError> {
-    check_root(comm, root)?;
-    let plan = star(root, comm.size());
-    reduce_sum_plan(comm, &plan, value)
-}
-
-/// Reduces each rank's `value` vector by entrywise summation on the
-/// plan's root.
-///
-/// Implemented as a tree gather of the raw per-rank vectors followed
-/// by one ascending-rank fold at the root — relays forward bytes, they
-/// never pre-sum — so the result is bit-identical whatever the plan's
-/// shape. The cost is O(m) payload at the root either way; what the
-/// tree saves is the root's per-message receive overhead.
-///
-/// # Errors
-///
-/// Propagates transport errors; [`MpiError::MalformedPayload`] if rank
-/// contributions have mismatched lengths.
-pub fn reduce_sum_plan<T: Transport>(
-    comm: &mut T,
-    plan: &CollectionPlan,
-    value: &[f64],
-) -> Result<Option<Vec<f64>>, MpiError> {
-    let Some(by_rank) = gather_plan(comm, plan, value)? else {
+    let Some(by_rank) = gather(comm, root, value)? else {
         return Ok(None);
     };
     let mut acc = vec![0.0f64; value.len()];
@@ -271,22 +176,6 @@ mod tests {
         .unwrap();
         for r in results {
             assert_eq!(r.unwrap(), 8);
-        }
-    }
-
-    #[test]
-    fn tree_barrier_synchronizes_at_non_zero_root() {
-        let arrived = Arc::new(AtomicUsize::new(0));
-        let arrived2 = Arc::clone(&arrived);
-        let results = World::run(7, move |comm| {
-            let plan = CollectionPlan::new(Topology::Tree { arity: 2 }, 3, comm.size());
-            arrived2.fetch_add(1, Ordering::SeqCst);
-            barrier_plan(comm, &plan)?;
-            Ok(arrived2.load(Ordering::SeqCst))
-        })
-        .unwrap();
-        for r in results {
-            assert_eq!(r.unwrap(), 7);
         }
     }
 
@@ -341,25 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_gather_matches_star_gather() {
-        let star = World::run(9, |comm| {
-            let mine = vec![comm.rank() as f64 * 0.1; 3];
-            gather(comm, 0, &mine)
-        })
-        .unwrap();
-        let tree = World::run(9, |comm| {
-            let plan = CollectionPlan::new(Topology::Tree { arity: 2 }, 0, comm.size());
-            let mine = vec![comm.rank() as f64 * 0.1; 3];
-            gather_plan(comm, &plan, &mine)
-        })
-        .unwrap();
-        assert_eq!(
-            star[0].as_ref().unwrap().as_ref().unwrap(),
-            tree[0].as_ref().unwrap().as_ref().unwrap()
-        );
-    }
-
-    #[test]
     fn reduce_sums_entrywise() {
         let results = World::run(6, |comm| {
             let mine = vec![comm.rank() as f64, 1.0];
@@ -380,31 +250,6 @@ mod tests {
         assert!(results[0].as_ref().unwrap().is_none());
         let sums = results[4].as_ref().unwrap().as_ref().unwrap();
         assert_eq!(sums, &vec![15.0, 6.0]);
-    }
-
-    #[test]
-    fn tree_reduce_is_bit_identical_to_star_reduce() {
-        // Values chosen so a different fold order would change the
-        // rounding: the tree must fold in rank order at the root, not
-        // merge partial sums at relays.
-        let contributions: Vec<f64> = (0..9)
-            .map(|r| 1.0 + (r as f64) * 1e-16 + (r as f64).exp())
-            .collect();
-        let star = {
-            let c = contributions.clone();
-            World::run(9, move |comm| reduce_sum(comm, 0, &[c[comm.rank()]])).unwrap()
-        };
-        let tree = {
-            let c = contributions.clone();
-            World::run(9, move |comm| {
-                let plan = CollectionPlan::new(Topology::Tree { arity: 2 }, 0, comm.size());
-                reduce_sum_plan(comm, &plan, &[c[comm.rank()]])
-            })
-            .unwrap()
-        };
-        let s = star[0].as_ref().unwrap().as_ref().unwrap()[0];
-        let t = tree[0].as_ref().unwrap().as_ref().unwrap()[0];
-        assert_eq!(s.to_bits(), t.to_bits(), "fold order leaked into the sum");
     }
 
     #[test]

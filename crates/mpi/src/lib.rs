@@ -55,7 +55,6 @@ pub mod envelope;
 pub mod error;
 pub mod gate;
 mod mailbox;
-pub mod plan;
 pub mod pool;
 pub mod transport;
 
@@ -64,7 +63,6 @@ pub use comm::{Communicator, World};
 pub use envelope::{Envelope, Tag};
 pub use error::MpiError;
 pub use gate::FaultGate;
-pub use plan::{CollectionPlan, Topology};
 pub use pool::BufferPool;
 pub use transport::Transport;
 

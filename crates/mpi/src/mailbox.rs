@@ -71,7 +71,7 @@
 //! The table of slots is allocated by the first publish an inbox
 //! receives and a slot's buffers by the first publish of its source,
 //! sized for that payload: an inbox nobody publishes to (every rank
-//! but the collector and the relays) owns neither. A payload that
+//! but the collector) owns neither. A payload that
 //! does not fit — larger than [`INLINE_MAX`] or than the buffers were
 //! sized for — goes *by handle* through the same state word: the
 //! slot's one-deep cell holds its [`Bytes`], and a superseded handle

@@ -78,9 +78,6 @@ vocab! {
         CollectorMerge = "collector_merge",
         /// The collector writing a checkpoint / save-point.
         Checkpoint = "checkpoint",
-        /// An interior relay rank (tree collection topology) coalescing
-        /// its children's latest subtotals into one upstream batch.
-        RelayMerge = "relay_merge",
         /// A worker redialing the collector after a broken link.
         Reconnect = "reconnect",
     }

@@ -14,9 +14,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use parmonc::messages::Subtotal;
-use parmonc::prelude::{
-    Exchange, NetOptions, Parmonc, RealizeFn, Resume, RunReport, Topology, Transport,
-};
+use parmonc::prelude::{Exchange, NetOptions, Parmonc, RealizeFn, Resume, RunReport, Transport};
 use parmonc_faults::{mutate_bytes, FaultPlan, Mutation};
 use parmonc_mpi::bytes::Bytes;
 use parmonc_stats::MatrixAccumulator;
@@ -403,136 +401,6 @@ fn proc_severed_link_heals() {
     );
 
     common::assert_no_orphans();
-}
-
-/// Tree-topology chaos, real-thread half: crashing an *interior relay*
-/// (rank 1 carries ranks 3 and 4 under a binary tree over 7 ranks)
-/// must not lose its children's work. The children fall back to
-/// reporting straight to the collector — via the reparent order or
-/// their own disconnected-uplink fallback, whichever lands first —
-/// their cumulative subtotals make anything buffered in the dead relay
-/// redundant, and the run completes at full volume with only the relay
-/// itself reported lost.
-#[test]
-fn mpi_tree_relay_crash_reparents_its_children() {
-    let report = Parmonc::builder(1, 1)
-        .max_sample_volume(2_800)
-        .processors(7)
-        .seqnum(3)
-        .exchange(Exchange::EveryRealization)
-        .topology(Topology::Tree { arity: 2 })
-        .faults(FaultPlan::new(2025).crash_rank(1, 25))
-        .heartbeat_period(Duration::from_millis(10))
-        .liveness_timeout(Duration::from_millis(150))
-        .monitor()
-        .output_dir(tempdir("tree-relay-crash"))
-        .run(uniform())
-        .unwrap();
-    assert_eq!(
-        report.lost_workers,
-        vec![1],
-        "only the relay itself dies: {:?}",
-        report.lost_workers
-    );
-    assert!(report.reassigned_realizations > 0);
-    assert!(
-        report.new_volume >= 2_800,
-        "volume {} must reach the target",
-        report.new_volume
-    );
-    assert!(
-        (report.summary.means[0] - 0.5).abs() < 0.06,
-        "mean {}",
-        report.summary.means[0]
-    );
-    assert_eq!(
-        report.summary,
-        serial_merge(3, (1, 1), &report.worker_volumes)
-    );
-    let kinds = validated_kinds(&report);
-    for kind in ["worker_lost", "work_reassigned"] {
-        assert!(kinds.contains(kind), "trace never recorded {kind}");
-    }
-}
-
-/// Tree-topology chaos, TCP half: the worker holding relay rank 1
-/// (child: rank 3) goes silent mid-quota while its child is still
-/// computing. The collector detects the loss by heartbeat timeout,
-/// retires the lease, and sends the reparent order to the orphaned
-/// child over its own connection; the child re-routes its cumulative
-/// subtotals straight to the collector and the run completes at full
-/// volume with only the relay lost.
-#[test]
-fn tcp_tree_relay_crash_reparents_over_the_wire() {
-    // Slow realizations keep every child mid-quota across the crash
-    // and its detection: reparenting is for *running* children (a
-    // child that exits in the relay's shadow is a liveness case, not a
-    // reparent one).
-    let slow = || {
-        RealizeFn::new(|rng, out| {
-            std::thread::sleep(Duration::from_micros(500));
-            for o in out.iter_mut() {
-                *o = rng.next_f64();
-            }
-        })
-    };
-    let collector_dir = tempdir("tcp-tree-relay-c");
-    let build = move |dir: PathBuf| {
-        Parmonc::builder(1, 1)
-            .max_sample_volume(2_000)
-            .processors(4)
-            .seqnum(8)
-            .exchange(Exchange::EveryRealization)
-            .topology(Topology::Tree { arity: 2 })
-            .faults(FaultPlan::new(17).crash_rank(1, 20))
-            .heartbeat_period(Duration::from_millis(10))
-            .liveness_timeout(Duration::from_millis(100))
-            .output_dir(dir)
-    };
-    let collector = {
-        let dir = collector_dir.clone();
-        std::thread::spawn(move || {
-            build(dir)
-                .monitor()
-                .net(NetOptions::listen("127.0.0.1:0"))
-                .run(slow())
-        })
-    };
-    let addr = wait_for_addr(&collector_dir);
-    let workers: Vec<_> = (0..3)
-        .map(|i| {
-            let addr = addr.clone();
-            let dir = tempdir(&format!("tcp-tree-relay-w{i}"));
-            std::thread::spawn(move || {
-                // The crash script keys on the granted rank: whichever
-                // worker leases rank 1 goes silent after 20
-                // realizations.
-                build(dir).net(NetOptions::join(addr)).run_worker(slow())
-            })
-        })
-        .collect();
-    for w in workers {
-        // The crashed worker's loop also returns cleanly: the crash is
-        // its silence, which the collector must detect remotely.
-        w.join().unwrap().unwrap();
-    }
-    let report = collector.join().unwrap().unwrap();
-    assert_eq!(
-        report.lost_workers,
-        vec![1],
-        "only the relay dies: {:?}",
-        report.lost_workers
-    );
-    assert!(
-        report.new_volume >= 1_200,
-        "volume {} must reach the target",
-        report.new_volume
-    );
-    assert!(
-        (report.summary.means[0] - 0.5).abs() < 0.06,
-        "mean {}",
-        report.summary.means[0]
-    );
 }
 
 /// Resume-after-crash satellite: a run whose primary checkpoint is

@@ -39,7 +39,7 @@ use std::time::Duration;
 
 use common::{assert_no_orphans, serial_merge, trace_events};
 use parmonc::prelude::{
-    Exchange, NetOptions, Parmonc, ParmoncBuilder, RealizeFn, RunReport, Topology, Transport,
+    Exchange, NetOptions, Parmonc, ParmoncBuilder, RealizeFn, RunReport, Transport,
 };
 use parmonc_faults::FaultPlan;
 
@@ -755,6 +755,10 @@ fn span_tracing_keeps_estimates_bit_identical_across_backends() {
             );
         }
     }
+    // Every event a launched child forwarded decoded on the collector,
+    // span phases included: none was dropped on the way to the trace.
+    let summary = traced_processes.monitor.as_ref().expect("monitored");
+    assert_eq!(summary.forwarded_dropped_events, 0);
 
     assert_no_orphans();
 }
@@ -868,65 +872,6 @@ fn tcp_clock_skew_is_normalized_on_the_collector() {
     }
 }
 
-/// Collection topology is pure routing: a binary reduction tree
-/// (ranks 1 and 2 acting as relays for ranks 3..=6) must produce
-/// estimates bit-identical to the default rank-0 star, and surface the
-/// same monitor event vocabulary, on both in-process backends. The
-/// (single) process run comes first — see the module docs.
-#[test]
-fn tree_topology_agrees_with_star_on_thread_and_process_backends() {
-    let _guard = SEQ.lock().unwrap_or_else(|e| e.into_inner());
-    let configure = |b: ParmoncBuilder, dir: &str| {
-        b.max_sample_volume(2_100)
-            .processors(7)
-            .seqnum(5)
-            .exchange(Exchange::EveryRealization)
-            .monitor()
-            .output_dir(scratch(dir))
-    };
-    let tree_processes = configure(
-        builder_for(
-            "tree_topology_agrees_with_star_on_thread_and_process_backends",
-            1,
-            2,
-        ),
-        "tree-processes",
-    )
-    .topology(Topology::Tree { arity: 2 })
-    .transport(Transport::Processes)
-    .run(uniform())
-    .unwrap();
-    let tree_threads = configure(Parmonc::builder(1, 2), "tree-threads")
-        .topology(Topology::Tree { arity: 2 })
-        .transport(Transport::Threads)
-        .run(uniform())
-        .unwrap();
-    let star_threads = configure(Parmonc::builder(1, 2), "tree-star-baseline")
-        .transport(Transport::Threads)
-        .run(uniform())
-        .unwrap();
-
-    for tree in [&tree_processes, &tree_threads] {
-        assert_eq!(tree.summary, star_threads.summary);
-        assert_eq!(tree.total_volume, star_threads.total_volume);
-        assert_eq!(tree.new_volume, star_threads.new_volume);
-        assert_eq!(tree.worker_volumes, star_threads.worker_volumes);
-        assert!(tree.lost_workers.is_empty());
-    }
-
-    // Same observability vocabulary as the star on the same substrate;
-    // the socket backend's membership and wire telemetry are its usual
-    // extras.
-    assert_eq!(trace_kinds(&tree_threads), trace_kinds(&star_threads));
-    let mut process_kinds = trace_kinds(&tree_processes);
-    assert!(process_kinds.remove("worker_joined"));
-    assert!(process_kinds.remove("worker_left"));
-    assert!(process_kinds.remove("wire_stats"));
-    assert_eq!(process_kinds, trace_kinds(&star_threads));
-
-    assert_no_orphans();
-}
-
 /// Runs one collector and `m − 1` workers over loopback TCP, all
 /// configured by `configure` (which must not set the output directory:
 /// each side gets its own under `name`).
@@ -970,10 +915,9 @@ fn run_over_tcp(
 /// superseded unread; on every substrate the governor withholds, at the
 /// source, the offers whose exchange would cost the rank more than an
 /// eighth of its time. None of that may reach the estimate. Each case —
-/// star at m = 2, 4 and 7, a binary tree at m = 7 (relays reading
-/// registers, the root a queue of batches), loopback TCP at m = 2, and
-/// 32 KB subtotals on threads and over TCP — must reproduce, bit for
-/// bit, the serial merge of the ranks' streams in rank order.
+/// threads at m = 2, 4 and 7, loopback TCP at m = 2, and 32 KB
+/// subtotals on threads and over TCP — must reproduce, bit for bit,
+/// the serial merge of the ranks' streams in rank order.
 ///
 /// The same holds for the timing blocks a routine this short is run in
 /// (up to 64 realizations between two clock reads): a prime volume,
@@ -988,35 +932,30 @@ fn latest_wins_exchange_matches_the_serial_merge() {
     const LARGE: ((usize, usize), u64) = ((1000, 2), 4_000);
     const PRIME: ((usize, usize), u64) = ((1, 2), 100_003);
     const STRICT: Exchange = Exchange::EveryRealization;
-    for ((shape, volume), m, topology, tcp, exchange) in [
-        (SMALL, 2, Topology::Star, false, STRICT),
-        (SMALL, 4, Topology::Star, false, STRICT),
-        (SMALL, 7, Topology::Star, false, STRICT),
-        (SMALL, 7, Topology::Tree { arity: 2 }, false, STRICT),
-        (SMALL, 2, Topology::Star, true, STRICT),
-        (LARGE, 2, Topology::Star, false, STRICT),
-        (LARGE, 2, Topology::Star, true, STRICT),
-        (PRIME, 1, Topology::Star, false, STRICT),
-        (PRIME, 1, Topology::Star, false, Exchange::Periodic),
-        (PRIME, 2, Topology::Star, false, Exchange::Periodic),
-        (PRIME, 3, Topology::Star, false, STRICT),
-        (PRIME, 3, Topology::Star, false, Exchange::Periodic),
-        (PRIME, 2, Topology::Star, true, Exchange::Periodic),
-        (PRIME, 3, Topology::Star, true, STRICT),
+    for ((shape, volume), m, tcp, exchange) in [
+        (SMALL, 2, false, STRICT),
+        (SMALL, 4, false, STRICT),
+        (SMALL, 7, false, STRICT),
+        (SMALL, 2, true, STRICT),
+        (LARGE, 2, false, STRICT),
+        (LARGE, 2, true, STRICT),
+        (PRIME, 1, false, STRICT),
+        (PRIME, 1, false, Exchange::Periodic),
+        (PRIME, 2, false, Exchange::Periodic),
+        (PRIME, 3, false, STRICT),
+        (PRIME, 3, false, Exchange::Periodic),
+        (PRIME, 2, true, Exchange::Periodic),
+        (PRIME, 3, true, STRICT),
     ] {
-        let what = format!("{shape:?}, m = {m}, {topology:?}, tcp: {tcp}, {exchange:?}");
+        let what = format!("{shape:?}, m = {m}, tcp: {tcp}, {exchange:?}");
         let configure = || {
             Parmonc::builder(shape.0, shape.1)
                 .max_sample_volume(volume)
                 .processors(m)
                 .seqnum(SEQNUM)
                 .exchange(exchange)
-                .topology(topology)
         };
-        let name = format!(
-            "latest-{}-{volume}-{m}-{topology:?}-{tcp}-{exchange:?}",
-            shape.0
-        );
+        let name = format!("latest-{}-{volume}-{m}-{tcp}-{exchange:?}", shape.0);
         let report = if tcp {
             run_over_tcp(&name, m, configure)
         } else {
@@ -1361,139 +1300,4 @@ fn work_reassigned_to_the_waiting_collector_is_simulated_under_every_gate() {
         absorption[rewrite..].iter().any(|e| progress(e).is_some()),
         "the rewrite was not the last thing the absorption did"
     );
-}
-
-/// A span-traced tree run explains its relays: on threads every trace
-/// line decodes and each relay rank (1 and 2, of seven at arity 2)
-/// closes `relay_merge` spans; on processes those spans are *forwarded*
-/// events, which the collector must decode to keep — it once dropped
-/// them, silently, for not knowing the phase's name. The (single)
-/// process run comes first — see the module docs.
-#[test]
-fn relay_merge_spans_reach_the_trace_on_thread_and_process_backends() {
-    let _guard = SEQ.lock().unwrap_or_else(|e| e.into_inner());
-    let configure = |b: ParmoncBuilder, dir: &str| {
-        b.max_sample_volume(2_100)
-            .processors(7)
-            .seqnum(5)
-            .exchange(Exchange::EveryRealization)
-            .topology(Topology::Tree { arity: 2 })
-            .monitor()
-            .trace_spans()
-            .output_dir(scratch(dir))
-    };
-    let processes = configure(
-        builder_for(
-            "relay_merge_spans_reach_the_trace_on_thread_and_process_backends",
-            1,
-            2,
-        ),
-        "relay-spans-processes",
-    )
-    .transport(Transport::Processes)
-    .run(uniform())
-    .unwrap();
-    let threads = configure(Parmonc::builder(1, 2), "relay-spans-threads")
-        .transport(Transport::Threads)
-        .run(uniform())
-        .unwrap();
-
-    for (backend, report) in [("processes", &processes), ("threads", &threads)] {
-        let events = trace_events(report);
-        for relay in [1, 2] {
-            let closed = events.iter().any(|e| {
-                e.rank == Some(relay)
-                    && matches!(
-                        e.kind,
-                        parmonc_obs::EventKind::SpanEnded {
-                            phase: parmonc_obs::SpanPhase::RelayMerge,
-                            ..
-                        }
-                    )
-            });
-            assert!(
-                closed,
-                "{backend}: relay {relay} closed no relay_merge span"
-            );
-        }
-        // Nothing was lost on the way to the collector's trace.
-        let summary = report.monitor.as_ref().expect("monitored");
-        assert_eq!(summary.forwarded_dropped_events, 0, "{backend}");
-    }
-    assert_no_orphans();
-}
-
-/// The same tree-vs-star conformance over TCP: four remote workers
-/// dial loopback, rank 1 relays for ranks 3 and 4 (a depth-2 tree),
-/// and the estimate matches a star thread run bit for bit. The
-/// topology rides the handshake: workers configure the same shape or
-/// the digest check rejects them.
-#[test]
-fn tree_topology_agrees_with_star_over_tcp() {
-    let _guard = SEQ.lock().unwrap_or_else(|e| e.into_inner());
-    let configure = |b: ParmoncBuilder, dir: PathBuf| {
-        b.max_sample_volume(2_000)
-            .processors(5)
-            .seqnum(5)
-            .exchange(Exchange::EveryRealization)
-            .topology(Topology::Tree { arity: 2 })
-            .monitor()
-            .output_dir(dir)
-    };
-    let collector_dir = scratch("tcp-tree-collector");
-    let collector = {
-        let dir = collector_dir.clone();
-        std::thread::spawn(move || {
-            configure(Parmonc::builder(1, 2), dir)
-                .net(NetOptions::listen("127.0.0.1:0"))
-                .run(uniform())
-        })
-    };
-    let addr = wait_for_addr(&collector_dir);
-    let workers: Vec<_> = (0..4)
-        .map(|i| {
-            let addr = addr.clone();
-            let dir = scratch(&format!("tcp-tree-worker{i}"));
-            std::thread::spawn(move || {
-                configure(Parmonc::builder(1, 2), dir)
-                    .net(NetOptions::join(addr))
-                    .run_worker(uniform())
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().unwrap().unwrap();
-    }
-    let tcp_tree = collector.join().unwrap().unwrap();
-
-    // Star baseline on threads: topology must not move the estimate.
-    let star_threads = {
-        let b = Parmonc::builder(1, 2)
-            .max_sample_volume(2_000)
-            .processors(5)
-            .seqnum(5)
-            .exchange(Exchange::EveryRealization)
-            .monitor()
-            .output_dir(scratch("tcp-tree-star-baseline"));
-        b.transport(Transport::Threads).run(uniform()).unwrap()
-    };
-
-    assert_eq!(tcp_tree.summary, star_threads.summary);
-    assert_eq!(tcp_tree.total_volume, star_threads.total_volume);
-    assert_eq!(tcp_tree.new_volume, star_threads.new_volume);
-    assert_eq!(tcp_tree.worker_volumes, star_threads.worker_volumes);
-    assert!(tcp_tree.lost_workers.is_empty());
-
-    // The TCP vocabulary is the star thread vocabulary plus its usual
-    // membership and wire extras — routing through a relay must not
-    // add or lose an event kind.
-    let mut tcp_kinds = trace_kinds(&tcp_tree);
-    assert!(tcp_kinds.remove("worker_joined"));
-    assert!(tcp_kinds.remove("worker_left"));
-    assert!(tcp_kinds.remove("wire_stats"));
-    assert_eq!(tcp_kinds, trace_kinds(&star_threads));
-
-    let summary = tcp_tree.monitor.expect("monitored run");
-    assert_eq!(summary.workers_joined, 4);
-    assert_eq!(summary.workers_left, 4);
 }
