@@ -547,8 +547,8 @@ pub fn trace_quantiles(events: &[Event]) -> String {
 }
 
 /// The last recorded `(n, mean, err)` of each functional in a trace;
-/// `mean`/`err` are `None` for producers that report cadence without
-/// values (the cluster simulator).
+/// `mean`/`err` are `None` in a snapshot that reports cadence without
+/// values, which the schema allows.
 type FinalEstimates = BTreeMap<u64, (u64, Option<f64>, Option<f64>)>;
 
 /// Per-functional `(n, mean, err)` history, in trace order.
@@ -640,7 +640,7 @@ pub struct TraceComparison {
 /// speak the same event vocabulary and agree on the outcome — equal
 /// final realization counts, and final per-functional estimates
 /// consistent within their combined error bars (skipped when a side
-/// carries cadence-only snapshots, as simulator traces do).
+/// carries cadence-only snapshots).
 #[must_use]
 pub fn compare_traces(a: &[Event], b: &[Event]) -> TraceComparison {
     let mut report = String::new();

@@ -74,8 +74,8 @@ pub enum Exchange {
     /// collector's replace-then-sum (formula (5)) cannot tell from
     /// having merged them. The final subtotal always ships, so final
     /// estimates do not depend on any of this. A routine shorter than
-    /// 0.5 µs is timed in blocks of up to 64 calls, and the offer is
-    /// made once per block; at 0.5 µs and above a block is one call. An
+    /// 4 µs is timed in blocks of up to 1 024 calls, and the offer is
+    /// made once per block; at 4 µs and above a block is one call. An
     /// enabled [`FaultPlan`] changes none of this: a faulted run is
     /// timed in blocks and governed like any other.
     EveryRealization,

@@ -18,10 +18,10 @@
 //! reconstructed from rounded means, and `workers/` is what the
 //! `manaver` command averages after an aborted job (Section 3.4). The
 //! mean time per realization in `func_log.dat` is the ranks' timed
-//! intervals summed over the new volume: an interval is one call of the
-//! user's routine when that takes 0.5 µs or more; a shorter routine is
-//! timed a block of calls at a time, the runtime's accumulate and stream
-//! positioning between the block's calls included.
+//! intervals summed over the new volume: an interval is one realization
+//! (the user's routine with the runtime's zeroing, stream positioning
+//! and accumulate around it) when that takes 4 µs or more; a shorter
+//! routine is timed a block of realizations at a time.
 //!
 //! All writes go through a uniquely named temp file that is fsynced,
 //! renamed into place, and followed by an fsync of the parent

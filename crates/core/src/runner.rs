@@ -71,10 +71,10 @@ pub struct RunReport {
     pub elapsed: Duration,
     /// Mean compute time per realization, seconds (the paper's τ_ζ):
     /// the ranks' timed intervals, summed, over the new volume. An
-    /// interval is one call of the user's routine when that takes
-    /// 0.5 µs or more; a shorter routine is timed in blocks of up to 64
-    /// calls, and the interval then also covers the runtime's
-    /// accumulate and stream positioning between the block's calls.
+    /// interval covers one realization — `out` zeroed, the stream
+    /// positioned, the user's routine, the accumulate — when that takes
+    /// 4 µs or more; a shorter routine is timed in blocks of up to
+    /// 1 024 such realizations between one pair of clock reads.
     pub mean_time_per_realization: f64,
     /// Number of processors used.
     pub processors: usize,
@@ -656,16 +656,26 @@ const INBOX_POLL_PERIOD: Duration = Duration::from_micros(2);
 const EXCHANGE_COST_MULTIPLE: u32 = 8;
 
 /// How long, at least, the realizations between one pair of clock reads
-/// should last together. A clock read costs ≈ 30 ns and the time-gated
-/// bookkeeping behind it a little more, so at this value timing and
-/// bookkeeping cost a rank about an eighth of its time — the share
-/// [`EXCHANGE_COST_MULTIPLE`] gives exchange — and a routine of 0.5 µs
-/// or more is still timed call by call. EXPERIMENTS.md (PR 20) has the
-/// sweep.
-const TIMING_BLOCK: Duration = Duration::from_nanos(500);
+/// should last together. A clock read costs 39–41 ns and the time-gated
+/// bookkeeping behind the second one ≈ 10 ns, so at this value timing
+/// and bookkeeping cost a rank at most ≈ 1/32 of its time, and a
+/// routine of 4 µs or more is still timed call by call. It is the
+/// smallest value of the swept 0.5–8 µs that meets that budget, and
+/// reaches ≈ 98 % of the best serial rate of the sweep
+/// (docs/performance.md, "Timing blocks").
+///
+/// A stop, an extension or the deadline is seen at a block boundary:
+/// for a routine of steady speed at most this plus one call late.
+const TIMING_BLOCK: Duration = Duration::from_micros(4);
 
-/// The most realizations one pair of clock reads may cover.
-const MAX_TIMING_BLOCK: u64 = 64;
+/// The most realizations one pair of clock reads may cover: room to
+/// fill [`TIMING_BLOCK`] with realizations down to ≈ 4 ns (the free
+/// 1 × 1 one is ≈ 7 ns). A block is sized from the speed the block
+/// before it measured, so a routine that turns slow in between delays
+/// every time-gated check by at most this many of its calls: the worst
+/// case is 1 024 × the longest call, ≈ 1 s for a routine that jumps
+/// from nanoseconds to 1 ms a call.
+const MAX_TIMING_BLOCK: u64 = 1024;
 
 /// Decides when a rank's next *non-final* subtotal is due, so that
 /// exchange costs the rank at most one part in
@@ -682,12 +692,14 @@ const MAX_TIMING_BLOCK: u64 = 64;
 ///   asked about — it always ships;
 /// * after a subtotal ships at `sent_at`, the next is due at
 ///   `sent_at + min(EXCHANGE_COST_MULTIPLE × cost, cap)`, where `cost`
-///   is everything the runtime did between two calls of the user's
-///   routine in the iteration that shipped: accumulate, encode, the
-///   send *including any time blocked in a socket write*, the inbox
-///   look and stream positioning — on rank 0, whose offer refreshes
-///   the collector's snapshot of it in place, the copy and whatever
-///   collecting its poll did. A congested link or a slow collector
+///   is what exchange adds: everything the runtime did between the end
+///   of the timed block that shipped and the start of the next one —
+///   encode, the send *including any time blocked in a socket write*,
+///   the inbox look and the time-gated bookkeeping; on rank 0, whose
+///   offer refreshes the collector's snapshot of it in place, the copy
+///   and whatever collecting its poll did. Accumulating, zeroing and
+///   stream positioning are inside the timed blocks, so they are
+///   compute, not exchange. A congested link or a slow collector
 ///   lengthens the interval by itself — back-pressure is followed, not
 ///   configured;
 /// * so with a realization time τ ≥ `EXCHANGE_COST_MULTIPLE × cost`
@@ -698,7 +710,7 @@ const MAX_TIMING_BLOCK: u64 = 64;
 ///   liveness plane sees the same cadence as before.
 ///
 /// Both instants it is fed are clock reads the loop takes anyway (the
-/// pair around the user's routine); the governor never reads a clock.
+/// pair around each timed block); the governor never reads a clock.
 #[derive(Debug)]
 struct ExchangeGovernor {
     cap: Duration,
@@ -718,8 +730,8 @@ impl ExchangeGovernor {
         }
     }
 
-    /// Whether an offer made at `now` (a post-realization clock read)
-    /// ships.
+    /// Whether an offer made at `now` (a timed block's second clock
+    /// read) ships.
     fn due(&self, now: Instant) -> bool {
         self.not_before.is_none_or(|t| now >= t)
     }
@@ -729,8 +741,8 @@ impl ExchangeGovernor {
         self.unpriced = Some(now);
     }
 
-    /// The user's routine is about to be called, at `t0` (the
-    /// pre-realization clock read): prices the iteration that shipped.
+    /// A timed block started at `t0` (its first clock read): prices
+    /// the iteration that shipped.
     fn realization_starts(&mut self, t0: Instant) {
         if let Some(sent_at) = self.unpriced.take() {
             let cost = t0.duration_since(sent_at);
@@ -747,9 +759,9 @@ impl ExchangeGovernor {
 ///
 /// So the first block of every loop is one realization; a routine that
 /// takes [`TIMING_BLOCK`] or longer stays at one, where the loop reads
-/// the clock around every call exactly as it did before blocks existed;
-/// and one block that outlasts [`TIMING_BLOCK`] — a rare long call —
-/// sends the stride straight back toward one.
+/// the clock around every realization; and one block that outlasts
+/// [`TIMING_BLOCK`] — a rare long call — sends the stride straight back
+/// toward one.
 fn next_block(block: u64, elapsed: Duration) -> u64 {
     let fit = TIMING_BLOCK.as_nanos() * u128::from(block) / elapsed.as_nanos().max(1);
     u64::try_from(fit)
@@ -774,7 +786,8 @@ struct RealizationLoop {
     own: Subtotal,
     cursor: StreamCursor,
     /// The one stream every realization is handed, overwritten in place
-    /// by the cursor before each call.
+    /// by the cursor before each call (a copy in a local while a block
+    /// runs).
     stream: RealizationStream,
     out: Vec<f64>,
     /// Realizations in the next timed block; see [`next_block`].
@@ -851,50 +864,49 @@ impl RealizationLoop {
     /// `stop_at` realizations done in all (the quota, or a scripted
     /// crash point before it), which must be further than the rank has
     /// got — into `own` between one pair of clock reads, and books the
-    /// interval as compute time. Returns the read before the first call
-    /// of the user's routine and the read after the last.
+    /// interval as compute time. Returns the read before the first
+    /// realization is zeroed and positioned and the read after the
+    /// last one is accumulated.
     ///
     /// Every realization lies inside exactly one timed interval and
     /// keeps every per-realization check (`out` zeroed, the cursor's
     /// capacity check, `add`'s shape and non-finite checks), and the
     /// same streams are added in the same order whatever the block
-    /// length: the volume and the estimate do not depend on it. A
-    /// block of one is the loop as it was, read for read — and the
+    /// length: the volume and the estimate do not depend on it. The
     /// first block of every pass through the loop and every block of a
     /// routine that takes [`TIMING_BLOCK`] or longer is a block of one.
-    /// A longer
-    /// block's interval also covers the accumulate and stream
-    /// positioning *between* its realizations (in place of the clock
-    /// read per realization it used to cover), and everything
-    /// time-gated in the caller — the `due` rule, the inbox poll,
-    /// liveness, heartbeat, averaging, the deadline — runs once per
-    /// block against the second read.
+    /// Everything time-gated in the caller — the `due` rule, the inbox
+    /// poll, liveness, heartbeat, averaging, the deadline — runs once
+    /// per block against the second read.
     ///
-    /// One loop with one call site per step rather than a peeled first
-    /// or last iteration: a block of one and a block of sixty-four run
-    /// the same code (docs/performance.md, "Timing blocks").
+    /// Nothing inside the loop reads a clock, so the stream and the
+    /// cursor can stay in registers from one realization to the next.
+    /// One loop with one call site per step rather than a peeled
+    /// first or last iteration: a block of one and a block of a
+    /// thousand run the same code (docs/performance.md, "Timing
+    /// blocks").
     fn simulate_block<R: Realize + ?Sized>(
         &mut self,
         realize: &R,
         stop_at: u64,
     ) -> Result<(Instant, Instant), ParmoncError> {
         let n = self.block.min(stop_at - self.done());
-        let (mut t0, mut now) = (None, None);
-        for i in 0..n {
-            self.out.fill(0.0);
-            self.cursor.next_into(&mut self.stream)?;
-            if i == 0 {
-                t0 = Some(Instant::now());
-            }
-            realize.realize(&mut self.stream, &mut self.out);
-            if i + 1 == n {
-                now = Some(Instant::now());
-            }
-            self.own.acc.add(&self.out)?;
+        // The cursor and the stream as locals for the block: `out`'s
+        // `memset` cannot write to them, so they stay in registers across
+        // iterations instead of going through `self` around every call.
+        // An error ends the rank, so that path does not write them back.
+        let (mut cursor, mut stream) = (self.cursor.clone(), self.stream.clone());
+        let out = self.out.as_mut_slice();
+        let acc = &mut self.own.acc;
+        let t0 = Instant::now();
+        for _ in 0..n {
+            out.fill(0.0);
+            cursor.next_into(&mut stream)?;
+            realize.realize(&mut stream, out);
+            acc.add(out)?;
         }
-        let (t0, now) = t0
-            .zip(now)
-            .expect("a timed block holds at least one realization");
+        let now = Instant::now();
+        (self.cursor, self.stream) = (cursor, stream);
         let elapsed = now.duration_since(t0);
         self.own.compute_seconds += elapsed.as_secs_f64();
         self.block = next_block(n, elapsed);
@@ -983,7 +995,7 @@ fn simulate_quota<R: Realize + ?Sized>(
     // The currently open realization-batch span (0 between batches or
     // with spans off — `start`/`end` treat 0 as "nothing open").
     let mut batch_span: u64 = 0;
-    // The post-realization clock read of the block before, and when
+    // The second clock read of the block before, and when
     // the inbox is next looked at: on the first iteration, then once
     // per period — and always before deciding the quota is done (an
     // extension may be waiting).
@@ -1011,7 +1023,7 @@ fn simulate_quota<R: Realize + ?Sized>(
         if sim.spans.is_enabled() && batch_span == 0 {
             batch_span = sim.spans.start(SpanPhase::RealizationBatch, None);
         }
-        // Two clock reads per block: the pair timing the user routine.
+        // Two clock reads per block, around the whole block.
         // Every time-gated check below reuses `now` via
         // `duration_since`, which is pure arithmetic — clock reads used
         // to dominate the runtime's per-realization overhead.
@@ -1485,11 +1497,10 @@ mod tests {
 
     #[test]
     fn timing_block_stays_one_for_a_routine_that_fills_it() {
-        // matrix_strict_tcp's 0.9 µs, sde_strict_threads' 120 µs, the
-        // paper's 7.7 s — and the boundary itself, which is inside.
+        // sde_strict_threads' 120 µs, the paper's 7.7 s — and the
+        // boundary itself, which is inside.
         for tau in [
             TIMING_BLOCK,
-            Duration::from_nanos(900),
             Duration::from_micros(120),
             Duration::from_millis(7_700),
         ] {
@@ -1500,13 +1511,20 @@ mod tests {
 
     #[test]
     fn timing_block_grows_by_doubling_to_what_fits_and_no_further() {
-        // A 2 ns routine would fit 250 times: doubling, then the cap.
-        let lens = strides(1_000, |_| Duration::from_nanos(2));
-        assert_eq!(lens[..8], [1, 2, 4, 8, 16, 32, 64, 64]);
+        // A 2 ns routine would fit 2 000 times: doubling, then the cap.
+        let lens = strides(10_000, |_| Duration::from_nanos(2));
+        assert_eq!(
+            lens[..12],
+            [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 1024]
+        );
         assert!(lens.iter().all(|&n| n <= MAX_TIMING_BLOCK));
-        // A 60 ns routine fits eight times, and settles there.
-        let lens = strides(1_000, |_| Duration::from_nanos(60));
-        assert_eq!(lens[..6], [1, 2, 4, 8, 8, 8]);
+        // A 7 ns routine (the free routine's loop) fits 571 times, and
+        // settles there.
+        let lens = strides(10_000, |_| Duration::from_nanos(7));
+        assert_eq!(lens[10..14], [571, 571, 571, 571]);
+        // matrix_strict_tcp's 0.9 µs fits four times.
+        let lens = strides(1_000, |_| Duration::from_nanos(900));
+        assert_eq!(lens[..6], [1, 2, 4, 4, 4, 4]);
         // A clock that did not advance reads as "everything fits".
         assert_eq!(next_block(4, Duration::ZERO), 8);
         // The quota's tail is run exactly, whatever the stride.
@@ -1515,24 +1533,64 @@ mod tests {
 
     #[test]
     fn timing_block_returns_to_one_after_one_long_block() {
-        // Every 100th call takes 5 ms: the block that holds it is
-        // followed by a block of one, and no block holds two of them.
+        // Every 1 500th call — a period above the cap — takes 5 ms: the
+        // block that holds it is followed by a block of one, and no
+        // block holds two of them.
+        let long = |i: u64| i % 1_500 == 1_499;
         let per = |i: u64| {
-            if i % 100 == 99 {
+            if long(i) {
                 Duration::from_millis(5)
             } else {
-                Duration::from_nanos(10)
+                Duration::from_nanos(3)
             }
         };
-        let lens = strides(10_000, per);
+        let lens = strides(30_000, per);
         let mut first = 0;
         for pair in lens.windows(2) {
-            if (first..first + pair[0]).any(|i| i % 100 == 99) {
+            let held = (first..first + pair[0]).filter(|&i| long(i)).count();
+            assert!(held <= 1, "{held} long calls in the block at call {first}");
+            if held == 1 {
                 assert_eq!(pair[1], 1, "after the block at call {first}");
             }
             first += pair[0];
         }
-        assert_eq!(lens.iter().max(), Some(&50), "and it grows back");
+        assert_eq!(
+            lens.iter().max(),
+            Some(&MAX_TIMING_BLOCK),
+            "and it grows back"
+        );
+    }
+
+    #[test]
+    fn timing_block_bounds_how_late_a_gate_is_seen() {
+        // At a steady τ below the block, a block never outlasts
+        // TIMING_BLOCK — a gate is seen at most that plus one call late
+        // — and never holds more than the cap.
+        for nanos in [1, 2, 7, 60, 900, 3_999] {
+            let tau = Duration::from_nanos(nanos);
+            let lens = strides(200_000, |_| tau);
+            assert!(
+                lens.iter()
+                    .all(|&n| n <= MAX_TIMING_BLOCK && tau * n as u32 <= TIMING_BLOCK),
+                "τ = {tau:?}"
+            );
+        }
+        // A routine that turns slow mid-stride: the block sized from
+        // its fast calls is the one that runs late, by at most the cap
+        // times its longest call, and the next block is one call.
+        let turn = 5_000;
+        let per = |i: u64| Duration::from_nanos(if i < turn { 2 } else { 1_000_000 });
+        let lens = strides(turn + 2_000, per);
+        let (mut first, mut straddled) = (0, None);
+        for (k, &n) in lens.iter().enumerate() {
+            if first < turn && turn < first + n {
+                straddled = Some(k);
+            }
+            first += n;
+        }
+        let k = straddled.expect("a block runs across the turn");
+        assert!(lens[k] <= MAX_TIMING_BLOCK);
+        assert_eq!(lens[k + 1], 1);
     }
 
     #[test]
@@ -1668,8 +1726,8 @@ mod tests {
             let crashed = simulate_quota(ctx, sim, &mut Alone { pending: 0 }).unwrap();
             assert_eq!((crashed, sim.done()), (Some(AFTER), AFTER));
             // The stride the loop had reached when the crash point cut
-            // its last block short (to 4: 127 realizations of doubling,
-            // then blocks of 64).
+            // its last block short: doubling from one, then blocks of
+            // what fits TIMING_BLOCK, at most 1 024.
             assert!(sim.block > 1, "the loop ran blocks of {}", sim.block);
             let records = ctx.faults.records();
             assert_eq!(records.len(), 1);
@@ -1705,7 +1763,7 @@ mod tests {
     }
 
     /// The loop's one stream is overwritten whole before every call:
-    /// under blocks of up to 64, what a routine does to it — draws of
+    /// under blocks of up to 1 024, what a routine does to it — draws of
     /// its own choosing, or a foreign stream in its place — leaves every
     /// later realization as it would be on a fresh stream, bit for bit
     /// against the serial merge, for one rank driven directly and for a

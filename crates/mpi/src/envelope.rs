@@ -39,8 +39,7 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// Payload size in bytes (what the cluster simulator charges the
-    /// network for).
+    /// Payload size in bytes.
     #[must_use]
     pub fn len(&self) -> usize {
         self.payload.len()

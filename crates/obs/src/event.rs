@@ -1,6 +1,5 @@
 //! The unified event schema: every metric the runner, the MPI
-//! substrate and the cluster simulator can report, with its JSONL
-//! encoding.
+//! substrate and the fault plane can report, with its JSONL encoding.
 //!
 //! One [`Event`] is one line of `run_metrics.jsonl`, documented field
 //! by field in `docs/observability.md`. The schema is declared here,
@@ -16,9 +15,9 @@ pub const SCHEMA_VERSION: u64 = 1;
 
 vocab! {
     /// Which engine produced a trace. Every run the workspace ships
-    /// writes `threads`; the second value stays so that traces of the
-    /// retired virtual-time cluster model still validate and the schema
-    /// version does not move.
+    /// writes `threads`. The second value is kept only so that traces
+    /// the retired virtual-time cluster model wrote still validate; it
+    /// keeps the schema version where it is.
     pub enum RunMode {
         /// The real-thread runner (`parmonc::runner`).
         Threads = "threads",
@@ -30,10 +29,10 @@ vocab! {
 vocab! {
     /// Which transport substrate carried a real run's rank traffic: the
     /// in-process thread channels, the multi-process Unix-socket backend,
-    /// or the multi-host TCP backend. Distinct from [`RunMode`]: the
-    /// simulator has no transport, and all transports run the identical
-    /// collector code, so the label appears as an *optional* `transport`
-    /// field on `run_started`.
+    /// or the multi-host TCP backend. Distinct from [`RunMode`]: all
+    /// transports run the identical collector code, and a trace of the
+    /// retired cluster model has none, so the label appears as an
+    /// *optional* `transport` field on `run_started`.
     pub enum RunTransport series("parmonc_transport_info", "transport") {
         /// Ranks are OS threads exchanging envelopes over channels.
         Threads = "threads",
@@ -108,7 +107,8 @@ events! {
     pub enum EventKind {
         /// A run began. First event of every trace.
         RunStarted = "run_started", Always {
-            /// Real threads or the cluster simulator.
+            /// The engine that wrote the trace; every shipped run
+            /// writes [`RunMode::Threads`].
             mode: RunMode,
             /// Processor (rank) count `M`.
             processors: usize,

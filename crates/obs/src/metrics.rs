@@ -5,9 +5,8 @@
 //! module aggregates it into *how the run is doing* without any new
 //! instrumentation call sites: [`MetricsSink`] is an ordinary
 //! [`EventSink`], so every engine that already emits events (the
-//! runner, the MPI substrate's queue accounting, the cluster
-//! simulator's virtual time, the fault plane's liveness declarations)
-//! feeds the registry for free.
+//! runner, the MPI substrate's queue accounting, the fault plane's
+//! liveness declarations) feeds the registry for free.
 //!
 //! # Histogram bucket scheme
 //!

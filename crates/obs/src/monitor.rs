@@ -161,8 +161,9 @@ impl Monitor {
         }
     }
 
-    /// Emits an event with an explicit timestamp — used by virtual-time
-    /// producers (the cluster simulator), which have no wall clock.
+    /// Emits an event with an explicit timestamp — used to re-emit
+    /// events that already carry one (a forwarded or replayed event
+    /// keeps the time it was stamped with).
     pub fn emit_at(&self, time_s: f64, rank: Option<usize>, kind: EventKind) {
         self.emit_aligned(time_s, None, rank, kind);
     }

@@ -5,8 +5,8 @@
 //! `null` values only) and checks it against the documented schema —
 //! version, kind discriminator, required fields, field types, and no
 //! unknown fields — by decoding it with the table `event.rs` declares.
-//! Tests use it to prove that what the runner and the simulator write
-//! is exactly what `docs/observability.md` promises.
+//! Tests use it to prove that what the runner writes is exactly what
+//! `docs/observability.md` promises.
 
 use crate::event::{Event, KINDS, SCHEMA_VERSION};
 use crate::wire::{Fields, Value};

@@ -71,9 +71,10 @@ impl std::error::Error for ParseError {}
 pub struct LogReport {
     /// Total sample volume `l`.
     pub sample_volume: u64,
-    /// Mean computer time per realization, seconds. The runner times
-    /// a routine shorter than 0.5 µs in blocks of calls, so below that
-    /// the figure includes its own accumulate and stream positioning.
+    /// Mean computer time per realization, seconds. The runner's timed
+    /// intervals include its own zeroing, stream positioning and
+    /// accumulate around each call, and a routine shorter than 4 µs is
+    /// timed in blocks of calls.
     pub mean_time_per_realization: f64,
     /// Upper bound of the absolute errors.
     pub eps_max: f64,
