@@ -1,12 +1,11 @@
 //! Message-passing substrate costs: subtotal encode/decode at the
-//! paper's message size, point-to-point round trip, the gather
-//! pattern the collector runs, the strict-exchange message stream over
-//! the mailbox (queued, and latest-wins in place) against the channel
-//! design it replaced, and — via a
-//! counting global allocator —
-//! the bytes allocated per subtotal emit on the clone-encode path the
-//! runner used to take versus the pooled borrowed-encode path it takes
-//! now.
+//! paper's message size, a point-to-point round trip, the fan-in of
+//! subtotals to rank 0 that the collector runs, the strict-exchange
+//! message stream over the mailbox (queued, and latest-wins in place)
+//! against the channel design it replaced, and — via a counting
+//! global allocator — the bytes allocated per subtotal emit on the
+//! clone-encode path the runner used to take versus the pooled
+//! borrowed-encode path it takes now.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,8 +16,7 @@ use parmonc::messages::Subtotal;
 use parmonc_bench::harness::{
     black_box, criterion_group, criterion_main, fast_mode, record_metric, Criterion, Throughput,
 };
-use parmonc_mpi::collective::{barrier, gather};
-use parmonc_mpi::{BufferPool, Bytes, Envelope, Tag, World};
+use parmonc_mpi::{BufferPool, Bytes, Communicator, Envelope, MpiError, Tag, World};
 use parmonc_stats::MatrixAccumulator;
 
 /// Counts every byte requested from the allocator; deallocations are
@@ -78,6 +76,29 @@ fn bench_codec(c: &mut Criterion) {
     group.finish();
 }
 
+/// Runs `f` on every rank of a fresh world of `size`, one scoped
+/// thread per rank as the runner drives them, and returns rank 0's
+/// result.
+fn on_ranks<T: Send>(
+    size: usize,
+    f: impl Fn(&mut Communicator) -> Result<T, MpiError> + Sync,
+) -> Result<T, MpiError> {
+    let f = &f;
+    let comms = World::communicators(size).unwrap();
+    std::thread::scope(|scope| {
+        let ranks: Vec<_> = comms
+            .into_iter()
+            .map(|mut comm| scope.spawn(move || f(&mut comm)))
+            .collect();
+        let mut results = ranks.into_iter().map(|rank| rank.join().unwrap());
+        let root = results.next().expect("world has a rank 0");
+        for worker in results {
+            worker.expect("worker rank");
+        }
+        root
+    })
+}
+
 fn bench_ping_pong(c: &mut Criterion) {
     // The key says 120 KB (the paper's figure for its subtotal); the
     // payload is this repo's 1000×2 subtotal, 32 048 bytes. The key is
@@ -85,7 +106,7 @@ fn bench_ping_pong(c: &mut Criterion) {
     c.bench_function("ping_pong_120kb", |b| {
         b.iter(|| {
             let payload = paper_subtotal().encode();
-            let results = World::run(2, move |comm| {
+            let result = on_ranks(2, |comm| {
                 if comm.rank() == 0 {
                     comm.send_bytes(1, Tag(1), payload.clone())?;
                     let back = comm.recv(Some(1), Some(Tag(2)))?;
@@ -97,17 +118,17 @@ fn bench_ping_pong(c: &mut Criterion) {
                 }
             })
             .unwrap();
-            black_box(results)
+            black_box(result)
         })
     });
 }
 
-fn bench_gather_pattern(c: &mut Criterion) {
+fn bench_fan_in(c: &mut Criterion) {
     // 8 workers each send 16 subtotal messages to rank 0 — a burst of
-    // the collector's steady-state load.
+    // the collector's steady-state load, point to point.
     c.bench_function("collector_gather_8x16", |b| {
         b.iter(|| {
-            let results = World::run(9, |comm| {
+            let result = on_ranks(9, |comm| {
                 if comm.rank() == 0 {
                     let mut bytes = 0usize;
                     for _ in 0..8 * 16 {
@@ -123,47 +144,9 @@ fn bench_gather_pattern(c: &mut Criterion) {
                 }
             })
             .unwrap();
-            black_box(results)
+            black_box(result)
         })
     });
-}
-
-/// Wall seconds the *root* spends inside `rounds` back-to-back gathers
-/// over a world of `size` ranks. A barrier first, so thread-spawn cost
-/// stays outside the timed window; the root's elapsed time is the
-/// collection critical path — it receives (and contends with)
-/// `size - 1` senders per round.
-fn timed_gathers(size: usize, rounds: usize) -> f64 {
-    let results = World::run(size, move |comm| {
-        let value = [comm.rank() as f64, 1.0, 0.5, -0.5];
-        barrier(comm)?;
-        let started = Instant::now();
-        for _ in 0..rounds {
-            black_box(gather(comm, 0, &value)?);
-        }
-        Ok(started.elapsed().as_secs_f64())
-    })
-    .unwrap();
-    results
-        .into_iter()
-        .next()
-        .expect("world has a rank 0")
-        .expect("gather succeeds")
-}
-
-/// How the root's gather cost grows with the world, up to m = 512
-/// simulated ranks: per-round seconds, best of three, for the scaling
-/// curve. Informational — nothing here is gated.
-fn bench_gather_scaling(c: &mut Criterion) {
-    let rounds = if fast_mode() { 8 } else { 24 };
-    for &m in &[8usize, 64, 512] {
-        let star = (0..3)
-            .map(|_| timed_gathers(m, rounds))
-            .fold(f64::INFINITY, f64::min);
-        println!("gather_scaling/m{m}: star {star:.6} s");
-        record_metric(&format!("gather_scaling/star_m{m}"), star / rounds as f64);
-    }
-    let _ = c;
 }
 
 /// `steps` dependent multiply-adds: the stand-in for one near-free
@@ -432,8 +415,7 @@ criterion_group!(
     benches,
     bench_codec,
     bench_ping_pong,
-    bench_gather_pattern,
-    bench_gather_scaling,
+    bench_fan_in,
     bench_mailbox_stream,
     bench_emit_alloc
 );

@@ -252,14 +252,15 @@ mod tests {
     #[test]
     fn shape_mismatch_rejected() {
         // Claim 2x2 but provide 6 sums.
-        let mut w = parmonc_mpi::envelope::PayloadWriter::new();
+        let mut buf = parmonc_mpi::BytesMut::new();
+        let mut w = WordSink::buffer(&mut buf);
         w.put_u64(2);
         w.put_u64(2);
         w.put_u64(1);
         w.put_f64(0.0);
         w.put_f64_slice(&[0.0; 6]);
         w.put_f64_slice(&[0.0; 6]);
-        assert!(Subtotal::decode(w.finish()).is_err());
+        assert!(Subtotal::decode(buf.freeze()).is_err());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! in-process substrate moves over channels, so a [`Frame`] maps 1:1
 //! onto a `parmonc_mpi::Envelope`. `seq` is a per-sender monotonic
 //! frame sequence number (0 = unsequenced protocol traffic) that lets
-//! the collector deduplicate frames replayed after a reconnect. A band
-//! of tags above the collective range is reserved for the transports'
+//! the collector deduplicate frames replayed after a reconnect. The
+//! band of tags from `0xFFFF_FF00` up is reserved for the transports'
 //! own protocol and never surfaces as envelopes: forwarded monitor
 //! events, the join/grant/reject/rejoin handshake and clock alignment.
 //! The full byte-level contract
@@ -476,8 +476,8 @@ pub const FRAME_HEADER_LEN: usize = 20;
 pub struct Frame {
     /// Sending rank.
     pub source: u32,
-    /// Message tag (user, collective, or one of the `TAG_IPC_*`
-    /// protocol tags).
+    /// Message tag (one of the runner's, or one of the transports'
+    /// own protocol tags from `0xFFFF_FF00` up).
     pub tag: u32,
     /// Per-sender monotonic sequence number; 0 for unsequenced
     /// protocol frames (handshakes, forwarded monitor events).

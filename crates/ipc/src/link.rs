@@ -201,24 +201,6 @@ impl Mailbox {
         );
     }
 
-    pub(crate) fn recv(
-        &mut self,
-        source: Option<usize>,
-        tag: Option<Tag>,
-    ) -> Result<Envelope, MpiError> {
-        if let Some(env) = self.take_pending(source, tag) {
-            return Ok(env);
-        }
-        loop {
-            let env = self.inbox.recv().map_err(|_| MpiError::Disconnected)?;
-            self.note_delivery(&env);
-            if Self::matches(&env, source, tag) {
-                return Ok(env);
-            }
-            self.pending.push_back(env);
-        }
-    }
-
     pub(crate) fn recv_timeout(
         &mut self,
         source: Option<usize>,
@@ -261,17 +243,6 @@ impl Mailbox {
                 Err(TryRecvError::Empty | TryRecvError::Disconnected) => return None,
             }
         }
-    }
-
-    pub(crate) fn iprobe(&mut self, source: Option<usize>, tag: Option<Tag>) -> bool {
-        if self.pending.iter().any(|e| Self::matches(e, source, tag)) {
-            return true;
-        }
-        while let Ok(env) = self.inbox.try_recv() {
-            self.note_delivery(&env);
-            self.pending.push_back(env);
-        }
-        self.pending.iter().any(|e| Self::matches(e, source, tag))
     }
 }
 

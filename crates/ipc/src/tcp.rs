@@ -848,10 +848,6 @@ impl Transport for TcpCollectorTransport {
             .send(dest, tag, payload, |d, t, p| self.raw_send(d, t, p))
     }
 
-    fn recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Result<Envelope, MpiError> {
-        self.mailbox.recv(source, tag)
-    }
-
     fn recv_timeout(
         &mut self,
         source: Option<usize>,
@@ -863,10 +859,6 @@ impl Transport for TcpCollectorTransport {
 
     fn try_recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Option<Envelope> {
         self.mailbox.try_recv(source, tag)
-    }
-
-    fn iprobe(&mut self, source: Option<usize>, tag: Option<Tag>) -> bool {
-        self.mailbox.iprobe(source, tag)
     }
 
     fn retire_rank(&self, rank: usize) {
@@ -1864,10 +1856,6 @@ impl Transport for TcpWorkerTransport {
             .send(dest, tag, payload, |d, t, p| self.raw_send(d, t, p))
     }
 
-    fn recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Result<Envelope, MpiError> {
-        self.mailbox.recv(source, tag)
-    }
-
     fn recv_timeout(
         &mut self,
         source: Option<usize>,
@@ -1880,10 +1868,6 @@ impl Transport for TcpWorkerTransport {
     fn try_recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Option<Envelope> {
         self.mailbox.try_recv(source, tag)
     }
-
-    fn iprobe(&mut self, source: Option<usize>, tag: Option<Tag>) -> bool {
-        self.mailbox.iprobe(source, tag)
-    }
 }
 
 #[cfg(test)]
@@ -1894,6 +1878,16 @@ mod tests {
     use std::time::Instant;
 
     const TIMEOUT: Duration = Duration::from_secs(5);
+
+    /// The next message from `source` with tag `tag`; nothing within
+    /// [`TIMEOUT`] fails the test instead of hanging it.
+    fn expect(comm: &mut impl Transport, source: usize, tag: u32) -> Envelope {
+        comm.recv_timeout(Some(source), Some(Tag(tag)), TIMEOUT)
+            .unwrap()
+            .unwrap_or_else(|| {
+                panic!("nothing from rank {source} with tag {tag} within {TIMEOUT:?}")
+            })
+    }
 
     /// The two address families one protocol runs over. The handshake
     /// tests below take the kind as an input: what holds on loopback
@@ -2038,10 +2032,10 @@ mod tests {
                 assert_eq!(worker.granted_quota(), 125);
                 assert_eq!(worker.epoch(), epoch);
                 worker.send(0, Tag(7), b"subtotal").unwrap();
-                let env = worker.recv(Some(0), Some(Tag(9))).unwrap();
+                let env = expect(&mut worker, 0, 9);
                 assert_eq!(&env.payload[..], b"ack");
             });
-            let env = collector.recv(Some(1), Some(Tag(7))).unwrap();
+            let env = expect(&mut collector, 1, 7);
             assert_eq!(env.source, 1, "{kind:?}");
             assert_eq!(&env.payload[..], b"subtotal");
             collector.send(1, Tag(9), b"ack").unwrap();
@@ -2144,14 +2138,8 @@ mod tests {
         assert_eq!(grant.rank, 1);
         write_frame_seq(&mut first, 1, 7, 1, b"one").unwrap();
         write_frame_seq(&mut first, 1, 7, 2, b"two").unwrap();
-        assert_eq!(
-            &collector.recv(Some(1), Some(Tag(7))).unwrap().payload[..],
-            b"one"
-        );
-        assert_eq!(
-            &collector.recv(Some(1), Some(Tag(7))).unwrap().payload[..],
-            b"two"
-        );
+        assert_eq!(&expect(&mut collector, 1, 7).payload[..], b"one");
+        assert_eq!(&expect(&mut collector, 1, 7).payload[..], b"two");
         first.shutdown(Shutdown::Both).unwrap();
 
         // Rejoin with the granted epoch: same rank comes back, and a
@@ -2168,7 +2156,7 @@ mod tests {
         assert_eq!(regrant.epoch, grant.epoch);
         write_frame_seq(&mut second, 1, 7, 2, b"two").unwrap();
         write_frame_seq(&mut second, 1, 7, 3, b"three").unwrap();
-        let env = collector.recv(Some(1), Some(Tag(7))).unwrap();
+        let env = expect(&mut collector, 1, 7);
         assert_eq!(
             &env.payload[..],
             b"three",
@@ -2192,7 +2180,7 @@ mod tests {
         write_frame_seq(&mut first, 1, 7, 1, b"one").unwrap();
         write_frame_seq(&mut first, 1, 7, 2, b"two").unwrap();
         for _ in 0..2 {
-            collector.recv(Some(1), Some(Tag(7))).unwrap();
+            expect(&mut collector, 1, 7);
         }
         first.shutdown(Shutdown::Both).unwrap();
         drop(first);
@@ -2557,7 +2545,7 @@ mod tests {
             });
             let mut got = Vec::new();
             for _ in 0..5 {
-                let env = collector.recv(Some(1), Some(Tag(7))).unwrap();
+                let env = expect(&mut collector, 1, 7);
                 got.push(env.payload[0]);
             }
             assert_eq!(got, vec![0, 1, 2, 3, 4], "{kind:?}");
@@ -2596,14 +2584,8 @@ mod tests {
                 .send(0, Tag(7), b"after")
                 .expect("send rides out the partition");
         });
-        assert_eq!(
-            &collector.recv(Some(1), Some(Tag(7))).unwrap().payload[..],
-            b"before"
-        );
-        assert_eq!(
-            &collector.recv(Some(1), Some(Tag(7))).unwrap().payload[..],
-            b"after"
-        );
+        assert_eq!(&expect(&mut collector, 1, 7).payload[..], b"before");
+        assert_eq!(&expect(&mut collector, 1, 7).payload[..], b"after");
         worker_side.join().unwrap();
         collector.shutdown().unwrap();
     }

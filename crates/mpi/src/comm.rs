@@ -303,9 +303,10 @@ impl Communicator {
         // Over the two slices, not `VecDeque::iter().position(..)`:
         // whether that compiles to a loop or to a call of the
         // iterator's out-of-line `try_fold` per scan depends on how
-        // the crate happens to be split into codegen units, and a
-        // rank-ordered gather over 512 ranks is nothing but this scan
-        // (`gather_scaling/star_m512` read 2× either way).
+        // the crate happens to be split into codegen units, and this
+        // scan opens every receive — rank 0's inbox look after each
+        // poll period among them — so its cost must not hang on that
+        // split.
         let (front, back) = self.pending.as_slices();
         let found = |e: &Envelope| Self::matches(e, source, tag);
         let idx = match front.iter().position(found) {
@@ -406,23 +407,6 @@ impl Communicator {
         }
         None
     }
-
-    /// Whether a matching message is available without consuming it.
-    ///
-    /// Held-back (delayed) messages are invisible to the probe until
-    /// the fault plane releases them — exactly the observable behavior
-    /// of a message still in flight.
-    pub fn iprobe(&mut self, source: Option<usize>, tag: Option<Tag>) -> bool {
-        if self.pending.iter().any(|e| Self::matches(e, source, tag)) {
-            return true;
-        }
-        // Drain whatever is in the mailbox into the pending buffer so
-        // the probe sees it.
-        while let Some(env) = self.poll() {
-            self.pending.push_back(env);
-        }
-        self.pending.iter().any(|e| Self::matches(e, source, tag))
-    }
 }
 
 impl Drop for Communicator {
@@ -449,22 +433,24 @@ impl Drop for Communicator {
 pub struct World;
 
 impl World {
-    /// Builds the communicators for a world of `size` ranks without
-    /// spawning threads (used by the runner when it wants to drive the
+    /// Builds the communicators for a world of `size` ranks, one to
+    /// move onto each rank's thread (the runner spawns and joins the
     /// ranks itself).
     ///
     /// # Errors
     ///
     /// Returns [`MpiError::EmptyWorld`] if `size == 0`.
     pub fn communicators(size: usize) -> Result<Vec<Communicator>, MpiError> {
-        Self::communicators_monitored(size, Monitor::disabled())
+        Self::communicators_faulted(size, Monitor::disabled(), FaultHandle::disabled())
     }
 
-    /// [`World::communicators`] with a [`Monitor`] attached: every
-    /// communicator reports `message_sent` / `message_received` /
-    /// `queue_high_water` events through it. With a disabled monitor
-    /// this is exactly [`World::communicators`] — the queue-depth
-    /// counters are not even allocated.
+    /// [`World::communicators`] with a [`Monitor`] and a deterministic
+    /// fault plane attached. Every communicator reports
+    /// `message_sent` / `message_received` / `queue_high_water` events
+    /// through the monitor; every send consults the shared
+    /// [`FaultHandle`], which may drop, duplicate or delay it. With
+    /// both disabled this is exactly [`World::communicators`] — the
+    /// queue-depth counters are not even allocated.
     ///
     /// # Errors
     ///
@@ -473,33 +459,19 @@ impl World {
     /// # Examples
     ///
     /// ```
+    /// use parmonc_faults::FaultHandle;
     /// use parmonc_mpi::{Tag, World};
     /// use parmonc_obs::{MemorySink, Monitor};
     /// use std::sync::Arc;
     ///
     /// let sink = Arc::new(MemorySink::new());
     /// let monitor = Monitor::new(vec![Box::new(Arc::clone(&sink))]);
-    /// let mut comms = World::communicators_monitored(2, monitor).unwrap();
+    /// let mut comms = World::communicators_faulted(2, monitor, FaultHandle::disabled()).unwrap();
     /// comms[1].send(0, Tag(1), b"subtotal").unwrap();
     /// comms[0].recv(None, None).unwrap();
     /// let kinds: Vec<_> = sink.snapshot().iter().map(|e| e.kind.name().to_string()).collect();
     /// assert_eq!(kinds, ["message_sent", "queue_high_water", "message_received"]);
     /// ```
-    pub fn communicators_monitored(
-        size: usize,
-        monitor: Monitor,
-    ) -> Result<Vec<Communicator>, MpiError> {
-        Self::communicators_faulted(size, monitor, FaultHandle::disabled())
-    }
-
-    /// [`World::communicators_monitored`] with a deterministic fault
-    /// plane attached: every send consults the shared [`FaultHandle`],
-    /// which may drop, duplicate or delay it. With the disabled handle
-    /// this is exactly [`World::communicators_monitored`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MpiError::EmptyWorld`] if `size == 0`.
     pub fn communicators_faulted(
         size: usize,
         monitor: Monitor,
@@ -528,57 +500,6 @@ impl World {
             })
             .collect())
     }
-
-    /// Spawns `size` ranks, runs `f` on each with its communicator, and
-    /// returns every rank's result, index = rank.
-    ///
-    /// The closure returns `Result<T, MpiError>` — the typical failure
-    /// is a blocked `recv` discovering its peers exited.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MpiError::EmptyWorld`] if `size == 0`, or
-    /// [`MpiError::RankPanicked`] if any rank's closure panicked
-    /// (results from non-panicking ranks are discarded in that case).
-    pub fn run<T, F>(size: usize, f: F) -> Result<Vec<Result<T, MpiError>>, MpiError>
-    where
-        T: Send + 'static,
-        F: Fn(&mut Communicator) -> Result<T, MpiError> + Send + Sync + 'static,
-    {
-        let comms = Self::communicators(size)?;
-        let f = Arc::new(f);
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|mut comm| {
-                let f = Arc::clone(&f);
-                std::thread::Builder::new()
-                    .name(format!("rank-{}", comm.rank()))
-                    .spawn(move || f(&mut comm))
-                    .expect("spawning a rank thread")
-            })
-            .collect();
-
-        let mut results = Vec::with_capacity(size);
-        let mut panic: Option<MpiError> = None;
-        for (rank, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok(res) => results.push(res),
-                Err(payload) => {
-                    let message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "<non-string panic payload>".to_string());
-                    panic.get_or_insert(MpiError::RankPanicked { rank, message });
-                    results.push(Err(MpiError::Disconnected));
-                }
-            }
-        }
-        if let Some(p) = panic {
-            return Err(p);
-        }
-        Ok(results)
-    }
 }
 
 #[cfg(test)]
@@ -590,6 +511,31 @@ mod tests {
 
     /// Generous: a hang is forever, a loaded machine is not.
     const WATCHDOG: Duration = Duration::from_secs(60);
+
+    /// Runs `f` on every rank of a fresh world of `size`, one scoped
+    /// thread per rank (the runner's own pattern), and returns the
+    /// results by rank. A rank's panic is re-raised here.
+    fn on_ranks<T: Send>(
+        size: usize,
+        f: impl Fn(&mut Communicator) -> Result<T, MpiError> + Sync,
+    ) -> Vec<Result<T, MpiError>> {
+        let f = &f;
+        let comms = World::communicators(size).unwrap();
+        std::thread::scope(|scope| {
+            let ranks: Vec<_> = comms
+                .into_iter()
+                .map(|mut comm| scope.spawn(move || f(&mut comm)))
+                .collect();
+            ranks
+                .into_iter()
+                .map(|rank| rank.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
+    }
+
+    fn monitored(size: usize, monitor: Monitor) -> Vec<Communicator> {
+        World::communicators_faulted(size, monitor, FaultHandle::disabled()).unwrap()
+    }
 
     #[test]
     fn world_rejects_zero_ranks() {
@@ -607,7 +553,7 @@ mod tests {
 
     #[test]
     fn ping_pong() {
-        let results = World::run(2, |comm| {
+        let results = on_ranks(2, |comm| {
             if comm.rank() == 0 {
                 comm.send(1, Tag(1), b"ping")?;
                 let reply = comm.recv(Some(1), Some(Tag(2)))?;
@@ -618,8 +564,7 @@ mod tests {
                 comm.send(0, Tag(2), b"pong")?;
                 Ok(Vec::new())
             }
-        })
-        .unwrap();
+        });
         assert_eq!(results[0].as_ref().unwrap(), b"pong");
     }
 
@@ -675,19 +620,6 @@ mod tests {
     }
 
     #[test]
-    fn iprobe_sees_waiting_message_without_consuming() {
-        let mut comms = World::communicators(1).unwrap();
-        let c = &mut comms[0];
-        assert!(!c.iprobe(None, None));
-        c.send(0, Tag(3), b"x").unwrap();
-        assert!(c.iprobe(None, Some(Tag(3))));
-        assert!(c.iprobe(None, Some(Tag(3)))); // still there
-        let env = c.try_recv(None, Some(Tag(3))).unwrap();
-        assert_eq!(&env.payload[..], b"x");
-        assert!(!c.iprobe(None, None));
-    }
-
-    #[test]
     fn recv_timeout_times_out() {
         let mut comms = World::communicators(2).unwrap();
         let got = comms[0]
@@ -711,7 +643,7 @@ mod tests {
     fn many_to_one_gather_pattern() {
         // The PARMONC collector pattern: rank 0 receives from everyone
         // in arrival order with wildcard matching.
-        let results = World::run(8, |comm| {
+        let results = on_ranks(8, |comm| {
             if comm.rank() == 0 {
                 let mut total = 0u64;
                 for _ in 1..comm.size() {
@@ -723,32 +655,13 @@ mod tests {
                 comm.send(0, Tag(0), &(comm.rank() as u64).to_le_bytes())?;
                 Ok(0)
             }
-        })
-        .unwrap();
+        });
         assert_eq!(*results[0].as_ref().unwrap(), (1..8).sum::<u64>());
     }
 
     #[test]
-    fn panicking_rank_is_reported() {
-        let err = World::run(2, |comm| -> Result<(), MpiError> {
-            if comm.rank() == 1 {
-                panic!("worker exploded");
-            }
-            Ok(())
-        })
-        .unwrap_err();
-        match err {
-            MpiError::RankPanicked { rank, message } => {
-                assert_eq!(rank, 1);
-                assert!(message.contains("exploded"));
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
     fn stress_many_ranks_many_messages() {
-        let results = World::run(16, |comm| {
+        let results = on_ranks(16, |comm| {
             if comm.rank() == 0 {
                 let mut sum = 0u64;
                 let expected = (comm.size() - 1) * 50;
@@ -763,8 +676,7 @@ mod tests {
                 }
                 Ok(0)
             }
-        })
-        .unwrap();
+        });
         assert_eq!(*results[0].as_ref().unwrap(), 15 * (0..50).sum::<u64>());
     }
 
@@ -772,7 +684,7 @@ mod tests {
     fn monitored_world_counts_queue_depths() {
         let sink = Arc::new(MemorySink::new());
         let monitor = Monitor::new(vec![Box::new(Arc::clone(&sink))]);
-        let mut comms = World::communicators_monitored(2, monitor).unwrap();
+        let mut comms = monitored(2, monitor);
         let (left, right) = comms.split_at_mut(1);
         let receiver = &mut left[0];
         let sender = &mut right[0];
@@ -837,7 +749,7 @@ mod tests {
     fn latest_wins_send_counts_superseded_messages_out_of_the_backlog() {
         let sink = Arc::new(MemorySink::new());
         let monitor = Monitor::new(vec![Box::new(Arc::clone(&sink))]);
-        let mut comms = World::communicators_monitored(2, monitor).unwrap();
+        let mut comms = monitored(2, monitor);
         let (left, right) = comms.split_at_mut(1);
         for value in [1u64, 2, 3] {
             right[0]
@@ -961,15 +873,14 @@ mod tests {
         // or rank 0 is already asleep when it does.
         for _ in 0..50 {
             let results = within(WATCHDOG, || {
-                World::run(2, |comm| {
+                on_ranks(2, |comm| {
                     if comm.rank() == 0 {
                         comm.recv(None, None).map(|_| ())
                     } else {
                         Ok(())
                     }
                 })
-            })
-            .unwrap();
+            });
             assert_eq!(results, [Err(MpiError::Disconnected), Ok(())]);
         }
     }
@@ -978,7 +889,7 @@ mod tests {
     fn blocked_recv_timeout_learns_that_its_peers_are_gone() {
         // An hour's timeout: only the disconnect can end this in time.
         let results = within(WATCHDOG, || {
-            World::run(2, |comm| {
+            on_ranks(2, |comm| {
                 if comm.rank() == 0 {
                     comm.recv_timeout(None, None, Duration::from_secs(3600))
                         .map(|_| ())
@@ -986,8 +897,7 @@ mod tests {
                     Ok(())
                 }
             })
-        })
-        .unwrap();
+        });
         assert_eq!(results, [Err(MpiError::Disconnected), Ok(())]);
     }
 
@@ -1019,17 +929,20 @@ mod tests {
 
     #[test]
     fn panicking_peer_unblocks_a_receiver() {
-        let err = within(WATCHDOG, || {
-            World::run(2, |comm| -> Result<(), MpiError> {
-                if comm.rank() == 0 {
-                    comm.recv(None, None).map(|_| ())
-                } else {
+        let (received, peer) = within(WATCHDOG, || {
+            let mut comms = World::communicators(2).unwrap();
+            let peer = comms.pop().unwrap();
+            std::thread::scope(|scope| {
+                let peer = scope.spawn(move || {
+                    let _peer = peer;
                     panic!("worker exploded mid-run");
-                }
+                });
+                let received = comms[0].recv(None, None);
+                (received, peer.join().map_err(|_| ()))
             })
-        })
-        .unwrap_err();
-        assert!(matches!(err, MpiError::RankPanicked { rank: 1, .. }));
+        });
+        assert_eq!(received, Err(MpiError::Disconnected));
+        assert!(peer.is_err(), "the peer's panic reaches its join");
     }
 
     #[test]
@@ -1080,7 +993,7 @@ mod tests {
         }
 
         within(Duration::from_secs(300), || {
-            let results = World::run(PRODUCERS + 1, |comm| {
+            let results = on_ranks(PRODUCERS + 1, |comm| {
                 let rank = comm.rank();
                 if rank != 0 {
                     let mut rng = TestRng::new(SEED + rank as u64);
@@ -1119,8 +1032,7 @@ mod tests {
                 }
                 assert!(comm.try_recv(None, None).is_none());
                 Ok(())
-            })
-            .unwrap();
+            });
             assert!(results.iter().all(Result::is_ok), "{results:?}");
         });
     }

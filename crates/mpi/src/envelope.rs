@@ -52,71 +52,6 @@ impl Envelope {
     }
 }
 
-/// Incrementally encodes a payload.
-///
-/// # Examples
-///
-/// ```
-/// use parmonc_mpi::envelope::{PayloadReader, PayloadWriter};
-///
-/// let mut w = PayloadWriter::new();
-/// w.put_u64(42);
-/// w.put_f64_slice(&[1.0, 2.5]);
-/// let mut r = PayloadReader::new(w.finish());
-/// assert_eq!(r.get_u64()?, 42);
-/// assert_eq!(r.get_f64_vec()?, vec![1.0, 2.5]);
-/// # Ok::<(), parmonc_mpi::MpiError>(())
-/// ```
-#[derive(Debug, Default)]
-pub struct PayloadWriter {
-    buf: BytesMut,
-}
-
-impl PayloadWriter {
-    /// Creates an empty writer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a writer with pre-reserved capacity.
-    #[must_use]
-    pub fn with_capacity(bytes: usize) -> Self {
-        Self {
-            buf: BytesMut::with_capacity(bytes),
-        }
-    }
-
-    /// Creates a writer over a caller-supplied builder — typically one
-    /// taken from a [`BufferPool`] so encoding
-    /// reuses a retired send buffer instead of allocating.
-    #[must_use]
-    pub fn from_buffer(buf: BytesMut) -> Self {
-        Self { buf }
-    }
-
-    /// Appends a `u64` (little-endian).
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
-    }
-
-    /// Appends an `f64` (little-endian bits).
-    pub fn put_f64(&mut self, v: f64) {
-        self.buf.put_f64_le(v);
-    }
-
-    /// Appends a length-prefixed slice of `f64`s.
-    pub fn put_f64_slice(&mut self, vs: &[f64]) {
-        WordSink::buffer(&mut self.buf).put_f64_slice(vs);
-    }
-
-    /// Finalizes into an immutable payload.
-    #[must_use]
-    pub fn finish(self) -> Bytes {
-        self.buf.freeze()
-    }
-}
-
 /// Where an encoder puts a payload, one 8-byte little-endian word at a
 /// time: appended to a byte buffer, or stored straight into the words
 /// of a destination's latest-wins slot
@@ -230,7 +165,7 @@ impl<'a> WordSink<'a> {
     }
 }
 
-/// Incrementally decodes a payload written by [`PayloadWriter`].
+/// Incrementally decodes a payload written through a [`WordSink`].
 #[derive(Debug)]
 pub struct PayloadReader {
     buf: Bytes,
@@ -327,13 +262,21 @@ mod tests {
     use super::*;
     use parmonc_testkit::prelude::*;
 
+    /// The bytes `fill` writes through a buffer sink.
+    fn encode(fill: impl FnOnce(&mut WordSink<'_>)) -> Bytes {
+        let mut buf = BytesMut::new();
+        fill(&mut WordSink::buffer(&mut buf));
+        buf.freeze()
+    }
+
     #[test]
     fn round_trip_mixed_payload() {
-        let mut w = PayloadWriter::new();
-        w.put_u64(7);
-        w.put_f64(-1.25);
-        w.put_f64_slice(&[0.0, 1.0, f64::INFINITY]);
-        let mut r = PayloadReader::new(w.finish());
+        let payload = encode(|w| {
+            w.put_u64(7);
+            w.put_f64(-1.25);
+            w.put_f64_slice(&[0.0, 1.0, f64::INFINITY]);
+        });
+        let mut r = PayloadReader::new(payload);
         assert_eq!(r.get_u64().unwrap(), 7);
         assert_eq!(r.get_f64().unwrap(), -1.25);
         assert_eq!(r.get_f64_vec().unwrap(), vec![0.0, 1.0, f64::INFINITY]);
@@ -347,9 +290,8 @@ mod tests {
             r.get_u64(),
             Err(MpiError::MalformedPayload { .. })
         ));
-        let mut w = PayloadWriter::new();
-        w.put_u64(100); // claims 100 f64s, provides none
-        let mut r = PayloadReader::new(w.finish());
+        // Claims 100 f64s, provides none.
+        let mut r = PayloadReader::new(encode(|w| w.put_u64(100)));
         assert!(matches!(
             r.get_f64_vec(),
             Err(MpiError::MalformedPayload { .. })
@@ -358,12 +300,10 @@ mod tests {
 
     #[test]
     fn envelope_len() {
-        let mut w = PayloadWriter::new();
-        w.put_u64(1);
         let env = Envelope {
             source: 3,
             tag: Tag(5),
-            payload: w.finish(),
+            payload: encode(|w| w.put_u64(1)),
         };
         assert_eq!(env.len(), 8);
         assert!(!env.is_empty());
@@ -379,19 +319,17 @@ mod tests {
         // The paper's performance-test message: two 1000x2 sum matrices
         // plus the sample volume. The paper quotes ~120 KB; ours is
         // 2*2000*8 ≈ 32 KB of sums plus their length prefixes.
-        let mut w = PayloadWriter::new();
-        w.put_u64(1); // sample volume
-        w.put_f64_slice(&vec![0.0; 2000]);
-        w.put_f64_slice(&vec![0.0; 2000]);
-        let payload = w.finish();
+        let payload = encode(|w| {
+            w.put_u64(1); // sample volume
+            w.put_f64_slice(&vec![0.0; 2000]);
+            w.put_f64_slice(&vec![0.0; 2000]);
+        });
         assert!(payload.len() > 32_000 && payload.len() < 40_000);
     }
 
     #[test]
     fn slice_into_checks_length_and_truncation() {
-        let mut w = PayloadWriter::new();
-        w.put_f64_slice(&[1.0, 2.0, 3.0]);
-        let payload = w.finish();
+        let payload = encode(|w| w.put_f64_slice(&[1.0, 2.0, 3.0]));
 
         let mut exact = [0.0f64; 3];
         PayloadReader::new(payload.clone())
@@ -415,9 +353,7 @@ mod tests {
     proptest! {
         #[test]
         fn f64_vec_round_trips(vs in collection::vec(any::<f64>(), 0..500)) {
-            let mut w = PayloadWriter::new();
-            w.put_f64_slice(&vs);
-            let mut r = PayloadReader::new(w.finish());
+            let mut r = PayloadReader::new(encode(|w| w.put_f64_slice(&vs)));
             let decoded = r.get_f64_vec().unwrap();
             prop_assert_eq!(decoded.len(), vs.len());
             for (a, b) in decoded.iter().zip(&vs) {
@@ -429,9 +365,7 @@ mod tests {
         /// decode.
         #[test]
         fn slice_into_matches_vec_decode(vs in collection::vec(any::<f64>(), 0..200)) {
-            let mut w = PayloadWriter::new();
-            w.put_f64_slice(&vs);
-            let payload = w.finish();
+            let payload = encode(|w| w.put_f64_slice(&vs));
             let by_vec = PayloadReader::new(payload.clone()).get_f64_vec().unwrap();
             let mut in_place = vec![0.0f64; vs.len()];
             PayloadReader::new(payload).get_f64_slice_into(&mut in_place).unwrap();

@@ -13,12 +13,13 @@ pub enum MpiError {
         size: usize,
     },
     /// The peer ranks disconnected (a rank panicked or exited early)
-    /// while this rank was blocked in `recv` or a collective.
+    /// while this rank was blocked in a receive.
     Disconnected,
-    /// A rank panicked inside [`crate::World::run`]; the panic message
-    /// is preserved when it was a string.
+    /// A rank's thread panicked: raised by whoever joins the rank
+    /// threads (the runner does, for a world of threads), with the
+    /// panic message when it is known.
     RankPanicked {
-        /// The rank that panicked.
+        /// The rank that panicked (`usize::MAX` when not known).
         rank: usize,
         /// Best-effort panic message.
         message: String,
@@ -28,7 +29,7 @@ pub enum MpiError {
         /// Human-readable description of what failed to decode.
         what: &'static str,
     },
-    /// `World::run` was asked for zero ranks.
+    /// [`crate::World::communicators`] was asked for zero ranks.
     EmptyWorld,
 }
 

@@ -3,24 +3,20 @@
 //!
 //! The paper runs user programs as MPI jobs whose only communication is
 //! the PARMONC runtime's own: each worker rank asynchronously sends
-//! subtotal sums to rank 0, which probes for pending messages, receives
-//! them, and periodically averages (Sections 2.2 and 3.2). This crate
-//! reproduces that environment with ranks as OS threads:
-//!
-//! * [`World::run`] — the `mpirun` analogue: spawn `size` ranks, run the
-//!   same closure on each, join, and return every rank's result;
-//! * [`Communicator`] — the per-rank handle: [`Communicator::send`],
-//!   blocking [`Communicator::recv`], non-blocking
-//!   [`Communicator::try_recv`] and [`Communicator::iprobe`] with
-//!   source/tag matching and MPI-style out-of-order buffering;
-//! * [`collective`] — barrier, broadcast, gather and sum-reduce built on
-//!   the point-to-point layer, exactly as a minimal MPI would.
+//! subtotal sums to rank 0, which takes them as they arrive and
+//! periodically averages (Sections 2.2 and 3.2). This crate reproduces
+//! that environment with ranks as OS threads and keeps only the
+//! point-to-point surface that traffic needs: [`World::communicators`]
+//! (the `mpirun` analogue) hands out one [`Communicator`] per rank,
+//! which implements [`Transport`] — buffered and latest-wins sends, a
+//! receive with a timeout and a non-blocking one, with source/tag
+//! matching and MPI-style out-of-order buffering.
 //!
 //! Substitution note (DESIGN.md §1): the calibration hint says Rust MPI
 //! bindings are thin; an in-process substrate exercises the identical
-//! PARMONC code path (asynchronous sends, probe-driven collection, rank
-//! 0 as the averager) while keeping the whole test suite runnable on a
-//! laptop with deterministic scheduling assumptions.
+//! PARMONC code path (asynchronous sends, collection as messages
+//! arrive, rank 0 as the averager) while keeping the whole test suite
+//! runnable on a laptop with deterministic scheduling assumptions.
 //!
 //! # Example
 //!
@@ -28,28 +24,26 @@
 //! use parmonc_mpi::{Tag, World};
 //!
 //! // Every worker sends its rank to rank 0, which sums them.
-//! let results = World::run(4, |comm| {
-//!     if comm.rank() == 0 {
-//!         let mut total = 0u64;
-//!         for _ in 1..comm.size() {
-//!             let msg = comm.recv(None, None)?;
-//!             total += u64::from_le_bytes(msg.payload[..8].try_into().unwrap());
-//!         }
-//!         Ok(total)
-//!     } else {
-//!         comm.send(0, Tag(7), &(comm.rank() as u64).to_le_bytes())?;
-//!         Ok(0)
+//! let mut comms = World::communicators(4).unwrap();
+//! let mut root = comms.remove(0);
+//! let total = std::thread::scope(|scope| {
+//!     for worker in comms {
+//!         scope.spawn(move || worker.send(0, Tag(7), &(worker.rank() as u64).to_le_bytes()));
 //!     }
-//! })
-//! .unwrap();
-//! assert_eq!(results[0], Ok(1 + 2 + 3));
+//!     let mut total = 0u64;
+//!     for _ in 1..root.size() {
+//!         let msg = root.recv(None, None).unwrap();
+//!         total += u64::from_le_bytes(msg.payload[..8].try_into().unwrap());
+//!     }
+//!     total
+//! });
+//! assert_eq!(total, 1 + 2 + 3);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod bytes;
-pub mod collective;
 pub mod comm;
 pub mod envelope;
 pub mod error;

@@ -3,32 +3,24 @@
 //!
 //! The runner (rank 0's collector loop, the workers' asynchronous
 //! subtotal emission, heartbeats and liveness probing) only ever uses
-//! a narrow slice of MPI: buffered point-to-point sends, blocking and
-//! non-blocking receives with source/tag matching, `MPI_Iprobe`, and
-//! the start-up barrier. [`Transport`] captures that slice so the
-//! same collector/worker code runs unchanged over any substrate:
+//! a narrow slice of MPI: buffered point-to-point sends, a latest-wins
+//! send for cumulative subtotals, and two receives with source/tag
+//! matching — one that waits up to a timeout and one that never
+//! waits. [`Transport`] captures that slice so the same
+//! collector/worker code runs unchanged over the thread substrate
+//! ([`Communicator`], ranks exchanging [`Envelope`]s through in-place
+//! mailboxes) and the socket substrate (`parmonc-ipc`, ranks as
+//! processes over TCP or a Unix-domain socket).
 //!
-//! * the in-process thread substrate ([`Communicator`], this crate) —
-//!   ranks are OS threads exchanging [`Envelope`]s through per-rank
-//!   in-place mailboxes;
-//! * the socket substrate (`parmonc-ipc`) — ranks are processes that
-//!   dial the collector, lease a rank via a versioned handshake and
-//!   exchange the same length-prefixed envelopes: remote workers over
-//!   TCP with elastic membership, or children a launcher started on
-//!   this host, over a Unix-domain socket.
-//!
-//! The collectives ([`Transport::barrier`] and friends) are provided
-//! methods layered on the point-to-point surface, so an implementor
-//! only supplies the eight required primitives — [`Transport::send`]
-//! and [`Transport::recycle`] default to the copying and pooling
-//! obvious, [`Transport::send_latest_with`] to an ordinary queued
-//! send, and [`Transport::retire_rank`] is an optional lifecycle
-//! hint that only rank-leasing substrates act on.
+//! An implementor supplies six required methods;
+//! [`Transport::send`] and [`Transport::recycle`] default to the
+//! copying and pooling obvious, [`Transport::send_latest_with`] to an
+//! ordinary queued send, and [`Transport::retire_rank`] is an
+//! optional lifecycle hint that only rank-leasing substrates act on.
 
 use std::time::Duration;
 
 use crate::bytes::Bytes;
-use crate::collective;
 use crate::comm::Communicator;
 use crate::envelope::{Envelope, Tag, WordSink};
 use crate::error::MpiError;
@@ -115,15 +107,6 @@ pub trait Transport {
         self.send_bytes(dest, tag, payload)
     }
 
-    /// Blocking receive of the next message matching the optional
-    /// `source` and `tag` filters.
-    ///
-    /// # Errors
-    ///
-    /// [`MpiError::Disconnected`] if all possible senders are gone
-    /// while no matching message is buffered.
-    fn recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Result<Envelope, MpiError>;
-
     /// Blocking receive with a timeout; `Ok(None)` on timeout.
     ///
     /// # Errors
@@ -141,9 +124,6 @@ pub trait Transport {
     /// collector loop uses).
     fn try_recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Option<Envelope>;
 
-    /// Whether a matching message is available without consuming it.
-    fn iprobe(&mut self, source: Option<usize>, tag: Option<Tag>) -> bool;
-
     /// Declares that `rank`'s realization budget has been reassigned
     /// and the rank must never rejoin the world.
     ///
@@ -155,61 +135,6 @@ pub trait Transport {
     /// to the survivors and the estimate would double-count them.
     fn retire_rank(&self, rank: usize) {
         let _ = rank;
-    }
-
-    /// Blocks until every rank has entered the barrier.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors ([`MpiError::Disconnected`]).
-    fn barrier(&mut self) -> Result<(), MpiError>
-    where
-        Self: Sized,
-    {
-        collective::barrier(self)
-    }
-
-    /// Broadcasts `value` from `root` to all ranks; every rank returns
-    /// the broadcast vector.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors, and [`MpiError::InvalidRank`] for a
-    /// bad root.
-    fn broadcast_f64(&mut self, root: usize, value: &[f64]) -> Result<Vec<f64>, MpiError>
-    where
-        Self: Sized,
-    {
-        collective::broadcast_f64(self, root, value)
-    }
-
-    /// Gathers each rank's `value` vector on `root`; the root returns
-    /// `Some(values_by_rank)`, other ranks return `None`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors, and [`MpiError::InvalidRank`] for a
-    /// bad root.
-    fn gather(&mut self, root: usize, value: &[f64]) -> Result<Option<Vec<Vec<f64>>>, MpiError>
-    where
-        Self: Sized,
-    {
-        collective::gather(self, root, value)
-    }
-
-    /// Reduces each rank's `value` vector by entrywise summation on
-    /// `root`; the root returns `Some(sums)`, other ranks return
-    /// `None`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors; [`MpiError::MalformedPayload`] if
-    /// rank contributions have mismatched lengths.
-    fn reduce_sum(&mut self, root: usize, value: &[f64]) -> Result<Option<Vec<f64>>, MpiError>
-    where
-        Self: Sized,
-    {
-        collective::reduce_sum(self, root, value)
     }
 }
 
@@ -244,10 +169,6 @@ impl Transport for Communicator {
         Communicator::send_latest_with(self, dest, tag, len, fill)
     }
 
-    fn recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Result<Envelope, MpiError> {
-        Communicator::recv(self, source, tag)
-    }
-
     fn recv_timeout(
         &mut self,
         source: Option<usize>,
@@ -260,10 +181,6 @@ impl Transport for Communicator {
     fn try_recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Option<Envelope> {
         Communicator::try_recv(self, source, tag)
     }
-
-    fn iprobe(&mut self, source: Option<usize>, tag: Option<Tag>) -> bool {
-        Communicator::iprobe(self, source, tag)
-    }
 }
 
 #[cfg(test)]
@@ -271,15 +188,25 @@ mod tests {
     use super::*;
     use crate::comm::World;
 
+    /// Long enough for a loaded machine; a lost message fails the test
+    /// instead of hanging it.
+    const TIMEOUT: Duration = Duration::from_secs(10);
+
+    /// The next message from `source` with `tag`; panics on a timeout.
+    fn expect<T: Transport>(comm: &mut T, source: usize, tag: Tag) -> Result<Envelope, MpiError> {
+        let env = comm.recv_timeout(Some(source), Some(tag), TIMEOUT)?;
+        Ok(env.unwrap_or_else(|| panic!("nothing from rank {source} within {TIMEOUT:?}")))
+    }
+
     /// The generic surface the runner is written against must work over
     /// a `T: Transport` without naming the concrete type.
     fn ping<T: Transport>(comm: &mut T) -> Result<Vec<u8>, MpiError> {
         if comm.rank() == 0 {
             comm.send(1, Tag(1), b"ping")?;
-            let reply = comm.recv(Some(1), Some(Tag(2)))?;
+            let reply = expect(comm, 1, Tag(2))?;
             Ok(reply.payload.to_vec())
         } else {
-            let msg = comm.recv(Some(0), Some(Tag(1)))?;
+            let msg = expect(comm, 0, Tag(1))?;
             assert_eq!(&msg.payload[..], b"ping");
             comm.send(0, Tag(2), b"pong")?;
             Ok(Vec::new())
@@ -288,23 +215,14 @@ mod tests {
 
     #[test]
     fn communicator_implements_transport() {
-        let results = World::run(2, ping).unwrap();
-        assert_eq!(results[0].as_ref().unwrap(), b"pong");
-    }
-
-    #[test]
-    fn provided_collectives_delegate() {
-        let results = World::run(3, |comm| {
-            Transport::barrier(comm)?;
-            let b = Transport::broadcast_f64(comm, 0, &[2.0 * comm.rank() as f64])?;
-            let g = Transport::gather(comm, 0, &[comm.rank() as f64])?;
-            let r = Transport::reduce_sum(comm, 0, &[1.0])?;
-            Ok((b, g, r))
-        })
-        .unwrap();
-        let (b, g, r) = results[0].as_ref().unwrap();
-        assert_eq!(b, &vec![0.0]);
-        assert_eq!(g.as_ref().unwrap(), &vec![vec![0.0], vec![1.0], vec![2.0]]);
-        assert_eq!(r.as_ref().unwrap(), &vec![3.0]);
+        let mut comms = World::communicators(2).unwrap();
+        let mut peer = comms.pop().unwrap();
+        let reply = std::thread::scope(|scope| {
+            let worker = scope.spawn(move || ping(&mut peer));
+            let reply = ping(&mut comms[0]);
+            worker.join().unwrap().unwrap();
+            reply
+        });
+        assert_eq!(reply.unwrap(), b"pong");
     }
 }
