@@ -857,13 +857,16 @@ pub struct CriticalPathReport {
 /// otherwise the last event) to the run start, at each point following
 /// the span that was still in flight — the work the outcome was
 /// actually waiting on. Stretches covered by no span are attributed to
-/// `wait` (the collector idling on its inbox) or `startup`. The steps
-/// tile the window exactly, so their sum equals the analyzed wall time
-/// by construction — the interesting output is *where* that time went,
-/// summarized per rank/phase with the dominant contributor named.
+/// `wait` (the collector idling on its inbox) or `startup`; rank 0's
+/// `inbox_wait` spans are that idling, so they count as no work in
+/// flight. The steps tile the window exactly, so their sum equals the
+/// analyzed wall time by construction — the interesting output is
+/// *where* that time went, summarized per rank/phase with the dominant
+/// contributor named.
 #[must_use]
 pub fn trace_critical_path(events: &[Event]) -> CriticalPathReport {
-    let (spans, _) = closed_spans(events);
+    let (mut spans, _) = closed_spans(events);
+    spans.retain(|s| s.phase != SpanPhase::InboxWait);
     let run_start = events
         .iter()
         .find_map(|e| matches!(e.kind, EventKind::RunStarted { .. }).then_some(e.time_s))
@@ -1461,6 +1464,33 @@ mod tests {
         assert_eq!(empty.steps.len(), 0);
         let no_spans = trace_critical_path(&sample_events());
         assert!((no_spans.total_s - no_spans.wall_s).abs() < 1e-9);
+    }
+
+    /// Rank 0 blocked on its inbox is the `wait` the walk books between
+    /// spans, not work in flight: an `inbox_wait` span across the
+    /// window leaves the path as it was.
+    #[test]
+    fn critical_path_books_inbox_wait_as_wait() {
+        let mut events = span_events();
+        let phase = SpanPhase::InboxWait;
+        events.push(Event::at(
+            0.15,
+            Some(0),
+            EventKind::SpanStarted {
+                span: 5,
+                parent: None,
+                phase,
+            },
+        ));
+        events.push(Event::at(
+            0.7,
+            Some(0),
+            EventKind::SpanEnded { span: 5, phase },
+        ));
+        assert_eq!(
+            trace_critical_path(&events).steps,
+            trace_critical_path(&span_events()).steps
+        );
     }
 
     #[test]

@@ -728,10 +728,9 @@ fn decode_checkpoint(text: &str, path: &Path) -> Result<(MatrixAccumulator, f64)
 mod tests {
     use super::*;
 
-    fn tempdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("parmonc-files-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+    fn tempdir(name: &str) -> parmonc_testkit::TempDir {
+        let dir = parmonc_testkit::TempDir::new(&format!("files-{name}"));
+        std::fs::create_dir_all(&dir).unwrap();
         dir
     }
 

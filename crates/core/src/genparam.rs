@@ -99,11 +99,9 @@ pub fn load_genparam(dir: impl AsRef<Path>) -> Result<LeapConfig, ParmoncError> 
 mod tests {
     use super::*;
 
-    fn tempdir(name: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("parmonc-genparam-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+    fn tempdir(name: &str) -> parmonc_testkit::TempDir {
+        let dir = parmonc_testkit::TempDir::new(&format!("genparam-{name}"));
+        std::fs::create_dir_all(&dir).unwrap();
         dir
     }
 

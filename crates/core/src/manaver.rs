@@ -104,12 +104,9 @@ pub fn manaver(output_dir: impl AsRef<Path>) -> Result<ManaverReport, ParmoncErr
 mod tests {
     use super::*;
     use crate::messages::Subtotal;
-    use std::path::PathBuf;
 
-    fn tempdir(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("parmonc-manaver-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn tempdir(name: &str) -> parmonc_testkit::TempDir {
+        let dir = parmonc_testkit::TempDir::new(&format!("manaver-{name}"));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }

@@ -525,7 +525,7 @@ fn drive<C: Comm + Send, R: Realize + Sync>(
         slot.get_or_insert(e);
     };
     std::thread::scope(|scope| {
-        let mut handles = vec![scope.spawn(|| {
+        let rank0 = scope.spawn(|| {
             let mut comm = comm;
             match rank0_loop(ctx, &mut comm, baseline, resume_own) {
                 Ok(collector) => {
@@ -536,17 +536,20 @@ fn drive<C: Comm + Send, R: Realize + Sync>(
             // A panicking rank 0 unwinds through `comm` instead, which
             // tears the world down just the same.
             teardown(comm).unwrap_or_else(fail);
-        })];
+        });
+        let mut handles = vec![(0, rank0)];
         handles.extend(locals.into_iter().map(|comm| {
-            scope.spawn(|| {
+            let rank = comm.rank();
+            let worker = scope.spawn(|| {
                 worker_loop(ctx, comm, ctx.config.trace_spans).unwrap_or_else(fail);
-            })
+            });
+            (rank, worker)
         }));
-        for h in handles {
-            if h.join().is_err() {
+        for (rank, h) in handles {
+            if let Err(payload) = h.join() {
                 fail(ParmoncError::Mpi(MpiError::RankPanicked {
-                    rank: usize::MAX,
-                    message: "a rank panicked".into(),
+                    rank,
+                    message: panic_message(&*payload),
                 }));
             }
         }
@@ -557,6 +560,18 @@ fn drive<C: Comm + Send, R: Realize + Sync>(
             .into_inner()
             .expect("every rank has been joined")
             .expect("rank 0 always produces collector state on success")),
+    }
+}
+
+/// The text a panic was raised with: `panic!` with a literal carries a
+/// `&str`, with format arguments a `String`.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(text) => (*text).to_string(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "a rank panicked".into()),
     }
 }
 
@@ -1073,12 +1088,10 @@ fn simulate_quota<R: Realize + ?Sized>(
 mod tests {
     use super::*;
     use crate::realize::RealizeFn;
-    use std::path::PathBuf;
+    use parmonc_testkit::TempDir;
 
-    pub(super) fn tempdir(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("parmonc-runner-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    pub(super) fn tempdir(name: &str) -> TempDir {
+        let dir = TempDir::new(&format!("runner-{name}"));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -1151,6 +1164,36 @@ mod tests {
         volumes: &[u64],
     ) -> MatrixSummary {
         serial_merge_with(&uniform_mean(), seqnum, shape, volumes)
+    }
+
+    /// A rank whose routine panics fails the run with its own rank
+    /// and the panic's text — rank 0 as handle 0, a worker by the rank
+    /// of the communicator its thread ran.
+    #[test]
+    fn a_panicking_routine_fails_the_run_with_its_rank_and_message() {
+        for (processors, victim) in [(1, 0), (2, 1)] {
+            let dir = tempdir(&format!("panic-{processors}"));
+            let err = Parmonc::builder(1, 1)
+                .max_sample_volume(10)
+                .processors(processors)
+                .heartbeat_period(Duration::from_millis(10))
+                .liveness_timeout(Duration::from_millis(100))
+                .output_dir(&dir)
+                .run(RealizeFn::new(|rng, out| {
+                    if rng.id().processor == victim as u64 {
+                        panic!("routine gave up on rank {victim}");
+                    }
+                    out[0] = rng.next_f64();
+                }))
+                .unwrap_err();
+            match err {
+                ParmoncError::Mpi(MpiError::RankPanicked { rank, message }) => {
+                    assert_eq!(rank, victim);
+                    assert_eq!(message, format!("routine gave up on rank {victim}"));
+                }
+                other => panic!("expected RankPanicked, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1678,12 +1721,13 @@ mod tests {
     fn loop_resumed_and_reentered_walks_each_coordinate_once() {
         const K: u64 = 7;
         const EXTRA: u64 = 13;
+        let dir = tempdir("loop-direct");
         let config = Parmonc::builder(1, 2)
             .max_sample_volume(301)
             .processors(3)
             .seqnum(SEQNUM)
             .exchange(Exchange::EveryRealization)
-            .output_dir(tempdir("loop-direct"))
+            .output_dir(&dir)
             .build()
             .unwrap();
         let quota = config.quota(RANK);
@@ -1712,13 +1756,14 @@ mod tests {
     fn scripted_crash_is_met_exactly_by_a_loop_running_in_blocks() {
         use parmonc_faults::{FaultKind, FaultPlan};
         const AFTER: u64 = 1_000_003;
+        let dir = tempdir("loop-crash");
         let config = Parmonc::builder(1, 2)
             .max_sample_volume(3 * AFTER + 300)
             .processors(3)
             .seqnum(SEQNUM)
             .exchange(Exchange::EveryRealization)
             .faults(FaultPlan::new(1).crash_rank(RANK, AFTER))
-            .output_dir(tempdir("loop-crash"))
+            .output_dir(&dir)
             .build()
             .unwrap();
         assert!(config.quota(RANK) > AFTER);
@@ -1771,12 +1816,13 @@ mod tests {
     #[test]
     fn routines_that_disturb_their_stream_match_the_serial_merge() {
         for (i, routine) in unruly_routines().iter().enumerate() {
+            let dir = tempdir(&format!("loop-unruly-{i}"));
             let config = Parmonc::builder(1, 2)
                 .max_sample_volume(60_003)
                 .processors(3)
                 .seqnum(SEQNUM)
                 .exchange(Exchange::EveryRealization)
-                .output_dir(tempdir(&format!("loop-unruly-{i}")))
+                .output_dir(&dir)
                 .build()
                 .unwrap();
             let quota = config.quota(RANK);
@@ -1787,11 +1833,12 @@ mod tests {
                 let expected = rank_pass_with(routine, SEQNUM, RANK, (1, 2), quota);
                 assert_eq!(sim.own.acc, expected, "routine {i}");
             });
+            let run_dir = tempdir(&format!("run-unruly-{i}"));
             let report = Parmonc::builder(1, 2)
                 .max_sample_volume(60_003)
                 .processors(3)
                 .seqnum(SEQNUM)
-                .output_dir(tempdir(&format!("run-unruly-{i}")))
+                .output_dir(&run_dir)
                 .run(routine)
                 .unwrap();
             let expected = serial_merge_with(routine, SEQNUM, (1, 2), &report.worker_volumes);
@@ -1808,12 +1855,13 @@ mod tests {
     fn loop_fails_at_the_end_of_a_small_processor_subsequence() {
         let leaps = parmonc_rng::LeapConfig::new(12, 8, 4).unwrap();
         let last = leaps.realizations() - 1;
+        let dir = tempdir("loop-capacity");
         let config = Parmonc::builder(1, 2)
             .max_sample_volume(301)
             .processors(3)
             .seqnum(SEQNUM)
             .leaps(leaps)
-            .output_dir(tempdir("loop-capacity"))
+            .output_dir(&dir)
             .build()
             .unwrap();
         assert!(config.quota(RANK) > last + 1);

@@ -6,9 +6,7 @@ use std::time::Instant;
 
 use parmonc_mpi::Transport as Comm;
 use parmonc_mpi::{Bytes, Envelope, MpiError};
-use parmonc_obs::{
-    CollectorActivity, ConvergenceTracker, EventKind, Monitor, SpanEmitter, SpanPhase,
-};
+use parmonc_obs::{ConvergenceTracker, EventKind, Monitor, SpanEmitter, SpanPhase};
 use parmonc_stats::report::LogReport;
 use parmonc_stats::{MatrixAccumulator, MatrixSummary};
 
@@ -304,23 +302,23 @@ impl Collector {
         }
     }
 
-    /// Folds one inbound envelope into the collector state. Returns
-    /// `true` for data messages (heartbeats only refresh liveness).
+    /// Folds one inbound envelope into the collector state
+    /// (heartbeats only refresh liveness).
     fn handle<C: Comm, R: ?Sized>(
         &mut self,
         ctx: &RunCtx<'_, R>,
         comm: &C,
         env: Envelope,
         now: Instant,
-    ) -> Result<bool, ParmoncError> {
+    ) -> Result<(), ParmoncError> {
         let source = env.source;
         self.live.heard_from(source, now);
         if env.tag == TAG_HEARTBEAT {
-            return Ok(false);
+            return Ok(());
         }
         if self.finals[source] {
             comm.recycle(env.payload);
-            return Ok(true);
+            return Ok(());
         }
         let is_final = env.tag == TAG_FINAL;
         self.state.absorb(source, &env.payload, now)?;
@@ -328,7 +326,7 @@ impl Collector {
         if is_final {
             self.note_final(ctx, comm, source);
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Error-controlled stopping: once a save-point's `eps_max` meets
@@ -355,77 +353,6 @@ impl Collector {
         }
         self.stopping = true;
         Ok(())
-    }
-}
-
-/// Builds the collector's [`EventKind::CollectorSegment`] timeline,
-/// coalescing consecutive segments of the same activity so that a tight
-/// compute loop emits one segment, not one per realization.
-struct SegmentTracker<'a> {
-    monitor: &'a Monitor,
-    /// Currently open segment: (activity, start in monitor time).
-    current: Option<(CollectorActivity, f64)>,
-}
-
-impl<'a> SegmentTracker<'a> {
-    fn new(monitor: &'a Monitor) -> Self {
-        Self {
-            monitor,
-            current: None,
-        }
-    }
-
-    fn emit_segment(&self, activity: CollectorActivity, start_s: f64, end_s: f64) {
-        self.monitor.emit(
-            Some(0),
-            EventKind::CollectorSegment {
-                activity,
-                start_s,
-                end_s,
-            },
-        );
-    }
-
-    /// The collector is now doing `activity`; a no-op if it already
-    /// was, otherwise closes the open segment.
-    fn switch(&mut self, activity: CollectorActivity) {
-        if !self.monitor.is_enabled() {
-            return;
-        }
-        let now = self.monitor.elapsed_s();
-        match self.current {
-            Some((open, _)) if open == activity => {}
-            Some((open, started)) => {
-                self.emit_segment(open, started, now);
-                self.current = Some((activity, now));
-            }
-            None => self.current = Some((activity, now)),
-        }
-    }
-
-    /// Records a completed `activity` span from `since` until now,
-    /// truncating (or replacing) the open segment. Used for bursts —
-    /// drains that actually received messages, save-point writes —
-    /// whose start is only known in hindsight.
-    fn punch(&mut self, activity: CollectorActivity, since: Instant) {
-        if !self.monitor.is_enabled() {
-            return;
-        }
-        let now = self.monitor.elapsed_s();
-        let from = (now - since.elapsed().as_secs_f64()).max(0.0);
-        if let Some((open, started)) = self.current.take() {
-            if from > started {
-                self.emit_segment(open, started, from);
-            }
-        }
-        self.emit_segment(activity, from, now);
-    }
-
-    /// Closes the open segment, if any, at the current time.
-    fn finish(mut self) {
-        if let Some((open, started)) = self.current.take() {
-            self.emit_segment(open, started, self.monitor.elapsed_s());
-        }
     }
 }
 
@@ -529,12 +456,13 @@ impl Collector {
 
 /// Rank 0's side of the run: the collector, fed from the inbox between
 /// rank 0's own realizations and then until every live worker's final
-/// is in.
+/// is in. Its timeline is spans: `realization_batch` while it
+/// simulates, `collector_merge` / `checkpoint` while it saves, and
+/// `inbox_wait` / `inbox_drain` while it waits on and folds the inbox.
 struct Rank0<'a, C: Comm, R: ?Sized> {
     ctx: &'a RunCtx<'a, R>,
     comm: &'a mut C,
     collector: Collector,
-    tracker: SegmentTracker<'a>,
     spans: &'a SpanEmitter,
 }
 
@@ -550,9 +478,7 @@ impl<C: Comm, R: ?Sized> Rank0<'_, C, R> {
         if let Some(own) = own {
             self.collector.state.update_own(own, now);
         }
-        let save_started = Instant::now();
         let eps_max = self.collector.save_point(self.ctx, self.spans)?.eps_max;
-        self.tracker.punch(CollectorActivity::Saving, save_started);
         self.collector
             .stop_if_converged(self.ctx.config, &*self.comm, eps_max)
     }
@@ -573,14 +499,17 @@ impl<C: Comm, R: ?Sized> Rank0<'_, C, R> {
             if !awaited.any(|(f, a)| *a && !*f) {
                 return Ok(false);
             }
-            self.tracker.switch(CollectorActivity::Waiting);
-            let all_gone = match self.comm.recv_timeout(None, None, sweep) {
+            let sp_wait = self.spans.start(SpanPhase::InboxWait, None);
+            let received = self.comm.recv_timeout(None, None, sweep);
+            self.spans.end(sp_wait, SpanPhase::InboxWait);
+            // The turn's one clock read: the fold, the sweep and the
+            // save-point all run as of it.
+            let now = Instant::now();
+            let all_gone = match received {
                 Ok(Some(env)) => {
-                    let received_at = Instant::now();
-                    if collector.handle(ctx, &*self.comm, env, received_at)? {
-                        self.tracker
-                            .punch(CollectorActivity::Receiving, received_at);
-                    }
+                    let sp_drain = self.spans.start(SpanPhase::InboxDrain, None);
+                    collector.handle(ctx, &*self.comm, env, now)?;
+                    self.spans.end(sp_drain, SpanPhase::InboxDrain);
                     false
                 }
                 Ok(None) => false,
@@ -589,21 +518,25 @@ impl<C: Comm, R: ?Sized> Rank0<'_, C, R> {
                 Err(MpiError::Disconnected) => true,
                 Err(e) => return Err(e.into()),
             };
-            collector.check_liveness(ctx, &*self.comm, all_gone, Instant::now())?;
-            self.average_if_due(None, Instant::now())?;
+            collector.check_liveness(ctx, &*self.comm, all_gone, now)?;
+            self.average_if_due(None, now)?;
         }
     }
 
     /// Folds every message waiting in the inbox into the collector, as
-    /// of `now`.
+    /// of `now`. A drain that received something is an `inbox_drain`
+    /// span from `now` on, emitted once it is over; an empty one reads
+    /// no clock and emits nothing.
     fn drain_inbox(&mut self, now: Instant) -> Result<(), ParmoncError> {
-        let drain_started = self.ctx.monitor.is_enabled().then(Instant::now);
         let mut received = false;
         while let Some(env) = self.comm.try_recv(None, None) {
-            received |= self.collector.handle(self.ctx, &*self.comm, env, now)?;
+            self.collector.handle(self.ctx, &*self.comm, env, now)?;
+            received = true;
         }
-        if let Some(t) = drain_started.filter(|_| received) {
-            self.tracker.punch(CollectorActivity::Receiving, t);
+        if received && self.spans.is_enabled() {
+            let end_s = self.ctx.monitor.elapsed_s();
+            let start_s = end_s - now.elapsed().as_secs_f64();
+            self.spans.closed_at(SpanPhase::InboxDrain, start_s, end_s);
         }
         Ok(())
     }
@@ -634,7 +567,6 @@ impl<C: Comm, R: ?Sized> Role for Rank0<'_, C, R> {
         self.collector
             .check_liveness(self.ctx, &*self.comm, false, now)?;
         self.average_if_due(Some(own), now)?;
-        self.tracker.switch(CollectorActivity::Computing);
         Ok(Control {
             stop: self.collector.stopping,
             extra: std::mem::take(&mut self.collector.live.self_extra),
@@ -661,7 +593,6 @@ pub(super) fn rank0_loop<C: Comm, R: Realize + ?Sized>(
         ctx,
         collector: Collector::new(ctx.config, baseline, comm.size()),
         comm,
-        tracker: SegmentTracker::new(ctx.monitor),
         spans: &spans,
     };
     loop {
@@ -680,22 +611,23 @@ pub(super) fn rank0_loop<C: Comm, R: Realize + ?Sized>(
     // Stragglers: a rank declared lost may have sent on, and its newest
     // cumulative subtotal is authoritative; `handle` drops what is stale.
     rank0.drain_inbox(Instant::now())?;
-    rank0.tracker.finish();
     Ok(rank0.collector)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
     use std::time::Duration;
 
     use parmonc_mpi::World;
-    use parmonc_obs::Monitor;
+    use parmonc_obs::{Event, MemorySink, Monitor};
     use parmonc_rng::StreamHierarchy;
 
     use super::*;
     use crate::config::Exchange;
     use crate::error::ParmoncError;
     use crate::files::ResultsDir;
+    use crate::messages::TAG_SUBTOTAL;
     use crate::runner::tests::{serial_merge, tempdir, uniform_mean};
     use crate::runner::Parmonc;
 
@@ -705,11 +637,12 @@ mod tests {
     /// 0's subtotal.
     #[test]
     fn a_save_point_between_rank0_offers_folds_all_of_rank0() {
+        let dir = tempdir("rank0-own");
         let config = Parmonc::builder(1, 1)
             .max_sample_volume(100)
             .processors(1)
             .averaging_period(Duration::ZERO)
-            .output_dir(tempdir("rank0-own"))
+            .output_dir(&dir)
             .build()
             .unwrap();
         let faults = config.faults.build();
@@ -729,7 +662,6 @@ mod tests {
             ctx: &ctx,
             comm: &mut comm,
             collector: Collector::new(&config, MatrixAccumulator::new(1, 1).unwrap(), 1),
-            tracker: SegmentTracker::new(ctx.monitor),
             spans: &spans,
         };
         let mut own = Subtotal {
@@ -758,6 +690,103 @@ mod tests {
         assert_eq!(snapshot.acc, own.acc);
         assert_eq!(snapshot.compute_seconds, own.compute_seconds);
         assert!(rank0.collector.finals[0]);
+    }
+
+    /// Rank 0's inbox on its timeline: a poll that folds a message is
+    /// one `inbox_drain` span, a poll over an empty inbox is none, and
+    /// waiting for a final is an `inbox_wait` and then an
+    /// `inbox_drain`. With spans off neither phase appears, and no
+    /// `collector_segment` is written either way.
+    #[test]
+    fn rank0_inbox_shows_as_wait_and_drain_spans() {
+        /// The phases of the spans rank 0 closed in each of three steps
+        /// (a poll that folds, an empty poll, a wait for the final),
+        /// and the whole trace.
+        fn inbox_steps(trace_spans: bool) -> (Vec<Vec<SpanPhase>>, Vec<Event>) {
+            let dir = tempdir(&format!("rank0-inbox-{trace_spans}"));
+            let config = Parmonc::builder(1, 1)
+                .max_sample_volume(100)
+                .processors(2)
+                .output_dir(&dir)
+                .build()
+                .unwrap();
+            let faults = config.faults.build();
+            let realize = uniform_mean();
+            let sink = Arc::new(MemorySink::new());
+            let monitor = Monitor::new(vec![Box::new(Arc::clone(&sink))]);
+            let ctx: RunCtx<'_, dyn Realize> = RunCtx {
+                config: &config,
+                hierarchy: &StreamHierarchy::new(config.leaps),
+                dir: &ResultsDir::create(&config.output_dir).unwrap(),
+                realize: &realize,
+                monitor: &monitor,
+                faults: &faults,
+                start: Instant::now(),
+            };
+            let mut world = World::communicators(2).unwrap();
+            let worker = world.pop().unwrap();
+            let mut comm = world.pop().unwrap();
+            let spans = SpanEmitter::new(&monitor, 0, trace_spans);
+            let mut rank0 = Rank0 {
+                ctx: &ctx,
+                comm: &mut comm,
+                collector: Collector::new(&config, MatrixAccumulator::new(1, 1).unwrap(), 2),
+                spans: &spans,
+            };
+            let own = Subtotal {
+                acc: MatrixAccumulator::new(1, 1).unwrap(),
+                compute_seconds: 0.0,
+            };
+            let mut sub = own.clone();
+            sub.acc.add(&[0.5]).unwrap();
+            let mut seen = 0;
+            let mut closed_since = || {
+                let events = sink.snapshot();
+                let phases = events[seen..]
+                    .iter()
+                    .filter_map(|e| match e.kind {
+                        EventKind::SpanEnded { phase, .. } if e.rank == Some(0) => Some(phase),
+                        _ => None,
+                    })
+                    .collect();
+                seen = events.len();
+                phases
+            };
+
+            worker.send(0, TAG_SUBTOTAL, &sub.encode()).unwrap();
+            rank0.poll(&own, Instant::now()).unwrap();
+            let folded = closed_since();
+            rank0.poll(&own, Instant::now()).unwrap();
+            let empty = closed_since();
+            rank0.offer(&own, Instant::now(), true).unwrap();
+            worker.send(0, TAG_FINAL, &sub.encode()).unwrap();
+            assert!(!rank0.wait_for_finals().unwrap(), "nobody left to await");
+            let waited = closed_since();
+            assert_eq!(rank0.collector.state.latest[1].as_ref(), Some(&sub));
+            (vec![folded, empty, waited], sink.snapshot())
+        }
+
+        let (steps, events) = inbox_steps(true);
+        assert_eq!(
+            steps,
+            [
+                vec![SpanPhase::InboxDrain],
+                vec![],
+                vec![SpanPhase::InboxWait, SpanPhase::InboxDrain],
+            ]
+        );
+        for event in &events {
+            parmonc_obs::schema::validate_line(&event.to_json_line()).unwrap();
+        }
+        let (steps, plain) = inbox_steps(false);
+        assert_eq!(steps, [vec![], vec![], vec![]]);
+        for kind in events.iter().chain(&plain).map(|e| &e.kind) {
+            assert!(!matches!(kind, EventKind::CollectorSegment { .. }));
+        }
+        assert!(!plain.iter().any(|e| matches!(
+            e.kind,
+            EventKind::SpanStarted { .. } | EventKind::SpanEnded { .. }
+        )));
     }
 
     #[test]

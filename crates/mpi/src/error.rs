@@ -19,9 +19,9 @@ pub enum MpiError {
     /// threads (the runner does, for a world of threads), with the
     /// panic message when it is known.
     RankPanicked {
-        /// The rank that panicked (`usize::MAX` when not known).
+        /// The rank that panicked.
         rank: usize,
-        /// Best-effort panic message.
+        /// The panic's text, or a stand-in when it carried none.
         message: String,
     },
     /// A decoded message payload was malformed.

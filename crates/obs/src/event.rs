@@ -47,7 +47,10 @@ vocab! {
 
 vocab! {
     /// What the collector (rank 0) was doing during a trace segment.
-    pub enum CollectorActivity series("parmonc_collector_seconds_total", "activity") {
+    /// No engine writes it: rank 0's timeline is spans
+    /// ([`SpanPhase`]). The values stay so that version-1 traces that
+    /// carry `collector_segment` lines still validate.
+    pub enum CollectorActivity {
         /// Simulating its own realizations.
         Computing = "computing",
         /// Receiving and folding worker subtotals.
@@ -79,6 +82,10 @@ vocab! {
         Checkpoint = "checkpoint",
         /// A worker redialing the collector after a broken link.
         Reconnect = "reconnect",
+        /// Rank 0 blocked on its inbox, waiting for the workers' finals.
+        InboxWait = "inbox_wait",
+        /// Rank 0 folding received messages into the collector state.
+        InboxDrain = "inbox_drain",
     }
 }
 
@@ -182,7 +189,8 @@ events! {
             duration_seconds: f64,
         },
         /// One contiguous activity segment on the collector's timeline.
-        CollectorSegment = "collector_segment", Always {
+        /// No engine writes it; kept so that version-1 traces validate.
+        CollectorSegment = "collector_segment", Conditional {
             /// What the collector was doing.
             activity: CollectorActivity,
             /// Segment start, seconds since run start.
@@ -389,8 +397,11 @@ impl EventKind {
     /// kinds (`worker_joined`, `worker_left`) only on the
     /// elastic-membership TCP backend, the span kinds only when span
     /// tracing is enabled, and `wire_stats` only on socket transports
-    /// (Unix-domain or TCP). A fault-free run emits exactly
-    /// `ALL_KINDS` minus `FAULT_KINDS` minus these.
+    /// (Unix-domain or TCP). `collector_segment` is listed because no
+    /// run writes it: rank 0's timeline is spans, and the kind stays in
+    /// the table only so that version-1 traces carrying it validate. A
+    /// fault-free run emits exactly `ALL_KINDS` minus `FAULT_KINDS`
+    /// minus these.
     pub const CONDITIONAL_KINDS: [&'static str; count_class(KindClass::Conditional)] =
         kinds_of_class(KindClass::Conditional);
 }
@@ -571,7 +582,7 @@ mod tests {
         }
         round_trips!(RunMode);
         round_trips!(RunTransport, "transport");
-        round_trips!(CollectorActivity, "activity");
+        round_trips!(CollectorActivity);
         round_trips!(SpanPhase, "phase");
     }
 

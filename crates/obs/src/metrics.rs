@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use crate::event::{CollectorActivity, Event, EventKind};
+use crate::event::{Event, EventKind};
 use crate::monitor::EventSink;
 
 /// Log-histogram resolution: buckets per power of two. 8 sub-buckets
@@ -404,7 +404,6 @@ fn help_for(family: &str) -> &'static str {
     match family {
         "parmonc_realization_seconds" => "Per-realization compute time (per exchange batch).",
         "parmonc_message_bytes" => "Payload bytes of point-to-point messages.",
-        "parmonc_collector_wait_seconds" => "Collector idle-wait segment durations.",
         "parmonc_heartbeat_gap_seconds" => "Gap between consecutive heartbeats per worker.",
         "parmonc_queue_depth" => "Receiver queue depth observed at each delivery.",
         "parmonc_averaging_pass_seconds" => "Duration of formula-(5) averaging passes.",
@@ -415,7 +414,6 @@ fn help_for(family: &str) -> &'static str {
         "parmonc_messages_received_total" => "Point-to-point messages delivered, by tag.",
         "parmonc_bytes_sent_total" => "Payload bytes sent.",
         "parmonc_bytes_received_total" => "Payload bytes delivered.",
-        "parmonc_collector_seconds_total" => "Collector timeline seconds, by activity.",
         "parmonc_eps_max" => "Largest absolute stochastic error after the last pass.",
         "parmonc_sample_volume" => "Total sample volume folded into the estimate.",
         "parmonc_span_seconds" => "Tracing span durations on the corrected run clock.",
@@ -754,17 +752,9 @@ impl EventSink for MetricsSink {
                 r.inc_counter("parmonc_save_points_total", 1.0);
                 r.observe("parmonc_save_point_seconds", *duration_seconds);
             }
-            EventKind::CollectorSegment {
-                activity,
-                start_s,
-                end_s,
-            } => {
-                let duration = end_s - start_s;
-                r.inc_counter(activity.series(), duration);
-                if *activity == CollectorActivity::Waiting {
-                    r.observe("parmonc_collector_wait_seconds", duration);
-                }
-            }
+            // Rank 0's timeline is spans; a version-1 trace may still
+            // carry this kind, and nothing is derived from it.
+            EventKind::CollectorSegment { .. } => {}
             EventKind::RunCompleted {
                 realizations,
                 t_comp_seconds,
@@ -1165,16 +1155,7 @@ mod tests {
         assert_eq!(gap.count(), 1);
         assert_eq!(gap.max(), Some(1.5));
 
-        // Collector wait and the estimate trajectory.
-        sink.record(&ev(
-            5.0,
-            Some(0),
-            EventKind::CollectorSegment {
-                activity: CollectorActivity::Waiting,
-                start_s: 4.0,
-                end_s: 5.0,
-            },
-        ));
+        // The estimate trajectory.
         sink.record(&ev(
             5.5,
             Some(0),
@@ -1194,12 +1175,6 @@ mod tests {
                 target: 0.02,
             },
         ));
-        assert_eq!(
-            r.histogram("parmonc_collector_wait_seconds")
-                .unwrap()
-                .count(),
-            1
-        );
         assert_eq!(
             r.value("parmonc_estimate_mean{functional=\"0\"}"),
             Some(0.5)

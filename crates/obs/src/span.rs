@@ -123,8 +123,10 @@ impl SpanEmitter {
     /// timestamps (same clock as [`Monitor::elapsed_s`]). For phases
     /// measured while holding a lock the forwarding sink itself needs
     /// — the TCP reconnect path times itself under the writer lock and
-    /// reports the span only once the lock is free. Returns the span
-    /// id (0 when disabled).
+    /// reports the span only once the lock is free — and for phases
+    /// known to have happened only once they are over, like rank 0's
+    /// drain of an inbox that turned out not to be empty. Returns the
+    /// span id (0 when disabled).
     pub fn closed_at(&self, phase: SpanPhase, start_s: f64, end_s: f64) -> u64 {
         if !self.enabled {
             return 0;

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::event::{CollectorActivity, Event, EventKind, RunMode, RunTransport};
+use crate::event::{Event, EventKind, RunMode, RunTransport};
 
 /// Per-rank aggregates extracted from a trace.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -55,9 +55,6 @@ pub struct MonitorSummary {
     pub save_points: u64,
     /// Total seconds spent writing save-points.
     pub save_seconds: f64,
-    /// Seconds the collector spent per activity (from
-    /// `collector_segment` events).
-    pub collector_seconds: BTreeMap<&'static str, f64>,
     /// Realizations from `run_completed`.
     pub total_realizations: Option<u64>,
     /// The paper's `T_comp` from `run_completed`.
@@ -194,14 +191,9 @@ impl MonitorSummary {
                     s.save_points += 1;
                     s.save_seconds += duration_seconds;
                 }
-                EventKind::CollectorSegment {
-                    activity,
-                    start_s,
-                    end_s,
-                } => {
-                    *s.collector_seconds.entry(activity.as_str()).or_insert(0.0) +=
-                        (end_s - start_s).max(0.0);
-                }
+                // Rank 0's timeline is spans; a version-1 trace may
+                // still carry this kind, and nothing is folded from it.
+                EventKind::CollectorSegment { .. } => {}
                 EventKind::RunCompleted {
                     realizations,
                     t_comp_seconds,
@@ -286,24 +278,6 @@ impl MonitorSummary {
             }
         }
         s
-    }
-
-    /// Fraction of traced collector time spent in `activity`, if any
-    /// segments were recorded.
-    #[must_use]
-    pub fn collector_fraction(&self, activity: CollectorActivity) -> Option<f64> {
-        let total: f64 = self.collector_seconds.values().sum();
-        if total > 0.0 {
-            Some(
-                self.collector_seconds
-                    .get(activity.as_str())
-                    .copied()
-                    .unwrap_or(0.0)
-                    / total,
-            )
-        } else {
-            None
-        }
     }
 
     /// Renders the human-readable summary table printed at the end of
@@ -418,16 +392,6 @@ impl MonitorSummary {
                 self.checkpoint_recoveries
             );
         }
-        if !self.collector_seconds.is_empty() {
-            let total: f64 = self.collector_seconds.values().sum();
-            let _ = write!(out, "  collector time:");
-            for activity in CollectorActivity::ALL {
-                if let Some(seconds) = self.collector_seconds.get(activity) {
-                    let _ = write!(out, " {activity} {:.1}%", 100.0 * seconds / total);
-                }
-            }
-            out.push('\n');
-        }
         if !self.ranks.is_empty() {
             let _ = writeln!(
                 out,
@@ -528,24 +492,6 @@ mod tests {
                 },
             ),
             ev(
-                1.0,
-                Some(0),
-                EventKind::CollectorSegment {
-                    activity: CollectorActivity::Receiving,
-                    start_s: 0.0,
-                    end_s: 0.75,
-                },
-            ),
-            ev(
-                1.0,
-                Some(0),
-                EventKind::CollectorSegment {
-                    activity: CollectorActivity::Waiting,
-                    start_s: 0.75,
-                    end_s: 1.0,
-                },
-            ),
-            ev(
                 1.1,
                 None,
                 EventKind::RunCompleted {
@@ -571,15 +517,12 @@ mod tests {
         assert_eq!(s.max_snapshot_age_seconds, Some(0.2));
         assert_eq!(s.total_realizations, Some(100));
         assert_eq!(s.t_comp_seconds, Some(1.1));
-        let frac = s.collector_fraction(CollectorActivity::Receiving).unwrap();
-        assert!((frac - 0.75).abs() < 1e-12);
 
         let table = s.render_table();
         assert!(table.contains("mode threads"));
         assert!(table.contains("transport processes"));
         assert!(table.contains("max queue depth 3"));
         assert!(table.contains("rank"));
-        assert!(table.contains("receiving 75.0%"));
     }
 
     #[test]
@@ -636,7 +579,6 @@ mod tests {
     fn empty_trace_summarizes_and_renders() {
         let s = MonitorSummary::from_events(&[]);
         assert_eq!(s.events, 0);
-        assert_eq!(s.collector_fraction(CollectorActivity::Waiting), None);
         let table = s.render_table();
         assert!(table.contains("0 events"));
         // No spurious sections on an empty trace.
@@ -683,15 +625,6 @@ mod tests {
                 },
             ),
             ev(
-                0.5,
-                Some(0),
-                EventKind::CollectorSegment {
-                    activity: CollectorActivity::Computing,
-                    start_s: 0.0,
-                    end_s: 0.5,
-                },
-            ),
-            ev(
                 0.6,
                 None,
                 EventKind::RunCompleted {
@@ -706,13 +639,8 @@ mod tests {
         assert_eq!(s.messages_received, 0);
         assert_eq!(s.ranks.len(), 1);
         assert_eq!(s.ranks[&0].messages_sent, 0);
-        assert_eq!(
-            s.collector_fraction(CollectorActivity::Computing),
-            Some(1.0)
-        );
         let table = s.render_table();
         assert!(table.contains("messages received 0"));
-        assert!(table.contains("computing 100.0%"));
     }
 
     /// `emit_at` producers (virtual time, merged per-rank streams) may

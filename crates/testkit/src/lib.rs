@@ -14,6 +14,9 @@
 //! * [`prop_assert!`], [`prop_assert_eq!`], [`prop_assume!`];
 //! * [`TestRunner`] — the explicit-runner API.
 //!
+//! Beside it sits [`TempDir`], the guard that removes a test's run
+//! directory when the test ends.
+//!
 //! Unlike real proptest there is **no shrinking**: a failing case
 //! reports the generated inputs (via `Debug`) and the seed, which is
 //! deterministic per test name, so failures reproduce exactly.
@@ -37,6 +40,10 @@
 
 use std::fmt;
 use std::ops::Range;
+
+mod tempdir;
+
+pub use tempdir::TempDir;
 
 /// Number of random cases each `proptest!` test executes.
 pub const DEFAULT_CASES: u32 = 96;

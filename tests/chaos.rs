@@ -18,11 +18,10 @@ use parmonc::prelude::{Exchange, NetOptions, Parmonc, RealizeFn, Resume, RunRepo
 use parmonc_faults::{mutate_bytes, FaultPlan, Mutation};
 use parmonc_mpi::bytes::Bytes;
 use parmonc_stats::MatrixAccumulator;
+use parmonc_testkit::TempDir;
 
-fn tempdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("parmonc-chaos-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn tempdir(name: &str) -> TempDir {
+    TempDir::new(&format!("chaos-{name}"))
 }
 
 fn uniform() -> impl parmonc::Realize + Sync {
@@ -54,6 +53,7 @@ fn validated_kinds(report: &RunReport) -> BTreeSet<&'static str> {
 /// fault-free run, and is the serial merge of the streams it reports.
 #[test]
 fn mpi_chaos_demo_survives_crash_and_drops() {
+    let (faulted_dir, healthy_dir) = (tempdir("demo-faulted"), tempdir("demo-healthy"));
     let chaotic = Parmonc::builder(1, 1)
         .max_sample_volume(4_000)
         .processors(8)
@@ -63,7 +63,7 @@ fn mpi_chaos_demo_survives_crash_and_drops() {
         .heartbeat_period(Duration::from_millis(10))
         .liveness_timeout(Duration::from_millis(150))
         .monitor()
-        .output_dir(tempdir("demo-faulted"))
+        .output_dir(&faulted_dir)
         .run(uniform())
         .unwrap();
     let healthy = Parmonc::builder(1, 1)
@@ -71,7 +71,7 @@ fn mpi_chaos_demo_survives_crash_and_drops() {
         .processors(8)
         .seqnum(3)
         .exchange(Exchange::EveryRealization)
-        .output_dir(tempdir("demo-healthy"))
+        .output_dir(&healthy_dir)
         .run(uniform())
         .unwrap();
 
@@ -122,6 +122,7 @@ fn mpi_chaos_demo_survives_crash_and_drops() {
 fn mpi_chaos_matrix_eight_seeds() {
     for seed in 0..8u64 {
         let victim = 1 + (seed as usize % 3);
+        let dir = tempdir(&format!("matrix-{seed}"));
         let report = Parmonc::builder(1, 1)
             .max_sample_volume(800)
             .processors(4)
@@ -134,7 +135,7 @@ fn mpi_chaos_matrix_eight_seeds() {
             )
             .heartbeat_period(Duration::from_millis(10))
             .liveness_timeout(Duration::from_millis(100))
-            .output_dir(tempdir(&format!("matrix-{seed}")))
+            .output_dir(&dir)
             .run(uniform())
             .unwrap();
         assert!(
@@ -194,6 +195,7 @@ fn mpi_crash_mid_block_leaves_its_newest_subtotal_in_the_slot() {
         }
         out[0] = rng.next_f64();
     });
+    let dir = tempdir("crash-mid-block");
     let report = Parmonc::builder(1, 1)
         .max_sample_volume(2 * QUOTA)
         .processors(2)
@@ -203,7 +205,7 @@ fn mpi_crash_mid_block_leaves_its_newest_subtotal_in_the_slot() {
         .heartbeat_period(Duration::from_millis(10))
         .liveness_timeout(Duration::from_millis(100))
         .monitor()
-        .output_dir(tempdir("crash-mid-block"))
+        .output_dir(&dir)
         .run(routine)
         .unwrap();
     assert_eq!(report.lost_workers, vec![1]);
@@ -287,7 +289,7 @@ fn tcp_chaos_matrix_severed_links_heal() {
         };
         let collector_dir = tempdir(&format!("tcp-matrix-c{seed}"));
         let collector = {
-            let dir = collector_dir.clone();
+            let dir = collector_dir.to_path_buf();
             std::thread::spawn(move || {
                 Parmonc::builder(1, 1)
                     .max_sample_volume(900)
@@ -314,7 +316,7 @@ fn tcp_chaos_matrix_severed_links_heal() {
                         .exchange(Exchange::EveryRealization)
                         .faults(plan())
                         .net(NetOptions::join(addr))
-                        .output_dir(dir)
+                        .output_dir(&dir)
                         .run_worker(uniform())
                 })
             })

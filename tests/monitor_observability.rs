@@ -4,27 +4,45 @@
 //! event vocabulary.
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::ops::Deref;
 
 use parmonc::prelude::{Exchange, Parmonc, RunReport};
 use parmonc_apps::PiEstimator;
 use parmonc_obs::EventKind;
+use parmonc_testkit::TempDir;
 
-fn tempdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("parmonc-obs-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn tempdir(name: &str) -> TempDir {
+    TempDir::new(&format!("obs-{name}"))
 }
 
-fn monitored_pi_run(name: &str, monitor: bool) -> RunReport {
+/// A run's report and its directory, which goes when the test is done
+/// reading what the run wrote.
+struct GuardedRun {
+    report: RunReport,
+    _dir: TempDir,
+}
+
+impl Deref for GuardedRun {
+    type Target = RunReport;
+
+    fn deref(&self) -> &RunReport {
+        &self.report
+    }
+}
+
+fn monitored_pi_run(name: &str, monitor: bool) -> GuardedRun {
+    let dir = tempdir(name);
     let builder = Parmonc::builder(1, 1)
         .max_sample_volume(20_000)
         .processors(4)
         .seqnum(7)
         .exchange(Exchange::EveryRealization)
-        .output_dir(tempdir(name));
+        .output_dir(&dir);
     let builder = if monitor { builder.monitor() } else { builder };
-    builder.run(PiEstimator).unwrap()
+    GuardedRun {
+        report: builder.run(PiEstimator).unwrap(),
+        _dir: dir,
+    }
 }
 
 /// Reads a run's `monitor/run_metrics.jsonl`, validates every line
@@ -111,13 +129,14 @@ fn targeted_run_declares_target_precision() {
     // A generous precision target is met immediately, so the trace
     // carries exactly one (schema-valid) target_precision_reached and
     // per-functional metrics_snapshot lines with real mean/err values.
+    let dir = tempdir("targeted");
     let report = Parmonc::builder(1, 1)
         .max_sample_volume(20_000)
         .processors(4)
         .seqnum(7)
         .exchange(Exchange::EveryRealization)
         .target_abs_error(0.25)
-        .output_dir(tempdir("targeted"))
+        .output_dir(&dir)
         .monitor()
         .run(PiEstimator)
         .unwrap();
