@@ -6,16 +6,21 @@
 //! certifies the budget at two tiers:
 //!
 //! * **Full mode** hard-asserts the <2% bound on the fastest run of
-//!   each arm — the precise claim, needing full-length runs on a
-//!   reasonably quiet machine.
-//! * **Every mode** records the median of per-pair overheads as
-//!   `bound_metrics_plane_overhead_pct`, which `hotpath_compare`
+//!   each arm against the other's fastest — the precise claim, needing
+//!   a reasonably quiet machine.
+//! * **Every mode** records that same fastest-against-fastest overhead
+//!   as `bound_metrics_plane_overhead_pct`, which `hotpath_compare`
 //!   gates against the committed smoke ceiling (4%) in
-//!   `BENCH_hotpath.json`. The ceiling is wider than the policy bound
-//!   because a reduced-iteration (`PARMONC_BENCH_FAST`) wall-clock
-//!   differential on a shared CI runner has a noise floor of a few
-//!   percent — the gate is a tripwire for gross regressions (an
-//!   accidentally hot event plane), not the certification itself.
+//!   `BENCH_hotpath.json`. It replaced the median of per-pair overheads
+//!   so that this gate reads the statistic `bench runner` gates on; on
+//!   a shared two-vCPU host it was measured no quieter than the pair
+//!   median (EXPERIMENTS.md, "The one-cell loop at compile-time
+//!   shape"). The ceiling is wider than the policy bound because the
+//!   runs are short (see `run_once`): one run of an arm spreads over
+//!   ±10 %, so the reading moves by several percent between
+//!   invocations. The gate is a tripwire for gross
+//!   regressions (an accidentally hot event plane), not the
+//!   certification itself.
 //!
 //! The span-tracing plane gets the same treatment on top: a traced run
 //! (monitor + causal spans around every phase) against the plain
@@ -46,11 +51,10 @@ enum Arm {
 /// returns the wall seconds of the whole run (setup + ranks + final
 /// save).
 fn run_once(arm: Arm, dir: &Path) -> f64 {
-    // 40 Euler steps per output point ≈ 1 s per run: long enough that
-    // the few-millisecond scheduler jitter at the noise floor is well
-    // under the 2% bound being certified. Fast mode halves the volume
-    // — a shorter run than that and the jitter floor alone reads as
-    // several percent, which flakes the smoke gate.
+    // 40 Euler steps per output point, two ranks: ≈ 80–95 ms per run of
+    // 600 realizations on a two-vCPU host, and ≈ 35–60 ms in fast mode,
+    // which halves the volume. At that length one scheduler hiccup is
+    // a percent or more of a run, so the gate reads each arm's fastest.
     let workload = ScaledDiffusion::new(40);
     let scheme = workload.scheme().clone();
     let volume = if fast_mode() { 300 } else { 600 };
@@ -86,39 +90,27 @@ fn minimum(samples: &[f64]) -> f64 {
     samples.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
-/// Interleaved paired measurement of `heavy` over `light`, alternating
-/// order so slow drift in machine load hits both arms equally. Returns
-/// `(light_min, heavy_min, min_overhead, pair_median_overhead)`.
-///
-/// The pair median is the gated metric: the two runs of a pair execute
-/// back to back, so load drift on a shared machine mostly cancels
-/// within a pair, and the median discards pairs a load burst straddled.
-/// The min-vs-min estimator compares runs from different time windows
-/// and needs a quiet machine (it backs the full-mode hard asserts,
-/// where sample counts and run lengths make it reliable).
-fn paired_overhead(light: Arm, heavy: Arm, samples: usize, dir: &Path) -> (f64, f64, f64, f64) {
+/// Interleaved measurement of `heavy` over `light`, alternating order
+/// so slow drift in machine load hits both arms equally. Returns
+/// `(light_min, heavy_min, overhead)`, the overhead being the fastest
+/// heavy run against the fastest light one — the gated metric in
+/// every mode, as `bound_runner_loop_overhead_pct` is in `bench
+/// runner`.
+fn paired_overhead(light: Arm, heavy: Arm, samples: usize, dir: &Path) -> (f64, f64, f64) {
     let mut lo = Vec::with_capacity(samples);
     let mut hi = Vec::with_capacity(samples);
-    let mut pair_overheads = Vec::with_capacity(samples);
     for i in 0..samples {
-        let (l, h) = if i % 2 == 0 {
-            let l = run_once(light, dir);
-            let h = run_once(heavy, dir);
-            (l, h)
+        if i % 2 == 0 {
+            lo.push(run_once(light, dir));
+            hi.push(run_once(heavy, dir));
         } else {
-            let h = run_once(heavy, dir);
-            let l = run_once(light, dir);
-            (l, h)
-        };
-        lo.push(l);
-        hi.push(h);
-        pair_overheads.push((h - l) / l);
+            hi.push(run_once(heavy, dir));
+            lo.push(run_once(light, dir));
+        }
     }
     let lo_min = minimum(&lo);
     let hi_min = minimum(&hi);
-    pair_overheads.sort_by(|a, b| a.total_cmp(b));
-    let pair_median = pair_overheads[pair_overheads.len() / 2];
-    (lo_min, hi_min, (hi_min - lo_min) / lo_min, pair_median)
+    (lo_min, hi_min, (hi_min - lo_min) / lo_min)
 }
 
 fn bench_monitor_overhead(c: &mut Criterion) {
@@ -136,15 +128,13 @@ fn bench_monitor_overhead(c: &mut Criterion) {
 
     // The <2% acceptance bound for the monitor itself.
     let samples: usize = if fast_mode() { 9 } else { 13 };
-    let (off_min, on_min, overhead, pair_median) =
-        paired_overhead(Arm::Plain, Arm::Monitored, samples, &dir);
+    let (off_min, on_min, overhead) = paired_overhead(Arm::Plain, Arm::Monitored, samples, &dir);
     println!(
         "monitor_overhead: unmonitored {off_min:.4} s, monitored {on_min:.4} s, \
-         overhead {:.2}% (paired median {:.2}%)",
-        overhead * 100.0,
-        pair_median * 100.0
+         overhead {:.2}% (fastest of {samples} each)",
+        overhead * 100.0
     );
-    record_metric("bound_metrics_plane_overhead_pct", pair_median * 100.0);
+    record_metric("bound_metrics_plane_overhead_pct", overhead * 100.0);
     // The hard assert only runs at full sample counts; the fast-mode
     // measurement still feeds the (tolerance-widened) hotpath gate.
     assert!(
@@ -156,15 +146,14 @@ fn bench_monitor_overhead(c: &mut Criterion) {
     // Same program for the span-tracing plane: traced (monitor +
     // spans) over plain monitored, so the differential isolates what
     // the spans themselves cost.
-    let (mon_min, traced_min, trace_overhead, trace_pair_median) =
+    let (mon_min, traced_min, trace_overhead) =
         paired_overhead(Arm::Monitored, Arm::Traced, samples, &dir);
     println!(
         "trace_plane_overhead: monitored {mon_min:.4} s, traced {traced_min:.4} s, \
-         overhead {:.2}% (paired median {:.2}%)",
-        trace_overhead * 100.0,
-        trace_pair_median * 100.0
+         overhead {:.2}% (fastest of {samples} each)",
+        trace_overhead * 100.0
     );
-    record_metric("bound_trace_plane_overhead_pct", trace_pair_median * 100.0);
+    record_metric("bound_trace_plane_overhead_pct", trace_overhead * 100.0);
     assert!(
         fast_mode() || trace_overhead < 0.02,
         "traced run must cost <2% over monitored, got {:.2}%",

@@ -115,10 +115,10 @@ fn bench_full_runs(c: &mut Criterion) {
     }
 }
 
-/// Realizations of one loop-overhead run: 50–80 ms of a loop of
-/// 6–10 ns, against which the run's fixed ≈ 1.5 ms of set-up and
-/// fsyncs is 2–3 %.
-const LOOP_VOLUME: u64 = 8_000_000;
+/// Realizations of one loop-overhead run: ≈ 60–100 ms of a one-cell
+/// loop of 2.5–4 ns, against which the run's fixed ≈ 1.5 ms of set-up
+/// and fsyncs is 1.5–2.5 %.
+const LOOP_VOLUME: u64 = 24_000_000;
 
 /// Wall seconds of a whole serial periodic run of [`LOOP_VOLUME`]
 /// realizations of `realize`.
@@ -149,9 +149,10 @@ fn timed_bare_loop(realize: &impl Realize) -> f64 {
         .realization_stream(StreamId::new(1, 0, 0))
         .unwrap();
     let mut acc = MatrixAccumulator::new(1, 1).unwrap();
-    // A length the optimiser cannot see, as the runner's is: `fill`
-    // is then the same `memset` call it is in the runner.
-    let mut out = vec![0.0f64; black_box(1)];
+    // One cell the optimiser can see, as the runner's one-cell loop
+    // does: `fill` is then one store and `add` its one-cell fold, as
+    // they are in the runner.
+    let mut out = [0.0f64; 1];
     for _ in 0..LOOP_VOLUME {
         out.fill(0.0);
         cursor.next_into(&mut stream).unwrap();

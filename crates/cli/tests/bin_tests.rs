@@ -1,12 +1,12 @@
 //! End-to-end tests of the command-line binaries, exercising the same
 //! flows a cluster user would type (paper Sections 3.4–3.5).
 
-use std::path::PathBuf;
 use std::process::Command;
 
-fn tempdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("parmonc-cli-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+use parmonc_testkit::TempDir;
+
+fn tempdir(name: &str) -> TempDir {
+    let dir = TempDir::new(&format!("cli-{name}"));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }

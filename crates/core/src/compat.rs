@@ -107,6 +107,7 @@ pub fn default_processors() -> usize {
 mod tests {
     use super::*;
     use crate::realize::RealizeFn;
+    use parmonc_testkit::TempDir;
     use std::sync::Mutex;
 
     /// Serializes the tests that change the process-wide current
@@ -115,9 +116,8 @@ mod tests {
 
     /// Runs `body` with cwd set to a fresh scratch directory, restoring
     /// the original cwd afterwards.
-    fn in_scratch_cwd<T>(tag: &str, body: impl FnOnce() -> T) -> (std::path::PathBuf, T) {
-        let dir = std::env::temp_dir().join(format!("parmonc-compat-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn in_scratch_cwd<T>(tag: &str, body: impl FnOnce() -> T) -> (TempDir, T) {
+        let dir = TempDir::new(&format!("compat-{tag}"));
         std::fs::create_dir_all(&dir).unwrap();
         let prev = std::env::current_dir().unwrap();
         std::env::set_current_dir(&dir).unwrap();

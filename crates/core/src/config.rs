@@ -830,9 +830,7 @@ mod tests {
 
     #[test]
     fn build_picks_up_genparam_file() {
-        let dir =
-            std::env::temp_dir().join(format!("parmonc-config-genparam-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = parmonc_testkit::TempDir::new("config-genparam");
         std::fs::create_dir_all(&dir).unwrap();
         crate::genparam::write_genparam(&dir, 105, 85, 42).unwrap();
 

@@ -900,7 +900,13 @@ impl RealizationLoop {
     /// first or last iteration: a block of one and a block of a
     /// thousand run the same code (docs/performance.md, "Timing
     /// blocks").
-    fn simulate_block<R: Realize + ?Sized>(
+    ///
+    /// `CELLS` is 1 for a one-cell realization and 0 for every other
+    /// shape. For one cell, `out`'s zeroing is one store and `add`
+    /// folds to a length compare, a finiteness test and two adds; the
+    /// length-generic body pays a `memset` call and `add`'s generic
+    /// path (docs/performance.md, "One cell at compile time").
+    fn simulate_block<const CELLS: usize, R: Realize + ?Sized>(
         &mut self,
         realize: &R,
         stop_at: u64,
@@ -911,7 +917,10 @@ impl RealizationLoop {
         // iterations instead of going through `self` around every call.
         // An error ends the rank, so that path does not write them back.
         let (mut cursor, mut stream) = (self.cursor.clone(), self.stream.clone());
-        let out = self.out.as_mut_slice();
+        let out = match CELLS {
+            0 => self.out.as_mut_slice(),
+            cells => &mut self.out[..cells],
+        };
         let acc = &mut self.own.acc;
         let t0 = Instant::now();
         for _ in 0..n {
@@ -1044,7 +1053,10 @@ fn simulate_quota<R: Realize + ?Sized>(
         // to dominate the runtime's per-realization overhead.
         // The crash point bounds the block, so it is met exactly.
         let stop_at = sim.quota.min(crash_after.unwrap_or(u64::MAX));
-        let (t0, read) = sim.simulate_block(ctx.realize, stop_at)?;
+        let (t0, read) = match sim.out.len() {
+            1 => sim.simulate_block::<1, _>(ctx.realize, stop_at)?,
+            _ => sim.simulate_block::<0, _>(ctx.realize, stop_at)?,
+        };
         now = read;
         governor.realization_starts(t0);
 
@@ -1748,6 +1760,11 @@ mod tests {
         });
     }
 
+    /// Realization shapes for both arms of the loop's dispatch on the
+    /// cell count: one cell, and two shapes the length-generic body
+    /// runs.
+    const ARM_SHAPES: [(usize, usize); 3] = [(1, 1), (1, 2), (2, 3)];
+
     /// A fault plan does not change how the loop runs: a free routine
     /// is timed in blocks under one too, and the scripted crash point
     /// bounds the block that would run past it — the rank stops after
@@ -1756,37 +1773,41 @@ mod tests {
     fn scripted_crash_is_met_exactly_by_a_loop_running_in_blocks() {
         use parmonc_faults::{FaultKind, FaultPlan};
         const AFTER: u64 = 1_000_003;
-        let dir = tempdir("loop-crash");
-        let config = Parmonc::builder(1, 2)
-            .max_sample_volume(3 * AFTER + 300)
-            .processors(3)
-            .seqnum(SEQNUM)
-            .exchange(Exchange::EveryRealization)
-            .faults(FaultPlan::new(1).crash_rank(RANK, AFTER))
-            .output_dir(&dir)
-            .build()
-            .unwrap();
-        assert!(config.quota(RANK) > AFTER);
-        drive_loop(&config, None, &uniform_mean(), |ctx, sim| {
-            let crashed = simulate_quota(ctx, sim, &mut Alone { pending: 0 }).unwrap();
-            assert_eq!((crashed, sim.done()), (Some(AFTER), AFTER));
-            // The stride the loop had reached when the crash point cut
-            // its last block short: doubling from one, then blocks of
-            // what fits TIMING_BLOCK, at most 1 024.
-            assert!(sim.block > 1, "the loop ran blocks of {}", sim.block);
-            let records = ctx.faults.records();
-            assert_eq!(records.len(), 1);
-            assert_eq!(
-                (records[0].kind, records[0].detail),
-                (FaultKind::RankCrash, Some(AFTER))
-            );
-        });
+        for (nrow, ncol) in ARM_SHAPES {
+            let dir = tempdir(&format!("loop-crash-{nrow}x{ncol}"));
+            let config = Parmonc::builder(nrow, ncol)
+                .max_sample_volume(3 * AFTER + 300)
+                .processors(3)
+                .seqnum(SEQNUM)
+                .exchange(Exchange::EveryRealization)
+                .faults(FaultPlan::new(1).crash_rank(RANK, AFTER))
+                .output_dir(&dir)
+                .build()
+                .unwrap();
+            assert!(config.quota(RANK) > AFTER);
+            drive_loop(&config, None, &uniform_mean(), |ctx, sim| {
+                let crashed = simulate_quota(ctx, sim, &mut Alone { pending: 0 }).unwrap();
+                assert_eq!((crashed, sim.done()), (Some(AFTER), AFTER));
+                // The stride the loop had reached when the crash point
+                // cut its last block short: doubling from one, then
+                // blocks of what fits TIMING_BLOCK, at most 1 024.
+                assert!(sim.block > 1, "the loop ran blocks of {}", sim.block);
+                let records = ctx.faults.records();
+                assert_eq!(records.len(), 1);
+                assert_eq!(
+                    (records[0].kind, records[0].detail),
+                    (FaultKind::RankCrash, Some(AFTER))
+                );
+            });
+        }
     }
 
     /// Two routines that leave the stream they were handed in a state
     /// the next realization must not inherit: one draws a
     /// data-dependent count, the other also replaces the stream
     /// wholesale with one of another hierarchy on every tenth call.
+    /// Both fill the first and the last cell, which are one cell in a
+    /// 1 × 1 realization.
     fn unruly_routines() -> [Box<dyn Realize + Send + Sync>; 2] {
         let foreign = StreamHierarchy::new(parmonc_rng::LeapConfig::new(12, 8, 4).unwrap());
         let counted = RealizeFn::new(|rng, out: &mut [f64]| {
@@ -1794,7 +1815,7 @@ mod tests {
             for _ in 0..k {
                 out[0] += rng.next_f64();
             }
-            out[1] = k as f64;
+            out[out.len() - 1] += k as f64;
         });
         let replaced = RealizeFn::new(move |rng, out: &mut [f64]| {
             let k = rng.next_u64() % 5;
@@ -1802,7 +1823,7 @@ mod tests {
                 *rng = foreign.realization_stream(StreamId::new(1, 2, k)).unwrap();
             }
             out[0] = rng.next_f64();
-            out[1] = rng.next_f64() + k as f64;
+            out[out.len() - 1] += rng.next_f64() + k as f64;
         });
         [Box::new(counted), Box::new(replaced)]
     }
@@ -1812,78 +1833,144 @@ mod tests {
     /// its own choosing, or a foreign stream in its place — leaves every
     /// later realization as it would be on a fresh stream, bit for bit
     /// against the serial merge, for one rank driven directly and for a
-    /// whole run.
+    /// whole run, at every arm's shape.
     #[test]
     fn routines_that_disturb_their_stream_match_the_serial_merge() {
-        for (i, routine) in unruly_routines().iter().enumerate() {
-            let dir = tempdir(&format!("loop-unruly-{i}"));
-            let config = Parmonc::builder(1, 2)
-                .max_sample_volume(60_003)
-                .processors(3)
-                .seqnum(SEQNUM)
-                .exchange(Exchange::EveryRealization)
-                .output_dir(&dir)
-                .build()
-                .unwrap();
-            let quota = config.quota(RANK);
-            drive_loop(&config, None, routine, |ctx, sim| {
-                let crashed = simulate_quota(ctx, sim, &mut Alone { pending: 0 }).unwrap();
-                assert_eq!(crashed, None);
-                assert!(sim.block > 1, "routine {i} ran blocks of {}", sim.block);
-                let expected = rank_pass_with(routine, SEQNUM, RANK, (1, 2), quota);
-                assert_eq!(sim.own.acc, expected, "routine {i}");
-            });
-            let run_dir = tempdir(&format!("run-unruly-{i}"));
-            let report = Parmonc::builder(1, 2)
-                .max_sample_volume(60_003)
-                .processors(3)
-                .seqnum(SEQNUM)
-                .output_dir(&run_dir)
-                .run(routine)
-                .unwrap();
-            let expected = serial_merge_with(routine, SEQNUM, (1, 2), &report.worker_volumes);
-            assert_eq!(report.summary.means, expected.means, "routine {i}");
-            assert_eq!(report.summary.variances, expected.variances, "routine {i}");
+        for (nrow, ncol) in ARM_SHAPES {
+            for (i, routine) in unruly_routines().iter().enumerate() {
+                let case = format!("routine {i}, {nrow} x {ncol}");
+                let dir = tempdir(&format!("loop-unruly-{i}-{nrow}x{ncol}"));
+                let config = Parmonc::builder(nrow, ncol)
+                    .max_sample_volume(60_003)
+                    .processors(3)
+                    .seqnum(SEQNUM)
+                    .exchange(Exchange::EveryRealization)
+                    .output_dir(&dir)
+                    .build()
+                    .unwrap();
+                let quota = config.quota(RANK);
+                drive_loop(&config, None, routine, |ctx, sim| {
+                    let crashed = simulate_quota(ctx, sim, &mut Alone { pending: 0 }).unwrap();
+                    assert_eq!(crashed, None);
+                    assert!(sim.block > 1, "{case} ran blocks of {}", sim.block);
+                    let expected = rank_pass_with(routine, SEQNUM, RANK, (nrow, ncol), quota);
+                    assert_eq!(sim.own.acc, expected, "{case}");
+                });
+                let run_dir = tempdir(&format!("run-unruly-{i}-{nrow}x{ncol}"));
+                let report = Parmonc::builder(nrow, ncol)
+                    .max_sample_volume(60_003)
+                    .processors(3)
+                    .seqnum(SEQNUM)
+                    .output_dir(&run_dir)
+                    .run(routine)
+                    .unwrap();
+                let volumes = &report.worker_volumes;
+                let expected = serial_merge_with(routine, SEQNUM, (nrow, ncol), volumes);
+                assert_eq!(report.summary.means, expected.means, "{case}");
+                assert_eq!(report.summary.variances, expected.variances, "{case}");
+            }
         }
     }
 
     /// Capacity is checked at every step as before: a rank resumed at
     /// the last coordinate its processor subsequence holds simulates
     /// that one realization and then fails with the cursor's
-    /// out-of-capacity error, as a fresh stream per realization did.
+    /// out-of-capacity error, as a fresh stream per realization did —
+    /// at every arm's shape.
     #[test]
     fn loop_fails_at_the_end_of_a_small_processor_subsequence() {
         let leaps = parmonc_rng::LeapConfig::new(12, 8, 4).unwrap();
         let last = leaps.realizations() - 1;
-        let dir = tempdir("loop-capacity");
-        let config = Parmonc::builder(1, 2)
-            .max_sample_volume(301)
-            .processors(3)
-            .seqnum(SEQNUM)
-            .leaps(leaps)
-            .output_dir(&dir)
-            .build()
-            .unwrap();
-        assert!(config.quota(RANK) > last + 1);
-        // Only the count of the resumed state matters here.
-        let resumed = Subtotal {
-            acc: rank_pass(SEQNUM, RANK, (1, 2), last),
-            compute_seconds: 0.0,
-        };
-        drive_loop(&config, Some(resumed), &uniform_mean(), |ctx, sim| {
-            let err = simulate_quota(ctx, sim, &mut Alone { pending: 0 }).unwrap_err();
-            assert!(
+        for (nrow, ncol) in ARM_SHAPES {
+            let dir = tempdir(&format!("loop-capacity-{nrow}x{ncol}"));
+            let config = Parmonc::builder(nrow, ncol)
+                .max_sample_volume(301)
+                .processors(3)
+                .seqnum(SEQNUM)
+                .leaps(leaps)
+                .output_dir(&dir)
+                .build()
+                .unwrap();
+            assert!(config.quota(RANK) > last + 1);
+            // Only the count of the resumed state matters here.
+            let resumed = Subtotal {
+                acc: rank_pass(SEQNUM, RANK, (nrow, ncol), last),
+                compute_seconds: 0.0,
+            };
+            drive_loop(&config, Some(resumed), &uniform_mean(), |ctx, sim| {
+                let err = simulate_quota(ctx, sim, &mut Alone { pending: 0 }).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        ParmoncError::Hierarchy(parmonc_rng::HierarchyError::OutOfCapacity {
+                            level: "realization",
+                            index,
+                            capacity,
+                        }) if index == last + 1 && capacity == last + 1
+                    ),
+                    "{nrow} x {ncol}: {err:?}"
+                );
+                assert_eq!(sim.done(), last + 1);
+            });
+        }
+    }
+
+    /// `add`'s finiteness check holds on the one-cell arm and on the
+    /// generic one: a routine whose realization `BAD` carries a NaN (1 × 1)
+    /// or a +∞ in cell 1 (1 × 2) fails the loop and a whole run with the
+    /// stats `NonFinite` error naming that cell. The loop stops at that
+    /// realization inside a block of many: the routine is called
+    /// `BAD + 1` times and the subtotal holds exactly the `BAD` before.
+    #[test]
+    fn non_finite_realization_fails_the_run_and_adds_nothing_after_it() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        const BAD: u64 = 5_000;
+        for ((nrow, ncol), cell, poison) in [((1, 1), 0, f64::NAN), ((1, 2), 1, f64::INFINITY)] {
+            let case = format!("{nrow} x {ncol}");
+            let calls = Arc::new(AtomicU64::new(0));
+            let counter = Arc::clone(&calls);
+            let routine = RealizeFn::new(move |rng, out: &mut [f64]| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                for o in out.iter_mut() {
+                    *o = rng.next_f64();
+                }
+                if rng.id().realization == BAD {
+                    out[cell] = poison;
+                }
+            });
+            let names_the_cell = |err: &ParmoncError| {
                 matches!(
                     err,
-                    ParmoncError::Hierarchy(parmonc_rng::HierarchyError::OutOfCapacity {
-                        level: "realization",
-                        index,
-                        capacity,
-                    }) if index == last + 1 && capacity == last + 1
-                ),
-                "{err:?}"
-            );
-            assert_eq!(sim.done(), last + 1);
-        });
+                    ParmoncError::Stats(parmonc_stats::StatsError::NonFinite { index, value })
+                        if *index == cell && value.to_bits() == poison.to_bits()
+                )
+            };
+            let dir = tempdir(&format!("loop-non-finite-{nrow}x{ncol}"));
+            let config = Parmonc::builder(nrow, ncol)
+                .max_sample_volume(6 * BAD)
+                .processors(3)
+                .seqnum(SEQNUM)
+                .output_dir(&dir)
+                .build()
+                .unwrap();
+            assert!(config.quota(RANK) > BAD);
+            drive_loop(&config, None, &routine, |ctx, sim| {
+                let err = simulate_quota(ctx, sim, &mut Alone { pending: 0 }).unwrap_err();
+                assert!(names_the_cell(&err), "{case}: {err:?}");
+                assert!(sim.block > 1, "{case} ran blocks of {}", sim.block);
+                assert_eq!(calls.load(Ordering::Relaxed), BAD + 1, "{case}");
+                let before = rank_pass_with(&routine, SEQNUM, RANK, (nrow, ncol), BAD);
+                assert_eq!(sim.own.acc, before, "{case}");
+            });
+            let run_dir = tempdir(&format!("run-non-finite-{nrow}x{ncol}"));
+            let err = Parmonc::builder(nrow, ncol)
+                .max_sample_volume(2 * BAD)
+                .seqnum(SEQNUM)
+                .output_dir(&run_dir)
+                .run(&routine)
+                .unwrap_err();
+            assert!(names_the_cell(&err), "{case}: {err:?}");
+        }
     }
 }

@@ -1,24 +1,22 @@
 //! Cross-crate integration: the full PARMONC pipeline (rng → runner →
 //! stats → files) against closed-form answers.
 
-use std::path::PathBuf;
-
 use parmonc::prelude::{Exchange, Parmonc, RealizeFn};
 use parmonc_apps::{GaltonWatson, PiEstimator};
 use parmonc_sde::{EulerScheme, OutputGrid, PaperDiffusion};
+use parmonc_testkit::TempDir;
 
-fn tempdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("parmonc-e2e-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn tempdir(name: &str) -> TempDir {
+    TempDir::new(&format!("e2e-{name}"))
 }
 
 #[test]
 fn pi_estimate_is_covered_by_its_error_bar() {
+    let dir = tempdir("pi");
     let report = Parmonc::builder(1, 1)
         .max_sample_volume(400_000)
         .processors(4)
-        .output_dir(tempdir("pi"))
+        .output_dir(&dir)
         .run(PiEstimator)
         .unwrap();
     let mean = report.summary.means[0];
@@ -42,11 +40,12 @@ fn diffusion_means_match_analytic_solution() {
     let h = scheme.h();
     let difftraj = RealizeFn::new(move |rng, out| scheme.realize_into(rng, out));
 
+    let dir = tempdir("diffusion");
     let report = Parmonc::builder(50, 2)
         .max_sample_volume(2_000)
         .processors(4)
         .exchange(Exchange::EveryRealization)
-        .output_dir(tempdir("diffusion"))
+        .output_dir(&dir)
         .run(difftraj)
         .unwrap();
 
@@ -72,10 +71,11 @@ fn parallel_and_serial_runs_agree_within_error_bars() {
     // differ — but both must cover the truth and each other within
     // combined 3-sigma bounds.
     let run = |m: usize, name: &str| {
+        let dir = tempdir(name);
         Parmonc::builder(1, 1)
             .max_sample_volume(100_000)
             .processors(m)
-            .output_dir(tempdir(name))
+            .output_dir(&dir)
             .run(PiEstimator)
             .unwrap()
     };
@@ -90,10 +90,11 @@ fn parallel_and_serial_runs_agree_within_error_bars() {
 #[test]
 fn branching_extinction_probability_end_to_end() {
     let gw = GaltonWatson::new(1.5, 150, 50_000);
+    let dir = tempdir("branching");
     let report = Parmonc::builder(1, 2)
         .max_sample_volume(20_000)
         .processors(4)
-        .output_dir(tempdir("branching"))
+        .output_dir(&dir)
         .run(gw)
         .unwrap();
     let q_exact = gw.exact_extinction_probability();
@@ -109,11 +110,12 @@ fn branching_extinction_probability_end_to_end() {
 fn rng_streams_feed_workloads_deterministically() {
     // The whole stack is a pure function of (seqnum, M, maxsv).
     let run = |name: &str| {
+        let dir = tempdir(name);
         Parmonc::builder(1, 1)
             .max_sample_volume(10_000)
             .processors(3)
             .seqnum(9)
-            .output_dir(tempdir(name))
+            .output_dir(&dir)
             .run(PiEstimator)
             .unwrap()
     };

@@ -1,17 +1,14 @@
 //! Integration of the file layer (Section 3.6), resumption (res = 1)
 //! and manual averaging (Section 3.4) across a chain of real runs.
 
-use std::path::PathBuf;
-
 use parmonc::genparam::{load_genparam, write_genparam};
 use parmonc::manaver::manaver;
 use parmonc::prelude::{Parmonc, ParmoncError, RealizeFn, Resume};
 use parmonc_stats::report;
+use parmonc_testkit::TempDir;
 
-fn tempdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("parmonc-fr-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn tempdir(name: &str) -> TempDir {
+    TempDir::new(&format!("fr-{name}"))
 }
 
 fn uniform() -> impl parmonc::Realize + Sync {

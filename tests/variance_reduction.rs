@@ -47,8 +47,7 @@ fn antithetic_realize_routine_through_the_runner() {
     // user routine draws u, evaluates f(u) and f(1-u), and returns the
     // pair average. The runner sees a realization with ~5x smaller
     // standard deviation at the same per-realization cost class.
-    let dir = std::env::temp_dir().join(format!("parmonc-vr-runner-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = parmonc_testkit::TempDir::new("vr-runner");
 
     let antithetic_exp = RealizeFn::new(
         |rng: &mut parmonc_rng::RealizationStream, out: &mut [f64]| {
