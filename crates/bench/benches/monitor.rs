@@ -1,31 +1,29 @@
 //! Monitor overhead: the acceptance criterion for the observability
 //! layer is that a monitored run (events streaming to the jsonl file,
-//! the in-memory summary sink and the metrics plane) costs less than
-//! 2% wall time over the identical unmonitored run. This bench
-//! measures both paths on the laptop-scale diffusion workload and
-//! certifies the budget at two tiers:
+//! the live summary fold and the metrics plane) costs less than 2% wall
+//! time over the identical unmonitored run. This bench measures both
+//! paths on the laptop-scale diffusion workload and records the
+//! fastest run of each arm against the other's fastest as
+//! `bound_metrics_plane_overhead_pct`, in every mode. Its verdict is
+//! `hotpath_compare` against the committed ceiling (4%) in
+//! `BENCH_hotpath.json`, in full mode as in CI's fast mode.
 //!
-//! * **Full mode** hard-asserts the <2% bound on the fastest run of
-//!   each arm against the other's fastest — the precise claim, needing
-//!   a reasonably quiet machine.
-//! * **Every mode** records that same fastest-against-fastest overhead
-//!   as `bound_metrics_plane_overhead_pct`, which `hotpath_compare`
-//!   gates against the committed smoke ceiling (4%) in
-//!   `BENCH_hotpath.json`. It replaced the median of per-pair overheads
-//!   so that this gate reads the statistic `bench runner` gates on; on
-//!   a shared two-vCPU host it was measured no quieter than the pair
-//!   median (EXPERIMENTS.md, "The one-cell loop at compile-time
-//!   shape"). The ceiling is wider than the policy bound because the
-//!   runs are short (see `run_once`): one run of an arm spreads over
-//!   ±10 %, so the reading moves by several percent between
-//!   invocations. The gate is a tripwire for gross
-//!   regressions (an accidentally hot event plane), not the
-//!   certification itself.
+//! The bench asserts nothing itself. On a shared two-vCPU host the
+//! statistic cannot resolve the 2% policy bound: the plain arm against
+//! itself (an A/A reading, 13 interleaved runs a side) read −3.0 to
+//! +9.8% in seven rounds of ≈ 70–90 ms runs, and longer runs did not
+//! narrow it — up to +4.9% at ≈ 320 ms and −8.5% at ≈ 640 ms — as the
+//! host moves between two cores and about one (EXPERIMENTS.md, "The
+//! run summary folds as events arrive"). A hard < 2% assert failed on
+//! unchanged code. The ceiling is a
+//! tripwire for gross regressions (an accidentally hot event plane),
+//! not a certification of the bound. The statistic reads fastest
+//! against fastest to match `bench runner`; it was measured no quieter
+//! than the median of per-pair overheads it replaced.
 //!
 //! The span-tracing plane gets the same treatment on top: a traced run
 //! (monitor + causal spans around every phase) against the plain
-//! monitored run, recorded as `bound_trace_plane_overhead_pct` and
-//! held to the same <2% policy bound in full mode.
+//! monitored run, recorded as `bound_trace_plane_overhead_pct`.
 
 use std::path::Path;
 use std::time::Instant;
@@ -41,7 +39,7 @@ use parmonc_bench::ScaledDiffusion;
 enum Arm {
     /// No monitor at all.
     Plain,
-    /// Monitor (jsonl + summary + metrics sinks), no span tracing.
+    /// Monitor (jsonl + summary fold + metrics sinks), no span tracing.
     Monitored,
     /// Monitor plus the causal-span tracing plane.
     Traced,
@@ -54,7 +52,8 @@ fn run_once(arm: Arm, dir: &Path) -> f64 {
     // 40 Euler steps per output point, two ranks: ≈ 80–95 ms per run of
     // 600 realizations on a two-vCPU host, and ≈ 35–60 ms in fast mode,
     // which halves the volume. At that length one scheduler hiccup is
-    // a percent or more of a run, so the gate reads each arm's fastest.
+    // a percent or more of a run, so the gate reads each arm's fastest;
+    // longer runs measured no quieter (see the module doc).
     let workload = ScaledDiffusion::new(40);
     let scheme = workload.scheme().clone();
     let volume = if fast_mode() { 300 } else { 600 };
@@ -126,7 +125,7 @@ fn bench_monitor_overhead(c: &mut Criterion) {
     });
     group.finish();
 
-    // The <2% acceptance bound for the monitor itself.
+    // The monitor itself, against the committed ceiling.
     let samples: usize = if fast_mode() { 9 } else { 13 };
     let (off_min, on_min, overhead) = paired_overhead(Arm::Plain, Arm::Monitored, samples, &dir);
     println!(
@@ -135,13 +134,6 @@ fn bench_monitor_overhead(c: &mut Criterion) {
         overhead * 100.0
     );
     record_metric("bound_metrics_plane_overhead_pct", overhead * 100.0);
-    // The hard assert only runs at full sample counts; the fast-mode
-    // measurement still feeds the (tolerance-widened) hotpath gate.
-    assert!(
-        fast_mode() || overhead < 0.02,
-        "monitored run must cost <2% over unmonitored, got {:.2}%",
-        overhead * 100.0
-    );
 
     // Same program for the span-tracing plane: traced (monitor +
     // spans) over plain monitored, so the differential isolates what
@@ -154,11 +146,6 @@ fn bench_monitor_overhead(c: &mut Criterion) {
         trace_overhead * 100.0
     );
     record_metric("bound_trace_plane_overhead_pct", trace_overhead * 100.0);
-    assert!(
-        fast_mode() || trace_overhead < 0.02,
-        "traced run must cost <2% over monitored, got {:.2}%",
-        trace_overhead * 100.0
-    );
 }
 
 criterion_group!(benches, bench_monitor_overhead);

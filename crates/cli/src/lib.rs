@@ -576,26 +576,18 @@ fn final_estimates(events: &[Event]) -> FinalEstimates {
 #[must_use]
 pub fn trace_convergence(events: &[Event]) -> String {
     let mut trajectories = Trajectories::new();
-    let mut target: Option<(u64, f64, f64)> = None;
     for event in events {
-        match event.kind {
-            EventKind::MetricsSnapshot {
-                functional,
-                n,
-                mean,
-                err,
-            } => trajectories
+        if let EventKind::MetricsSnapshot {
+            functional,
+            n,
+            mean,
+            err,
+        } = event.kind
+        {
+            trajectories
                 .entry(functional)
                 .or_default()
-                .push((n, mean, err)),
-            EventKind::TargetPrecisionReached {
-                n,
-                eps_max,
-                target: t,
-            } => {
-                target = Some((n, eps_max, t));
-            }
-            _ => {}
+                .push((n, mean, err));
         }
     }
     if trajectories.is_empty() {
@@ -614,7 +606,7 @@ pub fn trace_convergence(events: &[Event]) -> String {
             let _ = writeln!(out, "  {n:>12} {:>14} {:>14}", fmt(*mean), fmt(*err));
         }
     }
-    match target {
+    match MonitorSummary::from_events(events).target_precision {
         Some((n, eps_max, t)) => {
             let _ = writeln!(
                 out,
@@ -662,12 +654,7 @@ pub fn compare_traces(a: &[Event], b: &[Event]) -> TraceComparison {
         );
     }
 
-    let completed = |events: &[Event]| {
-        events.iter().rev().find_map(|e| match e.kind {
-            EventKind::RunCompleted { realizations, .. } => Some(realizations),
-            _ => None,
-        })
-    };
+    let completed = |events: &[Event]| MonitorSummary::from_events(events).total_realizations;
     match (completed(a), completed(b)) {
         (Some(va), Some(vb)) if va == vb => {
             let _ = writeln!(report, "final realizations: {va} == {vb}");
@@ -1341,7 +1328,7 @@ mod tests {
         assert_eq!(back.len(), events.len());
         assert_eq!(back[0].kind.name(), "run_started");
 
-        std::fs::write(&path, "{\"v\":1,\"kind\":\"bogus\",\"time_s\":0}\n").unwrap();
+        std::fs::write(&path, "{\"v\":2,\"kind\":\"bogus\",\"time_s\":0}\n").unwrap();
         match read_trace(&path).unwrap_err() {
             TraceError::InvalidLine { line_no, .. } => assert_eq!(line_no, 1),
             other => panic!("expected InvalidLine, got {other:?}"),

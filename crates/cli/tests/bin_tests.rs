@@ -139,7 +139,7 @@ fn monitored_demo_then_trace_analysis() {
 
     // A corrupt trace is refused with the documented exit code 3.
     let bad = dir.join("bad.jsonl");
-    std::fs::write(&bad, "{\"v\":1,\"kind\":\"bogus\",\"time_s\":0}\n").unwrap();
+    std::fs::write(&bad, "{\"v\":2,\"kind\":\"bogus\",\"time_s\":0}\n").unwrap();
     let refused = trace_cmd(&["summary", bad.to_str().unwrap()]);
     assert_eq!(refused.status.code(), Some(3));
     assert!(String::from_utf8_lossy(&refused.stderr).contains("invalid trace line"));

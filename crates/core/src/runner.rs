@@ -26,8 +26,8 @@ use parmonc_ipc::{LeaseSnapshot, ListenOptions, TcpCollectorTransport};
 use parmonc_mpi::Transport as Comm;
 use parmonc_mpi::{Communicator, MpiError, World};
 use parmonc_obs::{
-    EventKind, JsonlSink, MemorySink, MetricsSink, Monitor, MonitorSummary, RunMode, RunTransport,
-    SpanEmitter, SpanPhase,
+    EventKind, JsonlSink, MetricsSink, Monitor, MonitorSummary, RunMode, RunTransport, SpanEmitter,
+    SpanPhase,
 };
 use parmonc_rng::{RealizationStream, StreamCursor, StreamHierarchy, StreamId};
 use parmonc_stats::{MatrixAccumulator, MatrixSummary};
@@ -308,7 +308,8 @@ struct RunSetup {
     faults: FaultHandle,
     dir: ResultsDir,
     monitor: Monitor,
-    memory: Option<Arc<MemorySink>>,
+    /// The summary the monitor folds its events into as they arrive.
+    fold: Option<Arc<Mutex<MonitorSummary>>>,
     baseline: MatrixAccumulator,
     resumed_volume: u64,
     checkpoint_recovered: bool,
@@ -323,23 +324,23 @@ fn prepare(config: &RunConfig, transport: RunTransport) -> Result<RunSetup, Parm
 
     // The monitor is disabled (a no-op) unless the builder opted in, in
     // which case events stream to `monitor/run_metrics.jsonl` and into
-    // an in-memory sink that feeds the end-of-run summary. It is built
-    // before the baseline is loaded so a backup-checkpoint recovery is
-    // itself observable.
-    let (monitor, memory) = if config.monitor {
+    // the summary fold the report carries. It is built before the
+    // baseline is loaded so a backup-checkpoint recovery is itself
+    // observable.
+    let (monitor, fold) = if config.monitor {
         let sink = JsonlSink::create(dir.run_metrics_path())
             .io_ctx("creating monitor/run_metrics.jsonl")?;
-        let memory = Arc::new(MemorySink::new());
+        let fold = Arc::new(Mutex::new(MonitorSummary::default()));
         // The metrics plane derives counters/gauges/histograms from the
         // same event stream and periodically renders Prometheus text;
         // it adds no call sites of its own.
         let metrics = MetricsSink::new().with_prometheus_output(dir.metrics_prom_path());
         let monitor: Monitor = Monitor::new(vec![
             Box::new(sink),
-            Box::new(Arc::clone(&memory)),
+            Box::new(Arc::clone(&fold)),
             Box::new(metrics),
         ]);
-        (monitor, Some(memory))
+        (monitor, Some(fold))
     } else {
         (Monitor::disabled(), None)
     };
@@ -407,7 +408,7 @@ fn prepare(config: &RunConfig, transport: RunTransport) -> Result<RunSetup, Parm
         faults,
         dir,
         monitor,
-        memory,
+        fold,
         baseline,
         resumed_volume,
         checkpoint_recovered,
@@ -587,7 +588,7 @@ fn finish(
     let RunSetup {
         dir,
         monitor,
-        memory,
+        fold,
         resumed_volume,
         checkpoint_recovered,
         ..
@@ -607,18 +608,15 @@ fn finish(
         .map(|s| s.as_ref().map_or(0, |s| s.acc.count()))
         .collect();
 
-    let monitor_summary = memory.map(|memory| {
-        // Count the collector's inbound traffic from the trace itself,
-        // so run_completed agrees with the message_received lines.
-        let (messages, bytes) = memory
-            .snapshot()
-            .iter()
-            .fold((0u64, 0u64), |(m, b), ev| match ev.kind {
-                EventKind::MessageReceived { bytes, .. } if ev.rank == Some(0) => {
-                    (m + 1, b + bytes)
-                }
-                _ => (m, b),
-            });
+    let monitor_summary = fold.map(|fold| {
+        let lock = || fold.lock().expect("summary fold poisoned");
+        // The collector's inbound traffic, as its message_received
+        // lines count it.
+        let MonitorSummary {
+            collector_messages_received: messages,
+            collector_bytes_received: bytes,
+            ..
+        } = *lock();
         monitor.emit(
             None,
             EventKind::RunCompleted {
@@ -629,7 +627,7 @@ fn finish(
             },
         );
         let dropped = monitor.flush();
-        let mut summary = MonitorSummary::from_events(&memory.snapshot());
+        let mut summary = std::mem::take(&mut *lock());
         summary.dropped_events = dropped;
         summary
     });

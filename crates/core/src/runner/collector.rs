@@ -695,8 +695,7 @@ mod tests {
     /// Rank 0's inbox on its timeline: a poll that folds a message is
     /// one `inbox_drain` span, a poll over an empty inbox is none, and
     /// waiting for a final is an `inbox_wait` and then an
-    /// `inbox_drain`. With spans off neither phase appears, and no
-    /// `collector_segment` is written either way.
+    /// `inbox_drain`. With spans off neither phase appears.
     #[test]
     fn rank0_inbox_shows_as_wait_and_drain_spans() {
         /// The phases of the spans rank 0 closed in each of three steps
@@ -780,9 +779,6 @@ mod tests {
         }
         let (steps, plain) = inbox_steps(false);
         assert_eq!(steps, [vec![], vec![], vec![]]);
-        for kind in events.iter().chain(&plain).map(|e| &e.kind) {
-            assert!(!matches!(kind, EventKind::CollectorSegment { .. }));
-        }
         assert!(!plain.iter().any(|e| matches!(
             e.kind,
             EventKind::SpanStarted { .. } | EventKind::SpanEnded { .. }

@@ -500,7 +500,7 @@ mod tests {
         for payload in [
             good(10),
             vec![0xff, 0xfe],
-            br#"{"v":1,"kind":"mystery","time_s":0}"#.to_vec(),
+            br#"{"v":2,"kind":"mystery","time_s":0}"#.to_vec(),
             good(20),
         ] {
             write_frame(&mut stream, 3, TAG_IPC_EVENT, &payload).unwrap();

@@ -11,18 +11,14 @@
 use crate::wire::{events, push_quoted, vocab, KindClass, WireField};
 
 /// Schema version stamped on every emitted line (the `"v"` field).
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 vocab! {
-    /// Which engine produced a trace. Every run the workspace ships
-    /// writes `threads`. The second value is kept only so that traces
-    /// the retired virtual-time cluster model wrote still validate; it
-    /// keeps the schema version where it is.
+    /// Which engine produced a trace: every run the workspace ships
+    /// writes `threads`.
     pub enum RunMode {
         /// The real-thread runner (`parmonc::runner`).
         Threads = "threads",
-        /// The retired virtual-time cluster model; no engine writes it.
-        SimCluster = "simcluster",
     }
 }
 
@@ -30,8 +26,7 @@ vocab! {
     /// Which transport substrate carried a real run's rank traffic: the
     /// in-process thread channels, the multi-process Unix-socket backend,
     /// or the multi-host TCP backend. Distinct from [`RunMode`]: all
-    /// transports run the identical collector code, and a trace of the
-    /// retired cluster model has none, so the label appears as an
+    /// transports run the identical collector code, so the label is an
     /// *optional* `transport` field on `run_started`.
     pub enum RunTransport series("parmonc_transport_info", "transport") {
         /// Ranks are OS threads exchanging envelopes over channels.
@@ -42,23 +37,6 @@ vocab! {
         /// Ranks are remote worker processes dialing the collector over
         /// TCP, with elastic membership (`parmonc-ipc`'s `tcp` module).
         Tcp = "tcp",
-    }
-}
-
-vocab! {
-    /// What the collector (rank 0) was doing during a trace segment.
-    /// No engine writes it: rank 0's timeline is spans
-    /// ([`SpanPhase`]). The values stay so that version-1 traces that
-    /// carry `collector_segment` lines still validate.
-    pub enum CollectorActivity {
-        /// Simulating its own realizations.
-        Computing = "computing",
-        /// Receiving and folding worker subtotals.
-        Receiving = "receiving",
-        /// Averaging and writing a save-point.
-        Saving = "saving",
-        /// Idle, waiting for messages.
-        Waiting = "waiting",
     }
 }
 
@@ -187,16 +165,6 @@ events! {
             volume: u64,
             /// Seconds the write took.
             duration_seconds: f64,
-        },
-        /// One contiguous activity segment on the collector's timeline.
-        /// No engine writes it; kept so that version-1 traces validate.
-        CollectorSegment = "collector_segment", Conditional {
-            /// What the collector was doing.
-            activity: CollectorActivity,
-            /// Segment start, seconds since run start.
-            start_s: f64,
-            /// Segment end, seconds since run start.
-            end_s: f64,
         },
         /// The run finished. Last event of every trace.
         RunCompleted = "run_completed", Always {
@@ -397,11 +365,8 @@ impl EventKind {
     /// kinds (`worker_joined`, `worker_left`) only on the
     /// elastic-membership TCP backend, the span kinds only when span
     /// tracing is enabled, and `wire_stats` only on socket transports
-    /// (Unix-domain or TCP). `collector_segment` is listed because no
-    /// run writes it: rank 0's timeline is spans, and the kind stays in
-    /// the table only so that version-1 traces carrying it validate. A
-    /// fault-free run emits exactly `ALL_KINDS` minus `FAULT_KINDS`
-    /// minus these.
+    /// (Unix-domain or TCP). A fault-free run emits exactly
+    /// `ALL_KINDS` minus `FAULT_KINDS` minus these.
     pub const CONDITIONAL_KINDS: [&'static str; count_class(KindClass::Conditional)] =
         kinds_of_class(KindClass::Conditional);
 }
@@ -452,7 +417,7 @@ impl Event {
     /// .to_json_line();
     /// assert_eq!(
     ///     line,
-    ///     r#"{"v":1,"kind":"realizations","time_s":1.5,"rank":2,"completed":10,"compute_seconds":0.25}"#
+    ///     r#"{"v":2,"kind":"realizations","time_s":1.5,"rank":2,"completed":10,"compute_seconds":0.25}"#
     /// );
     /// ```
     #[must_use]
@@ -582,7 +547,6 @@ mod tests {
         }
         round_trips!(RunMode);
         round_trips!(RunTransport, "transport");
-        round_trips!(CollectorActivity);
         round_trips!(SpanPhase, "phase");
     }
 

@@ -23,11 +23,13 @@
 //! # Example
 //!
 //! ```
-//! use parmonc_obs::{EventKind, MemorySink, Monitor, MonitorSummary, RunMode, RunTransport};
-//! use std::sync::Arc;
+//! use parmonc_obs::{EventKind, Monitor, MonitorSummary, RunMode, RunTransport};
+//! use std::sync::{Arc, Mutex};
 //!
-//! let sink = Arc::new(MemorySink::new());
-//! let monitor = Monitor::new(vec![Box::new(Arc::clone(&sink))]);
+//! // The summary folds events as they arrive: a monitored run attaches
+//! // it next to the jsonl and metrics sinks and holds no trace.
+//! let fold = Arc::new(Mutex::new(MonitorSummary::default()));
+//! let monitor = Monitor::new(vec![Box::new(Arc::clone(&fold))]);
 //!
 //! monitor.emit(None, EventKind::RunStarted {
 //!     mode: RunMode::Threads,
@@ -40,15 +42,15 @@
 //! });
 //! monitor.emit(Some(2), EventKind::Realizations { completed: 250, compute_seconds: 0.8 });
 //!
-//! let events = sink.snapshot();
-//! // Every event round-trips through the documented JSONL schema…
-//! for event in &events {
-//!     parmonc_obs::schema::validate_line(&event.to_json_line()).unwrap();
-//! }
-//! // …and folds into the end-of-run summary.
-//! let summary = MonitorSummary::from_events(&events);
+//! let summary = fold.lock().unwrap();
+//! assert_eq!(summary.events, 2);
 //! assert_eq!(summary.processors, Some(4));
 //! assert_eq!(summary.ranks[&2].realizations, 250);
+//!
+//! // Every event round-trips through the documented JSONL schema.
+//! let event = parmonc_obs::Event::at(0.5, Some(0), EventKind::QueueHighWater { depth: 3 });
+//! let line = event.to_json_line();
+//! assert_eq!(parmonc_obs::schema::parse_line(&line), Ok(event));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -64,9 +66,7 @@ mod summary;
 mod wire;
 
 pub use convergence::{ConvergenceTracker, TrajectoryPoint};
-pub use event::{
-    CollectorActivity, Event, EventKind, RunMode, RunTransport, SpanPhase, SCHEMA_VERSION,
-};
+pub use event::{Event, EventKind, RunMode, RunTransport, SpanPhase, SCHEMA_VERSION};
 pub use metrics::{
     validate_prometheus_text, LogHistogram, MetricsRegistry, MetricsSink, SUB_BUCKETS_PER_OCTAVE,
 };

@@ -561,7 +561,18 @@ struct DeriveState {
 /// Cap on tracked open spans: beyond this, the stalest-id entry is
 /// evicted so a trace with lost `span_ended` events cannot grow the
 /// sink without bound.
-const MAX_OPEN_SPANS: usize = 4096;
+pub(crate) const MAX_OPEN_SPANS: usize = 4096;
+
+/// Tracks one open span under the [`MAX_OPEN_SPANS`] cap, evicting the
+/// stalest id when the table outgrows it — the one rule both this sink
+/// and the summary fold keep their open spans by.
+pub(crate) fn track_open_span<V>(open: &mut BTreeMap<u64, V>, span: u64, value: V) {
+    open.insert(span, value);
+    // A lost span half must not pin memory forever.
+    if open.len() > MAX_OPEN_SPANS {
+        open.pop_first();
+    }
+}
 
 /// How many events may elapse between periodic `metrics.prom`
 /// rewrites (the file is also rewritten on every flush).
@@ -752,9 +763,6 @@ impl EventSink for MetricsSink {
                 r.inc_counter("parmonc_save_points_total", 1.0);
                 r.observe("parmonc_save_point_seconds", *duration_seconds);
             }
-            // Rank 0's timeline is spans; a version-1 trace may still
-            // carry this kind, and nothing is derived from it.
-            EventKind::CollectorSegment { .. } => {}
             EventKind::RunCompleted {
                 realizations,
                 t_comp_seconds,
@@ -826,14 +834,7 @@ impl EventSink for MetricsSink {
             }
             EventKind::SpanStarted { span, .. } => {
                 let mut state = self.state.lock().expect("metrics sink poisoned");
-                state.open_spans.insert(*span, event.time_s);
-                // A lost span_ended must not pin memory forever.
-                if state.open_spans.len() > MAX_OPEN_SPANS {
-                    let stalest = state.open_spans.keys().next().copied();
-                    if let Some(stalest) = stalest {
-                        state.open_spans.remove(&stalest);
-                    }
-                }
+                track_open_span(&mut state.open_spans, *span, event.time_s);
             }
             EventKind::SpanEnded { span, phase } => {
                 let started = {

@@ -320,7 +320,9 @@ impl Drop for JsonlSink {
     }
 }
 
-/// Collects events in memory — for tests and for end-of-run summaries.
+/// Collects every event in memory, without bound — a test utility.
+/// A run folds its summary as events arrive instead
+/// (`Mutex<MonitorSummary>` is a sink).
 #[derive(Debug, Default)]
 pub struct MemorySink {
     events: Mutex<Vec<Event>>,
@@ -337,18 +339,6 @@ impl MemorySink {
     #[must_use]
     pub fn snapshot(&self) -> Vec<Event> {
         self.events.lock().expect("memory sink poisoned").clone()
-    }
-
-    /// Number of events recorded.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("memory sink poisoned").len()
-    }
-
-    /// Whether nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -477,6 +467,6 @@ mod tests {
         let m2 = m.clone();
         m2.emit(None, EventKind::QueueHighWater { depth: 1 });
         m.emit(None, EventKind::QueueHighWater { depth: 2 });
-        assert_eq!(sink.len(), 2);
+        assert_eq!(sink.snapshot().len(), 2);
     }
 }

@@ -109,10 +109,10 @@ const ENVELOPE: [&str; 5] = ["v", "kind", "time_s", "raw_time_s", "rank"];
 /// ```
 /// use parmonc_obs::schema::validate_line;
 ///
-/// let kind = validate_line(r#"{"v":1,"kind":"queue_high_water","time_s":0.5,"rank":0,"depth":3}"#)
+/// let kind = validate_line(r#"{"v":2,"kind":"queue_high_water","time_s":0.5,"rank":0,"depth":3}"#)
 ///     .unwrap();
 /// assert_eq!(kind, "queue_high_water");
-/// assert!(validate_line(r#"{"v":1,"kind":"queue_high_water","time_s":0.5}"#).is_err());
+/// assert!(validate_line(r#"{"v":2,"kind":"queue_high_water","time_s":0.5}"#).is_err());
 /// ```
 pub fn validate_line(line: &str) -> Result<&'static str, String> {
     parse_line(line).map(|event| event.kind.name())
@@ -138,7 +138,7 @@ pub fn validate_line(line: &str) -> Result<&'static str, String> {
 /// use parmonc_obs::EventKind;
 ///
 /// let event = parse_line(
-///     r#"{"v":1,"kind":"queue_high_water","time_s":0.5,"rank":0,"depth":3}"#,
+///     r#"{"v":2,"kind":"queue_high_water","time_s":0.5,"rank":0,"depth":3}"#,
 /// )
 /// .unwrap();
 /// assert_eq!(event.kind, EventKind::QueueHighWater { depth: 3 });
@@ -149,6 +149,11 @@ pub fn parse_line(line: &str) -> Result<Event, String> {
 
     match get("v") {
         Some(Value::Num(n)) if *n == SCHEMA_VERSION as f64 => {}
+        Some(Value::Num(n)) => {
+            return Err(format!(
+                "schema version {n} is not read: \"v\" must be {SCHEMA_VERSION}"
+            ))
+        }
         Some(_) => return Err(format!("\"v\" must be {SCHEMA_VERSION}")),
         None => return Err("missing \"v\"".into()),
     }
@@ -229,25 +234,35 @@ mod tests {
         }
     }
 
-    /// The wire is byte-identical to what schema version 1 has always
-    /// written: the fixture was produced by the hand-written encoder
-    /// this table replaced, from both forms of every kind it knew, and
-    /// every one of its lines must still come out. (A kind added since
-    /// is additive; its forms can be appended to the fixture.)
+    /// The wire is byte-identical to what schema version 1 wrote, but
+    /// for the version: the fixture is the version-1 one with `"v":2`,
+    /// without the retired `collector_segment` lines, and with the
+    /// retired `"simcluster"` mode spelled `"threads"`. The encoder
+    /// writes exactly these lines — both forms of every kind, in
+    /// schema order — and a new kind must add its forms here.
     #[test]
     fn encoder_matches_the_golden_lines() {
-        let golden = include_str!("../tests/golden/events_v1.jsonl");
+        let golden = include_str!("../tests/golden/events_v2.jsonl");
         let forms: Vec<String> = crate::event::samples()
             .iter()
             .flat_map(|kind| kind.rows[..2].iter().enumerate().map(stamp))
             .map(|event| event.to_json_line())
             .collect();
-        assert_eq!(golden.lines().count(), 2 * 23, "version 1 had 23 kinds");
+        assert_eq!(golden.lines().collect::<Vec<_>>(), forms);
         for line in golden.lines() {
-            assert!(
-                forms.iter().any(|form| form == line),
-                "no longer written: {line}"
-            );
+            assert!(validate_line(line).is_ok(), "rejected: {line}");
+        }
+    }
+
+    /// Version 1 is retired: every line of its fixture is refused,
+    /// with an error that names the version it carries.
+    #[test]
+    fn version_1_lines_are_refused_by_version() {
+        let retired = include_str!("../tests/golden/events_v1.jsonl");
+        assert_eq!(retired.lines().count(), 2 * 23, "version 1 had 23 kinds");
+        for line in retired.lines() {
+            let err = validate_line(line).expect_err(line);
+            assert!(err.contains("schema version 1 "), "{err}");
         }
     }
 
@@ -303,7 +318,7 @@ mod tests {
     #[test]
     fn parse_line_rejects_what_validate_rejects() {
         assert!(parse_line("not json").is_err());
-        assert!(parse_line(r#"{"v":1,"kind":"mystery","time_s":0}"#).is_err());
+        assert!(parse_line(r#"{"v":2,"kind":"mystery","time_s":0}"#).is_err());
     }
 
     #[test]
@@ -341,44 +356,52 @@ mod tests {
         for (bad, why) in [
             ("not json", "malformed"),
             (
-                r#"{"v":2,"kind":"queue_high_water","time_s":0,"depth":1}"#,
-                "wrong version",
+                r#"{"v":1,"kind":"queue_high_water","time_s":0,"depth":1}"#,
+                "retired version",
             ),
-            (r#"{"v":1,"kind":"mystery","time_s":0}"#, "unknown kind"),
             (
-                r#"{"v":1,"kind":"queue_high_water","time_s":0}"#,
+                r#"{"v":3,"kind":"queue_high_water","time_s":0,"depth":1}"#,
+                "future version",
+            ),
+            (
+                r#"{"v":"2","kind":"queue_high_water","time_s":0,"depth":1}"#,
+                "non-numeric version",
+            ),
+            (r#"{"v":2,"kind":"mystery","time_s":0}"#, "unknown kind"),
+            (
+                r#"{"v":2,"kind":"queue_high_water","time_s":0}"#,
                 "missing field",
             ),
             (
-                r#"{"v":1,"kind":"queue_high_water","time_s":0,"depth":-1}"#,
+                r#"{"v":2,"kind":"queue_high_water","time_s":0,"depth":-1}"#,
                 "negative uint",
             ),
             (
-                r#"{"v":1,"kind":"queue_high_water","time_s":0,"depth":1,"extra":2}"#,
+                r#"{"v":2,"kind":"queue_high_water","time_s":0,"depth":1,"extra":2}"#,
                 "unknown field",
             ),
             (
-                r#"{"v":1,"kind":"collector_segment","time_s":0,"activity":"napping","start_s":0,"end_s":1}"#,
-                "bad activity",
+                r#"{"v":2,"kind":"run_started","time_s":0,"mode":"simcluster","processors":1,"max_sample_volume":1}"#,
+                "retired mode",
             ),
             (
-                r#"{"v":1,"kind":"queue_high_water","time_s":0,"depth":1,"depth":1}"#,
+                r#"{"v":2,"kind":"queue_high_water","time_s":0,"depth":1,"depth":1}"#,
                 "duplicate key",
             ),
             (
-                r#"{"v":1,"kind":"fault_injected","time_s":0,"fault":"gremlin"}"#,
+                r#"{"v":2,"kind":"fault_injected","time_s":0,"fault":"gremlin"}"#,
                 "unknown fault name",
             ),
             (
-                r#"{"v":1,"kind":"run_started","time_s":0,"mode":"threads","processors":1,"max_sample_volume":1,"transport":"telepathy"}"#,
+                r#"{"v":2,"kind":"run_started","time_s":0,"mode":"threads","processors":1,"max_sample_volume":1,"transport":"telepathy"}"#,
                 "unknown transport name",
             ),
             (
-                r#"{"v":1,"kind":"span_started","time_s":0,"rank":1,"span":3,"phase":"daydreaming"}"#,
+                r#"{"v":2,"kind":"span_started","time_s":0,"rank":1,"span":3,"phase":"daydreaming"}"#,
                 "unknown span phase",
             ),
             (
-                r#"{"v":1,"kind":"realizations","time_s":0,"raw_time_s":"later","rank":1,"completed":1,"compute_seconds":0}"#,
+                r#"{"v":2,"kind":"realizations","time_s":0,"raw_time_s":"later","rank":1,"completed":1,"compute_seconds":0}"#,
                 "non-numeric raw_time_s",
             ),
         ] {

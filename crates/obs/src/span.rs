@@ -207,7 +207,7 @@ mod tests {
         let id = spans.start(SpanPhase::Checkpoint, None);
         assert_eq!(id, 0);
         spans.end(id, SpanPhase::Checkpoint);
-        assert!(sink.is_empty());
+        assert!(sink.snapshot().is_empty());
         assert!(!SpanEmitter::disabled().is_enabled());
         // A monitored-off emitter is also inert even when asked for spans.
         assert!(!SpanEmitter::new(&Monitor::disabled(), 0, true).is_enabled());

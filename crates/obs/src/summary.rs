@@ -1,11 +1,14 @@
-//! End-of-run aggregation: folds a monitor trace into a
-//! [`MonitorSummary`] and renders the table printed by `parmonc-demo`
-//! and `fig2_threads`.
+//! Run aggregation: folds a monitor event stream into a
+//! [`MonitorSummary`] as the events arrive, and renders the table
+//! printed by `parmonc-demo` and `fig2_threads`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Mutex;
 
-use crate::event::{Event, EventKind, RunMode, RunTransport};
+use crate::event::{Event, EventKind, RunMode, RunTransport, SpanPhase};
+use crate::metrics::track_open_span;
+use crate::monitor::EventSink;
 
 /// Per-rank aggregates extracted from a trace.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -41,6 +44,11 @@ pub struct MonitorSummary {
     pub messages_received: u64,
     /// Payload bytes received across all ranks.
     pub bytes_received: u64,
+    /// Messages rank 0, the collector, received — the `messages` its
+    /// `run_completed` reports.
+    pub collector_messages_received: u64,
+    /// Payload bytes rank 0 received — `run_completed`'s `bytes`.
+    pub collector_bytes_received: u64,
     /// Largest receive-queue depth seen anywhere.
     pub max_queue_depth: u64,
     /// Number of collector averaging passes.
@@ -115,169 +123,202 @@ pub struct MonitorSummary {
     /// their `wire_stats`) — far-side trace truncation, distinct from
     /// this process's own `dropped_events`.
     pub forwarded_dropped_events: u64,
+    /// Spans whose other half has not arrived yet, by id — at most
+    /// the metrics plane's cap of them, so lost halves cannot grow the
+    /// fold without bound.
+    open_spans: BTreeMap<u64, OpenSpan>,
+}
+
+/// The half of a span the fold has seen.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum OpenSpan {
+    /// `span_started` at this time.
+    Started(f64),
+    /// `span_ended` at this time, before its start arrived.
+    Ended(f64, SpanPhase),
+}
+
+/// The live fold a monitored run attaches next to its other sinks.
+impl EventSink for Mutex<MonitorSummary> {
+    fn record(&self, event: &Event) {
+        self.lock().expect("summary fold poisoned").record(event);
+    }
 }
 
 impl MonitorSummary {
-    /// Folds a trace into a summary. Order-tolerant except that
-    /// cumulative `realizations` reports take the per-rank maximum.
+    /// Folds a trace into a summary: [`Self::record`] over every event.
+    /// Order-tolerant except that cumulative `realizations` reports
+    /// take the per-rank maximum.
     #[must_use]
     pub fn from_events(events: &[Event]) -> Self {
-        let mut s = Self {
-            events: events.len() as u64,
-            ..Self::default()
-        };
+        let mut s = Self::default();
         for event in events {
-            match &event.kind {
-                EventKind::RunStarted {
-                    mode,
-                    processors,
-                    max_sample_volume,
-                    transport,
-                    ..
-                } => {
-                    s.mode = Some(*mode);
-                    s.transport = *transport;
-                    s.processors = Some(*processors);
-                    s.max_sample_volume = Some(*max_sample_volume);
-                }
-                EventKind::Realizations {
-                    completed,
-                    compute_seconds,
-                } => {
-                    if let Some(rank) = event.rank {
-                        let stats = s.ranks.entry(rank).or_default();
-                        stats.realizations = stats.realizations.max(*completed);
-                        if compute_seconds.is_finite() {
-                            stats.compute_seconds = stats.compute_seconds.max(*compute_seconds);
-                        }
-                    }
-                }
-                EventKind::MessageSent { bytes, .. } => {
-                    if let Some(rank) = event.rank {
-                        let stats = s.ranks.entry(rank).or_default();
-                        stats.messages_sent += 1;
-                        stats.bytes_sent += bytes;
-                    }
-                }
-                EventKind::MessageReceived {
-                    bytes, queue_depth, ..
-                } => {
-                    s.messages_received += 1;
-                    s.bytes_received += bytes;
-                    s.max_queue_depth = s.max_queue_depth.max(*queue_depth);
-                }
-                EventKind::QueueHighWater { depth } => {
-                    s.max_queue_depth = s.max_queue_depth.max(*depth);
-                }
-                EventKind::AveragingPass {
-                    duration_seconds,
-                    eps_max,
-                    max_snapshot_age_seconds,
-                    ..
-                } => {
-                    s.averaging_passes += 1;
-                    s.averaging_seconds += duration_seconds;
-                    if eps_max.is_some() {
-                        s.final_eps_max = *eps_max;
-                    }
-                    if let Some(age) = max_snapshot_age_seconds {
-                        s.max_snapshot_age_seconds =
-                            Some(s.max_snapshot_age_seconds.map_or(*age, |m| m.max(*age)));
-                    }
-                }
-                EventKind::SavePoint {
-                    duration_seconds, ..
-                } => {
-                    s.save_points += 1;
-                    s.save_seconds += duration_seconds;
-                }
-                // Rank 0's timeline is spans; a version-1 trace may
-                // still carry this kind, and nothing is folded from it.
-                EventKind::CollectorSegment { .. } => {}
-                EventKind::RunCompleted {
-                    realizations,
-                    t_comp_seconds,
-                    ..
-                } => {
-                    s.total_realizations = Some(*realizations);
-                    s.t_comp_seconds = Some(*t_comp_seconds);
-                }
-                EventKind::FaultInjected { .. } => {
-                    s.faults_injected += 1;
-                }
-                EventKind::WorkerLost { .. } => {
-                    s.workers_lost += 1;
-                }
-                EventKind::WorkReassigned { realizations, .. } => {
-                    s.reassigned_realizations += realizations;
-                }
-                EventKind::CheckpointRecovered { .. } => {
-                    s.checkpoint_recoveries += 1;
-                }
-                EventKind::MetricsSnapshot { .. } => {
-                    s.metrics_snapshots += 1;
-                }
-                EventKind::TargetPrecisionReached { n, eps_max, target } => {
-                    s.target_precision = Some((*n, *eps_max, *target));
-                }
-                EventKind::WorkerJoined { .. } => {
-                    s.workers_joined += 1;
-                }
-                EventKind::WorkerLeft { .. } => {
-                    s.workers_left += 1;
-                }
-                EventKind::WorkerReconnected { .. } => {
-                    s.workers_reconnected += 1;
-                }
-                EventKind::CollectorResumed { .. } => {
-                    s.collector_resumes += 1;
-                }
-                EventKind::TornFrame { .. } => {
-                    s.torn_frames += 1;
-                }
-                EventKind::SpanStarted { .. } => {}
-                EventKind::SpanEnded { .. } => {
-                    s.spans_closed += 1;
-                }
-                EventKind::WireStats {
-                    frames_in,
-                    bytes_in,
-                    frames_out,
-                    bytes_out,
-                    dials,
-                    dedup_dropped,
-                    events_dropped,
-                    ..
-                } => {
-                    s.wire_links += 1;
-                    s.wire_frames_in += frames_in;
-                    s.wire_bytes_in += bytes_in;
-                    s.wire_frames_out += frames_out;
-                    s.wire_bytes_out += bytes_out;
-                    s.reconnect_dials += dials;
-                    s.dedup_dropped_frames += dedup_dropped;
-                    s.forwarded_dropped_events += events_dropped;
-                }
-            }
-        }
-        // Second pass: pair span starts with ends by id — naturally
-        // order-tolerant, so skewed multi-host delivery order cannot
-        // change the per-phase totals.
-        let mut starts: BTreeMap<u64, f64> = BTreeMap::new();
-        for event in events {
-            if let EventKind::SpanStarted { span, .. } = &event.kind {
-                starts.insert(*span, event.time_s);
-            }
-        }
-        for event in events {
-            if let EventKind::SpanEnded { span, phase } = &event.kind {
-                if let Some(started) = starts.get(span) {
-                    let duration = (event.time_s - started).max(0.0);
-                    *s.span_seconds.entry(phase.as_str()).or_insert(0.0) += duration;
-                }
-            }
+            s.record(event);
         }
         s
+    }
+
+    /// Folds one more event in. A monitored run attaches the fold as a
+    /// sink (`Mutex<MonitorSummary>`), so its summary is ready when the
+    /// run ends and the run holds no trace; `parmonc-trace summary`
+    /// folds a trace file the same way.
+    pub fn record(&mut self, event: &Event) {
+        self.events += 1;
+        match &event.kind {
+            EventKind::RunStarted {
+                mode,
+                processors,
+                max_sample_volume,
+                transport,
+                ..
+            } => {
+                self.mode = Some(*mode);
+                self.transport = *transport;
+                self.processors = Some(*processors);
+                self.max_sample_volume = Some(*max_sample_volume);
+            }
+            EventKind::Realizations {
+                completed,
+                compute_seconds,
+            } => {
+                if let Some(rank) = event.rank {
+                    let stats = self.ranks.entry(rank).or_default();
+                    stats.realizations = stats.realizations.max(*completed);
+                    if compute_seconds.is_finite() {
+                        stats.compute_seconds = stats.compute_seconds.max(*compute_seconds);
+                    }
+                }
+            }
+            EventKind::MessageSent { bytes, .. } => {
+                if let Some(rank) = event.rank {
+                    let stats = self.ranks.entry(rank).or_default();
+                    stats.messages_sent += 1;
+                    stats.bytes_sent += bytes;
+                }
+            }
+            EventKind::MessageReceived {
+                bytes, queue_depth, ..
+            } => {
+                self.messages_received += 1;
+                self.bytes_received += bytes;
+                self.max_queue_depth = self.max_queue_depth.max(*queue_depth);
+                if event.rank == Some(0) {
+                    self.collector_messages_received += 1;
+                    self.collector_bytes_received += bytes;
+                }
+            }
+            EventKind::QueueHighWater { depth } => {
+                self.max_queue_depth = self.max_queue_depth.max(*depth);
+            }
+            EventKind::AveragingPass {
+                duration_seconds,
+                eps_max,
+                max_snapshot_age_seconds,
+                ..
+            } => {
+                self.averaging_passes += 1;
+                self.averaging_seconds += duration_seconds;
+                if eps_max.is_some() {
+                    self.final_eps_max = *eps_max;
+                }
+                if let Some(age) = max_snapshot_age_seconds {
+                    self.max_snapshot_age_seconds =
+                        Some(self.max_snapshot_age_seconds.map_or(*age, |m| m.max(*age)));
+                }
+            }
+            EventKind::SavePoint {
+                duration_seconds, ..
+            } => {
+                self.save_points += 1;
+                self.save_seconds += duration_seconds;
+            }
+            EventKind::RunCompleted {
+                realizations,
+                t_comp_seconds,
+                ..
+            } => {
+                self.total_realizations = Some(*realizations);
+                self.t_comp_seconds = Some(*t_comp_seconds);
+            }
+            EventKind::FaultInjected { .. } => {
+                self.faults_injected += 1;
+            }
+            EventKind::WorkerLost { .. } => {
+                self.workers_lost += 1;
+            }
+            EventKind::WorkReassigned { realizations, .. } => {
+                self.reassigned_realizations += realizations;
+            }
+            EventKind::CheckpointRecovered { .. } => {
+                self.checkpoint_recoveries += 1;
+            }
+            EventKind::MetricsSnapshot { .. } => {
+                self.metrics_snapshots += 1;
+            }
+            EventKind::TargetPrecisionReached { n, eps_max, target } => {
+                self.target_precision = Some((*n, *eps_max, *target));
+            }
+            EventKind::WorkerJoined { .. } => {
+                self.workers_joined += 1;
+            }
+            EventKind::WorkerLeft { .. } => {
+                self.workers_left += 1;
+            }
+            EventKind::WorkerReconnected { .. } => {
+                self.workers_reconnected += 1;
+            }
+            EventKind::CollectorResumed { .. } => {
+                self.collector_resumes += 1;
+            }
+            EventKind::TornFrame { .. } => {
+                self.torn_frames += 1;
+            }
+            // Span pairing by id is order-tolerant: whichever half
+            // arrives first waits in the table for the other, so skewed
+            // multi-host delivery order cannot change the per-phase
+            // totals.
+            EventKind::SpanStarted { span, .. } => match self.open_spans.remove(span) {
+                Some(OpenSpan::Ended(end_s, phase)) => self.add_span(phase, end_s - event.time_s),
+                _ => track_open_span(&mut self.open_spans, *span, OpenSpan::Started(event.time_s)),
+            },
+            EventKind::SpanEnded { span, phase } => {
+                self.spans_closed += 1;
+                match self.open_spans.remove(span) {
+                    Some(OpenSpan::Started(start_s)) => {
+                        self.add_span(*phase, event.time_s - start_s)
+                    }
+                    _ => track_open_span(
+                        &mut self.open_spans,
+                        *span,
+                        OpenSpan::Ended(event.time_s, *phase),
+                    ),
+                }
+            }
+            EventKind::WireStats {
+                frames_in,
+                bytes_in,
+                frames_out,
+                bytes_out,
+                dials,
+                dedup_dropped,
+                events_dropped,
+                ..
+            } => {
+                self.wire_links += 1;
+                self.wire_frames_in += frames_in;
+                self.wire_bytes_in += bytes_in;
+                self.wire_frames_out += frames_out;
+                self.wire_bytes_out += bytes_out;
+                self.reconnect_dials += dials;
+                self.dedup_dropped_frames += dedup_dropped;
+                self.forwarded_dropped_events += events_dropped;
+            }
+        }
+    }
+
+    /// Adds one paired span's duration to its phase's total.
+    fn add_span(&mut self, phase: SpanPhase, duration: f64) {
+        *self.span_seconds.entry(phase.as_str()).or_insert(0.0) += duration.max(0.0);
     }
 
     /// Renders the human-readable summary table printed at the end of
@@ -907,6 +948,123 @@ mod tests {
         assert_eq!(s.target_precision, Some((80, 0.04, 0.05)));
         let table = s.render_table();
         assert!(table.contains("target precision reached at n 80"));
+    }
+
+    /// The live fold — the summary as a sink, fed event by event —
+    /// ends where the fold of the finished trace does, over both forms
+    /// of every kind.
+    #[test]
+    fn sink_fold_equals_the_fold_of_the_trace() {
+        use crate::Monitor;
+        use std::sync::Arc;
+
+        let events: Vec<Event> = crate::event::samples()
+            .iter()
+            .flat_map(|kind| kind.rows.iter().enumerate())
+            .map(|(row, kind)| Event {
+                time_s: 0.25 + row as f64,
+                rank: (row % 2 == 1).then_some(row),
+                raw_time_s: (row % 2 == 1).then_some(7.5),
+                kind: kind.clone(),
+            })
+            .collect();
+        let fold = Arc::new(Mutex::new(MonitorSummary::default()));
+        let monitor = Monitor::new(vec![Box::new(Arc::clone(&fold))]);
+        for e in &events {
+            monitor.emit_aligned(e.time_s, e.raw_time_s, e.rank, e.kind.clone());
+        }
+        let live = fold.lock().unwrap().clone();
+        assert_eq!(live, MonitorSummary::from_events(&events));
+        assert_eq!(live.events, events.len() as u64);
+    }
+
+    /// Only rank 0's deliveries count as the collector's traffic, which
+    /// `run_completed` reports.
+    #[test]
+    fn collector_traffic_counts_rank_0_deliveries_only() {
+        let received = |rank, bytes| {
+            ev(
+                0.1,
+                Some(rank),
+                EventKind::MessageReceived {
+                    source: 1,
+                    tag: 1,
+                    bytes,
+                    queue_depth: 0,
+                },
+            )
+        };
+        let s = MonitorSummary::from_events(&[received(0, 48), received(1, 8), received(0, 16)]);
+        assert_eq!((s.messages_received, s.bytes_received), (3, 72));
+        assert_eq!(
+            (s.collector_messages_received, s.collector_bytes_received),
+            (2, 64)
+        );
+    }
+
+    fn started(time_s: f64, span: u64) -> Event {
+        ev(
+            time_s,
+            Some(1),
+            EventKind::SpanStarted {
+                span,
+                parent: None,
+                phase: SpanPhase::SubtotalSend,
+            },
+        )
+    }
+
+    fn ended(time_s: f64, span: u64) -> Event {
+        ev(
+            time_s,
+            Some(1),
+            EventKind::SpanEnded {
+                span,
+                phase: SpanPhase::SubtotalSend,
+            },
+        )
+    }
+
+    /// A pair leaves the open-span table when its second half arrives,
+    /// whichever half that is, and adds the same duration either way.
+    #[test]
+    fn matched_span_pairs_leave_no_open_span() {
+        let mut s = MonitorSummary::default();
+        for e in [
+            started(1.0, 7),
+            ended(1.5, 7),
+            ended(3.0, 8),
+            started(2.75, 8),
+        ] {
+            s.record(&e);
+        }
+        assert!(s.open_spans.is_empty());
+        assert_eq!(s.spans_closed, 2);
+        assert_eq!(s.span_seconds["subtotal_send"], 0.75);
+
+        s.record(&started(4.0, 9));
+        assert_eq!(s.open_spans.len(), 1, "an unmatched start waits");
+    }
+
+    /// Spans whose other half never comes are held up to the metrics
+    /// plane's cap and no further: the stalest ids go first.
+    #[test]
+    fn unmatched_span_halves_stop_at_the_cap() {
+        use crate::metrics::MAX_OPEN_SPANS;
+        let extra = 10;
+        let mut s = MonitorSummary::default();
+        for span in 0..(MAX_OPEN_SPANS + extra) as u64 {
+            s.record(&started(span as f64, span));
+        }
+        assert_eq!(s.open_spans.len(), MAX_OPEN_SPANS);
+        assert_eq!(s.open_spans.keys().next(), Some(&(extra as u64)));
+
+        let mut s = MonitorSummary::default();
+        for span in 0..(MAX_OPEN_SPANS + extra) as u64 {
+            s.record(&ended(span as f64, span));
+        }
+        assert_eq!(s.open_spans.len(), MAX_OPEN_SPANS);
+        assert!(s.span_seconds.is_empty());
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! Shared by the chaos and conformance integration tests.
+//! Shared by the chaos, conformance and observability integration
+//! tests; no one test binary calls every helper.
+#![allow(dead_code)]
 
 use parmonc::{StreamHierarchy, StreamId};
 use parmonc_stats::{MatrixAccumulator, MatrixSummary};
@@ -46,6 +48,33 @@ pub fn trace_events(report: &parmonc::RunReport) -> Vec<parmonc_obs::Event> {
                 .unwrap_or_else(|e| panic!("invalid trace line {line:?}: {e}"))
         })
         .collect()
+}
+
+/// Asserts that a monitored run's report carries the summary its own
+/// trace file folds to — the live fold saw every line the file holds,
+/// and lost none — and that `run_completed` reports exactly rank 0's
+/// `message_received` lines.
+pub fn assert_live_fold_matches_the_trace(report: &parmonc::RunReport) {
+    use parmonc_obs::{EventKind, MonitorSummary};
+
+    let events = trace_events(report);
+    let live = report.monitor.as_ref().expect("monitored run");
+    assert_eq!(live.dropped_events, 0, "the trace lost lines");
+    assert_eq!(*live, MonitorSummary::from_events(&events));
+
+    let received = events.iter().filter_map(|e| match e.kind {
+        EventKind::MessageReceived { bytes, .. } if e.rank == Some(0) => Some(bytes),
+        _ => None,
+    });
+    let rank0 = (received.clone().count() as u64, received.sum::<u64>());
+    let completed = events.iter().find_map(|e| match e.kind {
+        EventKind::RunCompleted {
+            messages, bytes, ..
+        } => Some((messages, bytes)),
+        _ => None,
+    });
+    assert_eq!(completed, Some(rank0));
+    assert!(rank0.0 > 0, "rank 0 received nothing");
 }
 
 /// Asserts the process backend left nothing behind: no live worker

@@ -3,6 +3,8 @@
 //! perturbs the estimates, and a healthy run speaks exactly the base
 //! event vocabulary.
 
+mod common;
+
 use std::collections::BTreeSet;
 use std::ops::Deref;
 
@@ -91,6 +93,13 @@ fn monitored_run_writes_schema_valid_jsonl() {
     for kind in EventKind::CONDITIONAL_KINDS {
         assert!(!seen.contains(kind), "untargeted run emitted {kind}");
     }
+}
+
+/// The summary a run reports is the one folded as its events arrived;
+/// it must equal the fold of the trace file the run wrote.
+#[test]
+fn live_summary_equals_the_fold_of_the_trace_file() {
+    common::assert_live_fold_matches_the_trace(&monitored_pi_run("live-fold", true));
 }
 
 #[test]

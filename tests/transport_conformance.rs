@@ -37,7 +37,7 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use common::{assert_no_orphans, serial_merge, trace_events};
+use common::{assert_live_fold_matches_the_trace, assert_no_orphans, serial_merge, trace_events};
 use parmonc::prelude::{
     Exchange, NetOptions, Parmonc, ParmoncBuilder, RealizeFn, RunReport, Transport,
 };
@@ -362,6 +362,8 @@ fn tcp_and_thread_backends_agree() {
     assert!(tcp_kinds.remove("worker_left"), "leave events recorded");
     assert!(tcp_kinds.remove("wire_stats"), "wire counters recorded");
     assert_eq!(tcp_kinds, trace_kinds(&threads));
+    // Forwarded worker events reach the live fold as they reach the file.
+    assert_live_fold_matches_the_trace(&tcp);
 
     let summary = tcp.monitor.expect("monitored run");
     assert_eq!(summary.workers_joined, 2);
