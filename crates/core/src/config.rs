@@ -767,7 +767,7 @@ impl ParmoncBuilder {
         R: crate::realize::Realize + Sync,
     {
         let config = self.build()?;
-        crate::runner::socket_worker(&config, &realize, None)
+        crate::runner::socket_worker(&config, &realize, None).map(drop)
     }
 }
 

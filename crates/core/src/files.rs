@@ -23,21 +23,22 @@
 //! and accumulate around it) when that takes 4 µs or more; a shorter
 //! routine is timed a block of realizations at a time.
 //!
-//! All writes go through a uniquely named temp file that is fsynced,
-//! renamed into place, and followed by an fsync of the parent
-//! directory — so a crash mid-write never corrupts a save-point and
-//! two concurrent runs in one directory cannot collide on the temp
-//! name. Checkpoint-format files additionally carry an FNV-1a 64
-//! checksum + length footer; [`ResultsDir::load_checkpoint`] falls
-//! back to the last-good `.bak` generation when the primary fails its
-//! integrity check.
+//! Every file is written to a unique temp and renamed into place. What
+//! recovery reads — checkpoint, baseline, state files — is fsynced
+//! first; the renderings (`func*.dat`, `collector.addr`) are not, as the
+//! next save-point or `manaver` renders them again. A save-point is one
+//! commit ([`ResultsDir::save_point`]): `.bak` rotation only after every
+//! temp is written, one fsync of `results/` after the renames. A state
+//! file's rename is not made durable: a lost one leaves its older
+//! generation, which a resume replays. Checkpoint-format files carry an
+//! FNV-1a 64 checksum + length footer; [`ResultsDir::load_checkpoint`]
+//! falls back to the `.bak` generation when the primary fails it.
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use parmonc_faults::{FaultHandle, IoFault};
+use parmonc_faults::{AtomicWriter, FaultHandle, IoFault, Staged};
 use parmonc_stats::report::{self, LogReport};
 use parmonc_stats::{MatrixAccumulator, MatrixSummary};
 
@@ -47,10 +48,6 @@ use crate::messages::Subtotal;
 /// Name of the data directory created in the working directory.
 pub const DATA_DIR: &str = "parmonc_data";
 
-/// Distinguishes concurrent writers within one process so temp names
-/// never collide (the process id distinguishes processes).
-static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-
 /// Handle to a `parmonc_data` directory tree.
 #[derive(Debug, Clone)]
 pub struct ResultsDir {
@@ -58,11 +55,13 @@ pub struct ResultsDir {
     /// Fault plane for I/O fault injection; disabled outside chaos
     /// tests.
     faults: FaultHandle,
+    /// The writer of this handle and its clones; counts their fsyncs.
+    writer: AtomicWriter,
 }
 
 impl PartialEq for ResultsDir {
     fn eq(&self, other: &Self) -> bool {
-        // Identity is the directory; the fault plane is run plumbing.
+        // Identity is the directory; faults and writer are run plumbing.
         self.root == other.root
     }
 }
@@ -97,10 +96,7 @@ impl ResultsDir {
             .io_ctx(format!("creating {}", root.join("results").display()))?;
         fs::create_dir_all(root.join("workers"))
             .io_ctx(format!("creating {}", root.join("workers").display()))?;
-        Ok(Self {
-            root,
-            faults: FaultHandle::disabled(),
-        })
+        Self::open(output_dir)
     }
 
     /// Opens an existing `parmonc_data` tree under `output_dir`.
@@ -117,6 +113,7 @@ impl ResultsDir {
         Ok(Self {
             root,
             faults: FaultHandle::disabled(),
+            writer: AtomicWriter::default(),
         })
     }
 
@@ -127,6 +124,12 @@ impl ResultsDir {
     pub fn with_faults(mut self, faults: FaultHandle) -> Self {
         self.faults = faults;
         self
+    }
+
+    /// The writer, whose [`AtomicWriter::fsyncs`] counts a run's fsyncs.
+    #[must_use]
+    pub(crate) fn writer(&self) -> &AtomicWriter {
+        &self.writer
     }
 
     /// The root of the tree (`.../parmonc_data`).
@@ -160,9 +163,9 @@ impl ResultsDir {
     }
 
     /// Path of the last-good checkpoint generation
-    /// (`results/checkpoint.dat.bak`), rotated on every
-    /// [`ResultsDir::save_checkpoint`] and used as the fallback when
-    /// the primary fails its integrity check.
+    /// (`results/checkpoint.dat.bak`), rotated by every commit that
+    /// replaces the checkpoint and used as the fallback when the
+    /// primary fails its integrity check.
     #[must_use]
     pub fn checkpoint_backup_path(&self) -> PathBuf {
         self.root.join("results/checkpoint.dat.bak")
@@ -197,7 +200,7 @@ impl ResultsDir {
     ///
     /// Returns [`ParmoncError::Io`] if the write fails.
     pub fn write_collector_addr(&self, addr: &str) -> Result<(), ParmoncError> {
-        self.write_atomic(&self.collector_addr_path(), &format!("{addr}\n"))
+        self.commit(&[(self.collector_addr_path(), format!("{addr}\n"), false)])
     }
 
     /// Path of `results/leases.dat` — the TCP collector's persisted
@@ -252,85 +255,86 @@ impl ResultsDir {
         self.root.join(format!("workers/worker_{worker:04}.dat"))
     }
 
-    /// Atomically replaces `path` with `contents`: write a uniquely
-    /// named temp file (pid + counter, so concurrent runs in one
-    /// directory never collide), fsync it, rename it into place, and
-    /// fsync the parent directory so the rename itself is durable.
+    /// Stages `contents` for `path`, its temp fsynced if `durable`.
     ///
     /// With an attached fault plane this is also where I/O faults are
     /// injected: an `Interrupted` write is retried (as callers of raw
-    /// `write` must), a bit flip corrupts the contents in place, and a
-    /// torn write leaves a truncated file at the final path — exactly
-    /// the crash-mid-save the checksum footer exists to catch.
-    fn write_atomic(&self, path: &Path, contents: &str) -> Result<(), ParmoncError> {
+    /// `write` must), a bit flip corrupts the contents, and a torn write
+    /// leaves, when published, a truncated file at the final path —
+    /// exactly the crash-mid-save the checksum footer exists to catch.
+    fn stage(&self, path: &Path, contents: &str, durable: bool) -> Result<Pending, ParmoncError> {
         let mut contents = std::borrow::Cow::Borrowed(contents.as_bytes());
-        if self.faults.is_enabled() {
-            let mut interrupts = 0u32;
-            loop {
-                match self.faults.on_write(path) {
-                    None => break,
-                    Some(IoFault::Interrupted) => {
-                        // A real Interrupted write is transient; model
-                        // the caller-visible retry, but never spin.
-                        interrupts += 1;
-                        if interrupts > 3 {
-                            return Err(std::io::Error::from(std::io::ErrorKind::Interrupted))
-                                .io_ctx(format!("writing {}", path.display()));
-                        }
-                    }
-                    Some(IoFault::BitFlip) => {
-                        let mut corrupted = contents.into_owned();
-                        let _ = parmonc_faults::flip_one_bit(
-                            path.as_os_str().len() as u64,
-                            &mut corrupted,
-                        );
-                        contents = std::borrow::Cow::Owned(corrupted);
-                        break;
-                    }
-                    Some(IoFault::TornWrite) => {
-                        // Model a crash mid-save: a truncated file at
-                        // the final path, bypassing the atomic rename.
-                        let torn = &contents[..contents.len() / 2];
-                        fs::write(path, torn).io_ctx(format!("writing {}", path.display()))?;
-                        return Ok(());
-                    }
+        let mut interrupts = 0;
+        while let Some(fault) = self.faults.on_write(path) {
+            match fault {
+                // A real Interrupted write is transient; model the
+                // caller-visible retry, but never spin.
+                IoFault::Interrupted if interrupts < 3 => interrupts += 1,
+                IoFault::Interrupted => {
+                    return Err(std::io::Error::from(std::io::ErrorKind::Interrupted))
+                        .io_ctx(format!("writing {}", path.display()));
+                }
+                IoFault::BitFlip => {
+                    let seed = path.as_os_str().len() as u64;
+                    let _ = parmonc_faults::flip_one_bit(seed, contents.to_mut());
+                    break;
+                }
+                IoFault::TornWrite => {
+                    return Ok(Pending::Torn(contents[..contents.len() / 2].to_vec()));
                 }
             }
         }
-        let tmp = path.with_extension(format!(
-            "tmp.{}.{}",
-            std::process::id(),
-            TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let write_and_rename = || {
-            {
-                let mut f = fs::File::create(&tmp).io_ctx(format!("creating {}", tmp.display()))?;
-                f.write_all(&contents)
-                    .io_ctx(format!("writing {}", tmp.display()))?;
-                f.sync_all().io_ctx(format!("syncing {}", tmp.display()))?;
-            }
-            fs::rename(&tmp, path).io_ctx(format!("renaming into {}", path.display()))
-        };
-        if let Err(e) = write_and_rename() {
-            // Nothing sweeps the directory: remove what the failed save left.
-            let _ = fs::remove_file(&tmp);
-            return Err(e);
+        self.writer
+            .stage(path, &contents, durable)
+            .map(Pending::Temp)
+            .io_ctx(format!("writing {}", path.display()))
+    }
+
+    /// The one commit of every write: stage each `(path, contents,
+    /// durable)` — a failure leaves every file as it was — then rotate a
+    /// replaced `checkpoint.dat` to `.bak`, rename in order, and fsync
+    /// `results/` once if a durable file was renamed into it (never
+    /// `workers/`: a state file may be stale).
+    fn commit(&self, files: &[(PathBuf, String, bool)]) -> Result<(), ParmoncError> {
+        let staged = files
+            .iter()
+            .map(|(path, contents, durable)| self.stage(path, contents, *durable))
+            .collect::<Result<Vec<_>, _>>()?;
+        let primary = self.checkpoint_path();
+        if files.iter().any(|(path, ..)| *path == primary) && primary.exists() {
+            let backup = self.checkpoint_backup_path();
+            fs::rename(&primary, &backup)
+                .io_ctx(format!("rotating checkpoint to {}", backup.display()))?;
         }
-        // Make the rename durable: fsync the parent directory. Some
-        // platforms cannot open directories for syncing; that is not a
-        // data-loss path, so only a failed sync of an opened dir is an
-        // error.
-        if let Some(parent) = path.parent() {
-            if let Ok(dir) = fs::File::open(parent) {
-                dir.sync_all()
-                    .io_ctx(format!("syncing directory {}", parent.display()))?;
+        for (pending, (path, ..)) in staged.into_iter().zip(files) {
+            match pending {
+                Pending::Temp(temp) => temp.publish(),
+                Pending::Torn(torn) => fs::write(path, torn),
             }
+            .io_ctx(format!("renaming into {}", path.display()))?;
+        }
+        let dir = self.root.join("results");
+        if files
+            .iter()
+            .any(|(path, _, durable)| *durable && path.starts_with(&dir))
+        {
+            let synced = self.writer.sync_dir(&dir);
+            synced.io_ctx(format!("syncing directory {}", dir.display()))?;
         }
         Ok(())
     }
 
+    /// The three `func*.dat` renderings of a summary and run metadata.
+    fn renderings(&self, summary: &MatrixSummary, log: &LogReport) -> [(PathBuf, String, bool); 3] {
+        [
+            (self.func_path(), report::render_func(summary), false),
+            (self.func_ci_path(), report::render_func_ci(summary), false),
+            (self.func_log_path(), report::render_func_log(log), false),
+        ]
+    }
+
     /// Writes the three human-readable result files from a summary and
-    /// run metadata.
+    /// run metadata. They are rendered files: no fsync.
     ///
     /// # Errors
     ///
@@ -340,26 +344,34 @@ impl ResultsDir {
         summary: &MatrixSummary,
         log: &LogReport,
     ) -> Result<(), ParmoncError> {
-        self.write_atomic(&self.func_path(), &report::render_func(summary))?;
-        self.write_atomic(&self.func_ci_path(), &report::render_func_ci(summary))?;
-        self.write_atomic(&self.func_log_path(), &report::render_func_log(log))
+        self.commit(&self.renderings(summary, log))
     }
 
-    /// Writes the exact resumption state (raw sums), first rotating
-    /// the previous checkpoint to `.bak` so a torn write of the new
-    /// generation can always fall back to the last good one.
+    /// Writes the exact resumption state (raw sums) as one commit: a
+    /// failed write keeps the primary, a torn one falls back to `.bak`.
     ///
     /// # Errors
     ///
     /// Returns [`ParmoncError::Io`] on write failure.
     pub fn save_checkpoint(&self, acc: &MatrixAccumulator) -> Result<(), ParmoncError> {
-        let path = self.checkpoint_path();
-        if path.exists() {
-            let backup = self.checkpoint_backup_path();
-            fs::rename(&path, &backup)
-                .io_ctx(format!("rotating checkpoint to {}", backup.display()))?;
-        }
-        self.write_atomic(&path, &encode_checkpoint(acc, 0.0))
+        self.commit(&[(self.checkpoint_path(), encode_checkpoint(acc, 0.0), true)])
+    }
+
+    /// A save-point: [`ResultsDir::save_checkpoint`] and
+    /// [`ResultsDir::save_results`] as one commit of two fsyncs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParmoncError::Io`] on write failure.
+    pub fn save_point(
+        &self,
+        summary: &MatrixSummary,
+        log: &LogReport,
+        acc: &MatrixAccumulator,
+    ) -> Result<(), ParmoncError> {
+        let [func, func_ci, func_log] = self.renderings(summary, log);
+        let checkpoint = (self.checkpoint_path(), encode_checkpoint(acc, 0.0), true);
+        self.commit(&[checkpoint, func, func_ci, func_log])
     }
 
     /// Loads the resumption state, or `None` if no checkpoint exists.
@@ -413,7 +425,7 @@ impl ResultsDir {
     ///
     /// Returns [`ParmoncError::Io`] on write failure.
     pub fn save_baseline(&self, acc: &MatrixAccumulator) -> Result<(), ParmoncError> {
-        self.write_atomic(&self.baseline_path(), &encode_checkpoint(acc, 0.0))
+        self.commit(&[(self.baseline_path(), encode_checkpoint(acc, 0.0), true)])
     }
 
     /// Loads the baseline state, or `None` if absent.
@@ -515,26 +527,8 @@ impl ResultsDir {
         worker: usize,
         subtotal: &Subtotal,
     ) -> Result<(), ParmoncError> {
-        self.save_worker_state(worker, &subtotal.acc, subtotal.compute_seconds)
-    }
-
-    /// [`ResultsDir::save_worker_subtotal`] from borrowed accumulator
-    /// state — lets the simulation loop checkpoint its running
-    /// accumulator without cloning it into a [`Subtotal`] first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParmoncError::Io`] on write failure.
-    pub fn save_worker_state(
-        &self,
-        worker: usize,
-        acc: &MatrixAccumulator,
-        compute_seconds: f64,
-    ) -> Result<(), ParmoncError> {
-        self.write_atomic(
-            &self.worker_path(worker),
-            &encode_checkpoint(acc, compute_seconds),
-        )
+        let state = encode_checkpoint(&subtotal.acc, subtotal.compute_seconds);
+        self.commit(&[(self.worker_path(worker), state, true)])
     }
 
     /// Loads every worker subtotal present on disk, sorted by worker
@@ -589,6 +583,13 @@ impl ResultsDir {
         }
         Ok(())
     }
+}
+
+/// A file staged by [`ResultsDir::commit`]: its temp, or the truncated
+/// bytes a scripted torn write puts at the final path instead.
+enum Pending {
+    Temp(Staged),
+    Torn(Vec<u8>),
 }
 
 /// FNV-1a 64-bit hash — the checkpoint integrity checksum. Hand-rolled
@@ -1139,6 +1140,125 @@ mod tests {
                 },
             )
             .unwrap();
+    }
+
+    fn sample_log(summary: &MatrixSummary) -> LogReport {
+        LogReport {
+            sample_volume: summary.count,
+            mean_time_per_realization: 0.5,
+            eps_max: summary.eps_max,
+            rho_max: summary.rho_max,
+            sigma2_max: summary.sigma2_max,
+            processors: 2,
+            seqnum: 0,
+        }
+    }
+
+    fn count_in(path: PathBuf) -> u64 {
+        let text = fs::read_to_string(&path).unwrap();
+        decode_checkpoint(&text, &path).unwrap().0.count()
+    }
+
+    fn temps_in(dir: PathBuf) -> Vec<String> {
+        fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.contains(".tmp."))
+            .collect()
+    }
+
+    /// A checkpoint write that fails after its retries leaves the
+    /// previous generation as the primary: the rotation to `.bak` comes
+    /// only after the new generation is durable in its temp.
+    #[test]
+    fn a_failed_checkpoint_write_keeps_the_previous_primary() {
+        use parmonc_faults::FaultPlan;
+        let dir = tempdir("failed-rotation");
+        let plan = (1..=4).fold(FaultPlan::new(17), |p, n| {
+            p.interrupt_write("checkpoint.dat", n)
+        });
+        let rd = ResultsDir::create(&dir).unwrap().with_faults(plan.build());
+        let mut acc = MatrixAccumulator::new(1, 1).unwrap();
+        acc.add(&[1.0]).unwrap();
+        rd.save_checkpoint(&acc).unwrap();
+        acc.add(&[2.0]).unwrap();
+        assert!(matches!(
+            rd.save_checkpoint(&acc),
+            Err(ParmoncError::Io { .. })
+        ));
+        assert_eq!(count_in(rd.checkpoint_path()), 1);
+        let (loaded, used_backup) = rd.load_checkpoint_recovering().unwrap().unwrap();
+        assert_eq!((loaded.count(), used_backup), (1, false));
+        assert!(!rd.checkpoint_backup_path().exists());
+        assert!(temps_in(rd.root().join("results")).is_empty());
+    }
+
+    /// A save-point stages every file before it rotates or renames
+    /// anything: a rendering that fails to stage leaves the previous
+    /// checkpoint, its rendering and no `.bak` or temp behind; a good
+    /// save-point renames the checkpoint into place after rotating the
+    /// previous one.
+    #[test]
+    fn a_save_point_rotates_only_after_every_temp_is_written() {
+        use parmonc_faults::FaultPlan;
+        let dir = tempdir("commit-order");
+        let rd = ResultsDir::create(&dir).unwrap();
+        let mut acc = MatrixAccumulator::new(1, 1).unwrap();
+        acc.add(&[1.0]).unwrap();
+        let first = acc.summary();
+        rd.save_point(&first, &sample_log(&first), &acc).unwrap();
+        let func = fs::read_to_string(rd.func_path()).unwrap();
+
+        let plan = (0..=3).fold(FaultPlan::new(19), |p, n| {
+            p.interrupt_write("func_ci.dat", n)
+        });
+        let faulty = ResultsDir::open(&dir).unwrap().with_faults(plan.build());
+        acc.add(&[2.0]).unwrap();
+        let second = acc.summary();
+        assert!(faulty
+            .save_point(&second, &sample_log(&second), &acc)
+            .is_err());
+        assert_eq!(count_in(rd.checkpoint_path()), 1);
+        assert!(!rd.checkpoint_backup_path().exists());
+        assert_eq!(fs::read_to_string(rd.func_path()).unwrap(), func);
+        assert!(temps_in(rd.root().join("results")).is_empty());
+
+        rd.save_point(&second, &sample_log(&second), &acc).unwrap();
+        assert_eq!(count_in(rd.checkpoint_path()), 2);
+        assert_eq!(count_in(rd.checkpoint_backup_path()), 1);
+        let (_, _, means) =
+            report::parse_func(&fs::read_to_string(rd.func_path()).unwrap()).unwrap();
+        assert_eq!(means, second.means);
+    }
+
+    /// Fsyncs are paid for what recovery reads and counted per handle
+    /// (clones share the count): a save-point is one commit of two
+    /// fsyncs, a state file one, the baseline two, a rendering none.
+    #[test]
+    fn fsyncs_are_paid_only_for_what_recovery_reads() {
+        let dir = tempdir("fsyncs");
+        let rd = ResultsDir::create(&dir).unwrap();
+        let clone = rd.clone();
+        let acc = sample_acc();
+        let summary = acc.summary();
+        let log = sample_log(&summary);
+        let sub = Subtotal {
+            acc: acc.clone(),
+            compute_seconds: 1.0,
+        };
+        let mut expected = 0;
+        let mut step = |paid: u64, write: &dyn Fn()| {
+            write();
+            expected += paid;
+            assert_eq!(rd.writer().fsyncs(), expected);
+        };
+        step(0, &|| clone.save_results(&summary, &log).unwrap());
+        step(0, &|| clone.write_collector_addr("127.0.0.1:7717").unwrap());
+        step(1, &|| clone.save_worker_subtotal(0, &sub).unwrap());
+        step(2, &|| clone.save_baseline(&acc).unwrap());
+        step(2, &|| clone.save_point(&summary, &log, &acc).unwrap());
+        step(2, &|| clone.save_checkpoint(&acc).unwrap());
+        assert_eq!(ResultsDir::open(&dir).unwrap().writer().fsyncs(), 0);
     }
 
     #[test]

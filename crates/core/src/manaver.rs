@@ -88,8 +88,7 @@ pub fn manaver(output_dir: impl AsRef<Path>) -> Result<ManaverReport, ParmoncErr
         processors: subtotals.len(),
         seqnum,
     };
-    dir.save_results(&summary, &log)?;
-    dir.save_checkpoint(&total)?;
+    dir.save_point(&summary, &log, &total)?;
     dir.clear_worker_subtotals()?;
 
     Ok(ManaverReport {
@@ -174,6 +173,30 @@ mod tests {
         assert_eq!(report.recovered_volume, 2);
         // mean = (10*2 + 2*4)/12
         assert!((report.summary.means[0] - 28.0 / 12.0).abs() < 1e-12);
+    }
+
+    /// State files get no directory fsync, so a lost rename leaves a
+    /// worker's older generation in place. `manaver` then gives exactly
+    /// the baseline merged with that generation: stale, never wrong.
+    #[test]
+    fn a_stale_worker_file_averages_to_its_own_generation() {
+        let dir = tempdir("stale");
+        let rd = ResultsDir::create(&dir).unwrap();
+        let baseline = subtotal(&[0.3, 1.7, -2.9], 0.0).acc;
+        rd.save_baseline(&baseline).unwrap();
+        let older = subtotal(&[0.1, 0.7], 1.0);
+        rd.save_worker_subtotal(0, &subtotal(&[0.1, 0.7, 0.2], 1.5))
+            .unwrap();
+        rd.save_worker_subtotal(0, &older).unwrap();
+        let report = manaver(&dir).unwrap();
+        let mut expected = baseline;
+        expected.merge(&older.acc).unwrap();
+        let total = rd.load_checkpoint().unwrap().unwrap();
+        assert_eq!((total.count(), report.recovered_volume), (5, 2));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(total.sums()), bits(expected.sums()));
+        assert_eq!(bits(total.sums_sq()), bits(expected.sums_sq()));
+        assert_eq!(report.summary, expected.summary());
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use parmonc_faults::{FaultHandle, FaultKind};
+use parmonc_faults::{AtomicWriter, FaultHandle, FaultKind};
 use parmonc_ipc::{LeaseSnapshot, ListenOptions, TcpCollectorTransport};
 use parmonc_mpi::Transport as Comm;
 use parmonc_mpi::{Communicator, MpiError, World};
@@ -195,7 +195,7 @@ where
     if config.transport == Transport::Processes {
         if let Some(info) = parmonc_ipc::worker_env() {
             let code = match socket_worker(&config, &realize, Some(&info)) {
-                Ok(()) => 0,
+                Ok(_) => 0,
                 Err(e) => {
                     eprintln!("parmonc worker: {e}");
                     1
@@ -286,7 +286,7 @@ fn listen_options(
     setup: &RunSetup,
     addr: String,
     resume: Option<LeaseSnapshot>,
-    persist: Option<PathBuf>,
+    persist: Option<(PathBuf, AtomicWriter)>,
 ) -> ListenOptions {
     ListenOptions {
         addr,
@@ -470,7 +470,7 @@ fn listen(
         .listen_addr
         .clone()
         .expect("run() refuses a TCP collector without a listen address");
-    let persist = Some(setup.dir.lease_table_path());
+    let persist = Some((setup.dir.lease_table_path(), setup.dir.writer().clone()));
     let transport =
         TcpCollectorTransport::listen(listen_options(config, setup, addr, resume, persist))
             .io_ctx("binding the collector TCP listener")?;
@@ -868,7 +868,7 @@ impl RealizationLoop {
     /// crash-resume read — under a `checkpoint` span.
     fn save_state(&self, dir: &ResultsDir, parent_span: u64) -> Result<(), ParmoncError> {
         let sp_ck = self.spans.start(SpanPhase::Checkpoint, Some(parent_span));
-        dir.save_worker_state(self.rank, &self.own.acc, self.own.compute_seconds)?;
+        dir.save_worker_subtotal(self.rank, &self.own)?;
         self.spans.end(sp_ck, SpanPhase::Checkpoint);
         Ok(())
     }
@@ -1281,6 +1281,53 @@ mod tests {
         assert!(rd.journal_path().is_file());
         // Worker files are folded into the checkpoint on clean exit.
         assert!(rd.load_worker_subtotals().unwrap().is_empty());
+    }
+
+    /// A minimal run pays one fsync per state file and two per durable
+    /// commit (the baseline, the final save-point, each lease-table
+    /// persist): two ranks 6 (14 when every file paid two), one rank 5
+    /// (12), and a TCP collector plus one joined worker 10 (20).
+    #[test]
+    fn minimal_runs_pay_only_for_what_recovery_reads() {
+        use crate::config::NetOptions;
+        let builder = |processors: usize, dir: &std::path::Path| {
+            Parmonc::builder(1, 1)
+                .max_sample_volume(2)
+                .processors(processors)
+                .output_dir(dir)
+        };
+        for (processors, most) in [(2, 6), (1, 5)] {
+            let dir = tempdir(&format!("fsyncs-{processors}"));
+            let report = builder(processors, &dir).run(uniform_mean()).unwrap();
+            let fsyncs = report.results_dir.writer().fsyncs();
+            assert!(fsyncs <= most, "{processors} ranks: {fsyncs} fsyncs");
+        }
+
+        let (collector_dir, worker_dir) = (tempdir("fsyncs-tcp"), tempdir("fsyncs-tcp-worker"));
+        let (collector, worker) = std::thread::scope(|scope| {
+            let collector = scope.spawn(|| {
+                builder(2, &collector_dir)
+                    .net(NetOptions::listen("127.0.0.1:0"))
+                    .run(uniform_mean())
+            });
+            let addr_file = collector_dir.join("parmonc_data/collector.addr");
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let addr = loop {
+                match std::fs::read_to_string(&addr_file) {
+                    Ok(addr) if !addr.trim().is_empty() => break addr.trim().to_string(),
+                    _ => assert!(Instant::now() < deadline, "no collector.addr"),
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            };
+            let config = builder(2, &worker_dir)
+                .net(NetOptions::join(addr))
+                .build()
+                .unwrap();
+            let worker = socket_worker(&config, &uniform_mean(), None);
+            (collector.join().unwrap().unwrap(), worker.unwrap())
+        });
+        let fsyncs = collector.results_dir.writer().fsyncs() + worker.writer().fsyncs();
+        assert!(fsyncs <= 10, "TCP collector and worker: {fsyncs} fsyncs");
     }
 
     #[test]

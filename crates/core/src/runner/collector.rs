@@ -405,8 +405,7 @@ impl Collector {
         };
         let save_started = Instant::now();
         let sp_ck = spans.start(SpanPhase::Checkpoint, Some(sp_merge));
-        dir.save_results(&summary, &log)?;
-        dir.save_checkpoint(&total)?;
+        dir.save_point(&summary, &log, &total)?;
         spans.end(sp_ck, SpanPhase::Checkpoint);
         if monitor.is_enabled() {
             monitor.emit(

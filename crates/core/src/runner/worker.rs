@@ -118,12 +118,13 @@ pub(super) fn worker_loop<C: Comm, R: Realize + ?Sized>(
 /// [`ParmoncBuilder::run_worker`](crate::config::ParmoncBuilder::run_worker))
 /// dials the configured collector address, a launched process-backend
 /// child dials the socket its parent named — then both lease a rank via
-/// the versioned handshake and run the identical worker loop.
+/// the versioned handshake and run the identical worker loop. Returns
+/// the worker's results directory, whose writer counts its fsyncs.
 pub(crate) fn socket_worker<R: Realize>(
     config: &RunConfig,
     realize: &R,
     launched: Option<&WorkerInfo>,
-) -> Result<(), ParmoncError> {
+) -> Result<ResultsDir, ParmoncError> {
     let start = Instant::now();
     let addr = match launched {
         Some(info) => info.socket.display().to_string(),
@@ -180,5 +181,6 @@ pub(crate) fn socket_worker<R: Realize>(
         faults: &faults,
         start,
     };
-    worker_loop(&ctx, comm, trace_spans)
+    worker_loop(&ctx, comm, trace_spans)?;
+    Ok(dir)
 }

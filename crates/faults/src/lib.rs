@@ -47,6 +47,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
+pub mod atomic;
+pub use atomic::{AtomicWriter, Staged};
+
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex};

@@ -58,7 +58,7 @@
 //! speaks only for the rank it was leased (frames claiming another
 //! source are dropped).
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -67,7 +67,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parmonc_faults::FaultHandle;
+use parmonc_faults::{AtomicWriter, FaultHandle};
 use parmonc_mpi::bytes::Bytes;
 use parmonc_mpi::envelope::{Envelope, Tag};
 use parmonc_mpi::error::MpiError;
@@ -368,47 +368,17 @@ impl LeaseState {
     }
 }
 
-/// Best-effort atomic persistence of the lease table, under the same
-/// durability contract as the run's result files: encode, write a
-/// temp file named by pid and a process-wide counter, fsync it, rename
-/// it into place, and fsync the parent directory so the rename itself
-/// survives a power failure. Failures are swallowed — a lost write
-/// degrades a *future* crash-resume to a stale (or absent) table,
-/// which the rejoin validation handles; it must never disturb the
-/// running session — but a failed write removes its temp file, since
-/// nothing else sweeps the directory.
-///
-/// Callers hold the lease lock across the snapshot *and* this write.
-/// Handshake threads (admit) and the main thread (`retire_rank`) both
-/// persist; without that critical section they could rename an older
+/// Persists the lease table, a durable file of the run, as one
+/// [`AtomicWriter::write_durable`] commit. Failures are swallowed: a
+/// lost write degrades a *future* crash-resume to a stale (or absent)
+/// table, which the rejoin validation handles, and must never disturb
+/// the running session. Callers hold the lease lock across the snapshot
+/// *and* this write: handshake threads (admit) and the main thread
+/// (`retire_rank`) both persist, and could otherwise rename an older
 /// snapshot over a newer one — losing, e.g., a retired bit whose rank
 /// would then be double-counted on resume.
-fn persist_lease_table(path: &std::path::Path, snapshot: &LeaseSnapshot) {
-    static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-    let tmp = path.with_extension(format!(
-        "tmp.{}.{}",
-        std::process::id(),
-        TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let write = || -> io::Result<()> {
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(snapshot.encode().as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        // As in the result files' writer, a directory that cannot be
-        // opened for syncing is skipped.
-        if let Some(Ok(dir)) = path.parent().map(std::fs::File::open) {
-            dir.sync_all()?;
-        }
-        Ok(())
-    };
-    if write().is_err() {
-        // After a successful rename the temp name no longer exists and
-        // this is a no-op.
-        let _ = std::fs::remove_file(&tmp);
-    }
+fn persist_lease_table((path, writer): &(PathBuf, AtomicWriter), snapshot: &LeaseSnapshot) {
+    let _ = writer.write_durable(path, snapshot.encode().as_bytes());
 }
 
 /// Configuration for [`TcpCollectorTransport::listen`].
@@ -452,7 +422,7 @@ pub struct ListenOptions {
     /// membership change — always *before* the grant that makes the
     /// change visible to a worker, so a crash can never lose a lease
     /// a worker believes it holds. `None` disables persistence.
-    pub persist: Option<std::path::PathBuf>,
+    pub persist: Option<(PathBuf, AtomicWriter)>,
     /// Every worker reports to rank 0, so the only values accepted are
     /// an empty vector or zeros: [`TcpCollectorTransport::listen`]
     /// refuses any other entry with [`io::ErrorKind::InvalidInput`].
@@ -481,7 +451,7 @@ struct AcceptorCtx {
     config_digest: u64,
     epoch: u64,
     io_timeout: Duration,
-    persist: Option<std::path::PathBuf>,
+    persist: Option<(PathBuf, AtomicWriter)>,
     trace_spans: bool,
 }
 
@@ -591,13 +561,13 @@ impl TcpCollectorTransport {
                 .map(|_| Arc::new(LinkClock::default()))
                 .collect(),
         }));
-        if let Some(path) = &opts.persist {
+        if let Some(persist) = &opts.persist {
             // Capture the session epoch on disk before any worker can
             // join, so even a pre-join crash resumes the same session.
             // Like every persist, the snapshot and the write share one
             // lease-lock critical section (see [`persist_lease_table`]).
             if let Ok(l) = lease.lock() {
-                persist_lease_table(path, &l.snapshot(epoch, opts.size));
+                persist_lease_table(persist, &l.snapshot(epoch, opts.size));
             }
         }
 
@@ -867,8 +837,8 @@ impl Transport for TcpCollectorTransport {
         }
         if let Ok(mut lease) = self.ctx.lease.lock() {
             lease.retired[rank - 1] = true;
-            if let Some(path) = &self.ctx.persist {
-                persist_lease_table(path, &lease.snapshot(self.ctx.epoch, self.ctx.size));
+            if let Some(persist) = &self.ctx.persist {
+                persist_lease_table(persist, &lease.snapshot(self.ctx.epoch, self.ctx.size));
             }
         }
     }
@@ -1045,9 +1015,9 @@ fn admit(stream: Socket, peer: Option<String>, ctx: &AcceptorCtx) -> io::Result<
     // Persist the lease *before* the grant goes out: once the worker
     // holds a grant it will REJOIN with this rank after any crash, and
     // a restarted collector must recognize the lease.
-    if let Some(path) = &ctx.persist {
+    if let Some(persist) = &ctx.persist {
         if let Ok(l) = ctx.lease.lock() {
-            persist_lease_table(path, &l.snapshot(ctx.epoch, ctx.size));
+            persist_lease_table(persist, &l.snapshot(ctx.epoch, ctx.size));
         }
     }
     let grant = Grant {
@@ -2413,6 +2383,7 @@ mod tests {
             std::env::temp_dir().join(format!("parmonc-lease-persist-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("leases.dat");
+        let writer = AtomicWriter::default();
         let mut collector = TcpCollectorTransport::listen(ListenOptions {
             addr: "127.0.0.1:0".into(),
             size: 3,
@@ -2422,7 +2393,7 @@ mod tests {
             quotas: vec![5, 5],
             io_timeout: TIMEOUT,
             resume: None,
-            persist: Some(path.clone()),
+            persist: Some((path.clone(), writer.clone())),
             trace_spans: false,
             parents: Vec::new(),
         })
@@ -2432,15 +2403,20 @@ mod tests {
             LeaseSnapshot::decode(&std::fs::read_to_string(&path).unwrap()).expect("valid table");
         assert_eq!(snapshot.epoch, collector.epoch());
         assert_eq!(snapshot.ever_leased, vec![false, false]);
+        // Each persist is one durable commit: the temp's fsync and the
+        // directory's.
+        assert_eq!(writer.fsyncs(), 2);
         // By the time a worker holds its grant, the lease is durable:
         // persist happens strictly before the grant frame is written.
         let (_stream, grant) = raw_join(collector.local_addr());
         let snapshot = LeaseSnapshot::decode(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert!(snapshot.ever_leased[grant.rank as usize - 1]);
+        assert_eq!(writer.fsyncs(), 4);
         // Retirement (budget reassignment) is persisted too.
         collector.retire_rank(2);
         let snapshot = LeaseSnapshot::decode(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(snapshot.retired, vec![false, true]);
+        assert_eq!(writer.fsyncs(), 6);
         collector.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2461,7 +2437,7 @@ mod tests {
             retired: vec![false, false],
             last_seqs: vec![1, 0],
         };
-        persist_lease_table(&path, &snapshot);
+        persist_lease_table(&(path.clone(), AtomicWriter::default()), &snapshot);
         let names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())

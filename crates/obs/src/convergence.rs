@@ -103,35 +103,7 @@ impl ConvergenceTracker {
         errs: &[f64],
         eps_max: f64,
     ) {
-        self.observe_impl(n, means, errs, eps_max, |kind| monitor.emit(rank, kind));
-    }
-
-    /// Like [`Self::observe`] but stamping the emitted events with an
-    /// explicit (virtual) timestamp — for discrete-event producers.
-    #[allow(clippy::too_many_arguments)]
-    pub fn observe_at(
-        &mut self,
-        monitor: &Monitor,
-        time_s: f64,
-        rank: Option<usize>,
-        n: u64,
-        means: &[f64],
-        errs: &[f64],
-        eps_max: f64,
-    ) {
-        self.observe_impl(n, means, errs, eps_max, |kind| {
-            monitor.emit_at(time_s, rank, kind);
-        });
-    }
-
-    fn observe_impl(
-        &mut self,
-        n: u64,
-        means: &[f64],
-        errs: &[f64],
-        eps_max: f64,
-        mut emit: impl FnMut(EventKind),
-    ) {
+        let emit = |kind| monitor.emit(rank, kind);
         let tracked = means.len().min(self.max_tracked);
         if self.trajectories.len() < tracked {
             self.trajectories.resize(tracked, Vec::new());

@@ -99,15 +99,14 @@ events! {
             processors: usize,
             /// Target total sample volume `maxsv` / `L`.
             max_sample_volume: u64,
-            /// The "experiments" subsequence number; `None` for virtual
-            /// runs, which draw no random numbers.
+            /// The "experiments" subsequence number; every run writes it.
             seqnum: Option<u64>,
-            /// Realization matrix rows; `None` for virtual runs.
+            /// Realization matrix rows; every run writes it.
             nrow: Option<usize>,
-            /// Realization matrix columns; `None` for virtual runs.
+            /// Realization matrix columns; every run writes it.
             ncol: Option<usize>,
-            /// Which transport substrate carries rank traffic; `None` for
-            /// virtual (simulated) runs, which have no transport.
+            /// Which transport substrate carries rank traffic; every run
+            /// writes it.
             transport: Option<RunTransport>,
         },
         /// A rank's cumulative realization progress (emitted at exchange
@@ -149,11 +148,11 @@ events! {
         AveragingPass = "averaging_pass", Always {
             /// Total sample volume folded into the average.
             volume: u64,
-            /// Wall (or virtual) seconds the pass took, including the
-            /// save-point write.
+            /// Wall seconds the pass took, including the save-point
+            /// write.
             duration_seconds: f64,
-            /// Largest absolute stochastic error after the pass; absent in
-            /// virtual runs, which carry no estimates.
+            /// Largest absolute stochastic error after the pass; every
+            /// pass writes it.
             eps_max: Option<f64>,
             /// Age of the stalest per-rank subtotal folded in; absent if no
             /// worker has reported yet.
@@ -223,11 +222,10 @@ events! {
             functional: u64,
             /// Total sample volume folded into the estimate.
             n: u64,
-            /// The current sample mean; absent in virtual runs, which carry
-            /// no estimates.
+            /// The current sample mean; the tracker always writes it.
             mean: Option<f64>,
-            /// The current absolute stochastic error bar; absent in virtual
-            /// runs and while `n < 2`.
+            /// The current absolute stochastic error bar; the tracker
+            /// always writes it (infinite for a functional given none).
             err: Option<f64>,
         },
         /// The run's largest error bar first dropped to the configured
@@ -375,8 +373,7 @@ impl EventKind {
 /// kind-specific payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
-    /// Seconds since run start — wall seconds for real runs, virtual
-    /// seconds for simulated ones. For events forwarded across a
+    /// Wall seconds since run start. For events forwarded across a
     /// clock-aligned link this is the *corrected* run-clock time.
     pub time_s: f64,
     /// The emitting rank; `None` for run-level events.

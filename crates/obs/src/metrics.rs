@@ -309,16 +309,6 @@ impl MetricsRegistry {
         self.lock().histograms.keys().cloned().collect()
     }
 
-    /// The names and values of every counter and gauge.
-    #[must_use]
-    pub fn scalar_values(&self) -> Vec<(String, f64)> {
-        self.lock()
-            .scalars
-            .iter()
-            .map(|(k, (_, v))| (k.clone(), *v))
-            .collect()
-    }
-
     /// Folds another registry in: counters add, gauges take the other
     /// registry's value, histograms merge bucket-wise.
     pub fn merge(&self, other: &Self) {

@@ -423,22 +423,6 @@ impl StreamHierarchy {
             state,
         ))
     }
-
-    /// Creates the generator for a *processor* stream: the head of the
-    /// processor subsequence, before it is subdivided into realizations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HierarchyError::OutOfCapacity`] if the experiment or
-    /// processor index exceeds its capacity.
-    pub fn processor_stream(
-        &self,
-        experiment: u64,
-        processor: u64,
-    ) -> Result<Lcg128, HierarchyError> {
-        let state = self.stream_state(StreamId::new(experiment, processor, 0))?;
-        Ok(Lcg128::with_state_and_multiplier(state, self.multiplier))
-    }
 }
 
 impl Default for StreamHierarchy {

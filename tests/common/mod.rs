@@ -13,27 +13,37 @@ use parmonc_stats::{MatrixAccumulator, MatrixSummary};
 /// befell the run (a crash, drops, a reassignment: subtotals are
 /// cumulative, so a degraded run is the same estimator over the streams
 /// it reports), and however many subtotals crossed.
-pub fn serial_merge(
-    seqnum: u64,
-    (nrow, ncol): (usize, usize),
-    worker_volumes: &[u64],
-) -> MatrixSummary {
-    let hierarchy = StreamHierarchy::default();
-    let mut total = MatrixAccumulator::new(nrow, ncol).unwrap();
-    let mut out = vec![0.0; nrow * ncol];
+pub fn serial_merge(seqnum: u64, shape: (usize, usize), worker_volumes: &[u64]) -> MatrixSummary {
+    let mut total = MatrixAccumulator::new(shape.0, shape.1).unwrap();
     for (rank, &volume) in worker_volumes.iter().enumerate() {
-        let mut acc = MatrixAccumulator::new(nrow, ncol).unwrap();
-        let mut cursor = hierarchy
-            .cursor(StreamId::new(seqnum, rank as u64, 0))
+        total
+            .merge(&rank_streams(seqnum, shape, rank, volume))
             .unwrap();
-        for _ in 0..volume {
-            let mut stream = cursor.next_stream().unwrap();
-            out.fill_with(|| stream.next_f64());
-            acc.add(&out).unwrap();
-        }
-        total.merge(&acc).unwrap();
     }
     total.summary()
+}
+
+/// What rank `rank` accumulates over its first `volume` realization
+/// streams of experiment `seqnum` under the `next_f64` routine: its
+/// cumulative subtotal — its state file's contents — after `volume`
+/// realizations.
+pub fn rank_streams(
+    seqnum: u64,
+    (nrow, ncol): (usize, usize),
+    rank: usize,
+    volume: u64,
+) -> MatrixAccumulator {
+    let mut acc = MatrixAccumulator::new(nrow, ncol).unwrap();
+    let mut out = vec![0.0; nrow * ncol];
+    let mut cursor = StreamHierarchy::default()
+        .cursor(StreamId::new(seqnum, rank as u64, 0))
+        .unwrap();
+    for _ in 0..volume {
+        let mut stream = cursor.next_stream().unwrap();
+        out.fill_with(|| stream.next_f64());
+        acc.add(&out).unwrap();
+    }
+    acc
 }
 
 /// Parses a run's full event trace (every line schema-validated by

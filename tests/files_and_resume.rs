@@ -135,6 +135,61 @@ fn manaver_recovers_a_simulated_crash_then_resume_continues() {
     assert_eq!(resumed.total_volume, 2_000);
 }
 
+/// The renderings are not fsynced, so a power loss may leave them empty
+/// or truncated beside a good checkpoint. A `res = 1` run and `manaver`
+/// each render them again, consistent with the checkpoint they write.
+#[test]
+fn damaged_renderings_are_rewritten_by_resume_and_by_manaver() {
+    let dir = tempdir("renderings");
+    let run = |seqnum: u64, resume: Resume| {
+        Parmonc::builder(2, 1)
+            .max_sample_volume(200)
+            .processors(2)
+            .seqnum(seqnum)
+            .resume(resume)
+            .output_dir(&dir)
+            .run(uniform())
+            .unwrap()
+    };
+    run(0, Resume::New);
+    let rd = parmonc::ResultsDir::open(&dir).unwrap();
+    let read = |path: std::path::PathBuf| std::fs::read_to_string(path).unwrap();
+    let damage = || {
+        std::fs::write(rd.func_path(), "").unwrap();
+        let ci = read(rd.func_ci_path());
+        std::fs::write(rd.func_ci_path(), &ci[..ci.len() / 2]).unwrap();
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let assert_rendered = || {
+        let summary = rd.load_checkpoint().unwrap().unwrap().summary();
+        let (_, _, means) = report::parse_func(&read(rd.func_path())).unwrap();
+        assert_eq!(bits(&means), bits(&summary.means));
+        let ci = report::parse_func_ci(&read(rd.func_ci_path())).unwrap();
+        let ci_means: Vec<f64> = ci.iter().map(|row| row.mean).collect();
+        let ci_errors: Vec<f64> = ci.iter().map(|row| row.abs_error).collect();
+        assert_eq!(bits(&ci_means), bits(&summary.means));
+        assert_eq!(bits(&ci_errors), bits(&summary.abs_errors));
+    };
+
+    damage();
+    run(1, Resume::Resume);
+    assert_rendered();
+
+    damage();
+    let mut crashed = parmonc_stats::MatrixAccumulator::new(2, 1).unwrap();
+    crashed.add(&[0.25, 0.75]).unwrap();
+    rd.save_worker_subtotal(
+        1,
+        &parmonc::messages::Subtotal {
+            acc: crashed,
+            compute_seconds: 1.0,
+        },
+    )
+    .unwrap();
+    assert_eq!(manaver(&dir).unwrap().recovered_volume, 1);
+    assert_rendered();
+}
+
 #[test]
 fn genparam_file_controls_the_hierarchy() {
     let dir = tempdir("genparam");

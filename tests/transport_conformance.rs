@@ -37,7 +37,9 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use common::{assert_live_fold_matches_the_trace, assert_no_orphans, serial_merge, trace_events};
+use common::{
+    assert_live_fold_matches_the_trace, assert_no_orphans, rank_streams, serial_merge, trace_events,
+};
 use parmonc::prelude::{
     Exchange, NetOptions, Parmonc, ParmoncBuilder, RealizeFn, RunReport, Transport,
 };
@@ -545,7 +547,8 @@ fn tcp_joiner_after_budget_reassignment_is_rejected() {
 /// leases, accumulation restarted from the original baseline. The
 /// surviving workers rejoin, re-send their cumulative subtotals
 /// (idempotent under replace-then-sum), and the run completes with
-/// estimates *bit-identical* to a fault-free thread-backend run.
+/// estimates *bit-identical* to a fault-free thread-backend run — even
+/// from an older generation of rank 0's state file.
 #[test]
 fn severed_and_collector_crashed_tcp_run_resumes_bit_identically() {
     let _guard = SEQ.lock().unwrap_or_else(|e| e.into_inner());
@@ -600,6 +603,25 @@ fn severed_and_collector_crashed_tcp_run_resumes_bit_identically() {
         matches!(err, ParmoncError::CollectorCrashed { .. }),
         "expected the scripted collector crash, got: {err}"
     );
+    // A state file's rename gets no directory fsync, so after a power
+    // loss rank 0's file may hold any generation it wrote before the
+    // crash, not the newest. Put one in its place that differs from the
+    // file on disk: rank 0's subtotal at 25 of the 50 realizations it
+    // reached. That is stale, never wrong: the resume replays the same
+    // coordinates from there.
+    let rd = parmonc::ResultsDir::open(&collector_dir).unwrap();
+    let (_, own) = rd
+        .load_worker_subtotals()
+        .unwrap()
+        .into_iter()
+        .find(|(rank, _)| *rank == 0)
+        .expect("rank 0 wrote its state file before the crash");
+    assert_ne!(own.acc.count(), 25);
+    let older = parmonc::messages::Subtotal {
+        acc: rank_streams(7, (1, 2), 0, 25),
+        compute_seconds: own.compute_seconds,
+    };
+    rd.save_worker_subtotal(0, &older).unwrap();
     // ... and a second one resumes the session on the same address and
     // output directory, with a crash-free plan. The workers' reconnect
     // backoff covers the gap.
