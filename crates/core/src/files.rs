@@ -9,6 +9,7 @@
 //!     results/func_ci.dat     means + absolute/relative errors + variances
 //!     results/func_log.dat    volume, mean time per realization, upper bounds
 //!     results/checkpoint.dat  raw sums (exact resumption state)
+//!     results/baseline.dat    sums a res = 1 session carried over (absent = none)
 //!     parmonc_exp.dat         journal of experiments started here
 //!     workers/worker_NNNN.dat per-processor cumulative subtotals (manaver input)
 //! ```
@@ -428,7 +429,27 @@ impl ResultsDir {
         self.commit(&[(self.baseline_path(), encode_checkpoint(acc, 0.0), true)])
     }
 
-    /// Loads the baseline state, or `None` if absent.
+    /// Removes the baseline an earlier session left, with one fsync of
+    /// `results/` so that the removal survives a power loss; none when
+    /// there is no file. An absent baseline reads as an empty one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParmoncError::Io`] if the file or the directory sync
+    /// fails.
+    pub(crate) fn discard_baseline(&self) -> Result<(), ParmoncError> {
+        let path = self.baseline_path();
+        match fs::remove_file(&path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+            removed => removed.io_ctx(format!("removing {}", path.display()))?,
+        }
+        let dir = self.root.join("results");
+        let synced = self.writer.sync_dir(&dir);
+        synced.io_ctx(format!("syncing directory {}", dir.display()))
+    }
+
+    /// Loads the baseline state, or `None` if absent (which a caller
+    /// reads as an empty baseline).
     ///
     /// # Errors
     ///
@@ -1233,7 +1254,8 @@ mod tests {
 
     /// Fsyncs are paid for what recovery reads and counted per handle
     /// (clones share the count): a save-point is one commit of two
-    /// fsyncs, a state file one, the baseline two, a rendering none.
+    /// fsyncs, a state file one, the baseline two, its removal one (none
+    /// when there is none to remove), a rendering none.
     #[test]
     fn fsyncs_are_paid_only_for_what_recovery_reads() {
         let dir = tempdir("fsyncs");
@@ -1255,7 +1277,11 @@ mod tests {
         step(0, &|| clone.save_results(&summary, &log).unwrap());
         step(0, &|| clone.write_collector_addr("127.0.0.1:7717").unwrap());
         step(1, &|| clone.save_worker_subtotal(0, &sub).unwrap());
+        step(0, &|| clone.discard_baseline().unwrap());
         step(2, &|| clone.save_baseline(&acc).unwrap());
+        step(1, &|| clone.discard_baseline().unwrap());
+        assert!(!rd.baseline_path().exists());
+        assert_eq!(rd.load_baseline().unwrap(), None);
         step(2, &|| clone.save_point(&summary, &log, &acc).unwrap());
         step(2, &|| clone.save_checkpoint(&acc).unwrap());
         assert_eq!(ResultsDir::open(&dir).unwrap().writer().fsyncs(), 0);

@@ -4,9 +4,10 @@
 //! When a cluster job is killed, the last periodic save-point on rank 0
 //! may lag behind what the workers actually simulated — but each worker
 //! kept rewriting its own cumulative subtotal file. `manaver` merges the
-//! baseline (results of completed previous runs) with every worker
-//! subtotal file, rewrites `func.dat`/`func_ci.dat`/`func_log.dat` and
-//! the checkpoint, and removes the worker files.
+//! baseline (results of completed previous runs; absent, and so empty,
+//! after a fresh `res = 0` start) with every worker subtotal file,
+//! rewrites `func.dat`/`func_ci.dat`/`func_log.dat` and the checkpoint,
+//! and removes the worker files.
 
 use std::path::Path;
 
@@ -36,7 +37,8 @@ pub struct ManaverReport {
 ///
 /// * [`ParmoncError::NothingToResume`] — no `parmonc_data` directory;
 /// * [`ParmoncError::NoWorkerData`] — no worker subtotal files to fold
-///   in;
+///   in (a rank writes its first one 500 ms into its loop, so a job
+///   killed sooner leaves none);
 /// * I/O, parse and shape errors from the files layer.
 pub fn manaver(output_dir: impl AsRef<Path>) -> Result<ManaverReport, ParmoncError> {
     let dir = ResultsDir::open(output_dir)?;

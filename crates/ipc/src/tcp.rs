@@ -63,7 +63,7 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -284,6 +284,66 @@ struct LeaseState {
     /// the monotone floor keeps the rank's corrected event stream from
     /// running backwards across the break.
     clocks: Vec<Arc<LinkClock>>,
+    /// Per-rank delivery turn of the newest connection (see [`Turn`]).
+    turns: Vec<Arc<Turn>>,
+}
+
+/// One connection's turn to deliver its rank's frames. A rank's
+/// connections share one sequence and one dedup high-water mark, so
+/// they deliver one at a time, in the order they were admitted. Were a
+/// rejoined connection's reader to go first, it would raise the mark
+/// past the frames its predecessor had received but not yet read, and
+/// dedup would drop those as replays though they had never arrived.
+#[derive(Debug, Default)]
+struct Turn {
+    over: Mutex<bool>,
+    ended: Condvar,
+}
+
+impl Turn {
+    /// A turn with nothing to deliver: a rank's first connection waits
+    /// for none.
+    fn over() -> Arc<Self> {
+        Arc::new(Self {
+            over: Mutex::new(true),
+            ended: Condvar::new(),
+        })
+    }
+
+    /// Blocks until the turn is over.
+    fn wait(&self) {
+        let mut over = self.over.lock().unwrap_or_else(PoisonError::into_inner);
+        while !*over {
+            over = self
+                .ended
+                .wait(over)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// A connection's place in its rank's order of delivery: its own
+/// [`Turn`], which ends when this is dropped — when the connection's
+/// reader exits, or when the connection never got one — and never
+/// before the turn of the connection admitted before it.
+#[derive(Debug)]
+struct TurnHeld {
+    previous: Arc<Turn>,
+    mine: Arc<Turn>,
+}
+
+impl Drop for TurnHeld {
+    fn drop(&mut self) {
+        // Bounded: a rejoin hung the previous connection up, and a fresh
+        // lease only takes a rank whose reader has left the wire.
+        self.previous.wait();
+        *self
+            .mine
+            .over
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = true;
+        self.mine.ended.notify_all();
+    }
 }
 
 impl LeaseState {
@@ -350,6 +410,13 @@ impl LeaseState {
         self.writers[i] = Some(writer);
         self.generation[i] += 1;
         Ok(self.generation[i])
+    }
+
+    /// Takes the next delivery turn of `rank`, just leased or rejoined.
+    fn next_turn(&mut self, rank: usize) -> TurnHeld {
+        let mine = Arc::new(Turn::default());
+        let previous = std::mem::replace(&mut self.turns[rank - 1], Arc::clone(&mine));
+        TurnHeld { previous, mine }
     }
 
     /// The persistable image of this table (see [`LeaseSnapshot`]).
@@ -560,6 +627,7 @@ impl TcpCollectorTransport {
             clocks: (0..workers)
                 .map(|_| Arc::new(LinkClock::default()))
                 .collect(),
+            turns: (0..workers).map(|_| Turn::over()).collect(),
         }));
         if let Some(persist) = &opts.persist {
             // Capture the session epoch on disk before any worker can
@@ -958,21 +1026,20 @@ fn admit(stream: Socket, peer: Option<String>, ctx: &AcceptorCtx) -> io::Result<
         );
     }
     let writer = Arc::new(Mutex::new(stream.try_clone()?));
-    let (rank, generation, reconnect) = match rejoin {
+    let (rank, generation, reconnect, turn) = match rejoin {
         None => {
-            let leased = ctx
-                .lease
-                .lock()
-                .ok()
-                .and_then(|mut lease| lease.lease(Arc::clone(&writer)));
-            let Some((rank, generation)) = leased else {
+            let leased = ctx.lease.lock().ok().and_then(|mut lease| {
+                let (rank, generation) = lease.lease(Arc::clone(&writer))?;
+                Some((rank, generation, lease.next_turn(rank)))
+            });
+            let Some((rank, generation, turn)) = leased else {
                 return reject(
                     &stream,
                     RejectCode::BudgetExhausted,
                     "no worker rank available: every stream range is leased or its budget reassigned",
                 );
             };
-            (rank, generation, false)
+            (rank, generation, false, turn)
         }
         Some(rejoin) => {
             if rejoin.epoch != ctx.epoch {
@@ -994,9 +1061,12 @@ fn admit(stream: Socket, peer: Option<String>, ctx: &AcceptorCtx) -> io::Result<
                 .lease
                 .lock()
                 .map_err(|_| "lease table poisoned")
-                .and_then(|mut lease| lease.rejoin(rank, Arc::clone(&writer)));
+                .and_then(|mut lease| {
+                    let generation = lease.rejoin(rank, Arc::clone(&writer))?;
+                    Ok((generation, lease.next_turn(rank)))
+                });
             match outcome {
-                Ok(generation) => (rank, generation, true),
+                Ok((generation, turn)) => (rank, generation, true, turn),
                 Err(reason) => {
                     return reject(&stream, RejectCode::BudgetExhausted, reason);
                 }
@@ -1120,6 +1190,10 @@ fn admit(stream: Socket, peer: Option<String>, ctx: &AcceptorCtx) -> io::Result<
             let stats = Arc::clone(&ctx.stats);
             let lease = Arc::clone(&ctx.lease);
             move || {
+                // This connection's frames follow every frame of the
+                // rank's previous one (a rejoin hung that one up, so its
+                // reader is draining what it had received to the end).
+                turn.previous.wait();
                 pump_frames(
                     reader,
                     tx,
@@ -2132,6 +2206,118 @@ mod tests {
             b"three",
             "replayed seq 2 must be deduplicated"
         );
+        collector.shutdown().unwrap();
+    }
+
+    /// A monitor sink that holds the reader re-emitting a forwarded
+    /// `realizations` event with `completed: HOLD` until it is opened.
+    #[derive(Default)]
+    struct HeldSink {
+        state: Mutex<(bool, bool)>,
+        changed: Condvar,
+    }
+
+    impl HeldSink {
+        const HOLD: u64 = 999;
+
+        fn wait_until_holding(&self) {
+            let state = self.state.lock().unwrap();
+            let (state, timeout) = self
+                .changed
+                .wait_timeout_while(state, TIMEOUT, |(holding, _)| !*holding)
+                .unwrap();
+            assert!(
+                !timeout.timed_out() && state.0,
+                "the reader never reached the sink"
+            );
+        }
+
+        fn open(&self) {
+            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+            state.1 = true;
+            self.changed.notify_all();
+        }
+    }
+
+    /// Opens its sink when dropped, so that a failed assertion does not
+    /// leave the held reader, and the shutdown that joins it, hanging.
+    struct OpenOnDrop(Arc<HeldSink>);
+
+    impl Drop for OpenOnDrop {
+        fn drop(&mut self) {
+            self.0.open();
+        }
+    }
+
+    impl parmonc_obs::EventSink for HeldSink {
+        fn record(&self, event: &parmonc_obs::Event) {
+            if !matches!(
+                event.kind,
+                EventKind::Realizations {
+                    completed: Self::HOLD,
+                    ..
+                }
+            ) {
+                return;
+            }
+            let mut state = self.state.lock().unwrap();
+            state.0 = true;
+            self.changed.notify_all();
+            while !state.1 {
+                state = self.changed.wait(state).unwrap();
+            }
+        }
+    }
+
+    /// A rank's connections deliver one at a time. The first
+    /// connection's reader is held inside the monitor while seq 1 and 2
+    /// wait unread behind it; the worker rejoins and sends seq 3 on the
+    /// second. Delivered first, seq 3 would raise the dedup mark past 1
+    /// and 2, which would then be dropped as replays though they never
+    /// arrived — how a severed worker lost frames on a loaded host.
+    #[test]
+    fn a_rejoined_connection_delivers_after_everything_its_predecessor_received() {
+        let sink = Arc::new(HeldSink::default());
+        let mut opts = options(2, vec![10], None);
+        opts.monitor = Monitor::new(vec![Box::new(Arc::clone(&sink))]);
+        let mut collector = TcpCollectorTransport::listen(opts).expect("listen on loopback");
+        let opener = OpenOnDrop(Arc::clone(&sink));
+        let addr = collector.local_addr();
+        let (mut first, grant) = raw_join(addr);
+        let held = parmonc_obs::Event::at(
+            0.0,
+            Some(1),
+            EventKind::Realizations {
+                completed: HeldSink::HOLD,
+                compute_seconds: 0.0,
+            },
+        );
+        let line = held.to_json_line();
+        write_frame(&mut first, 1, crate::frame::TAG_IPC_EVENT, line.as_bytes()).unwrap();
+        sink.wait_until_holding();
+        write_frame_seq(&mut first, 1, 7, 1, b"one").unwrap();
+        write_frame_seq(&mut first, 1, 7, 2, b"two").unwrap();
+
+        let mut second = TcpStream::connect(addr).unwrap();
+        second.set_read_timeout(Some(TIMEOUT)).unwrap();
+        let rejoin = Rejoin::new(42, grant.epoch, 1);
+        write_frame(&mut second, 0, TAG_TCP_REJOIN, &rejoin.encode()).unwrap();
+        let reply = read_frame(&mut &second).unwrap().expect("a reply frame");
+        assert_eq!(reply.tag, TAG_TCP_GRANT);
+        write_frame_seq(&mut second, 1, 7, 3, b"three").unwrap();
+        let early = collector
+            .recv_timeout(Some(1), Some(Tag(7)), Duration::from_millis(200))
+            .unwrap();
+        assert!(
+            early.is_none(),
+            "delivered ahead of its predecessor: {early:?}"
+        );
+
+        drop(opener);
+        for payload in [&b"one"[..], b"two", b"three"] {
+            assert_eq!(&expect(&mut collector, 1, 7).payload[..], payload);
+        }
+        drop((first, second));
         collector.shutdown().unwrap();
     }
 

@@ -61,8 +61,8 @@ fn main() -> Result<(), ParmoncError> {
             compute_seconds: 0.1,
         },
     )?;
-    // Wipe baseline so manaver's total equals the worker files.
-    rd.save_baseline(&parmonc::MatrixAccumulator::new(1, 1)?)?;
+    // Job 1 was fresh (res = 0), so it left no baseline: manaver's
+    // total is the worker files'.
     let mreport = parmonc::manaver::manaver(&dir)?;
     println!(
         "manaver recovered {} realizations from {} worker file(s); mean = {:.6}",

@@ -135,6 +135,68 @@ fn manaver_recovers_a_simulated_crash_then_resume_continues() {
     assert_eq!(resumed.total_volume, 2_000);
 }
 
+/// A fresh session (`res = 0`) writes no baseline, and removes the one
+/// an earlier `res = 1` session carried over before any rank starts. So
+/// when the fresh session is killed after its state files are written,
+/// `manaver` recovers exactly those files and none of the stale sums.
+#[test]
+fn a_killed_fresh_session_recovers_none_of_an_earlier_baseline() {
+    use parmonc::prelude::Exchange;
+    use parmonc_faults::FaultPlan;
+    use parmonc_stats::MatrixAccumulator;
+    let dir = tempdir("stale-baseline");
+    let run = |seqnum: u64, resume: Resume| {
+        Parmonc::builder(1, 1)
+            .max_sample_volume(300)
+            .processors(2)
+            .seqnum(seqnum)
+            .resume(resume)
+            .output_dir(&dir)
+            .run(uniform())
+            .unwrap()
+    };
+    run(0, Resume::New);
+    run(1, Resume::Resume);
+    let rd = parmonc::ResultsDir::open(&dir).unwrap();
+    let stale = rd
+        .load_baseline()
+        .unwrap()
+        .expect("a res = 1 session writes its baseline");
+    assert_eq!(stale.count(), 300);
+
+    // The fresh session's rank 0 takes at least 1 ms a realization and
+    // crashes after 700 of them, so its loop is past the 500 ms at which
+    // its first state file is due.
+    let err = Parmonc::builder(1, 1)
+        .max_sample_volume(1_000_000)
+        .seqnum(2)
+        .exchange(Exchange::EveryRealization)
+        .faults(FaultPlan::new(1).crash_rank(0, 700))
+        .output_dir(&dir)
+        .run(RealizeFn::new(|rng, out| {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            out[0] = rng.next_f64();
+        }))
+        .unwrap_err();
+    assert!(
+        matches!(err, ParmoncError::CollectorCrashed { after: 700 }),
+        "expected the scripted crash, got: {err}"
+    );
+    assert!(!rd.baseline_path().exists(), "the stale baseline survived");
+    let files = rd.load_worker_subtotals().unwrap();
+    assert_eq!(files.len(), 1, "rank 0 left its state file");
+    let mut expected = MatrixAccumulator::new(1, 1).unwrap();
+    for (_, sub) in &files {
+        expected.merge(&sub.acc).unwrap();
+    }
+    assert!(expected.count() > 0 && expected.count() < 700);
+
+    let recovered = manaver(&dir).unwrap();
+    assert_eq!(recovered.total_volume, expected.count());
+    assert_eq!(recovered.recovered_volume, expected.count());
+    assert_eq!(recovered.summary, expected.summary());
+}
+
 /// The renderings are not fsynced, so a power loss may leave them empty
 /// or truncated beside a good checkpoint. A `res = 1` run and `manaver`
 /// each render them again, consistent with the checkpoint they write.

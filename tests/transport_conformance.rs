@@ -551,6 +551,21 @@ fn tcp_joiner_after_budget_reassignment_is_rejected() {
 /// from an older generation of rank 0's state file.
 #[test]
 fn severed_and_collector_crashed_tcp_run_resumes_bit_identically() {
+    crashed_tcp_run_resumes_bit_identically("tcp-resume", true);
+}
+
+/// [`severed_and_collector_crashed_tcp_run_resumes_bit_identically`]
+/// as the crash leaves it: rank 0 crashed before its first state file
+/// was due, so the resumed rank 0 starts from nothing.
+#[test]
+fn collector_crashed_before_its_first_state_file_resumes_bit_identically() {
+    crashed_tcp_run_resumes_bit_identically("tcp-resume-bare", false);
+}
+
+/// The run of the two tests above, in directories named from `name`;
+/// with `older_rank0_file`, rank 0's state file is an older generation
+/// put in place before the resume.
+fn crashed_tcp_run_resumes_bit_identically(name: &str, older_rank0_file: bool) {
     let _guard = SEQ.lock().unwrap_or_else(|e| e.into_inner());
     use parmonc::ParmoncError;
     let configure = |b: ParmoncBuilder, dir: PathBuf| {
@@ -569,7 +584,7 @@ fn severed_and_collector_crashed_tcp_run_resumes_bit_identically() {
             .reconnect_base_delay(Duration::from_millis(10))
             .reconnect_max_delay(Duration::from_millis(100))
     };
-    let collector_dir = scratch("tcp-resume-collector");
+    let collector_dir = scratch(&format!("{name}-collector"));
     // Worker 1's link is severed at its 40th frame (it reconnects and
     // rejoins on its own); the collector crashes after 50 of its own
     // realizations — early enough that both workers are mid-quota.
@@ -587,7 +602,7 @@ fn severed_and_collector_crashed_tcp_run_resumes_bit_identically() {
     let workers: Vec<_> = (0..2)
         .map(|i| {
             let addr = addr.clone();
-            let dir = scratch(&format!("tcp-resume-worker{i}"));
+            let dir = scratch(&format!("{name}-worker{i}"));
             std::thread::spawn(move || {
                 configure(Parmonc::builder(1, 2), dir)
                     .faults(crashing_plan())
@@ -603,25 +618,33 @@ fn severed_and_collector_crashed_tcp_run_resumes_bit_identically() {
         matches!(err, ParmoncError::CollectorCrashed { .. }),
         "expected the scripted collector crash, got: {err}"
     );
-    // A state file's rename gets no directory fsync, so after a power
-    // loss rank 0's file may hold any generation it wrote before the
-    // crash, not the newest. Put one in its place that differs from the
-    // file on disk: rank 0's subtotal at 25 of the 50 realizations it
-    // reached. That is stale, never wrong: the resume replays the same
-    // coordinates from there.
+    // A fresh session writes no baseline (an absent one is empty, which
+    // the resume reads), and rank 0 crashed long before its first state
+    // file was due, one file period into its loop.
     let rd = parmonc::ResultsDir::open(&collector_dir).unwrap();
-    let (_, own) = rd
-        .load_worker_subtotals()
-        .unwrap()
-        .into_iter()
-        .find(|(rank, _)| *rank == 0)
-        .expect("rank 0 wrote its state file before the crash");
-    assert_ne!(own.acc.count(), 25);
-    let older = parmonc::messages::Subtotal {
-        acc: rank_streams(7, (1, 2), 0, 25),
-        compute_seconds: own.compute_seconds,
-    };
-    rd.save_worker_subtotal(0, &older).unwrap();
+    assert!(
+        !rd.baseline_path().exists(),
+        "a fresh session wrote a baseline"
+    );
+    assert!(
+        rd.load_worker_subtotals()
+            .unwrap()
+            .iter()
+            .all(|(rank, _)| *rank != 0),
+        "rank 0 wrote a state file 50 realizations into its loop"
+    );
+    // A state file's rename gets no directory fsync, so after a power
+    // loss a rank's file may hold any generation it wrote before the
+    // crash, not the newest. Put an older one in rank 0's place: its
+    // subtotal at 25 of the 50 realizations it reached. That is stale,
+    // never wrong: the resume replays the same coordinates from there.
+    if older_rank0_file {
+        let older = parmonc::messages::Subtotal {
+            acc: rank_streams(7, (1, 2), 0, 25),
+            compute_seconds: 0.0,
+        };
+        rd.save_worker_subtotal(0, &older).unwrap();
+    }
     // ... and a second one resumes the session on the same address and
     // output directory, with a crash-free plan. The workers' reconnect
     // backoff covers the gap.
@@ -639,7 +662,7 @@ fn severed_and_collector_crashed_tcp_run_resumes_bit_identically() {
     }
     let tcp = resumed.join().unwrap().unwrap();
 
-    let threads = configure(Parmonc::builder(1, 2), scratch("tcp-resume-threads"))
+    let threads = configure(Parmonc::builder(1, 2), scratch(&format!("{name}-threads")))
         .transport(Transport::Threads)
         .run(uniform())
         .unwrap();
