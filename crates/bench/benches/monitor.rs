@@ -1,6 +1,7 @@
 //! Monitor overhead: the acceptance criterion for the observability
-//! layer is that a monitored run (events streaming to the jsonl file,
-//! the live summary fold and the metrics plane) costs less than 2% wall
+//! layer is that a monitored run (events streaming to the jsonl file
+//! and into the live summary fold, which also renders the metrics
+//! plane's `metrics.prom`) costs less than 2% wall
 //! time over the identical unmonitored run. This bench measures both
 //! paths on the laptop-scale diffusion workload and records the
 //! fastest run of each arm against the other's fastest as
@@ -39,7 +40,8 @@ use parmonc_bench::ScaledDiffusion;
 enum Arm {
     /// No monitor at all.
     Plain,
-    /// Monitor (jsonl + summary fold + metrics sinks), no span tracing.
+    /// Monitor (jsonl sink + summary fold, which renders the metrics
+    /// plane), no span tracing.
     Monitored,
     /// Monitor plus the causal-span tracing plane.
     Traced,

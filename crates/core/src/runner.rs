@@ -26,8 +26,8 @@ use parmonc_ipc::{LeaseSnapshot, ListenOptions, TcpCollectorTransport};
 use parmonc_mpi::Transport as Comm;
 use parmonc_mpi::{Communicator, MpiError, World};
 use parmonc_obs::{
-    EventKind, JsonlSink, MetricsSink, Monitor, MonitorSummary, RunMode, RunTransport, SpanEmitter,
-    SpanPhase,
+    EventKind, JsonlSink, Monitor, MonitorSummary, RunMode, RunTransport, SpanEmitter, SpanPhase,
+    SummarySink,
 };
 use parmonc_rng::{RealizationStream, StreamCursor, StreamHierarchy, StreamId};
 use parmonc_stats::{MatrixAccumulator, MatrixSummary};
@@ -309,7 +309,7 @@ struct RunSetup {
     dir: ResultsDir,
     monitor: Monitor,
     /// The summary the monitor folds its events into as they arrive.
-    fold: Option<Arc<Mutex<MonitorSummary>>>,
+    fold: Option<Arc<SummarySink>>,
     baseline: MatrixAccumulator,
     resumed_volume: u64,
     checkpoint_recovered: bool,
@@ -324,22 +324,14 @@ fn prepare(config: &RunConfig, transport: RunTransport) -> Result<RunSetup, Parm
 
     // The monitor is disabled (a no-op) unless the builder opted in, in
     // which case events stream to `monitor/run_metrics.jsonl` and into
-    // the summary fold the report carries. It is built before the
-    // baseline is loaded so a backup-checkpoint recovery is itself
-    // observable.
+    // the summary fold the report carries, which also renders
+    // `monitor/metrics.prom`. It is built before the baseline is loaded
+    // so a backup-checkpoint recovery is itself observable.
     let (monitor, fold) = if config.monitor {
         let sink = JsonlSink::create(dir.run_metrics_path())
             .io_ctx("creating monitor/run_metrics.jsonl")?;
-        let fold = Arc::new(Mutex::new(MonitorSummary::default()));
-        // The metrics plane derives counters/gauges/histograms from the
-        // same event stream and periodically renders Prometheus text;
-        // it adds no call sites of its own.
-        let metrics = MetricsSink::new().with_prometheus_output(dir.metrics_prom_path());
-        let monitor: Monitor = Monitor::new(vec![
-            Box::new(sink),
-            Box::new(Arc::clone(&fold)),
-            Box::new(metrics),
-        ]);
+        let fold = Arc::new(SummarySink::new(Some(dir.metrics_prom_path())));
+        let monitor: Monitor = Monitor::new(vec![Box::new(sink), Box::new(Arc::clone(&fold))]);
         (monitor, Some(fold))
     } else {
         (Monitor::disabled(), None)
@@ -617,14 +609,13 @@ fn finish(
         .collect();
 
     let monitor_summary = fold.map(|fold| {
-        let lock = || fold.lock().expect("summary fold poisoned");
         // The collector's inbound traffic, as its message_received
         // lines count it.
         let MonitorSummary {
             collector_messages_received: messages,
             collector_bytes_received: bytes,
             ..
-        } = *lock();
+        } = *fold.lock();
         monitor.emit(
             None,
             EventKind::RunCompleted {
@@ -635,7 +626,7 @@ fn finish(
             },
         );
         let dropped = monitor.flush();
-        let mut summary = std::mem::take(&mut *lock());
+        let mut summary = std::mem::take(&mut *fold.lock());
         summary.dropped_events = dropped;
         summary
     });

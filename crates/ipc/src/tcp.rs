@@ -1946,12 +1946,12 @@ mod tests {
 
     /// A listening collector of the given kind (digest 42) and the
     /// endpoint its workers dial.
-    fn world(kind: Kind, size: usize, quotas: Vec<u64>) -> (TcpCollectorTransport, Endpoint) {
+    fn world(kind: Kind, size: usize, quotas: Vec<u64>) -> (TcpCollectorTransport, TestEndpoint) {
         world_with(kind, options(size, quotas, None))
     }
 
     /// A [`world`] listening with `opts`.
-    fn world_with(kind: Kind, opts: ListenOptions) -> (TcpCollectorTransport, Endpoint) {
+    fn world_with(kind: Kind, opts: ListenOptions) -> (TcpCollectorTransport, TestEndpoint) {
         static NONCE: AtomicU64 = AtomicU64::new(0);
         let bind = match kind {
             Kind::Tcp => Endpoint::Tcp("127.0.0.1:0".into()),
@@ -1967,15 +1967,33 @@ mod tests {
             Endpoint::Tcp(_) => Endpoint::Tcp(collector.local_addr().to_string()),
             unix @ Endpoint::Unix(_) => unix,
         };
-        (collector, dial)
+        (collector, TestEndpoint(dial))
     }
 
-    /// Shuts a [`world`] down and removes its socket file, if it has one.
-    fn close(mut collector: TcpCollectorTransport, endpoint: &Endpoint) {
-        collector.shutdown().unwrap();
-        if let Endpoint::Unix(path) = endpoint {
-            let _ = std::fs::remove_file(path);
+    /// A test's endpoint. A Unix one's socket file goes when the test
+    /// does, whether it passes or panics.
+    #[derive(Debug)]
+    struct TestEndpoint(Endpoint);
+
+    impl std::ops::Deref for TestEndpoint {
+        type Target = Endpoint;
+
+        fn deref(&self) -> &Endpoint {
+            &self.0
         }
+    }
+
+    impl Drop for TestEndpoint {
+        fn drop(&mut self) {
+            if let Endpoint::Unix(path) = &self.0 {
+                let _ = std::fs::remove_file(path);
+            }
+        }
+    }
+
+    /// Shuts a [`world`] down.
+    fn close(mut collector: TcpCollectorTransport) {
+        collector.shutdown().unwrap();
     }
 
     fn options(size: usize, quotas: Vec<u64>, resume: Option<LeaseSnapshot>) -> ListenOptions {
@@ -2084,7 +2102,7 @@ mod tests {
             assert_eq!(&env.payload[..], b"subtotal");
             collector.send(1, Tag(9), b"ack").unwrap();
             worker_side.join().unwrap();
-            close(collector, &endpoint);
+            close(collector);
         }
     }
 
@@ -2105,7 +2123,7 @@ mod tests {
                 0,
                 "{kind:?}: a reject costs no lease"
             );
-            close(collector, &endpoint);
+            close(collector);
         }
     }
 
@@ -2132,7 +2150,7 @@ mod tests {
                 0,
                 "{kind:?}: a reject costs no lease"
             );
-            close(collector, &endpoint);
+            close(collector);
         }
     }
 
@@ -2420,11 +2438,12 @@ mod tests {
         if std::net::TcpListener::bind("[::1]:0").is_ok() {
             binds.push(Endpoint::Tcp("[::]:0".into()));
         }
+        let binds: Vec<TestEndpoint> = binds.into_iter().map(TestEndpoint).collect();
         for bind in binds {
             let mut collector = TcpCollectorTransport::listen_on(&bind, options(2, vec![10], None))
                 .expect("bind the test endpoint");
             let wake = collector.wake.clone();
-            if let (Endpoint::Tcp(bound), Endpoint::Tcp(dialed)) = (&bind, &wake) {
+            if let (Endpoint::Tcp(bound), Endpoint::Tcp(dialed)) = (&*bind, &wake) {
                 let dialed: SocketAddr = dialed.parse().unwrap();
                 assert!(dialed.ip().is_loopback(), "{bound} wakes through {dialed}");
             }
@@ -2438,7 +2457,7 @@ mod tests {
                 wake.dial(TIMEOUT).is_err(),
                 "{bind:?}: the acceptor outlived shutdown"
             );
-            close(collector, &bind);
+            close(collector);
         }
     }
 
@@ -2471,7 +2490,7 @@ mod tests {
                 started.elapsed()
             );
             drop(silent);
-            close(collector, &endpoint);
+            close(collector);
         }
     }
 
@@ -2712,7 +2731,7 @@ mod tests {
             }
             assert_eq!(got, vec![0, 1, 2, 3, 4], "{kind:?}");
             worker_side.join().unwrap();
-            close(collector, &endpoint);
+            close(collector);
         }
     }
 

@@ -5,29 +5,19 @@
 //! stochastic error bar — is recomputed by the collector at every
 //! averaging pass, but the event plane only recorded the scalar
 //! `eps_max`. [`ConvergenceTracker`] observes the full per-functional
-//! picture *after* the estimate is computed, records it, and emits the
+//! picture *after* the estimate is computed and emits it as the
 //! schema-validated `metrics_snapshot` / `target_precision_reached`
-//! event pair. It is strictly read-only with respect to estimation:
-//! the caller hands it already-computed values, so final means and
-//! error bars are bit-identical with the tracker attached or not.
+//! event pair; the trace is the trajectory's record, and the run
+//! summary folds it like any other event. It is strictly read-only
+//! with respect to estimation: the caller hands it already-computed
+//! values, so final means and error bars are bit-identical with the
+//! tracker attached or not.
 
 use crate::event::EventKind;
 use crate::monitor::Monitor;
 
-/// One point of a functional's error-bar trajectory.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrajectoryPoint {
-    /// Total sample volume at the observation.
-    pub n: u64,
-    /// The sample mean.
-    pub mean: f64,
-    /// The absolute stochastic error bar (may be non-finite while
-    /// `n < 2`).
-    pub err: f64,
-}
-
-/// Records convergence trajectories and emits the metrics-plane
-/// events. See the module docs for the no-perturbation contract.
+/// Emits the convergence trajectory as metrics-plane events. See the
+/// module docs for the no-perturbation contract.
 ///
 /// # Examples
 ///
@@ -38,14 +28,11 @@ pub struct TrajectoryPoint {
 /// let monitor = Monitor::disabled();
 /// tracker.observe(&monitor, Some(0), 100, &[0.5], &[0.01], 0.01);
 /// assert!(tracker.reached());
-/// assert_eq!(tracker.trajectories()[0].len(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ConvergenceTracker {
     target: Option<f64>,
     reached: bool,
-    max_tracked: usize,
-    trajectories: Vec<Vec<TrajectoryPoint>>,
 }
 
 impl Default for ConvergenceTracker {
@@ -55,14 +42,13 @@ impl Default for ConvergenceTracker {
 }
 
 impl ConvergenceTracker {
-    /// How many functionals are tracked in full by default; functionals
-    /// beyond this emit no per-functional snapshots (runs estimating
-    /// huge realization matrices would otherwise flood the trace).
-    pub const DEFAULT_MAX_TRACKED: usize = 8;
+    /// How many functionals are tracked; functionals beyond this emit
+    /// no per-functional snapshots (runs estimating huge realization
+    /// matrices would otherwise flood the trace).
+    pub const MAX_TRACKED: usize = 8;
 
-    /// A tracker with no precision target: it records trajectories and
-    /// emits `metrics_snapshot` events, but never declares the target
-    /// reached.
+    /// A tracker with no precision target: it emits `metrics_snapshot`
+    /// events, but never declares the target reached.
     #[must_use]
     pub fn new() -> Self {
         Self::with_target(None)
@@ -76,19 +62,10 @@ impl ConvergenceTracker {
         Self {
             target,
             reached: false,
-            max_tracked: Self::DEFAULT_MAX_TRACKED,
-            trajectories: Vec::new(),
         }
     }
 
-    /// Overrides the per-functional tracking cap.
-    #[must_use]
-    pub fn max_tracked(mut self, cap: usize) -> Self {
-        self.max_tracked = cap;
-        self
-    }
-
-    /// Records one observation: the estimate after a subtotal merge.
+    /// Observes one estimate, the one after a subtotal merge.
     ///
     /// `means` and `errs` are the already-computed per-functional
     /// sample means and absolute error bars (row-major); `eps_max` is
@@ -104,13 +81,8 @@ impl ConvergenceTracker {
         eps_max: f64,
     ) {
         let emit = |kind| monitor.emit(rank, kind);
-        let tracked = means.len().min(self.max_tracked);
-        if self.trajectories.len() < tracked {
-            self.trajectories.resize(tracked, Vec::new());
-        }
-        for (j, &mean) in means.iter().enumerate().take(tracked) {
+        for (j, &mean) in means.iter().enumerate().take(Self::MAX_TRACKED) {
             let err = errs.get(j).copied().unwrap_or(f64::INFINITY);
-            self.trajectories[j].push(TrajectoryPoint { n, mean, err });
             emit(EventKind::MetricsSnapshot {
                 functional: j as u64,
                 n,
@@ -130,12 +102,6 @@ impl ConvergenceTracker {
     #[must_use]
     pub fn reached(&self) -> bool {
         self.reached
-    }
-
-    /// The recorded trajectories, one `Vec` per tracked functional.
-    #[must_use]
-    pub fn trajectories(&self) -> &[Vec<TrajectoryPoint>] {
-        &self.trajectories
     }
 }
 
@@ -169,16 +135,13 @@ mod tests {
             .count();
         assert_eq!(snapshots, 6, "2 functionals x 3 observations");
         assert_eq!(targets, 1);
-        assert_eq!(tracker.trajectories().len(), 2);
-        assert_eq!(tracker.trajectories()[0].len(), 3);
-        assert_eq!(
-            tracker.trajectories()[1][1],
-            TrajectoryPoint {
+        assert!(events.iter().any(|e| e.kind
+            == EventKind::MetricsSnapshot {
+                functional: 1,
                 n: 100,
-                mean: 0.59,
-                err: 0.05,
-            }
-        );
+                mean: Some(0.59),
+                err: Some(0.05),
+            }));
     }
 
     #[test]
@@ -201,11 +164,11 @@ mod tests {
 
     #[test]
     fn tracking_cap_limits_functionals() {
-        let mut tracker = ConvergenceTracker::new().max_tracked(2);
-        let monitor = Monitor::disabled();
-        let means = [0.1, 0.2, 0.3, 0.4];
-        let errs = [0.01, 0.02, 0.03, 0.04];
-        tracker.observe(&monitor, None, 50, &means, &errs, 0.04);
-        assert_eq!(tracker.trajectories().len(), 2);
+        let sink = Arc::new(MemorySink::new());
+        let monitor = Monitor::new(vec![Box::new(Arc::clone(&sink))]);
+        let mut tracker = ConvergenceTracker::new();
+        let means = [0.5; ConvergenceTracker::MAX_TRACKED + 2];
+        tracker.observe(&monitor, None, 50, &means, &means, 0.5);
+        assert_eq!(sink.snapshot().len(), ConvergenceTracker::MAX_TRACKED);
     }
 }

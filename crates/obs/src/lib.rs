@@ -12,23 +12,26 @@
 //! a [`Monitor`], and the disabled monitor ([`Monitor::disabled`], also
 //! the `Default`) reduces every emission to a single branch.
 //!
-//! On top of the event plane sits the **metrics plane**
-//! ([`MetricsRegistry`], [`MetricsSink`], [`ConvergenceTracker`]):
-//! counters, gauges and mergeable log-bucketed histograms derived
-//! entirely from the event stream (no extra instrumentation call
-//! sites), exposed as Prometheus text at
-//! `parmonc_data/monitor/metrics.prom` and queryable post-hoc from the
-//! jsonl trace via [`schema::parse_line`] and the `parmonc-trace` CLI.
+//! The event stream has one fold, [`MonitorSummary`]: the end-of-run
+//! table and the **metrics plane** — counters, gauges and mergeable
+//! log-bucketed histograms ([`LogHistogram`]), derived entirely from
+//! the events (no extra instrumentation call sites) — both render from
+//! it. A monitored run folds live through a [`SummarySink`], which
+//! also rewrites the Prometheus text at
+//! `parmonc_data/monitor/metrics.prom`; `parmonc-trace` folds a jsonl
+//! trace the same way, read back with [`schema::parse_line`].
+//! [`ConvergenceTracker`] emits the estimate trajectory the fold
+//! reports.
 //!
 //! # Example
 //!
 //! ```
-//! use parmonc_obs::{EventKind, Monitor, MonitorSummary, RunMode, RunTransport};
-//! use std::sync::{Arc, Mutex};
+//! use parmonc_obs::{EventKind, Monitor, RunMode, RunTransport, SummarySink};
+//! use std::sync::Arc;
 //!
 //! // The summary folds events as they arrive: a monitored run attaches
-//! // it next to the jsonl and metrics sinks and holds no trace.
-//! let fold = Arc::new(Mutex::new(MonitorSummary::default()));
+//! // it next to the jsonl sink and holds no trace.
+//! let fold = Arc::new(SummarySink::new(None));
 //! let monitor = Monitor::new(vec![Box::new(Arc::clone(&fold))]);
 //!
 //! monitor.emit(None, EventKind::RunStarted {
@@ -42,7 +45,7 @@
 //! });
 //! monitor.emit(Some(2), EventKind::Realizations { completed: 250, compute_seconds: 0.8 });
 //!
-//! let summary = fold.lock().unwrap();
+//! let summary = fold.lock();
 //! assert_eq!(summary.events, 2);
 //! assert_eq!(summary.processors, Some(4));
 //! assert_eq!(summary.ranks[&2].realizations, 250);
@@ -65,11 +68,9 @@ mod span;
 mod summary;
 mod wire;
 
-pub use convergence::{ConvergenceTracker, TrajectoryPoint};
+pub use convergence::ConvergenceTracker;
 pub use event::{Event, EventKind, RunMode, RunTransport, SpanPhase, SCHEMA_VERSION};
-pub use metrics::{
-    validate_prometheus_text, LogHistogram, MetricsRegistry, MetricsSink, SUB_BUCKETS_PER_OCTAVE,
-};
+pub use metrics::{validate_prometheus_text, LogHistogram, SUB_BUCKETS_PER_OCTAVE};
 pub use monitor::{EventSink, JsonlSink, MemorySink, Monitor};
 pub use span::SpanEmitter;
-pub use summary::{MonitorSummary, RankStats};
+pub use summary::{MonitorSummary, RankStats, SummarySink};

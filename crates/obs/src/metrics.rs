@@ -1,12 +1,12 @@
-//! The metrics plane: counters, gauges and log-bucketed histograms
-//! derived from the event plane, with Prometheus-text exposition.
+//! The metrics plane's vocabulary: log-bucketed histograms and the
+//! Prometheus text exposition.
 //!
-//! The event plane ([`crate::Monitor`]) records *what happened*; this
-//! module aggregates it into *how the run is doing* without any new
-//! instrumentation call sites: [`MetricsSink`] is an ordinary
-//! [`EventSink`], so every engine that already emits events (the
-//! runner, the MPI substrate's queue accounting, the fault plane's
-//! liveness declarations) feeds the registry for free.
+//! The event plane ([`crate::Monitor`]) records *what happened*; the
+//! run summary ([`crate::MonitorSummary`]) folds it into *how the run
+//! is doing*, and this module holds what that fold renders with: the
+//! [`LogHistogram`] it files latency and size samples in, the
+//! exposition writer behind `metrics.prom`, and the validator that
+//! checks it.
 //!
 //! # Histogram bucket scheme
 //!
@@ -22,13 +22,7 @@
 //! samples.
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
-
-use crate::event::{Event, EventKind};
-use crate::monitor::EventSink;
 
 /// Log-histogram resolution: buckets per power of two. 8 sub-buckets
 /// give a worst-case quantile relative error of `2^(1/16) - 1 ≈ 4.4%`.
@@ -202,174 +196,42 @@ impl LogHistogram {
     }
 }
 
-/// What kind of metric a registry key holds — drives the Prometheus
-/// `# TYPE` line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MetricKind {
-    Counter,
-    Gauge,
-}
+/// Counter and gauge samples by full series name (the family name plus
+/// at most one `{label="value"}` suffix): the `# TYPE` of each, and its
+/// value.
+pub(crate) type Scalars = BTreeMap<String, (&'static str, f64)>;
 
-#[derive(Debug, Default)]
-struct RegistryInner {
-    /// Counters and gauges, keyed by full sample name (which may carry
-    /// one `{label="value"}` suffix).
-    scalars: BTreeMap<String, (MetricKind, f64)>,
-    /// Histograms, keyed by family name (no labels).
-    histograms: BTreeMap<String, LogHistogram>,
-}
-
-/// A thread-safe registry of counters, gauges and [`LogHistogram`]s,
-/// rendered on demand as Prometheus text format.
-///
-/// Sample names follow Prometheus conventions
-/// (`[a-zA-Z_:][a-zA-Z0-9_:]*`, optionally one `{label="value"}`
-/// suffix for scalars); the part before `{` is the family name under
-/// which `# TYPE` is emitted.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    inner: Mutex<RegistryInner>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, RegistryInner> {
-        self.inner.lock().expect("metrics registry poisoned")
-    }
-
-    /// Adds `by` to a (monotonic) counter, creating it at 0 first.
-    pub fn inc_counter(&self, name: &str, by: f64) {
-        let mut inner = self.lock();
-        if let Some((_, v)) = inner.scalars.get_mut(name) {
-            *v += by;
-        } else {
-            inner
-                .scalars
-                .insert(name.to_string(), (MetricKind::Counter, by));
+/// Renders Prometheus text exposition format — the contents of
+/// `parmonc_data/monitor/metrics.prom`: the scalars in series-name
+/// order, each family under one `# HELP`/`# TYPE` header, then each
+/// histogram with its cumulative `le` buckets, `_sum` and `_count`.
+pub(crate) fn render_exposition(scalars: &Scalars, histograms: &[(&str, LogHistogram)]) -> String {
+    let mut out = String::new();
+    let mut last_family = "";
+    for (name, (ty, value)) in scalars {
+        let family = name.split('{').next().unwrap_or(name);
+        if family != last_family {
+            let _ = writeln!(out, "# HELP {family} {}", help_for(family));
+            let _ = writeln!(out, "# TYPE {family} {ty}");
+            last_family = family;
         }
+        let _ = writeln!(out, "{name} {}", format_sample(*value));
     }
-
-    /// Sets a gauge to `value`.
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        let mut inner = self.lock();
-        if let Some((_, v)) = inner.scalars.get_mut(name) {
-            *v = value;
-        } else {
-            inner
-                .scalars
-                .insert(name.to_string(), (MetricKind::Gauge, value));
+    for (name, h) in histograms {
+        let _ = writeln!(out, "# HELP {name} {}", help_for(name));
+        let _ = writeln!(out, "# TYPE {name} histogram");
+        for (upper, cum) in h.cumulative_buckets() {
+            let _ = writeln!(
+                out,
+                "{name}_bucket{{le=\"{}\"}} {cum}",
+                format_sample(upper)
+            );
         }
+        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count());
+        let _ = writeln!(out, "{name}_sum {}", format_sample(h.sum()));
+        let _ = writeln!(out, "{name}_count {}", h.count());
     }
-
-    /// Raises a gauge to `value` if it is below it (high-water marks).
-    pub fn max_gauge(&self, name: &str, value: f64) {
-        let mut inner = self.lock();
-        if let Some((_, v)) = inner.scalars.get_mut(name) {
-            *v = v.max(value);
-        } else {
-            inner
-                .scalars
-                .insert(name.to_string(), (MetricKind::Gauge, value));
-        }
-    }
-
-    /// Records a sample into the named histogram, creating it empty
-    /// first.
-    pub fn observe(&self, name: &str, value: f64) {
-        let mut inner = self.lock();
-        if let Some(h) = inner.histograms.get_mut(name) {
-            h.observe(value);
-        } else {
-            let mut h = LogHistogram::new();
-            h.observe(value);
-            inner.histograms.insert(name.to_string(), h);
-        }
-    }
-
-    /// The current value of a counter or gauge.
-    #[must_use]
-    pub fn value(&self, name: &str) -> Option<f64> {
-        self.lock().scalars.get(name).map(|(_, v)| *v)
-    }
-
-    /// A snapshot of the named histogram.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<LogHistogram> {
-        self.lock().histograms.get(name).cloned()
-    }
-
-    /// The names of every histogram currently registered.
-    #[must_use]
-    pub fn histogram_names(&self) -> Vec<String> {
-        self.lock().histograms.keys().cloned().collect()
-    }
-
-    /// Folds another registry in: counters add, gauges take the other
-    /// registry's value, histograms merge bucket-wise.
-    pub fn merge(&self, other: &Self) {
-        let other = other.lock();
-        let mut inner = self.lock();
-        for (name, (kind, v)) in &other.scalars {
-            match inner.scalars.get_mut(name) {
-                Some((MetricKind::Counter, mine)) => *mine += v,
-                Some((MetricKind::Gauge, mine)) => *mine = *v,
-                None => {
-                    inner.scalars.insert(name.clone(), (*kind, *v));
-                }
-            }
-        }
-        for (name, h) in &other.histograms {
-            if let Some(mine) = inner.histograms.get_mut(name) {
-                mine.merge(h);
-            } else {
-                inner.histograms.insert(name.clone(), h.clone());
-            }
-        }
-    }
-
-    /// Renders the registry as Prometheus text exposition format
-    /// (`# HELP`/`# TYPE` headers, cumulative `le` buckets, `_sum` and
-    /// `_count` series) — the contents of
-    /// `parmonc_data/monitor/metrics.prom`.
-    #[must_use]
-    pub fn render_prometheus(&self) -> String {
-        let inner = self.lock();
-        let mut out = String::new();
-        let mut last_family = String::new();
-        for (name, (kind, value)) in &inner.scalars {
-            let family = name.split('{').next().unwrap_or(name);
-            if family != last_family {
-                let ty = match kind {
-                    MetricKind::Counter => "counter",
-                    MetricKind::Gauge => "gauge",
-                };
-                let _ = writeln!(out, "# HELP {family} {}", help_for(family));
-                let _ = writeln!(out, "# TYPE {family} {ty}");
-                last_family = family.to_string();
-            }
-            let _ = writeln!(out, "{name} {}", format_sample(*value));
-        }
-        for (name, h) in &inner.histograms {
-            let _ = writeln!(out, "# HELP {name} {}", help_for(name));
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            for (upper, cum) in h.cumulative_buckets() {
-                let _ = writeln!(
-                    out,
-                    "{name}_bucket{{le=\"{}\"}} {cum}",
-                    format_sample(upper)
-                );
-            }
-            let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count());
-            let _ = writeln!(out, "{name}_sum {}", format_sample(h.sum()));
-            let _ = writeln!(out, "{name}_count {}", h.count());
-        }
-        out
-    }
+    out
 }
 
 /// Formats a sample value for the exposition: integral values print
@@ -533,372 +395,9 @@ pub fn validate_prometheus_text(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Per-rank progress deltas the sink keeps between `realizations`
-/// events, plus exposition pacing state.
-#[derive(Debug, Default)]
-struct DeriveState {
-    /// rank → (completed, compute_seconds) at the last event.
-    progress: BTreeMap<usize, (u64, f64)>,
-    /// heartbeat source rank → `time_s` of its last heartbeat.
-    last_heartbeat: BTreeMap<usize, f64>,
-    /// Open tracing span → its `span_started` timestamp, so
-    /// `span_ended` can feed the duration histogram.
-    open_spans: BTreeMap<u64, f64>,
-    /// Events recorded since `metrics.prom` was last rewritten.
-    since_write: u32,
-}
-
-/// Cap on tracked open spans: beyond this, the stalest-id entry is
-/// evicted so a trace with lost `span_ended` events cannot grow the
-/// sink without bound.
-pub(crate) const MAX_OPEN_SPANS: usize = 4096;
-
-/// Tracks one open span under the [`MAX_OPEN_SPANS`] cap, evicting the
-/// stalest id when the table outgrows it — the one rule both this sink
-/// and the summary fold keep their open spans by.
-pub(crate) fn track_open_span<V>(open: &mut BTreeMap<u64, V>, span: u64, value: V) {
-    open.insert(span, value);
-    // A lost span half must not pin memory forever.
-    if open.len() > MAX_OPEN_SPANS {
-        open.pop_first();
-    }
-}
-
-/// How many events may elapse between periodic `metrics.prom`
-/// rewrites (the file is also rewritten on every flush).
-const WRITE_EVERY: u32 = 256;
-
-/// An [`EventSink`] that derives the metrics plane from the event
-/// stream: counters, gauges and latency/size histograms, optionally
-/// exposed as a Prometheus text file rewritten periodically and at
-/// flush.
-///
-/// Because it consumes the same events every engine already emits,
-/// attaching it adds **no new instrumentation call sites** anywhere.
-pub struct MetricsSink {
-    registry: Arc<MetricsRegistry>,
-    state: Mutex<DeriveState>,
-    prom_path: Option<PathBuf>,
-}
-
-impl fmt::Debug for MetricsSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MetricsSink")
-            .field("prom_path", &self.prom_path)
-            .finish_non_exhaustive()
-    }
-}
-
-/// The static series name of `$family` for a message tag, so hot
-/// events never allocate a label string (message tags are tiny
-/// integers).
-macro_rules! by_tag {
-    ($family:literal, $tag:expr) => {
-        match $tag {
-            0 => concat!($family, "{tag=\"0\"}"),
-            1 => concat!($family, "{tag=\"1\"}"),
-            2 => concat!($family, "{tag=\"2\"}"),
-            3 => concat!($family, "{tag=\"3\"}"),
-            4 => concat!($family, "{tag=\"4\"}"),
-            5 => concat!($family, "{tag=\"5\"}"),
-            6 => concat!($family, "{tag=\"6\"}"),
-            7 => concat!($family, "{tag=\"7\"}"),
-            8 => concat!($family, "{tag=\"8\"}"),
-            9 => concat!($family, "{tag=\"9\"}"),
-            _ => concat!($family, "{tag=\"other\"}"),
-        }
-    };
-}
-
-/// The runner's heartbeat message tag (`parmonc::messages`): tag-4
-/// deliveries drive the heartbeat-gap histogram.
-const TAG_HEARTBEAT: u32 = 4;
-
-impl MetricsSink {
-    /// A sink aggregating into a fresh registry, with no file output.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_registry(Arc::new(MetricsRegistry::new()))
-    }
-
-    /// A sink aggregating into an existing registry.
-    #[must_use]
-    pub fn with_registry(registry: Arc<MetricsRegistry>) -> Self {
-        Self {
-            registry,
-            state: Mutex::new(DeriveState::default()),
-            prom_path: None,
-        }
-    }
-
-    /// Additionally writes Prometheus text exposition to `path`,
-    /// rewritten every 256 events and at every flush.
-    #[must_use]
-    pub fn with_prometheus_output(mut self, path: impl Into<PathBuf>) -> Self {
-        self.prom_path = Some(path.into());
-        self
-    }
-
-    /// The registry this sink aggregates into.
-    #[must_use]
-    pub fn registry(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.registry)
-    }
-
-    /// Rewrites `metrics.prom` if an output path is configured. Write
-    /// errors are ignored: exposition is advisory and must never fail
-    /// a run (trace-line loss, by contrast, is counted by the jsonl
-    /// sink).
-    fn write_prom(&self) {
-        if let Some(path) = &self.prom_path {
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            let _ = std::fs::write(path, self.registry.render_prometheus());
-        }
-    }
-}
-
-impl Default for MetricsSink {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EventSink for MetricsSink {
-    fn record(&self, event: &Event) {
-        let r = &*self.registry;
-        match &event.kind {
-            EventKind::RunStarted {
-                processors,
-                max_sample_volume,
-                transport,
-                ..
-            } => {
-                r.inc_counter("parmonc_runs_started_total", 1.0);
-                r.set_gauge("parmonc_processors", *processors as f64);
-                r.set_gauge("parmonc_max_sample_volume", *max_sample_volume as f64);
-                if let Some(transport) = transport {
-                    // Prometheus info-style gauge: the transport rides
-                    // as a label, the value is always 1.
-                    r.set_gauge(transport.series(), 1.0);
-                }
-            }
-            EventKind::Realizations {
-                completed,
-                compute_seconds,
-            } => {
-                let rank = event.rank.unwrap_or(0);
-                let mut state = self.state.lock().expect("metrics sink poisoned");
-                let (prev_n, prev_t) = state.progress.get(&rank).copied().unwrap_or((0, 0.0));
-                state.progress.insert(rank, (*completed, *compute_seconds));
-                drop(state);
-                let dn = completed.saturating_sub(prev_n);
-                if dn > 0 {
-                    r.inc_counter("parmonc_realizations_total", dn as f64);
-                    let dt = compute_seconds - prev_t;
-                    if dt >= 0.0 {
-                        // One sample per exchange batch: the batch's
-                        // mean per-realization compute time.
-                        r.observe("parmonc_realization_seconds", dt / dn as f64);
-                    }
-                }
-            }
-            EventKind::MessageSent { tag, bytes, .. } => {
-                r.inc_counter(by_tag!("parmonc_messages_sent_total", *tag), 1.0);
-                r.inc_counter("parmonc_bytes_sent_total", *bytes as f64);
-                r.observe("parmonc_message_bytes", *bytes as f64);
-            }
-            EventKind::MessageReceived {
-                source,
-                tag,
-                bytes,
-                queue_depth,
-            } => {
-                r.inc_counter(by_tag!("parmonc_messages_received_total", *tag), 1.0);
-                r.inc_counter("parmonc_bytes_received_total", *bytes as f64);
-                r.observe("parmonc_queue_depth", *queue_depth as f64);
-                if *tag == TAG_HEARTBEAT {
-                    let mut state = self.state.lock().expect("metrics sink poisoned");
-                    let prev = state.last_heartbeat.insert(*source, event.time_s);
-                    drop(state);
-                    if let Some(prev) = prev {
-                        r.observe("parmonc_heartbeat_gap_seconds", event.time_s - prev);
-                    }
-                }
-            }
-            EventKind::QueueHighWater { depth } => {
-                r.max_gauge("parmonc_queue_high_water", *depth as f64);
-            }
-            EventKind::AveragingPass {
-                volume,
-                duration_seconds,
-                eps_max,
-                max_snapshot_age_seconds,
-            } => {
-                r.inc_counter("parmonc_averaging_passes_total", 1.0);
-                r.observe("parmonc_averaging_pass_seconds", *duration_seconds);
-                r.set_gauge("parmonc_sample_volume", *volume as f64);
-                r.set_gauge("parmonc_run_time_seconds", event.time_s);
-                if let Some(eps) = eps_max {
-                    r.set_gauge("parmonc_eps_max", *eps);
-                }
-                if let Some(age) = max_snapshot_age_seconds {
-                    r.observe("parmonc_snapshot_age_seconds", *age);
-                }
-            }
-            EventKind::SavePoint {
-                duration_seconds, ..
-            } => {
-                r.inc_counter("parmonc_save_points_total", 1.0);
-                r.observe("parmonc_save_point_seconds", *duration_seconds);
-            }
-            EventKind::RunCompleted {
-                realizations,
-                t_comp_seconds,
-                ..
-            } => {
-                r.inc_counter("parmonc_runs_completed_total", 1.0);
-                r.set_gauge("parmonc_total_realizations", *realizations as f64);
-                r.set_gauge("parmonc_t_comp_seconds", *t_comp_seconds);
-            }
-            EventKind::FaultInjected { fault, .. } => {
-                // Faults are rare; a per-event label allocation is fine.
-                r.inc_counter(
-                    &format!("parmonc_faults_injected_total{{fault=\"{fault}\"}}"),
-                    1.0,
-                );
-            }
-            EventKind::WorkerLost { .. } => {
-                r.inc_counter("parmonc_workers_lost_total", 1.0);
-            }
-            EventKind::WorkReassigned { realizations, .. } => {
-                r.inc_counter(
-                    "parmonc_reassigned_realizations_total",
-                    *realizations as f64,
-                );
-            }
-            EventKind::CheckpointRecovered { .. } => {
-                r.inc_counter("parmonc_checkpoint_recoveries_total", 1.0);
-            }
-            EventKind::MetricsSnapshot {
-                functional,
-                n,
-                mean,
-                err,
-            } => {
-                r.set_gauge("parmonc_sample_volume", *n as f64);
-                if let Some(mean) = mean {
-                    r.set_gauge(
-                        &format!("parmonc_estimate_mean{{functional=\"{functional}\"}}"),
-                        *mean,
-                    );
-                }
-                if let Some(err) = err {
-                    r.set_gauge(
-                        &format!("parmonc_estimate_err{{functional=\"{functional}\"}}"),
-                        *err,
-                    );
-                }
-            }
-            EventKind::TargetPrecisionReached { n, eps_max, target } => {
-                r.inc_counter("parmonc_target_precision_reached_total", 1.0);
-                r.set_gauge("parmonc_target_precision_volume", *n as f64);
-                r.set_gauge("parmonc_eps_max", *eps_max);
-                r.set_gauge("parmonc_eps_target", *target);
-            }
-            EventKind::WorkerJoined { .. } => {
-                r.inc_counter("parmonc_workers_joined_total", 1.0);
-            }
-            EventKind::WorkerLeft { .. } => {
-                r.inc_counter("parmonc_workers_left_total", 1.0);
-            }
-            EventKind::WorkerReconnected { .. } => {
-                r.inc_counter("parmonc_workers_reconnected_total", 1.0);
-            }
-            EventKind::CollectorResumed { .. } => {
-                r.inc_counter("parmonc_collector_resumes_total", 1.0);
-            }
-            EventKind::TornFrame { .. } => {
-                r.inc_counter("parmonc_torn_frames_total", 1.0);
-            }
-            EventKind::SpanStarted { span, .. } => {
-                let mut state = self.state.lock().expect("metrics sink poisoned");
-                track_open_span(&mut state.open_spans, *span, event.time_s);
-            }
-            EventKind::SpanEnded { span, phase } => {
-                let started = {
-                    let mut state = self.state.lock().expect("metrics sink poisoned");
-                    state.open_spans.remove(span)
-                };
-                r.inc_counter(phase.series(), 1.0);
-                if let Some(started) = started {
-                    let duration = event.time_s - started;
-                    if duration >= 0.0 {
-                        r.observe("parmonc_span_seconds", duration);
-                    }
-                }
-            }
-            EventKind::WireStats {
-                link,
-                frames_in,
-                bytes_in,
-                frames_out,
-                bytes_out,
-                dials,
-                dedup_dropped,
-                events_dropped,
-            } => {
-                // One event per link teardown: per-event label
-                // allocation is fine here, as for faults.
-                let by_link = |name: &str| format!("{name}{{link=\"{link}\"}}");
-                r.inc_counter(&by_link("parmonc_wire_frames_in_total"), *frames_in as f64);
-                r.inc_counter(&by_link("parmonc_wire_bytes_in_total"), *bytes_in as f64);
-                r.inc_counter(
-                    &by_link("parmonc_wire_frames_out_total"),
-                    *frames_out as f64,
-                );
-                r.inc_counter(&by_link("parmonc_wire_bytes_out_total"), *bytes_out as f64);
-                if *dials > 0 {
-                    r.inc_counter(&by_link("parmonc_reconnect_dials_total"), *dials as f64);
-                }
-                if *dedup_dropped > 0 {
-                    r.inc_counter(
-                        &by_link("parmonc_dedup_dropped_frames_total"),
-                        *dedup_dropped as f64,
-                    );
-                }
-                if *events_dropped > 0 {
-                    r.inc_counter(
-                        &by_link("parmonc_forwarded_events_dropped_total"),
-                        *events_dropped as f64,
-                    );
-                }
-            }
-        }
-        if self.prom_path.is_some() {
-            let mut state = self.state.lock().expect("metrics sink poisoned");
-            state.since_write += 1;
-            let due = state.since_write >= WRITE_EVERY;
-            if due {
-                state.since_write = 0;
-            }
-            drop(state);
-            if due {
-                self.write_prom();
-            }
-        }
-    }
-
-    fn flush(&self) {
-        self.write_prom();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::RunMode;
 
     /// A tiny deterministic generator for property tests (no external
     /// RNG dependency; the obs crate is dependency-free).
@@ -1003,44 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_scalars_and_render() {
-        let r = MetricsRegistry::new();
-        r.inc_counter("parmonc_runs_started_total", 1.0);
-        r.inc_counter("parmonc_runs_started_total", 1.0);
-        r.set_gauge("parmonc_eps_max", 0.25);
-        r.max_gauge("parmonc_queue_high_water", 3.0);
-        r.max_gauge("parmonc_queue_high_water", 2.0);
-        r.observe("parmonc_message_bytes", 40.0);
-        r.observe("parmonc_message_bytes", 40.0);
-        assert_eq!(r.value("parmonc_runs_started_total"), Some(2.0));
-        assert_eq!(r.value("parmonc_queue_high_water"), Some(3.0));
-        assert_eq!(r.histogram("parmonc_message_bytes").unwrap().count(), 2);
-
-        let text = r.render_prometheus();
-        validate_prometheus_text(&text).expect("valid exposition");
-        assert!(text.contains("# TYPE parmonc_runs_started_total counter"));
-        assert!(text.contains("# TYPE parmonc_eps_max gauge"));
-        assert!(text.contains("# TYPE parmonc_message_bytes histogram"));
-        assert!(text.contains("parmonc_message_bytes_count 2"));
-        assert!(text.contains("parmonc_message_bytes_bucket{le=\"+Inf\"} 2"));
-    }
-
-    #[test]
-    fn registry_merge_adds_counters_and_merges_histograms() {
-        let a = MetricsRegistry::new();
-        let b = MetricsRegistry::new();
-        a.inc_counter("c", 2.0);
-        b.inc_counter("c", 3.0);
-        a.observe("h", 1.0);
-        b.observe("h", 2.0);
-        b.set_gauge("g", 9.0);
-        a.merge(&b);
-        assert_eq!(a.value("c"), Some(5.0));
-        assert_eq!(a.value("g"), Some(9.0));
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
-    }
-
-    #[test]
     fn prometheus_validator_rejects_malformed_text() {
         for (bad, why) in [
             ("metric", "no value"),
@@ -1057,217 +518,5 @@ mod tests {
         // _count disagreeing with +Inf.
         let bad = "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 4\n";
         assert!(validate_prometheus_text(bad).is_err());
-    }
-
-    fn ev(time_s: f64, rank: Option<usize>, kind: EventKind) -> Event {
-        Event::at(time_s, rank, kind)
-    }
-
-    #[test]
-    fn sink_derives_metrics_from_the_event_stream() {
-        let sink = MetricsSink::new();
-        let r = sink.registry();
-        sink.record(&ev(
-            0.0,
-            None,
-            EventKind::RunStarted {
-                mode: RunMode::Threads,
-                processors: 4,
-                max_sample_volume: 1000,
-                seqnum: Some(1),
-                nrow: Some(1),
-                ncol: Some(1),
-                transport: Some(crate::event::RunTransport::Threads),
-            },
-        ));
-        assert_eq!(
-            r.value("parmonc_transport_info{transport=\"threads\"}"),
-            Some(1.0)
-        );
-        // Cumulative progress: 10 realizations in 1 s, then 10 more in 3 s.
-        sink.record(&ev(
-            1.0,
-            Some(1),
-            EventKind::Realizations {
-                completed: 10,
-                compute_seconds: 1.0,
-            },
-        ));
-        sink.record(&ev(
-            4.0,
-            Some(1),
-            EventKind::Realizations {
-                completed: 20,
-                compute_seconds: 4.0,
-            },
-        ));
-        assert_eq!(r.value("parmonc_realizations_total"), Some(20.0));
-        let per_real = r.histogram("parmonc_realization_seconds").unwrap();
-        assert_eq!(per_real.count(), 2);
-        assert_eq!(per_real.min(), Some(0.1));
-        assert_eq!(per_real.max(), Some(0.3));
-
-        // Messages: one subtotal send, one heartbeat pair for the gap.
-        sink.record(&ev(
-            1.0,
-            Some(1),
-            EventKind::MessageSent {
-                dest: 0,
-                tag: 1,
-                bytes: 40,
-            },
-        ));
-        sink.record(&ev(
-            2.0,
-            Some(0),
-            EventKind::MessageReceived {
-                source: 1,
-                tag: 4,
-                bytes: 8,
-                queue_depth: 2,
-            },
-        ));
-        sink.record(&ev(
-            3.5,
-            Some(0),
-            EventKind::MessageReceived {
-                source: 1,
-                tag: 4,
-                bytes: 8,
-                queue_depth: 0,
-            },
-        ));
-        assert_eq!(r.value("parmonc_messages_sent_total{tag=\"1\"}"), Some(1.0));
-        assert_eq!(
-            r.value("parmonc_messages_received_total{tag=\"4\"}"),
-            Some(2.0)
-        );
-        let gap = r.histogram("parmonc_heartbeat_gap_seconds").unwrap();
-        assert_eq!(gap.count(), 1);
-        assert_eq!(gap.max(), Some(1.5));
-
-        // The estimate trajectory.
-        sink.record(&ev(
-            5.5,
-            Some(0),
-            EventKind::MetricsSnapshot {
-                functional: 0,
-                n: 20,
-                mean: Some(0.5),
-                err: Some(0.01),
-            },
-        ));
-        sink.record(&ev(
-            5.6,
-            Some(0),
-            EventKind::TargetPrecisionReached {
-                n: 20,
-                eps_max: 0.01,
-                target: 0.02,
-            },
-        ));
-        assert_eq!(
-            r.value("parmonc_estimate_mean{functional=\"0\"}"),
-            Some(0.5)
-        );
-        assert_eq!(r.value("parmonc_target_precision_reached_total"), Some(1.0));
-
-        let text = r.render_prometheus();
-        validate_prometheus_text(&text).expect("derived exposition is valid");
-    }
-
-    #[test]
-    fn span_and_wire_events_derive_trace_metrics() {
-        use crate::event::SpanPhase;
-        let sink = MetricsSink::new();
-        let r = sink.registry();
-        sink.record(&ev(
-            1.0,
-            Some(1),
-            EventKind::SpanStarted {
-                span: 42,
-                parent: None,
-                phase: SpanPhase::RealizationBatch,
-            },
-        ));
-        sink.record(&ev(
-            1.5,
-            Some(1),
-            EventKind::SpanEnded {
-                span: 42,
-                phase: SpanPhase::RealizationBatch,
-            },
-        ));
-        // An end with no recorded start still counts, just without a
-        // duration sample.
-        sink.record(&ev(
-            2.0,
-            Some(1),
-            EventKind::SpanEnded {
-                span: 43,
-                phase: SpanPhase::Checkpoint,
-            },
-        ));
-        sink.record(&ev(
-            3.0,
-            Some(0),
-            EventKind::WireStats {
-                link: 2,
-                frames_in: 10,
-                bytes_in: 800,
-                frames_out: 3,
-                bytes_out: 90,
-                dials: 2,
-                dedup_dropped: 1,
-                events_dropped: 0,
-            },
-        ));
-        assert_eq!(
-            r.value("parmonc_spans_total{phase=\"realization_batch\"}"),
-            Some(1.0)
-        );
-        assert_eq!(
-            r.value("parmonc_spans_total{phase=\"checkpoint\"}"),
-            Some(1.0)
-        );
-        let h = r.histogram("parmonc_span_seconds").unwrap();
-        assert_eq!(h.count(), 1);
-        assert!((h.sum() - 0.5).abs() < 1e-12);
-        assert_eq!(
-            r.value("parmonc_wire_frames_in_total{link=\"2\"}"),
-            Some(10.0)
-        );
-        assert_eq!(
-            r.value("parmonc_wire_bytes_out_total{link=\"2\"}"),
-            Some(90.0)
-        );
-        assert_eq!(
-            r.value("parmonc_reconnect_dials_total{link=\"2\"}"),
-            Some(2.0)
-        );
-        assert_eq!(
-            r.value("parmonc_dedup_dropped_frames_total{link=\"2\"}"),
-            Some(1.0)
-        );
-        // No forwarded-drop series when the count is zero.
-        assert_eq!(
-            r.value("parmonc_forwarded_events_dropped_total{link=\"2\"}"),
-            None
-        );
-        validate_prometheus_text(&r.render_prometheus()).expect("valid exposition");
-    }
-
-    #[test]
-    fn sink_writes_prometheus_file_on_flush() {
-        let dir = std::env::temp_dir().join(format!("parmonc-metrics-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("monitor/metrics.prom");
-        let sink = MetricsSink::new().with_prometheus_output(&path);
-        sink.record(&ev(0.5, Some(0), EventKind::QueueHighWater { depth: 4 }));
-        sink.flush();
-        let text = std::fs::read_to_string(&path).unwrap();
-        validate_prometheus_text(&text).expect("file parses as Prometheus text");
-        assert!(text.contains("parmonc_queue_high_water 4"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

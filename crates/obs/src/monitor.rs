@@ -322,7 +322,7 @@ impl Drop for JsonlSink {
 
 /// Collects every event in memory, without bound — a test utility.
 /// A run folds its summary as events arrive instead
-/// (`Mutex<MonitorSummary>` is a sink).
+/// ([`crate::SummarySink`]).
 #[derive(Debug, Default)]
 pub struct MemorySink {
     events: Mutex<Vec<Event>>,

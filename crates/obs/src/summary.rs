@@ -1,13 +1,15 @@
 //! Run aggregation: folds a monitor event stream into a
-//! [`MonitorSummary`] as the events arrive, and renders the table
-//! printed by `parmonc-demo` and `fig2_threads`.
+//! [`MonitorSummary`] as the events arrive, and renders from it both
+//! the table printed by `parmonc-demo` and `fig2_threads` and the
+//! Prometheus text of `monitor/metrics.prom`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::event::{Event, EventKind, RunMode, RunTransport, SpanPhase};
-use crate::metrics::track_open_span;
+use crate::metrics::{render_exposition, LogHistogram, Scalars};
 use crate::monitor::EventSink;
 
 /// Per-rank aggregates extracted from a trace.
@@ -124,10 +126,50 @@ pub struct MonitorSummary {
     /// this process's own `dropped_events`.
     pub forwarded_dropped_events: u64,
     /// Spans whose other half has not arrived yet, by id — at most
-    /// the metrics plane's cap of them, so lost halves cannot grow the
-    /// fold without bound.
+    /// [`MAX_OPEN_SPANS`] of them, so lost halves cannot grow the fold
+    /// without bound.
     open_spans: BTreeMap<u64, OpenSpan>,
+    // What only `metrics.prom` shows, keyed by what each series'
+    // label carries: (family, tag), fault, phase series, link, and
+    // (family, functional) for the last estimate values.
+    messages_by_tag: BTreeMap<(&'static str, u32), u64>,
+    faults_by_name: BTreeMap<String, u64>,
+    spans_by_phase: BTreeMap<&'static str, u64>,
+    /// Link → its summed `wire_stats` counts, in [`WIRE_SERIES`] order.
+    links: BTreeMap<usize, [u64; 7]>,
+    estimates: BTreeMap<(&'static str, u64), f64>,
+    // The last averaging pass's (or snapshot's) volume, the last pass's
+    // `time_s`, and the last `eps_max` a pass or declaration gave.
+    sample_volume: Option<u64>,
+    run_time_seconds: Option<f64>,
+    eps_max: Option<f64>,
+    /// Heartbeat source → `time_s` of its last tag-4 delivery.
+    last_heartbeat: BTreeMap<usize, f64>,
+    /// Samples by histogram family and by the rank of the event that
+    /// produced them; see [`MonitorSummary::histograms`].
+    histograms: BTreeMap<(&'static str, Option<usize>), LogHistogram>,
 }
+
+/// Cap on held span halves: beyond this, the stalest id is evicted so a
+/// trace with lost halves cannot grow the fold without bound.
+const MAX_OPEN_SPANS: usize = 4096;
+
+/// The runner's heartbeat message tag (`parmonc::messages`): tag-4
+/// deliveries time the heartbeat gaps.
+const TAG_HEARTBEAT: u32 = 4;
+
+/// The counter families of a `wire_stats` event's counts, in field
+/// order. The first four are rendered for every link, the rest only
+/// when non-zero.
+const WIRE_SERIES: [&str; 7] = [
+    "parmonc_wire_frames_in_total",
+    "parmonc_wire_bytes_in_total",
+    "parmonc_wire_frames_out_total",
+    "parmonc_wire_bytes_out_total",
+    "parmonc_reconnect_dials_total",
+    "parmonc_dedup_dropped_frames_total",
+    "parmonc_forwarded_events_dropped_total",
+];
 
 /// The half of a span the fold has seen.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -138,17 +180,72 @@ enum OpenSpan {
     Ended(f64, SpanPhase),
 }
 
-/// The live fold a monitored run attaches next to its other sinks.
-impl EventSink for Mutex<MonitorSummary> {
+/// How many events the live fold takes between `metrics.prom`
+/// rewrites (it is also rewritten at every flush).
+const WRITE_EVERY: u64 = 256;
+
+/// The live fold a monitored run attaches next to its jsonl sink: the
+/// run's [`MonitorSummary`], folded as events arrive, and optionally
+/// its Prometheus text, rewritten every 256 events and at every flush.
+#[derive(Debug)]
+pub struct SummarySink {
+    fold: Mutex<MonitorSummary>,
+    prom_path: Option<PathBuf>,
+}
+
+impl SummarySink {
+    /// An empty fold that writes its exposition to `prom_path`, if
+    /// given.
+    #[must_use]
+    pub fn new(prom_path: Option<PathBuf>) -> Self {
+        Self {
+            fold: Mutex::default(),
+            prom_path,
+        }
+    }
+
+    /// The summary folded so far.
+    ///
+    /// # Panics
+    ///
+    /// If a thread panicked while folding an event into it.
+    pub fn lock(&self) -> MutexGuard<'_, MonitorSummary> {
+        self.fold.lock().expect("summary fold poisoned")
+    }
+
+    /// Rewrites `metrics.prom`, if the sink has one. Write errors are
+    /// ignored: the exposition is advisory and must never fail a run
+    /// (trace-line loss, by contrast, is counted by the jsonl sink).
+    fn write_prom(&self, fold: &MonitorSummary) {
+        if let Some(path) = &self.prom_path {
+            if let Some(parent) = path.parent() {
+                let _ = std::fs::create_dir_all(parent);
+            }
+            let _ = std::fs::write(path, fold.render_prometheus());
+        }
+    }
+}
+
+impl EventSink for SummarySink {
     fn record(&self, event: &Event) {
-        self.lock().expect("summary fold poisoned").record(event);
+        let mut fold = self.lock();
+        fold.record(event);
+        if fold.events.is_multiple_of(WRITE_EVERY) {
+            self.write_prom(&fold);
+        }
+    }
+
+    fn flush(&self) {
+        self.write_prom(&self.lock());
     }
 }
 
 impl MonitorSummary {
     /// Folds a trace into a summary: [`Self::record`] over every event.
-    /// Order-tolerant except that cumulative `realizations` reports
-    /// take the per-rank maximum.
+    /// Delivery order changes only which batches the realization-time
+    /// samples cover (each is what a rank's report was the first to
+    /// show), the heartbeat gaps (between consecutive arrivals), the
+    /// last-value fields and gauges, and the last bits of sums.
     #[must_use]
     pub fn from_events(events: &[Event]) -> Self {
         let mut s = Self::default();
@@ -159,9 +256,9 @@ impl MonitorSummary {
     }
 
     /// Folds one more event in. A monitored run attaches the fold as a
-    /// sink (`Mutex<MonitorSummary>`), so its summary is ready when the
-    /// run ends and the run holds no trace; `parmonc-trace summary`
-    /// folds a trace file the same way.
+    /// sink ([`SummarySink`]), so its summary is ready when the run
+    /// ends and the run holds no trace; `parmonc-trace summary` folds a
+    /// trace file the same way.
     pub fn record(&mut self, event: &Event) {
         self.events += 1;
         match &event.kind {
@@ -183,21 +280,36 @@ impl MonitorSummary {
             } => {
                 if let Some(rank) = event.rank {
                     let stats = self.ranks.entry(rank).or_default();
+                    // Only a report past the rank's furthest one shows
+                    // new work: a batch of `dn` realizations in `dt`
+                    // seconds. A late, stale report adds nothing.
+                    let dn = completed.saturating_sub(stats.realizations);
+                    let dt = compute_seconds - stats.compute_seconds;
                     stats.realizations = stats.realizations.max(*completed);
                     if compute_seconds.is_finite() {
                         stats.compute_seconds = stats.compute_seconds.max(*compute_seconds);
                     }
+                    if dn > 0 && dt >= 0.0 {
+                        // The batch's mean per-realization compute time.
+                        self.observe("parmonc_realization_seconds", event.rank, dt / dn as f64);
+                    }
                 }
             }
-            EventKind::MessageSent { bytes, .. } => {
+            EventKind::MessageSent { tag, bytes, .. } => {
                 if let Some(rank) = event.rank {
                     let stats = self.ranks.entry(rank).or_default();
                     stats.messages_sent += 1;
                     stats.bytes_sent += bytes;
                 }
+                let key = ("parmonc_messages_sent_total", *tag);
+                *self.messages_by_tag.entry(key).or_default() += 1;
+                self.observe("parmonc_message_bytes", event.rank, *bytes as f64);
             }
             EventKind::MessageReceived {
-                bytes, queue_depth, ..
+                source,
+                tag,
+                bytes,
+                queue_depth,
             } => {
                 self.messages_received += 1;
                 self.bytes_received += bytes;
@@ -206,31 +318,53 @@ impl MonitorSummary {
                     self.collector_messages_received += 1;
                     self.collector_bytes_received += bytes;
                 }
+                let key = ("parmonc_messages_received_total", *tag);
+                *self.messages_by_tag.entry(key).or_default() += 1;
+                self.observe("parmonc_queue_depth", event.rank, *queue_depth as f64);
+                if *tag == TAG_HEARTBEAT {
+                    if let Some(prev) = self.last_heartbeat.insert(*source, event.time_s) {
+                        self.observe(
+                            "parmonc_heartbeat_gap_seconds",
+                            event.rank,
+                            event.time_s - prev,
+                        );
+                    }
+                }
             }
             EventKind::QueueHighWater { depth } => {
                 self.max_queue_depth = self.max_queue_depth.max(*depth);
             }
             EventKind::AveragingPass {
+                volume,
                 duration_seconds,
                 eps_max,
                 max_snapshot_age_seconds,
-                ..
             } => {
                 self.averaging_passes += 1;
                 self.averaging_seconds += duration_seconds;
                 if eps_max.is_some() {
                     self.final_eps_max = *eps_max;
+                    self.eps_max = *eps_max;
                 }
                 if let Some(age) = max_snapshot_age_seconds {
                     self.max_snapshot_age_seconds =
                         Some(self.max_snapshot_age_seconds.map_or(*age, |m| m.max(*age)));
+                    self.observe("parmonc_snapshot_age_seconds", event.rank, *age);
                 }
+                self.observe(
+                    "parmonc_averaging_pass_seconds",
+                    event.rank,
+                    *duration_seconds,
+                );
+                self.sample_volume = Some(*volume);
+                self.run_time_seconds = Some(event.time_s);
             }
             EventKind::SavePoint {
                 duration_seconds, ..
             } => {
                 self.save_points += 1;
                 self.save_seconds += duration_seconds;
+                self.observe("parmonc_save_point_seconds", event.rank, *duration_seconds);
             }
             EventKind::RunCompleted {
                 realizations,
@@ -240,8 +374,9 @@ impl MonitorSummary {
                 self.total_realizations = Some(*realizations);
                 self.t_comp_seconds = Some(*t_comp_seconds);
             }
-            EventKind::FaultInjected { .. } => {
+            EventKind::FaultInjected { fault, .. } => {
                 self.faults_injected += 1;
+                *self.faults_by_name.entry(fault.clone()).or_default() += 1;
             }
             EventKind::WorkerLost { .. } => {
                 self.workers_lost += 1;
@@ -252,11 +387,26 @@ impl MonitorSummary {
             EventKind::CheckpointRecovered { .. } => {
                 self.checkpoint_recoveries += 1;
             }
-            EventKind::MetricsSnapshot { .. } => {
+            EventKind::MetricsSnapshot {
+                functional,
+                n,
+                mean,
+                err,
+            } => {
                 self.metrics_snapshots += 1;
+                self.sample_volume = Some(*n);
+                for (family, value) in [
+                    ("parmonc_estimate_mean", mean),
+                    ("parmonc_estimate_err", err),
+                ] {
+                    if let Some(value) = value {
+                        self.estimates.insert((family, *functional), *value);
+                    }
+                }
             }
             EventKind::TargetPrecisionReached { n, eps_max, target } => {
                 self.target_precision = Some((*n, *eps_max, *target));
+                self.eps_max = Some(*eps_max);
             }
             EventKind::WorkerJoined { .. } => {
                 self.workers_joined += 1;
@@ -278,23 +428,23 @@ impl MonitorSummary {
             // multi-host delivery order cannot change the per-phase
             // totals.
             EventKind::SpanStarted { span, .. } => match self.open_spans.remove(span) {
-                Some(OpenSpan::Ended(end_s, phase)) => self.add_span(phase, end_s - event.time_s),
-                _ => track_open_span(&mut self.open_spans, *span, OpenSpan::Started(event.time_s)),
+                Some(OpenSpan::Ended(end_s, phase)) => {
+                    self.add_span(phase, event.rank, end_s - event.time_s);
+                }
+                _ => self.hold_open_span(*span, OpenSpan::Started(event.time_s)),
             },
             EventKind::SpanEnded { span, phase } => {
                 self.spans_closed += 1;
+                *self.spans_by_phase.entry(phase.series()).or_default() += 1;
                 match self.open_spans.remove(span) {
                     Some(OpenSpan::Started(start_s)) => {
-                        self.add_span(*phase, event.time_s - start_s)
+                        self.add_span(*phase, event.rank, event.time_s - start_s);
                     }
-                    _ => track_open_span(
-                        &mut self.open_spans,
-                        *span,
-                        OpenSpan::Ended(event.time_s, *phase),
-                    ),
+                    _ => self.hold_open_span(*span, OpenSpan::Ended(event.time_s, *phase)),
                 }
             }
             EventKind::WireStats {
+                link,
                 frames_in,
                 bytes_in,
                 frames_out,
@@ -302,7 +452,6 @@ impl MonitorSummary {
                 dials,
                 dedup_dropped,
                 events_dropped,
-                ..
             } => {
                 self.wire_links += 1;
                 self.wire_frames_in += frames_in;
@@ -312,13 +461,202 @@ impl MonitorSummary {
                 self.reconnect_dials += dials;
                 self.dedup_dropped_frames += dedup_dropped;
                 self.forwarded_dropped_events += events_dropped;
+                let counts = [
+                    frames_in,
+                    bytes_in,
+                    frames_out,
+                    bytes_out,
+                    dials,
+                    dedup_dropped,
+                    events_dropped,
+                ];
+                let sums = self.links.entry(*link).or_default();
+                for (sum, count) in sums.iter_mut().zip(counts) {
+                    *sum += count;
+                }
             }
         }
     }
 
-    /// Adds one paired span's duration to its phase's total.
-    fn add_span(&mut self, phase: SpanPhase, duration: f64) {
+    /// Files one sample under its histogram family and the rank whose
+    /// event produced it.
+    fn observe(&mut self, family: &'static str, rank: Option<usize>, value: f64) {
+        self.histograms
+            .entry((family, rank))
+            .or_default()
+            .observe(value);
+    }
+
+    /// Adds one paired span's duration to its phase's total and to the
+    /// span-duration histogram.
+    fn add_span(&mut self, phase: SpanPhase, rank: Option<usize>, duration: f64) {
         *self.span_seconds.entry(phase.as_str()).or_insert(0.0) += duration.max(0.0);
+        if duration >= 0.0 {
+            self.observe("parmonc_span_seconds", rank, duration);
+        }
+    }
+
+    /// Holds a span's first half until its other one arrives, evicting
+    /// the stalest id past [`MAX_OPEN_SPANS`]: a lost half must not pin
+    /// memory forever.
+    fn hold_open_span(&mut self, span: u64, half: OpenSpan) {
+        self.open_spans.insert(span, half);
+        if self.open_spans.len() > MAX_OPEN_SPANS {
+            self.open_spans.pop_first();
+        }
+    }
+
+    /// Every histogram family the trace gave a sample, in name order:
+    /// realization and span times, message sizes, queue depths,
+    /// heartbeat gaps, averaging-pass and save-point durations, and
+    /// snapshot ages.
+    ///
+    /// A family's samples are kept per rank — the rank of the event
+    /// that produced each — and merge here in rank order. Each rank's
+    /// events come from one thread at a time (its own loop, or the one
+    /// reader that forwards its link), so every sink sees them in the
+    /// same order, even where two ranks' events reach the jsonl file
+    /// and the live fold interleaved differently. So the floating-point
+    /// sums, which depend on the order they are added in, come out the
+    /// same in the live fold and in the fold of the file.
+    #[must_use]
+    pub fn histograms(&self) -> Vec<(&'static str, LogHistogram)> {
+        let mut out: Vec<(&'static str, LogHistogram)> = Vec::new();
+        for ((family, _), h) in &self.histograms {
+            match out.last_mut() {
+                Some((name, merged)) if name == family => merged.merge(h),
+                _ => out.push((family, h.clone())),
+            }
+        }
+        out
+    }
+
+    /// Renders the Prometheus text exposition of the fold — the
+    /// contents of `parmonc_data/monitor/metrics.prom`; the series are
+    /// listed in `docs/observability.md`.
+    #[must_use]
+    pub fn render_prometheus(&self) -> String {
+        const COUNTER: &str = "counter";
+        const GAUGE: &str = "gauge";
+        let mut scalars = Scalars::new();
+        let mut add = |name: String, ty: &'static str, value: f64| {
+            scalars.entry(name).or_insert((ty, 0.0)).1 += value;
+        };
+        // A trace holds one run: it starts, completes and reaches its
+        // target at most once.
+        let runs_started = u64::from(self.mode.is_some());
+        let runs_completed = u64::from(self.total_realizations.is_some());
+        let target_precisions_reached = u64::from(self.target_precision.is_some());
+        let realizations: u64 = self.ranks.values().map(|r| r.realizations).sum();
+        for (name, n) in [
+            ("parmonc_runs_started_total", runs_started),
+            ("parmonc_runs_completed_total", runs_completed),
+            ("parmonc_realizations_total", realizations),
+            ("parmonc_averaging_passes_total", self.averaging_passes),
+            ("parmonc_save_points_total", self.save_points),
+            ("parmonc_workers_lost_total", self.workers_lost),
+            (
+                "parmonc_reassigned_realizations_total",
+                self.reassigned_realizations,
+            ),
+            (
+                "parmonc_checkpoint_recoveries_total",
+                self.checkpoint_recoveries,
+            ),
+            (
+                "parmonc_target_precision_reached_total",
+                target_precisions_reached,
+            ),
+            ("parmonc_workers_joined_total", self.workers_joined),
+            ("parmonc_workers_left_total", self.workers_left),
+            (
+                "parmonc_workers_reconnected_total",
+                self.workers_reconnected,
+            ),
+            ("parmonc_collector_resumes_total", self.collector_resumes),
+            ("parmonc_torn_frames_total", self.torn_frames),
+        ] {
+            if n > 0 {
+                add(name.into(), COUNTER, n as f64);
+            }
+        }
+        if self.ranks.values().any(|r| r.messages_sent > 0) {
+            let bytes: u64 = self.ranks.values().map(|r| r.bytes_sent).sum();
+            add("parmonc_bytes_sent_total".into(), COUNTER, bytes as f64);
+        }
+        if self.messages_received > 0 {
+            let bytes = self.bytes_received as f64;
+            add("parmonc_bytes_received_total".into(), COUNTER, bytes);
+        }
+        for ((family, tag), n) in &self.messages_by_tag {
+            // Message tags are tiny integers; anything past 9 is one
+            // `other` series.
+            let label = if *tag <= 9 {
+                tag.to_string()
+            } else {
+                "other".into()
+            };
+            add(format!("{family}{{tag=\"{label}\"}}"), COUNTER, *n as f64);
+        }
+        for (fault, n) in &self.faults_by_name {
+            let name = format!("parmonc_faults_injected_total{{fault=\"{fault}\"}}");
+            add(name, COUNTER, *n as f64);
+        }
+        for (series, n) in &self.spans_by_phase {
+            add((*series).into(), COUNTER, *n as f64);
+        }
+        for (link, sums) in &self.links {
+            for (i, (family, n)) in WIRE_SERIES.iter().zip(sums).enumerate() {
+                if i < 4 || *n > 0 {
+                    add(format!("{family}{{link=\"{link}\"}}"), COUNTER, *n as f64);
+                }
+            }
+        }
+        let (target_volume, target) = self
+            .target_precision
+            .map(|(n, _, target)| (n, target))
+            .unzip();
+        for (name, value) in [
+            ("parmonc_processors", self.processors.map(|m| m as f64)),
+            (
+                "parmonc_max_sample_volume",
+                self.max_sample_volume.map(|l| l as f64),
+            ),
+            (
+                "parmonc_queue_high_water",
+                (self.max_queue_depth > 0).then_some(self.max_queue_depth as f64),
+            ),
+            (
+                "parmonc_sample_volume",
+                self.sample_volume.map(|n| n as f64),
+            ),
+            ("parmonc_run_time_seconds", self.run_time_seconds),
+            ("parmonc_eps_max", self.eps_max),
+            (
+                "parmonc_total_realizations",
+                self.total_realizations.map(|n| n as f64),
+            ),
+            ("parmonc_t_comp_seconds", self.t_comp_seconds),
+            (
+                "parmonc_target_precision_volume",
+                target_volume.map(|n| n as f64),
+            ),
+            ("parmonc_eps_target", target),
+        ] {
+            if let Some(value) = value {
+                add(name.into(), GAUGE, value);
+            }
+        }
+        if let Some(transport) = self.transport {
+            // Prometheus info-style gauge: the transport rides as a
+            // label, the value is always 1.
+            add(transport.series().into(), GAUGE, 1.0);
+        }
+        for ((family, functional), value) in &self.estimates {
+            let name = format!("{family}{{functional=\"{functional}\"}}");
+            add(name, GAUGE, *value);
+        }
+        render_exposition(&scalars, &self.histograms())
     }
 
     /// Renders the human-readable summary table printed at the end of
@@ -457,9 +795,36 @@ impl MonitorSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate_prometheus_text;
 
     fn ev(time_s: f64, rank: Option<usize>, kind: EventKind) -> Event {
         Event::at(time_s, rank, kind)
+    }
+
+    /// The value of one series in an exposition.
+    fn sample(text: &str, series: &str) -> Option<f64> {
+        text.lines()
+            .filter(|line| !line.starts_with('#'))
+            .find_map(|line| {
+                let (name, value) = line.rsplit_once(' ')?;
+                (name == series).then(|| value.parse().unwrap())
+            })
+    }
+
+    fn histogram(s: &MonitorSummary, name: &str) -> Option<LogHistogram> {
+        s.histograms()
+            .into_iter()
+            .find_map(|(family, h)| (family == name).then_some(h))
+    }
+
+    /// The fold without its realization-time samples, the one thing
+    /// arrival order may change: a sample is the batch a rank's report
+    /// was the first to show, so which reports arrive first decides how
+    /// the batches are cut.
+    fn without_batches(mut s: MonitorSummary) -> MonitorSummary {
+        s.histograms
+            .retain(|(family, _), _| *family != "parmonc_realization_seconds");
+        s
     }
 
     #[test]
@@ -719,7 +1084,7 @@ mod tests {
         sorted.sort_by(|a, b| a.time_s.total_cmp(&b.time_s));
         let a = MonitorSummary::from_events(&shuffled);
         let b = MonitorSummary::from_events(&sorted);
-        assert_eq!(a, b);
+        assert_eq!(without_batches(a.clone()), without_batches(b));
         assert_eq!(a.ranks[&1].realizations, 60);
         assert_eq!(a.ranks[&1].compute_seconds, 0.9);
         let _ = a.render_table();
@@ -727,11 +1092,12 @@ mod tests {
 
     /// The full multi-host story: a trace whose per-rank streams were
     /// merged from skewed clocks (worker events arrive late, early, and
-    /// interleaved across every kind the TCP backend emits) must fold
-    /// to the identical summary under every delivery order.
+    /// interleaved across every kind the TCP backend emits, and a stale
+    /// progress report arrives again) must fold to the identical
+    /// summary under every delivery order, and count every realization
+    /// once.
     #[test]
     fn skewed_multi_host_trace_folds_order_independently() {
-        use crate::event::SpanPhase;
         // Rank 1's clock runs 5 s ahead, rank 2's 3 s behind: the
         // merged timeline is wildly non-monotonic even though each
         // rank's own stream is ordered.
@@ -831,6 +1197,17 @@ mod tests {
             ));
             events.push(ev(2.1, Some(0), EventKind::WorkerLeft { worker: rank }));
         }
+        // Rank 1 reports 100, then a stale 50 arrives, then 100 again.
+        for completed in [50, 100] {
+            events.push(ev(
+                5.95,
+                Some(1),
+                EventKind::Realizations {
+                    completed,
+                    compute_seconds: completed as f64 / 250.0,
+                },
+            ));
+        }
         events.push(ev(
             2.2,
             Some(0),
@@ -872,15 +1249,28 @@ mod tests {
             if check != orig {
                 continue;
             }
+            let folded = MonitorSummary::from_events(&shuffled);
             assert_eq!(
-                MonitorSummary::from_events(&shuffled),
-                reference,
+                sample(&folded.render_prometheus(), "parmonc_realizations_total"),
+                Some(200.0),
+                "realizations over-counted under shuffle seed {seed}"
+            );
+            assert_eq!(
+                without_batches(folded),
+                without_batches(reference.clone()),
                 "fold differed under shuffle seed {seed}"
             );
         }
         let mut sorted = events.clone();
         sorted.sort_by(|a, b| a.time_s.total_cmp(&b.time_s));
         assert_eq!(MonitorSummary::from_events(&sorted), reference);
+        // In trace order the stale report and its repeat add no batch.
+        let text = reference.render_prometheus();
+        assert_eq!(sample(&text, "parmonc_realizations_total"), Some(200.0));
+        assert_eq!(
+            sample(&text, "parmonc_realization_seconds_count"),
+            Some(8.0)
+        );
 
         // Sanity on the folded values themselves.
         assert_eq!(reference.ranks[&1].realizations, 100);
@@ -968,12 +1358,12 @@ mod tests {
                 kind: kind.clone(),
             })
             .collect();
-        let fold = Arc::new(Mutex::new(MonitorSummary::default()));
+        let fold = Arc::new(SummarySink::new(None));
         let monitor = Monitor::new(vec![Box::new(Arc::clone(&fold))]);
         for e in &events {
             monitor.emit_aligned(e.time_s, e.raw_time_s, e.rank, e.kind.clone());
         }
-        let live = fold.lock().unwrap().clone();
+        let live = fold.lock().clone();
         assert_eq!(live, MonitorSummary::from_events(&events));
         assert_eq!(live.events, events.len() as u64);
     }
@@ -1046,11 +1436,10 @@ mod tests {
         assert_eq!(s.open_spans.len(), 1, "an unmatched start waits");
     }
 
-    /// Spans whose other half never comes are held up to the metrics
-    /// plane's cap and no further: the stalest ids go first.
+    /// Spans whose other half never comes are held up to the cap and
+    /// no further: the stalest ids go first.
     #[test]
     fn unmatched_span_halves_stop_at_the_cap() {
-        use crate::metrics::MAX_OPEN_SPANS;
         let extra = 10;
         let mut s = MonitorSummary::default();
         for span in 0..(MAX_OPEN_SPANS + extra) as u64 {
@@ -1065,6 +1454,285 @@ mod tests {
         }
         assert_eq!(s.open_spans.len(), MAX_OPEN_SPANS);
         assert!(s.span_seconds.is_empty());
+    }
+
+    /// Two ranks' events may reach the jsonl file and the live fold
+    /// interleaved differently; as long as each rank's own events keep
+    /// their order, every histogram sum comes out bit-identical.
+    #[test]
+    fn a_rank_interleaving_leaves_every_sum_unchanged() {
+        let save = |rank, duration_seconds| {
+            ev(
+                1.0,
+                Some(rank),
+                EventKind::SavePoint {
+                    volume: 1,
+                    duration_seconds,
+                },
+            )
+        };
+        let (a, b, c) = (save(1, 0.2), save(1, 0.1), save(2, 0.3));
+        // In one sum these orders differ in the last bit.
+        assert_ne!((0.2 + 0.1) + 0.3, (0.2 + 0.3) + 0.1);
+        let file = MonitorSummary::from_events(&[a.clone(), b.clone(), c.clone()]);
+        let live = MonitorSummary::from_events(&[a, c, b]);
+        assert_eq!(
+            histogram(&file, "parmonc_save_point_seconds"),
+            histogram(&live, "parmonc_save_point_seconds")
+        );
+        assert_eq!(file.render_prometheus(), live.render_prometheus());
+    }
+
+    #[test]
+    fn fold_derives_metrics_from_the_event_stream() {
+        let mut s = MonitorSummary::default();
+        s.record(&ev(
+            0.0,
+            None,
+            EventKind::RunStarted {
+                mode: RunMode::Threads,
+                processors: 4,
+                max_sample_volume: 1000,
+                seqnum: Some(1),
+                nrow: Some(1),
+                ncol: Some(1),
+                transport: Some(RunTransport::Threads),
+            },
+        ));
+        assert_eq!(
+            sample(
+                &s.render_prometheus(),
+                "parmonc_transport_info{transport=\"threads\"}"
+            ),
+            Some(1.0)
+        );
+        // Cumulative progress: 10 realizations in 1 s, then 10 more in 3 s.
+        s.record(&ev(
+            1.0,
+            Some(1),
+            EventKind::Realizations {
+                completed: 10,
+                compute_seconds: 1.0,
+            },
+        ));
+        s.record(&ev(
+            4.0,
+            Some(1),
+            EventKind::Realizations {
+                completed: 20,
+                compute_seconds: 4.0,
+            },
+        ));
+        assert_eq!(
+            sample(&s.render_prometheus(), "parmonc_realizations_total"),
+            Some(20.0)
+        );
+        let per_real = histogram(&s, "parmonc_realization_seconds").unwrap();
+        assert_eq!(per_real.count(), 2);
+        assert_eq!(per_real.min(), Some(0.1));
+        assert_eq!(per_real.max(), Some(0.3));
+
+        // Messages: one subtotal send, one heartbeat pair for the gap.
+        s.record(&ev(
+            1.0,
+            Some(1),
+            EventKind::MessageSent {
+                dest: 0,
+                tag: 1,
+                bytes: 40,
+            },
+        ));
+        s.record(&ev(
+            2.0,
+            Some(0),
+            EventKind::MessageReceived {
+                source: 1,
+                tag: 4,
+                bytes: 8,
+                queue_depth: 2,
+            },
+        ));
+        s.record(&ev(
+            3.5,
+            Some(0),
+            EventKind::MessageReceived {
+                source: 1,
+                tag: 4,
+                bytes: 8,
+                queue_depth: 0,
+            },
+        ));
+        let text = s.render_prometheus();
+        assert_eq!(
+            sample(&text, "parmonc_messages_sent_total{tag=\"1\"}"),
+            Some(1.0)
+        );
+        assert_eq!(
+            sample(&text, "parmonc_messages_received_total{tag=\"4\"}"),
+            Some(2.0)
+        );
+        let gap = histogram(&s, "parmonc_heartbeat_gap_seconds").unwrap();
+        assert_eq!(gap.count(), 1);
+        assert_eq!(gap.max(), Some(1.5));
+
+        // The estimate trajectory.
+        s.record(&ev(
+            5.5,
+            Some(0),
+            EventKind::MetricsSnapshot {
+                functional: 0,
+                n: 20,
+                mean: Some(0.5),
+                err: Some(0.01),
+            },
+        ));
+        s.record(&ev(
+            5.6,
+            Some(0),
+            EventKind::TargetPrecisionReached {
+                n: 20,
+                eps_max: 0.01,
+                target: 0.02,
+            },
+        ));
+        let text = s.render_prometheus();
+        assert_eq!(
+            sample(&text, "parmonc_estimate_mean{functional=\"0\"}"),
+            Some(0.5)
+        );
+        assert_eq!(
+            sample(&text, "parmonc_target_precision_reached_total"),
+            Some(1.0)
+        );
+        validate_prometheus_text(&text).expect("derived exposition is valid");
+    }
+
+    #[test]
+    fn span_and_wire_events_derive_trace_metrics() {
+        let mut s = MonitorSummary::default();
+        s.record(&ev(
+            1.0,
+            Some(1),
+            EventKind::SpanStarted {
+                span: 42,
+                parent: None,
+                phase: SpanPhase::RealizationBatch,
+            },
+        ));
+        s.record(&ev(
+            1.5,
+            Some(1),
+            EventKind::SpanEnded {
+                span: 42,
+                phase: SpanPhase::RealizationBatch,
+            },
+        ));
+        // An end with no recorded start still counts, just without a
+        // duration sample.
+        s.record(&ev(
+            2.0,
+            Some(1),
+            EventKind::SpanEnded {
+                span: 43,
+                phase: SpanPhase::Checkpoint,
+            },
+        ));
+        s.record(&ev(
+            3.0,
+            Some(0),
+            EventKind::WireStats {
+                link: 2,
+                frames_in: 10,
+                bytes_in: 800,
+                frames_out: 3,
+                bytes_out: 90,
+                dials: 2,
+                dedup_dropped: 1,
+                events_dropped: 0,
+            },
+        ));
+        let text = s.render_prometheus();
+        assert_eq!(
+            sample(&text, "parmonc_spans_total{phase=\"realization_batch\"}"),
+            Some(1.0)
+        );
+        assert_eq!(
+            sample(&text, "parmonc_spans_total{phase=\"checkpoint\"}"),
+            Some(1.0)
+        );
+        let h = histogram(&s, "parmonc_span_seconds").unwrap();
+        assert_eq!(h.count(), 1);
+        assert!((h.sum() - 0.5).abs() < 1e-12);
+        assert_eq!(
+            sample(&text, "parmonc_wire_frames_in_total{link=\"2\"}"),
+            Some(10.0)
+        );
+        assert_eq!(
+            sample(&text, "parmonc_wire_bytes_out_total{link=\"2\"}"),
+            Some(90.0)
+        );
+        assert_eq!(
+            sample(&text, "parmonc_reconnect_dials_total{link=\"2\"}"),
+            Some(2.0)
+        );
+        assert_eq!(
+            sample(&text, "parmonc_dedup_dropped_frames_total{link=\"2\"}"),
+            Some(1.0)
+        );
+        // No forwarded-drop series when the count is zero.
+        assert_eq!(
+            sample(&text, "parmonc_forwarded_events_dropped_total{link=\"2\"}"),
+            None
+        );
+        validate_prometheus_text(&text).expect("valid exposition");
+    }
+
+    fn prom_path(name: &str) -> (std::path::PathBuf, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("parmonc-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("monitor/metrics.prom");
+        (dir, path)
+    }
+
+    #[test]
+    fn sink_writes_prometheus_file_on_flush() {
+        let (dir, path) = prom_path("prom-flush");
+        let sink = SummarySink::new(Some(path.clone()));
+        sink.record(&ev(0.5, Some(0), EventKind::QueueHighWater { depth: 4 }));
+        sink.flush();
+        let text = std::fs::read_to_string(&path).unwrap();
+        validate_prometheus_text(&text).expect("file parses as Prometheus text");
+        assert!(text.contains("parmonc_queue_high_water 4"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A run that is still going has a `metrics.prom` all the same: the
+    /// sink rewrites it every 256 events, flush or no flush.
+    #[test]
+    fn sink_rewrites_prometheus_file_every_256_events() {
+        let (dir, path) = prom_path("prom-periodic");
+        let sink = SummarySink::new(Some(path.clone()));
+        let delivery = |depth| {
+            ev(
+                0.5,
+                Some(0),
+                EventKind::MessageReceived {
+                    source: 1,
+                    tag: 1,
+                    bytes: 64,
+                    queue_depth: depth,
+                },
+            )
+        };
+        for depth in 0..255 {
+            sink.record(&delivery(depth));
+        }
+        assert!(!path.exists(), "written before its 256th event");
+        sink.record(&delivery(255));
+        let text = std::fs::read_to_string(&path).unwrap();
+        validate_prometheus_text(&text).expect("file parses as Prometheus text");
+        assert!(text.contains("parmonc_queue_depth_count 256"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
