@@ -545,24 +545,32 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
             Err(e) => return Err(e),
         }
     }
-    let source = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-    let tag = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    let seq = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-    let len = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes")) as usize;
+    let mut frame = decode_header(&header)?;
+    r.read_exact(&mut frame.payload)?;
+    Ok(Some(frame))
+}
+
+/// Decodes a frame header into its frame, whose zeroed payload has the
+/// announced length and is read into next.
+///
+/// # Errors
+///
+/// `InvalidData` for a length prefix past [`MAX_FRAME_LEN`].
+pub(crate) fn decode_header(header: &[u8; FRAME_HEADER_LEN]) -> io::Result<Frame> {
+    let field = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+    let len = field(16) as usize;
     if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "frame length prefix exceeds the protocol maximum",
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(Frame {
-        source,
-        tag,
-        seq,
-        payload,
-    }))
+    Ok(Frame {
+        source: field(0),
+        tag: field(4),
+        seq: u64::from_le_bytes(header[8..16].try_into().expect("8 bytes")),
+        payload: vec![0; len],
+    })
 }
 
 #[cfg(test)]

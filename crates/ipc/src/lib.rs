@@ -33,9 +33,8 @@
 //! estimates are bit-identical to the thread backend for the same
 //! configuration and seed.
 
-// `deny`, not `forbid`: `reuse` carries the workspace's only unsafe
-// code — four C calls to bind the collector listener with
-// `SO_REUSEADDR` (crash–resume needs the port back immediately).
+// `deny`, not `forbid`: `poll` carries this crate's only unsafe code,
+// the C call the collector's I/O thread waits in.
 #![deny(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
@@ -44,7 +43,7 @@ pub mod faulty;
 pub mod frame;
 mod launcher;
 mod link;
-mod reuse;
+mod poll;
 mod socket;
 pub mod tcp;
 mod worker;
@@ -53,7 +52,6 @@ pub use backoff::{Backoff, ReconnectPolicy};
 pub use faulty::FaultyStream;
 pub use launcher::launch;
 pub use link::admit_seq;
-pub use reuse::bind_reuseaddr;
 pub use tcp::{
     JoinOptions, LeaseSnapshot, ListenOptions, TcpCollectorTransport, TcpWorkerTransport,
 };

@@ -1,6 +1,6 @@
 //! Shared plumbing for both ends of a socket world: the matching
 //! mailbox, queue-depth accounting, per-link wire and clock state, the
-//! monitor-event forwarding sink, and the reader pump.
+//! monitor-event forwarding sink, and the delivery of a link's frames.
 
 use std::io::{BufReader, Read, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -18,8 +18,8 @@ use crate::frame::{
     TAG_TCP_CLOCK_PROBE, TAG_TCP_CLOCK_REPLY,
 };
 
-/// Per-link wire counters, shared between the link's reader thread and
-/// its write path. The counters survive reconnects (they live beside
+/// Per-link wire counters, shared between the side reading the link
+/// and its write path. The counters survive reconnects (they live beside
 /// the lease, not the connection) and are folded into one `wire_stats`
 /// event when the link finally tears down.
 #[derive(Debug, Default)]
@@ -91,7 +91,7 @@ pub(crate) struct LinkClock {
     /// `f64` bits of the current offset estimate.
     offset_bits: AtomicU64,
     /// `f64` bits of the last corrected timestamp emitted. Only the
-    /// link's single reader thread normalizes, so a plain load/store
+    /// collector's one I/O thread normalizes, so a plain load/store
     /// (no CAS loop) is race-free.
     floor_bits: AtomicU64,
 }
@@ -110,7 +110,7 @@ impl LinkClock {
 
     /// Maps a worker-local timestamp onto the collector's run clock:
     /// `raw + offset`, clamped to never run backwards on this link.
-    /// Called only from the link's reader thread.
+    /// Called only from the collector's I/O thread.
     pub(crate) fn normalize(&self, raw_s: f64) -> f64 {
         let floor = f64::from_bits(self.floor_bits.load(Ordering::Relaxed));
         let corrected = (raw_s + self.offset()).max(floor);
@@ -121,7 +121,7 @@ impl LinkClock {
 }
 
 /// Queue-depth counters for one rank's inbox, mirroring the
-/// `ChannelStats` accounting of the thread substrate: the reader
+/// `ChannelStats` accounting of the thread substrate: the reading
 /// thread bumps the depth as frames arrive, the consuming loop drops
 /// it on delivery, and a new maximum emits `queue_high_water`.
 #[derive(Debug, Default)]
@@ -148,7 +148,7 @@ impl InboxStats {
 }
 
 /// The receive half shared by both transports: an mpsc inbox fed by
-/// reader threads, plus the MPI-style pending buffer for messages
+/// the thread reading the links, plus the MPI-style pending buffer for messages
 /// that arrived but did not match the active source/tag filter.
 /// Matching semantics are identical to `parmonc_mpi::Communicator`.
 #[derive(Debug)]
@@ -337,14 +337,14 @@ pub fn admit_seq(last_seq: &AtomicU64, seq: u64) -> bool {
     seq == 0 || last_seq.fetch_max(seq, Ordering::AcqRel) < seq
 }
 
-/// Everything one link's reader thread needs besides the stream and
-/// the inbox: the monitor it re-emits into, its identity, the inbox
-/// depth and wire counters, and the planes only one side runs (source
+/// Everything the delivery of one link's frames needs besides the
+/// inbox: the monitor it re-emits into, its identity, the inbox depth
+/// and wire counters, and the planes only one side runs (source
 /// vetting, dedup, clock alignment).
 pub(crate) struct LinkHooks {
     /// The run monitor forwarded events are re-emitted into.
     pub monitor: Monitor,
-    /// The rank whose inbox this reader feeds (attribution for
+    /// The rank whose inbox the link feeds (attribution for
     /// queue-depth and torn-frame events).
     pub local_rank: usize,
     /// Queue-depth accounting of the inbox.
@@ -370,7 +370,7 @@ pub(crate) struct LinkHooks {
     pub clock_responder: Option<FrameHook>,
 }
 
-/// A reader-thread callback handed one decoded [`Frame`]; see
+/// A callback handed one decoded [`Frame`]; see
 /// [`LinkHooks::clock_responder`].
 pub type FrameHook = Box<dyn Fn(&Frame) + Send>;
 
@@ -383,95 +383,97 @@ impl std::fmt::Debug for LinkHooks {
     }
 }
 
-/// Pumps frames off one socket into the mpsc inbox until EOF or
-/// error. [`TAG_IPC_EVENT`] frames are decoded and re-emitted into
-/// the monitor with the child's timestamp (corrected onto the run
-/// clock when the link is clock-aligned) instead of being enqueued;
-/// clock frames are handled per the hooks. Exits when the peer closes or the receiving side has
-/// dropped its inbox; a mid-frame EOF (the peer died, or the fault
-/// plane tore the frame, mid-write) is surfaced as a `torn_frame`
-/// monitor event instead of a silent drop.
+impl LinkHooks {
+    /// Delivers one frame that arrived on the link. [`TAG_IPC_EVENT`]
+    /// frames are decoded and re-emitted into the monitor with the
+    /// peer's timestamp (corrected onto the run clock when the link is
+    /// clock-aligned) instead of being enqueued; clock frames are
+    /// handled per the hooks; every other frame passes source vetting
+    /// and dedup into the inbox. Returns `false` once the receiving
+    /// side has dropped its inbox.
+    pub(crate) fn deliver(&self, frame: Frame, tx: &Sender<Envelope>) -> bool {
+        self.wire.count_in(FRAME_HEADER_LEN + frame.payload.len());
+        if self.expect_source.is_some_and(|s| frame.source != s) {
+            return true;
+        }
+        if frame.tag == TAG_IPC_EVENT {
+            let decoded = std::str::from_utf8(&frame.payload)
+                .ok()
+                .and_then(|text| parmonc_obs::schema::parse_line(text).ok());
+            match (decoded, &self.clock) {
+                (Some(event), Some(clock)) => self.monitor.emit_aligned(
+                    clock.normalize(event.time_s),
+                    Some(event.time_s),
+                    event.rank,
+                    event.kind,
+                ),
+                (Some(event), None) => {
+                    self.monitor.emit_at(event.time_s, event.rank, event.kind);
+                }
+                // Far-side trace loss must show: the link's
+                // `wire_stats` carries the count.
+                (None, _) => self.wire.count_undecoded_event(),
+            }
+            return true;
+        }
+        if frame.tag == TAG_TCP_CLOCK {
+            if let (Some(clock), Some(sync)) = (&self.clock, ClockSync::decode(&frame.payload)) {
+                clock.set_offset(sync.offset_s);
+            }
+            return true;
+        }
+        if frame.tag == TAG_TCP_CLOCK_PROBE || frame.tag == TAG_TCP_CLOCK_REPLY {
+            if let Some(respond) = &self.clock_responder {
+                respond(&frame);
+            }
+            return true;
+        }
+        if let Some(last) = &self.dedup {
+            if !admit_seq(last, frame.seq) {
+                // A replay of a frame that already made it through
+                // before the link broke.
+                self.wire.count_dedup_drop();
+                return true;
+            }
+        }
+        self.stats.note_enqueue(&self.monitor, self.local_rank);
+        tx.send(Envelope {
+            source: frame.source as usize,
+            tag: Tag(frame.tag),
+            payload: Bytes::from(frame.payload),
+        })
+        .is_ok()
+    }
+
+    /// Reports the frame the link died inside: a real peer crash
+    /// mid-write, or a scripted `tear_frame`. The partial frame was
+    /// never delivered.
+    pub(crate) fn torn(&self) {
+        self.monitor.emit(
+            Some(self.local_rank),
+            EventKind::TornFrame {
+                source: self.expect_source.unwrap_or_default() as usize,
+            },
+        );
+    }
+}
+
+/// A worker's reader thread: delivers the frames of one blocking
+/// stream ([`LinkHooks::deliver`]) until EOF, an error, or a dropped
+/// inbox. A mid-frame EOF is reported as [`LinkHooks::torn`].
 pub(crate) fn pump_frames(stream: impl Read, tx: Sender<Envelope>, hooks: LinkHooks) {
-    let LinkHooks {
-        monitor,
-        local_rank,
-        stats,
-        expect_source,
-        dedup,
-        wire,
-        clock,
-        clock_responder,
-    } = hooks;
     let mut reader = BufReader::new(stream);
     loop {
         match read_frame(&mut reader) {
             Ok(Some(frame)) => {
-                wire.count_in(FRAME_HEADER_LEN + frame.payload.len());
-                if expect_source.is_some_and(|s| frame.source != s) {
-                    continue;
-                }
-                if frame.tag == TAG_IPC_EVENT {
-                    let decoded = std::str::from_utf8(&frame.payload)
-                        .ok()
-                        .and_then(|text| parmonc_obs::schema::parse_line(text).ok());
-                    match (decoded, &clock) {
-                        (Some(event), Some(clock)) => monitor.emit_aligned(
-                            clock.normalize(event.time_s),
-                            Some(event.time_s),
-                            event.rank,
-                            event.kind,
-                        ),
-                        (Some(event), None) => {
-                            monitor.emit_at(event.time_s, event.rank, event.kind);
-                        }
-                        // Far-side trace loss must show: the link's
-                        // `wire_stats` carries the count.
-                        (None, _) => wire.count_undecoded_event(),
-                    }
-                    continue;
-                }
-                if frame.tag == TAG_TCP_CLOCK {
-                    if let (Some(clock), Some(sync)) = (&clock, ClockSync::decode(&frame.payload)) {
-                        clock.set_offset(sync.offset_s);
-                    }
-                    continue;
-                }
-                if frame.tag == TAG_TCP_CLOCK_PROBE || frame.tag == TAG_TCP_CLOCK_REPLY {
-                    if let Some(respond) = &clock_responder {
-                        respond(&frame);
-                    }
-                    continue;
-                }
-                if let Some(last) = &dedup {
-                    if !admit_seq(last, frame.seq) {
-                        // A replay of a frame that already made it
-                        // through before the link broke.
-                        wire.count_dedup_drop();
-                        continue;
-                    }
-                }
-                stats.note_enqueue(&monitor, local_rank);
-                let env = Envelope {
-                    source: frame.source as usize,
-                    tag: Tag(frame.tag),
-                    payload: Bytes::from(frame.payload),
-                };
-                if tx.send(env).is_err() {
+                if !hooks.deliver(frame, &tx) {
                     return;
                 }
             }
             Ok(None) => return,
             Err(e) => {
                 if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                    // The stream died mid-frame: a real peer crash
-                    // mid-write, or a scripted `tear_frame`. The
-                    // partial frame was never delivered.
-                    monitor.emit(
-                        Some(local_rank),
-                        EventKind::TornFrame {
-                            source: expect_source.unwrap_or_default() as usize,
-                        },
-                    );
+                    hooks.torn();
                 }
                 return;
             }

@@ -9,6 +9,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -47,7 +48,7 @@ impl Endpoint {
     }
 }
 
-/// A bound, blocking listening socket of either kind.
+/// A bound, non-blocking listening socket of either kind.
 #[derive(Debug)]
 pub(crate) enum Listener {
     Tcp(TcpListener),
@@ -55,12 +56,23 @@ pub(crate) enum Listener {
 }
 
 impl Listener {
-    /// Binds `endpoint`: a TCP address with `SO_REUSEADDR` (see
-    /// [`crate::reuse`]), or a Unix socket path.
+    /// Binds `endpoint`, a TCP address or a Unix socket path. On Unix
+    /// `std` sets `SO_REUSEADDR` before a TCP bind, which a restarted
+    /// collector needs: it rebinds the address its workers joined
+    /// while the dead one's accepted sockets still linger in
+    /// `FIN_WAIT`/`TIME_WAIT` (crash–resume, `docs/cluster.md`).
     pub(crate) fn bind(endpoint: &Endpoint) -> io::Result<Self> {
         Ok(match endpoint {
-            Endpoint::Tcp(addr) => Self::Tcp(crate::reuse::bind_reuseaddr(addr.as_str())?),
-            Endpoint::Unix(path) => Self::Unix(UnixListener::bind(path)?),
+            Endpoint::Tcp(addr) => {
+                let listener = TcpListener::bind(addr.as_str())?;
+                listener.set_nonblocking(true)?;
+                Self::Tcp(listener)
+            }
+            Endpoint::Unix(path) => {
+                let listener = UnixListener::bind(path)?;
+                listener.set_nonblocking(true)?;
+                Self::Unix(listener)
+            }
         })
     }
 
@@ -99,19 +111,31 @@ impl Listener {
         }
     }
 
-    /// Blocks until one connection arrives and returns it with the
-    /// peer's printable address (`None` for a Unix peer: dialing
-    /// sockets are unnamed).
+    /// Takes one pending connection (`WouldBlock` if there is none), a
+    /// blocking socket, with the peer's printable address (`None` for a
+    /// Unix peer: dialing sockets are unnamed).
     pub(crate) fn accept(&self) -> io::Result<(Socket, Option<String>)> {
-        match self {
+        let (socket, peer) = match self {
             Self::Tcp(l) => {
                 let (stream, peer) = l.accept()?;
-                Ok((Socket::Tcp(stream), Some(peer.to_string())))
+                (Socket::Tcp(stream), Some(peer.to_string()))
             }
-            Self::Unix(l) => {
-                let (stream, _) = l.accept()?;
-                Ok((Socket::Unix(stream), None))
-            }
+            Self::Unix(l) => (Socket::Unix(l.accept()?.0), None),
+        };
+        // BSD hands an accepted socket its listener's `O_NONBLOCK`.
+        match &socket {
+            Socket::Tcp(s) => s.set_nonblocking(false)?,
+            Socket::Unix(s) => s.set_nonblocking(false)?,
+        }
+        Ok((socket, peer))
+    }
+}
+
+impl AsRawFd for Listener {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Self::Tcp(l) => l.as_raw_fd(),
+            Self::Unix(l) => l.as_raw_fd(),
         }
     }
 }
@@ -124,7 +148,7 @@ pub(crate) enum Socket {
 }
 
 impl Socket {
-    /// The handshake-time settings: no Nagle delay (TCP only) and
+    /// A connection's settings: no Nagle delay (TCP only) and
     /// `timeout` on reads and writes.
     pub(crate) fn configure(&self, timeout: Duration) -> io::Result<()> {
         if let Self::Tcp(s) = self {
@@ -160,6 +184,15 @@ impl Socket {
     }
 }
 
+impl AsRawFd for Socket {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Self::Tcp(s) => s.as_raw_fd(),
+            Self::Unix(s) => s.as_raw_fd(),
+        }
+    }
+}
+
 impl Read for &Socket {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
@@ -189,5 +222,38 @@ impl Write for Socket {
 
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::poll::{poll, PollFd};
+
+    /// The crash–resume regression: a dead collector's accepted socket
+    /// still holds the listener's port (the peer has not seen the death
+    /// yet), and the restarted listener must bind the same port anyway.
+    /// Without `SO_REUSEADDR` this rebind fails with `AddrInUse` until
+    /// the old socket drains out of `FIN_WAIT`.
+    #[test]
+    fn rebinds_port_while_old_connection_lingers() {
+        let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let endpoint = Endpoint::Tcp(addr.to_string());
+        let client = endpoint.dial(Duration::from_secs(5)).unwrap();
+        let mut pending = [PollFd::input(listener.as_raw_fd())];
+        poll(&mut pending, Some(Duration::from_secs(5))).unwrap();
+        let conn = listener.accept().unwrap();
+        // The "crash": the collector's sockets close while the worker
+        // end stays open, leaving the port in FIN_WAIT.
+        drop((conn, listener));
+        let relisten = Listener::bind(&endpoint).expect("the port is bound again");
+        assert_eq!(relisten.local_addr().unwrap(), addr);
+        drop(client);
+    }
+
+    #[test]
+    fn unresolvable_address_is_an_error() {
+        assert!(Listener::bind(&Endpoint::Tcp("definitely-not-a-host:0".into())).is_err());
     }
 }

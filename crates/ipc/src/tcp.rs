@@ -42,28 +42,34 @@
 //!   stale rejoin against a fresh collector) are refused with
 //!   [`RejectCode::EpochMismatch`].
 //!
+//! Rank 0's side of every connection is one I/O thread, `IoLoop`, so a
+//! rank's frames are delivered in one order by construction: a rejoin
+//! is admitted only once its old connection's bytes are delivered.
+//!
 //! Connection health is split between two layers, on purpose:
 //!
 //! * **writes** carry a per-connection timeout (`io_timeout`), so a
 //!   wedged peer turns a send into [`MpiError::Disconnected`] instead
 //!   of blocking the collector loop;
-//! * **reads** never time a peer out. A blocked reader polls with a
-//!   short kernel receive timeout (`PatientReader` below) purely so
-//!   teardown can interrupt it; judging *silence* is the job of the
-//!   run's heartbeat-based liveness plane, which sees the same
-//!   evidence on every backend.
+//! * **reads** never time a peer out (only a handshake has a deadline):
+//!   the collector reads what `poll` finds, and a worker's reader polls
+//!   with a short kernel receive timeout (`PatientReader` below) purely
+//!   so teardown can interrupt it. Judging *silence* is the job of the
+//!   run's heartbeat-based liveness plane, which sees the same evidence
+//!   on every backend.
 //!
 //! The wiring is a star, like the collection it carries: every
 //! connection runs between a worker and rank 0, and a connection
 //! speaks only for the rank it was leased (frames claiming another
 //! source are dropped).
 
-use std::io::{self, Read};
+use std::io::{self, ErrorKind, Read};
 use std::net::SocketAddr;
+use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -79,25 +85,30 @@ use parmonc_obs::{EventKind, Monitor, SpanEmitter, SpanPhase};
 use crate::backoff::{splitmix64, Backoff, ReconnectPolicy};
 use crate::faulty::FaultyStream;
 use crate::frame::{
-    read_frame, write_frame, write_frame_seq, ClockProbe, ClockReply, ClockSync, Frame, Grant,
-    JoinRequest, Reject, RejectCode, Rejoin, FRAME_HEADER_LEN, TAG_TCP_CLOCK, TAG_TCP_CLOCK_PROBE,
-    TAG_TCP_CLOCK_REPLY, TAG_TCP_GRANT, TAG_TCP_JOIN, TAG_TCP_REJECT, TAG_TCP_REJOIN, TCP_MAGIC,
-    TCP_PROTOCOL_VERSION,
+    decode_header, read_frame, write_frame, write_frame_seq, ClockProbe, ClockReply, ClockSync,
+    Frame, Grant, JoinRequest, Reject, RejectCode, Rejoin, FRAME_HEADER_LEN, TAG_TCP_CLOCK,
+    TAG_TCP_CLOCK_PROBE, TAG_TCP_CLOCK_REPLY, TAG_TCP_GRANT, TAG_TCP_JOIN, TAG_TCP_REJECT,
+    TAG_TCP_REJOIN, TCP_MAGIC, TCP_PROTOCOL_VERSION,
 };
 use crate::launcher::Children;
 use crate::link::{
     note_sent, pump_frames, ForwardSink, InboxStats, LinkClock, LinkHooks, Mailbox, WireTelemetry,
 };
+use crate::poll::{poll, PollFd};
 use crate::socket::{Endpoint, Listener, Socket};
 
-/// How often a blocked reader wakes to check the stop flag — the
-/// kernel receive timeout under [`PatientReader`].
+/// How often a worker's blocked reader wakes to check the stop flag —
+/// the kernel receive timeout under [`PatientReader`].
 const READ_POLL: Duration = Duration::from_millis(50);
 
-/// How long the acceptor pauses after a failed `accept()` (EMFILE,
-/// ECONNABORTED, ...) before it blocks again, so that an error that
-/// repeats cannot spin a core.
-const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(1);
+/// How long the I/O thread pauses after a failed `accept()` (EMFILE,
+/// ECONNABORTED, ...) or `poll()`, so that a repeating error cannot
+/// spin a core.
+const ERROR_BACKOFF: Duration = Duration::from_millis(1);
+
+/// The most one read of a connection buffers: [`std::io::BufReader`]'s
+/// capacity, so a large payload is copied no more often than by one.
+const READ_CHUNK: usize = 8 * 1024;
 
 /// How long a monitored collector waits at shutdown for the workers
 /// that are still connected to hang up by themselves (see
@@ -123,8 +134,8 @@ fn fresh_epoch() -> u64 {
     splitmix64(nanos ^ (u64::from(std::process::id()) << 32)).max(1)
 }
 
-/// A [`Read`] wrapper for sockets with a short `SO_RCVTIMEO`: receive
-/// timeouts are retried (a kernel timeout consumes no bytes, so frame
+/// A worker's [`Read`] wrapper for sockets with a short `SO_RCVTIMEO`:
+/// receive timeouts are retried (a kernel timeout consumes no bytes, so frame
 /// decoding never sees a torn header) until the stop flag is raised,
 /// at which point reads report a clean EOF. Dead-peer detection is
 /// deliberately *not* done here — silence is judged by the run's
@@ -215,6 +226,11 @@ impl LeaseSnapshot {
         let mut ever_leased = vec![false; workers];
         let mut retired = vec![false; workers];
         let mut last_seqs = vec![0u64; workers];
+        let bit = |field: &str| match field {
+            "0" => Some(false),
+            "1" => Some(true),
+            _ => None,
+        };
         for i in 0..workers {
             let line = lines.next()?;
             let mut f = line.strip_prefix("rank ")?.split(' ');
@@ -222,16 +238,8 @@ impl LeaseSnapshot {
             if rank != i + 1 {
                 return None;
             }
-            ever_leased[i] = match f.next()? {
-                "0" => false,
-                "1" => true,
-                _ => return None,
-            };
-            retired[i] = match f.next()? {
-                "0" => false,
-                "1" => true,
-                _ => return None,
-            };
+            ever_leased[i] = bit(f.next()?)?;
+            retired[i] = bit(f.next()?)?;
             last_seqs[i] = f.next()?.parse().ok()?;
             if f.next().is_some() {
                 return None;
@@ -250,11 +258,12 @@ impl LeaseSnapshot {
     }
 }
 
-/// The collector's rank-lease table.
+/// The collector's rank-lease table, shared by rank 0 and the I/O thread.
 #[derive(Debug)]
 struct LeaseState {
     /// Write halves indexed by `rank - 1`; `None` while the rank is
-    /// unleased or after its connection dropped.
+    /// unleased or after its connection dropped. A rank has a writer
+    /// exactly while the I/O thread holds a connection for it.
     writers: Vec<Option<Arc<Mutex<Socket>>>>,
     /// Ranks that have been leased at least once. Fresh joiners are
     /// dealt never-touched ranks first: a rank whose worker already
@@ -265,13 +274,8 @@ struct LeaseState {
     ever_leased: Vec<bool>,
     /// Ranks whose budget the collector reassigned; never leased again.
     retired: Vec<bool>,
-    /// Per-slot connection generation, bumped on every writer install.
-    /// A reader thread frees its slot on exit only if the generation
-    /// still matches — a stale reader outliving a rejoin must not free
-    /// the *new* connection's writer.
-    generation: Vec<u64>,
-    /// Per-rank highest admitted sequence number, shared with the
-    /// rank's reader threads across reconnects (and restored from a
+    /// Per-rank highest admitted sequence number, shared by the rank's
+    /// connections across reconnects (and restored from a
     /// [`LeaseSnapshot`] across collector restarts).
     last_seqs: Vec<Arc<AtomicU64>>,
     /// Per-rank wire counters. They live beside the lease — not the
@@ -284,94 +288,20 @@ struct LeaseState {
     /// the monotone floor keeps the rank's corrected event stream from
     /// running backwards across the break.
     clocks: Vec<Arc<LinkClock>>,
-    /// Per-rank delivery turn of the newest connection (see [`Turn`]).
-    turns: Vec<Arc<Turn>>,
-}
-
-/// One connection's turn to deliver its rank's frames. A rank's
-/// connections share one sequence and one dedup high-water mark, so
-/// they deliver one at a time, in the order they were admitted. Were a
-/// rejoined connection's reader to go first, it would raise the mark
-/// past the frames its predecessor had received but not yet read, and
-/// dedup would drop those as replays though they had never arrived.
-#[derive(Debug, Default)]
-struct Turn {
-    over: Mutex<bool>,
-    ended: Condvar,
-}
-
-impl Turn {
-    /// A turn with nothing to deliver: a rank's first connection waits
-    /// for none.
-    fn over() -> Arc<Self> {
-        Arc::new(Self {
-            over: Mutex::new(true),
-            ended: Condvar::new(),
-        })
-    }
-
-    /// Blocks until the turn is over.
-    fn wait(&self) {
-        let mut over = self.over.lock().unwrap_or_else(PoisonError::into_inner);
-        while !*over {
-            over = self
-                .ended
-                .wait(over)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// A connection's place in its rank's order of delivery: its own
-/// [`Turn`], which ends when this is dropped — when the connection's
-/// reader exits, or when the connection never got one — and never
-/// before the turn of the connection admitted before it.
-#[derive(Debug)]
-struct TurnHeld {
-    previous: Arc<Turn>,
-    mine: Arc<Turn>,
-}
-
-impl Drop for TurnHeld {
-    fn drop(&mut self) {
-        // Bounded: a rejoin hung the previous connection up, and a fresh
-        // lease only takes a rank whose reader has left the wire.
-        self.previous.wait();
-        *self
-            .mine
-            .over
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = true;
-        self.mine.ended.notify_all();
-    }
 }
 
 impl LeaseState {
     /// Leases the lowest never-yet-leased rank to `writer`, falling
     /// back to the lowest dropped rank (a reconnect redoing the same
     /// streams is idempotent under replace-then-sum), or `None` when
-    /// every rank is either connected or retired. Returns the rank and
-    /// the new connection generation.
-    fn lease(&mut self, writer: Arc<Mutex<Socket>>) -> Option<(usize, u64)> {
-        let free = |&(_, (w, &retired)): &(usize, (&Option<_>, &bool))| -> bool {
-            w.is_none() && !retired
-        };
-        let slot = self
-            .writers
-            .iter()
-            .zip(&self.retired)
-            .enumerate()
-            .filter(free)
-            .find(|&(i, _)| !self.ever_leased[i])
-            .map(|(i, _)| i)
-            .or_else(|| {
-                self.writers
-                    .iter()
-                    .zip(&self.retired)
-                    .enumerate()
-                    .find(free)
-                    .map(|(i, _)| i)
-            })?;
+    /// every rank is either connected or retired.
+    fn lease(&mut self, writer: Arc<Mutex<Socket>>) -> Option<usize> {
+        let free = |&i: &usize| self.writers[i].is_none() && !self.retired[i];
+        let mut slots = (0..self.writers.len()).filter(free);
+        let slot = slots
+            .clone()
+            .find(|&i| !self.ever_leased[i])
+            .or_else(|| slots.next())?;
         if self.ever_leased[slot] {
             // A fresh joiner (a new worker incarnation — crash-restart
             // has no rank/epoch to Rejoin with) is taking over a
@@ -384,15 +314,14 @@ impl LeaseState {
         }
         self.writers[slot] = Some(writer);
         self.ever_leased[slot] = true;
-        self.generation[slot] += 1;
-        Some((slot + 1, self.generation[slot]))
+        Some(slot + 1)
     }
 
     /// Re-attaches a [`Rejoin`]ing worker to the rank it already
     /// holds, replacing (and hanging up) any half-open previous
     /// connection. The caller has validated rank bounds, epoch and
     /// digest; this refuses only never-leased and retired ranks.
-    fn rejoin(&mut self, rank: usize, writer: Arc<Mutex<Socket>>) -> Result<u64, &'static str> {
+    fn rejoin(&mut self, rank: usize, writer: Arc<Mutex<Socket>>) -> Result<(), &'static str> {
         let i = rank - 1;
         if !self.ever_leased[i] {
             return Err("rejoin names a rank that was never leased");
@@ -400,23 +329,14 @@ impl LeaseState {
         if self.retired[i] {
             return Err("rank's remaining budget was reassigned after it was declared lost");
         }
-        if let Some(old) = self.writers[i].take() {
+        if let Some(old) = self.writers[i].replace(writer) {
             // The previous connection is half-open (the worker saw the
-            // break first). Hang it up so its reader exits promptly.
+            // break first): hang it up.
             if let Ok(stream) = old.lock() {
                 stream.hang_up();
             }
         }
-        self.writers[i] = Some(writer);
-        self.generation[i] += 1;
-        Ok(self.generation[i])
-    }
-
-    /// Takes the next delivery turn of `rank`, just leased or rejoined.
-    fn next_turn(&mut self, rank: usize) -> TurnHeld {
-        let mine = Arc::new(Turn::default());
-        let previous = std::mem::replace(&mut self.turns[rank - 1], Arc::clone(&mine));
-        TurnHeld { previous, mine }
+        Ok(())
     }
 
     /// The persistable image of this table (see [`LeaseSnapshot`]).
@@ -440,7 +360,7 @@ impl LeaseState {
 /// lost write degrades a *future* crash-resume to a stale (or absent)
 /// table, which the rejoin validation handles, and must never disturb
 /// the running session. Callers hold the lease lock across the snapshot
-/// *and* this write: handshake threads (admit) and the main thread
+/// *and* this write: the I/O thread (admissions) and rank 0's thread
 /// (`retire_rank`) both persist, and could otherwise rename an older
 /// snapshot over a newer one — losing, e.g., a retired bit whose rank
 /// would then be double-counted on resume.
@@ -470,8 +390,8 @@ pub struct ListenOptions {
     /// Per-rank realization quotas, indexed by `rank - 1`; echoed in
     /// the grant so the worker can cross-check its own configuration.
     pub quotas: Vec<u64>,
-    /// Per-connection write timeout, and the read timeout during the
-    /// handshake.
+    /// Per-connection write timeout, and how long a dialer has to
+    /// complete its join frame.
     pub io_timeout: Duration,
     /// A lease table persisted by a previous incarnation of this
     /// collector: restart with the same session epoch, keep
@@ -498,18 +418,14 @@ pub struct ListenOptions {
     pub parents: Vec<usize>,
 }
 
-/// What the collector shares with its acceptor, handshake and reader
-/// threads: everything a handshake needs to admit a joiner, and the
-/// lease table both sides work on.
+/// What rank 0's thread shares with the collector's I/O thread:
+/// everything a handshake needs to admit a joiner, and the lease table
+/// both work on.
 #[derive(Debug)]
-struct AcceptorCtx {
-    stop: Arc<AtomicBool>,
-    lease: Arc<Mutex<LeaseState>>,
-    readers: Mutex<Vec<JoinHandle<()>>>,
-    /// In-flight handshake threads (see [`accept_loop`]); joined at
-    /// shutdown so no admit can race the teardown.
-    handshakes: Mutex<Vec<JoinHandle<()>>>,
-    /// Feeds the collector's own inbox (reader threads, and self-sends).
+struct Shared {
+    stop: AtomicBool,
+    lease: Mutex<LeaseState>,
+    /// Feeds the collector's own inbox (the I/O thread, and self-sends).
     tx: Sender<Envelope>,
     monitor: Monitor,
     stats: Arc<InboxStats>,
@@ -534,15 +450,15 @@ struct AcceptorCtx {
 /// Unix-domain socket, returned once every spawned child holds a lease.
 #[derive(Debug)]
 pub struct TcpCollectorTransport {
-    ctx: Arc<AcceptorCtx>,
+    ctx: Arc<Shared>,
     pool: BufferPool,
     gate: FaultGate,
     mailbox: Mailbox,
     local_addr: SocketAddr,
-    /// Where [`TcpCollectorTransport::shutdown`] dials to wake the
-    /// acceptor out of `accept()` (see [`Listener::self_endpoint`]).
+    /// Where [`TcpCollectorTransport::shutdown`] dials to wake the I/O
+    /// thread out of `poll()` (see [`Listener::self_endpoint`]).
     wake: Endpoint,
-    acceptor: Option<JoinHandle<()>>,
+    io: Option<JoinHandle<()>>,
     /// The worker processes of a launched world (see [`crate::launch`]);
     /// `None` for a TCP world, whose workers are somebody else's.
     pub(crate) launched: Option<Children>,
@@ -550,7 +466,7 @@ pub struct TcpCollectorTransport {
 }
 
 impl TcpCollectorTransport {
-    /// Binds the listening socket and starts the acceptor thread.
+    /// Binds the listening socket and starts the I/O thread.
     ///
     /// # Errors
     ///
@@ -615,11 +531,10 @@ impl TcpCollectorTransport {
                 (0..workers).map(|_| Arc::new(AtomicU64::new(0))).collect(),
             ),
         };
-        let lease = Arc::new(Mutex::new(LeaseState {
+        let lease = Mutex::new(LeaseState {
             writers: vec![None; workers],
             ever_leased,
             retired,
-            generation: vec![0; workers],
             last_seqs,
             wire: (0..workers)
                 .map(|_| Arc::new(WireTelemetry::default()))
@@ -627,8 +542,7 @@ impl TcpCollectorTransport {
             clocks: (0..workers)
                 .map(|_| Arc::new(LinkClock::default()))
                 .collect(),
-            turns: (0..workers).map(|_| Turn::over()).collect(),
-        }));
+        });
         if let Some(persist) = &opts.persist {
             // Capture the session epoch on disk before any worker can
             // join, so even a pre-join crash resumes the same session.
@@ -639,11 +553,9 @@ impl TcpCollectorTransport {
             }
         }
 
-        let ctx = Arc::new(AcceptorCtx {
-            stop: Arc::new(AtomicBool::new(false)),
+        let ctx = Arc::new(Shared {
+            stop: AtomicBool::new(false),
             lease,
-            readers: Mutex::new(Vec::new()),
-            handshakes: Mutex::new(Vec::new()),
             tx,
             monitor: opts.monitor.clone(),
             stats: Arc::clone(&stats),
@@ -655,12 +567,14 @@ impl TcpCollectorTransport {
             persist: opts.persist,
             trace_spans: opts.trace_spans,
         });
-        let acceptor = std::thread::Builder::new()
-            .name("parmonc-tcp-accept".into())
-            .spawn({
-                let ctx = Arc::clone(&ctx);
-                move || accept_loop(&listener, &ctx)
-            })?;
+        let io_loop = IoLoop {
+            listener,
+            ctx: Arc::clone(&ctx),
+            conns: Vec::new(),
+        };
+        let io = std::thread::Builder::new()
+            .name("parmonc-tcp-io".into())
+            .spawn(move || io_loop.run())?;
 
         Ok(Self {
             ctx,
@@ -669,7 +583,7 @@ impl TcpCollectorTransport {
             mailbox: Mailbox::new(0, rx, opts.monitor, stats),
             local_addr,
             wake,
-            acceptor: Some(acceptor),
+            io: Some(io),
             launched: None,
             shut_down: false,
         })
@@ -694,23 +608,15 @@ impl TcpCollectorTransport {
     /// run's checkpoint (see [`LeaseSnapshot`]).
     #[must_use]
     pub fn snapshot(&self) -> LeaseSnapshot {
-        let workers = self.ctx.size.saturating_sub(1);
-        match self.ctx.lease.lock() {
-            Ok(lease) => lease.snapshot(self.ctx.epoch, self.ctx.size),
-            Err(_) => LeaseSnapshot {
-                epoch: self.ctx.epoch,
-                size: self.ctx.size,
-                ever_leased: vec![false; workers],
-                retired: vec![false; workers],
-                last_seqs: vec![0; workers],
-            },
-        }
+        let lease = self.ctx.lease.lock();
+        let lease = lease.unwrap_or_else(PoisonError::into_inner);
+        lease.snapshot(self.ctx.epoch, self.ctx.size)
     }
 
     /// How many ranks have been leased at least once — what the
     /// launcher polls until every child has joined. A read and nothing
-    /// more: the acceptor is blocked in `accept()`, so a child's dial
-    /// is taken the moment it arrives.
+    /// more: the I/O thread waits in `poll()` on the listener, so a
+    /// child's dial is taken the moment it arrives.
     pub(crate) fn ever_leased(&self) -> usize {
         let leased = self.snapshot().ever_leased;
         leased.iter().filter(|&&leased| leased).count()
@@ -754,28 +660,27 @@ impl TcpCollectorTransport {
     /// for a launched world's children to exit on their own (killing
     /// any that outlive the deadline), raises the stop flag, shuts
     /// every live connection down (remote workers see EOF), wakes the
-    /// acceptor out of `accept()` by dialing its own listener, and
-    /// joins the acceptor, handshake and reader threads — which
-    /// guarantees every forwarded worker event is in the monitor's
-    /// sinks on return. Idempotent.
+    /// I/O thread out of `poll()` by dialing its own listener, and
+    /// joins it — which guarantees every forwarded worker event is in
+    /// the monitor's sinks on return. Idempotent.
     ///
     /// The wake dial goes to the bound address — to loopback when the
     /// listener is bound to `0.0.0.0` or `::` — or to the Unix socket
     /// path, which still exists here because a launched world's
     /// directory is removed last. If that dial fails (a full listen
-    /// backlog, a host that filters loopback), the acceptor is not
-    /// joined: shutdown returns rather than hang, and the acceptor,
-    /// which checks the stop flag after every `accept()` return, exits
-    /// at the next connection that reaches it.
+    /// backlog, a host that filters loopback), the I/O thread is not
+    /// joined: shutdown returns rather than hang, and the thread, which
+    /// checks the stop flag after every `poll()` return, exits at the
+    /// next connection or byte that reaches it.
     ///
     /// Children are reaped *before* the connections close: a child that
     /// has sent its final flushes its own sinks and exits by itself, so
-    /// its readers are already at EOF when they are joined and nothing
-    /// it forwarded is cut off — and no child sits out a reconnect
-    /// schedule against a parent that has already gone. A TCP world has
-    /// no children to reap; in a monitored run it waits instead, up to
-    /// 100 ms, for the workers still connected to hang up by
-    /// themselves, for the same reason.
+    /// its link is already at EOF when the I/O thread is joined and
+    /// nothing it forwarded is cut off — and no child sits out a
+    /// reconnect schedule against a parent that has already gone. A TCP
+    /// world has no children to reap; in a monitored run it waits
+    /// instead, up to 100 ms, for the workers still connected to hang
+    /// up by themselves, for the same reason.
     ///
     /// # Errors
     ///
@@ -794,10 +699,10 @@ impl TcpCollectorTransport {
         // the way out — the events around that message, its link's
         // accounting — may still be in flight when a collector that
         // was only waiting for that message gets here. A monitored run
-        // gives those readers a bounded moment to reach the end of
-        // their streams (each clears its writer slot there): the trace
+        // gives the I/O thread a bounded moment to reach the end of
+        // those streams (it clears each writer slot there): the trace
         // keeps its tail, and our own hang-up below does not cut a
-        // frame in half for its reader to report as `torn_frame`.
+        // frame in half for the thread to report as `torn_frame`.
         if self.ctx.monitor.is_enabled() {
             let deadline = Instant::now() + DEPARTURE_LINGER;
             let connected = || {
@@ -816,28 +721,11 @@ impl TcpCollectorTransport {
                 }
             }
         }
-        if let Some(handle) = self.acceptor.take() {
-            // Held open until the join; the acceptor drops its end unread.
+        if let Some(handle) = self.io.take() {
+            // Held open until the join; the thread drops its end unread.
             if let Ok(_wake) = self.wake.dial(self.ctx.io_timeout) {
                 let _ = handle.join();
             }
-        }
-        // With the acceptor gone no new handshake can start; joining
-        // the in-flight ones (bounded by the handshake read timeout)
-        // guarantees no reader is spawned after the drain below.
-        let handshakes: Vec<_> = match self.ctx.handshakes.lock() {
-            Ok(mut handshakes) => handshakes.drain(..).collect(),
-            Err(_) => Vec::new(),
-        };
-        for handle in handshakes {
-            let _ = handle.join();
-        }
-        let handles: Vec<_> = match self.ctx.readers.lock() {
-            Ok(mut readers) => readers.drain(..).collect(),
-            Err(_) => Vec::new(),
-        };
-        for handle in handles {
-            let _ = handle.join();
         }
         if let Ok(mut lease) = self.ctx.lease.lock() {
             for writer in lease.writers.iter_mut() {
@@ -912,340 +800,479 @@ impl Transport for TcpCollectorTransport {
     }
 }
 
-/// The acceptor: blocks in `accept()` until shutdown, handing each
-/// dialing connection to a short handshake thread. The handshake reads
-/// with the `io_timeout` read timeout, so running it inline would let
-/// one stalled dialer block every other join — and, worse, the rejoins
-/// of healthy reconnecting workers — for up to `io_timeout` per such
-/// connection.
-///
-/// Every return from `accept()` checks the stop flag first: shutdown
-/// raises it and then dials the listener itself, so the wake
-/// connection (or any dialer that raced it) is dropped unhandled and
-/// the loop ends. A dial costs no poll interval: it is taken the
-/// moment it arrives.
-fn accept_loop(listener: &Listener, ctx: &Arc<AcceptorCtx>) {
-    loop {
-        let accepted = listener.accept();
-        // Pairs with shutdown's `Release` store, made before its dial.
-        if ctx.stop.load(Ordering::Acquire) {
-            return;
+/// Rank 0's I/O thread: it owns the listener and every connection and
+/// waits for any of them in `poll(2)`. It accepts, runs each handshake,
+/// delivers each frame and answers clock probes, reading only what
+/// `poll` found waiting, so a connection that has sent half a frame or
+/// half a join holds nobody else: the bytes wait in its [`Inbound`]. A
+/// dialer that never completes its join is dropped at its handshake
+/// deadline, `io_timeout` after it was accepted — the only timeout the
+/// loop waits on. A rank's frames keep one order by construction: on a
+/// rejoin, the rank's old connection is drained before the new one is
+/// granted.
+#[derive(Debug)]
+struct IoLoop {
+    listener: Listener,
+    ctx: Arc<Shared>,
+    conns: Vec<Conn>,
+}
+
+/// One accepted connection of the [`IoLoop`].
+#[derive(Debug)]
+struct Conn {
+    socket: Socket,
+    inbound: Inbound,
+    link: Link,
+    /// When a connection still in its handshake is dropped.
+    deadline: Option<Instant>,
+}
+
+/// What a connection is to the [`IoLoop`].
+#[derive(Debug)]
+enum Link {
+    /// Accepted, its join or rejoin frame not yet read in full.
+    Handshake { peer: Option<String> },
+    /// The current connection of `rank`.
+    Joined { rank: usize, hooks: LinkHooks },
+    /// Refused, replaced or ended; swept out at the end of the round.
+    Closed,
+}
+
+/// The bytes of a connection not yet delivered: a few buffered ones, or
+/// one frame whose payload is read straight into its own vector.
+#[derive(Debug)]
+struct Inbound {
+    /// Read bytes, of which `start..end` are not yet decoded.
+    buf: Box<[u8]>,
+    start: usize,
+    end: usize,
+    /// A frame with its payload read up to the given length.
+    body: Option<(Frame, usize)>,
+}
+
+impl Inbound {
+    fn new() -> Self {
+        Self {
+            buf: vec![0; READ_CHUNK].into_boxed_slice(),
+            start: 0,
+            end: 0,
+            body: None,
         }
-        match accepted {
-            Ok((stream, peer)) => {
-                let hs_ctx = Arc::clone(ctx);
-                let spawned = std::thread::Builder::new()
-                    .name("parmonc-tcp-hs".into())
-                    .spawn(move || {
-                        let _ = admit(stream, peer, &hs_ctx);
-                    });
-                // Spawn failure drops the connection — the dialer sees
-                // EOF and retries on its backoff schedule.
-                if let (Ok(handle), Ok(mut handshakes)) = (spawned, ctx.handshakes.lock()) {
-                    // Reap finished handshakes so the vec stays bounded
-                    // by the number of *concurrent* dialers, not the
-                    // run's total join count.
-                    let mut i = 0;
-                    while i < handshakes.len() {
-                        if handshakes[i].is_finished() {
-                            let _ = handshakes.swap_remove(i).join();
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    handshakes.push(handle);
-                }
+    }
+
+    /// Reads once from `socket`, which `poll` found ready; `Ok(0)` is
+    /// the connection's end.
+    fn read_from(&mut self, mut socket: &Socket) -> io::Result<usize> {
+        if let Some((frame, filled)) = &mut self.body {
+            let n = socket.read(&mut frame.payload[*filled..])?;
+            *filled += n;
+            return Ok(n);
+        }
+        // Less than a header is left, so there is room.
+        self.buf.copy_within(self.start..self.end, 0);
+        (self.start, self.end) = (0, self.end - self.start);
+        let n = socket.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// The next frame read in full, if there is one; an error for a
+    /// length prefix past the protocol maximum.
+    fn next_frame(&mut self) -> io::Result<Option<Frame>> {
+        if self.body.is_none() {
+            let pending = &self.buf[self.start..self.end];
+            let Some(header) = pending.first_chunk() else {
+                return Ok(None);
+            };
+            let mut frame = decode_header(header)?;
+            let read = frame.payload.len().min(pending.len() - FRAME_HEADER_LEN);
+            frame.payload[..read].copy_from_slice(&pending[FRAME_HEADER_LEN..][..read]);
+            self.start += FRAME_HEADER_LEN + read;
+            self.body = Some((frame, read));
+        }
+        match self.body.take() {
+            Some((frame, filled)) if filled == frame.payload.len() => Ok(Some(frame)),
+            open => {
+                self.body = open;
+                Ok(None)
             }
-            // An accept error (EMFILE, ECONNABORTED) is transient on a
-            // healthy listener, so keep serving after a short pause.
-            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
+    }
+
+    /// Whether bytes of an unfinished frame are held.
+    fn is_mid_frame(&self) -> bool {
+        self.body.is_some() || self.start < self.end
     }
 }
 
-/// Validates one dialing connection's join (or rejoin) request and,
-/// on success, leases it a rank, answers with the grant, and wires up
-/// its reader. Invalid requests are answered with a reject frame and
-/// dropped; a failure here never disturbs the rest of the world.
-fn admit(stream: Socket, peer: Option<String>, ctx: &AcceptorCtx) -> io::Result<()> {
-    stream.configure(ctx.io_timeout)?;
-    let frame = match read_frame(&mut &stream)? {
-        Some(frame) if frame.tag == TAG_TCP_JOIN || frame.tag == TAG_TCP_REJOIN => frame,
-        // Silent, closed, or alien connection: drop it without reply.
-        _ => return Ok(()),
-    };
-    // `t1` of the NTP-style offset exchange: the collector's run clock
-    // at request receipt, paired with the worker's `t0_s` below.
-    let t_recv_s = ctx.monitor.elapsed_s();
-    // The common envelope checks, shared by join and rejoin: magic,
-    // protocol version, configuration digest.
-    let (magic, version, digest, t0_s, rejoin) = if frame.tag == TAG_TCP_JOIN {
-        let Some(join) = JoinRequest::decode(&frame.payload) else {
-            return reject(&stream, RejectCode::BadMagic, "malformed join payload");
-        };
-        (
-            join.magic,
-            join.version,
-            join.config_digest,
-            join.t0_s,
-            None,
-        )
-    } else {
-        let Some(rejoin) = Rejoin::decode(&frame.payload) else {
-            return reject(&stream, RejectCode::BadMagic, "malformed rejoin payload");
-        };
-        (
-            rejoin.magic,
-            rejoin.version,
-            rejoin.config_digest,
-            rejoin.t0_s,
-            Some(rejoin),
-        )
-    };
-    if magic != TCP_MAGIC {
-        return reject(
-            &stream,
-            RejectCode::BadMagic,
-            "join frame does not open with the PMNC magic",
-        );
-    }
-    if version != TCP_PROTOCOL_VERSION {
-        return reject(
-            &stream,
-            RejectCode::VersionMismatch,
-            &format!(
-                "worker speaks wire-protocol version {version}, collector speaks {TCP_PROTOCOL_VERSION}"
-            ),
-        );
-    }
-    if digest != ctx.config_digest {
-        return reject(
-            &stream,
-            RejectCode::ConfigMismatch,
-            "run-configuration digest mismatch: this worker would compute the wrong streams",
-        );
-    }
-    let writer = Arc::new(Mutex::new(stream.try_clone()?));
-    let (rank, generation, reconnect, turn) = match rejoin {
-        None => {
-            let leased = ctx.lease.lock().ok().and_then(|mut lease| {
-                let (rank, generation) = lease.lease(Arc::clone(&writer))?;
-                Some((rank, generation, lease.next_turn(rank)))
-            });
-            let Some((rank, generation, turn)) = leased else {
-                return reject(
-                    &stream,
-                    RejectCode::BudgetExhausted,
-                    "no worker rank available: every stream range is leased or its budget reassigned",
-                );
-            };
-            (rank, generation, false, turn)
-        }
-        Some(rejoin) => {
-            if rejoin.epoch != ctx.epoch {
-                return reject(
-                    &stream,
-                    RejectCode::EpochMismatch,
-                    "session epoch mismatch: this lease belongs to a different collector session",
-                );
+impl IoLoop {
+    /// Serves until shutdown raises the stop flag and wakes the `poll`.
+    fn run(mut self) {
+        let mut fds = Vec::new();
+        // Pairs with shutdown's `Release` store, made before its wake
+        // dial and its hang-ups: nothing is read after it.
+        while !self.ctx.stop.load(Ordering::Acquire) {
+            fds.clear();
+            fds.push(PollFd::input(self.listener.as_raw_fd()));
+            fds.extend(
+                self.conns
+                    .iter()
+                    .map(|c| PollFd::input(c.socket.as_raw_fd())),
+            );
+            let deadline = self.conns.iter().filter_map(|c| c.deadline).min();
+            let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if poll(&mut fds, timeout).is_err() {
+                std::thread::sleep(ERROR_BACKOFF);
+                continue;
             }
-            let rank = rejoin.rank as usize;
-            if rank == 0 || rank >= ctx.size {
-                return reject(
-                    &stream,
-                    RejectCode::BudgetExhausted,
-                    "rejoin names an impossible rank",
-                );
+            if self.ctx.stop.load(Ordering::Acquire) {
+                break;
             }
-            let outcome = ctx
-                .lease
-                .lock()
-                .map_err(|_| "lease table poisoned")
-                .and_then(|mut lease| {
-                    let generation = lease.rejoin(rank, Arc::clone(&writer))?;
-                    Ok((generation, lease.next_turn(rank)))
-                });
-            match outcome {
-                Ok((generation, turn)) => (rank, generation, true, turn),
-                Err(reason) => {
-                    return reject(&stream, RejectCode::BudgetExhausted, reason);
+            for (i, fd) in fds[1..].iter().enumerate() {
+                if fd.is_ready() && !self.pump(i) {
+                    self.close(i, true);
                 }
             }
+            if fds[0].is_ready() {
+                self.accept_pending();
+            }
+            let now = Instant::now();
+            for conn in &mut self.conns {
+                if conn.deadline.is_some_and(|d| d <= now) {
+                    conn.link = Link::Closed;
+                }
+            }
+            self.conns.retain(|c| !matches!(c.link, Link::Closed));
         }
-    };
-    // Only the matching generation may free the slot: a stale reader
-    // outliving a rejoin must not unhook the replacement connection.
-    let release = |ctx: &AcceptorCtx| {
-        if let Ok(mut lease) = ctx.lease.lock() {
-            if lease.generation[rank - 1] == generation {
-                lease.writers[rank - 1] = None;
+        for i in 0..self.conns.len() {
+            self.close(i, true);
+        }
+    }
+
+    /// Takes every pending dial as a new handshake.
+    fn accept_pending(&mut self) {
+        loop {
+            match self.listener.accept() {
+                // A socket that cannot be configured is dropped: the
+                // dialer sees EOF and retries on its schedule.
+                Ok((socket, peer)) => {
+                    if socket.configure(self.ctx.io_timeout).is_ok() {
+                        self.conns.push(Conn {
+                            socket,
+                            inbound: Inbound::new(),
+                            link: Link::Handshake { peer },
+                            deadline: Some(Instant::now() + self.ctx.io_timeout),
+                        });
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                // An accept error (EMFILE, ECONNABORTED) is transient
+                // on a healthy listener: serve on after a short pause.
+                Err(_) => return std::thread::sleep(ERROR_BACKOFF),
             }
         }
-    };
-    // Persist the lease *before* the grant goes out: once the worker
-    // holds a grant it will REJOIN with this rank after any crash, and
-    // a restarted collector must recognize the lease.
-    if let Some(persist) = &ctx.persist {
-        if let Ok(l) = ctx.lease.lock() {
-            persist_lease_table(persist, &l.snapshot(ctx.epoch, ctx.size));
-        }
     }
-    let grant = Grant {
-        version: TCP_PROTOCOL_VERSION,
-        monitor: ctx.monitor.is_enabled(),
-        spans: ctx.trace_spans && ctx.monitor.is_enabled(),
-        rank: rank as u32,
-        size: ctx.size as u32,
-        quota: ctx.quotas[rank - 1],
-        epoch: ctx.epoch,
-        t_recv_s,
-        // `t2`: sampled as late as possible before the reply hits the
-        // wire, so the worker's RTT estimate excludes our lease work.
-        t_reply_s: ctx.monitor.elapsed_s(),
-    };
-    if write_frame(&mut &stream, 0, TAG_TCP_GRANT, &grant.encode()).is_err() {
-        release(ctx);
-        return Ok(());
-    }
-    // From here on the lease holds: switch the connection to the
-    // patient read discipline and start pumping.
-    let reader = match stream
-        .set_read_timeout(Some(READ_POLL))
-        .and_then(|()| stream.try_clone())
-    {
-        Ok(clone) => PatientReader {
-            inner: clone,
-            stop: Arc::clone(&ctx.stop),
-        },
-        Err(_) => {
-            release(ctx);
-            return Ok(());
-        }
-    };
-    let (last_seq, wire, clock) = match ctx.lease.lock() {
-        Ok(lease) => (
-            Arc::clone(&lease.last_seqs[rank - 1]),
-            Arc::clone(&lease.wire[rank - 1]),
-            Arc::clone(&lease.clocks[rank - 1]),
-        ),
-        Err(_) => {
-            release(ctx);
-            return Ok(());
-        }
-    };
-    // Account the handshake itself on the link's wire counters.
-    wire.count_in(FRAME_HEADER_LEN + frame.payload.len());
-    wire.count_out(FRAME_HEADER_LEN + grant.encode().len());
-    // Seed the link's offset with the crude one-way estimate
-    // `t1 - t0` (it over-corrects by the uplink latency). The worker
-    // closes the proper RTT-symmetric estimate from the grant and
-    // reports it in a `TAG_TCP_CLOCK` frame that — by wire ordering —
-    // arrives before any event it forwards, so the seed only covers
-    // the handshake gap.
-    clock.set_offset(t_recv_s - t0_s);
-    if reconnect {
-        ctx.monitor
-            .emit(Some(0), EventKind::WorkerReconnected { worker: rank });
-    } else {
-        ctx.monitor.emit(
-            Some(0),
-            EventKind::WorkerJoined {
-                worker: rank,
-                addr: peer,
-            },
-        );
-    }
-    // Answers the worker's periodic clock probes over this link's
-    // writer: `t1` at receipt, `t2` as the reply is written.
-    let responder: Box<dyn Fn(&Frame) + Send> = {
-        let writer = Arc::clone(&writer);
-        let monitor = ctx.monitor.clone();
-        let wire = Arc::clone(&wire);
-        Box::new(move |frame: &Frame| {
-            if frame.tag != TAG_TCP_CLOCK_PROBE {
-                return;
+
+    /// Reads connection `i` until a read would wait — a rejoin may have
+    /// drained it since `poll` — and hands every frame it completes to
+    /// the handshake or to delivery. Returns `false` when the connection
+    /// has ended: EOF, a read error, an impossible frame length, or an
+    /// inbox nobody reads.
+    fn pump(&mut self, i: usize) -> bool {
+        while self.has_input(i) {
+            let conn = &mut self.conns[i];
+            match conn.inbound.read_from(&conn.socket) {
+                Ok(0) => return false,
+                Ok(_) => {}
+                Err(e) => return e.kind() == ErrorKind::Interrupted,
             }
-            let Some(probe) = ClockProbe::decode(&frame.payload) else {
-                return;
-            };
-            let t1_s = monitor.elapsed_s();
-            if let Ok(mut stream) = writer.lock() {
-                let reply = ClockReply {
-                    t0_s: probe.t0_s,
-                    t1_s,
-                    t2_s: monitor.elapsed_s(),
+            loop {
+                let Ok(frame) = self.conns[i].inbound.next_frame() else {
+                    return false;
                 };
-                let payload = reply.encode();
-                if write_frame(&mut *stream, 0, TAG_TCP_CLOCK_REPLY, &payload).is_ok() {
-                    wire.count_out(FRAME_HEADER_LEN + payload.len());
-                }
-            }
-        })
-    };
-    let spawned = std::thread::Builder::new()
-        .name(format!("parmonc-tcp-w{rank}"))
-        .spawn({
-            let tx = ctx.tx.clone();
-            let monitor = ctx.monitor.clone();
-            let stats = Arc::clone(&ctx.stats);
-            let lease = Arc::clone(&ctx.lease);
-            move || {
-                // This connection's frames follow every frame of the
-                // rank's previous one (a rejoin hung that one up, so its
-                // reader is draining what it had received to the end).
-                turn.previous.wait();
-                pump_frames(
-                    reader,
-                    tx,
-                    LinkHooks {
-                        monitor: monitor.clone(),
-                        local_rank: 0,
-                        stats,
-                        expect_source: Some(rank as u32),
-                        dedup: Some(last_seq),
-                        wire: Arc::clone(&wire),
-                        clock: Some(clock),
-                        clock_responder: Some(responder),
-                    },
-                );
-                // The connection is gone (worker exit, crash, rejoin
-                // replacement, or shutdown). If this is still the
-                // rank's *current* connection, surface the departure
-                // and free the lease so a reconnecting worker can take
-                // the rank back — the cumulative replace-then-sum
-                // averaging makes a redo of the same streams
-                // idempotent. A stale connection (generation moved on:
-                // the worker already rejoined) stays silent — the
-                // reconnect event told that story. The collector-side
-                // wire totals go out first, so a trace always pairs a
-                // departure with the link's final accounting (the
-                // collector forwards nothing over the link, so its
-                // only event losses are the frames it could not
-                // decode, which the telemetry counted).
-                if let Ok(mut l) = lease.lock() {
-                    if l.generation[rank - 1] == generation {
-                        l.writers[rank - 1] = None;
-                        drop(l);
-                        monitor.emit(Some(0), wire.to_event(rank, 0));
-                        monitor.emit(Some(0), EventKind::WorkerLeft { worker: rank });
+                match (frame, &self.conns[i].link) {
+                    (_, Link::Closed) => return true,
+                    (None, _) => break,
+                    (Some(frame), Link::Handshake { .. }) => self.admit(i, frame),
+                    (Some(frame), Link::Joined { hooks, .. }) => {
+                        if !hooks.deliver(frame, &self.ctx.tx) {
+                            return false;
+                        }
                     }
                 }
             }
-        });
-    match spawned {
-        Ok(handle) => {
-            if let Ok(mut readers) = ctx.readers.lock() {
-                readers.push(handle);
-            }
         }
-        Err(_) => release(ctx),
+        true
     }
-    Ok(())
+
+    /// Whether a read of connection `i` would return without waiting.
+    fn has_input(&self, i: usize) -> bool {
+        let mut fd = [PollFd::input(self.conns[i].socket.as_raw_fd())];
+        poll(&mut fd, Some(Duration::ZERO)).is_ok() && fd[0].is_ready()
+    }
+
+    /// Closes connection `i`, reporting a frame it ended inside as
+    /// torn. A handshake ends unanswered. A rank's connection that
+    /// `left` (rather than being replaced by a rejoin) frees the rank's
+    /// lease, so that a reconnecting worker can take it back — the
+    /// cumulative replace-then-sum averaging makes a redo of the same
+    /// streams idempotent — and surfaces the departure after the
+    /// collector-side wire totals, so a trace always pairs a departure
+    /// with the link's final accounting (the collector forwards nothing
+    /// over the link, so its only event losses are the frames it could
+    /// not decode, which the telemetry counted).
+    fn close(&mut self, i: usize, left: bool) {
+        let Link::Joined { rank, hooks } = std::mem::replace(&mut self.conns[i].link, Link::Closed)
+        else {
+            return;
+        };
+        if self.conns[i].inbound.is_mid_frame() {
+            hooks.torn();
+        }
+        if left {
+            if let Ok(mut lease) = self.ctx.lease.lock() {
+                lease.writers[rank - 1] = None;
+            }
+            self.ctx.monitor.emit(Some(0), hooks.wire.to_event(rank, 0));
+            let left = EventKind::WorkerLeft { worker: rank };
+            self.ctx.monitor.emit(Some(0), left);
+        }
+    }
+
+    /// Validates connection `i`'s join (or rejoin) request and, on
+    /// success, leases it a rank and answers with the grant, after which
+    /// its frames are delivered. Invalid requests are answered with a
+    /// reject frame and dropped; a failure here never disturbs the rest
+    /// of the world.
+    fn admit(&mut self, i: usize, frame: Frame) {
+        // Every early return leaves the connection closed.
+        let Link::Handshake { peer } = std::mem::replace(&mut self.conns[i].link, Link::Closed)
+        else {
+            return;
+        };
+        let ctx = Arc::clone(&self.ctx);
+        let socket = &self.conns[i].socket;
+        if frame.tag != TAG_TCP_JOIN && frame.tag != TAG_TCP_REJOIN {
+            // An alien connection: drop it without reply.
+            return;
+        }
+        // `t1` of the NTP-style offset exchange: the collector's run
+        // clock at request receipt, paired with the worker's `t0_s`.
+        let t_recv_s = ctx.monitor.elapsed_s();
+        // The common envelope checks, shared by join and rejoin: magic,
+        // protocol version, configuration digest.
+        let (magic, version, digest, t0_s, rejoin) = if frame.tag == TAG_TCP_JOIN {
+            let Some(join) = JoinRequest::decode(&frame.payload) else {
+                return reject(socket, RejectCode::BadMagic, "malformed join payload");
+            };
+            (
+                join.magic,
+                join.version,
+                join.config_digest,
+                join.t0_s,
+                None,
+            )
+        } else {
+            let Some(rejoin) = Rejoin::decode(&frame.payload) else {
+                return reject(socket, RejectCode::BadMagic, "malformed rejoin payload");
+            };
+            (
+                rejoin.magic,
+                rejoin.version,
+                rejoin.config_digest,
+                rejoin.t0_s,
+                Some(rejoin),
+            )
+        };
+        if magic != TCP_MAGIC {
+            return reject(
+                socket,
+                RejectCode::BadMagic,
+                "join frame does not open with the PMNC magic",
+            );
+        }
+        if version != TCP_PROTOCOL_VERSION {
+            return reject(
+                socket,
+                RejectCode::VersionMismatch,
+                &format!(
+                    "worker speaks wire-protocol version {version}, collector speaks {TCP_PROTOCOL_VERSION}"
+                ),
+            );
+        }
+        if digest != ctx.config_digest {
+            return reject(
+                socket,
+                RejectCode::ConfigMismatch,
+                "run-configuration digest mismatch: this worker would compute the wrong streams",
+            );
+        }
+        let Ok(write_half) = socket.try_clone() else {
+            return;
+        };
+        let writer = Arc::new(Mutex::new(write_half));
+        let (rank, reconnect) = match rejoin {
+            None => {
+                let leased = ctx
+                    .lease
+                    .lock()
+                    .ok()
+                    .and_then(|mut lease| lease.lease(Arc::clone(&writer)));
+                let Some(rank) = leased else {
+                    return reject(
+                        socket,
+                        RejectCode::BudgetExhausted,
+                        "no worker rank available: every stream range is leased or its budget reassigned",
+                    );
+                };
+                (rank, false)
+            }
+            Some(rejoin) => {
+                if rejoin.epoch != ctx.epoch {
+                    return reject(
+                        socket,
+                        RejectCode::EpochMismatch,
+                        "session epoch mismatch: this lease belongs to a different collector session",
+                    );
+                }
+                let rank = rejoin.rank as usize;
+                if rank == 0 || rank >= ctx.size {
+                    return reject(
+                        socket,
+                        RejectCode::BudgetExhausted,
+                        "rejoin names an impossible rank",
+                    );
+                }
+                // The rank's frames keep one order: what its current
+                // connection already holds is delivered first, or this
+                // one's would raise the dedup mark past it and have it
+                // dropped as a replay.
+                let previous = self
+                    .conns
+                    .iter()
+                    .position(|c| matches!(c.link, Link::Joined { rank: r, .. } if r == rank));
+                if let Some(j) = previous {
+                    self.pump(j);
+                }
+                let outcome = ctx
+                    .lease
+                    .lock()
+                    .map_err(|_| "lease table poisoned")
+                    .and_then(|mut lease| lease.rejoin(rank, Arc::clone(&writer)));
+                if let Err(reason) = outcome {
+                    return reject(&self.conns[i].socket, RejectCode::BudgetExhausted, reason);
+                }
+                // Hung up by the rejoin, silently: the reconnect event
+                // below tells that story.
+                if let Some(j) = previous {
+                    self.close(j, false);
+                }
+                (rank, true)
+            }
+        };
+        let socket = &self.conns[i].socket;
+        // Persist the lease *before* the grant goes out: once the worker
+        // holds a grant it will REJOIN with this rank after any crash,
+        // and a restarted collector must recognize the lease.
+        let Ok((last_seq, wire, clock)) = ctx.lease.lock().map(|lease| {
+            if let Some(persist) = &ctx.persist {
+                persist_lease_table(persist, &lease.snapshot(ctx.epoch, ctx.size));
+            }
+            (
+                Arc::clone(&lease.last_seqs[rank - 1]),
+                Arc::clone(&lease.wire[rank - 1]),
+                Arc::clone(&lease.clocks[rank - 1]),
+            )
+        }) else {
+            return;
+        };
+        let grant = Grant {
+            version: TCP_PROTOCOL_VERSION,
+            monitor: ctx.monitor.is_enabled(),
+            spans: ctx.trace_spans && ctx.monitor.is_enabled(),
+            rank: rank as u32,
+            size: ctx.size as u32,
+            quota: ctx.quotas[rank - 1],
+            epoch: ctx.epoch,
+            t_recv_s,
+            // `t2`: sampled as late as possible before the reply hits the
+            // wire, so the worker's RTT estimate excludes our lease work.
+            t_reply_s: ctx.monitor.elapsed_s(),
+        };
+        if write_frame(&mut &*socket, 0, TAG_TCP_GRANT, &grant.encode()).is_err() {
+            if let Ok(mut lease) = ctx.lease.lock() {
+                lease.writers[rank - 1] = None;
+            }
+            return;
+        }
+        // Account the handshake itself on the link's wire counters.
+        wire.count_in(FRAME_HEADER_LEN + frame.payload.len());
+        wire.count_out(FRAME_HEADER_LEN + grant.encode().len());
+        // Seed the link's offset with the crude one-way estimate
+        // `t1 - t0` (it over-corrects by the uplink latency). The worker
+        // closes the proper RTT-symmetric estimate from the grant and
+        // reports it in a `TAG_TCP_CLOCK` frame that — by wire ordering —
+        // arrives before any event it forwards, so the seed only covers
+        // the handshake gap.
+        clock.set_offset(t_recv_s - t0_s);
+        if reconnect {
+            ctx.monitor
+                .emit(Some(0), EventKind::WorkerReconnected { worker: rank });
+        } else {
+            ctx.monitor.emit(
+                Some(0),
+                EventKind::WorkerJoined {
+                    worker: rank,
+                    addr: peer,
+                },
+            );
+        }
+        // Answers the worker's periodic clock probes over this link's
+        // writer: `t1` at receipt, `t2` as the reply is written.
+        let responder: Box<dyn Fn(&Frame) + Send> = {
+            let monitor = ctx.monitor.clone();
+            let wire = Arc::clone(&wire);
+            Box::new(move |frame: &Frame| {
+                if frame.tag != TAG_TCP_CLOCK_PROBE {
+                    return;
+                }
+                let Some(probe) = ClockProbe::decode(&frame.payload) else {
+                    return;
+                };
+                let t1_s = monitor.elapsed_s();
+                if let Ok(mut stream) = writer.lock() {
+                    let reply = ClockReply {
+                        t0_s: probe.t0_s,
+                        t1_s,
+                        t2_s: monitor.elapsed_s(),
+                    };
+                    let payload = reply.encode();
+                    if write_frame(&mut *stream, 0, TAG_TCP_CLOCK_REPLY, &payload).is_ok() {
+                        wire.count_out(FRAME_HEADER_LEN + payload.len());
+                    }
+                }
+            })
+        };
+        self.conns[i].deadline = None;
+        self.conns[i].link = Link::Joined {
+            rank,
+            hooks: LinkHooks {
+                monitor: ctx.monitor.clone(),
+                local_rank: 0,
+                stats: Arc::clone(&ctx.stats),
+                expect_source: Some(rank as u32),
+                dedup: Some(last_seq),
+                wire,
+                clock: Some(clock),
+                clock_responder: Some(responder),
+            },
+        };
+    }
 }
 
 /// Answers a refused join with a reject frame and closes the
 /// connection.
-fn reject(stream: &Socket, code: RejectCode, reason: &str) -> io::Result<()> {
+fn reject(stream: &Socket, code: RejectCode, reason: &str) {
     let payload = Reject {
         code,
         reason: reason.to_string(),
@@ -1253,7 +1280,6 @@ fn reject(stream: &Socket, code: RejectCode, reason: &str) -> io::Result<()> {
     .encode();
     let _ = write_frame(&mut &*stream, 0, TAG_TCP_REJECT, &payload);
     stream.hang_up();
-    Ok(())
 }
 
 /// Configuration for [`TcpWorkerTransport::join`].
@@ -1918,7 +1944,9 @@ impl Transport for TcpWorkerTransport {
 mod tests {
     use super::*;
     use parmonc_faults::FaultPlan;
+    use std::io::Write;
     use std::net::{Shutdown, TcpStream};
+    use std::sync::Condvar;
     use std::time::Instant;
 
     const TIMEOUT: Duration = Duration::from_secs(5);
@@ -2227,7 +2255,7 @@ mod tests {
         collector.shutdown().unwrap();
     }
 
-    /// A monitor sink that holds the reader re-emitting a forwarded
+    /// A monitor sink that holds the I/O thread re-emitting a forwarded
     /// `realizations` event with `completed: HOLD` until it is opened.
     #[derive(Default)]
     struct HeldSink {
@@ -2246,7 +2274,7 @@ mod tests {
                 .unwrap();
             assert!(
                 !timeout.timed_out() && state.0,
-                "the reader never reached the sink"
+                "the I/O thread never reached the sink"
             );
         }
 
@@ -2258,7 +2286,8 @@ mod tests {
     }
 
     /// Opens its sink when dropped, so that a failed assertion does not
-    /// leave the held reader, and the shutdown that joins it, hanging.
+    /// leave the held I/O thread, and the shutdown that joins it,
+    /// hanging.
     struct OpenOnDrop(Arc<HeldSink>);
 
     impl Drop for OpenOnDrop {
@@ -2287,9 +2316,9 @@ mod tests {
         }
     }
 
-    /// A rank's connections deliver one at a time. The first
-    /// connection's reader is held inside the monitor while seq 1 and 2
-    /// wait unread behind it; the worker rejoins and sends seq 3 on the
+    /// A rank's connections deliver one at a time. The I/O thread is
+    /// held inside the monitor while seq 1 and 2 wait unread on the
+    /// first connection; the worker rejoins and sends seq 3 on the
     /// second. Delivered first, seq 3 would raise the dedup mark past 1
     /// and 2, which would then be dropped as replays though they never
     /// arrived — how a severed worker lost frames on a loaded host.
@@ -2316,12 +2345,11 @@ mod tests {
         write_frame_seq(&mut first, 1, 7, 1, b"one").unwrap();
         write_frame_seq(&mut first, 1, 7, 2, b"two").unwrap();
 
+        // The held thread answers the rejoin only once it is let go.
         let mut second = TcpStream::connect(addr).unwrap();
         second.set_read_timeout(Some(TIMEOUT)).unwrap();
         let rejoin = Rejoin::new(42, grant.epoch, 1);
         write_frame(&mut second, 0, TAG_TCP_REJOIN, &rejoin.encode()).unwrap();
-        let reply = read_frame(&mut &second).unwrap().expect("a reply frame");
-        assert_eq!(reply.tag, TAG_TCP_GRANT);
         write_frame_seq(&mut second, 1, 7, 3, b"three").unwrap();
         let early = collector
             .recv_timeout(Some(1), Some(Tag(7)), Duration::from_millis(200))
@@ -2332,6 +2360,8 @@ mod tests {
         );
 
         drop(opener);
+        let reply = read_frame(&mut &second).unwrap().expect("a reply frame");
+        assert_eq!(reply.tag, TAG_TCP_GRANT);
         for payload in [&b"one"[..], b"two", b"three"] {
             assert_eq!(&expect(&mut collector, 1, 7).payload[..], payload);
         }
@@ -2408,9 +2438,105 @@ mod tests {
         collector.shutdown().unwrap();
     }
 
+    /// One connection's unfinished frame holds nobody else: neither a
+    /// dialer halfway through its join frame nor a rank halfway through
+    /// a subtotal keeps another rank's frames from being delivered, and
+    /// each is taken up again where it stopped.
+    #[test]
+    fn a_partial_frame_holds_no_other_rank() {
+        let mut collector = collector(4, vec![5, 5, 5]);
+        let addr = collector.local_addr();
+        let mut join = Vec::new();
+        write_frame(&mut join, 0, TAG_TCP_JOIN, &JoinRequest::new(42).encode()).unwrap();
+        let mut half_join = TcpStream::connect(addr).unwrap();
+        half_join.set_read_timeout(Some(TIMEOUT)).unwrap();
+        // Cut inside the header.
+        half_join.write_all(&join[..10]).unwrap();
+        let (mut first, grant) = raw_join(addr);
+        assert_eq!(grant.rank, 1);
+        let (mut second, grant) = raw_join(addr);
+        assert_eq!(grant.rank, 2);
+
+        // Rank 1 sends a header and half of a payload several reads
+        // long.
+        let payload: Vec<u8> = (0..40_000u32).map(|i| i as u8).collect();
+        let mut subtotal = Vec::new();
+        write_frame_seq(&mut subtotal, 1, 7, 1, &payload).unwrap();
+        let cut = FRAME_HEADER_LEN + payload.len() / 2;
+        first.write_all(&subtotal[..cut]).unwrap();
+        for seq in 1..=3u8 {
+            write_frame_seq(&mut second, 2, 7, u64::from(seq), &[seq]).unwrap();
+        }
+        for seq in 1..=3u8 {
+            assert_eq!(&expect(&mut collector, 2, 7).payload[..], &[seq]);
+        }
+        first.write_all(&subtotal[cut..]).unwrap();
+        assert_eq!(expect(&mut collector, 1, 7).payload[..], payload[..]);
+
+        half_join.write_all(&join[10..]).unwrap();
+        let reply = read_frame(&mut &half_join).unwrap().expect("a reply frame");
+        assert_eq!(reply.tag, TAG_TCP_GRANT);
+        assert_eq!(Grant::decode(&reply.payload).unwrap().rank, 3);
+        collector.shutdown().unwrap();
+    }
+
+    /// The names of this process's threads that start with
+    /// `parmonc-tcp-`, less a worker's readers (`parmonc-tcp-r{rank}`).
+    #[cfg(target_os = "linux")]
+    fn collector_threads() -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|name| name.starts_with("parmonc-tcp-") && !name.starts_with("parmonc-tcp-r"))
+            .collect()
+    }
+
+    /// However many workers have joined, the collector's side of the
+    /// world is one thread. Other tests' collectors share this process,
+    /// so the test re-runs itself alone in a process of its own.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn the_collector_runs_on_one_thread_whatever_joins() {
+        const NAME: &str = "tcp::tests::the_collector_runs_on_one_thread_whatever_joins";
+        if !std::env::args().any(|arg| arg == "--test-threads=1") {
+            let out = std::process::Command::new(std::env::current_exe().unwrap())
+                .args([NAME, "--exact", "--test-threads=1"])
+                .output()
+                .expect("run the test alone");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success() && stdout.contains("1 passed"),
+                "{stdout}{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            return;
+        }
+        let mut collector = collector(9, vec![10; 8]);
+        let addr = collector.local_addr().to_string();
+        let mut workers = Vec::new();
+        for joined in [0, 1, 8] {
+            while workers.len() < joined {
+                let worker = join(addr.clone(), 42).expect("join succeeds");
+                // Once a frame of the rank is delivered, its link is
+                // being read.
+                worker.send(0, Tag(7), b"here").unwrap();
+                expect(&mut collector, worker.rank(), 7);
+                workers.push(worker);
+            }
+            // A thread names itself once it runs: a refused join, which
+            // costs no lease, is answered by a running collector.
+            let refused = raw_join_reject(&Endpoint::Tcp(addr.clone()), &JoinRequest::new(43));
+            assert_eq!(refused.code, RejectCode::ConfigMismatch);
+            let threads = collector_threads();
+            assert_eq!(threads.len(), 1, "{joined} joined: {threads:?}");
+        }
+        drop(workers);
+        collector.shutdown().unwrap();
+    }
+
     /// Runs `body` on its own thread and fails if it has not returned
-    /// within `limit`, so that a shutdown which never wakes its
-    /// acceptor fails the test instead of hanging the suite.
+    /// within `limit`, so that a shutdown which never wakes its I/O
+    /// thread fails the test instead of hanging the suite.
     fn within<T: Send + 'static>(limit: Duration, body: impl FnOnce() -> T + Send + 'static) -> T {
         let handle = std::thread::spawn(body);
         let deadline = Instant::now() + limit;
@@ -2469,16 +2595,15 @@ mod tests {
             opts.io_timeout = io_timeout;
             let (mut collector, endpoint) = world_with(kind, opts);
             let silent = endpoint.dial(TIMEOUT).unwrap();
-            // Wait until its handshake thread is reading, so shutdown
-            // has to join it.
-            let deadline = Instant::now() + TIMEOUT;
-            while collector.ctx.handshakes.lock().unwrap().is_empty() {
-                assert!(
-                    Instant::now() < deadline,
-                    "{kind:?}: the dial was never accepted"
-                );
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            // Wait until the dial is accepted, so shutdown finds its
+            // handshake open: dials are accepted in the order they
+            // arrive, so once a join dialed after it holds its grant,
+            // the silent one has been taken.
+            let behind = join_at(endpoint.clone(), 42, FaultHandle::disabled());
+            assert!(
+                behind.is_ok(),
+                "{kind:?}: the dial was never accepted: {behind:?}"
+            );
             let started = Instant::now();
             let collector = within(Duration::from_secs(20), move || {
                 collector.shutdown().unwrap();
@@ -2489,7 +2614,7 @@ mod tests {
                 "{kind:?}: shutdown took {:?}",
                 started.elapsed()
             );
-            drop(silent);
+            drop((silent, behind));
             close(collector);
         }
     }

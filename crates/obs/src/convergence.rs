@@ -22,23 +22,22 @@ use crate::monitor::Monitor;
 /// # Examples
 ///
 /// ```
-/// use parmonc_obs::{ConvergenceTracker, Monitor};
+/// use std::sync::Arc;
+/// use parmonc_obs::{ConvergenceTracker, EventKind, MemorySink, Monitor};
 ///
+/// let sink = Arc::new(MemorySink::new());
+/// let monitor = Monitor::new(vec![Box::new(Arc::clone(&sink))]);
 /// let mut tracker = ConvergenceTracker::with_target(Some(0.05));
-/// let monitor = Monitor::disabled();
 /// tracker.observe(&monitor, Some(0), 100, &[0.5], &[0.01], 0.01);
-/// assert!(tracker.reached());
+/// assert!(sink.snapshot().iter().any(|e| matches!(
+///     e.kind,
+///     EventKind::TargetPrecisionReached { n: 100, .. }
+/// )));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ConvergenceTracker {
     target: Option<f64>,
     reached: bool,
-}
-
-impl Default for ConvergenceTracker {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl ConvergenceTracker {
@@ -47,16 +46,10 @@ impl ConvergenceTracker {
     /// matrices would otherwise flood the trace).
     pub const MAX_TRACKED: usize = 8;
 
-    /// A tracker with no precision target: it emits `metrics_snapshot`
-    /// events, but never declares the target reached.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_target(None)
-    }
-
     /// A tracker declaring `target_precision_reached` the first time
     /// the observed `eps_max` drops to `target` or below (with at
-    /// least two samples, matching the runner's stop rule).
+    /// least two samples, matching the runner's stop rule). With no
+    /// target it emits `metrics_snapshot` events only.
     #[must_use]
     pub fn with_target(target: Option<f64>) -> Self {
         Self {
@@ -97,12 +90,6 @@ impl ConvergenceTracker {
             }
         }
     }
-
-    /// Whether the precision target has been declared reached.
-    #[must_use]
-    pub fn reached(&self) -> bool {
-        self.reached
-    }
 }
 
 #[cfg(test)]
@@ -111,30 +98,42 @@ mod tests {
     use crate::monitor::MemorySink;
     use std::sync::Arc;
 
+    /// A monitor recording into a fresh memory sink.
+    fn recorded() -> (Monitor, Arc<MemorySink>) {
+        let sink = Arc::new(MemorySink::new());
+        (Monitor::new(vec![Box::new(Arc::clone(&sink))]), sink)
+    }
+
+    /// The `n` of every `target_precision_reached` event recorded.
+    fn declared(sink: &MemorySink) -> Vec<u64> {
+        sink.snapshot()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::TargetPrecisionReached { n, .. } => Some(n),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn emits_snapshots_and_target_event_once() {
-        let sink = Arc::new(MemorySink::new());
-        let monitor = Monitor::new(vec![Box::new(Arc::clone(&sink))]);
+        let (monitor, sink) = recorded();
         let mut tracker = ConvergenceTracker::with_target(Some(0.05));
 
         tracker.observe(&monitor, Some(0), 10, &[0.5, 0.6], &[0.2, 0.3], 0.3);
-        assert!(!tracker.reached());
+        assert_eq!(declared(&sink), []);
         tracker.observe(&monitor, Some(0), 100, &[0.51, 0.59], &[0.04, 0.05], 0.05);
-        assert!(tracker.reached());
+        assert_eq!(declared(&sink), [100]);
         // Already reached: no second target event.
         tracker.observe(&monitor, Some(0), 200, &[0.5, 0.6], &[0.01, 0.02], 0.02);
+        assert_eq!(declared(&sink), [100]);
 
         let events = sink.snapshot();
         let snapshots = events
             .iter()
             .filter(|e| e.kind.name() == "metrics_snapshot")
             .count();
-        let targets = events
-            .iter()
-            .filter(|e| e.kind.name() == "target_precision_reached")
-            .count();
         assert_eq!(snapshots, 6, "2 functionals x 3 observations");
-        assert_eq!(targets, 1);
         assert!(events.iter().any(|e| e.kind
             == EventKind::MetricsSnapshot {
                 functional: 1,
@@ -146,27 +145,26 @@ mod tests {
 
     #[test]
     fn no_target_never_declares() {
-        let mut tracker = ConvergenceTracker::new();
-        let monitor = Monitor::disabled();
+        let (monitor, sink) = recorded();
+        let mut tracker = ConvergenceTracker::with_target(None);
         tracker.observe(&monitor, None, 1000, &[0.5], &[0.0001], 0.0001);
-        assert!(!tracker.reached());
+        assert_eq!(declared(&sink), []);
     }
 
     #[test]
     fn needs_two_samples_before_declaring() {
+        let (monitor, sink) = recorded();
         let mut tracker = ConvergenceTracker::with_target(Some(1.0));
-        let monitor = Monitor::disabled();
         tracker.observe(&monitor, None, 1, &[0.5], &[0.0], 0.0);
-        assert!(!tracker.reached(), "n = 1 cannot satisfy the stop rule");
+        assert_eq!(declared(&sink), [], "n = 1 cannot satisfy the stop rule");
         tracker.observe(&monitor, None, 2, &[0.5], &[0.0], 0.0);
-        assert!(tracker.reached());
+        assert_eq!(declared(&sink), [2]);
     }
 
     #[test]
     fn tracking_cap_limits_functionals() {
-        let sink = Arc::new(MemorySink::new());
-        let monitor = Monitor::new(vec![Box::new(Arc::clone(&sink))]);
-        let mut tracker = ConvergenceTracker::new();
+        let (monitor, sink) = recorded();
+        let mut tracker = ConvergenceTracker::with_target(None);
         let means = [0.5; ConvergenceTracker::MAX_TRACKED + 2];
         tracker.observe(&monitor, None, 50, &means, &means, 0.5);
         assert_eq!(sink.snapshot().len(), ConvergenceTracker::MAX_TRACKED);

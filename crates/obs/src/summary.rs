@@ -104,7 +104,9 @@ pub struct MonitorSummary {
     /// Tracing spans closed (`span_ended` events).
     pub spans_closed: u64,
     /// Seconds per span phase, summed over spans whose start and end
-    /// both appear in the trace (corrected run clock).
+    /// both appear in the trace (corrected run clock): each rank's spans
+    /// in their order, then the ranks in rank order, so that how ranks
+    /// interleave cannot change a bit.
     pub span_seconds: BTreeMap<&'static str, f64>,
     /// `wire_stats` events in the trace — one per torn-down socket
     /// link end.
@@ -148,6 +150,8 @@ pub struct MonitorSummary {
     /// Samples by histogram family and by the rank of the event that
     /// produced them; see [`MonitorSummary::histograms`].
     histograms: BTreeMap<(&'static str, Option<usize>), LogHistogram>,
+    /// [`MonitorSummary::span_seconds`] by phase and rank.
+    span_seconds_by_rank: BTreeMap<(&'static str, Option<usize>), f64>,
 }
 
 /// Cap on held span halves: beyond this, the stalest id is evicted so a
@@ -490,7 +494,13 @@ impl MonitorSummary {
     /// Adds one paired span's duration to its phase's total and to the
     /// span-duration histogram.
     fn add_span(&mut self, phase: SpanPhase, rank: Option<usize>, duration: f64) {
-        *self.span_seconds.entry(phase.as_str()).or_insert(0.0) += duration.max(0.0);
+        let phase = phase.as_str();
+        *self.span_seconds_by_rank.entry((phase, rank)).or_default() += duration.max(0.0);
+        let ranks = self
+            .span_seconds_by_rank
+            .range((phase, None)..=(phase, Some(usize::MAX)));
+        self.span_seconds
+            .insert(phase, ranks.map(|(_, seconds)| seconds).sum());
         if duration >= 0.0 {
             self.observe("parmonc_span_seconds", rank, duration);
         }
@@ -1456,9 +1466,25 @@ mod tests {
         assert!(s.span_seconds.is_empty());
     }
 
+    /// Every interleaving of `a` and `b` that keeps each one's order.
+    fn interleavings(a: &[Event], b: &[Event]) -> Vec<Vec<Event>> {
+        let (Some((x, rest_a)), Some((y, rest_b))) = (a.split_first(), b.split_first()) else {
+            return vec![[a, b].concat()];
+        };
+        let mut out = Vec::new();
+        for (first, rest) in [(x, interleavings(rest_a, b)), (y, interleavings(a, rest_b))] {
+            out.extend(
+                rest.into_iter()
+                    .map(|tail| [vec![first.clone()], tail].concat()),
+            );
+        }
+        out
+    }
+
     /// Two ranks' events may reach the jsonl file and the live fold
     /// interleaved differently; as long as each rank's own events keep
-    /// their order, every histogram sum comes out bit-identical.
+    /// their order, every histogram sum and every span total comes out
+    /// bit-identical.
     #[test]
     fn a_rank_interleaving_leaves_every_sum_unchanged() {
         let save = |rank, duration_seconds| {
@@ -1471,16 +1497,46 @@ mod tests {
                 },
             )
         };
-        let (a, b, c) = (save(1, 0.2), save(1, 0.1), save(2, 0.3));
+        let span = |rank, span, seconds| {
+            let phase = SpanPhase::SubtotalSend;
+            let start = EventKind::SpanStarted {
+                span,
+                parent: None,
+                phase,
+            };
+            let end = EventKind::SpanEnded { span, phase };
+            [ev(0.0, Some(rank), start), ev(seconds, Some(rank), end)]
+        };
         // In one sum these orders differ in the last bit.
         assert_ne!((0.2 + 0.1) + 0.3, (0.2 + 0.3) + 0.1);
-        let file = MonitorSummary::from_events(&[a.clone(), b.clone(), c.clone()]);
-        let live = MonitorSummary::from_events(&[a, c, b]);
-        assert_eq!(
-            histogram(&file, "parmonc_save_point_seconds"),
-            histogram(&live, "parmonc_save_point_seconds")
-        );
-        assert_eq!(file.render_prometheus(), live.render_prometheus());
+        let rank_1 = [
+            vec![save(1, 0.2)],
+            span(1, 1, 0.2).to_vec(),
+            vec![save(1, 0.1)],
+            span(1, 2, 0.1).to_vec(),
+        ]
+        .concat();
+        let rank_2 = [vec![save(2, 0.3)], span(2, 3, 0.3).to_vec()].concat();
+        let file = MonitorSummary::from_events(&[rank_1.clone(), rank_2.clone()].concat());
+        let span_bits = |s: &MonitorSummary| -> Vec<(&str, u64)> {
+            s.span_seconds
+                .iter()
+                .map(|(&p, t)| (p, t.to_bits()))
+                .collect()
+        };
+        let rank_order = (0.2 + 0.1) + 0.3_f64;
+        assert_eq!(span_bits(&file), [("subtotal_send", rank_order.to_bits())]);
+        let orders = interleavings(&rank_1, &rank_2);
+        assert_eq!(orders.len(), 84);
+        for order in orders {
+            let live = MonitorSummary::from_events(&order);
+            assert_eq!(
+                histogram(&file, "parmonc_save_point_seconds"),
+                histogram(&live, "parmonc_save_point_seconds")
+            );
+            assert_eq!(span_bits(&file), span_bits(&live));
+            assert_eq!(file.render_prometheus(), live.render_prometheus());
+        }
     }
 
     #[test]
