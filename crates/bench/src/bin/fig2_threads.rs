@@ -14,6 +14,8 @@
 //! τ ∈ {200, 50, 10, 2} ms. Each cell runs two lengths, `l_per_proc / 2`
 //! and `l_per_proc` realizations per rank (L = n · M), and fits
 //! wall = fixed + n · round through the two points. Efficiency is the per-rank ideal n · τ over `report.elapsed`.
+//! Beside each wall, `files@n` is the number of state files
+//! (`workers/worker_NNNN.dat`) that run wrote.
 //!
 //! ```text
 //! fig2_threads [max_procs] [l_per_proc] [--monitor]
@@ -80,12 +82,14 @@ fn main() -> ExitCode {
          {short} and {long} realizations per rank; host has {cores} core(s)"
     );
     println!(
-        "{:>6} {:>4} {:>8} {:>9} {:>9} {:>7} {:>7} {:>9} {:>10}",
+        "{:>6} {:>4} {:>8} {:>9} {:>8} {:>9} {:>8} {:>7} {:>7} {:>9} {:>10}",
         "tau_ms",
         "M",
         "exchange",
         format!("wall@{short}"),
+        format!("files@{short}"),
         format!("wall@{long}"),
+        format!("files@{long}"),
         format!("eff@{short}"),
         format!("eff@{long}"),
         "fixed_s",
@@ -101,11 +105,12 @@ fn main() -> ExitCode {
                 ("strict", Exchange::EveryRealization),
                 ("periodic", Exchange::Periodic),
             ] {
-                let mut walls = [0.0f64; 2];
-                for (wall, n) in walls.iter_mut().zip([short, long]) {
+                let (mut walls, mut files) = ([0.0f64; 2], [0u64; 2]);
+                for ((wall, written), n) in walls.iter_mut().zip(&mut files).zip([short, long]) {
                     match run(m, n, tau, exchange, monitor) {
                         Ok(report) => {
                             *wall = report.elapsed.as_secs_f64();
+                            *written = report.state_files_written;
                             last_summary = report.monitor;
                         }
                         Err(e) => {
@@ -120,9 +125,11 @@ fn main() -> ExitCode {
                 let round = (walls[1] - walls[0]) / (long - short) as f64;
                 let fixed = walls[0] - short as f64 * round;
                 println!(
-                    "{tau_ms:>6} {m:>4} {exch:>8} {:>9.3} {:>9.3} {eff_short:>7.3} {eff_long:>7.3} {fixed:>9.3} {:>10.2}",
+                    "{tau_ms:>6} {m:>4} {exch:>8} {:>9.3} {:>8} {:>9.3} {:>8} {eff_short:>7.3} {eff_long:>7.3} {fixed:>9.3} {:>10.2}",
                     walls[0],
+                    files[0],
                     walls[1],
+                    files[1],
                     round * 1e3
                 );
                 let key = format!("fig2_threads/tau{tau_ms}ms/m{m}/star/{exch}");

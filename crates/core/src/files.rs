@@ -31,13 +31,19 @@
 //! commit ([`ResultsDir::save_point`]): `.bak` rotation only after every
 //! temp is written, one fsync of `results/` after the renames. A state
 //! file's rename is not made durable: a lost one leaves its older
-//! generation, which a resume replays. Checkpoint-format files carry an
+//! generation, which a resume replays. State files are written by one
+//! [`StateWriter`] per process, off the ranks' threads; removing them
+//! at a clean exit fsyncs `workers/` once. Checkpoint-format files carry an
 //! FNV-1a 64 checksum + length footer; [`ResultsDir::load_checkpoint`]
 //! falls back to the `.bak` generation when the primary fails it.
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use parmonc_faults::{AtomicWriter, FaultHandle, IoFault, Staged};
 use parmonc_stats::report::{self, LogReport};
@@ -590,7 +596,10 @@ impl ResultsDir {
     }
 
     /// Removes all worker subtotal files (done when a run completes
-    /// cleanly and they are folded into the checkpoint).
+    /// cleanly and they are folded into the checkpoint), then fsyncs
+    /// `workers/` once if anything was removed, so that no removed file
+    /// outlives a power loss beside the next session's files. Nothing
+    /// to remove costs no fsync.
     ///
     /// # Errors
     ///
@@ -598,11 +607,324 @@ impl ResultsDir {
     pub fn clear_worker_subtotals(&self) -> Result<(), ParmoncError> {
         let dir = self.root.join("workers");
         let entries = fs::read_dir(&dir).io_ctx(format!("listing {}", dir.display()))?;
+        let mut removed = false;
         for entry in entries {
             let entry = entry.io_ctx("reading directory entry")?;
             fs::remove_file(entry.path()).io_ctx(format!("removing {}", entry.path().display()))?;
+            removed = true;
+        }
+        if removed {
+            let synced = self.writer.sync_dir(&dir);
+            synced.io_ctx(format!("syncing directory {}", dir.display()))?;
         }
         Ok(())
+    }
+}
+
+/// The one writer of a process's state files (`workers/worker_NNNN.dat`,
+/// what `manaver` and a crash-resume read), so that no rank renders or
+/// fsyncs one on its own simulating thread.
+///
+/// A rank hands its cumulative subtotal over with a time it is due
+/// ([`StateWriter::hand_off`]): a copy into the rank's one cell, no
+/// render. The cell is latest-wins: a newer state replaces a pending one
+/// and keeps the earlier due time, so the writer never writes a
+/// superseded state and, when it falls behind, writes each file less
+/// often rather than queueing. It renders and commits through the
+/// directory's [`AtomicWriter`].
+///
+/// The writer's thread, `parmonc-state`, is started only when a state
+/// first falls due: by the hand-off of a state due at once, or by
+/// [`StateWriter::start_if_due`], which rank 0 calls from the loops it
+/// runs anyway. A run that ends before anything is due starts no thread
+/// and writes no file. Once started, the thread waits for each due time
+/// itself. [`StateWriter::supersede`] drops what is pending once the
+/// final save-point holds it; [`StateWriter::flush`] writes it instead.
+pub(crate) struct StateWriter {
+    shared: Arc<Shared>,
+    thread: Mutex<Option<JoinHandle<()>>>,
+    /// While no thread runs: the earliest due time of a pending state,
+    /// in nanoseconds since `epoch` (`u64::MAX`: none). Rank 0 compares
+    /// its clock reads against it. It publishes no data — the cells are
+    /// read under their lock — so `Relaxed` is enough.
+    next_due: AtomicU64,
+    epoch: Instant,
+}
+
+struct Shared {
+    dir: ResultsDir,
+    cells: Mutex<Cells>,
+    wake: Condvar,
+}
+
+struct Cells {
+    /// Per rank: the newest state handed over, and when it is due if it
+    /// is not yet written. The allocation stays for the next hand-off.
+    states: Vec<(Option<Subtotal>, Option<Instant>)>,
+    /// The thread is to exit after the write it is in.
+    closed: bool,
+    /// The first write that failed, for the next caller to raise.
+    failed: Option<ParmoncError>,
+    written: u64,
+}
+
+impl StateWriter {
+    /// A writer for `ranks` ranks' state files in `dir`, with no thread.
+    pub(crate) fn new(dir: ResultsDir, ranks: usize) -> Self {
+        let cells = Cells {
+            states: vec![(None, None); ranks],
+            closed: false,
+            failed: None,
+            written: 0,
+        };
+        Self {
+            shared: Arc::new(Shared {
+                dir,
+                cells: Mutex::new(cells),
+                wake: Condvar::new(),
+            }),
+            thread: Mutex::new(None),
+            next_due: AtomicU64::new(u64::MAX),
+            epoch: Instant::now(),
+        }
+    }
+
+    /// Hands `rank`'s state over at `now`, to be written once `due`.
+    ///
+    /// # Errors
+    ///
+    /// An earlier write that failed, or a thread that cannot be started.
+    pub(crate) fn hand_off(
+        &self,
+        rank: usize,
+        state: &Subtotal,
+        due: Instant,
+        now: Instant,
+    ) -> Result<(), ParmoncError> {
+        let mut cells = self.shared.lock();
+        if let Some(e) = cells.failed.take() {
+            return Err(e);
+        }
+        let (cell, pending) = &mut cells.states[rank];
+        state.copy_into(cell);
+        let due = pending.map_or(due, |earlier| earlier.min(due));
+        *pending = Some(due);
+        drop(cells);
+        if due <= now {
+            self.start()
+        } else {
+            self.next_due
+                .fetch_min(self.since_epoch(due), Ordering::Relaxed);
+            self.shared.wake.notify_one();
+            Ok(())
+        }
+    }
+
+    /// Starts the thread if a pending state is due at `now`. Before the
+    /// thread runs this is one comparison.
+    ///
+    /// # Errors
+    ///
+    /// A thread that cannot be started.
+    pub(crate) fn start_if_due(&self, now: Instant) -> Result<(), ParmoncError> {
+        if self.since_epoch(now) < self.next_due.load(Ordering::Relaxed) {
+            return Ok(());
+        }
+        self.start()
+    }
+
+    /// The earliest due time of a pending state while no thread waits
+    /// for it: how long rank 0 may block before calling
+    /// [`StateWriter::start_if_due`].
+    pub(crate) fn next_due(&self) -> Option<Instant> {
+        let nanos = self.next_due.load(Ordering::Relaxed);
+        (nanos != u64::MAX).then(|| self.epoch + Duration::from_nanos(nanos))
+    }
+
+    /// State files written so far.
+    pub(crate) fn written(&self) -> u64 {
+        self.shared.lock().written
+    }
+
+    /// Drops every pending state: the final save-point has committed
+    /// all of them. Returns once no write is in flight, so nothing
+    /// writes a state file after this.
+    ///
+    /// # Errors
+    ///
+    /// The first write that failed.
+    pub(crate) fn supersede(&self) -> Result<(), ParmoncError> {
+        self.stop();
+        let mut cells = self.shared.lock();
+        for (_, pending) in &mut cells.states {
+            *pending = None;
+        }
+        cells.failed.take().map_or(Ok(()), Err)
+    }
+
+    /// Writes every pending state now, due or not, on the caller's
+    /// thread: what an error exit and a socket worker's last step do.
+    ///
+    /// # Errors
+    ///
+    /// The first write that failed.
+    pub(crate) fn flush(&self) -> Result<(), ParmoncError> {
+        self.stop();
+        let mut cells = self.shared.lock();
+        for rank in 0..cells.states.len() {
+            if let (Some(state), Some(_)) = &cells.states[rank] {
+                let written = self.shared.write(rank, state);
+                cells.states[rank].1 = None;
+                cells.note(written);
+            }
+        }
+        cells.failed.take().map_or(Ok(()), Err)
+    }
+
+    fn since_epoch(&self, t: Instant) -> u64 {
+        u64::try_from(t.saturating_duration_since(self.epoch).as_nanos()).unwrap_or(u64::MAX - 1)
+    }
+
+    /// Starts the thread unless it runs; from then on it keeps the due
+    /// times itself.
+    fn start(&self) -> Result<(), ParmoncError> {
+        let mut thread = self.thread.lock().unwrap_or_else(PoisonError::into_inner);
+        if thread.is_none() {
+            let shared = Arc::clone(&self.shared);
+            let spawned = std::thread::Builder::new()
+                .name("parmonc-state".into())
+                .spawn(move || shared.run());
+            *thread = Some(spawned.io_ctx("starting the state-file writer")?);
+            #[cfg(test)]
+            hooks::note_started(self.shared.dir.root());
+        }
+        self.next_due.store(u64::MAX, Ordering::Relaxed);
+        drop(thread);
+        self.shared.wake.notify_one();
+        Ok(())
+    }
+
+    /// Stops the thread, if it runs, after the write it is in. A thread
+    /// that panicked is a failed write for the next caller to raise.
+    fn stop(&self) {
+        self.shared.lock().closed = true;
+        self.shared.wake.notify_one();
+        let thread = self
+            .thread
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(Err(_)) = thread.map(JoinHandle::join) {
+            let panicked = Err(std::io::Error::other("the writer thread panicked"));
+            self.shared
+                .lock()
+                .note(panicked.io_ctx("writing state files"));
+        }
+    }
+}
+
+impl Drop for StateWriter {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+impl Shared {
+    /// Every update of the cells is a plain store, so a panic elsewhere
+    /// never leaves them half-written.
+    fn lock(&self) -> MutexGuard<'_, Cells> {
+        self.cells.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self, rank: usize, state: &Subtotal) -> Result<(), ParmoncError> {
+        #[cfg(test)]
+        hooks::hold(self.dir.root());
+        self.dir.save_worker_subtotal(rank, state)
+    }
+
+    /// The thread: writes the pending state due first, outside the lock,
+    /// and otherwise sleeps until the next due time or a hand-off.
+    fn run(&self) {
+        let mut cells = self.lock();
+        while !cells.closed {
+            let now = Instant::now();
+            let next = cells
+                .states
+                .iter()
+                .enumerate()
+                .filter_map(|(rank, (_, due))| due.map(|due| (due, rank)))
+                .min();
+            cells = match next {
+                Some((due, rank)) if due <= now => {
+                    let (cell, pending) = &mut cells.states[rank];
+                    *pending = None;
+                    let state = cell.take().expect("a pending cell holds a state");
+                    drop(cells);
+                    let written = self.write(rank, &state);
+                    let mut cells = self.lock();
+                    cells.states[rank].0.get_or_insert(state);
+                    cells.note(written);
+                    cells
+                }
+                Some((due, _)) => {
+                    let waited = self.wake.wait_timeout(cells, due - now);
+                    waited.unwrap_or_else(PoisonError::into_inner).0
+                }
+                None => self
+                    .wake
+                    .wait(cells)
+                    .unwrap_or_else(PoisonError::into_inner),
+            };
+        }
+    }
+}
+
+impl Cells {
+    fn note(&mut self, written: Result<(), ParmoncError>) {
+        match written {
+            Ok(()) => self.written += 1,
+            Err(e) => {
+                self.failed.get_or_insert(e);
+            }
+        }
+    }
+}
+
+/// Test hooks on a directory's state writer: hold each of its writes,
+/// and tell whether its thread was ever started.
+#[cfg(test)]
+pub(crate) mod hooks {
+    use std::path::{Path, PathBuf};
+    use std::sync::Mutex;
+    use std::time::Duration;
+
+    static HELD: Mutex<Vec<(PathBuf, Duration)>> = Mutex::new(Vec::new());
+    static STARTED: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
+
+    /// Every state write into `root` takes `by` longer.
+    pub(crate) fn hold_writes(root: &Path, by: Duration) {
+        HELD.lock().unwrap().push((root.to_path_buf(), by));
+    }
+
+    /// Whether a state writer of `root` started its thread.
+    pub(crate) fn started(root: &Path) -> bool {
+        STARTED.lock().unwrap().iter().any(|p| p == root)
+    }
+
+    pub(super) fn hold(root: &Path) {
+        let held = HELD
+            .lock()
+            .unwrap()
+            .iter()
+            .find(|(p, _)| p == root)
+            .map(|h| h.1);
+        if let Some(by) = held {
+            std::thread::sleep(by);
+        }
+    }
+
+    pub(super) fn note_started(root: &Path) {
+        STARTED.lock().unwrap().push(root.to_path_buf());
     }
 }
 
@@ -1255,7 +1577,8 @@ mod tests {
     /// Fsyncs are paid for what recovery reads and counted per handle
     /// (clones share the count): a save-point is one commit of two
     /// fsyncs, a state file one, the baseline two, its removal one (none
-    /// when there is none to remove), a rendering none.
+    /// when there is none to remove), the state files' removal one (none
+    /// when there are none), a rendering none.
     #[test]
     fn fsyncs_are_paid_only_for_what_recovery_reads() {
         let dir = tempdir("fsyncs");
@@ -1284,7 +1607,62 @@ mod tests {
         assert_eq!(rd.load_baseline().unwrap(), None);
         step(2, &|| clone.save_point(&summary, &log, &acc).unwrap());
         step(2, &|| clone.save_checkpoint(&acc).unwrap());
+        step(1, &|| clone.clear_worker_subtotals().unwrap());
+        step(0, &|| clone.clear_worker_subtotals().unwrap());
         assert_eq!(ResultsDir::open(&dir).unwrap().writer().fsyncs(), 0);
+    }
+
+    /// The state writer's cell is latest-wins and keeps the earliest
+    /// due time. A state not yet due starts no thread and writes
+    /// nothing; one due at once starts the thread, which writes it;
+    /// `supersede` drops what is pending and `flush` writes it.
+    #[test]
+    fn the_state_writer_writes_the_newest_state_once_due() {
+        let dir = tempdir("state-writer");
+        let rd = ResultsDir::create(&dir).unwrap();
+        let state = |n: u32| {
+            let mut acc = MatrixAccumulator::new(1, 2).unwrap();
+            for i in 0..n {
+                acc.add(&[f64::from(i), 0.5]).unwrap();
+            }
+            Subtotal {
+                acc,
+                compute_seconds: f64::from(n),
+            }
+        };
+        let on_disk = |rank| {
+            let files = rd.load_worker_subtotals().unwrap();
+            files.into_iter().find(|(r, _)| *r == rank).map(|(_, s)| s)
+        };
+        let now = Instant::now();
+        let hour = Duration::from_secs(3600);
+
+        let states = StateWriter::new(rd.clone(), 2);
+        states.hand_off(1, &state(1), now + hour, now).unwrap();
+        states.hand_off(1, &state(2), now + 2 * hour, now).unwrap();
+        let due = states.next_due().expect("a state is pending");
+        assert!(due > now + hour / 2 && due <= now + hour, "{due:?}");
+        states.start_if_due(now).unwrap();
+        states.supersede().unwrap();
+        assert!(!hooks::started(rd.root()));
+        assert_eq!((states.written(), rd.writer().fsyncs()), (0, 0));
+        assert_eq!(on_disk(1), None);
+
+        let states = StateWriter::new(rd.clone(), 2);
+        states.hand_off(0, &state(3), now, now).unwrap();
+        let waited = Instant::now();
+        while states.written() == 0 {
+            assert!(waited.elapsed() < Duration::from_secs(10), "never written");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(hooks::started(rd.root()));
+        assert_eq!(on_disk(0), Some(state(3)));
+        states.hand_off(1, &state(4), now + hour, now).unwrap();
+        states.hand_off(1, &state(5), now + hour, now).unwrap();
+        states.flush().unwrap();
+        assert_eq!(states.written(), 2);
+        assert_eq!(on_disk(1), Some(state(5)));
+        assert_eq!(rd.writer().fsyncs(), 2);
     }
 
     #[test]

@@ -44,6 +44,18 @@ pub struct Subtotal {
 }
 
 impl Subtotal {
+    /// Copies this subtotal into `slot`, reusing the allocations of the
+    /// one already there.
+    pub(crate) fn copy_into(&self, slot: &mut Option<Subtotal>) {
+        match slot {
+            Some(sub) => {
+                sub.acc.clone_from(&self.acc);
+                sub.compute_seconds = self.compute_seconds;
+            }
+            None => *slot = Some(self.clone()),
+        }
+    }
+
     /// Exact encoded size for a `nrow × ncol` accumulator: the 32-byte
     /// header (`nrow`, `ncol`, `count`, `compute_seconds`) plus two
     /// length-prefixed `f64` matrices.

@@ -37,7 +37,7 @@ pub(crate) use self::worker::socket_worker;
 use self::worker::worker_loop;
 use crate::config::{Exchange, ParmoncBuilder, Resume, RunConfig, Transport};
 use crate::error::{IoContext, ParmoncError};
-use crate::files::{ExperimentRecord, ResultsDir};
+use crate::files::{ExperimentRecord, ResultsDir, StateWriter};
 use crate::messages::Subtotal;
 use crate::realize::Realize;
 
@@ -96,6 +96,10 @@ pub struct RunReport {
     /// Whether the resume baseline had to be read from the last-good
     /// backup generation because the primary checkpoint was corrupt.
     pub checkpoint_recovered: bool,
+    /// State files (`workers/worker_NNNN.dat`) this process wrote during
+    /// the run. None when the final save-point came less than one state
+    /// file period into every rank's loop: it supersedes them all.
+    pub state_files_written: u64,
 }
 
 /// Validates resume preconditions and returns the baseline accumulator
@@ -142,6 +146,8 @@ struct RunCtx<'a, R: ?Sized> {
     hierarchy: &'a StreamHierarchy,
     dir: &'a ResultsDir,
     realize: &'a R,
+    /// The process's one writer of state files.
+    states: &'a StateWriter,
     /// The rank's own monitor: the run's on rank 0 and on thread
     /// workers, the forwarding one on a socket worker.
     monitor: &'a Monitor,
@@ -219,17 +225,19 @@ where
         Transport::Tcp => RunTransport::Tcp,
     };
     let setup = prepare(&config, transport)?;
+    let states = StateWriter::new(setup.dir.clone(), config.processors);
     let ctx = RunCtx {
         config: &config,
         hierarchy: &setup.hierarchy,
         dir: &setup.dir,
         realize: &realize,
+        states: &states,
         monitor: &setup.monitor,
         faults: &setup.faults,
         start,
     };
     let baseline = setup.baseline.clone();
-    let mut collector = match config.transport {
+    let collected = match config.transport {
         // Ranks are scoped OS threads over the `parmonc-mpi` mailbox
         // world: rank 0 stays here, ranks 1.. go to the driver's scope.
         Transport::Threads => {
@@ -267,16 +275,37 @@ where
                 |mut world| world.shutdown().io_ctx("shutting down the TCP listener"),
             )
         }
-    }?;
+    };
     let elapsed = start.elapsed();
     // The final averaging pass is one more save-point. It always runs
     // (unlike the in-loop ones, which only fire when `averaging_period`
     // elapses), so every monitored run records at least one
-    // averaging_pass and one save_point event.
+    // averaging_pass and one save_point event. Its commit holds every
+    // rank's final state, so the state files still pending are dropped
+    // unwritten; on an error exit they are written instead.
     let spans = SpanEmitter::new(&setup.monitor, 0, config.trace_spans);
-    let averaged = collector.save_point(&ctx, &spans)?;
+    let saved = collected.and_then(|mut collector| {
+        let averaged = collector.save_point(&ctx, &spans)?;
+        Ok((collector, averaged))
+    });
+    let (collector, averaged) = match saved {
+        Ok(saved) => saved,
+        Err(e) => {
+            // The run's own error wins over the writer's.
+            let _ = states.flush();
+            return Err(e);
+        }
+    };
+    states.supersede()?;
     setup.dir.clear_worker_subtotals()?;
-    Ok(finish(&config, setup, elapsed, collector, averaged))
+    Ok(finish(
+        &config,
+        setup,
+        elapsed,
+        collector,
+        averaged,
+        states.written(),
+    ))
 }
 
 /// What a socket world — listening on TCP or launched — is opened
@@ -542,7 +571,9 @@ fn drive<C: Comm + Send, R: Realize + Sync>(
         handles.extend(locals.into_iter().map(|comm| {
             let rank = comm.rank();
             let worker = scope.spawn(|| {
-                worker_loop(ctx, comm, ctx.config.trace_spans).unwrap_or_else(fail);
+                worker_loop(ctx, comm, ctx.config.trace_spans)
+                    .map(drop)
+                    .unwrap_or_else(fail);
             });
             (rank, worker)
         }));
@@ -584,6 +615,7 @@ fn finish(
     elapsed: Duration,
     collector: Collector,
     averaged: Averaged,
+    state_files_written: u64,
 ) -> RunReport {
     let RunSetup {
         dir,
@@ -645,14 +677,17 @@ fn finish(
         lost_workers: live.lost,
         reassigned_realizations: live.reassigned,
         checkpoint_recovered,
+        state_files_written,
     }
 }
 
-/// How often, at most, a rank rewrites its on-disk subtotal file — and
-/// how long into its loop the first one is due. So a crash loses at
-/// most this much of a rank's work, and a loop that ends sooner writes
-/// only the final file: a job killed in its first period leaves no
-/// state file for `manaver`, whatever its exchange mode.
+/// How often a rank hands its state to the process's [`StateWriter`],
+/// under either exchange mode — and how long into its loop the first one
+/// is due. A rank's final state is due one period after its last one
+/// (or after its loop started), unless the final save-point, which holds
+/// it, commits first. So a crash loses at most this much of a rank's
+/// work plus the writer's lag, and a job killed in its first period
+/// leaves no state file for `manaver`.
 const WORKER_FILE_PERIOD: Duration = Duration::from_millis(500);
 
 /// How often, at most, a simulating rank looks at its inbox. Looking
@@ -867,11 +902,18 @@ impl RealizationLoop {
         self.own.acc.count()
     }
 
-    /// Rewrites the rank's on-disk state file — what `manaver` and a
-    /// crash-resume read — under a `checkpoint` span.
-    fn save_state(&self, dir: &ResultsDir, parent_span: u64) -> Result<(), ParmoncError> {
+    /// Hands the rank's state — what its state file, which `manaver`
+    /// and a crash-resume read, is to hold once `due` — to the writer at
+    /// `now`, under a `checkpoint` span.
+    fn hand_off(
+        &self,
+        states: &StateWriter,
+        due: Instant,
+        now: Instant,
+        parent_span: u64,
+    ) -> Result<(), ParmoncError> {
         let sp_ck = self.spans.start(SpanPhase::Checkpoint, Some(parent_span));
-        dir.save_worker_subtotal(self.rank, &self.own)?;
+        states.hand_off(self.rank, &self.own, due, now)?;
         self.spans.end(sp_ck, SpanPhase::Checkpoint);
         Ok(())
     }
@@ -985,13 +1027,14 @@ fn report_progress(monitor: &Monitor, rank: usize, own: &Subtotal) {
 
 /// The simulation loop common to every rank: simulate up to the quota,
 /// offering the cumulative subtotal to `role` whenever the exchange mode
-/// and the governor make one due, rewriting the rank's state file with
-/// an offer at most every [`WORKER_FILE_PERIOD`] (the first one period
-/// after the loop starts), heartbeating through quiet stretches, and
+/// and the governor make one due, handing the state to the writer every
+/// [`WORKER_FILE_PERIOD`] (the first one period after the loop starts),
+/// heartbeating through quiet stretches, and
 /// growing the quota when a poll reports reassigned work
 /// (extension realizations run on this rank's *own* stream coordinates
 /// past its original quota, so no leapfrog subsequence is ever reused).
-/// It ends with the state file and a final offer. Entered again on the
+/// It ends with the final state, due one period after the last, and a
+/// final offer. Entered again on the
 /// same `sim` — rank 0 does, when work lands on it while it waits for
 /// finals — it picks the extension up from its first poll and carries on
 /// from the next coordinate, every gate live.
@@ -1017,10 +1060,10 @@ fn simulate_quota<R: Realize + ?Sized>(
     let mut governor = ExchangeGovernor::new(config.heartbeat_period);
     let mut last_pass = Instant::now();
     let mut last_contact = last_pass;
-    // The first state file is due one period into the loop, not at the
+    // The first state is due one period into the loop, not at the
     // first offer: a crash before it loses less than a period of work,
     // as a crash between two later files does.
-    let mut last_file_write = last_pass;
+    let mut last_file = last_pass;
     let mut shipped_one = false;
     // The currently open realization-batch span (0 between batches or
     // with spans off — `start`/`end` treat 0 as "nothing open").
@@ -1066,6 +1109,13 @@ fn simulate_quota<R: Realize + ?Sized>(
         now = read;
         governor.realization_starts(t0);
 
+        // The file gate is its own, checked once per block whatever the
+        // exchange mode: a periodic rank's states reach the writer as
+        // often as a strict one's.
+        if sim.done() < sim.quota && now.duration_since(last_file) >= WORKER_FILE_PERIOD {
+            sim.hand_off(ctx.states, now, now, batch_span)?;
+            last_file = now;
+        }
         let due = now.duration_since(last_pass) >= period && governor.due(now);
         if due && sim.done() < sim.quota {
             let sp_send = sim.spans.start(SpanPhase::SubtotalSend, Some(batch_span));
@@ -1073,20 +1123,14 @@ fn simulate_quota<R: Realize + ?Sized>(
             role.offer(&sim.own, now, false)?;
             sim.spans.end(sp_send, SpanPhase::SubtotalSend);
             last_contact = now;
-            if now.duration_since(last_file_write) >= WORKER_FILE_PERIOD {
-                sim.save_state(ctx.dir, batch_span)?;
-                last_file_write = now;
-            } else if shipped_one {
+            // The iteration that shipped the loop's first subtotal is not
+            // priced: it pays the rank's cold start (31–98 µs against
+            // ≈ 2 µs from the second on, a one-draw routine on threads),
+            // and eight times that would hold a short loop to its first
+            // offer.
+            if shipped_one {
                 governor.shipped(now);
             }
-            // Two kinds of iteration are not priced. One that also
-            // rewrote the state file: that fsync is the save-point's
-            // cost, not exchange's, and eight times its milliseconds
-            // would withhold subtotals the paper's regime must ship. And
-            // the one that shipped the loop's first subtotal: it pays the
-            // rank's cold start (31–98 µs against ≈ 2 µs from the second
-            // on, a one-draw routine on threads), and eight times that
-            // would hold a short loop to its first offer.
             shipped_one = true;
             sim.spans.end(batch_span, SpanPhase::RealizationBatch);
             batch_span = 0;
@@ -1098,7 +1142,7 @@ fn simulate_quota<R: Realize + ?Sized>(
         }
     }
 
-    sim.save_state(ctx.dir, batch_span)?;
+    sim.hand_off(ctx.states, last_file + WORKER_FILE_PERIOD, now, batch_span)?;
     let sp_send = sim.spans.start(SpanPhase::SubtotalSend, Some(batch_span));
     report_progress(ctx.monitor, sim.rank, &sim.own);
     role.offer(&sim.own, now, true)?;
@@ -1298,13 +1342,17 @@ mod tests {
 
     /// A fresh run pays one fsync per state file and two per durable
     /// commit (the final save-point, each lease-table persist), and no
-    /// more: no baseline (an absent one is empty) and no state file
-    /// before one `WORKER_FILE_PERIOD` of a rank's loop. Two ranks 4
-    /// (6 with an empty baseline, 14 when every file paid two), one
-    /// rank 3 (5, 12), a TCP collector plus one joined worker 8 (10,
-    /// 20), and a strict two-rank run of many timing blocks that ends
-    /// inside the period 4 (8 when every rank's first offer wrote its
-    /// state file).
+    /// more: no baseline (an absent one is empty), no state file before
+    /// one `WORKER_FILE_PERIOD` of a rank's loop, and no final state file
+    /// that the final save-point supersedes. Two ranks 2 (4 when each
+    /// rank wrote its final state file, 6 with an empty baseline too),
+    /// one rank 2 (3, 5), a TCP collector plus one joined worker 6 and 1
+    /// (the worker writes its final state file; 7 and 1 when rank 0
+    /// wrote its own), and a strict two-rank run of many timing blocks
+    /// that ends inside the period 2 (8 when every rank's first offer
+    /// wrote its state file). A run that outlasts the period pays one
+    /// per state file it wrote and one more for the directory its clean
+    /// exit removed them from.
     #[test]
     fn minimal_runs_pay_only_for_what_recovery_reads() {
         use crate::config::NetOptions;
@@ -1314,12 +1362,30 @@ mod tests {
                 .processors(processors)
                 .output_dir(dir)
         };
-        for (processors, expected) in [(2, 4), (1, 3)] {
+        for processors in [2, 1] {
             let dir = tempdir(&format!("fsyncs-{processors}"));
             let report = builder(processors, &dir).run(uniform_mean()).unwrap();
             let fsyncs = report.results_dir.writer().fsyncs();
-            assert_eq!(fsyncs, expected, "{processors} ranks");
+            assert_eq!(fsyncs, 2, "{processors} ranks");
+            assert_eq!(report.state_files_written, 0);
         }
+
+        let dir = tempdir("fsyncs-long");
+        let report = builder(2, &dir)
+            .max_sample_volume(10)
+            .run(RealizeFn::new(|rng, out| {
+                std::thread::sleep(Duration::from_millis(150));
+                out[0] = rng.next_f64();
+            }))
+            .unwrap();
+        let written = report.state_files_written;
+        assert!(written >= 1, "a 750 ms run wrote no state file");
+        assert_eq!(report.results_dir.writer().fsyncs(), 2 + written + 1);
+        assert!(report
+            .results_dir
+            .load_worker_subtotals()
+            .unwrap()
+            .is_empty());
 
         let dir = tempdir("fsyncs-strict");
         let report = builder(2, &dir)
@@ -1332,7 +1398,7 @@ mod tests {
             "the strict run took {:?}, past the state-file period",
             report.elapsed
         );
-        assert_eq!(report.results_dir.writer().fsyncs(), 4, "strict, two ranks");
+        assert_eq!(report.results_dir.writer().fsyncs(), 2, "strict, two ranks");
 
         let (collector_dir, worker_dir) = (tempdir("fsyncs-tcp"), tempdir("fsyncs-tcp-worker"));
         let (collector, worker) = std::thread::scope(|scope| {
@@ -1361,7 +1427,7 @@ mod tests {
             collector.results_dir.writer().fsyncs(),
             worker.writer().fsyncs(),
         );
-        assert_eq!(fsyncs, (7, 1), "TCP (collector, worker)");
+        assert_eq!(fsyncs, (6, 1), "TCP (collector, worker)");
     }
 
     #[test]
@@ -1793,11 +1859,13 @@ mod tests {
         drive: impl FnOnce(&RunCtx<'_, dyn Realize>, &mut RealizationLoop),
     ) {
         let faults = config.faults.build();
+        let dir = ResultsDir::create(&config.output_dir).unwrap();
         let ctx: RunCtx<'_, dyn Realize> = RunCtx {
             config,
             hierarchy: &StreamHierarchy::new(config.leaps),
-            dir: &ResultsDir::create(&config.output_dir).unwrap(),
+            dir: &dir,
             realize,
+            states: &StateWriter::new(dir.clone(), config.processors),
             monitor: &Monitor::disabled(),
             faults: &faults,
             start: Instant::now(),
@@ -1848,8 +1916,10 @@ mod tests {
     }
 
     /// A strict loop that ends inside one [`WORKER_FILE_PERIOD`] offers
-    /// subtotals but writes one state file, the final one: the first
-    /// is due a period into the loop, not at the first offer. And its
+    /// subtotals but hands the writer one state, the final one, due a
+    /// period after the loop started: the first is due a period into the
+    /// loop, not at the first offer. Nothing is written before it falls
+    /// due (or a flush writes it). And its
     /// first offer, 20 ms slow here, does not hold the next for eight
     /// times as long: that iteration pays the rank's cold start and is
     /// not priced.
@@ -1878,12 +1948,165 @@ mod tests {
                 "the loop took {took:?}"
             );
             assert!(role.offers > 1, "{} offers before the final", role.offers);
+            let due = ctx.states.next_due().expect("the final state is pending");
+            assert!(
+                due >= started + WORKER_FILE_PERIOD && due <= Instant::now() + WORKER_FILE_PERIOD
+            );
+            assert_eq!(
+                ctx.dir.writer().fsyncs(),
+                0,
+                "a state file was written early"
+            );
+            ctx.states.flush().unwrap();
             assert_eq!(ctx.dir.writer().fsyncs(), 1, "state files written");
             let files = ctx.dir.load_worker_subtotals().unwrap();
             assert_eq!(files.len(), 1);
             assert_eq!((files[0].0, &files[0].1.acc), (RANK, &sim.own.acc));
             assert_eq!(sim.done(), config.quota(RANK));
         });
+    }
+
+    /// A run whose final save-point commits inside one
+    /// [`WORKER_FILE_PERIOD`] of every rank's loop supersedes every
+    /// final state: it writes no state file, never starts the writer's
+    /// thread, and pays only the save-point's two fsyncs.
+    #[test]
+    fn a_run_inside_the_file_period_writes_no_state_file_and_starts_no_writer() {
+        let dir = tempdir("no-writer");
+        let report = Parmonc::builder(1, 2)
+            .max_sample_volume(3_000)
+            .processors(3)
+            .exchange(Exchange::EveryRealization)
+            .output_dir(&dir)
+            .run(uniform_mean())
+            .unwrap();
+        assert!(report.elapsed < WORKER_FILE_PERIOD, "{:?}", report.elapsed);
+        assert_eq!(report.state_files_written, 0);
+        assert!(!crate::files::hooks::started(report.results_dir.root()));
+        assert_eq!(report.results_dir.writer().fsyncs(), 2);
+    }
+
+    /// A straggler does not hold the other ranks' final states back.
+    /// Rank 0 is done at once; rank 1's one realization sleeps 1.4 s, so
+    /// it hands nothing over before its final. Rank 0's final state
+    /// falls due one period after its loop started, and its file is on
+    /// disk within the writer's lag of that: rank 0's wait for rank 1's
+    /// final wakes for it, though its sweep (the heartbeat period) is
+    /// longer than rank 1's whole loop.
+    #[test]
+    fn a_straggler_does_not_hold_back_a_final_state_that_fell_due() {
+        const LAG: Duration = Duration::from_millis(250);
+        let dir = tempdir("straggler");
+        let path = ResultsDir::create(&dir).unwrap().worker_path(0);
+        let started = Instant::now();
+        let (report, seen) = std::thread::scope(|scope| {
+            let run = scope.spawn(|| {
+                Parmonc::builder(1, 1)
+                    .max_sample_volume(2)
+                    .processors(2)
+                    .heartbeat_period(Duration::from_secs(3))
+                    .output_dir(&dir)
+                    .run(RealizeFn::new(|rng, out| {
+                        if rng.id().processor == 1 {
+                            std::thread::sleep(Duration::from_millis(1400));
+                        }
+                        out[0] = rng.next_f64();
+                    }))
+            });
+            let mut seen = None;
+            while !run.is_finished() {
+                if seen.is_none() && path.exists() {
+                    seen = Some(started.elapsed());
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            (run.join().unwrap().unwrap(), seen)
+        });
+        let seen = seen.expect("rank 0's final state was never written");
+        assert!(
+            seen >= WORKER_FILE_PERIOD && seen <= WORKER_FILE_PERIOD + LAG,
+            "rank 0's state file appeared {seen:?} after the run started"
+        );
+        assert!(report.state_files_written >= 1);
+        assert!(report
+            .results_dir
+            .load_worker_subtotals()
+            .unwrap()
+            .is_empty());
+    }
+
+    /// A run killed while the state writer is behind leaves stale or
+    /// current state files, never a wrong one. Every state write is held
+    /// 300 ms here, so the ranks hand states over faster than they are
+    /// written and the writer supersedes some unwritten; then the
+    /// collector crashes by script. Each file left holds exactly its
+    /// rank's first `n` stream coordinates for some `n`, and `manaver`
+    /// and a `res = 1` resume each give the serial merge of what the
+    /// files hold.
+    #[test]
+    fn a_run_killed_while_the_state_writer_is_behind_leaves_no_wrong_file() {
+        use parmonc_faults::FaultPlan;
+        const SHAPE: (usize, usize) = (1, 2);
+        const MORE: u64 = 10;
+        let dir = tempdir("writer-behind");
+        let rd = ResultsDir::create(&dir).unwrap();
+        crate::files::hooks::hold_writes(rd.root(), Duration::from_millis(300));
+        let err = Parmonc::builder(SHAPE.0, SHAPE.1)
+            .max_sample_volume(1_000_000)
+            .processors(3)
+            .seqnum(SEQNUM)
+            .exchange(Exchange::EveryRealization)
+            .faults(FaultPlan::new(1).crash_rank(0, 1_200))
+            .output_dir(&dir)
+            .run(RealizeFn::new(|rng, out| {
+                std::thread::sleep(Duration::from_millis(1));
+                for o in out.iter_mut() {
+                    *o = rng.next_f64();
+                }
+            }))
+            .unwrap_err();
+        assert!(
+            matches!(err, ParmoncError::CollectorCrashed { after: 1_200 }),
+            "expected the scripted crash, got: {err}"
+        );
+        let files = rd.load_worker_subtotals().unwrap();
+        let volumes: Vec<u64> = files.iter().map(|(_, sub)| sub.acc.count()).collect();
+        assert_eq!(files.iter().map(|f| f.0).collect::<Vec<_>>(), [0, 1, 2]);
+        for (rank, sub) in &files {
+            let prefix = rank_pass(SEQNUM, *rank, SHAPE, sub.acc.count());
+            assert_eq!(
+                sub.acc, prefix,
+                "rank {rank}'s file is not a prefix of its streams"
+            );
+        }
+        assert!(volumes[0] <= 1_200, "{volumes:?}");
+
+        let recovered = crate::manaver::manaver(&dir).unwrap();
+        let expected = serial_merge(SEQNUM, SHAPE, &volumes);
+        assert_eq!(recovered.total_volume, volumes.iter().sum::<u64>());
+        assert_eq!(recovered.summary, expected);
+
+        let resumed = Parmonc::builder(SHAPE.0, SHAPE.1)
+            .max_sample_volume(3 * MORE)
+            .processors(3)
+            .seqnum(SEQNUM + 1)
+            .resume(Resume::Resume)
+            .output_dir(&dir)
+            .run(uniform_mean())
+            .unwrap();
+        let mut total = MatrixAccumulator::new(SHAPE.0, SHAPE.1).unwrap();
+        for (rank, &volume) in volumes.iter().enumerate() {
+            total
+                .merge(&rank_pass(SEQNUM, rank, SHAPE, volume))
+                .unwrap();
+        }
+        for rank in 0..3 {
+            total
+                .merge(&rank_pass(SEQNUM + 1, rank, SHAPE, MORE))
+                .unwrap();
+        }
+        assert_eq!(resumed.resumed_volume, volumes.iter().sum::<u64>());
+        assert_eq!(resumed.summary, total.summary());
     }
 
     /// Realization shapes for both arms of the loop's dispatch on the

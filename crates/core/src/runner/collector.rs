@@ -46,13 +46,7 @@ impl CollectorState {
     /// Refreshes rank 0's own snapshot from its borrowed running
     /// subtotal, reusing the previous snapshot's allocations.
     fn update_own(&mut self, own: &Subtotal, now: Instant) {
-        match &mut self.latest[0] {
-            Some(sub) => {
-                sub.acc.clone_from(&own.acc);
-                sub.compute_seconds = own.compute_seconds;
-            }
-            slot => *slot = Some(own.clone()),
-        }
+        own.copy_into(&mut self.latest[0]);
         self.updated_at[0] = Some(now);
     }
 
@@ -483,12 +477,14 @@ impl<C: Comm, R: ?Sized> Rank0<'_, C, R> {
     }
 
     /// Waits for every *live* worker's final message, sweeping for dead
-    /// ranks between arrivals instead of blocking forever. Returns
+    /// ranks between arrivals instead of blocking forever, and waking
+    /// when a state falls due for the writer. Returns
     /// `true` as soon as a reassignment lands on the collector itself —
     /// there is simulating to do — and `false` once nobody is awaited.
     fn wait_for_finals(&mut self) -> Result<bool, ParmoncError> {
         let ctx = self.ctx;
         let sweep = ctx.config.heartbeat_period;
+        let mut now = Instant::now();
         loop {
             let collector = &mut self.collector;
             if collector.live.self_extra > 0 {
@@ -498,12 +494,17 @@ impl<C: Comm, R: ?Sized> Rank0<'_, C, R> {
             if !awaited.any(|(f, a)| *a && !*f) {
                 return Ok(false);
             }
+            let timeout = ctx
+                .states
+                .next_due()
+                .map_or(sweep, |due| sweep.min(due.saturating_duration_since(now)));
             let sp_wait = self.spans.start(SpanPhase::InboxWait, None);
-            let received = self.comm.recv_timeout(None, None, sweep);
+            let received = self.comm.recv_timeout(None, None, timeout);
             self.spans.end(sp_wait, SpanPhase::InboxWait);
-            // The turn's one clock read: the fold, the sweep and the
-            // save-point all run as of it.
-            let now = Instant::now();
+            // The turn's one clock read: the fold, the sweep, the writer
+            // and the save-point all run as of it.
+            now = Instant::now();
+            ctx.states.start_if_due(now)?;
             let all_gone = match received {
                 Ok(Some(env)) => {
                     let sp_drain = self.spans.start(SpanPhase::InboxDrain, None);
@@ -557,7 +558,8 @@ impl<C: Comm, R: ?Sized> Role for Rank0<'_, C, R> {
 
     /// The collector's duties between rank 0's realizations: drain the
     /// asynchronously arriving worker messages, sweep for ranks gone
-    /// quiet, write a save-point if one is due — and hand rank 0 the
+    /// quiet, start the state writer once a state is due for it, write
+    /// a save-point if one is due — and hand rank 0 the
     /// work reassigned to the collector itself, which it simulates on
     /// its own stream coordinates past its original quota, so no
     /// subsequence is reused.
@@ -565,6 +567,7 @@ impl<C: Comm, R: ?Sized> Role for Rank0<'_, C, R> {
         self.drain_inbox(now)?;
         self.collector
             .check_liveness(self.ctx, &*self.comm, false, now)?;
+        self.ctx.states.start_if_due(now)?;
         self.average_if_due(Some(own), now)?;
         Ok(Control {
             stop: self.collector.stopping,
@@ -625,7 +628,7 @@ mod tests {
     use super::*;
     use crate::config::Exchange;
     use crate::error::ParmoncError;
-    use crate::files::ResultsDir;
+    use crate::files::{ResultsDir, StateWriter};
     use crate::messages::TAG_SUBTOTAL;
     use crate::runner::tests::{serial_merge, tempdir, uniform_mean};
     use crate::runner::Parmonc;
@@ -646,11 +649,13 @@ mod tests {
             .unwrap();
         let faults = config.faults.build();
         let realize = uniform_mean();
+        let dir = ResultsDir::create(&config.output_dir).unwrap();
         let ctx: RunCtx<'_, dyn Realize> = RunCtx {
             config: &config,
             hierarchy: &StreamHierarchy::new(config.leaps),
-            dir: &ResultsDir::create(&config.output_dir).unwrap(),
+            dir: &dir,
             realize: &realize,
+            states: &StateWriter::new(dir.clone(), 1),
             monitor: &Monitor::disabled(),
             faults: &faults,
             start: Instant::now(),
@@ -712,11 +717,13 @@ mod tests {
             let realize = uniform_mean();
             let sink = Arc::new(MemorySink::new());
             let monitor = Monitor::new(vec![Box::new(Arc::clone(&sink))]);
+            let dir = ResultsDir::create(&config.output_dir).unwrap();
             let ctx: RunCtx<'_, dyn Realize> = RunCtx {
                 config: &config,
                 hierarchy: &StreamHierarchy::new(config.leaps),
-                dir: &ResultsDir::create(&config.output_dir).unwrap(),
+                dir: &dir,
                 realize: &realize,
+                states: &StateWriter::new(dir.clone(), 2),
                 monitor: &monitor,
                 faults: &faults,
                 start: Instant::now(),

@@ -13,7 +13,7 @@ use parmonc_rng::StreamHierarchy;
 use super::{simulate_quota, Control, RealizationLoop, Role, RunCtx};
 use crate::config::RunConfig;
 use crate::error::{IoContext, ParmoncError};
-use crate::files::ResultsDir;
+use crate::files::{ResultsDir, StateWriter};
 use crate::messages::{Subtotal, TAG_EXTEND, TAG_FINAL, TAG_HEARTBEAT, TAG_STOP, TAG_SUBTOTAL};
 use crate::realize::Realize;
 
@@ -95,11 +95,13 @@ impl<C: Comm> Role for Worker<C> {
     }
 }
 
+/// Runs a worker rank over `comm` and hands the endpoint back, still
+/// connected: a socket worker writes its last state before it hangs up.
 pub(super) fn worker_loop<C: Comm, R: Realize + ?Sized>(
     ctx: &RunCtx<'_, R>,
     comm: C,
     trace_spans: bool,
-) -> Result<(), ParmoncError> {
+) -> Result<C, ParmoncError> {
     let rank = comm.rank();
     let spans = SpanEmitter::new(ctx.monitor, rank, trace_spans);
     let mut worker = Worker {
@@ -110,7 +112,7 @@ pub(super) fn worker_loop<C: Comm, R: Realize + ?Sized>(
     // A crashed rank is gone without a final message: the collector
     // must notice via the liveness sweep.
     simulate_quota(ctx, &mut sim, &mut worker)?;
-    Ok(())
+    Ok(worker.comm)
 }
 
 /// The one socket-worker entry: a remote TCP worker (`launched` is
@@ -118,8 +120,11 @@ pub(super) fn worker_loop<C: Comm, R: Realize + ?Sized>(
 /// [`ParmoncBuilder::run_worker`](crate::config::ParmoncBuilder::run_worker))
 /// dials the configured collector address, a launched process-backend
 /// child dials the socket its parent named — then both lease a rank via
-/// the versioned handshake and run the identical worker loop. Returns
-/// the worker's results directory, whose writer counts its fsyncs.
+/// the versioned handshake and run the identical worker loop. The
+/// process has a state writer of its own, and no rank 0 to drop its
+/// final state for it: that is written after the final offer, before
+/// the worker hangs up (and on an error exit too). Returns the worker's
+/// results directory, whose writer counts its fsyncs.
 pub(crate) fn socket_worker<R: Realize>(
     config: &RunConfig,
     realize: &R,
@@ -172,15 +177,20 @@ pub(crate) fn socket_worker<R: Realize>(
     // in the handshake grant — a worker built without the flag still
     // traces when the collector asks.
     let trace_spans = comm.spans().is_enabled();
+    let states = StateWriter::new(dir.clone(), config.processors);
     let ctx = RunCtx {
         config,
         hierarchy: &hierarchy,
         dir: &dir,
         realize,
+        states: &states,
         monitor: &monitor,
         faults: &faults,
         start,
     };
-    worker_loop(&ctx, comm, trace_spans)?;
+    let looped = worker_loop(&ctx, comm, trace_spans);
+    let flushed = states.flush();
+    drop(looped?);
+    flushed?;
     Ok(dir)
 }

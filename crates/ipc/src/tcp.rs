@@ -2418,13 +2418,14 @@ mod tests {
     fn a_stalled_dialer_does_not_block_other_joins() {
         // A connection that completes TCP accept but never sends its
         // join frame must not wedge admission for the full handshake
-        // read timeout: the handshake runs on a per-connection thread,
-        // so a healthy joiner (or a rejoining worker) gets through
-        // immediately.
+        // read timeout: the I/O thread reads a connection only when
+        // `poll` finds input on it, and keeps each one's half-read join
+        // in its own buffer, so a healthy joiner (or a rejoining
+        // worker) gets through immediately.
         let mut collector = collector(2, vec![10]);
         let addr = collector.local_addr();
         let stalled = TcpStream::connect(addr).unwrap();
-        // Give the acceptor time to take the stalled connection first.
+        // Give the I/O thread time to accept the stalled connection first.
         std::thread::sleep(Duration::from_millis(50));
         let started = Instant::now();
         let worker = join(addr.to_string(), 42).expect("join succeeds");

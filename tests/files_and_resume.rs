@@ -3,7 +3,7 @@
 
 use parmonc::genparam::{load_genparam, write_genparam};
 use parmonc::manaver::manaver;
-use parmonc::prelude::{Parmonc, ParmoncError, RealizeFn, Resume};
+use parmonc::prelude::{Exchange, Parmonc, ParmoncError, RealizeFn, Resume};
 use parmonc_stats::report;
 use parmonc_testkit::TempDir;
 
@@ -141,10 +141,22 @@ fn manaver_recovers_a_simulated_crash_then_resume_continues() {
 /// `manaver` recovers exactly those files and none of the stale sums.
 #[test]
 fn a_killed_fresh_session_recovers_none_of_an_earlier_baseline() {
-    use parmonc::prelude::Exchange;
+    killed_fresh_session_recovers_its_state_files("stale-baseline", Exchange::EveryRealization);
+}
+
+/// [`a_killed_fresh_session_recovers_none_of_an_earlier_baseline`] under
+/// periodic exchange, whose default pass period (600 s) sends nothing
+/// before the final subtotal: the state files are due on their own
+/// period all the same, so the killed session leaves one.
+#[test]
+fn a_killed_fresh_periodic_session_recovers_none_of_an_earlier_baseline() {
+    killed_fresh_session_recovers_its_state_files("stale-baseline-periodic", Exchange::Periodic);
+}
+
+fn killed_fresh_session_recovers_its_state_files(name: &str, exchange: Exchange) {
     use parmonc_faults::FaultPlan;
     use parmonc_stats::MatrixAccumulator;
-    let dir = tempdir("stale-baseline");
+    let dir = tempdir(name);
     let run = |seqnum: u64, resume: Resume| {
         Parmonc::builder(1, 1)
             .max_sample_volume(300)
@@ -170,7 +182,7 @@ fn a_killed_fresh_session_recovers_none_of_an_earlier_baseline() {
     let err = Parmonc::builder(1, 1)
         .max_sample_volume(1_000_000)
         .seqnum(2)
-        .exchange(Exchange::EveryRealization)
+        .exchange(exchange)
         .faults(FaultPlan::new(1).crash_rank(0, 700))
         .output_dir(&dir)
         .run(RealizeFn::new(|rng, out| {
