@@ -24,28 +24,43 @@
 //! and accumulate around it) when that takes 4 µs or more; a shorter
 //! routine is timed a block of realizations at a time.
 //!
-//! Every file is written to a unique temp and renamed into place. What
-//! recovery reads — checkpoint, baseline, state files — is fsynced
-//! first; the renderings (`func*.dat`, `collector.addr`) are not, as the
-//! next save-point or `manaver` renders them again. A save-point is one
-//! commit ([`ResultsDir::save_point`]): `.bak` rotation only after every
-//! temp is written, one fsync of `results/` after the renames. A state
-//! file's rename is not made durable: a lost one leaves its older
-//! generation, which a resume replays. State files are written by one
-//! [`StateWriter`] per process, off the ranks' threads; removing them
-//! at a clean exit fsyncs `workers/` once. Checkpoint-format files carry an
-//! FNV-1a 64 checksum + length footer; [`ResultsDir::load_checkpoint`]
-//! falls back to the `.bak` generation when the primary fails it.
+//! Every mutation of the tree is an operation of the directory's one
+//! writer, [`AtomicWriter`], which also injects a fault plan's I/O
+//! faults and counts its fsyncs and mutations; every rule recovery reads
+//! a file under is written once, in the recovery readers below:
+//!
+//! | file | written by | read under |
+//! |---|---|---|
+//! | `results/`, `workers/` | `create_dir_all` | |
+//! | `checkpoint.dat` | `stage` + `publish`, after `rotate` to `.bak` | a corrupt primary falls back to `.bak`; none is `NothingToResume` to `res = 1` |
+//! | `parmonc_exp.dat` | `append`, neither fsynced nor renamed | a `seqnum` already there is `SeqnumAlreadyUsed` to `res = 1` |
+//! | `baseline.dat` | `stage` + `publish`; `remove` | absent is empty |
+//! | `leases.dat` | `write_durable`, by a clone of the writer | missing is `NothingToResume`, undecodable `CorruptCheckpoint` |
+//! | `workers/worker_NNNN.dat` | `stage` + `publish`; `remove` | rank 0's by name on a crash-resume, all by `manaver` |
+//! | `func*.dat`, `collector.addr` | `stage` + `publish` | |
+//!
+//! Every accumulator read is checked against the shape the run asks for
+//! (`ResumeShapeMismatch`) and every checkpoint-format file against its
+//! FNV-1a 64 checksum + length footer (`CorruptCheckpoint`).
+//!
+//! What recovery reads is fsynced before its rename; the renderings are
+//! not, as the next save-point or `manaver` renders them again. A
+//! save-point is one commit ([`ResultsDir::save_point`]): `.bak`
+//! rotation only after every temp is written, one fsync of `results/`
+//! after the renames. A state file's rename is not made durable: a lost
+//! one leaves its older generation, which a resume replays. State files
+//! are written by one `StateWriter` per process, off the ranks' threads.
+//! A `remove` fsyncs its directory once if a file went.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parmonc_faults::{AtomicWriter, FaultHandle, IoFault, Staged};
+use parmonc_faults::{AtomicWriter, FaultHandle};
+use parmonc_ipc::LeaseSnapshot;
 use parmonc_stats::report::{self, LogReport};
 use parmonc_stats::{MatrixAccumulator, MatrixSummary};
 
@@ -59,16 +74,14 @@ pub const DATA_DIR: &str = "parmonc_data";
 #[derive(Debug, Clone)]
 pub struct ResultsDir {
     root: PathBuf,
-    /// Fault plane for I/O fault injection; disabled outside chaos
-    /// tests.
-    faults: FaultHandle,
-    /// The writer of this handle and its clones; counts their fsyncs.
+    /// The one writer of this handle and its clones: it makes every
+    /// mutation of the tree, injects the I/O faults and counts both.
     writer: AtomicWriter,
 }
 
 impl PartialEq for ResultsDir {
     fn eq(&self, other: &Self) -> bool {
-        // Identity is the directory; faults and writer are run plumbing.
+        // Identity is the directory; the writer is run plumbing.
         self.root == other.root
     }
 }
@@ -99,11 +112,14 @@ impl ResultsDir {
     /// created.
     pub fn create(output_dir: impl AsRef<Path>) -> Result<Self, ParmoncError> {
         let root = output_dir.as_ref().join(DATA_DIR);
-        fs::create_dir_all(root.join("results"))
-            .io_ctx(format!("creating {}", root.join("results").display()))?;
-        fs::create_dir_all(root.join("workers"))
-            .io_ctx(format!("creating {}", root.join("workers").display()))?;
-        Self::open(output_dir)
+        let writer = AtomicWriter::default();
+        for sub in ["results", "workers"] {
+            let path = root.join(sub);
+            writer
+                .create_dir_all(&path)
+                .io_ctx(format!("creating {}", path.display()))?;
+        }
+        Ok(Self { root, writer })
     }
 
     /// Opens an existing `parmonc_data` tree under `output_dir`.
@@ -119,7 +135,6 @@ impl ResultsDir {
         }
         Ok(Self {
             root,
-            faults: FaultHandle::disabled(),
             writer: AtomicWriter::default(),
         })
     }
@@ -129,11 +144,12 @@ impl ResultsDir {
     /// writes. The disabled handle (the default) costs one branch.
     #[must_use]
     pub fn with_faults(mut self, faults: FaultHandle) -> Self {
-        self.faults = faults;
+        self.writer = self.writer.with_faults(faults);
         self
     }
 
-    /// The writer, whose [`AtomicWriter::fsyncs`] counts a run's fsyncs.
+    /// The writer, whose [`AtomicWriter::fsyncs`] and
+    /// [`AtomicWriter::mutations`] count a run's fsyncs and mutations.
     #[must_use]
     pub(crate) fn writer(&self) -> &AtomicWriter {
         &self.writer
@@ -219,22 +235,6 @@ impl ResultsDir {
         self.root.join("results/leases.dat")
     }
 
-    /// Loads the persisted lease table, or `None` if absent.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParmoncError::Io`] if the file exists but cannot be
-    /// read.
-    pub fn load_lease_table(&self) -> Result<Option<String>, ParmoncError> {
-        let path = self.lease_table_path();
-        if !path.exists() {
-            return Ok(None);
-        }
-        fs::read_to_string(&path)
-            .map(Some)
-            .io_ctx(format!("reading {}", path.display()))
-    }
-
     /// Directory of run-monitor output (`monitor/`).
     #[must_use]
     pub fn monitor_dir(&self) -> PathBuf {
@@ -262,41 +262,6 @@ impl ResultsDir {
         self.root.join(format!("workers/worker_{worker:04}.dat"))
     }
 
-    /// Stages `contents` for `path`, its temp fsynced if `durable`.
-    ///
-    /// With an attached fault plane this is also where I/O faults are
-    /// injected: an `Interrupted` write is retried (as callers of raw
-    /// `write` must), a bit flip corrupts the contents, and a torn write
-    /// leaves, when published, a truncated file at the final path —
-    /// exactly the crash-mid-save the checksum footer exists to catch.
-    fn stage(&self, path: &Path, contents: &str, durable: bool) -> Result<Pending, ParmoncError> {
-        let mut contents = std::borrow::Cow::Borrowed(contents.as_bytes());
-        let mut interrupts = 0;
-        while let Some(fault) = self.faults.on_write(path) {
-            match fault {
-                // A real Interrupted write is transient; model the
-                // caller-visible retry, but never spin.
-                IoFault::Interrupted if interrupts < 3 => interrupts += 1,
-                IoFault::Interrupted => {
-                    return Err(std::io::Error::from(std::io::ErrorKind::Interrupted))
-                        .io_ctx(format!("writing {}", path.display()));
-                }
-                IoFault::BitFlip => {
-                    let seed = path.as_os_str().len() as u64;
-                    let _ = parmonc_faults::flip_one_bit(seed, contents.to_mut());
-                    break;
-                }
-                IoFault::TornWrite => {
-                    return Ok(Pending::Torn(contents[..contents.len() / 2].to_vec()));
-                }
-            }
-        }
-        self.writer
-            .stage(path, &contents, durable)
-            .map(Pending::Temp)
-            .io_ctx(format!("writing {}", path.display()))
-    }
-
     /// The one commit of every write: stage each `(path, contents,
     /// durable)` — a failure leaves every file as it was — then rotate a
     /// replaced `checkpoint.dat` to `.bak`, rename in order, and fsync
@@ -305,20 +270,20 @@ impl ResultsDir {
     fn commit(&self, files: &[(PathBuf, String, bool)]) -> Result<(), ParmoncError> {
         let staged = files
             .iter()
-            .map(|(path, contents, durable)| self.stage(path, contents, *durable))
+            .map(|(path, contents, durable)| {
+                let staged = self.writer.stage(path, contents.as_bytes(), *durable);
+                staged.io_ctx(format!("writing {}", path.display()))
+            })
             .collect::<Result<Vec<_>, _>>()?;
         let primary = self.checkpoint_path();
-        if files.iter().any(|(path, ..)| *path == primary) && primary.exists() {
+        if files.iter().any(|(path, ..)| *path == primary) {
             let backup = self.checkpoint_backup_path();
-            fs::rename(&primary, &backup)
-                .io_ctx(format!("rotating checkpoint to {}", backup.display()))?;
+            let rotated = self.writer.rotate(&primary, &backup);
+            rotated.io_ctx(format!("rotating checkpoint to {}", backup.display()))?;
         }
-        for (pending, (path, ..)) in staged.into_iter().zip(files) {
-            match pending {
-                Pending::Temp(temp) => temp.publish(),
-                Pending::Torn(torn) => fs::write(path, torn),
-            }
-            .io_ctx(format!("renaming into {}", path.display()))?;
+        for (temp, (path, ..)) in staged.into_iter().zip(files) {
+            temp.publish()
+                .io_ctx(format!("renaming into {}", path.display()))?;
         }
         let dir = self.root.join("results");
         if files
@@ -408,15 +373,15 @@ impl ResultsDir {
     ) -> Result<Option<(MatrixAccumulator, bool)>, ParmoncError> {
         let primary = self.checkpoint_path();
         let backup = self.checkpoint_backup_path();
-        match Self::load_acc_file(&primary) {
-            Ok(Some(acc)) => Ok(Some((acc, false))),
-            Ok(None) => match Self::load_acc_file(&backup)? {
-                Some(acc) => Ok(Some((acc, true))),
+        match Self::read_state(&primary) {
+            Ok(Some(state)) => Ok(Some((state.acc, false))),
+            Ok(None) => match Self::read_state(&backup)? {
+                Some(state) => Ok(Some((state.acc, true))),
                 None => Ok(None),
             },
             Err(err @ ParmoncError::CorruptCheckpoint { .. }) => {
-                match Self::load_acc_file(&backup) {
-                    Ok(Some(acc)) => Ok(Some((acc, true))),
+                match Self::read_state(&backup) {
+                    Ok(Some(state)) => Ok(Some((state.acc, true))),
                     // No good backup: report the primary's corruption.
                     Ok(None) | Err(_) => Err(err),
                 }
@@ -445,13 +410,10 @@ impl ResultsDir {
     /// fails.
     pub(crate) fn discard_baseline(&self) -> Result<(), ParmoncError> {
         let path = self.baseline_path();
-        match fs::remove_file(&path) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-            removed => removed.io_ctx(format!("removing {}", path.display()))?,
-        }
-        let dir = self.root.join("results");
-        let synced = self.writer.sync_dir(&dir);
-        synced.io_ctx(format!("syncing directory {}", dir.display()))
+        let removed = self
+            .writer
+            .remove(&self.root.join("results"), [path.clone()]);
+        removed.io_ctx(format!("removing {}", path.display()))
     }
 
     /// Loads the baseline state, or `None` if absent (which a caller
@@ -462,16 +424,20 @@ impl ResultsDir {
     /// Returns [`ParmoncError::Parse`] / [`ParmoncError::Io`] as for
     /// [`ResultsDir::load_checkpoint`].
     pub fn load_baseline(&self) -> Result<Option<MatrixAccumulator>, ParmoncError> {
-        Self::load_acc_file(&self.baseline_path())
+        Ok(Self::read_state(&self.baseline_path())?.map(|state| state.acc))
     }
 
-    fn load_acc_file(path: &Path) -> Result<Option<MatrixAccumulator>, ParmoncError> {
+    /// Reads a checkpoint-format file, or `None` if it is absent.
+    fn read_state(path: &Path) -> Result<Option<Subtotal>, ParmoncError> {
         if !path.exists() {
             return Ok(None);
         }
         let text = fs::read_to_string(path).io_ctx(format!("reading {}", path.display()))?;
-        let (acc, _secs) = decode_checkpoint(&text, path)?;
-        Ok(Some(acc))
+        let (acc, compute_seconds) = decode_checkpoint(&text, path)?;
+        Ok(Some(Subtotal {
+            acc,
+            compute_seconds,
+        }))
     }
 
     /// Appends one record to the experiment journal.
@@ -489,13 +455,8 @@ impl ResultsDir {
             rec.volume_before
         );
         let path = self.journal_path();
-        let mut f = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .io_ctx(format!("opening {}", path.display()))?;
-        f.write_all(line.as_bytes())
-            .io_ctx(format!("appending to {}", path.display()))
+        let appended = self.writer.append(&path, line.as_bytes());
+        appended.io_ctx(format!("appending to {}", path.display()))
     }
 
     /// Reads the experiment journal (empty if none exists).
@@ -580,16 +541,9 @@ impl ResultsDir {
             else {
                 continue;
             };
-            let path = entry.path();
-            let text = fs::read_to_string(&path).io_ctx(format!("reading {}", path.display()))?;
-            let (acc, compute_seconds) = decode_checkpoint(&text, &path)?;
-            out.push((
-                idx,
-                Subtotal {
-                    acc,
-                    compute_seconds,
-                },
-            ));
+            if let Some(state) = Self::read_state(&entry.path())? {
+                out.push((idx, state));
+            }
         }
         out.sort_by_key(|(idx, _)| *idx);
         Ok(out)
@@ -607,17 +561,100 @@ impl ResultsDir {
     pub fn clear_worker_subtotals(&self) -> Result<(), ParmoncError> {
         let dir = self.root.join("workers");
         let entries = fs::read_dir(&dir).io_ctx(format!("listing {}", dir.display()))?;
-        let mut removed = false;
-        for entry in entries {
-            let entry = entry.io_ctx("reading directory entry")?;
-            fs::remove_file(entry.path()).io_ctx(format!("removing {}", entry.path().display()))?;
-            removed = true;
+        let paths = entries
+            .map(|entry| entry.map(|entry| entry.path()))
+            .collect::<Result<Vec<_>, _>>()
+            .io_ctx("reading directory entry")?;
+        let removed = self.writer.remove(&dir, paths);
+        removed.io_ctx(format!("removing the files in {}", dir.display()))
+    }
+}
+
+/// The recovery readers: each applies the rules of its file, and its
+/// caller — a `res = 1` session, a TCP crash-resume or `manaver` — makes
+/// only its own decision.
+impl ResultsDir {
+    /// What a `res = 1` session carries over: the checkpoint of `shape`,
+    /// and whether it came from `.bak`. A `seqnum` the journal holds is
+    /// refused: the paper requires a fresh "experiments" subsequence on
+    /// resumption, or the new realizations would repeat the old base
+    /// random numbers.
+    pub(crate) fn resume_checkpoint(
+        &self,
+        shape: (usize, usize),
+        seqnum: u64,
+    ) -> Result<(MatrixAccumulator, bool), ParmoncError> {
+        let (previous, recovered) =
+            self.load_checkpoint_recovering()?
+                .ok_or_else(|| ParmoncError::NothingToResume {
+                    dir: self.root.clone(),
+                })?;
+        let previous = expect_shape(previous, shape)?;
+        if self
+            .read_experiments()?
+            .iter()
+            .any(|rec| rec.seqnum == seqnum)
+        {
+            return Err(ParmoncError::SeqnumAlreadyUsed { seqnum });
         }
-        if removed {
-            let synced = self.writer.sync_dir(&dir);
-            synced.io_ctx(format!("syncing directory {}", dir.display()))?;
+        Ok((previous, recovered))
+    }
+
+    /// The baseline of `shape`; only a session that carries volume over
+    /// writes one, so an absent one is empty.
+    pub(crate) fn baseline(
+        &self,
+        shape: (usize, usize),
+    ) -> Result<MatrixAccumulator, ParmoncError> {
+        match self.load_baseline()? {
+            Some(baseline) => expect_shape(baseline, shape),
+            None => Ok(MatrixAccumulator::new(shape.0, shape.1)?),
         }
-        Ok(())
+    }
+
+    /// The lease table a TCP crash-resume restarts from. A torn one must
+    /// fail loudly, not resume half a membership.
+    pub(crate) fn lease_table(&self) -> Result<LeaseSnapshot, ParmoncError> {
+        let path = self.lease_table_path();
+        if !path.exists() {
+            return Err(ParmoncError::NothingToResume {
+                dir: self.root.clone(),
+            });
+        }
+        let text = fs::read_to_string(&path).io_ctx(format!("reading {}", path.display()))?;
+        LeaseSnapshot::decode(&text).ok_or_else(|| ParmoncError::CorruptCheckpoint {
+            path,
+            reason: "unparseable lease table".into(),
+        })
+    }
+
+    /// Rank `rank`'s state file, read by name, of `shape`.
+    pub(crate) fn state_file(
+        &self,
+        rank: usize,
+        shape: (usize, usize),
+    ) -> Result<Option<Subtotal>, ParmoncError> {
+        let Some(state) = Self::read_state(&self.worker_path(rank))? else {
+            return Ok(None);
+        };
+        let acc = expect_shape(state.acc, shape)?;
+        Ok(Some(Subtotal { acc, ..state }))
+    }
+}
+
+/// Every accumulator recovery reads must be of the shape the run asks
+/// for.
+fn expect_shape(
+    acc: MatrixAccumulator,
+    requested: (usize, usize),
+) -> Result<MatrixAccumulator, ParmoncError> {
+    if acc.shape() == requested {
+        Ok(acc)
+    } else {
+        Err(ParmoncError::ResumeShapeMismatch {
+            on_disk: acc.shape(),
+            requested,
+        })
     }
 }
 
@@ -928,13 +965,6 @@ pub(crate) mod hooks {
     }
 }
 
-/// A file staged by [`ResultsDir::commit`]: its temp, or the truncated
-/// bytes a scripted torn write puts at the final path instead.
-enum Pending {
-    Temp(Staged),
-    Torn(Vec<u8>),
-}
-
 /// FNV-1a 64-bit hash — the checkpoint integrity checksum. Hand-rolled
 /// (8 lines) to keep the workspace dependency-free.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -1103,14 +1133,23 @@ mod tests {
         assert!(matches!(err, ParmoncError::NothingToResume { .. }));
     }
 
+    /// A missing lease table is nothing to resume, an undecodable one a
+    /// corrupt file named as such, and a good one decodes.
     #[test]
-    fn lease_table_round_trips_and_is_optional() {
+    fn lease_table_round_trips_and_is_refused_by_name() {
         let dir = tempdir("leases");
         let rd = ResultsDir::create(&dir).unwrap();
-        assert!(rd.load_lease_table().unwrap().is_none());
+        assert!(matches!(
+            rd.lease_table(),
+            Err(ParmoncError::NothingToResume { .. })
+        ));
         let encoded = "parmonc-leases v1\nepoch 00000000deadbeef\nsize 2\nrank 1 1 0 7\n";
+        fs::write(rd.lease_table_path(), &encoded[..encoded.len() / 2]).unwrap();
+        let err = rd.lease_table().unwrap_err();
+        assert!(matches!(err, ParmoncError::CorruptCheckpoint { .. }));
+        assert!(err.to_string().contains("leases.dat"), "{err}");
         fs::write(rd.lease_table_path(), encoded).unwrap();
-        assert_eq!(rd.load_lease_table().unwrap().as_deref(), Some(encoded));
+        assert_eq!(rd.lease_table().unwrap().encode(), encoded);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use std::path::Path;
 
 use parmonc_stats::report::LogReport;
-use parmonc_stats::{MatrixAccumulator, MatrixSummary};
+use parmonc_stats::MatrixSummary;
 
 use crate::error::ParmoncError;
 use crate::files::ResultsDir;
@@ -50,19 +50,7 @@ pub fn manaver(output_dir: impl AsRef<Path>) -> Result<ManaverReport, ParmoncErr
     }
 
     let (_, first) = &subtotals[0];
-    let shape = first.acc.shape();
-    let mut total = match dir.load_baseline()? {
-        Some(baseline) => {
-            if baseline.shape() != shape {
-                return Err(ParmoncError::ResumeShapeMismatch {
-                    on_disk: baseline.shape(),
-                    requested: shape,
-                });
-            }
-            baseline
-        }
-        None => MatrixAccumulator::new(shape.0, shape.1)?,
-    };
+    let mut total = dir.baseline(first.acc.shape())?;
     let baseline_volume = total.count();
 
     let mut compute_seconds = 0.0;
@@ -105,6 +93,7 @@ pub fn manaver(output_dir: impl AsRef<Path>) -> Result<ManaverReport, ParmoncErr
 mod tests {
     use super::*;
     use crate::messages::Subtotal;
+    use parmonc_stats::MatrixAccumulator;
 
     fn tempdir(name: &str) -> parmonc_testkit::TempDir {
         let dir = parmonc_testkit::TempDir::new(&format!("manaver-{name}"));

@@ -102,43 +102,6 @@ pub struct RunReport {
     pub state_files_written: u64,
 }
 
-/// Validates resume preconditions and returns the baseline accumulator
-/// plus whether it was recovered from the backup checkpoint generation.
-fn resume_baseline(
-    config: &RunConfig,
-    dir: &ResultsDir,
-) -> Result<(MatrixAccumulator, bool), ParmoncError> {
-    match config.resume {
-        Resume::New => Ok((MatrixAccumulator::new(config.nrow, config.ncol)?, false)),
-        Resume::Resume => {
-            let (previous, recovered) =
-                dir.load_checkpoint_recovering()?
-                    .ok_or_else(|| ParmoncError::NothingToResume {
-                        dir: dir.root().to_path_buf(),
-                    })?;
-            if previous.shape() != (config.nrow, config.ncol) {
-                return Err(ParmoncError::ResumeShapeMismatch {
-                    on_disk: previous.shape(),
-                    requested: (config.nrow, config.ncol),
-                });
-            }
-            // The paper requires a fresh "experiments" subsequence on
-            // resumption, otherwise the new realizations would repeat
-            // the old base random numbers.
-            if dir
-                .read_experiments()?
-                .iter()
-                .any(|rec| rec.seqnum == config.seqnum)
-            {
-                return Err(ParmoncError::SeqnumAlreadyUsed {
-                    seqnum: config.seqnum,
-                });
-            }
-            Ok((previous, recovered))
-        }
-    }
-}
-
 /// The references every rank's loop reads and none of them owns — what
 /// used to travel as seven positional arguments.
 struct RunCtx<'a, R: ?Sized> {
@@ -378,28 +341,20 @@ fn prepare(config: &RunConfig, transport: RunTransport) -> Result<RunSetup, Parm
         },
     );
 
+    let shape = (config.nrow, config.ncol);
     let (baseline, checkpoint_recovered) = if config.resume_collector {
         // A crash-resume continues the *same* experiment, so the
         // accumulation restarts from the original baseline — never the
         // checkpoint, which is baseline + the workers' latest
         // cumulative subtotals: those are exactly what the surviving
         // workers are about to re-send, and loading them here would
-        // double-count every one. A fresh session writes no baseline, so
-        // an absent one is an empty one; whether there is a session to
-        // resume at all is the lease table's to say (`listen`).
-        let baseline = match dir.load_baseline()? {
-            Some(baseline) if baseline.shape() != (config.nrow, config.ncol) => {
-                return Err(ParmoncError::ResumeShapeMismatch {
-                    on_disk: baseline.shape(),
-                    requested: (config.nrow, config.ncol),
-                });
-            }
-            Some(baseline) => baseline,
-            None => MatrixAccumulator::new(config.nrow, config.ncol)?,
-        };
-        (baseline, false)
+        // double-count every one. Whether there is a session to resume
+        // at all is the lease table's to say (`listen`).
+        (dir.baseline(shape)?, false)
+    } else if config.resume == Resume::Resume {
+        dir.resume_checkpoint(shape, config.seqnum)?
     } else {
-        resume_baseline(config, &dir)?
+        (MatrixAccumulator::new(config.nrow, config.ncol)?, false)
     };
     let resumed_volume = baseline.count();
     if checkpoint_recovered {
@@ -463,38 +418,20 @@ fn listen(
     // Crash-resume: reload the crashed session's lease table so the
     // listener comes back with the same epoch, every lease a worker
     // holds is recognized on rejoin, and the sequence dedup state
-    // carries over. Rank 0's own progress comes back from its worker
-    // subtotal file, exactly like any other rank's.
-    let resume = if config.resume_collector {
-        let path = setup.dir.lease_table_path();
-        let text = setup
-            .dir
-            .load_lease_table()?
-            .ok_or_else(|| ParmoncError::NothingToResume {
-                dir: setup.dir.root().to_path_buf(),
-            })?;
-        let snapshot =
-            LeaseSnapshot::decode(&text).ok_or_else(|| ParmoncError::CorruptCheckpoint {
-                path,
-                reason: "unparseable lease table".into(),
-            })?;
-        Some(snapshot)
+    // carries over. Rank 0's own progress comes back from its state
+    // file, exactly like any other rank's.
+    let (resume, resume_own) = if config.resume_collector {
+        let leases = setup.dir.lease_table()?;
+        (
+            Some(leases),
+            setup.dir.state_file(0, (config.nrow, config.ncol))?,
+        )
     } else {
-        None
+        (None, None)
     };
     let resumed_leases = resume
         .as_ref()
         .map(|s| s.ever_leased.iter().filter(|leased| **leased).count());
-    let resume_own = if config.resume_collector {
-        setup
-            .dir
-            .load_worker_subtotals()?
-            .into_iter()
-            .find(|(idx, _)| *idx == 0)
-            .map(|(_, sub)| sub)
-    } else {
-        None
-    };
     let addr = config
         .listen_addr
         .clone()
@@ -1353,6 +1290,13 @@ mod tests {
     /// wrote its state file). A run that outlasts the period pays one
     /// per state file it wrote and one more for the directory its clean
     /// exit removed them from.
+    ///
+    /// The writer's mutations are pinned too, measured, for what a crash
+    /// can cut into: one or two ranks make 11 (the tree's two
+    /// directories, the journal append, and the save-point's four temps
+    /// and four renames), a TCP collector 17 (six more: two lease-table
+    /// persists and `collector.addr`, a temp and a rename each) and its
+    /// worker 4 (its tree, and its final state file's temp and rename).
     #[test]
     fn minimal_runs_pay_only_for_what_recovery_reads() {
         use crate::config::NetOptions;
@@ -1368,6 +1312,8 @@ mod tests {
             let fsyncs = report.results_dir.writer().fsyncs();
             assert_eq!(fsyncs, 2, "{processors} ranks");
             assert_eq!(report.state_files_written, 0);
+            let mutations = report.results_dir.writer().mutations();
+            assert_eq!(mutations, 11, "{processors} ranks");
         }
 
         let dir = tempdir("fsyncs-long");
@@ -1428,6 +1374,11 @@ mod tests {
             worker.writer().fsyncs(),
         );
         assert_eq!(fsyncs, (6, 1), "TCP (collector, worker)");
+        let mutations = (
+            collector.results_dir.writer().mutations(),
+            worker.writer().mutations(),
+        );
+        assert_eq!(mutations, (17, 4), "TCP (collector, worker)");
     }
 
     #[test]
@@ -2107,6 +2058,47 @@ mod tests {
         }
         assert_eq!(resumed.resumed_volume, volumes.iter().sum::<u64>());
         assert_eq!(resumed.summary, total.summary());
+    }
+
+    /// The lease table is written through the directory's writer, so a
+    /// plan can tear it. A TCP collector whose one worker slot is never
+    /// leased persists its table once, when it listens; the plan tears
+    /// that persist, then crashes the collector. The `resume_listen`
+    /// restart refuses the torn table by name, resuming nothing.
+    #[test]
+    fn a_torn_lease_table_is_refused_by_name() {
+        use crate::config::NetOptions;
+        use parmonc_faults::FaultPlan;
+        let dir = tempdir("torn-leases");
+        let builder = || {
+            Parmonc::builder(1, 1)
+                .max_sample_volume(1_000)
+                .processors(2)
+                .output_dir(&dir)
+        };
+        let err = builder()
+            .faults(
+                FaultPlan::new(5)
+                    .torn_write("leases.dat", 0)
+                    .crash_rank(0, 10),
+            )
+            .net(NetOptions::listen("127.0.0.1:0"))
+            .run(uniform_mean())
+            .unwrap_err();
+        assert!(
+            matches!(err, ParmoncError::CollectorCrashed { after: 10 }),
+            "expected the scripted crash, got: {err}"
+        );
+        let err = builder()
+            .net(NetOptions::resume_listen("127.0.0.1:0"))
+            .run(uniform_mean())
+            .expect_err("a torn lease table was resumed");
+        match err {
+            ParmoncError::CorruptCheckpoint { path, .. } => {
+                assert!(path.ends_with("results/leases.dat"), "{}", path.display());
+            }
+            other => panic!("expected CorruptCheckpoint, got: {other}"),
+        }
     }
 
     /// Realization shapes for both arms of the loop's dispatch on the

@@ -20,9 +20,10 @@
 //! Decisions are pure functions of the plan plus the *identity* of the
 //! operation (message coordinates, write ordinal), so they do not
 //! depend on thread interleaving: [`FaultPlan::message_action`] and
-//! [`FaultPlan::crash_point`] can be consulted independently by the
-//! simulator, while the handle adds the per-channel sequence counters,
-//! write counters and per-rank progress a live run needs.
+//! [`FaultPlan::crash_point`] answer from the plan alone, while the
+//! handle adds the per-channel sequence counters, write counters and
+//! per-rank progress a live run needs. [`AtomicWriter`] injects the I/O
+//! faults.
 //!
 //! # Example
 //!
@@ -292,13 +293,13 @@ struct PartitionRule {
 ///
 /// The plan is pure data: cloning it, comparing it, or consulting
 /// [`Self::message_action`]/[`Self::crash_point`] never mutates
-/// anything, so the virtual-time simulator can replay exactly the
-/// faults a live run injects. [`Self::build`] compiles the plan into
-/// the stateful [`FaultHandle`] live code consumes.
+/// anything, so handles built from one plan in different processes
+/// decide alike. [`Self::build`] compiles the plan into the stateful
+/// [`FaultHandle`] live code consumes.
 ///
-/// Crash directives for rank 0 are stored but ignored by the runner:
-/// the collector is the single point of failure by design (the paper's
-/// dedicated collector rank), and its loss is out of scope.
+/// A crash directive for rank 0 stops the collector's loop after that
+/// many of its own realizations, and the run returns `CollectorCrashed`
+/// with what a TCP `resume_listen` restart resumes from on disk.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     seed: u64,
