@@ -499,7 +499,7 @@ impl<C: Comm, R: ?Sized> Rank0<'_, C, R> {
                 .next_due()
                 .map_or(sweep, |due| sweep.min(due.saturating_duration_since(now)));
             let sp_wait = self.spans.start(SpanPhase::InboxWait, None);
-            let received = self.comm.recv_timeout(None, None, timeout);
+            let received = self.comm.recv_timeout(timeout);
             self.spans.end(sp_wait, SpanPhase::InboxWait);
             // The turn's one clock read: the fold, the sweep, the writer
             // and the save-point all run as of it.
@@ -529,7 +529,7 @@ impl<C: Comm, R: ?Sized> Rank0<'_, C, R> {
     /// no clock and emits nothing.
     fn drain_inbox(&mut self, now: Instant) -> Result<(), ParmoncError> {
         let mut received = false;
-        while let Some(env) = self.comm.try_recv(None, None) {
+        while let Some(env) = self.comm.try_recv() {
             self.collector.handle(self.ctx, &*self.comm, env, now)?;
             received = true;
         }

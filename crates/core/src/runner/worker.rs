@@ -80,7 +80,7 @@ impl<C: Comm> Role for Worker<C> {
             });
         }
         let mut ctl = Control::default();
-        while let Some(env) = self.comm.try_recv(None, None) {
+        while let Some(env) = self.comm.try_recv() {
             match env.tag {
                 TAG_STOP => ctl.stop = true,
                 TAG_EXTEND if env.payload.len() == 8 => {

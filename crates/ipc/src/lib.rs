@@ -26,8 +26,11 @@
 //!
 //! Messages are the same length-prefixed [`parmonc_mpi::Envelope`]s the
 //! thread substrate moves through mailboxes, framed onto the socket
-//! ([`frame`]); worker monitor events ride the same stream. Both ends
-//! implement [`parmonc_mpi::Transport`], so the collector/worker code
+//! ([`frame`]); worker monitor events ride the same stream. A rank
+//! receives its messages in the order they reach its inbox, with no
+//! source/tag matching, and counts them in and out of one
+//! [`parmonc_mpi::comm::DeliveryAccount`], as a thread rank does. Both
+//! ends implement [`parmonc_mpi::Transport`], so the collector/worker code
 //! in `parmonc` is identical across substrates — and because each rank
 //! completes exactly its assigned quota of leapfrogged RNG streams,
 //! estimates are bit-identical to the thread backend for the same

@@ -1,14 +1,15 @@
-//! Shared plumbing for both ends of a socket world: the matching
-//! mailbox, queue-depth accounting, per-link wire and clock state, the
+//! Shared plumbing for both ends of a socket world: the inbox a rank
+//! takes its next message from, per-link wire and clock state, the
 //! monitor-event forwarding sink, and the delivery of a link's frames.
 
 use std::io::{BufReader, Read, Write};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use parmonc_mpi::bytes::Bytes;
+use parmonc_mpi::comm::DeliveryAccount;
 use parmonc_mpi::envelope::{Envelope, Tag};
 use parmonc_mpi::error::MpiError;
 use parmonc_obs::{Event, EventKind, EventSink, Monitor};
@@ -120,44 +121,15 @@ impl LinkClock {
     }
 }
 
-/// Queue-depth counters for one rank's inbox, mirroring the
-/// `ChannelStats` accounting of the thread substrate: the reading
-/// thread bumps the depth as frames arrive, the consuming loop drops
-/// it on delivery, and a new maximum emits `queue_high_water`.
-#[derive(Debug, Default)]
-pub(crate) struct InboxStats {
-    depth: AtomicUsize,
-    high_water: AtomicU64,
-}
-
-impl InboxStats {
-    /// Counts an arriving message; emits `queue_high_water` on a new
-    /// maximum (attributed to `rank`, whose inbox this is).
-    pub(crate) fn note_enqueue(&self, monitor: &Monitor, rank: usize) {
-        let depth = self.depth.fetch_add(1, Ordering::Relaxed) as u64 + 1;
-        let prev = self.high_water.fetch_max(depth, Ordering::Relaxed);
-        if depth > prev {
-            monitor.emit(Some(rank), EventKind::QueueHighWater { depth });
-        }
-    }
-
-    /// Counts a delivery; returns the remaining depth.
-    fn note_delivery(&self) -> u64 {
-        self.depth.fetch_sub(1, Ordering::Relaxed).saturating_sub(1) as u64
-    }
-}
-
 /// The receive half shared by both transports: an mpsc inbox fed by
-/// the thread reading the links, plus the MPI-style pending buffer for messages
-/// that arrived but did not match the active source/tag filter.
-/// Matching semantics are identical to `parmonc_mpi::Communicator`.
+/// the thread reading the links, taken one message at a time in arrival
+/// order, and counted out of the rank's [`DeliveryAccount`].
 #[derive(Debug)]
 pub(crate) struct Mailbox {
     rank: usize,
     inbox: Receiver<Envelope>,
-    pending: std::collections::VecDeque<Envelope>,
     monitor: Monitor,
-    stats: Arc<InboxStats>,
+    stats: Arc<DeliveryAccount>,
 }
 
 impl Mailbox {
@@ -165,98 +137,32 @@ impl Mailbox {
         rank: usize,
         inbox: Receiver<Envelope>,
         monitor: Monitor,
-        stats: Arc<InboxStats>,
+        stats: Arc<DeliveryAccount>,
     ) -> Self {
         Self {
             rank,
             inbox,
-            pending: std::collections::VecDeque::new(),
             monitor,
             stats,
         }
     }
 
-    fn matches(env: &Envelope, source: Option<usize>, tag: Option<Tag>) -> bool {
-        source.is_none_or(|s| env.source == s) && tag.is_none_or(|t| env.tag == t)
+    fn delivered(&self, env: Envelope) -> Envelope {
+        self.stats.note_delivery(&self.monitor, self.rank, &env);
+        env
     }
 
-    fn take_pending(&mut self, source: Option<usize>, tag: Option<Tag>) -> Option<Envelope> {
-        let idx = self
-            .pending
-            .iter()
-            .position(|e| Self::matches(e, source, tag))?;
-        self.pending.remove(idx)
-    }
-
-    fn note_delivery(&self, env: &Envelope) {
-        let depth = self.stats.note_delivery();
-        self.monitor.emit(
-            Some(self.rank),
-            EventKind::MessageReceived {
-                source: env.source,
-                tag: env.tag.0,
-                bytes: env.payload.len() as u64,
-                queue_depth: depth,
-            },
-        );
-    }
-
-    pub(crate) fn recv_timeout(
-        &mut self,
-        source: Option<usize>,
-        tag: Option<Tag>,
-        timeout: Duration,
-    ) -> Result<Option<Envelope>, MpiError> {
-        if let Some(env) = self.take_pending(source, tag) {
-            return Ok(Some(env));
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            match self.inbox.recv_timeout(remaining) {
-                Ok(env) => {
-                    self.note_delivery(&env);
-                    if Self::matches(&env, source, tag) {
-                        return Ok(Some(env));
-                    }
-                    self.pending.push_back(env);
-                }
-                Err(RecvTimeoutError::Timeout) => return Ok(None),
-                Err(RecvTimeoutError::Disconnected) => return Err(MpiError::Disconnected),
-            }
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<Option<Envelope>, MpiError> {
+        match self.inbox.recv_timeout(timeout) {
+            Ok(env) => Ok(Some(self.delivered(env))),
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(MpiError::Disconnected),
         }
     }
 
-    pub(crate) fn try_recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Option<Envelope> {
-        if let Some(env) = self.take_pending(source, tag) {
-            return Some(env);
-        }
-        loop {
-            match self.inbox.try_recv() {
-                Ok(env) => {
-                    self.note_delivery(&env);
-                    if Self::matches(&env, source, tag) {
-                        return Some(env);
-                    }
-                    self.pending.push_back(env);
-                }
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => return None,
-            }
-        }
+    pub(crate) fn try_recv(&self) -> Option<Envelope> {
+        self.inbox.try_recv().ok().map(|env| self.delivered(env))
     }
-}
-
-/// Records a message that left `rank` for `dest` — what the thread
-/// substrate's `Communicator` reports for its own sends.
-pub(crate) fn note_sent(monitor: &Monitor, rank: usize, dest: usize, tag: Tag, bytes: usize) {
-    monitor.emit(
-        Some(rank),
-        EventKind::MessageSent {
-            dest,
-            tag: tag.0,
-            bytes: bytes as u64,
-        },
-    );
 }
 
 /// An [`EventSink`] that serializes every event as a
@@ -347,8 +253,8 @@ pub(crate) struct LinkHooks {
     /// The rank whose inbox the link feeds (attribution for
     /// queue-depth and torn-frame events).
     pub local_rank: usize,
-    /// Queue-depth accounting of the inbox.
-    pub stats: Arc<InboxStats>,
+    /// The delivery account of the inbox.
+    pub stats: Arc<DeliveryAccount>,
     /// Frames whose source field names any other rank are dropped — a
     /// connection speaks for exactly the rank it was leased, so a
     /// misbehaving peer cannot inject envelopes attributed to someone
@@ -436,7 +342,8 @@ impl LinkHooks {
                 return true;
             }
         }
-        self.stats.note_enqueue(&self.monitor, self.local_rank);
+        let depth = self.stats.enqueue();
+        self.stats.note_depth(&self.monitor, self.local_rank, depth);
         tx.send(Envelope {
             source: frame.source as usize,
             tag: Tag(frame.tag),

@@ -75,6 +75,7 @@ use std::time::{Duration, Instant};
 
 use parmonc_faults::{AtomicWriter, FaultHandle};
 use parmonc_mpi::bytes::Bytes;
+use parmonc_mpi::comm::DeliveryAccount;
 use parmonc_mpi::envelope::{Envelope, Tag};
 use parmonc_mpi::error::MpiError;
 use parmonc_mpi::gate::FaultGate;
@@ -91,9 +92,7 @@ use crate::frame::{
     TAG_TCP_REJOIN, TCP_MAGIC, TCP_PROTOCOL_VERSION,
 };
 use crate::launcher::Children;
-use crate::link::{
-    note_sent, pump_frames, ForwardSink, InboxStats, LinkClock, LinkHooks, Mailbox, WireTelemetry,
-};
+use crate::link::{pump_frames, ForwardSink, LinkClock, LinkHooks, Mailbox, WireTelemetry};
 use crate::poll::{poll, PollFd};
 use crate::socket::{Endpoint, Listener, Socket};
 
@@ -428,7 +427,7 @@ struct Shared {
     /// Feeds the collector's own inbox (the I/O thread, and self-sends).
     tx: Sender<Envelope>,
     monitor: Monitor,
-    stats: Arc<InboxStats>,
+    stats: Arc<DeliveryAccount>,
     size: usize,
     quotas: Vec<u64>,
     config_digest: u64,
@@ -512,7 +511,7 @@ impl TcpCollectorTransport {
         let wake = listener.self_endpoint()?;
 
         let (tx, rx) = mpsc::channel();
-        let stats = Arc::new(InboxStats::default());
+        let stats = Arc::new(DeliveryAccount::default());
         let workers = opts.size.saturating_sub(1);
         let (epoch, ever_leased, retired, last_seqs) = match opts.resume {
             Some(s) => (
@@ -625,7 +624,8 @@ impl TcpCollectorTransport {
     fn raw_send(&self, dest: usize, tag: Tag, payload: Bytes) -> Result<(), MpiError> {
         let bytes = payload.len();
         if dest == 0 {
-            self.ctx.stats.note_enqueue(&self.ctx.monitor, 0);
+            let depth = self.ctx.stats.enqueue();
+            self.ctx.stats.note_depth(&self.ctx.monitor, 0, depth);
             self.ctx
                 .tx
                 .send(Envelope {
@@ -634,7 +634,7 @@ impl TcpCollectorTransport {
                     payload,
                 })
                 .map_err(|_| MpiError::Disconnected)?;
-            note_sent(&self.ctx.monitor, 0, dest, tag, bytes);
+            DeliveryAccount::note_sent(&self.ctx.monitor, 0, dest, tag, bytes);
             return Ok(());
         }
         let (writer, wire) = {
@@ -652,7 +652,7 @@ impl TcpCollectorTransport {
             write_frame(&mut *stream, 0, tag.0, &payload).map_err(|_| MpiError::Disconnected)?;
         }
         wire.count_out(FRAME_HEADER_LEN + bytes);
-        note_sent(&self.ctx.monitor, 0, dest, tag, bytes);
+        DeliveryAccount::note_sent(&self.ctx.monitor, 0, dest, tag, bytes);
         Ok(())
     }
 
@@ -774,17 +774,12 @@ impl Transport for TcpCollectorTransport {
             .send(dest, tag, payload, |d, t, p| self.raw_send(d, t, p))
     }
 
-    fn recv_timeout(
-        &mut self,
-        source: Option<usize>,
-        tag: Option<Tag>,
-        timeout: Duration,
-    ) -> Result<Option<Envelope>, MpiError> {
-        self.mailbox.recv_timeout(source, tag, timeout)
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Envelope>, MpiError> {
+        self.mailbox.recv_timeout(timeout)
     }
 
-    fn try_recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Option<Envelope> {
-        self.mailbox.try_recv(source, tag)
+    fn try_recv(&mut self) -> Option<Envelope> {
+        self.mailbox.try_recv()
     }
 
     fn retire_rank(&self, rank: usize) {
@@ -1504,7 +1499,7 @@ pub struct TcpWorkerTransport {
     stale_readers: Mutex<Vec<JoinHandle<()>>>,
     /// Kept so reconnect can respawn readers feeding the same inbox.
     tx: Sender<Envelope>,
-    stats: Arc<InboxStats>,
+    stats: Arc<DeliveryAccount>,
     uplink: Uplink,
     epoch: u64,
     faults: FaultHandle,
@@ -1592,7 +1587,7 @@ impl TcpWorkerTransport {
         } else {
             Monitor::disabled()
         };
-        let stats = Arc::new(InboxStats::default());
+        let stats = Arc::new(DeliveryAccount::default());
         let (tx, rx) = mpsc::channel();
         let this = Self {
             rank,
@@ -1810,7 +1805,7 @@ impl TcpWorkerTransport {
         // forwarded through it — drain them only now that it is free.
         self.flush_pending_spans();
         if result.is_ok() {
-            note_sent(&self.monitor, self.rank, dest, tag, payload.len());
+            DeliveryAccount::note_sent(&self.monitor, self.rank, dest, tag, payload.len());
         }
         result
     }
@@ -1926,17 +1921,12 @@ impl Transport for TcpWorkerTransport {
             .send(dest, tag, payload, |d, t, p| self.raw_send(d, t, p))
     }
 
-    fn recv_timeout(
-        &mut self,
-        source: Option<usize>,
-        tag: Option<Tag>,
-        timeout: Duration,
-    ) -> Result<Option<Envelope>, MpiError> {
-        self.mailbox.recv_timeout(source, tag, timeout)
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Envelope>, MpiError> {
+        self.mailbox.recv_timeout(timeout)
     }
 
-    fn try_recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Option<Envelope> {
-        self.mailbox.try_recv(source, tag)
+    fn try_recv(&mut self) -> Option<Envelope> {
+        self.mailbox.try_recv()
     }
 }
 
@@ -1951,14 +1941,14 @@ mod tests {
 
     const TIMEOUT: Duration = Duration::from_secs(5);
 
-    /// The next message from `source` with tag `tag`; nothing within
-    /// [`TIMEOUT`] fails the test instead of hanging it.
+    /// The next message, which must be from `source` with tag `tag`;
+    /// nothing within [`TIMEOUT`] fails the test instead of hanging it.
     fn expect(comm: &mut impl Transport, source: usize, tag: u32) -> Envelope {
-        comm.recv_timeout(Some(source), Some(Tag(tag)), TIMEOUT)
-            .unwrap()
-            .unwrap_or_else(|| {
-                panic!("nothing from rank {source} with tag {tag} within {TIMEOUT:?}")
-            })
+        let env = comm.recv_timeout(TIMEOUT).unwrap().unwrap_or_else(|| {
+            panic!("nothing from rank {source} with tag {tag} within {TIMEOUT:?}")
+        });
+        assert_eq!((env.source, env.tag), (source, Tag(tag)), "{env:?}");
+        env
     }
 
     /// The two address families one protocol runs over. The handshake
@@ -2351,9 +2341,7 @@ mod tests {
         let rejoin = Rejoin::new(42, grant.epoch, 1);
         write_frame(&mut second, 0, TAG_TCP_REJOIN, &rejoin.encode()).unwrap();
         write_frame_seq(&mut second, 1, 7, 3, b"three").unwrap();
-        let early = collector
-            .recv_timeout(Some(1), Some(Tag(7)), Duration::from_millis(200))
-            .unwrap();
+        let early = collector.recv_timeout(Duration::from_millis(200)).unwrap();
         assert!(
             early.is_none(),
             "delivered ahead of its predecessor: {early:?}"
@@ -2407,9 +2395,10 @@ mod tests {
         // by the old incarnation's high-water mark of 2.
         write_frame_seq(&mut second, 1, 7, 1, b"reborn").unwrap();
         let env = collector
-            .recv_timeout(Some(1), Some(Tag(7)), TIMEOUT)
+            .recv_timeout(TIMEOUT)
             .unwrap()
             .expect("the fresh incarnation's first frame must be admitted");
+        assert_eq!((env.source, env.tag), (1, Tag(7)));
         assert_eq!(&env.payload[..], b"reborn");
         collector.shutdown().unwrap();
     }

@@ -15,24 +15,72 @@ use crate::gate::FaultGate;
 use crate::mailbox::{Cursor, Mailbox};
 use crate::pool::BufferPool;
 
-/// Per-receiver inbox statistics for monitored worlds: how many
-/// messages sit undelivered in each rank's inbox, and the largest such
-/// backlog ever seen. Only allocated when a [`Monitor`] is attached, so
-/// unmonitored worlds pay nothing.
-#[derive(Debug)]
-struct ChannelStats {
-    /// Messages enqueued for rank `i` and not yet pulled by it.
-    depths: Vec<AtomicUsize>,
-    /// High-water mark of `depths[i]`.
-    high_water: Vec<AtomicU64>,
+/// One rank's inbox backlog in a monitored world: how many messages
+/// were counted in and not yet delivered, and the largest such backlog
+/// ever seen, with the `message_sent`, `queue_high_water` and
+/// `message_received` events that account for them. Both substrates
+/// keep their delivery account here: a thread world one per rank,
+/// bumped by every sender; a socket rank one for its own inbox, bumped
+/// by the thread reading its links.
+#[derive(Debug, Default)]
+pub struct DeliveryAccount {
+    /// Messages counted in and not yet delivered.
+    depth: AtomicUsize,
+    /// High-water mark of `depth`.
+    high_water: AtomicU64,
 }
 
-impl ChannelStats {
-    fn new(size: usize) -> Self {
-        Self {
-            depths: (0..size).map(|_| AtomicUsize::new(0)).collect(),
-            high_water: (0..size).map(|_| AtomicU64::new(0)).collect(),
+impl DeliveryAccount {
+    /// Counts a message entering the inbox, returning the new depth.
+    /// Must run *before* the message is enqueued: the receiver counts
+    /// it out on delivery, and a message counted after it was already
+    /// delivered would underflow the depth. A thread world withdraws
+    /// it again when the message never arrives.
+    pub fn enqueue(&self) -> u64 {
+        self.depth.fetch_add(1, Ordering::Relaxed) as u64 + 1
+    }
+
+    /// Reverts [`DeliveryAccount::enqueue`]: the send failed, or the
+    /// message was superseded before it was delivered.
+    pub(crate) fn withdraw(&self) {
+        self.depth.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Emits `queue_high_water` for `rank`, whose inbox this is, when
+    /// `depth` (from [`DeliveryAccount::enqueue`]) is a new maximum.
+    pub fn note_depth(&self, monitor: &Monitor, rank: usize, depth: u64) {
+        let prev = self.high_water.fetch_max(depth, Ordering::Relaxed);
+        if depth > prev {
+            monitor.emit(Some(rank), EventKind::QueueHighWater { depth });
         }
+    }
+
+    /// Counts `env` out of `rank`'s inbox and emits `message_received`
+    /// with the depth left behind.
+    pub fn note_delivery(&self, monitor: &Monitor, rank: usize, env: &Envelope) {
+        let depth = self.depth.fetch_sub(1, Ordering::Relaxed).saturating_sub(1) as u64;
+        monitor.emit(
+            Some(rank),
+            EventKind::MessageReceived {
+                source: env.source,
+                tag: env.tag.0,
+                bytes: env.payload.len() as u64,
+                queue_depth: depth,
+            },
+        );
+    }
+
+    /// Emits `message_sent` for a message of `bytes` that left `rank`
+    /// for `dest`.
+    pub fn note_sent(monitor: &Monitor, rank: usize, dest: usize, tag: Tag, bytes: usize) {
+        monitor.emit(
+            Some(rank),
+            EventKind::MessageSent {
+                dest,
+                tag: tag.0,
+                bytes: bytes as u64,
+            },
+        );
     }
 }
 
@@ -75,8 +123,8 @@ pub struct Communicator {
     /// Event sink for monitored worlds (disabled = one dead branch per
     /// operation).
     monitor: Monitor,
-    /// Queue-depth counters, present only in monitored worlds.
-    stats: Option<Arc<ChannelStats>>,
+    /// Every rank's delivery account, present only in monitored worlds.
+    stats: Option<Arc<[DeliveryAccount]>>,
     /// The deterministic fault plane in front of every send (disabled =
     /// one dead branch per send). Force-flushed on [`Drop`] so a held
     /// message is late, never lost (unless scripted as a drop).
@@ -116,22 +164,17 @@ impl Communicator {
         let _ = self.pool.recycle(payload);
     }
 
-    /// Bumps the destination's queue-depth counter in a monitored
-    /// world, returning the new depth. Must run *before* the message is
-    /// enqueued — the receiver decrements on delivery, and a message
-    /// counted after it was already delivered would underflow the
-    /// counter. Balanced by [`Communicator::undo_enqueue`] when the
-    /// send fails.
+    /// Counts a message into the destination's account in a monitored
+    /// world, returning the new depth ([`DeliveryAccount::enqueue`]).
+    /// Balanced by [`Communicator::undo_enqueue`] when the send fails.
     fn note_enqueue(&self, dest: usize) -> Option<u64> {
-        self.stats
-            .as_ref()
-            .map(|stats| stats.depths[dest].fetch_add(1, Ordering::Relaxed) as u64 + 1)
+        self.stats.as_ref().map(|stats| stats[dest].enqueue())
     }
 
     /// Reverts [`Communicator::note_enqueue`] after a failed send.
     fn undo_enqueue(&self, dest: usize) {
         if let Some(stats) = &self.stats {
-            stats.depths[dest].fetch_sub(1, Ordering::Relaxed);
+            stats[dest].withdraw();
         }
     }
 
@@ -141,19 +184,8 @@ impl Communicator {
     /// maximum.
     fn note_send(&self, dest: usize, tag: Tag, bytes: usize, depth: u64) {
         if let Some(stats) = &self.stats {
-            self.monitor.emit(
-                Some(self.rank),
-                EventKind::MessageSent {
-                    dest,
-                    tag: tag.0,
-                    bytes: bytes as u64,
-                },
-            );
-            let prev = stats.high_water[dest].fetch_max(depth, Ordering::Relaxed);
-            if depth > prev {
-                self.monitor
-                    .emit(Some(dest), EventKind::QueueHighWater { depth });
-            }
+            DeliveryAccount::note_sent(&self.monitor, self.rank, dest, tag, bytes);
+            stats[dest].note_depth(&self.monitor, dest, depth);
         }
     }
 
@@ -161,18 +193,7 @@ impl Communicator {
     /// the receiving rank, possibly in its pending buffer).
     fn note_delivery(&self, env: &Envelope) {
         if let Some(stats) = &self.stats {
-            let depth = stats.depths[self.rank]
-                .fetch_sub(1, Ordering::Relaxed)
-                .saturating_sub(1) as u64;
-            self.monitor.emit(
-                Some(self.rank),
-                EventKind::MessageReceived {
-                    source: env.source,
-                    tag: env.tag.0,
-                    bytes: env.payload.len() as u64,
-                    queue_depth: depth,
-                },
-            );
+            stats[self.rank].note_delivery(&self.monitor, self.rank, env);
         }
     }
 
@@ -484,9 +505,9 @@ impl World {
             mailboxes: (0..size).map(|_| Mailbox::new(size)).collect(),
             live: AtomicUsize::new(size),
         });
-        let stats = monitor
+        let stats: Option<Arc<[DeliveryAccount]>> = monitor
             .is_enabled()
-            .then(|| Arc::new(ChannelStats::new(size)));
+            .then(|| (0..size).map(|_| DeliveryAccount::default()).collect());
         Ok((0..size)
             .map(|rank| Communicator {
                 rank,

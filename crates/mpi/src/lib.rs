@@ -8,9 +8,10 @@
 //! that environment with ranks as OS threads and keeps only the
 //! point-to-point surface that traffic needs: [`World::communicators`]
 //! (the `mpirun` analogue) hands out one [`Communicator`] per rank,
-//! which implements [`Transport`] — buffered and latest-wins sends, a
-//! receive with a timeout and a non-blocking one, with source/tag
-//! matching and MPI-style out-of-order buffering.
+//! which implements [`Transport`] — buffered and latest-wins sends, and
+//! a receive with a timeout and a non-blocking one, each of the next
+//! message from any rank. [`Communicator`]'s own receives also take
+//! MPI-style source/tag filters, with out-of-order buffering.
 //!
 //! Substitution note (DESIGN.md §1): the calibration hint says Rust MPI
 //! bindings are thin; an in-process substrate exercises the identical

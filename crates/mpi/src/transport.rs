@@ -4,9 +4,11 @@
 //! The runner (rank 0's collector loop, the workers' asynchronous
 //! subtotal emission, heartbeats and liveness probing) only ever uses
 //! a narrow slice of MPI: buffered point-to-point sends, a latest-wins
-//! send for cumulative subtotals, and two receives with source/tag
-//! matching — one that waits up to a timeout and one that never
-//! waits. [`Transport`] captures that slice so the same
+//! send for cumulative subtotals, and two receives of the next message
+//! from any rank, as the paper's rank 0 takes subtotals from whichever
+//! rank sends next — one that waits up to a timeout and one that never
+//! waits. Nothing in the runner receives by source or tag, so the trait
+//! has no matching. [`Transport`] captures that slice so the same
 //! collector/worker code runs unchanged over the thread substrate
 //! ([`Communicator`], ranks exchanging [`Envelope`]s through in-place
 //! mailboxes) and the socket substrate (`parmonc-ipc`, ranks as
@@ -28,11 +30,11 @@ use crate::pool::BufferPool;
 
 /// The MPI subset PARMONC consumes, abstracted over the substrate.
 ///
-/// Matching semantics mirror MPI (and [`Communicator`], the reference
-/// implementor): receives take optional source and tag filters
-/// (`None` = wildcard); messages that arrive but do not match are
-/// buffered and delivered to a later matching receive, preserving
-/// per-(source, tag) order.
+/// A receive takes the next message, whatever its source and tag (MPI's
+/// `MPI_ANY_SOURCE` / `MPI_ANY_TAG`); a source's messages are taken in
+/// the order it sent them, less the latest-wins ones superseded unread.
+/// Source/tag matching is [`Communicator`]'s alone, in its inherent
+/// `recv`, `recv_timeout` and `try_recv`.
 pub trait Transport {
     /// This rank's number (0-based).
     fn rank(&self) -> usize;
@@ -107,22 +109,18 @@ pub trait Transport {
         self.send_bytes(dest, tag, payload)
     }
 
-    /// Blocking receive with a timeout; `Ok(None)` on timeout.
+    /// Blocking receive of the next message, waiting up to `timeout`;
+    /// `Ok(None)` on timeout.
     ///
     /// # Errors
     ///
     /// [`MpiError::Disconnected`] if all senders are gone.
-    fn recv_timeout(
-        &mut self,
-        source: Option<usize>,
-        tag: Option<Tag>,
-        timeout: Duration,
-    ) -> Result<Option<Envelope>, MpiError>;
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Envelope>, MpiError>;
 
-    /// Non-blocking receive: returns a matching message if one is
-    /// already available (the `MPI_Iprobe` + `MPI_Recv` pattern the
-    /// collector loop uses).
-    fn try_recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Option<Envelope>;
+    /// Non-blocking receive: the next message if one is already
+    /// available (the `MPI_Iprobe` + `MPI_Recv` pattern the collector
+    /// loop uses).
+    fn try_recv(&mut self) -> Option<Envelope>;
 
     /// Declares that `rank`'s realization budget has been reassigned
     /// and the rank must never rejoin the world.
@@ -169,17 +167,16 @@ impl Transport for Communicator {
         Communicator::send_latest_with(self, dest, tag, len, fill)
     }
 
-    fn recv_timeout(
-        &mut self,
-        source: Option<usize>,
-        tag: Option<Tag>,
-        timeout: Duration,
-    ) -> Result<Option<Envelope>, MpiError> {
-        Communicator::recv_timeout(self, source, tag, timeout)
+    /// The wildcard receive: whatever a filtered inherent receive left
+    /// pending is delivered first, in arrival order, before the mailbox
+    /// is looked at.
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Envelope>, MpiError> {
+        Communicator::recv_timeout(self, None, None, timeout)
     }
 
-    fn try_recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Option<Envelope> {
-        Communicator::try_recv(self, source, tag)
+    /// See [`Transport::recv_timeout`]: pending messages first.
+    fn try_recv(&mut self) -> Option<Envelope> {
+        Communicator::try_recv(self, None, None)
     }
 }
 
@@ -192,10 +189,13 @@ mod tests {
     /// instead of hanging it.
     const TIMEOUT: Duration = Duration::from_secs(10);
 
-    /// The next message from `source` with `tag`; panics on a timeout.
+    /// The next message, which must be from `source` with `tag`; panics
+    /// on a timeout.
     fn expect<T: Transport>(comm: &mut T, source: usize, tag: Tag) -> Result<Envelope, MpiError> {
-        let env = comm.recv_timeout(Some(source), Some(tag), TIMEOUT)?;
-        Ok(env.unwrap_or_else(|| panic!("nothing from rank {source} within {TIMEOUT:?}")))
+        let env = comm.recv_timeout(TIMEOUT)?;
+        let env = env.unwrap_or_else(|| panic!("nothing from rank {source} within {TIMEOUT:?}"));
+        assert_eq!((env.source, env.tag), (source, tag));
+        Ok(env)
     }
 
     /// The generic surface the runner is written against must work over
@@ -224,5 +224,41 @@ mod tests {
             reply
         });
         assert_eq!(reply.unwrap(), b"pong");
+    }
+
+    /// Where `Communicator`'s two receive APIs meet: what a filtered
+    /// inherent receive left pending, from two sources with two tags,
+    /// is what the `Transport` receives take first, in arrival order,
+    /// and then what arrived after it; each message exactly once.
+    #[test]
+    fn transport_receives_take_what_a_filtered_receive_left_pending_first() {
+        let mut comms = World::communicators(3).unwrap();
+        let sent = [(1, 1, b'a'), (2, 2, b'b'), (1, 2, b'c'), (2, 1, b'd')];
+        for &(source, tag, byte) in &sent {
+            comms[source].send(0, Tag(tag), &[byte]).unwrap();
+        }
+        comms[1].send(0, Tag(3), b"wanted").unwrap();
+        let wanted = comms[0].recv(Some(1), Some(Tag(3))).unwrap();
+        assert_eq!(&wanted.payload[..], b"wanted");
+        let later = [(2, 1, b'e'), (1, 2, b'f')];
+        for &(source, tag, byte) in &later {
+            comms[source].send(0, Tag(tag), &[byte]).unwrap();
+        }
+
+        let root = &mut comms[0];
+        let mut received = Vec::new();
+        if let Some(env) = Transport::recv_timeout(root, TIMEOUT).unwrap() {
+            received.push(env);
+        }
+        while let Some(env) = Transport::try_recv(root) {
+            received.push(env);
+        }
+        let received: Vec<_> = received
+            .iter()
+            .map(|env| (env.source, env.tag.0, env.payload[0]))
+            .collect();
+        assert_eq!(received, [&sent[..], &later[..]].concat());
+        let idle = Duration::from_millis(10);
+        assert!(Transport::recv_timeout(root, idle).unwrap().is_none());
     }
 }

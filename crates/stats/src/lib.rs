@@ -49,7 +49,6 @@
 
 pub mod confidence;
 pub mod error;
-pub mod histogram;
 pub mod matrix;
 pub mod moments;
 pub mod report;
