@@ -1,8 +1,9 @@
 //! Shared plumbing for both ends of a socket world: the inbox a rank
 //! takes its next message from, per-link wire and clock state, the
-//! monitor-event forwarding sink, and the delivery of a link's frames.
+//! monitor-event forwarding sink, the one decoder of a live link's
+//! bytes ([`Inbound`]), and the delivery of a link's frames.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -15,9 +16,13 @@ use parmonc_mpi::error::MpiError;
 use parmonc_obs::{Event, EventKind, EventSink, Monitor};
 
 use crate::frame::{
-    read_frame, write_frame, ClockSync, Frame, FRAME_HEADER_LEN, TAG_IPC_EVENT, TAG_TCP_CLOCK,
+    decode_header, write_frame, ClockSync, Frame, FRAME_HEADER_LEN, TAG_IPC_EVENT, TAG_TCP_CLOCK,
     TAG_TCP_CLOCK_PROBE, TAG_TCP_CLOCK_REPLY,
 };
+
+/// The most one read of a link buffers: [`std::io::BufReader`]'s
+/// capacity, so a large payload is copied no more often than by one.
+const READ_CHUNK: usize = 8 * 1024;
 
 /// Per-link wire counters, shared between the side reading the link
 /// and its write path. The counters survive reconnects (they live beside
@@ -365,27 +370,113 @@ impl LinkHooks {
     }
 }
 
-/// A worker's reader thread: delivers the frames of one blocking
-/// stream ([`LinkHooks::deliver`]) until EOF, an error, or a dropped
-/// inbox. A mid-frame EOF is reported as [`LinkHooks::torn`].
-pub(crate) fn pump_frames(stream: impl Read, tx: Sender<Envelope>, hooks: LinkHooks) {
-    let mut reader = BufReader::new(stream);
-    loop {
-        match read_frame(&mut reader) {
-            Ok(Some(frame)) => {
-                if !hooks.deliver(frame, &tx) {
-                    return;
-                }
-            }
-            Ok(None) => return,
-            Err(e) => {
-                if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                    hooks.torn();
-                }
-                return;
+/// The bytes of a link not yet delivered: a few buffered ones, or one
+/// frame whose payload is read straight into its own vector. Both ends
+/// decode their live links through it: rank 0's I/O thread reads into
+/// it whatever `poll` found waiting, a worker's reader whatever a
+/// blocking read returns.
+#[derive(Debug)]
+pub(crate) struct Inbound {
+    /// Read bytes, of which `start..end` are not yet decoded.
+    buf: Box<[u8]>,
+    start: usize,
+    end: usize,
+    /// A frame with its payload read up to the given length.
+    body: Option<(Frame, usize)>,
+}
+
+impl Inbound {
+    pub(crate) fn new() -> Self {
+        Self {
+            buf: vec![0; READ_CHUNK].into_boxed_slice(),
+            start: 0,
+            end: 0,
+            body: None,
+        }
+    }
+
+    /// Reads once through `read`, handed the room the bytes go to: the
+    /// open frame's unread payload, or the buffer's free end. Returns
+    /// how many came — `0` is the link's end — and whether they fell
+    /// short of the room, which means the link had no more to give.
+    pub(crate) fn read_from(
+        &mut self,
+        read: impl FnOnce(&mut [u8]) -> io::Result<usize>,
+    ) -> io::Result<(usize, bool)> {
+        if let Some((frame, filled)) = &mut self.body {
+            let room = &mut frame.payload[*filled..];
+            let (asked, n) = (room.len(), read(room)?);
+            *filled += n;
+            return Ok((n, n < asked));
+        }
+        // Less than a header is left, so there is room.
+        self.buf.copy_within(self.start..self.end, 0);
+        (self.start, self.end) = (0, self.end - self.start);
+        let room = &mut self.buf[self.end..];
+        let (asked, n) = (room.len(), read(room)?);
+        self.end += n;
+        Ok((n, n < asked))
+    }
+
+    /// The next frame read in full, if there is one; an error for a
+    /// length prefix past the protocol maximum.
+    pub(crate) fn next_frame(&mut self) -> io::Result<Option<Frame>> {
+        if self.body.is_none() {
+            let pending = &self.buf[self.start..self.end];
+            let Some(header) = pending.first_chunk() else {
+                return Ok(None);
+            };
+            let mut frame = decode_header(header)?;
+            let read = frame.payload.len().min(pending.len() - FRAME_HEADER_LEN);
+            frame.payload[..read].copy_from_slice(&pending[FRAME_HEADER_LEN..][..read]);
+            self.start += FRAME_HEADER_LEN + read;
+            self.body = Some((frame, read));
+        }
+        match self.body.take() {
+            Some((frame, filled)) if filled == frame.payload.len() => Ok(Some(frame)),
+            open => {
+                self.body = open;
+                Ok(None)
             }
         }
     }
+
+    /// Whether bytes of an unfinished frame are held.
+    pub(crate) fn is_mid_frame(&self) -> bool {
+        self.body.is_some() || self.start < self.end
+    }
+}
+
+/// Delivers the frames of one blocking stream ([`LinkHooks::deliver`])
+/// until EOF, a read error or an impossible frame length. An EOF inside
+/// a frame is reported as [`LinkHooks::torn`]. A worker's reader runs
+/// it on each of its connections in turn. Returns `false` once the
+/// inbox has been dropped.
+pub(crate) fn pump_frames(mut stream: impl Read, tx: &Sender<Envelope>, hooks: &LinkHooks) -> bool {
+    let mut inbound = Inbound::new();
+    loop {
+        match inbound.read_from(|room| stream.read(room)) {
+            Ok((0, _)) => break,
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return true,
+        }
+        loop {
+            match inbound.next_frame() {
+                Ok(Some(frame)) => {
+                    if !hooks.deliver(frame, tx) {
+                        return false;
+                    }
+                }
+                Ok(None) => break,
+                Err(_) => return true,
+            }
+        }
+    }
+    if inbound.is_mid_frame() {
+        hooks.torn();
+    }
+    true
 }
 
 #[cfg(test)]
@@ -420,8 +511,8 @@ mod tests {
         let (tx, _rx) = std::sync::mpsc::channel();
         pump_frames(
             stream.as_slice(),
-            tx,
-            LinkHooks {
+            &tx,
+            &LinkHooks {
                 monitor: Monitor::new(vec![Box::new(Arc::clone(&sink))]),
                 local_rank: 0,
                 stats: Arc::default(),

@@ -1,14 +1,25 @@
-//! `poll(2)`, the one place this crate talks to the kernel past what
-//! `std` exposes: `std` has no readiness wait, and with this one thread
-//! watches a collector's listener and every connection
-//! ([`crate::tcp`]). The call is declared directly — the workspace takes
-//! no external crates, and the C library is already linked.
+//! `poll(2)` and `recv(2)`, the one place this crate talks to the
+//! kernel past what `std` exposes: `std` has no readiness wait, and with
+//! it one thread watches a collector's listener and every connection
+//! ([`crate::tcp`]); nor has it a read that does not wait on a blocking
+//! socket, and with `recv` that thread takes what a connection holds and
+//! no more. The calls are declared directly — the workspace takes no
+//! external crates, and the C library is already linked.
 
 #![allow(unsafe_code)]
 
 use std::io;
 use std::os::fd::RawFd;
 use std::time::Duration;
+
+#[cfg(test)]
+thread_local! {
+    /// How many `poll` and `recv` calls this thread has made: what the
+    /// tests that pin rank 0's syscalls per frame read off its I/O
+    /// thread.
+    pub(crate) static POLLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    pub(crate) static RECVS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// One `struct pollfd`, watching `fd` for input: bytes, a pending
 /// connection, EOF or an error.
@@ -55,6 +66,8 @@ pub(crate) fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<
     let timeout_ms = timeout.map_or(-1, |t| {
         i32::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
     });
+    #[cfg(test)]
+    POLLS.set(POLLS.get() + 1);
     // SAFETY: `fds` is an exclusively borrowed array of `struct pollfd`
     // of the length passed, alive for the call.
     if unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, timeout_ms) } >= 0 {
@@ -64,4 +77,29 @@ pub(crate) fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<
         e if e.kind() == io::ErrorKind::Interrupted => Ok(()),
         e => Err(e),
     }
+}
+
+/// Reads what the socket `fd` holds into `buf` without waiting:
+/// `recv(2)` with `MSG_DONTWAIT`, which answers
+/// [`io::ErrorKind::WouldBlock`] when nothing is there. The descriptor
+/// itself stays blocking — it shares its file status flags with the
+/// connection's write half, whose writes keep their timeout.
+///
+/// # Errors
+///
+/// `WouldBlock` for an empty socket, and `recv(2)`'s own failures.
+pub(crate) fn recv(fd: RawFd, buf: &mut [u8]) -> io::Result<usize> {
+    #[cfg(target_os = "linux")]
+    const MSG_DONTWAIT: i32 = 0x40;
+    #[cfg(not(target_os = "linux"))]
+    const MSG_DONTWAIT: i32 = 0x80;
+    extern "C" {
+        fn recv(fd: RawFd, buf: *mut std::ffi::c_void, len: usize, flags: i32) -> isize;
+    }
+    #[cfg(test)]
+    RECVS.set(RECVS.get() + 1);
+    // SAFETY: `buf` is an exclusively borrowed byte buffer of the length
+    // passed, alive for the call.
+    let n = unsafe { recv(fd, buf.as_mut_ptr().cast(), buf.len(), MSG_DONTWAIT) };
+    usize::try_from(n).map_err(|_| io::Error::last_os_error())
 }

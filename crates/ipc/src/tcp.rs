@@ -42,9 +42,12 @@
 //!   stale rejoin against a fresh collector) are refused with
 //!   [`RejectCode::EpochMismatch`].
 //!
-//! Rank 0's side of every connection is one I/O thread, `IoLoop`, so a
-//! rank's frames are delivered in one order by construction: a rejoin
-//! is admitted only once its old connection's bytes are delivered.
+//! Each end of a link has one reader, so a rank's frames are delivered
+//! in one order by construction. Rank 0's side of every connection is
+//! one I/O thread, `IoLoop`: a rejoin is admitted only once its old
+//! connection's bytes are delivered. A worker's side is one reader
+//! thread for the transport's life, handed each connection in turn: it
+//! reads the old one to its end before it takes the new one.
 //!
 //! Connection health is split between two layers, on purpose:
 //!
@@ -52,18 +55,19 @@
 //!   wedged peer turns a send into [`MpiError::Disconnected`] instead
 //!   of blocking the collector loop;
 //! * **reads** never time a peer out (only a handshake has a deadline):
-//!   the collector reads what `poll` finds, and a worker's reader polls
-//!   with a short kernel receive timeout (`PatientReader` below) purely
-//!   so teardown can interrupt it. Judging *silence* is the job of the
-//!   run's heartbeat-based liveness plane, which sees the same evidence
-//!   on every backend.
+//!   the collector reads what `poll` finds, and a worker's reader
+//!   sleeps in a blocking read until bytes or a hang-up arrive — the
+//!   hang-up of a reconnect or of teardown ends the read once the bytes
+//!   already buffered are delivered. Judging *silence* is the job of
+//!   the run's heartbeat-based liveness plane, which sees the same
+//!   evidence on every backend.
 //!
 //! The wiring is a star, like the collection it carries: every
 //! connection runs between a worker and rank 0, and a connection
 //! speaks only for the rank it was leased (frames claiming another
 //! source are dropped).
 
-use std::io::{self, ErrorKind, Read};
+use std::io::{self, ErrorKind};
 use std::net::SocketAddr;
 use std::os::fd::AsRawFd;
 use std::path::PathBuf;
@@ -86,28 +90,22 @@ use parmonc_obs::{EventKind, Monitor, SpanEmitter, SpanPhase};
 use crate::backoff::{splitmix64, Backoff, ReconnectPolicy};
 use crate::faulty::FaultyStream;
 use crate::frame::{
-    decode_header, read_frame, write_frame, write_frame_seq, ClockProbe, ClockReply, ClockSync,
-    Frame, Grant, JoinRequest, Reject, RejectCode, Rejoin, FRAME_HEADER_LEN, TAG_TCP_CLOCK,
-    TAG_TCP_CLOCK_PROBE, TAG_TCP_CLOCK_REPLY, TAG_TCP_GRANT, TAG_TCP_JOIN, TAG_TCP_REJECT,
-    TAG_TCP_REJOIN, TCP_MAGIC, TCP_PROTOCOL_VERSION,
+    read_frame, write_frame, write_frame_seq, ClockProbe, ClockReply, ClockSync, Frame, Grant,
+    JoinRequest, Reject, RejectCode, Rejoin, FRAME_HEADER_LEN, TAG_TCP_CLOCK, TAG_TCP_CLOCK_PROBE,
+    TAG_TCP_CLOCK_REPLY, TAG_TCP_GRANT, TAG_TCP_JOIN, TAG_TCP_REJECT, TAG_TCP_REJOIN, TCP_MAGIC,
+    TCP_PROTOCOL_VERSION,
 };
 use crate::launcher::Children;
-use crate::link::{pump_frames, ForwardSink, LinkClock, LinkHooks, Mailbox, WireTelemetry};
-use crate::poll::{poll, PollFd};
+use crate::link::{
+    pump_frames, ForwardSink, Inbound, LinkClock, LinkHooks, Mailbox, WireTelemetry,
+};
+use crate::poll::{poll, recv, PollFd};
 use crate::socket::{Endpoint, Listener, Socket};
-
-/// How often a worker's blocked reader wakes to check the stop flag —
-/// the kernel receive timeout under [`PatientReader`].
-const READ_POLL: Duration = Duration::from_millis(50);
 
 /// How long the I/O thread pauses after a failed `accept()` (EMFILE,
 /// ECONNABORTED, ...) or `poll()`, so that a repeating error cannot
 /// spin a core.
 const ERROR_BACKOFF: Duration = Duration::from_millis(1);
-
-/// The most one read of a connection buffers: [`std::io::BufReader`]'s
-/// capacity, so a large payload is copied no more often than by one.
-const READ_CHUNK: usize = 8 * 1024;
 
 /// How long a monitored collector waits at shutdown for the workers
 /// that are still connected to hang up by themselves (see
@@ -131,36 +129,6 @@ fn fresh_epoch() -> u64 {
         .map(|d| d.as_nanos() as u64)
         .unwrap_or(0);
     splitmix64(nanos ^ (u64::from(std::process::id()) << 32)).max(1)
-}
-
-/// A worker's [`Read`] wrapper for sockets with a short `SO_RCVTIMEO`:
-/// receive timeouts are retried (a kernel timeout consumes no bytes, so frame
-/// decoding never sees a torn header) until the stop flag is raised,
-/// at which point reads report a clean EOF. Dead-peer detection is
-/// deliberately *not* done here — silence is judged by the run's
-/// liveness plane on heartbeat evidence, not by the transport.
-#[derive(Debug)]
-struct PatientReader {
-    inner: Socket,
-    stop: Arc<AtomicBool>,
-}
-
-impl Read for PatientReader {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            if self.stop.load(Ordering::Relaxed) {
-                return Ok(0);
-            }
-            match (&self.inner).read(buf) {
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) => {}
-                other => return other,
-            }
-        }
-    }
 }
 
 /// The persistable image of a collector's lease table: everything a
@@ -435,6 +403,10 @@ struct Shared {
     io_timeout: Duration,
     persist: Option<(PathBuf, AtomicWriter)>,
     trace_spans: bool,
+    /// The I/O thread's rounds of its loop, `poll` calls and `recv`
+    /// calls, published as it exits.
+    #[cfg(test)]
+    io_calls: Mutex<(u64, u64, u64)>,
 }
 
 /// Rank 0 of a socket world: the listener, lease table, and
@@ -565,6 +537,8 @@ impl TcpCollectorTransport {
             io_timeout: opts.io_timeout,
             persist: opts.persist,
             trace_spans: opts.trace_spans,
+            #[cfg(test)]
+            io_calls: Mutex::default(),
         });
         let io_loop = IoLoop {
             listener,
@@ -797,8 +771,8 @@ impl Transport for TcpCollectorTransport {
 
 /// Rank 0's I/O thread: it owns the listener and every connection and
 /// waits for any of them in `poll(2)`. It accepts, runs each handshake,
-/// delivers each frame and answers clock probes, reading only what
-/// `poll` found waiting, so a connection that has sent half a frame or
+/// delivers each frame and answers clock probes, reading only what a
+/// connection holds, so a connection that has sent half a frame or
 /// half a join holds nobody else: the bytes wait in its [`Inbound`]. A
 /// dialer that never completes its join is dropped at its handshake
 /// deadline, `io_timeout` after it was accepted — the only timeout the
@@ -833,77 +807,12 @@ enum Link {
     Closed,
 }
 
-/// The bytes of a connection not yet delivered: a few buffered ones, or
-/// one frame whose payload is read straight into its own vector.
-#[derive(Debug)]
-struct Inbound {
-    /// Read bytes, of which `start..end` are not yet decoded.
-    buf: Box<[u8]>,
-    start: usize,
-    end: usize,
-    /// A frame with its payload read up to the given length.
-    body: Option<(Frame, usize)>,
-}
-
-impl Inbound {
-    fn new() -> Self {
-        Self {
-            buf: vec![0; READ_CHUNK].into_boxed_slice(),
-            start: 0,
-            end: 0,
-            body: None,
-        }
-    }
-
-    /// Reads once from `socket`, which `poll` found ready; `Ok(0)` is
-    /// the connection's end.
-    fn read_from(&mut self, mut socket: &Socket) -> io::Result<usize> {
-        if let Some((frame, filled)) = &mut self.body {
-            let n = socket.read(&mut frame.payload[*filled..])?;
-            *filled += n;
-            return Ok(n);
-        }
-        // Less than a header is left, so there is room.
-        self.buf.copy_within(self.start..self.end, 0);
-        (self.start, self.end) = (0, self.end - self.start);
-        let n = socket.read(&mut self.buf[self.end..])?;
-        self.end += n;
-        Ok(n)
-    }
-
-    /// The next frame read in full, if there is one; an error for a
-    /// length prefix past the protocol maximum.
-    fn next_frame(&mut self) -> io::Result<Option<Frame>> {
-        if self.body.is_none() {
-            let pending = &self.buf[self.start..self.end];
-            let Some(header) = pending.first_chunk() else {
-                return Ok(None);
-            };
-            let mut frame = decode_header(header)?;
-            let read = frame.payload.len().min(pending.len() - FRAME_HEADER_LEN);
-            frame.payload[..read].copy_from_slice(&pending[FRAME_HEADER_LEN..][..read]);
-            self.start += FRAME_HEADER_LEN + read;
-            self.body = Some((frame, read));
-        }
-        match self.body.take() {
-            Some((frame, filled)) if filled == frame.payload.len() => Ok(Some(frame)),
-            open => {
-                self.body = open;
-                Ok(None)
-            }
-        }
-    }
-
-    /// Whether bytes of an unfinished frame are held.
-    fn is_mid_frame(&self) -> bool {
-        self.body.is_some() || self.start < self.end
-    }
-}
-
 impl IoLoop {
     /// Serves until shutdown raises the stop flag and wakes the `poll`.
     fn run(mut self) {
         let mut fds = Vec::new();
+        #[cfg(test)]
+        let mut rounds = 0;
         // Pairs with shutdown's `Release` store, made before its wake
         // dial and its hang-ups: nothing is read after it.
         while !self.ctx.stop.load(Ordering::Acquire) {
@@ -916,6 +825,10 @@ impl IoLoop {
             );
             let deadline = self.conns.iter().filter_map(|c| c.deadline).min();
             let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            #[cfg(test)]
+            {
+                rounds += 1;
+            }
             if poll(&mut fds, timeout).is_err() {
                 std::thread::sleep(ERROR_BACKOFF);
                 continue;
@@ -941,6 +854,10 @@ impl IoLoop {
         }
         for i in 0..self.conns.len() {
             self.close(i, true);
+        }
+        #[cfg(test)]
+        if let Ok(mut calls) = self.ctx.io_calls.lock() {
+            *calls = (rounds, crate::poll::POLLS.get(), crate::poll::RECVS.get());
         }
     }
 
@@ -968,19 +885,24 @@ impl IoLoop {
         }
     }
 
-    /// Reads connection `i` until a read would wait — a rejoin may have
-    /// drained it since `poll` — and hands every frame it completes to
-    /// the handshake or to delivery. Returns `false` when the connection
+    /// Reads connection `i` without waiting until a read finds nothing,
+    /// or fewer bytes than it had room for — the connection held no
+    /// more, and `poll` is level-triggered, so what arrives later wakes
+    /// the next round — and hands every frame it completes to the
+    /// handshake or to delivery. Returns `false` when the connection
     /// has ended: EOF, a read error, an impossible frame length, or an
     /// inbox nobody reads.
     fn pump(&mut self, i: usize) -> bool {
-        while self.has_input(i) {
+        loop {
             let conn = &mut self.conns[i];
-            match conn.inbound.read_from(&conn.socket) {
-                Ok(0) => return false,
-                Ok(_) => {}
-                Err(e) => return e.kind() == ErrorKind::Interrupted,
-            }
+            let fd = conn.socket.as_raw_fd();
+            let drained = match conn.inbound.read_from(|room| recv(fd, room)) {
+                Ok((0, _)) => return false,
+                Ok((_, drained)) => drained,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            };
             loop {
                 let Ok(frame) = self.conns[i].inbound.next_frame() else {
                     return false;
@@ -996,14 +918,10 @@ impl IoLoop {
                     }
                 }
             }
+            if drained {
+                return true;
+            }
         }
-        true
-    }
-
-    /// Whether a read of connection `i` would return without waiting.
-    fn has_input(&self, i: usize) -> bool {
-        let mut fd = [PollFd::input(self.conns[i].socket.as_raw_fd())];
-        poll(&mut fd, Some(Duration::ZERO)).is_ok() && fd[0].is_ready()
     }
 
     /// Closes connection `i`, reporting a frame it ended inside as
@@ -1379,8 +1297,10 @@ impl Uplink {
 
     /// The one handshake, on a freshly dialed stream: a join (`lease`
     /// is `None`) or a rejoin naming the `(epoch, rank)` this worker
-    /// already holds. Returns the grant and the local `t3` sample, with
-    /// the stream left in the patient read discipline.
+    /// already holds. Returns the grant and the local `t3` sample. Only
+    /// the handshake's reads are timed: once the grant is in, the read
+    /// timeout is cleared, so the reader sleeps until bytes or a
+    /// hang-up arrive.
     fn attach(
         &self,
         stream: &Socket,
@@ -1433,9 +1353,7 @@ impl Uplink {
             write_frame(&mut &*stream, grant.rank, TAG_TCP_CLOCK, &payload).map_err(Transient)?;
             self.wire.count_out(FRAME_HEADER_LEN + payload.len());
         }
-        stream
-            .set_read_timeout(Some(READ_POLL))
-            .map_err(Transient)?;
+        stream.set_read_timeout(None).map_err(Transient)?;
         Ok((grant, t3_s))
     }
 }
@@ -1492,14 +1410,10 @@ pub struct TcpWorkerTransport {
     gate: FaultGate,
     mailbox: Mailbox,
     writer: Arc<Mutex<FaultyStream<Socket>>>,
-    stop: Arc<AtomicBool>,
-    reader: Mutex<Option<JoinHandle<()>>>,
-    /// Readers orphaned by reconnects; they exit on their own once
-    /// their dead socket drains, and are joined at drop.
-    stale_readers: Mutex<Vec<JoinHandle<()>>>,
-    /// Kept so reconnect can respawn readers feeding the same inbox.
-    tx: Sender<Envelope>,
-    stats: Arc<DeliveryAccount>,
+    stop: AtomicBool,
+    /// The reader thread and the channel that hands it each connection,
+    /// in the order they were made; taken at drop.
+    reader: Option<(Sender<Socket>, JoinHandle<()>)>,
     uplink: Uplink,
     epoch: u64,
     faults: FaultHandle,
@@ -1589,7 +1503,38 @@ impl TcpWorkerTransport {
         };
         let stats = Arc::new(DeliveryAccount::default());
         let (tx, rx) = mpsc::channel();
-        let this = Self {
+        let (clock_epoch, skew_s) = (uplink.clock_epoch, uplink.skew_s);
+        let hooks = LinkHooks {
+            monitor: monitor.clone(),
+            local_rank: rank,
+            stats: Arc::clone(&stats),
+            // The only peer on this link is the collector.
+            expect_source: Some(0),
+            dedup: None,
+            wire: Arc::clone(&uplink.wire),
+            clock: None,
+            clock_responder: Some(clock_reply_responder(
+                Arc::clone(&writer),
+                Arc::clone(&uplink.wire),
+                rank,
+                move || clock_epoch.elapsed().as_secs_f64() + skew_s,
+            )),
+        };
+        // The reader delivers each connection it is handed to its end,
+        // in the order the connections were made, until the transport
+        // stops handing them over.
+        let (links, connections) = mpsc::channel::<Socket>();
+        let reader = std::thread::Builder::new()
+            .name(format!("parmonc-tcp-r{rank}"))
+            .spawn(move || {
+                for socket in connections {
+                    if !pump_frames(&socket, &tx, &hooks) {
+                        return;
+                    }
+                }
+            })?;
+        let _ = links.send(stream);
+        Ok(Self {
             rank,
             size,
             quota: grant.quota,
@@ -1597,55 +1542,17 @@ impl TcpWorkerTransport {
             spans: SpanEmitter::new(&monitor, rank, grant.spans),
             gate: FaultGate::new(rank, opts.faults.clone(), monitor.clone()),
             monitor,
-            mailbox: Mailbox::new(rank, rx, Monitor::disabled(), Arc::clone(&stats)),
+            mailbox: Mailbox::new(rank, rx, Monitor::disabled(), stats),
             writer,
-            stop: Arc::new(AtomicBool::new(false)),
-            reader: Mutex::new(None),
-            stale_readers: Mutex::new(Vec::new()),
-            tx,
-            stats,
+            stop: AtomicBool::new(false),
+            reader: Some((links, reader)),
             uplink,
             epoch: grant.epoch,
             faults: opts.faults,
             next_seq: AtomicU64::new(0),
             last_sync: AtomicU64::new(t3_s.to_bits()),
             pending_spans: Mutex::new(Vec::new()),
-        };
-        let reader = this.spawn_reader(stream)?;
-        this.reader
-            .lock()
-            .expect("no other thread has seen this transport yet")
-            .replace(reader);
-        Ok(this)
-    }
-
-    /// Starts the thread pumping `stream` into this worker's inbox.
-    fn spawn_reader(&self, stream: Socket) -> io::Result<JoinHandle<()>> {
-        let patient = PatientReader {
-            inner: stream,
-            stop: Arc::clone(&self.stop),
-        };
-        let (clock_epoch, skew_s) = (self.uplink.clock_epoch, self.uplink.skew_s);
-        let hooks = LinkHooks {
-            monitor: self.monitor.clone(),
-            local_rank: self.rank,
-            stats: Arc::clone(&self.stats),
-            // The only peer on this link is the collector.
-            expect_source: Some(0),
-            dedup: None,
-            wire: Arc::clone(&self.uplink.wire),
-            clock: None,
-            clock_responder: Some(clock_reply_responder(
-                Arc::clone(&self.writer),
-                Arc::clone(&self.uplink.wire),
-                self.rank,
-                move || clock_epoch.elapsed().as_secs_f64() + skew_s,
-            )),
-        };
-        let tx = self.tx.clone();
-        std::thread::Builder::new()
-            .name(format!("parmonc-tcp-r{}", self.rank))
-            .spawn(move || pump_frames(patient, tx, hooks))
+        })
     }
 
     /// The worker's monitor: enabled (forwarding over the socket) when
@@ -1675,8 +1582,9 @@ impl TcpWorkerTransport {
     /// instead of racing it): hang up the old socket, re-dial on the
     /// seeded backoff schedule — each attempt first consulting the
     /// fault plane's partition veto — re-attach with a rejoin
-    /// handshake, swap the stream under the [`FaultyStream`], and
-    /// respawn the reader.
+    /// handshake, swap the stream under the [`FaultyStream`], and hand
+    /// the new connection to the reader, which takes it once it has
+    /// delivered what the old one held.
     fn reconnect_locked(&self, stream: &mut FaultyStream<Socket>) -> io::Result<()> {
         if self.stop.load(Ordering::Relaxed) {
             return Err(io::Error::new(
@@ -1738,24 +1646,13 @@ impl TcpWorkerTransport {
             };
             // The rejoin grant doubled as a fresh offset exchange.
             self.last_sync.store(t3_s.to_bits(), Ordering::Relaxed);
-            // The link is back. The old reader exits on its own (its
-            // socket is shut down); joining it here could deadlock —
-            // it may be blocked forwarding an event through the very
-            // writer lock we hold — so it is parked for drop instead.
+            // The link is back. The reader may still be delivering the
+            // old connection, or be blocked forwarding an event through
+            // the very writer lock we hold: it is not waited for, only
+            // handed the new connection to read after the old one.
             stream.replace(write_half);
-            match self.spawn_reader(candidate) {
-                Ok(handle) => {
-                    if let Ok(mut slot) = self.reader.lock() {
-                        let old = slot.replace(handle);
-                        if let (Some(old), Ok(mut stale)) = (old, self.stale_readers.lock()) {
-                            stale.push(old);
-                        }
-                    }
-                }
-                Err(e) => {
-                    last_err = Some(e);
-                    continue;
-                }
+            if let Some((links, _)) = &self.reader {
+                let _ = links.send(candidate);
             }
             if self.spans.is_enabled() {
                 if let Ok(mut pending) = self.pending_spans.lock() {
@@ -1866,7 +1763,8 @@ impl Drop for TcpWorkerTransport {
         // the delayed-send flush spin through a reconnect schedule at
         // teardown; on a live link the flush still delivers — a
         // delayed message is late, never lost. Then hang up, which
-        // unblocks our reader and tells the collector we left.
+        // tells the collector we left and ends our reader's last read
+        // once what the link holds is delivered.
         self.stop.store(true, Ordering::Relaxed);
         let _ = self.gate.flush(true, |d, t, p| self.raw_send(d, t, p));
         self.flush_pending_spans();
@@ -1881,18 +1779,16 @@ impl Drop for TcpWorkerTransport {
                 self.uplink.wire.to_event(0, self.monitor.dropped_events()),
             );
         }
-        if let Ok(stream) = self.writer.lock() {
-            stream.get_ref().hang_up();
-        }
-        if let Ok(mut slot) = self.reader.lock() {
-            if let Some(handle) = slot.take() {
-                let _ = handle.join();
-            }
-        }
-        if let Ok(mut stale) = self.stale_readers.lock() {
-            for handle in stale.drain(..) {
-                let _ = handle.join();
-            }
+        self.writer
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get_ref()
+            .hang_up();
+        // With no connection left to hand over, the reader ends at the
+        // hung-up link's EOF.
+        if let Some((links, reader)) = self.reader.take() {
+            drop(links);
+            let _ = reader.join();
         }
     }
 }
@@ -2481,24 +2377,34 @@ mod tests {
             .collect()
     }
 
+    /// Whether this is the test `name` re-run alone in a process of its
+    /// own, for a test that counts this process's threads; when it is
+    /// not, re-runs it so and asserts that it passed there.
+    #[cfg(target_os = "linux")]
+    fn alone(name: &str) -> bool {
+        if std::env::args().any(|arg| arg == "--test-threads=1") {
+            return true;
+        }
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([name, "--exact", "--test-threads=1"])
+            .output()
+            .expect("run the test alone");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "{stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        false
+    }
+
     /// However many workers have joined, the collector's side of the
     /// world is one thread. Other tests' collectors share this process,
     /// so the test re-runs itself alone in a process of its own.
     #[cfg(target_os = "linux")]
     #[test]
     fn the_collector_runs_on_one_thread_whatever_joins() {
-        const NAME: &str = "tcp::tests::the_collector_runs_on_one_thread_whatever_joins";
-        if !std::env::args().any(|arg| arg == "--test-threads=1") {
-            let out = std::process::Command::new(std::env::current_exe().unwrap())
-                .args([NAME, "--exact", "--test-threads=1"])
-                .output()
-                .expect("run the test alone");
-            let stdout = String::from_utf8_lossy(&out.stdout);
-            assert!(
-                out.status.success() && stdout.contains("1 passed"),
-                "{stdout}{}",
-                String::from_utf8_lossy(&out.stderr)
-            );
+        if !alone("tcp::tests::the_collector_runs_on_one_thread_whatever_joins") {
             return;
         }
         let mut collector = collector(9, vec![10; 8]);
@@ -2522,6 +2428,176 @@ mod tests {
         }
         drop(workers);
         collector.shutdown().unwrap();
+    }
+
+    /// The ids of this process's threads named `parmonc-tcp-r1`: rank
+    /// 1's readers.
+    #[cfg(target_os = "linux")]
+    fn rank_1_readers() -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|task| {
+                let path = task.ok()?.path();
+                let name = std::fs::read_to_string(path.join("comm")).ok()?;
+                let tid = path.file_name()?.to_string_lossy().into_owned();
+                (name.trim_end() == "parmonc-tcp-r1").then_some(tid)
+            })
+            .collect()
+    }
+
+    /// How often this process's thread `tid` has given up its core.
+    #[cfg(target_os = "linux")]
+    fn voluntary_switches(tid: &str) -> u64 {
+        let status = std::fs::read_to_string(format!("/proc/self/task/{tid}/status")).unwrap();
+        status
+            .lines()
+            .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))
+            .and_then(|n| n.trim().parse().ok())
+            .expect("the status names the thread's voluntary switches")
+    }
+
+    /// A worker's side of its link is one reader for the transport's
+    /// life: two reconnects hand it their connections instead of
+    /// starting readers of their own, and while the collector is silent
+    /// it sleeps in its read instead of waking to look for teardown.
+    /// Other tests' workers share this process, so the test re-runs
+    /// itself alone in a process of its own.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_worker_keeps_one_reader_that_sleeps_while_the_link_is_idle() {
+        if !alone("tcp::tests::a_worker_keeps_one_reader_that_sleeps_while_the_link_is_idle") {
+            return;
+        }
+        let mut collector = collector(2, vec![10]);
+        let faults = FaultPlan::new(9)
+            .sever_connection(1, 1)
+            .sever_connection(1, 2)
+            .build();
+        let addr = collector.local_addr().to_string();
+        let mut worker = TcpWorkerTransport::join(join_options(addr, 42, faults.clone()))
+            .expect("join succeeds");
+        // A thread names itself once it runs: the reader has, once it
+        // has delivered something.
+        collector.send(1, Tag(9), b"named").unwrap();
+        expect(&mut worker, 0, 9);
+        let reader = rank_1_readers();
+        assert_eq!(reader.len(), 1, "{reader:?}");
+        for done in 0..3u8 {
+            faults.note_progress(1, u64::from(done));
+            worker
+                .send(0, Tag(7), &[done])
+                .expect("send survives the severance");
+            assert_eq!(expect(&mut collector, 1, 7).payload[..], [done]);
+            assert_eq!(rank_1_readers(), reader, "after {done} reconnects");
+        }
+        let severed = faults.records();
+        assert_eq!(severed.len(), 2, "{severed:?}");
+        // Once it has delivered this, the reader is back in its read.
+        collector.send(1, Tag(9), b"ping").unwrap();
+        expect(&mut worker, 0, 9);
+        let before = voluntary_switches(&reader[0]);
+        std::thread::sleep(Duration::from_millis(500));
+        let woke = voluntary_switches(&reader[0]) - before;
+        assert!(woke <= 1, "an idle reader woke {woke} times in 500 ms");
+        drop(worker);
+        collector.shutdown().unwrap();
+    }
+
+    /// The handshake's read timeout ends with the handshake: a collector
+    /// silent for several of the worker's `io_timeout`s has not ended
+    /// the worker's reader, and its next envelope arrives.
+    #[test]
+    fn a_silent_collector_does_not_end_a_workers_reader() {
+        let io_timeout = Duration::from_millis(100);
+        for kind in KINDS {
+            let (collector, endpoint) = world(kind, 2, vec![10]);
+            let mut opts = join_options(String::new(), 42, FaultHandle::disabled());
+            opts.io_timeout = io_timeout;
+            let mut worker =
+                TcpWorkerTransport::join_on(endpoint.clone(), opts).expect("join succeeds");
+            std::thread::sleep(4 * io_timeout);
+            collector.send(1, Tag(9), b"late").unwrap();
+            assert_eq!(&expect(&mut worker, 0, 9).payload[..], b"late", "{kind:?}");
+            drop(worker);
+            close(collector);
+        }
+    }
+
+    /// What the collector wrote on a worker's old connection reaches the
+    /// worker's inbox before anything of the connection that replaced
+    /// it. The test holds the worker's writer, so that the reader stops
+    /// inside a clock reply it cannot answer with the old connection's
+    /// frames behind it, reconnects under that hold, and has the
+    /// collector write on the new connection before letting go. The
+    /// pauses only give a second reader, were there one, time to
+    /// overtake: the order must hold under any interleaving.
+    #[test]
+    fn a_workers_old_connection_delivers_before_its_replacement() {
+        let hold = Duration::from_millis(100);
+        for kind in KINDS {
+            let (collector, endpoint) = world(kind, 2, vec![10]);
+            let mut worker =
+                join_at(endpoint.clone(), 42, FaultHandle::disabled()).expect("join succeeds");
+            let mut writer = worker.writer.lock().unwrap();
+            let reply = ClockReply {
+                t0_s: 0.0,
+                t1_s: 0.0,
+                t2_s: 0.0,
+            };
+            collector
+                .send(1, Tag(TAG_TCP_CLOCK_REPLY), &reply.encode())
+                .unwrap();
+            for old in 0..3u8 {
+                collector.send(1, Tag(9), &[old]).unwrap();
+            }
+            std::thread::sleep(hold);
+            worker
+                .reconnect_locked(&mut writer)
+                .expect("the worker rejoins");
+            // The rejoin's grant follows the collector's switch to the
+            // new connection, so this is written on it.
+            collector.send(1, Tag(9), b"new").unwrap();
+            std::thread::sleep(hold);
+            drop(writer);
+            for old in 0..3u8 {
+                assert_eq!(expect(&mut worker, 0, 9).payload[..], [old], "{kind:?}");
+            }
+            assert_eq!(&expect(&mut worker, 0, 9).payload[..], b"new", "{kind:?}");
+            drop(worker);
+            close(collector);
+        }
+    }
+
+    /// Rank 0 reads a connection without asking first: the I/O thread
+    /// makes no readiness check besides its loop's own `poll`, and a
+    /// frame costs it at most two reads (the header with the start of
+    /// the payload, then the rest), plus one per round that finds the
+    /// connection emptied.
+    #[test]
+    fn rank_0_reads_a_frame_in_at_most_two_reads_without_a_readiness_check() {
+        const SUBTOTALS: u64 = 64;
+        for kind in KINDS {
+            let (mut collector, endpoint) = world(kind, 2, vec![10]);
+            let worker =
+                join_at(endpoint.clone(), 42, FaultHandle::disabled()).expect("join succeeds");
+            let subtotal = vec![7u8; 32 * 1024];
+            for _ in 0..SUBTOTALS {
+                worker.send(0, Tag(1), &subtotal).unwrap();
+            }
+            for _ in 0..SUBTOTALS {
+                expect(&mut collector, 1, 1);
+            }
+            drop(worker);
+            collector.shutdown().unwrap();
+            let (rounds, polls, reads) = *collector.ctx.io_calls.lock().unwrap();
+            assert_eq!(polls, rounds, "{kind:?}: readiness checks outside the loop");
+            // The join frame and the subtotals.
+            let frames = 1 + SUBTOTALS;
+            assert!(
+                reads <= 2 * frames + rounds,
+                "{kind:?}: {reads} reads for {frames} frames in {rounds} rounds"
+            );
+        }
     }
 
     /// Runs `body` on its own thread and fails if it has not returned
